@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench bench-smoke bench-loadgen bench-obs bench-batch bench-net bench-shard bench-shard-smoke bench-trace bench-quorum bench-quorum-smoke profile-net check-obs-imports check-allocs check-admin fuzz-smoke ci
+.PHONY: all build test test-bench vet race race-conflict bench-pair bench bench-smoke bench-loadgen bench-obs bench-batch bench-net bench-shard bench-shard-smoke bench-trace bench-quorum bench-quorum-smoke profile-net check-obs-imports check-allocs check-admin fuzz-smoke ci
 
 all: build
 
@@ -15,6 +15,35 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# test-bench runs the benchmark's own tests. bench/ is a module of its own
+# (the driver builds it from inside its checkout), so `go test ./...` at
+# the root — tier-1 — does not reach the instrument.
+test-bench:
+	$(GO) test -C bench ./...
+
+# race-conflict repeats the conflict-resolution stress tests (ordered
+# wait-or-refuse replica locks, nine writers on one item, refused rounds)
+# under the race detector with their short budget: each run draws different
+# interleavings, and a deadlock shows as a denied or expired lock count.
+race-conflict:
+	$(GO) test -race -short -count=3 -run 'TestOrderedLock|TestRefused' ./internal/replica/
+	$(GO) test -race -short -count=3 -run 'TestHotItemWritersOnEveryNode|TestRefused' ./internal/core/
+
+# bench-pair W=<workload> [N=10] [SEED=1] [BASE=HEAD~1] [TRACE=1] compares
+# the working tree against commit BASE on one workload of BENCHMARK.json:
+# N pairs of `bash bench/run.sh` runs from two checkouts, alternating which
+# side goes first, then medians, quartiles, pair wins and a verdict per
+# metric (scripts/benchpair). The parent checkout is a `git archive` under
+# .bench_build, which .gitignore covers.
+W ?= sim_hot
+N ?= 10
+SEED ?= 1
+BASE ?= HEAD~1
+bench-pair:
+	rm -rf .bench_build/pair-parent && mkdir -p .bench_build/pair-parent
+	git archive $(BASE) | tar -x -C .bench_build/pair-parent
+	$(GO) run ./scripts/benchpair -parent .bench_build/pair-parent -change . -w $(W) -n $(N) -seed $(SEED) $(if $(TRACE),-trace)
 
 # bench-smoke runs every benchmark for a single iteration — a fast compile-
 # and-run sanity pass, not a measurement.
@@ -114,14 +143,15 @@ profile-net:
 		-seconds 10 http://127.0.0.1:6161/debug/pprof/profile; wait
 
 # check-allocs runs the steady-state allocation gates: the combiner's
-# submit/drain machinery, the batched-propagation capture path, the mux
-# dispatch and wire encode hot paths, the tcpnet frame codec, and the
+# submit/drain machinery, the batched-propagation capture path, the
+# decision ring, the mux dispatch and wire encode hot paths, the tcpnet
+# frame codec, and the
 # weighted quorum pick (alias-table sampling in coterie and the
 # coordinator's pick wrapper) must not allocate per operation (they gate
 # with testing.AllocsPerRun and skip themselves under -race).
 check-allocs:
 	$(GO) test -run 'TestCombinerDrainDoesNotAllocate' ./internal/core/ -v -count=1 | grep -E 'PASS|FAIL|allocates' || exit 1
-	$(GO) test -run 'TestCaptureDataDoesNotAllocate' ./internal/replica/ -v -count=1 | grep -E 'PASS|FAIL|allocates' || exit 1
+	$(GO) test -run 'TestCaptureDataDoesNotAllocate|TestDecisionRingDoesNotAllocate' ./internal/replica/ -v -count=1 | grep -E 'PASS|FAIL|allocates' || exit 1
 	$(GO) test -run 'TestMuxDispatchDoesNotAllocate|TestMulticastFuncAllocs' ./internal/transport/ -v -count=1 | grep -E 'PASS|FAIL|allocates' || exit 1
 	$(GO) test -run 'TestAppendMarshalDoesNotAllocate|TestAppendTraceContextDoesNotAllocate|TestDecodeTraceContextDoesNotAllocate' ./internal/wire/ -v -count=1 | grep -E 'PASS|FAIL|allocates' || exit 1
 	$(GO) test -run 'TestRequestFrameEncodeDoesNotAllocate|TestReplyFrameEncodeDoesNotAllocate|TestFusedMessageEncodeDoesNotAllocate|TestRingFlushPathDoesNotAllocate|TestTracedRequestFrameEncodeDoesNotAllocate' ./internal/transport/tcpnet/ -v -count=1 | grep -E 'PASS|FAIL|allocates' || exit 1
@@ -149,4 +179,4 @@ check-obs-imports:
 	fi; \
 	echo "check-obs-imports: internal/obs is clean"
 
-ci: vet build check-obs-imports check-allocs check-admin fuzz-smoke race bench-smoke bench-loadgen bench-obs bench-batch bench-net bench-shard-smoke bench-quorum-smoke
+ci: vet build test-bench check-obs-imports check-allocs check-admin fuzz-smoke race race-conflict bench-smoke bench-loadgen bench-obs bench-batch bench-net bench-shard-smoke bench-quorum-smoke

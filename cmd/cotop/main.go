@@ -9,6 +9,7 @@
 //	cotop -cluster ... -json                        # merged snapshot, JSON
 //
 // The default view is one screen: cluster-merged counters and gauges,
+// the lock-conflict line (refused and rerun beside denied and expired),
 // the counter/gauge vectors (quorum pick counts by size, per-node
 // capacity and load-EWMA cells from the weighted strategies, per-shard
 // totals), the latency histograms' tails, per-shard route latency, and
@@ -143,6 +144,15 @@ func printSummary(w io.Writer, cs *capi.ClusterSnapshot) {
 	for _, name := range names {
 		fmt.Fprintf(w, "  %-44s %d\n", name, cs.Counters[name])
 	}
+
+	// Lock contention on one line, zeros included: refused rounds were
+	// untied by the replicas' conflict order within a round trip (and rerun
+	// by their coordinators), denied and expired ones by a timeout — those
+	// two, and an unanswerable termination query, should stay at zero.
+	fmt.Fprintf(w, "lock conflicts: refused=%d rerun=%d denied=%d expired=%d decision-unknown=%d\n",
+		cs.Counters["replica_lock_refused_total"], cs.Counters["core_lock_retry_total"],
+		cs.Counters["replica_lock_denied_total"], cs.Counters["replica_lock_expired_total"],
+		cs.Counters["replica_decision_unknown_total"])
 
 	gnames := make([]string, 0, len(cs.Gauges))
 	for name, v := range cs.Gauges {

@@ -45,6 +45,9 @@ func TestSummaryRendersMergedStrategyVectors(t *testing.T) {
 	r1.GaugeVec("core_strategy_entropy_milli").At(0).Set(2100)
 	r1.Gauge("core_strategy_capacity_milli").Set(5400)
 	r1.Counter("core_reads_total").Add(3)
+	r1.Counter("replica_lock_refused_total").Add(40)
+	r2.Counter("replica_lock_refused_total").Add(2)
+	r2.Counter("core_lock_retry_total").Add(17)
 
 	cs := capi.MergeNodes([]capi.NodeSnapshot{
 		nodeSnapshot(t, "a:9100", r1),
@@ -65,6 +68,7 @@ func TestSummaryRendersMergedStrategyVectors(t *testing.T) {
 		"1:7",      // load EWMA passes through
 		"0:2100",   // read-distribution entropy
 		"5400",     // predicted capacity gauge
+		"lock conflicts: refused=42 rerun=17 denied=0 expired=0 decision-unknown=0",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("summary missing %q:\n%s", want, got)

@@ -381,6 +381,10 @@ func (c *Client) CheckEpoch(ctx context.Context, item string) (CheckReply, error
 	opCtx, release := deadline.Bound(ctx, c.cfg.OpTimeout)
 	defer release()
 	var lastErr error
+	// One random starting member per call, then the members in turn: a
+	// fresh draw per attempt can land on the same stopped daemon every
+	// time, while a walk reaches a live one by the second attempt.
+	start := int(c.rand() % (1 << 31))
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		members, _, err := c.route(opCtx, item)
 		if err != nil {
@@ -388,7 +392,7 @@ func (c *Client) CheckEpoch(ctx context.Context, item string) (CheckReply, error
 			c.backoff(opCtx, attempt)
 			continue
 		}
-		target := members[(attempt+int(c.rand()%uint64(len(members))))%len(members)]
+		target := members[(start+attempt)%len(members)]
 		cctx, release := deadline.Bound(opCtx, c.cfg.CallTimeout)
 		msg, err := c.net.Call(cctx, c.cfg.Self, target, CheckEpoch{Item: item})
 		release()

@@ -110,6 +110,11 @@ func (d *fakeDaemon) handle(ctx context.Context, _ nodeset.ID, req transport.Mes
 		}
 		copy(st.vals[m.Item][m.Update.Offset:], m.Update.Data)
 		return WriteReply{Status: StatusOK, Version: st.vers[m.Item]}, nil
+	case CheckEpoch:
+		if !d.owns(m.Item) {
+			return CheckReply{Status: StatusWrongShard}, nil
+		}
+		return CheckReply{Status: StatusOK}, nil
 	default:
 		return nil, errors.New("fakeDaemon: unexpected message")
 	}
@@ -216,6 +221,25 @@ func TestReadFailsOverDeadReplica(t *testing.T) {
 	}
 	if c.Stats().Retries == 0 {
 		t.Fatal("expected the dead-replica read attempt to count as a retry")
+	}
+}
+
+// An epoch check with one shard member down must reach a live member by
+// its second attempt: the attempts walk the members from one random start.
+// Drawing a fresh random member per attempt sent about one call in nine to
+// the dead member twice or more, and one in 243 to it five times running.
+func TestCheckEpochWalksPastDeadMember(t *testing.T) {
+	net, daemons, c := cluster(t, 3, 1, 3, ClientConfig{BackoffBase: 100 * time.Microsecond})
+	net.Crash(daemons[1].id)
+	for i := 0; i < 200; i++ {
+		before := net.Stats().Calls
+		reply, err := c.CheckEpoch(context.Background(), "item")
+		if err != nil || reply.Status != StatusOK {
+			t.Fatalf("call %d: err=%v status=%v", i, err, reply.Status)
+		}
+		if attempts := net.Stats().Calls - before; attempts > 2 {
+			t.Fatalf("call %d took %d attempts with one of three members down, want at most 2", i, attempts)
+		}
 	}
 }
 

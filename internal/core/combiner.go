@@ -23,8 +23,10 @@ import (
 // K consecutive versions, preserving per-version log granularity for
 // propagation.
 //
-// Anything the batch fast path cannot handle with nothing applied —
-// quorum assembly failure, an epoch redirect, a lost lock race, a
+// A batch whose lock round a replica refused (an older operation is ahead
+// there) releases what it was granted and runs again as a batch, like any
+// refused operation. Anything else the batch fast path cannot handle with
+// nothing applied — quorum assembly failure, an epoch redirect, a
 // degenerate epoch — aborts the locks and returns every writer to the
 // single-write flow (which owns the heavy procedure and redirect
 // handling), each under its own context. Only a commit that was
@@ -156,7 +158,17 @@ func (c *Coordinator) executeBatch(batch []*pendingWrite) {
 	}
 	op := c.item.NextOp()
 	a := c.obsReg.Flight().Begin(obs.OpWrite, c.item.Self(), uint64(op.Seq), c.item.Name())
-	first, err := c.writeBatch(ctx, a, op, batch)
+	var first uint64
+	var err error
+	// A refused batch runs again as a batch: scattered to the single-write
+	// flow its writers would contend with each other for the same replicas.
+	for attempt := 0; ; attempt++ {
+		first, err = c.writeBatch(ctx, a, op, batch)
+		if !c.retryRefused(ctx, attempt, err) {
+			break
+		}
+		op = c.item.NextOp()
+	}
 	switch {
 	case err == errBatchRetry:
 		a.End(obs.OutcomeConflict, 0)
@@ -198,20 +210,19 @@ func (c *Coordinator) writeBatch(ctx context.Context, a *obs.ActiveOp, op replic
 	}
 	rows, cols, _ := lay.GridShape()
 	a.Quorum(quorum, rows, cols)
-	began := a.Elapsed()
-	responses, busy := c.lockRoundBusy(ctx, op, quorum, replica.LockWrite)
-	a.Phase(obs.PhaseLock, began, len(responses), busy.Len())
-	if !busy.Empty() {
-		a.LockBusy(busy)
+	res := c.lockRound(ctx, a, quorum, replica.LockRequest{Op: op, Mode: replica.LockWrite})
+	if !res.refusedBy.Empty() {
+		c.unlock(ctx, op, res.held()) // a LockRequest stages nothing
+		return 0, errRefused
 	}
-	cl := classify(responses)
+	cl := classify(res.responses)
 	c.noteRedirect(a, local.EpochNum, cl)
 	if cl.maxEpoch.EpochNum != local.EpochNum || cl.responders.Empty() ||
 		!lay.IsWriteQuorum(cl.responders) || !cl.currentReachable() {
 		// Epoch redirects included: the single-write flow re-resolves the
 		// layout per responder epoch; the batch path only runs the common,
 		// settled-epoch case.
-		c.abortAll(ctx, op, cl.responders)
+		c.abortAll(ctx, op, res.held())
 		return 0, errBatchRetry
 	}
 
@@ -228,13 +239,13 @@ func (c *Coordinator) writeBatch(ctx context.Context, a *obs.ActiveOp, op replic
 	}
 	c.combiner.updates = updates
 
-	began = a.Elapsed()
+	began := a.Elapsed()
 	prepared := c.ackRound(ctx, cl.good, replica.PrepareBatch{
 		Op: op, Updates: updates, FirstVersion: first, StaleSet: cl.stale, GoodSet: cl.good,
 	})
 	a.Phase(obs.PhasePrepare, began, prepared.Len(), 0)
 	if !prepared.Equal(cl.good) {
-		c.abortAll(ctx, op, cl.responders)
+		c.abortAll(ctx, op, res.held())
 		return 0, errBatchRetry
 	}
 	if !cl.stale.Empty() {
@@ -243,13 +254,14 @@ func (c *Coordinator) writeBatch(ctx context.Context, a *obs.ActiveOp, op replic
 			Op: op, Desired: last, GoodSet: cl.good,
 		})
 		if !preparedStale.Equal(cl.stale) {
-			c.abortAll(ctx, op, cl.responders)
+			c.abortAll(ctx, op, res.held())
 			return 0, errBatchRetry
 		}
 	}
 	began = a.Elapsed()
 	committed := c.commitAll(ctx, op, last, cl.responders)
 	a.Phase(obs.PhaseCommit, began, committed.Len(), 0)
+	c.unlock(ctx, op, res.held().Diff(cl.responders)) // granted, but took no part
 	if !cl.good.Subset(committed) {
 		return 0, fmt.Errorf("%w: commit not acknowledged by all good replicas", ErrUnavailable)
 	}

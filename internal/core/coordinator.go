@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
+	"time"
 
 	"coterie/internal/coterie"
 	"coterie/internal/deadline"
@@ -205,64 +208,100 @@ type response struct {
 	state replica.StateReply
 }
 
-// lockRound multicasts a LockRequest to targets and collects the non-failed
-// state replies — the phase-1 "write-request" / read-request round.
-func (c *Coordinator) lockRound(ctx context.Context, op replica.OpID, targets nodeset.Set, mode replica.LockMode) []response {
-	resp, _ := c.lockRoundBusy(ctx, op, targets, mode)
-	return resp
+// lockResult is what a phase-1 lock round collected.
+type lockResult struct {
+	responses []response  // members that granted the lock, with their state
+	prepared  nodeset.Set // LockPrepare only: members that staged the update
+	// busy members answered but could not grant in time (the context ended
+	// in their queue) — distinct from members whose calls failed outright
+	// (crashes, partitions).
+	busy nodeset.Set
+	// refusedBy members refused at once because an older operation is
+	// ahead there (replica.LockRefused); lostTo is one such operation.
+	refusedBy nodeset.Set
+	lostTo    replica.OpID
 }
 
-// lockRoundBusy additionally reports the nodes that answered but could not
-// grant the lock in time (handler errors, typically lock contention) —
-// distinct from nodes whose calls failed outright (crashes, partitions).
-func (c *Coordinator) lockRoundBusy(ctx context.Context, op replica.OpID, targets nodeset.Set, mode replica.LockMode) ([]response, nodeset.Set) {
+// held returns the members that may hold the round's lock: the ones that
+// granted it, and the busy ones, whose grant may have crossed the
+// cancellation.
+func (r lockResult) held() nodeset.Set {
+	held := r.busy.Clone()
+	for _, resp := range r.responses {
+		held.Add(resp.node)
+	}
+	return held
+}
+
+// lockRound multicasts msg — a LockRequest, or the write path's fused
+// LockPrepare, which predicts that every target is current at
+// newVersion−1 with the quorum itself as the good set — sorts the answers
+// and records the round on the operation's trace.
+func (c *Coordinator) lockRound(ctx context.Context, a *obs.ActiveOp, targets nodeset.Set, msg any) lockResult {
+	began := a.Elapsed()
 	callCtx, cancel := deadline.Bound(ctx, c.opts.CallTimeout)
 	defer cancel()
-	out := make([]response, 0, targets.Len())
-	var busy nodeset.Set
-	c.net.MulticastFunc(callCtx, c.item.Self(), targets,
-		replica.Envelope{Item: c.item.Name(), Msg: replica.LockRequest{Op: op, Mode: mode}},
+	res := lockResult{responses: make([]response, 0, targets.Len())}
+	c.net.MulticastFunc(callCtx, c.item.Self(), targets, replica.Envelope{Item: c.item.Name(), Msg: msg},
 		func(id nodeset.ID, r transport.Result) {
 			if r.Err != nil {
 				if !errors.Is(r.Err, transport.ErrCallFailed) {
-					busy.Add(id)
+					res.busy.Add(id)
 				}
 				return
 			}
-			if st, ok := r.Reply.(replica.StateReply); ok {
-				out = append(out, response{node: id, state: st})
+			switch m := r.Reply.(type) {
+			case replica.StateReply:
+				res.responses = append(res.responses, response{node: id, state: m})
+			case replica.LockPrepareReply:
+				res.responses = append(res.responses, response{node: id, state: m.State})
+				if m.Prepared {
+					res.prepared.Add(id)
+				}
+			case replica.LockRefused:
+				res.refusedBy.Add(id)
+				res.lostTo = m.By
 			}
 		})
-	return out, busy
+	a.Phase(obs.PhaseLock, began, len(res.responses), res.busy.Len())
+	if !res.busy.Empty() {
+		a.LockBusy(res.busy)
+	}
+	if !res.refusedBy.Empty() {
+		a.Refused(res.refusedBy, uint64(res.lostTo.Coordinator), res.lostTo.Seq)
+	}
+	return res
 }
 
-// lockPrepareRound is the write path's fused phase 1: a LockPrepare
-// multicast predicting that every target is current at newVersion−1, with
-// the quorum itself as the good set. It returns the state responses (for
-// classification, exactly as lockRoundBusy would), the set of nodes that
-// staged the speculative prepare, and the busy set.
-func (c *Coordinator) lockPrepareRound(ctx context.Context, op replica.OpID, targets nodeset.Set, u replica.Update, newVersion uint64) ([]response, nodeset.Set, nodeset.Set) {
-	callCtx, cancel := deadline.Bound(ctx, c.opts.CallTimeout)
-	defer cancel()
-	out := make([]response, 0, targets.Len())
-	var prepared, busy nodeset.Set
-	c.net.MulticastFunc(callCtx, c.item.Self(), targets,
-		replica.Envelope{Item: c.item.Name(), Msg: replica.LockPrepare{Op: op, Update: u, NewVersion: newVersion, GoodSet: targets}},
-		func(id nodeset.ID, r transport.Result) {
-			if r.Err != nil {
-				if !errors.Is(r.Err, transport.ErrCallFailed) {
-					busy.Add(id)
-				}
-				return
-			}
-			if lp, ok := r.Reply.(replica.LockPrepareReply); ok {
-				out = append(out, response{node: id, state: lp.State})
-				if lp.Prepared {
-					prepared.Add(id)
-				}
-			}
-		})
-	return out, prepared, busy
+// errRefused reports a lock round some member refused (refusedBy is not
+// empty). The caller has applied nothing, releases the round's grants
+// one-way and returns it; it must not go on to the heavy procedure —
+// locking every replica is the largest possible overlap with the operation
+// it lost to — but run the round again under a fresh OpID (retryRefused).
+// Callers see it, as an ErrConflict, once lockAttempts rounds were refused.
+var errRefused = fmt.Errorf("%w: lock rounds refused by older operations", ErrConflict)
+
+// lockAttempts bounds the lock rounds of one operation. Each attempt draws
+// a fresh OpID, hence a fresh rank in the replicas' conflict order and a
+// fresh quorum: against k operations contending for the same replicas it
+// survives with probability about 1/(k+1), whoever coordinates it.
+const lockAttempts = 8
+
+// retryRefused reports whether an operation that ended with err should run
+// again under a fresh OpID. A refusal means an older operation is in its
+// own round right now, so the retry first yields the processor to it, and
+// from the third attempt on a few tens of microseconds as well.
+func (c *Coordinator) retryRefused(ctx context.Context, attempt int, err error) bool {
+	if err != errRefused || attempt+1 >= lockAttempts || ctx.Err() != nil {
+		return false
+	}
+	c.metrics.lockRetries.Inc()
+	if attempt < 2 {
+		runtime.Gosched()
+	} else {
+		time.Sleep(time.Duration(10+rand.Intn(40)) * time.Microsecond)
+	}
+	return true
 }
 
 // snapRound is the read path's fused phase 1: a ReadSnap multicast whose
@@ -389,23 +428,31 @@ func (c *Coordinator) abortAll(ctx context.Context, op replica.OpID, targets nod
 }
 
 // releaseAll is abortAll for a finished operation — the op's ID will never
-// be locked again, so the release round can leave the critical path. When
-// the transport can send one-way the abort is fired and forgotten: no
-// participant's answer can change the outcome (the synchronous path
-// ignores them too), and dropping the wait removes a full round-trip from
-// every successful read. Late delivery is harmless — queued waiters for
-// the item sit out the release handler's few microseconds, and a lost
-// abort resolves through the lock lease and the recorded decision.
+// be locked again, so the release round can leave the critical path.
 func (c *Coordinator) releaseAll(ctx context.Context, op replica.OpID, targets nodeset.Set) {
 	if targets.Empty() {
 		return
 	}
+	c.item.RecordDecision(op, false)
+	c.unlock(ctx, op, targets)
+}
+
+// unlock releases a finished operation's locks without logging a decision,
+// which is all an operation that can have staged nothing (a read) needs:
+// no participant will ever ask how it ended. When the transport can send
+// one-way the abort is fired and forgotten: no participant's answer can
+// change the outcome, and dropping the wait removes a round-trip from every
+// heavy read. A lost abort resolves through the lock lease and, for
+// writes, the recorded decision.
+func (c *Coordinator) unlock(ctx context.Context, op replica.OpID, targets nodeset.Set) {
+	if targets.Empty() {
+		return
+	}
 	if c.async != nil {
-		c.item.RecordDecision(op, false)
 		c.fireAndForget(ctx, targets, replica.Abort{Op: op})
 		return
 	}
-	c.abortAll(ctx, op, targets)
+	c.ackRound(ctx, targets, replica.Abort{Op: op})
 }
 
 // fireAndForget delivers msg to every target without waiting for remote
@@ -472,11 +519,17 @@ func (c *Coordinator) Write(ctx context.Context, u replica.Update) (uint64, erro
 // writeOne runs one write through the single-write protocol flow — the
 // path taken without group commit, on combiner overflow, and for each
 // writer of a batch that aborted with nothing applied.
-func (c *Coordinator) writeOne(ctx context.Context, u replica.Update) (uint64, error) {
+func (c *Coordinator) writeOne(ctx context.Context, u replica.Update) (version uint64, err error) {
 	op := c.item.NextOp()
 	a := c.obsReg.Flight().Begin(obs.OpWrite, c.item.Self(), uint64(op.Seq), c.item.Name())
 	a.Trace(obs.TraceFrom(ctx))
-	version, err := c.write(ctx, a, op, u)
+	for attempt := 0; ; attempt++ {
+		version, err = c.write(ctx, a, op, u)
+		if !c.retryRefused(ctx, attempt, err) {
+			break
+		}
+		op = c.item.NextOp()
+	}
 	a.End(outcomeOf(err), version)
 	return version, err
 }
@@ -493,22 +546,21 @@ func (c *Coordinator) write(ctx context.Context, a *obs.ActiveOp, op replica.OpI
 	}
 	rows, cols, _ := lay.GridShape()
 	a.Quorum(quorum, rows, cols)
-	began := a.Elapsed()
 	// The lock round carries the update speculatively (LockPrepare): if the
 	// whole quorum turns out current at the predicted version, every member
 	// has already staged and the write goes straight to commit — one round
 	// trip instead of two. Any miss degrades to the classified prepare
 	// below, which overwrites the speculative stagings it covers.
 	specVersion := local.Version + 1
-	responses, specPrepared, busy := c.lockPrepareRound(ctx, op, quorum, u, specVersion)
-	a.Phase(obs.PhaseLock, began, len(responses), busy.Len())
-	if !busy.Empty() {
-		a.LockBusy(busy)
+	res := c.lockRound(ctx, a, quorum, replica.LockPrepare{Op: op, Update: u, NewVersion: specVersion, GoodSet: quorum})
+	if !res.refusedBy.Empty() {
+		c.releaseAll(ctx, op, res.held())
+		return 0, errRefused
 	}
-	cl := classify(responses)
+	cl := classify(res.responses)
 	c.noteRedirect(a, local.EpochNum, cl)
 	if !cl.responders.Empty() && c.layoutAt(lay, local.EpochNum, cl.maxEpoch).IsWriteQuorum(cl.responders) && cl.currentReachable() {
-		if specPrepared.Equal(quorum) && cl.good.Equal(quorum) && cl.maxVersion+1 == specVersion {
+		if res.prepared.Equal(quorum) && cl.good.Equal(quorum) && cl.maxVersion+1 == specVersion {
 			// Speculation hit: every quorum member answered, is current at
 			// the predicted base version, and staged the update — exactly
 			// the state a PrepareUpdate round to cl.good would have
@@ -523,19 +575,19 @@ func (c *Coordinator) write(ctx context.Context, a *obs.ActiveOp, op replica.OpI
 		}
 		c.metrics.specMisses.Inc()
 		version, err := c.executeWrite(ctx, a, op, u, cl)
-		if err == nil {
-			return version, nil
-		}
-		if !errors.Is(err, ErrConflict) {
-			// The commit phase started; retrying could apply the update
-			// twice. Surface the uncertain outcome instead.
-			return 0, err
+		if err == nil || !errors.Is(err, ErrConflict) {
+			// Committed — or the commit phase started, and retrying could
+			// apply the update twice, so the uncertain outcome is surfaced.
+			// Members that granted the lock without taking part (a
+			// recovering replica) are let go.
+			c.unlock(ctx, op, res.held().Diff(cl.responders))
+			return version, err
 		}
 		// Prepare-stage conflict: nothing applied, locks released — fall
 		// through to the heavy procedure, as the paper does when the
 		// atomic action fails.
 	}
-	return c.heavyWrite(ctx, a, op, u, cl.responders)
+	return c.heavyWrite(ctx, a, op, u, res.held())
 }
 
 // heavyWrite is the paper's HeavyProcedure: request permission from every
@@ -544,14 +596,13 @@ func (c *Coordinator) write(ctx context.Context, a *obs.ActiveOp, op replica.OpI
 func (c *Coordinator) heavyWrite(ctx context.Context, a *obs.ActiveOp, op replica.OpID, u replica.Update, alreadyLocked nodeset.Set) (uint64, error) {
 	c.metrics.heavy.Inc()
 	a.Heavy()
-	began := a.Elapsed()
-	responses, busy := c.lockRoundBusy(ctx, op, c.all, replica.LockWrite)
-	a.Phase(obs.PhaseLock, began, len(responses), busy.Len())
-	if !busy.Empty() {
-		a.LockBusy(busy)
+	res := c.lockRound(ctx, a, c.all, replica.LockRequest{Op: op, Mode: replica.LockWrite})
+	if !res.refusedBy.Empty() {
+		c.releaseAll(ctx, op, res.held().Union(alreadyLocked))
+		return 0, errRefused
 	}
-	cl := classify(responses)
-	release := alreadyLocked.Union(cl.responders)
+	cl := classify(res.responses)
+	release := alreadyLocked.Union(res.held())
 	if cl.responders.Empty() ||
 		!c.layout(cl.maxEpoch.EpochNum, cl.maxEpoch.Epoch).IsWriteQuorum(cl.responders) ||
 		!cl.currentReachable() {
@@ -563,15 +614,12 @@ func (c *Coordinator) heavyWrite(ctx context.Context, a *obs.ActiveOp, op replic
 		return 0, fmt.Errorf("%w: no write quorum with a current replica (epoch %d)", ErrUnavailable, cl.maxEpoch.EpochNum)
 	}
 	version, err := c.executeWrite(ctx, a, op, u, cl)
-	if err != nil {
-		c.releaseAll(ctx, op, release)
-		return 0, err
-	}
-	// Release any first-round participants that did not respond this round.
-	if leftover := alreadyLocked.Diff(cl.responders); !leftover.Empty() {
-		c.releaseAll(ctx, op, leftover)
-	}
-	return version, nil
+	// Commit or abort, executeWrite settled its participants and logged the
+	// decision. Whoever else holds the op's lock — first-round members that
+	// did not answer this round, recovering replicas — is only unlocked: an
+	// abort logged here would overwrite a commit.
+	c.unlock(ctx, op, release.Diff(cl.responders))
+	return version, err
 }
 
 // executeWrite runs the two-phase commit of a classified write: the good
@@ -702,7 +750,13 @@ func (c *Coordinator) Read(ctx context.Context) (value []byte, version uint64, e
 	c.metrics.reads.Inc()
 	a := c.obsReg.Flight().Begin(obs.OpRead, c.item.Self(), uint64(op.Seq), c.item.Name())
 	a.Trace(obs.TraceFrom(ctx))
-	value, version, err = c.read(ctx, a, op)
+	for attempt := 0; ; attempt++ {
+		value, version, err = c.read(ctx, a, op)
+		if !c.retryRefused(ctx, attempt, err) {
+			break
+		}
+		op = c.item.NextOp()
+	}
 	a.End(outcomeOf(err), version)
 	return value, version, err
 }
@@ -770,16 +824,15 @@ func (c *Coordinator) read(ctx context.Context, a *obs.ActiveOp, op replica.OpID
 func (c *Coordinator) heavyRead(ctx context.Context, a *obs.ActiveOp, op replica.OpID, alreadyLocked nodeset.Set) ([]byte, uint64, error) {
 	c.metrics.heavy.Inc()
 	a.Heavy()
-	began := a.Elapsed()
-	responses, busy := c.lockRoundBusy(ctx, op, c.all, replica.LockRead)
-	a.Phase(obs.PhaseLock, began, len(responses), busy.Len())
-	if !busy.Empty() {
-		a.LockBusy(busy)
+	res := c.lockRound(ctx, a, c.all, replica.LockRequest{Op: op, Mode: replica.LockRead})
+	if !res.refusedBy.Empty() {
+		c.unlock(ctx, op, res.held().Union(alreadyLocked))
+		return nil, 0, errRefused
 	}
-	cl := classify(responses)
-	release := alreadyLocked.Union(cl.responders)
-	// Terminal either way — success or error, this op is never retried.
-	defer c.releaseAll(ctx, op, release)
+	cl := classify(res.responses)
+	// Terminal either way — success or error, this op's ID is never locked
+	// again.
+	defer c.unlock(ctx, op, alreadyLocked.Union(res.held()))
 	if cl.responders.Empty() ||
 		!c.layout(cl.maxEpoch.EpochNum, cl.maxEpoch.Epoch).IsReadQuorum(cl.responders) ||
 		!cl.currentReachable() {

@@ -93,19 +93,24 @@ func (c *Coordinator) checkEpochTraced(ctx context.Context, a *obs.ActiveOp, sta
 	var locked []response
 	var lcl classification
 	for attempt := 0; ; attempt++ {
-		var busy nodeset.Set
-		began := a.Elapsed()
-		locked, busy = c.lockRoundBusy(ctx, op, cl.responders.Union(cl.recovering), replica.LockWrite)
-		a.Phase(obs.PhaseLock, began, len(locked), busy.Len())
-		if !busy.Empty() {
-			a.LockBusy(busy)
+		res := c.lockRound(ctx, a, cl.responders.Union(cl.recovering), replica.LockRequest{Op: op, Mode: replica.LockWrite})
+		if !res.refusedBy.Empty() {
+			// An older read, write or check is ahead at some member: like
+			// them, release and lock again under a fresh OpID.
+			c.unlock(ctx, op, res.held()) // a LockRequest stages nothing
+			if !c.retryRefused(ctx, attempt, errRefused) {
+				return CheckResult{}, errRefused
+			}
+			op = c.item.NextOp()
+			continue
 		}
+		locked = res.responses
 		lcl = classify(locked)
 		if !lcl.responders.Empty() && c.layout(lcl.maxEpoch.EpochNum, lcl.maxEpoch.Epoch).IsWriteQuorum(lcl.responders) {
 			break
 		}
 		c.abortAll(ctx, op, lcl.responders.Union(lcl.recovering))
-		if busy.Empty() || attempt >= 2 || ctx.Err() != nil {
+		if res.busy.Empty() || attempt >= 2 || ctx.Err() != nil {
 			return CheckResult{}, fmt.Errorf("%w: reachable replicas hold no write quorum of epoch %d",
 				ErrUnavailable, lcl.maxEpoch.EpochNum)
 		}

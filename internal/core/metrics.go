@@ -33,6 +33,9 @@ type coordMetrics struct {
 	// retried once on a redrawn quorum before escalating to the heavy
 	// procedure (see read()).
 	readRedraws *obs.Counter // core_read_redraws_total
+	// lockRetries counts lock rounds run again under a fresh OpID because a
+	// replica refused the previous one (see retryRefused).
+	lockRetries *obs.Counter // core_lock_retry_total
 }
 
 func newCoordMetrics(r *obs.Registry) coordMetrics {
@@ -49,6 +52,7 @@ func newCoordMetrics(r *obs.Registry) coordMetrics {
 		specHits:      r.Counter("core_spec_prepare_hit_total"),
 		specMisses:    r.Counter("core_spec_prepare_miss_total"),
 		readRedraws:   r.Counter("core_read_redraws_total"),
+		lockRetries:   r.Counter("core_lock_retry_total"),
 	}
 }
 

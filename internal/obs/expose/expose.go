@@ -386,6 +386,8 @@ func formatEvent(e obs.Event) string {
 		return fmt.Sprintf("epoch-install #%d members=%s", e.A, nodesString(e.Nodes))
 	case obs.EvBatch:
 		return fmt.Sprintf("batch       %d writes versions=%d..%d", e.N, e.A, e.B)
+	case obs.EvRefused:
+		return fmt.Sprintf("refused     by %s, lost to n%d#%d", nodesString(e.Nodes), e.A, e.B)
 	default:
 		return fmt.Sprintf("event(%d)", e.Kind)
 	}
@@ -408,6 +410,8 @@ func eventMeaning(e obs.Event) string {
 		return "nodes=new epoch, a=epoch number"
 	case obs.EvBatch:
 		return "n=batch size, a=first version, b=last version"
+	case obs.EvRefused:
+		return "nodes=members that refused the lock, a=coordinator and b=sequence number of the older operation"
 	default:
 		return ""
 	}
@@ -415,7 +419,7 @@ func eventMeaning(e obs.Event) string {
 
 func hasNodes(k obs.EventKind) bool {
 	switch k {
-	case obs.EvQuorum, obs.EvStaleMark, obs.EvLockBusy, obs.EvEpochInstall:
+	case obs.EvQuorum, obs.EvStaleMark, obs.EvLockBusy, obs.EvEpochInstall, obs.EvRefused:
 		return true
 	}
 	return false
@@ -465,6 +469,8 @@ func eventName(k obs.EventKind) string {
 		return "epoch-install"
 	case obs.EvBatch:
 		return "batch"
+	case obs.EvRefused:
+		return "refused"
 	default:
 		return "unknown"
 	}

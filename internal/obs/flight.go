@@ -130,6 +130,11 @@ const (
 	// pass. N = the batch size; A = the first version assigned; B = the
 	// last version assigned (A..B is the version range).
 	EvBatch
+	// EvRefused: a lock round lost the replicas' conflict order and will be
+	// run again under a fresh operation ID. Nodes = the members that
+	// refused; N = their number; A/B = coordinator and sequence number of
+	// an operation the round lost to.
+	EvRefused
 )
 
 // Phase identifies the RPC round an EvPhase event timed.
@@ -334,6 +339,15 @@ func (a *ActiveOp) LockBusy(busy nodeset.Set) {
 		return
 	}
 	a.event(Event{Kind: EvLockBusy, N: int32(busy.Len()), Nodes: MaskOf(busy)})
+}
+
+// Refused records a lock round refused by the given members in favour of
+// the older operation lostCoord#lostSeq.
+func (a *ActiveOp) Refused(by nodeset.Set, lostCoord, lostSeq uint64) {
+	if a == nil {
+		return
+	}
+	a.event(Event{Kind: EvRefused, N: int32(by.Len()), A: lostCoord, B: lostSeq, Nodes: MaskOf(by)})
 }
 
 // Heavy records the fallback to the paper's HeavyProcedure.

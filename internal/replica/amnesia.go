@@ -54,8 +54,7 @@ func (it *Item) Amnesia() {
 
 	// The decision log lives on its own stripe (decision.go).
 	it.decMu.Lock()
-	it.decisions = nil
-	it.decisionOrder = nil
+	it.decisions = decisionLog{}
 	it.decMu.Unlock()
 
 	// The lock table was volatile too: drop every hold so waiters proceed

@@ -48,13 +48,14 @@ func newNodeBatchMetrics(r *obs.Registry) nodeBatchMetrics {
 // them. Duplicate enqueues merge.
 func (n *Node) enqueueBatchPropagation(item string, targets nodeset.Set) {
 	n.bpMu.Lock()
+	n.bpGen++
 	for _, id := range targets.IDs() {
 		m := n.bpPending[id]
 		if m == nil {
-			m = make(map[string]struct{})
+			m = make(map[string]uint64)
 			n.bpPending[id] = m
 		}
-		m[item] = struct{}{}
+		m[item] = n.bpGen
 	}
 	start := !n.bpRunning
 	if start {
@@ -117,8 +118,11 @@ func (n *Node) batchPropagateWorker() {
 		}
 		n.bpMu.Unlock()
 
+		again := false
 		for _, target := range targets {
-			n.batchPropagateOnce(target, &sc)
+			if n.batchPropagateOnce(target, &sc) {
+				again = true
+			}
 		}
 
 		n.bpMu.Lock()
@@ -129,6 +133,9 @@ func (n *Node) batchPropagateWorker() {
 		n.bpMu.Unlock()
 		if empty {
 			return
+		}
+		if again {
+			continue
 		}
 		select {
 		case <-n.closed:
@@ -142,17 +149,19 @@ func (n *Node) batchPropagateWorker() {
 // Items that report i-am-current, complete their transfer, or may no
 // longer be sourced from this node (stale/recovering local replica) are
 // removed from the target's pending set; failed entries stay for the next
-// round.
-func (n *Node) batchPropagateOnce(target nodeset.ID, sc *bpScratch) {
+// round. It reports whether an item resolved by this round was enqueued
+// again while the round ran and so is owed another round at once (the
+// per-item worker's rule; see propagateWorker).
+func (n *Node) batchPropagateOnce(target nodeset.ID, sc *bpScratch) (again bool) {
 	sc.names, sc.done = sc.names[:0], sc.done[:0]
 	n.bpMu.Lock()
+	gen := n.bpGen
 	for name := range n.bpPending[target] {
 		sc.names = append(sc.names, name)
 	}
 	n.bpMu.Unlock()
 	if len(sc.names) == 0 {
-		n.finishTarget(target, nil)
-		return
+		return n.finishTarget(target, nil, gen)
 	}
 
 	sc.offers, sc.items = sc.offers[:0], sc.items[:0]
@@ -176,8 +185,7 @@ func (n *Node) batchPropagateOnce(target nodeset.ID, sc *bpScratch) {
 		sc.items = append(sc.items, it)
 	}
 	if len(sc.offers) == 0 {
-		n.finishTarget(target, sc.done)
-		return
+		return n.finishTarget(target, sc.done, gen)
 	}
 
 	n.bpMetrics.rounds.Inc()
@@ -187,14 +195,12 @@ func (n *Node) batchPropagateOnce(target nodeset.ID, sc *bpScratch) {
 	reply, err := n.net.Call(ctx, n.self, target, BatchPropagationOffer{Items: sc.offers})
 	if err != nil {
 		n.bpMetrics.retries.Inc()
-		n.finishTarget(target, sc.done)
-		return
+		return n.finishTarget(target, sc.done, gen)
 	}
 	br, ok := reply.(BatchPropagationReply)
 	if !ok {
 		n.bpMetrics.retries.Inc()
-		n.finishTarget(target, sc.done)
-		return
+		return n.finishTarget(target, sc.done, gen)
 	}
 
 	sc.datas, sc.updates = sc.datas[:0], sc.updates[:0]
@@ -236,7 +242,7 @@ func (n *Node) batchPropagateOnce(target nodeset.ID, sc *bpScratch) {
 			n.bpMetrics.retries.Inc()
 		}
 	}
-	n.finishTarget(target, sc.done)
+	return n.finishTarget(target, sc.done, gen)
 }
 
 // matchOffer resolves a reply entry back to its offer index. Replies come
@@ -287,20 +293,23 @@ func (n *Node) captureData(it *Item, op OpID, targetVersion uint64, sc *bpScratc
 }
 
 // finishTarget removes the resolved item names from target's pending set,
-// dropping the target entirely once nothing is owed.
-func (n *Node) finishTarget(target nodeset.ID, done []string) {
+// dropping the target entirely once nothing is owed. A name enqueued after
+// the round began (its stamp is newer than gen) stays, and is reported.
+func (n *Node) finishTarget(target nodeset.ID, done []string, gen uint64) (again bool) {
 	n.bpMu.Lock()
-	if m := n.bpPending[target]; m != nil {
-		for _, name := range done {
+	defer n.bpMu.Unlock()
+	m := n.bpPending[target]
+	for _, name := range done {
+		if stamp, ok := m[name]; ok && stamp > gen {
+			again = true
+		} else {
 			delete(m, name)
 		}
-		if len(m) == 0 {
-			delete(n.bpPending, target)
-		}
-	} else if done == nil {
+	}
+	if len(m) == 0 {
 		delete(n.bpPending, target)
 	}
-	n.bpMu.Unlock()
+	return again
 }
 
 // handleBatchOffer answers a batched offer by routing every entry through

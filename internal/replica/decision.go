@@ -24,27 +24,71 @@ import (
 // If the coordinator node stays unreachable the participant remains
 // blocked — 2PC's inherent window — but any recovery or heal resolves it.
 
-// maxDecisions bounds the per-replica decision log; old entries are
-// evicted FIFO. An evicted decision can no longer resolve a participant,
-// but participants query within seconds while the log holds hours of
-// operations.
+// maxDecisions bounds the per-replica decision log; the oldest entries are
+// overwritten. An overwritten decision can no longer resolve a participant
+// (its query is answered Known:false, counted by
+// replica_decision_unknown_total, and it stays pinned), so retention must
+// outlast the resolver's first query, ResolveAfter after the staging. It
+// does, but not by hours: one item-coordinator committing 500 writes a
+// second fills 8192 entries in 16 s, which is the default ResolveAfter
+// (2 x LockLease = 8 x CallTimeout = 16 s) — a deployment that sustains
+// more per item-coordinator must shorten ResolveAfter to match.
 const maxDecisions = 8192
 
-// decision is one logged outcome. version is the version number a commit
-// produced — zero when the operation has none (aborts, epoch changes,
-// stale-markings) — and exists to gate speculatively staged actions: a
-// LockPrepare participant whose staging the coordinator never saw must
-// not apply it under a commit that decided a different version.
+// decision is one logged outcome, 16 bytes. Every logged operation was
+// coordinated by this replica's own node, so its sequence number alone
+// identifies it. vc packs version<<1 | commit; version is the version
+// number a commit produced — zero when the operation has none (aborts,
+// epoch changes, stale-markings) — and exists to gate speculatively staged
+// actions: a LockPrepare participant whose staging the coordinator never
+// saw must not apply it under a commit that decided a different version.
 type decision struct {
-	commit  bool
-	version uint64
+	seq uint64
+	vc  uint64
 }
 
 // applies reports whether this decision commits a staged action expecting
 // specVersion (zero for coordinator-endorsed stagings, which take the
 // plain decision).
 func (d decision) applies(specVersion uint64) bool {
-	return d.commit && (specVersion == 0 || d.version == specVersion)
+	return d.vc&1 == 1 && (specVersion == 0 || d.vc>>1 == specVersion)
+}
+
+// decisionLog is a ring of the last maxDecisions outcomes. Its size is
+// fixed by that bound, not by how many operations the node has completed,
+// and it is allocated a chunk at a time as it first fills, so an item that
+// coordinates little pays for little.
+type decisionLog struct {
+	chunks []*[decisionChunk]decision
+	n      int // records ever written; record k lives in slot k % maxDecisions
+}
+
+const decisionChunk = 128 // 2 KB; divides maxDecisions
+
+func (l *decisionLog) slot(k int) *decision {
+	i := k % maxDecisions
+	return &l.chunks[i/decisionChunk][i%decisionChunk]
+}
+
+func (l *decisionLog) record(d decision) {
+	if l.n < maxDecisions && l.n%decisionChunk == 0 {
+		l.chunks = append(l.chunks, new([decisionChunk]decision))
+	}
+	*l.slot(l.n) = d
+	l.n++
+}
+
+// lookup scans newest first, so the latest record for a sequence number
+// wins (an abort logged on a round's failure, then the commit of a later
+// round of the same operation). Termination queries are rare; the scan is
+// at most 128 KB.
+func (l *decisionLog) lookup(seq uint64) (decision, bool) {
+	for k := l.n - 1; k >= 0 && k >= l.n-maxDecisions; k-- {
+		if d := *l.slot(k); d.seq == seq {
+			return d, true
+		}
+	}
+	return decision{}, false
 }
 
 // RecordDecision logs the outcome of an operation this node coordinated.
@@ -52,38 +96,49 @@ func (d decision) applies(specVersion uint64) bool {
 // decision record and participants' termination queries never contend with
 // the replica data path.
 func (it *Item) RecordDecision(op OpID, commit bool) {
-	it.record(op, decision{commit: commit})
+	vc := uint64(0)
+	if commit {
+		vc = 1
+	}
+	it.record(decision{seq: op.Seq, vc: vc})
 }
 
 // RecordCommit logs a commit decision together with the version the write
 // produced, so version-gated termination queries (speculative stagings)
 // can be answered.
 func (it *Item) RecordCommit(op OpID, version uint64) {
-	it.record(op, decision{commit: true, version: version})
+	it.record(decision{seq: op.Seq, vc: version<<1 | 1})
 }
 
-func (it *Item) record(op OpID, d decision) {
+func (it *Item) record(d decision) {
 	it.decMu.Lock()
-	defer it.decMu.Unlock()
-	if it.decisions == nil {
-		it.decisions = make(map[OpID]decision)
+	it.decisions.record(d)
+	it.decMu.Unlock()
+}
+
+// decisionUnknownMetric counts termination queries that found no decision.
+const decisionUnknownMetric = "replica_decision_unknown_total"
+
+// decided looks op up in the log. Only operations this node coordinated
+// are ever logged; an unknown one is counted, because its participant now
+// stays pinned until an operator steps in.
+func (it *Item) decided(op OpID) (decision, bool) {
+	known := false
+	var d decision
+	if op.Coordinator == it.self {
+		it.decMu.Lock()
+		d, known = it.decisions.lookup(op.Seq)
+		it.decMu.Unlock()
 	}
-	if _, exists := it.decisions[op]; !exists {
-		it.decisionOrder = append(it.decisionOrder, op)
-		if len(it.decisionOrder) > maxDecisions {
-			evict := it.decisionOrder[0]
-			it.decisionOrder = it.decisionOrder[1:]
-			delete(it.decisions, evict)
-		}
+	if !known {
+		it.cfg.Obs.Counter(decisionUnknownMetric).Inc() // as rare as the event: not worth a field per item
 	}
-	it.decisions[op] = d
+	return d, known
 }
 
 // handleDecisionQuery answers a participant's termination query.
 func (it *Item) handleDecisionQuery(m DecisionQuery) (transport.Message, error) {
-	it.decMu.Lock()
-	defer it.decMu.Unlock()
-	d, known := it.decisions[m.Op]
+	d, known := it.decided(m.Op)
 	return DecisionReply{Known: known, Commit: known && d.applies(m.NewVersion)}, nil
 }
 
@@ -142,10 +197,7 @@ func (it *Item) resolveStale() (drained bool) {
 	for _, q := range pending {
 		if q.op.Coordinator == it.self {
 			// Local coordinator: consult the log directly.
-			it.decMu.Lock()
-			d, known := it.decisions[q.op]
-			it.decMu.Unlock()
-			if known {
+			if d, known := it.decided(q.op); known {
 				it.applyDecision(q.op, d.applies(q.specVersion))
 			}
 			continue

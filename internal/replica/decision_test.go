@@ -3,6 +3,8 @@ package replica
 import (
 	"testing"
 	"time"
+
+	"coterie/internal/obs"
 )
 
 func TestDecisionLogRecordAndQuery(t *testing.T) {
@@ -27,37 +29,110 @@ func TestDecisionLogRecordAndQuery(t *testing.T) {
 	}
 }
 
-func TestDecisionLogEviction(t *testing.T) {
-	h := newHarness(t, 1, nil, Config{})
-	it := h.item(0)
-	first := it.NextOp()
-	it.RecordDecision(first, true)
-	for i := 0; i < maxDecisions; i++ {
-		it.RecordDecision(it.NextOp(), true)
+// TestDecisionRingWrapAround: the log keeps exactly the last maxDecisions
+// outcomes in a backing array that stops growing at that bound.
+func TestDecisionRingWrapAround(t *testing.T) {
+	var l decisionLog
+	const extra = 100
+	for seq := uint64(1); seq <= maxDecisions+extra; seq++ {
+		l.record(decision{seq: seq, vc: seq<<1 | 1})
+		if seq == 10 && len(l.chunks) != 1 {
+			t.Fatalf("%d chunks after ten records, want 1: a quiet item must stay small", len(l.chunks))
+		}
 	}
-	it.mu.Lock()
-	_, known := it.decisions[first]
-	size := len(it.decisions)
-	it.mu.Unlock()
-	if known {
-		t.Error("oldest decision not evicted")
+	if got := len(l.chunks) * decisionChunk; got != maxDecisions {
+		t.Fatalf("ring grew to %d slots, want %d", got, maxDecisions)
 	}
-	if size > maxDecisions {
-		t.Errorf("decision log grew to %d", size)
+	for _, seq := range []uint64{1, extra} {
+		if _, known := l.lookup(seq); known {
+			t.Errorf("seq %d survived %d later records", seq, maxDecisions)
+		}
+	}
+	for _, seq := range []uint64{extra + 1, maxDecisions, maxDecisions + extra} {
+		d, known := l.lookup(seq)
+		if !known || !d.applies(seq) || d.applies(seq+1) {
+			t.Errorf("seq %d: known=%v decision=%+v", seq, known, d)
+		}
 	}
 }
 
-func TestDecisionLogIdempotentRecord(t *testing.T) {
+// TestDecisionRingLatestRecordWins: a round of an operation aborts, a
+// later round of the same operation commits; the termination query must
+// see the commit, before and after the ring has wrapped.
+func TestDecisionRingLatestRecordWins(t *testing.T) {
+	h := newHarness(t, 1, nil, Config{})
+	it := h.item(0)
+	for _, fill := range []int{0, maxDecisions - 1} {
+		for i := 0; i < fill; i++ {
+			it.RecordDecision(it.NextOp(), false)
+		}
+		o := it.NextOp()
+		it.RecordDecision(o, false)
+		it.RecordCommit(o, 7)
+		if d, known := it.decided(o); !known || !d.applies(0) || !d.applies(7) || d.applies(8) {
+			t.Errorf("after %d fill records: known=%v decision=%+v, want the commit of version 7", fill, known, d)
+		}
+	}
+}
+
+// TestDecisionRingAmnesiaReset: the log is stable state and is lost with
+// the rest of it.
+func TestDecisionRingAmnesiaReset(t *testing.T) {
 	h := newHarness(t, 1, nil, Config{})
 	it := h.item(0)
 	o := it.NextOp()
-	it.RecordDecision(o, true)
-	it.RecordDecision(o, true)
-	it.mu.Lock()
-	n := len(it.decisionOrder)
-	it.mu.Unlock()
-	if n != 1 {
-		t.Errorf("duplicate records created %d order entries", n)
+	it.RecordCommit(o, 1)
+	it.Amnesia()
+	if _, known := it.decided(o); known {
+		t.Error("decision survived amnesia")
+	}
+	if it.decisions.chunks != nil {
+		t.Error("amnesia kept the ring's memory")
+	}
+}
+
+// TestDecisionUnknownCounted: an unanswerable termination query is the
+// one event that pins a participant for good, so it has a counter.
+func TestDecisionUnknownCounted(t *testing.T) {
+	reg := obs.New()
+	h := newHarness(t, 2, nil, Config{Obs: reg})
+	o := h.item(0).NextOp()
+	h.item(0).RecordDecision(o, true)
+	h.call(t, 1, 0, DecisionQuery{Op: o})
+	unknown := reg.Counter("replica_decision_unknown_total")
+	if n := unknown.Load(); n != 0 {
+		t.Fatalf("a known decision counted as unknown (%d)", n)
+	}
+	if reply := h.call(t, 1, 0, DecisionQuery{Op: h.item(0).NextOp()}).(DecisionReply); reply.Known {
+		t.Fatalf("reply = %+v", reply)
+	}
+	if n := unknown.Load(); n != 1 {
+		t.Errorf("replica_decision_unknown_total = %d, want 1", n)
+	}
+}
+
+// TestDecisionRingDoesNotAllocate: once the ring is full, recording and
+// querying allocate nothing — the log's memory no longer follows the
+// number of operations completed.
+func TestDecisionRingDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	h := newHarness(t, 1, nil, Config{})
+	it := h.item(0)
+	for i := 0; i < maxDecisions; i++ {
+		it.RecordDecision(it.NextOp(), true)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		o := it.NextOp()
+		it.RecordDecision(o, false)
+		it.RecordCommit(o, 3)
+		if d, known := it.decided(o); !known || !d.applies(3) {
+			t.Fatal("fresh record not found")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state record+lookup allocates %.1f times per run", allocs)
 	}
 }
 

@@ -150,9 +150,8 @@ type Item struct {
 	// Coordinator decision log for 2PC termination (see decision.go),
 	// striped off mu so termination queries and decision writes do not
 	// contend with the data path.
-	decMu         sync.Mutex
-	decisions     map[OpID]decision
-	decisionOrder []OpID
+	decMu     sync.Mutex
+	decisions decisionLog
 
 	// recovering marks a replica that lost its stable state (amnesia.go);
 	// it is excluded from quorums until an epoch change readmits it.
@@ -162,6 +161,7 @@ type Item struct {
 
 	propMu      sync.Mutex
 	pending     nodeset.Set
+	propGen     uint64 // bumped by every enqueuePropagation (see propagateWorker)
 	propRunning bool
 
 	// batchSink, when set (Config.PropagationBatch via Node.AddItem,
@@ -204,6 +204,13 @@ func newItem(name string, self nodeset.ID, members nodeset.Set, initial []byte, 
 func (it *Item) ensureResolverLocked() {
 	if it.resolverOn {
 		return
+	}
+	select {
+	case <-it.closed:
+		// Close marks the item closed under mu, so from here on no handler
+		// still in flight adds to wg behind Close's Wait.
+		return
+	default:
 	}
 	it.resolverOn = true
 	it.wg.Add(1)
@@ -314,10 +321,25 @@ func (it *Item) handleLock(ctx context.Context, m LockRequest) (transport.Messag
 	if m.Mode == LockWrite {
 		mode = lockExclusive
 	}
-	if err := it.lock.acquire(ctx, m.Op, mode); err != nil {
-		return nil, fmt.Errorf("replica %v/%s: lock for %v: %w", it.self, it.name, m.Op, err)
+	if refusal, err := it.lockOrdered(ctx, m.Op, mode); refusal != nil || err != nil {
+		return refusal, err
 	}
 	return it.State(), nil
+}
+
+// lockOrdered takes the replica lock for a multi-replica operation. A nil
+// reply and nil error mean op holds it; otherwise the pair is the
+// handler's answer — LockRefused when an older operation is ahead, an
+// error when the context ended in the queue.
+func (it *Item) lockOrdered(ctx context.Context, op OpID, mode lockMode) (transport.Message, error) {
+	switch by, err := it.lock.acquireOrdered(ctx, op, mode); err {
+	case nil:
+		return nil, nil
+	case errLockRefused:
+		return LockRefused{State: it.State(), By: by}, nil
+	default:
+		return nil, fmt.Errorf("replica %v/%s: lock for %v: %w", it.self, it.name, op, err)
+	}
 }
 
 // handleLockPrepare is handleLock's fused form for writes: after
@@ -328,8 +350,8 @@ func (it *Item) handleLock(ctx context.Context, m LockRequest) (transport.Messag
 // lets the coordinator classify and run the normal prepare, which
 // overwrites this entry at the replicas it covers.
 func (it *Item) handleLockPrepare(ctx context.Context, m LockPrepare) (transport.Message, error) {
-	if err := it.lock.acquire(ctx, m.Op, lockExclusive); err != nil {
-		return nil, fmt.Errorf("replica %v/%s: lock for %v: %w", it.self, it.name, m.Op, err)
+	if refusal, err := it.lockOrdered(ctx, m.Op, lockExclusive); refusal != nil || err != nil {
+		return refusal, err
 	}
 	prepared := false
 	if m.Update.Validate() == nil {
@@ -646,10 +668,12 @@ func (it *Item) handleAbort(m Abort) (transport.Message, error) {
 
 // Close stops the propagation worker and waits for it to exit.
 func (it *Item) Close() {
+	it.mu.Lock()
 	select {
 	case <-it.closed:
 	default:
 		close(it.closed)
 	}
+	it.mu.Unlock()
 	it.wg.Wait()
 }

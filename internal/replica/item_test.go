@@ -276,9 +276,9 @@ func TestLockLeaseFreesAbandonedOperation(t *testing.T) {
 	h := newHarness(t, 2, nil, Config{LockLease: 40 * time.Millisecond})
 	o := h.item(0).NextOp()
 	h.call(t, 0, 1, LockRequest{Op: o, Mode: LockWrite})
-	// The coordinator "crashes" here; a later operation must get through
-	// once the lease expires.
-	o2 := h.item(0).NextOp()
+	// The coordinator "crashes" here; a later operation that is allowed to
+	// wait for it (an older one) must get through once the lease expires.
+	o2 := olderOp(h.item(0), o)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	if _, err := h.net.Call(ctx, 0, 1, Envelope{Item: "x", Msg: LockRequest{Op: o2, Mode: LockWrite}}); err != nil {
@@ -288,5 +288,15 @@ func TestLockLeaseFreesAbandonedOperation(t *testing.T) {
 	ack := h.call(t, 0, 1, PrepareUpdate{Op: o, Update: Update{Data: []byte("a")}, NewVersion: 1}).(Ack)
 	if ack.OK {
 		t.Error("prepare accepted after lease expiry and re-grant")
+	}
+}
+
+// olderOp mints operations at it until one precedes than in the conflict
+// order, so that it queues behind than instead of being refused.
+func olderOp(it *Item, than OpID) OpID {
+	for {
+		if o := it.NextOp(); o.Older(than) {
+			return o
+		}
 	}
 }

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -25,6 +26,31 @@ func (op OpID) String() string {
 // IsZero reports whether op is the reserved zero value.
 func (op OpID) IsZero() bool { return op == OpID{} }
 
+// rank scrambles op through the splitmix64 finalizer. Ranks decide
+// conflicts (see Older) and must not follow the sequence numbers: a
+// coordinator that keeps losing mints a fresh OpID per attempt, and under a
+// plain (Seq, Coordinator) order each attempt would make it younger still.
+func (op OpID) rank() uint64 {
+	x := uint64(op.Coordinator)<<32 ^ op.Seq
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// Older reports whether op precedes than in the conflict order: a total
+// order over OpIDs that is a function of the two IDs alone, so every
+// replica decides every conflict between two operations the same way.
+func (op OpID) Older(than OpID) bool {
+	if ra, rb := op.rank(), than.rank(); ra != rb {
+		return ra < rb
+	}
+	if op.Seq != than.Seq {
+		return op.Seq < than.Seq
+	}
+	return op.Coordinator < than.Coordinator
+}
+
 // lockMode distinguishes shared (read) from exclusive (write) holds.
 type lockMode int
 
@@ -40,20 +66,38 @@ type holder struct {
 	mode     lockMode
 	deadline time.Time // lease expiry; zero when pinned or leases disabled
 	pinned   bool      // pinned holders (prepared 2PC participants) never expire
+	ordered  bool      // acquired through acquireOrdered
 }
 
 type waiter struct {
 	op        OpID
 	mode      lockMode
+	ordered   bool // queued through acquireOrdered
 	upgrade   bool // op already holds shared and wants exclusive
 	cancelled bool
 	ready     chan struct{} // closed when granted
 }
 
+// errLockRefused is acquireOrdered's answer to a request that lost the
+// conflict order; the OpID returned beside it names the winner.
+var errLockRefused = errors.New("replica: lock refused, an older operation is ahead")
+
 // itemLock is the per-replica lock of the paper's protocols. Reads take it
 // shared, writes and epoch checks exclusive. Acquisition blocks until the
 // lock is granted or the context ends, and is FIFO-fair: a steady stream of
 // propagation offers cannot starve a queued write request.
+//
+// Operations that lock several replicas at once (LockRequest, LockPrepare)
+// acquire through acquireOrdered, which is wait-die over OpID.Older: such a
+// request waits only for younger ordered operations and is refused at once
+// if an older one holds a conflicting mode or is queued (the queue is
+// FIFO: whoever joins it waits for everyone ahead). Every wait between two
+// multi-replica operations then runs from older to younger on every
+// replica alike, so no cycle can form and two coordinators that each won
+// part of an overlapping quorum are untied in one round trip instead of by
+// CallTimeout. Operations that hold this one lock and wait nowhere else
+// meanwhile (ReadSnap, a propagation offer, ApplyDirect) use plain acquire
+// and are exempt on both sides: nothing waits for them elsewhere.
 //
 // Lock holds acquired in the request phase carry a lease: if the
 // coordinator disappears before preparing (lost reply, coordinator crash),
@@ -69,9 +113,11 @@ type itemLock struct {
 
 	// Obs counters (nil — no-op — unless attachMetrics ran): acquisitions
 	// granted, acquisitions denied (caller's context ended while queued),
-	// and holds dropped by lease expiry.
+	// ordered acquisitions refused at once, and holds dropped by lease
+	// expiry.
 	granted *obs.Counter
 	denied  *obs.Counter
+	refused *obs.Counter
 	expired *obs.Counter
 }
 
@@ -84,6 +130,7 @@ func newItemLock(lease time.Duration) *itemLock {
 func (l *itemLock) attachMetrics(r *obs.Registry) {
 	l.granted = r.Counter("replica_lock_granted_total")
 	l.denied = r.Counter("replica_lock_denied_total")
+	l.refused = r.Counter("replica_lock_refused_total")
 	l.expired = r.Counter("replica_lock_expired_total")
 }
 
@@ -150,6 +197,7 @@ func (l *itemLock) dispatchLocked() {
 				if h, ok := l.holders[w.op]; ok {
 					h.mode = lockExclusive
 					h.deadline = l.newDeadline()
+					h.ordered = h.ordered || w.ordered
 					l.holders[w.op] = h
 					l.waiters = l.waiters[1:]
 					close(w.ready)
@@ -167,7 +215,7 @@ func (l *itemLock) dispatchLocked() {
 		if !l.grantableLocked(w.op, w.mode) {
 			return
 		}
-		l.holders[w.op] = holder{mode: w.mode, deadline: l.newDeadline()}
+		l.holders[w.op] = holder{mode: w.mode, deadline: l.newDeadline(), ordered: w.ordered}
 		l.waiters = l.waiters[1:]
 		close(w.ready)
 		// After an exclusive grant nothing else fits; for shared grants the
@@ -178,49 +226,75 @@ func (l *itemLock) dispatchLocked() {
 	}
 }
 
+// olderAheadLocked returns an ordered operation older than op that op
+// would have to wait for in mode — a conflicting holder, or any queued
+// waiter — or the zero OpID if there is none. Caller holds mu.
+func (l *itemLock) olderAheadLocked(op OpID, mode lockMode) OpID {
+	for other, h := range l.holders {
+		if h.ordered && other != op && (mode == lockExclusive || h.mode == lockExclusive) && other.Older(op) {
+			return other
+		}
+	}
+	for _, w := range l.waiters {
+		if w.ordered && !w.cancelled && w.op != op && w.op.Older(op) {
+			return w.op
+		}
+	}
+	return OpID{}
+}
+
 // acquire blocks until the lock is granted to op or ctx ends. Re-acquiring
 // by the same op succeeds immediately (refreshing the lease) and upgrades
 // shared to exclusive if requested — the paper's HeavyProcedure re-polls
-// nodes already locked by the same operation.
+// nodes already locked by the same operation. It is the form for
+// operations that hold no other replica's lock meanwhile.
 func (l *itemLock) acquire(ctx context.Context, op OpID, mode lockMode) error {
-	err := l.doAcquire(ctx, op, mode)
-	if err == nil {
-		l.granted.Inc()
-	} else {
-		l.denied.Inc()
-	}
+	_, err := l.doAcquire(ctx, op, mode, false)
 	return err
 }
 
-func (l *itemLock) doAcquire(ctx context.Context, op OpID, mode lockMode) error {
+// acquireOrdered is acquire for an operation that locks several replicas
+// at once. Instead of queueing behind an older ordered operation it
+// returns that operation and errLockRefused, with nothing held or queued.
+func (l *itemLock) acquireOrdered(ctx context.Context, op OpID, mode lockMode) (OpID, error) {
+	return l.doAcquire(ctx, op, mode, true)
+}
+
+func (l *itemLock) doAcquire(ctx context.Context, op OpID, mode lockMode, ordered bool) (OpID, error) {
 	if op.IsZero() {
-		return fmt.Errorf("replica: zero OpID cannot lock")
+		return OpID{}, fmt.Errorf("replica: zero OpID cannot lock")
 	}
 	l.mu.Lock()
 	l.expireLocked(time.Now())
-	if h, ok := l.holders[op]; ok {
-		if mode != lockExclusive || h.mode == lockExclusive {
-			h.deadline = l.newDeadline()
-			l.holders[op] = h
-			l.mu.Unlock()
-			return nil
-		}
-		// Shared-to-exclusive upgrade.
-		if l.grantableLocked(op, lockExclusive) {
-			h.mode = lockExclusive
-			h.deadline = l.newDeadline()
-			l.holders[op] = h
-			l.mu.Unlock()
-			return nil
-		}
-		return l.waitLocked(ctx, &waiter{op: op, mode: lockExclusive, upgrade: true, ready: make(chan struct{})})
-	}
-	if len(l.waiters) == 0 && l.grantableLocked(op, mode) {
-		l.holders[op] = holder{mode: mode, deadline: l.newDeadline()}
+	h, held := l.holders[op]
+	if held && (mode != lockExclusive || h.mode == lockExclusive) {
+		h.deadline = l.newDeadline()
+		l.holders[op] = h
 		l.mu.Unlock()
-		return nil
+		l.granted.Inc()
+		return OpID{}, nil
 	}
-	return l.waitLocked(ctx, &waiter{op: op, mode: mode, ready: make(chan struct{})})
+	// A fresh acquisition, or (held) a shared-to-exclusive upgrade.
+	if (held || len(l.waiters) == 0) && l.grantableLocked(op, mode) {
+		l.holders[op] = holder{mode: mode, deadline: l.newDeadline(), pinned: h.pinned, ordered: ordered || h.ordered}
+		l.mu.Unlock()
+		l.granted.Inc()
+		return OpID{}, nil
+	}
+	if ordered {
+		if by := l.olderAheadLocked(op, mode); !by.IsZero() {
+			l.mu.Unlock()
+			l.refused.Inc()
+			return by, errLockRefused
+		}
+	}
+	err := l.waitLocked(ctx, &waiter{op: op, mode: mode, ordered: ordered, upgrade: held, ready: make(chan struct{})})
+	if err != nil {
+		l.denied.Inc()
+	} else {
+		l.granted.Inc()
+	}
+	return OpID{}, err
 }
 
 // waitLocked enqueues w and blocks until it is granted or ctx ends. It is

@@ -2,11 +2,15 @@ package replica
 
 import (
 	"context"
+	"math/rand"
+	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"coterie/internal/nodeset"
+	"coterie/internal/obs"
 )
 
 func op(n nodeset.ID, seq uint64) OpID { return OpID{Coordinator: n, Seq: seq} }
@@ -198,5 +202,195 @@ func TestOpIDString(t *testing.T) {
 	}
 	if o.IsZero() || !(OpID{}).IsZero() {
 		t.Error("IsZero wrong")
+	}
+}
+
+// agedOps returns n distinct operations sorted oldest first in the
+// conflict order.
+func agedOps(n int) []OpID {
+	ops := make([]OpID, n)
+	for i := range ops {
+		ops[i] = op(nodeset.ID(i%5), uint64(100+i))
+	}
+	sort.Slice(ops, func(i, j int) bool { return ops[i].Older(ops[j]) })
+	return ops
+}
+
+// queued starts acquire in the background and returns once the request
+// sits in l's queue.
+func queued(t *testing.T, l *itemLock, acquire func() error) <-chan error {
+	t.Helper()
+	l.mu.Lock()
+	before := len(l.waiters)
+	l.mu.Unlock()
+	done := make(chan error, 1)
+	go func() { done <- acquire() }()
+	waitFor(t, 2*time.Second, func() bool {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return len(l.waiters) > before
+	}, "request never queued")
+	return done
+}
+
+// TestOrderedLockWaitOrRefuse: an ordered request waits only for younger
+// ordered operations. Against an older holder it is refused at once, and —
+// the case a holder-only rule misses — against an older *waiter* too,
+// because joining a FIFO queue means waiting for everyone ahead.
+func TestOrderedLockWaitOrRefuse(t *testing.T) {
+	reg := obs.New()
+	l := newItemLock(10 * time.Second)
+	l.attachMetrics(reg)
+	ctx := context.Background()
+	ops := agedOps(4)
+	oldest, middle, young, youngest := ops[0], ops[1], ops[2], ops[3]
+
+	if _, err := l.acquireOrdered(ctx, young, lockExclusive); err != nil {
+		t.Fatal(err)
+	}
+	// Younger than the holder: refused, naming it, nothing queued.
+	if by, err := l.acquireOrdered(ctx, youngest, lockExclusive); err != errLockRefused || by != young {
+		t.Fatalf("younger request: by=%v err=%v, want refusal by %v", by, err, young)
+	}
+	// Older than the holder: waits.
+	oldestDone := queued(t, l, func() error { _, err := l.acquireOrdered(ctx, oldest, lockExclusive); return err })
+	// Older than the holder but younger than the waiter: must not queue.
+	if by, err := l.acquireOrdered(ctx, middle, lockExclusive); err != errLockRefused || by != oldest {
+		t.Fatalf("request behind an older waiter: by=%v err=%v, want refusal by %v", by, err, oldest)
+	}
+	// A shared request conflicts with nobody older once the holder leaves,
+	// but in a FIFO queue it too would wait behind the older waiter.
+	if by, err := l.acquireOrdered(ctx, middle, lockShared); err != errLockRefused || by != oldest {
+		t.Fatalf("shared request behind an older waiter: by=%v err=%v, want refusal by %v", by, err, oldest)
+	}
+	l.release(young)
+	if err := <-oldestDone; err != nil {
+		t.Fatal(err)
+	}
+	// The waiter, once granted from the queue, is an ordered holder like
+	// any other.
+	if by, err := l.acquireOrdered(ctx, middle, lockExclusive); err != errLockRefused || by != oldest {
+		t.Fatalf("request against a holder granted from the queue: by=%v err=%v, want refusal by %v", by, err, oldest)
+	}
+	l.release(oldest)
+	if got := reg.Counter("replica_lock_refused_total").Load(); got != 4 {
+		t.Errorf("replica_lock_refused_total = %d, want 4", got)
+	}
+	if got := reg.Counter("replica_lock_denied_total").Load(); got != 0 {
+		t.Errorf("replica_lock_denied_total = %d, want 0", got)
+	}
+}
+
+// TestOrderedLockExemptsSingleSiteHolders: operations that lock one replica
+// and wait nowhere else while they hold it (plain acquire: ReadSnap, a
+// propagation offer, ApplyDirect) are outside the order on both sides. An
+// ordered request queues behind one whatever its age, and one queues behind
+// an ordered holder whatever its age.
+func TestOrderedLockExemptsSingleSiteHolders(t *testing.T) {
+	l := newItemLock(10 * time.Second)
+	ctx := context.Background()
+	ops := agedOps(3)
+	oldest, middle, youngest := ops[0], ops[1], ops[2]
+
+	if err := l.acquire(ctx, oldest, lockExclusive); err != nil {
+		t.Fatal(err)
+	}
+	orderedDone := queued(t, l, func() error { _, err := l.acquireOrdered(ctx, youngest, lockExclusive); return err })
+	// A second ordered request is still subject to the order among ordered
+	// ones: youngest is ahead of it in the queue, and younger, so it waits.
+	middleDone := queued(t, l, func() error { _, err := l.acquireOrdered(ctx, middle, lockExclusive); return err })
+	l.release(oldest)
+	if err := <-orderedDone; err != nil {
+		t.Fatal(err)
+	}
+	// An exempt request younger than nobody in particular queues behind the
+	// ordered holder and the ordered waiter.
+	exempt := op(7, 7)
+	exemptDone := queued(t, l, func() error { return l.acquire(ctx, exempt, lockShared) })
+	l.release(youngest)
+	if err := <-middleDone; err != nil {
+		t.Fatal(err)
+	}
+	l.release(middle)
+	if err := <-exemptDone; err != nil {
+		t.Fatal(err)
+	}
+	if !l.heldBy(exempt, lockShared) {
+		t.Error("exempt request not granted after the ordered ones left")
+	}
+}
+
+// TestOrderedLocksNeverDeadlock is the rule's reason to exist: goroutines
+// that each lock a random overlapping subset of several replicas' locks in
+// a random order — the shape that ties two coordinators until CallTimeout
+// under plain FIFO queues — all finish, without any wait ending by context
+// or lease. A refused goroutine releases what it holds and starts over as a
+// fresh operation, as a coordinator does.
+func TestOrderedLocksNeverDeadlock(t *testing.T) {
+	const (
+		locks    = 6
+		workers  = 12
+		rounds   = 150
+		lease    = 10 * time.Second
+		deadline = lease / 2
+	)
+	reg := obs.New()
+	ls := make([]*itemLock, locks)
+	for i := range ls {
+		ls[i] = newItemLock(lease)
+		ls[i].attachMetrics(reg)
+	}
+	owner := make([]OpID, locks) // owner[i] is written only under ls[i], exclusively
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			seq := uint64(0)
+			for r := 0; r < rounds; r++ {
+				want := rng.Perm(locks)[:2+rng.Intn(locks-2)]
+			attempt:
+				for {
+					seq++
+					o := op(nodeset.ID(w), seq)
+					for k, i := range want {
+						if _, err := ls[i].acquireOrdered(ctx, o, lockExclusive); err != nil {
+							for _, j := range want[:k] {
+								ls[j].release(o)
+							}
+							if err != errLockRefused {
+								t.Errorf("worker %d round %d: %v", w, r, err)
+								return
+							}
+							runtime.Gosched()
+							continue attempt
+						}
+					}
+					for _, i := range want {
+						owner[i] = o
+					}
+					for _, i := range want {
+						if owner[i] != o {
+							t.Errorf("lock %d held by %v and %v at once", i, o, owner[i])
+						}
+						ls[i].release(o)
+					}
+					break
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, name := range []string{"replica_lock_denied_total", "replica_lock_expired_total"} {
+		if got := reg.Counter(name).Load(); got != 0 {
+			t.Errorf("%s = %d, want 0: a wait ended by timeout, not by the order", name, got)
+		}
+	}
+	if reg.Counter("replica_lock_refused_total").Load() == 0 {
+		t.Error("no request was ever refused: the workers did not contend")
 	}
 }

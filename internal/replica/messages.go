@@ -42,9 +42,10 @@ type GroupStateReply struct {
 
 // LockRequest is the phase-1 message of reads, writes and epoch changes:
 // the replica acquires its lock for Op (blocking, bounded by the call's
-// context) and responds with its state. Re-sending for the same Op is
-// idempotent — HeavyProcedure re-polls nodes the quorum round already
-// locked (paper, appendix).
+// context) and responds with its state, or answers LockRefused at once if
+// an older operation is ahead. Re-sending for the same Op is idempotent —
+// HeavyProcedure re-polls nodes the quorum round already locked (paper,
+// appendix).
 type LockRequest struct {
 	Op   OpID
 	Mode LockMode
@@ -73,6 +74,16 @@ type LockPrepare struct {
 type LockPrepareReply struct {
 	State    StateReply
 	Prepared bool
+}
+
+// LockRefused answers a LockRequest or LockPrepare that lost the conflict
+// order (lock.go): operation By is older and holds the lock in a
+// conflicting mode or is queued for it. Nothing was locked, queued or
+// staged here; the coordinator releases the round's other grants and runs
+// the round again under a fresh OpID.
+type LockRefused struct {
+	State StateReply
+	By    OpID
 }
 
 // StateReply is the tuple (node, version, dversion, stale, elist, enumber)

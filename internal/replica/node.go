@@ -28,7 +28,8 @@ type Node struct {
 	// each stale target to the set of item names it is owed, drained by a
 	// single on-demand worker per node.
 	bpMu      sync.Mutex
-	bpPending map[nodeset.ID]map[string]struct{}
+	bpPending map[nodeset.ID]map[string]uint64 // target → item → bpGen at its last enqueue
+	bpGen     uint64
 	bpRunning bool
 	bpMetrics nodeBatchMetrics
 
@@ -44,10 +45,13 @@ func NewNode(self nodeset.ID, net transport.Net, cfg Config) *Node {
 		net:       net,
 		cfg:       cfg.withDefaults(),
 		items:     make(map[string]*Item),
-		bpPending: make(map[nodeset.ID]map[string]struct{}),
+		bpPending: make(map[nodeset.ID]map[string]uint64),
 		bpMetrics: newNodeBatchMetrics(cfg.Obs),
 		closed:    make(chan struct{}),
 	}
+	// Registered at zero here, once per node: a must-be-zero monitor has to
+	// be on the metrics page before it fires (see Item.decided).
+	cfg.Obs.Counter(decisionUnknownMetric)
 	net.Register(self, n.handle)
 	return n
 }

@@ -105,6 +105,7 @@ func (it *Item) enqueuePropagation(targets nodeset.Set) {
 	}
 	it.propMu.Lock()
 	it.pending = it.pending.Union(targets)
+	it.propGen++
 	start := !it.propRunning
 	if start {
 		it.propRunning = true
@@ -144,11 +145,25 @@ func (it *Item) propagateWorker() {
 		}
 		it.propMu.Unlock()
 
+		// A target is done with only if nothing was enqueued while its
+		// round ran. An offer made before this replica applied a write
+		// reaches the target after that write marked it stale, is answered
+		// "i-am-current" (desired > offered) — and the write's own duty,
+		// merged into pending meanwhile, must survive that answer. Such a
+		// target is offered again at once: the source has the data now.
+		again := false
 		for _, target := range targets.IDs() {
+			it.propMu.Lock()
+			gen := it.propGen
+			it.propMu.Unlock()
 			done, err := it.propagateOnce(target)
 			if done || err == nil {
 				it.propMu.Lock()
-				it.pending.Remove(target)
+				if it.propGen == gen {
+					it.pending.Remove(target)
+				} else {
+					again = true
+				}
 				it.propMu.Unlock()
 			}
 		}
@@ -161,6 +176,9 @@ func (it *Item) propagateWorker() {
 		it.propMu.Unlock()
 		if empty {
 			return
+		}
+		if again {
+			continue
 		}
 		select {
 		case <-it.closed:

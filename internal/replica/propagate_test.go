@@ -328,3 +328,51 @@ func TestPropagationAbandonOnSourceLockTimeout(t *testing.T) {
 		return !s.Stale && s.Version == 1
 	}, "propagation never recovered from source lock contention")
 }
+
+// TestPropagationKeepsDutyMergedDuringOffer pins a lost-duty race (the
+// benchmark's Finding 2). A source offers propagation at its version v; the
+// offer waits at the target behind a write in its commit phase. That write
+// commits at the source (now v+1, and the write's own duty toward the
+// target is merged into the pending set) and then at the target, marking it
+// stale with desired v+1. The old offer is answered "i-am-current" (desired
+// > offered), and dropping the target on that answer dropped the merged
+// duty with it: the replica stayed stale until an unrelated write reached
+// it.
+func TestPropagationKeepsDutyMergedDuringOffer(t *testing.T) {
+	for name, batch := range map[string]bool{"per-item worker": false, "batched dispatcher": true} {
+		t.Run(name, func(t *testing.T) { mergedDutySurvives(t, batch) })
+	}
+}
+
+func mergedDutySurvives(t *testing.T, batch bool) {
+	h := newHarness(t, 2, nil, Config{PropagationBatch: batch, PropagationRetry: 5 * time.Millisecond})
+	source, target := h.item(0), h.item(1)
+
+	// A write by node 0: good set {0}, node 1 to be marked stale.
+	w := source.NextOp()
+	h.call(t, 0, 0, LockRequest{Op: w, Mode: LockWrite})
+	h.call(t, 0, 1, LockRequest{Op: w, Mode: LockWrite})
+	if ack := h.call(t, 0, 0, PrepareUpdate{Op: w, Update: Update{Data: []byte("v1")}, NewVersion: 1, StaleSet: nodeset.New(1)}).(Ack); !ack.OK {
+		t.Fatalf("prepare: %s", ack.Reason)
+	}
+	if ack := h.call(t, 0, 1, PrepareStale{Op: w, Desired: 1}).(Ack); !ack.OK {
+		t.Fatalf("prepare-stale: %s", ack.Reason)
+	}
+
+	// An older duty: the source offers at version 0 and the offer queues
+	// at the target behind the write's lock.
+	source.enqueuePropagation(nodeset.New(1))
+	waitFor(t, 2*time.Second, func() bool {
+		target.lock.mu.Lock()
+		defer target.lock.mu.Unlock()
+		return len(target.lock.waiters) > 0
+	}, "the offer never reached the target's lock queue")
+
+	h.call(t, 0, 0, Commit{Op: w}) // source at v1; merges the write's duty
+	h.call(t, 0, 1, Commit{Op: w}) // target stale, desired 1; the old offer proceeds
+
+	waitFor(t, 2*time.Second, func() bool {
+		s := target.State()
+		return !s.Stale && s.Version == 1
+	}, "the duty merged during the offer was dropped: target still stale")
+}

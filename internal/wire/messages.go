@@ -58,6 +58,10 @@ func appendMessage(b []byte, msg any) ([]byte, error) {
 		b = append(b, tagLockPrepareReply)
 		b = putStateReply(b, m.State)
 		return putBool(b, m.Prepared), nil
+	case replica.LockRefused:
+		b = append(b, tagLockRefused)
+		b = putStateReply(b, m.State)
+		return putOp(b, m.By), nil
 	case replica.ReadSnap:
 		return putOp(append(b, tagReadSnap), m.Op), nil
 	case replica.SnapReply:
@@ -286,6 +290,8 @@ func decodeMessage(b []byte) (any, int, error) {
 		}
 	case tagLockPrepareReply:
 		msg = replica.LockPrepareReply{State: r.stateReply(), Prepared: r.boolean()}
+	case tagLockRefused:
+		msg = replica.LockRefused{State: r.stateReply(), By: r.op()}
 	case tagReadSnap:
 		msg = replica.ReadSnap{Op: r.op()}
 	case tagSnapReply:

@@ -79,6 +79,7 @@ const (
 	tagSnapReply
 	tagClientMapQuery
 	tagClientMapReply
+	tagLockRefused
 )
 
 // Marshal encodes a protocol message.

@@ -30,6 +30,8 @@ func sampleMessages() []any {
 		replica.LockRequest{Op: op(2, 7), Mode: replica.LockWrite},
 		replica.LockRequest{Op: op(0, 1), Mode: replica.LockRead},
 		st,
+		replica.LockRefused{State: st, By: op(6, 41)},
+		replica.LockRefused{By: op(0, 1)},
 		replica.FetchValue{Op: op(1, 99)},
 		replica.ValueReply{Value: []byte("some value"), Version: 12},
 		replica.ValueReply{}, // empty value
