@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-bench vet race race-conflict bench-pair bench bench-smoke bench-loadgen bench-obs bench-batch bench-net bench-shard bench-shard-smoke bench-trace bench-quorum bench-quorum-smoke profile-net check-obs-imports check-allocs check-admin fuzz-smoke ci
+.PHONY: all build test test-bench vet race race-conflict bench-pair bench-pair-all bench bench-smoke bench-loadgen bench-obs bench-batch bench-net bench-shard bench-shard-smoke bench-trace bench-quorum bench-quorum-smoke profile-net check-obs-imports check-allocs check-admin fuzz-smoke ci
 
 all: build
 
@@ -43,7 +43,15 @@ BASE ?= HEAD~1
 bench-pair:
 	rm -rf .bench_build/pair-parent && mkdir -p .bench_build/pair-parent
 	git archive $(BASE) | tar -x -C .bench_build/pair-parent
-	$(GO) run ./scripts/benchpair -parent .bench_build/pair-parent -change . -w $(W) -n $(N) -seed $(SEED) $(if $(TRACE),-trace)
+	$(GO) run ./scripts/benchpair -parent .bench_build/pair-parent -change . -w $(W) -n $(N) -seed $(SEED) $(if $(TRACE),-trace) $(if $(CLAIM),-claim $(CLAIM))
+
+# bench-pair-all [N=10] [SEED=1] [BASE=HEAD~1] [CLAIM=workload:metric] is
+# bench-pair over every workload of BENCHMARK.json, one after the other, and
+# then one combined table: the claimed cell against the claim rule, every
+# other cell against its bound. About a minute per pair per workload — the
+# no-regression half of a claim in one command, but not part of ci.
+bench-pair-all:
+	$(MAKE) bench-pair W=all
 
 # bench-smoke runs every benchmark for a single iteration — a fast compile-
 # and-run sanity pass, not a measurement.
@@ -144,21 +152,22 @@ profile-net:
 
 # check-allocs runs the steady-state allocation gates: the combiner's
 # submit/drain machinery, the batched-propagation capture path, the
-# decision ring, the mux dispatch and wire encode hot paths, the tcpnet
-# frame codec, and the
-# weighted quorum pick (alias-table sampling in coterie and the
-# coordinator's pick wrapper) must not allocate per operation (they gate
-# with testing.AllocsPerRun and skip themselves under -race).
+# decision ring, a refused write-through push, the mux dispatch and wire
+# encode hot paths, the tcpnet frame codec, and the weighted quorum pick
+# (alias-table sampling in coterie and the coordinator's pick wrapper) must
+# not allocate per operation; planning a write's push targets under the
+# capacity rule may allocate the target set and nothing else
+# (they gate with testing.AllocsPerRun and skip themselves under -race).
 check-allocs:
 	$(GO) test -run 'TestCombinerDrainDoesNotAllocate' ./internal/core/ -v -count=1 | grep -E 'PASS|FAIL|allocates' || exit 1
-	$(GO) test -run 'TestCaptureDataDoesNotAllocate|TestDecisionRingDoesNotAllocate' ./internal/replica/ -v -count=1 | grep -E 'PASS|FAIL|allocates' || exit 1
+	$(GO) test -run 'TestCaptureDataDoesNotAllocate|TestDecisionRingDoesNotAllocate|TestRefusedPushDoesNotAllocate' ./internal/replica/ -v -count=1 | grep -E 'PASS|FAIL|allocates' || exit 1
 	$(GO) test -run 'TestMuxDispatchDoesNotAllocate|TestMulticastFuncAllocs' ./internal/transport/ -v -count=1 | grep -E 'PASS|FAIL|allocates' || exit 1
 	$(GO) test -run 'TestAppendMarshalDoesNotAllocate|TestAppendTraceContextDoesNotAllocate|TestDecodeTraceContextDoesNotAllocate' ./internal/wire/ -v -count=1 | grep -E 'PASS|FAIL|allocates' || exit 1
 	$(GO) test -run 'TestRequestFrameEncodeDoesNotAllocate|TestReplyFrameEncodeDoesNotAllocate|TestFusedMessageEncodeDoesNotAllocate|TestRingFlushPathDoesNotAllocate|TestTracedRequestFrameEncodeDoesNotAllocate' ./internal/transport/tcpnet/ -v -count=1 | grep -E 'PASS|FAIL|allocates' || exit 1
 	$(GO) test -run 'TestZipfNextDoesNotAllocate|TestMixNextDoesNotAllocate' ./internal/workload/ -v -count=1 | grep -E 'PASS|FAIL|allocates' || exit 1
 	$(GO) test -run 'TestShardOfDoesNotAllocate' ./internal/placement/ -v -count=1 | grep -E 'PASS|FAIL|allocates' || exit 1
 	$(GO) test -run 'TestAliasPickAllocs' ./internal/coterie/ -v -count=1 | grep -E 'PASS|FAIL|allocates' || exit 1
-	$(GO) test -run 'TestOptimizedPickAllocs' ./internal/core/ -v -count=1 | grep -E 'PASS|FAIL|allocates' || exit 1
+	$(GO) test -run 'TestOptimizedPickAllocs|TestPushPlanningDoesNotAllocate' ./internal/core/ -v -count=1 | grep -E 'PASS|FAIL|allocates' || exit 1
 
 # fuzz-smoke runs the wire-layer fuzzers briefly: every generated input
 # must either fail to decode or round-trip byte-identically (the canonical-

@@ -154,6 +154,20 @@ func printSummary(w io.Writer, cs *capi.ClusterSnapshot) {
 		cs.Counters["replica_lock_denied_total"], cs.Counters["replica_lock_expired_total"],
 		cs.Counters["replica_decision_unknown_total"])
 
+	// Write-through on one line, next to the speculation split it explains:
+	// every push that was sent and not applied left a bystander behind, and
+	// a bystander behind turns the next write that draws it into a miss. A
+	// gap is a push lost or refused earlier; busy means another write held
+	// the replica's lock; stale and recovering replicas are already owed
+	// propagation; skipped ones were left out on purpose by the capacity
+	// rule.
+	fmt.Fprintf(w, "write-through: sent=%d applied=%d refused(gap)=%d refused(busy)=%d refused(stale)=%d refused(recovering)=%d skipped=%d | spec hit=%d miss=%d\n",
+		cs.Counters["core_push_sent_total"], cs.Counters["replica_push_applied_total"],
+		cs.Counters["replica_push_refused_gap_total"], cs.Counters["replica_push_refused_busy_total"],
+		cs.Counters["replica_push_refused_stale_total"],
+		cs.Counters["replica_push_refused_recovering_total"], cs.Counters["core_push_skipped_total"],
+		cs.Counters["core_spec_prepare_hit_total"], cs.Counters["core_spec_prepare_miss_total"])
+
 	gnames := make([]string, 0, len(cs.Gauges))
 	for name, v := range cs.Gauges {
 		if v != 0 {

@@ -48,6 +48,12 @@ func TestSummaryRendersMergedStrategyVectors(t *testing.T) {
 	r1.Counter("replica_lock_refused_total").Add(40)
 	r2.Counter("replica_lock_refused_total").Add(2)
 	r2.Counter("core_lock_retry_total").Add(17)
+	r1.Counter("core_push_sent_total").Add(400)
+	r1.Counter("core_push_skipped_total").Add(100)
+	r2.Counter("replica_push_applied_total").Add(390)
+	r2.Counter("replica_push_refused_gap_total").Add(10)
+	r1.Counter("core_spec_prepare_hit_total").Add(97)
+	r2.Counter("core_spec_prepare_miss_total").Add(3)
 
 	cs := capi.MergeNodes([]capi.NodeSnapshot{
 		nodeSnapshot(t, "a:9100", r1),
@@ -69,6 +75,7 @@ func TestSummaryRendersMergedStrategyVectors(t *testing.T) {
 		"0:2100",   // read-distribution entropy
 		"5400",     // predicted capacity gauge
 		"lock conflicts: refused=42 rerun=17 denied=0 expired=0 decision-unknown=0",
+		"write-through: sent=400 applied=390 refused(gap)=10 refused(busy)=0 refused(stale)=0 refused(recovering)=0 skipped=100 | spec hit=97 miss=3",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("summary missing %q:\n%s", want, got)

@@ -10,35 +10,21 @@ import (
 	"coterie/internal/replica"
 )
 
-// findGoodAndLagging locates a replica that holds version v (non-stale)
-// and one that missed the write entirely (version 0, non-stale).
-func findGoodAndLagging(t *testing.T, c *Cluster, v uint64) (good, lagging nodeset.ID, ok bool) {
-	t.Helper()
-	good, lagging = 255, 255
-	for _, id := range c.Members.IDs() {
-		st := c.Replica(id).State()
-		switch {
-		case !st.Stale && st.Version == v && good == 255:
-			good = id
-		case !st.Stale && st.Version == 0:
-			lagging = id
-		}
-	}
-	return good, lagging, good != 255 && lagging != 255
-}
-
 // TestAmnesiaCannotCauseStaleReads is the safety property that motivates
 // the recovering state: a replica that witnessed the latest write and then
 // lost its memory must not let any read observe an older version.
 func TestAmnesiaCannotCauseStaleReads(t *testing.T) {
 	c := newTestCluster(t, 4, nil)
 	ctx := ctxT(t)
-	if _, err := c.Coordinator(0).Write(ctx, replica.Update{Data: []byte("v1")}); err != nil {
-		t.Fatal(err)
+	// Node 3 misses the write: a replica that honestly holds version 0 is
+	// what a forgetful witness could be mistaken for.
+	writeWithout(t, c, 0, replica.Update{Data: []byte("v1")}, 3)
+	const good = nodeset.ID(0)
+	if st := c.Replica(good).State(); st.Stale || st.Version != 1 {
+		t.Fatalf("the coordinator's own replica is at version %d (stale=%v) after its write", st.Version, st.Stale)
 	}
-	good, _, ok := findGoodAndLagging(t, c, 1)
-	if !ok {
-		t.Skip("write reached every replica; no lagging replica to trap")
+	if st := c.Replica(3).State(); st.Stale || st.Version != 0 {
+		t.Fatalf("node 3 was down during the write yet is at version %d (stale=%v)", st.Version, st.Stale)
 	}
 	// The witness loses its memory and comes right back.
 	c.CrashWithAmnesia(good)

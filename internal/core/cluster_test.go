@@ -12,6 +12,7 @@ import (
 	"coterie/internal/coterie"
 	"coterie/internal/nodeset"
 	"coterie/internal/replica"
+	"coterie/internal/transport"
 )
 
 // fastOptions shrinks every timeout so failure paths resolve quickly in
@@ -48,6 +49,22 @@ func mustWrite(t *testing.T, c *Cluster, from nodeset.ID, u replica.Update) {
 	t.Helper()
 	if _, err := c.Coordinator(from).Write(ctxT(t), u); err != nil {
 		t.Fatalf("write from %v: %v", from, err)
+	}
+}
+
+// writeWithout commits u from `from` while the absent nodes are down, and
+// brings them back afterwards: they missed the write — prepare, commit and
+// write-through alike — and rejoin lagging, one version short without
+// knowing it. Every committed write otherwise reaches every epoch member,
+// so a test that needs a replica behind has to cut it off like this.
+func writeWithout(t *testing.T, c *Cluster, from nodeset.ID, u replica.Update, absent ...nodeset.ID) {
+	t.Helper()
+	for _, id := range absent {
+		c.Crash(id)
+	}
+	mustWrite(t, c, from, u)
+	for _, id := range absent {
+		c.Restart(id)
 	}
 }
 
@@ -94,21 +111,46 @@ func TestSequentialPartialWritesCompose(t *testing.T) {
 	}
 }
 
+// TestWriteUsesOnlyQuorum: on a failure-free 9-node grid a write locks and
+// waits on exactly its write quorum, 2*sqrt(9)-1 = 5 nodes; every other
+// epoch member is sent exactly one message, the one-way write-through, and
+// no reply to it is awaited.
 func TestWriteUsesOnlyQuorum(t *testing.T) {
-	// On a failure-free 9-node grid, a write needs exactly the write
-	// quorum: 2*sqrt(9)-1 = 5 phase-1 locks. Verify by message accounting.
-	c := newTestCluster(t, 9, nil)
+	var (
+		mu     sync.Mutex
+		called nodeset.Set // targets of request/reply calls: the writer waited on these
+	)
+	opts := fastOptions()
+	opts.Transport = []transport.Option{transport.WithTrace(func(ev transport.TraceEvent) {
+		mu.Lock()
+		called.Add(ev.To)
+		mu.Unlock()
+	})}
+	c, err := NewCluster(9, "item", nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
 	c.Net.ResetStats()
 	mustWrite(t, c, 0, replica.Update{Data: []byte("x")})
-	load := c.Net.Load()
-	touched := 0
-	for _, n := range load {
-		if n > 0 {
-			touched++
+
+	if called.Len() != 5 || !(coterie.Grid{}).IsWriteQuorum(c.Members, called) {
+		t.Errorf("write waited on %v, want exactly one 5-node write quorum", called)
+	}
+	st, load := c.Net.Stats(), c.Net.Load()
+	for _, id := range c.Members.Diff(called).IDs() {
+		if load[id] != 1 {
+			t.Errorf("bystander %v served %d messages, want 1 (the write-through)", id, load[id])
+		}
+		if v := c.Replica(id).State().Version; v != 1 {
+			t.Errorf("bystander %v at version %d after the write, want 1", id, v)
 		}
 	}
-	if touched != 5 {
-		t.Errorf("write touched %d nodes, want 5 (the write quorum)", touched)
+	// A call is two messages, a one-way send one: whatever was delivered
+	// beyond the calls' request and reply legs had no reply leg at all.
+	// Four commits to the remote quorum members and four pushes.
+	if oneWay := st.Messages - 2*st.Calls; st.FailedCalls != 0 || oneWay != 8 {
+		t.Errorf("%d one-way messages (%d failed calls), want 8: 4 commits + 4 write-throughs", oneWay, st.FailedCalls)
 	}
 }
 
@@ -319,7 +361,7 @@ func TestWriteFailsWhenOnlyStaleReachable(t *testing.T) {
 	// Mark most replicas stale, crash the good ones: the maxD > maxV test
 	// must fail the write rather than resurrect old data.
 	c := newTestCluster(t, 4, nil) // 2x2 grid
-	mustWrite(t, c, 0, replica.Update{Data: []byte("v1")})
+	writeWithout(t, c, 0, replica.Update{Data: []byte("v1")}, 3)
 	// Find which replicas are current.
 	var good, rest []nodeset.ID
 	for _, id := range c.Members.IDs() {
@@ -329,8 +371,8 @@ func TestWriteFailsWhenOnlyStaleReachable(t *testing.T) {
 			rest = append(rest, id)
 		}
 	}
-	if len(rest) == 0 {
-		t.Skip("write updated all replicas; no stale scenario to test")
+	if len(rest) != 1 || rest[0] != 3 {
+		t.Fatalf("replicas behind after the write = %v, want only the node that was down", rest)
 	}
 	for _, id := range good {
 		c.Crash(id)

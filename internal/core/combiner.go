@@ -265,5 +265,11 @@ func (c *Coordinator) writeBatch(ctx context.Context, a *obs.ActiveOp, op replic
 	if !cl.good.Subset(committed) {
 		return 0, fmt.Errorf("%w: commit not acknowledged by all good replicas", ErrUnavailable)
 	}
+	// Write-through of the whole run in one message (see ApplyDirect.More).
+	// updates is the combiner's scratch, rewritten by the next cut;
+	// pushThrough copies the tail if it sends anything.
+	c.pushThrough(ctx, local.Epoch, cl.responders, replica.ApplyDirect{
+		Op: op, Update: updates[0], More: updates[1:], NewVersion: first, GoodSet: cl.good,
+	})
 	return first, nil
 }

@@ -52,7 +52,8 @@ type Coordinator struct {
 	combiner *combiner
 	// async is net's one-way-send capability, resolved once at
 	// construction (nil when the transport is strictly request/reply).
-	// Terminal lock releases ride it instead of a synchronous round.
+	// Terminal lock releases, commits and bystander write-through ride it
+	// instead of a synchronous round.
 	async transport.AsyncSender
 }
 
@@ -497,7 +498,11 @@ func (c *Coordinator) commitAll(ctx context.Context, op replica.OpID, version ui
 // Section 4.1 and appendix). In the common, failure-free case it contacts
 // only a write quorum drawn from its epoch list; otherwise it falls back to
 // the paper's HeavyProcedure, polling all replicas. On success it returns
-// the version number the write produced.
+// the version number the write produced. A committed write is then sent
+// one-way to the epoch members outside its quorum (push.go); a transport
+// that delivers one-way sends in the background — the simulated network
+// with injected latency — may still be reading u.Data after Write returns,
+// so the caller must not reuse that buffer.
 //
 // With group commit enabled (Options.GroupCommit), concurrent Write calls
 // on this coordinator merge into batched protocol rounds; each caller
@@ -569,8 +574,7 @@ func (c *Coordinator) write(ctx context.Context, a *obs.ActiveOp, op replica.OpI
 			if err := c.commitPhase(ctx, a, op, specVersion, quorum, quorum); err != nil {
 				return 0, err
 			}
-			c.applySafetyThreshold(ctx, op, u, specVersion, cl)
-			c.pushThrough(ctx, op, u, specVersion, local.Epoch, quorum, quorum)
+			c.afterWrite(ctx, op, u, specVersion, cl)
 			return specVersion, nil
 		}
 		c.metrics.specMisses.Inc()
@@ -581,6 +585,9 @@ func (c *Coordinator) write(ctx context.Context, a *obs.ActiveOp, op replica.OpI
 			// Members that granted the lock without taking part (a
 			// recovering replica) are let go.
 			c.unlock(ctx, op, res.held().Diff(cl.responders))
+			if err == nil {
+				c.afterWrite(ctx, op, u, version, cl)
+			}
 			return version, err
 		}
 		// Prepare-stage conflict: nothing applied, locks released — fall
@@ -619,6 +626,9 @@ func (c *Coordinator) heavyWrite(ctx context.Context, a *obs.ActiveOp, op replic
 	// did not answer this round, recovering replicas — is only unlocked: an
 	// abort logged here would overwrite a commit.
 	c.unlock(ctx, op, release.Diff(cl.responders))
+	if err == nil {
+		c.afterWrite(ctx, op, u, version, cl)
+	}
 	return version, err
 }
 
@@ -652,9 +662,20 @@ func (c *Coordinator) executeWrite(ctx context.Context, a *obs.ActiveOp, op repl
 	if err := c.commitPhase(ctx, a, op, newVersion, goodSet, cl.responders); err != nil {
 		return 0, err
 	}
-	c.applySafetyThreshold(ctx, op, u, newVersion, cl)
-	c.pushThrough(ctx, op, u, newVersion, cl.maxEpoch.Epoch, cl.responders, goodSet)
 	return newVersion, nil
+}
+
+// afterWrite is what follows a committed write that produced version from
+// the responses classified in cl: the safety-threshold extension, then the
+// write-through to everyone neither of them reached. Callers run it once
+// the operation holds no lock anywhere. A direct-apply may wait in the
+// receiving replica's lock queue (behind readers only, see the replica's
+// acquireBehindReaders) as a single-site operation, outside the replicas'
+// conflict order, and that is only deadlock-free for an operation nobody
+// else is waiting for.
+func (c *Coordinator) afterWrite(ctx context.Context, op replica.OpID, u replica.Update, version uint64, cl classification) {
+	written := c.applySafetyThreshold(ctx, op, u, version, cl)
+	c.pushThrough(ctx, cl.maxEpoch.Epoch, written, replica.ApplyDirect{Op: op, Update: u, NewVersion: version, GoodSet: cl.good})
 }
 
 // commitPhase distributes the commit decision of a fully prepared write
@@ -690,43 +711,27 @@ func (c *Coordinator) commitPhase(ctx context.Context, a *obs.ActiveOp, op repli
 	return nil
 }
 
-// pushThrough asynchronously write-throughs a committed update to the
-// epoch members the write never contacted (Options.PushUpdates). The
-// receiver's handleApplyDirect refuses unless it sits exactly at
-// newVersion−1 and is neither stale nor recovering, so a dropped,
-// duplicated or late push is harmless; a delivered one keeps the
-// bystander replica current, so future speculative prepares and read
-// snapshots that draw it into a quorum find it good.
-func (c *Coordinator) pushThrough(ctx context.Context, op replica.OpID, u replica.Update, newVersion uint64, epoch, written nodeset.Set, goodSet nodeset.Set) {
-	if !c.opts.PushUpdates || c.async == nil {
-		return
-	}
-	others := epoch.Diff(written)
-	if others.Empty() {
-		return
-	}
-	c.async.SendAsync(ctx, c.item.Self(), others, replica.Envelope{
-		Item: c.item.Name(),
-		Msg:  replica.ApplyDirect{Op: op, Update: u, NewVersion: newVersion, GoodSet: goodSet},
-	})
-}
-
 // applySafetyThreshold implements the Section 4.1 extension: when fewer
 // than SafetyThreshold good replicas carry the new value, directly apply
 // the update to additional replicas recorded as good by the previous write.
 // No permission round is needed; a replica refuses if it is not current.
-func (c *Coordinator) applySafetyThreshold(ctx context.Context, op replica.OpID, u replica.Update, newVersion uint64, cl classification) {
+// It returns the members that have been sent the update by now — the
+// write's responders and the ones tried here — so that write-through does
+// not send these the same direct-apply again.
+func (c *Coordinator) applySafetyThreshold(ctx context.Context, op replica.OpID, u replica.Update, newVersion uint64, cl classification) nodeset.Set {
+	written := cl.responders
 	need := c.opts.SafetyThreshold - cl.good.Len()
 	if c.opts.SafetyThreshold <= 0 || need <= 0 {
-		return
+		return written
 	}
 	// Candidates: replicas the previous write recorded as good, not already
 	// written, minus stale-marked responders.
 	candidates := cl.bestGoodList.Diff(cl.good).Diff(cl.stale)
 	for _, id := range candidates.IDs() {
 		if need <= 0 {
-			return
+			break
 		}
+		written = written.Union(nodeset.New(id))
 		callCtx, cancel := deadline.Bound(ctx, c.opts.CallTimeout)
 		reply, err := c.net.Call(callCtx, c.item.Self(), id, replica.Envelope{
 			Item: c.item.Name(),
@@ -739,6 +744,7 @@ func (c *Coordinator) applySafetyThreshold(ctx context.Context, op replica.OpID,
 			}
 		}
 	}
+	return written
 }
 
 // Read returns the most recent value of the data item (paper: "the read

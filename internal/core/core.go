@@ -142,15 +142,6 @@ type Options struct {
 	// CommitRetries is how many times a commit decision is re-sent to a
 	// participant whose ack did not arrive. Default 3.
 	CommitRetries int
-	// PushUpdates, on a transport that can send one-way (transport.
-	// AsyncSender), write-throughs every committed update to the epoch
-	// members the write never contacted: the Section 4.1 direct-apply
-	// message, minus the acknowledgement round. Best-effort — a receiver
-	// refuses unless it sits exactly one version behind — so a dropped or
-	// late push costs nothing. Keeping bystander replicas current is what
-	// lets the next write's speculative lock+prepare (LockPrepare) hit no
-	// matter which quorum rotation it draws.
-	PushUpdates bool
 	// SafetyThreshold enables the Section 4.1 extension when > 0: a write
 	// finding fewer than SafetyThreshold good replicas directly applies the
 	// update to additional recorded-good replicas so that at least that
@@ -174,7 +165,9 @@ type Options struct {
 	// Capacity returns a node's relative service capacity for the weighted
 	// strategies (only ratios matter; nil means homogeneous 1.0). A node
 	// with capacity 0.25 receives roughly a quarter of the quorum mass a
-	// full-capacity peer does.
+	// full-capacity peer does. Under every strategy the capacities also
+	// plan write-through: a member declared below pushCapacityFloor of its
+	// epoch's largest capacity is sent no bystander pushes (see pushTargets).
 	Capacity coterie.LoadFunc
 	// OptimizeInterval is the recompute tick of the weighted strategies:
 	// how often the quorum distribution is re-solved against current load

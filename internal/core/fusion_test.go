@@ -9,10 +9,10 @@ import (
 )
 
 // The fused fast paths (speculative lock+prepare on writes, lock+snapshot
-// on reads) and the bystander write-through are pure optimizations: every
-// test here checks both that the intended path was taken (via the
-// coordinator's counters) and that the data outcome is identical to the
-// unfused protocol's.
+// on reads) are pure optimizations: every test here checks both that the
+// intended path was taken (via the coordinator's counters) and that the
+// data outcome is identical to the unfused protocol's. Write-through has
+// its own file, push_test.go.
 
 func specCounters(reg *obs.Registry) (hits, misses uint64) {
 	return reg.Counter("core_spec_prepare_hit_total").Load(),
@@ -55,20 +55,11 @@ func TestSpeculativeWriteMissFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	mustWrite(t, c, 0, replica.Update{Offset: 0, Data: []byte("ab")})
-	// Find a node whose replica did not see the write: its coordinator will
-	// predict version 1 while the quorum is at 1 already (or stale), so the
+	// Node 3 is down during the first write, so its coordinator predicts
+	// version 1 while the rest of the cluster is there already: the
 	// speculation cannot hit.
-	var behind *Coordinator
-	for _, id := range c.Members.IDs() {
-		if st := c.Replica(id).State(); st.Version == 0 {
-			behind = c.Coordinator(id)
-			break
-		}
-	}
-	if behind == nil {
-		t.Skip("write reached all replicas; no behind coordinator to test")
-	}
+	writeWithout(t, c, 0, replica.Update{Offset: 0, Data: []byte("ab")}, 3)
+	behind := c.Coordinator(3)
 	if _, err := behind.Write(ctxT(t), replica.Update{Offset: 2, Data: []byte("cd")}); err != nil {
 		t.Fatal(err)
 	}
@@ -79,41 +70,6 @@ func TestSpeculativeWriteMissFallsBack(t *testing.T) {
 	v, ver := mustRead(t, c, 0)
 	if !bytes.Equal(v, []byte("abcd")) || ver != 2 {
 		t.Errorf("read %q@%d, want \"abcd\"@2", v, ver)
-	}
-}
-
-// TestPushUpdatesKeepsBystandersCurrent: with PushUpdates on, a committed
-// write is write-through'd one-way to the epoch members outside the
-// quorum, so every replica is current once the write returns (the
-// simulated transport delivers one-way sends inline) and subsequent
-// writes from any coordinator take the fused path.
-func TestPushUpdatesKeepsBystandersCurrent(t *testing.T) {
-	opts := fastOptions()
-	opts.Obs = obs.New()
-	opts.PushUpdates = true
-	c, err := NewCluster(4, "item", make([]byte, 4), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for i, from := range c.Members.IDs() {
-		mustWrite(t, c, from, replica.Update{Offset: i, Data: []byte{byte('w' + i%3)}})
-		for _, id := range c.Members.IDs() {
-			st := c.Replica(id).State()
-			if st.Stale || st.Version != uint64(i+1) {
-				t.Fatalf("after write %d: replica %v at version %d (stale=%v), want %d",
-					i+1, id, st.Version, st.Stale, i+1)
-			}
-		}
-	}
-	// Every write after the first found all four replicas current, so at
-	// most the first can have missed.
-	if _, misses := specCounters(opts.Obs); misses > 1 {
-		t.Errorf("%d speculation misses with push-through on, want <= 1", misses)
-	}
-	v, ver := mustRead(t, c, 3)
-	if string(v) != "wxyw" || ver != 4 {
-		t.Errorf("read %q@%d", v, ver)
 	}
 }
 

@@ -36,6 +36,12 @@ type coordMetrics struct {
 	// lockRetries counts lock rounds run again under a fresh OpID because a
 	// replica refused the previous one (see retryRefused).
 	lockRetries *obs.Counter // core_lock_retry_total
+	// Write-through (push.go): one-way direct-applies sent to bystanders,
+	// and bystanders the capacity rule left out. What became of the sent
+	// ones is counted where they land: replica_push_applied_total and
+	// replica_push_refused_{gap,stale,recovering}_total.
+	pushSent    *obs.Counter // core_push_sent_total
+	pushSkipped *obs.Counter // core_push_skipped_total
 }
 
 func newCoordMetrics(r *obs.Registry) coordMetrics {
@@ -53,6 +59,8 @@ func newCoordMetrics(r *obs.Registry) coordMetrics {
 		specMisses:    r.Counter("core_spec_prepare_miss_total"),
 		readRedraws:   r.Counter("core_read_redraws_total"),
 		lockRetries:   r.Counter("core_lock_retry_total"),
+		pushSent:      r.Counter("core_push_sent_total"),
+		pushSkipped:   r.Counter("core_push_skipped_total"),
 	}
 }
 

@@ -264,10 +264,6 @@ func Start(cfg Config) (*Daemon, error) {
 		Load:        tracker,
 		Capacity:    capacity,
 		GroupCommit: cfg.GroupCommit,
-		// The TCP transport sends one-way frames; write-through committed
-		// updates to bystander replicas so speculative prepares keep
-		// hitting regardless of quorum rotation.
-		PushUpdates: true,
 	}
 	if strategy.Weighted() {
 		// One engine per process: the background solves must not multiply

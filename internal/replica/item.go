@@ -628,32 +628,58 @@ func (it *Item) handleCommit(m Commit) (transport.Message, error) {
 	return Ack{OK: true}, nil
 }
 
-// handleApplyDirect implements the safety-threshold extension's
-// unsolicited write: lock, verify the replica is current as of exactly the
-// preceding version, apply, release. No separate permission or commit
-// round is involved (paper, Section 4.1).
+// Refusals of a direct-apply, boxed once: a bystander that fell behind
+// refuses every later push, and that path should cost no allocation.
+var (
+	directRecovering transport.Message = Ack{Reason: "replica is recovering from state loss"}
+	directStale      transport.Message = Ack{Reason: "replica is stale"}
+	directGap        transport.Message = Ack{Reason: "replica is not exactly one version behind"}
+	directBusy       transport.Message = Ack{Reason: "replica is locked by a write"}
+)
+
+// handleApplyDirect serves the unsolicited write of Section 4.1 — the
+// coordinator's one-way write-through to bystanders, and the synchronous
+// safety-threshold extension: lock, verify the replica is current as of
+// exactly the preceding version, apply, release. No separate permission or
+// commit round is involved. The lock wait is short by construction
+// (acquireBehindReaders): a replica a write is using refuses as busy.
 func (it *Item) handleApplyDirect(ctx context.Context, m ApplyDirect) (transport.Message, error) {
 	if err := m.Update.Validate(); err != nil {
 		return Ack{Reason: err.Error()}, nil
 	}
-	if err := it.lock.acquire(ctx, m.Op, lockExclusive); err != nil {
+	for _, u := range m.More {
+		if err := u.Validate(); err != nil {
+			return Ack{Reason: err.Error()}, nil
+		}
+	}
+	switch err := it.lock.acquireBehindReaders(ctx, m.Op); {
+	case err == errLockBusy:
+		it.metrics.pushBusy.Inc()
+		return directBusy, nil
+	case err != nil:
 		return nil, fmt.Errorf("replica %v/%s: direct-apply lock: %w", it.self, it.name, err)
 	}
 	defer it.lock.release(m.Op)
 	it.mu.Lock()
 	defer it.mu.Unlock()
-	if it.recovering {
-		return Ack{Reason: "replica is recovering from state loss"}, nil
-	}
-	if it.stale {
-		return Ack{Reason: "replica is stale"}, nil
-	}
-	if it.store.Version()+1 != m.NewVersion {
-		return Ack{Reason: fmt.Sprintf("version %d cannot advance to %d", it.store.Version(), m.NewVersion)}, nil
+	switch {
+	case it.recovering:
+		it.metrics.pushRecovering.Inc()
+		return directRecovering, nil
+	case it.stale:
+		it.metrics.pushStale.Inc()
+		return directStale, nil
+	case it.store.Version()+1 != m.NewVersion:
+		it.metrics.pushGap.Inc()
+		return directGap, nil
 	}
 	it.store.Apply(m.Update)
+	for _, u := range m.More {
+		it.store.Apply(u)
+	}
 	it.good = m.GoodSet.Clone()
-	it.goodVer = m.NewVersion
+	it.goodVer = it.store.Version()
+	it.metrics.pushApplied.Inc()
 	it.publishStateLocked()
 	return Ack{OK: true}, nil
 }

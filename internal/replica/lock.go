@@ -82,6 +82,20 @@ type waiter struct {
 // conflict order; the OpID returned beside it names the winner.
 var errLockRefused = errors.New("replica: lock refused, an older operation is ahead")
 
+// errLockBusy is acquireBehindReaders' answer when a writer holds the lock
+// or anybody is queued for it.
+var errLockBusy = errors.New("replica: lock busy, a writer holds it or is queued")
+
+// waitPolicy is what an acquisition does when it cannot be granted on
+// arrival.
+type waitPolicy int
+
+const (
+	waitPlain   waitPolicy = iota // queue (acquire)
+	waitOrdered                   // queue unless an older ordered operation is ahead (acquireOrdered)
+	waitReaders                   // queue behind shared holders only (acquireBehindReaders)
+)
+
 // itemLock is the per-replica lock of the paper's protocols. Reads take it
 // shared, writes and epoch checks exclusive. Acquisition blocks until the
 // lock is granted or the context ends, and is FIFO-fair: a steady stream of
@@ -89,15 +103,18 @@ var errLockRefused = errors.New("replica: lock refused, an older operation is ah
 //
 // Operations that lock several replicas at once (LockRequest, LockPrepare)
 // acquire through acquireOrdered, which is wait-die over OpID.Older: such a
-// request waits only for younger ordered operations and is refused at once
-// if an older one holds a conflicting mode or is queued (the queue is
-// FIFO: whoever joins it waits for everyone ahead). Every wait between two
+// request waits only for younger ordered operations: if it cannot be
+// granted on arrival and an older one holds the lock or is queued, it is
+// refused at once (the queue is FIFO: whoever joins it waits for everyone
+// ahead, and for the holders they wait for). Every wait between two
 // multi-replica operations then runs from older to younger on every
 // replica alike, so no cycle can form and two coordinators that each won
 // part of an overlapping quorum are untied in one round trip instead of by
 // CallTimeout. Operations that hold this one lock and wait nowhere else
-// meanwhile (ReadSnap, a propagation offer, ApplyDirect) use plain acquire
-// and are exempt on both sides: nothing waits for them elsewhere.
+// meanwhile (ReadSnap, a propagation offer, ApplyDirect) are exempt on both
+// sides: nothing waits for them elsewhere. ReadSnap and the offer use plain
+// acquire; ApplyDirect, which nobody waits for at all, uses
+// acquireBehindReaders.
 //
 // Lock holds acquired in the request phase carry a lease: if the
 // coordinator disappears before preparing (lost reply, coordinator crash),
@@ -226,12 +243,17 @@ func (l *itemLock) dispatchLocked() {
 	}
 }
 
-// olderAheadLocked returns an ordered operation older than op that op
-// would have to wait for in mode — a conflicting holder, or any queued
-// waiter — or the zero OpID if there is none. Caller holds mu.
-func (l *itemLock) olderAheadLocked(op OpID, mode lockMode) OpID {
+// olderAheadLocked returns an ordered operation older than op that op, having
+// to wait, would wait for — any holder, any queued waiter — or the zero OpID
+// if there is none. Every holder counts, compatible mode or not: a request
+// that cannot be granted on arrival waits either for a conflicting holder
+// (an exclusive one is the only holder; an exclusive request conflicts with
+// all) or, the queue being FIFO, behind a waiter that does — such as the
+// plain exclusive waiter of a propagation offer or a write-through, which
+// the order itself does not see. Caller holds mu.
+func (l *itemLock) olderAheadLocked(op OpID) OpID {
 	for other, h := range l.holders {
-		if h.ordered && other != op && (mode == lockExclusive || h.mode == lockExclusive) && other.Older(op) {
+		if h.ordered && other != op && other.Older(op) {
 			return other
 		}
 	}
@@ -243,13 +265,45 @@ func (l *itemLock) olderAheadLocked(op OpID, mode lockMode) OpID {
 	return OpID{}
 }
 
+// writerAheadLocked reports whether an exclusive holder or any queued
+// waiter stands before a new request. Caller holds mu.
+func (l *itemLock) writerAheadLocked() bool {
+	for _, w := range l.waiters {
+		if !w.cancelled {
+			return true
+		}
+	}
+	for _, h := range l.holders {
+		if h.mode == lockExclusive {
+			return true
+		}
+	}
+	return false
+}
+
 // acquire blocks until the lock is granted to op or ctx ends. Re-acquiring
 // by the same op succeeds immediately (refreshing the lease) and upgrades
 // shared to exclusive if requested — the paper's HeavyProcedure re-polls
 // nodes already locked by the same operation. It is the form for
 // operations that hold no other replica's lock meanwhile.
 func (l *itemLock) acquire(ctx context.Context, op OpID, mode lockMode) error {
-	_, err := l.doAcquire(ctx, op, mode, false)
+	_, err := l.doAcquire(ctx, op, mode, waitPlain)
+	return err
+}
+
+// acquireBehindReaders is the exclusive acquire of a direct-apply, which is
+// best-effort and usually one-way: the sender's deadline does not reach it,
+// and on an inline transport the sender's goroutine runs it. It waits only
+// for shared holders, whose holds are never pinned and end with the read or
+// the lease. If a writer holds the lock or anybody is queued it returns
+// errLockBusy at once: a write's hold may be a prepared participant's, which
+// lasts until its coordinator is heard from. If the write ahead goes on to
+// commit it finds this replica behind and marks it stale whether or not the
+// push waited; if it gives up (refused elsewhere), the replica stays one
+// version behind until a quorum draws it — the price of never waiting on
+// another coordinator.
+func (l *itemLock) acquireBehindReaders(ctx context.Context, op OpID) error {
+	_, err := l.doAcquire(ctx, op, lockExclusive, waitReaders)
 	return err
 }
 
@@ -257,10 +311,11 @@ func (l *itemLock) acquire(ctx context.Context, op OpID, mode lockMode) error {
 // at once. Instead of queueing behind an older ordered operation it
 // returns that operation and errLockRefused, with nothing held or queued.
 func (l *itemLock) acquireOrdered(ctx context.Context, op OpID, mode lockMode) (OpID, error) {
-	return l.doAcquire(ctx, op, mode, true)
+	return l.doAcquire(ctx, op, mode, waitOrdered)
 }
 
-func (l *itemLock) doAcquire(ctx context.Context, op OpID, mode lockMode, ordered bool) (OpID, error) {
+func (l *itemLock) doAcquire(ctx context.Context, op OpID, mode lockMode, policy waitPolicy) (OpID, error) {
+	ordered := policy == waitOrdered
 	if op.IsZero() {
 		return OpID{}, fmt.Errorf("replica: zero OpID cannot lock")
 	}
@@ -281,11 +336,17 @@ func (l *itemLock) doAcquire(ctx context.Context, op OpID, mode lockMode, ordere
 		l.granted.Inc()
 		return OpID{}, nil
 	}
-	if ordered {
-		if by := l.olderAheadLocked(op, mode); !by.IsZero() {
+	switch policy {
+	case waitOrdered:
+		if by := l.olderAheadLocked(op); !by.IsZero() {
 			l.mu.Unlock()
 			l.refused.Inc()
 			return by, errLockRefused
+		}
+	case waitReaders:
+		if l.writerAheadLocked() {
+			l.mu.Unlock()
+			return OpID{}, errLockBusy
 		}
 	}
 	err := l.waitLocked(ctx, &waiter{op: op, mode: mode, ordered: ordered, upgrade: held, ready: make(chan struct{})})

@@ -320,6 +320,92 @@ func TestOrderedLockExemptsSingleSiteHolders(t *testing.T) {
 	}
 }
 
+// TestOrderedLockSharedBehindExemptWaiter: a shared request is compatible
+// with an older shared holder, but if an exempt exclusive waiter (a
+// write-through, a propagation offer) is queued for that holder, FIFO puts
+// the request behind it and so, in effect, behind the older holder. The
+// order cannot see the exempt waiter, so it has to count the holder: two
+// heavy reads each holding shared locks the other queues for, with a push
+// in between, waited out CallTimeout before this was refused.
+func TestOrderedLockSharedBehindExemptWaiter(t *testing.T) {
+	l := newItemLock(10 * time.Second)
+	ctx := context.Background()
+	ops := agedOps(3)
+	oldest, middle, youngest := ops[0], ops[1], ops[2]
+
+	if _, err := l.acquireOrdered(ctx, middle, lockShared); err != nil {
+		t.Fatal(err)
+	}
+	// Nothing queued: shared holders of any age share.
+	if _, err := l.acquireOrdered(ctx, youngest, lockShared); err != nil {
+		t.Fatalf("shared request beside a shared holder, empty queue: %v", err)
+	}
+	l.release(youngest)
+	pushDone := queued(t, l, func() error { return l.acquire(ctx, op(7, 7), lockExclusive) })
+	if by, err := l.acquireOrdered(ctx, youngest, lockShared); err != errLockRefused || by != middle {
+		t.Fatalf("younger shared request behind an exempt waiter: by=%v err=%v, want refusal by the holder %v", by, err, middle)
+	}
+	// An older one may wait for the holder, through the waiter or not.
+	oldestDone := queued(t, l, func() error { _, err := l.acquireOrdered(ctx, oldest, lockShared); return err })
+	l.release(middle)
+	if err := <-pushDone; err != nil {
+		t.Fatal(err)
+	}
+	l.release(op(7, 7))
+	if err := <-oldestDone; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAcquireBehindReaders: a direct-apply's acquisition waits for readers
+// and for nothing else. A reader's hold ends with the read; a writer's may
+// be a prepared participant's and last until its coordinator is heard from,
+// and the sender of a one-way push has no deadline that reaches here.
+func TestAcquireBehindReaders(t *testing.T) {
+	l := newItemLock(10 * time.Second)
+	ctx := context.Background()
+	push, reader, writer := op(7, 7), op(1, 1), op(2, 1)
+
+	// Free lock: granted, exclusively.
+	if err := l.acquireBehindReaders(ctx, push); err != nil {
+		t.Fatal(err)
+	}
+	if !l.heldBy(push, lockExclusive) {
+		t.Fatal("the grant is not exclusive")
+	}
+	l.release(push)
+
+	// Behind a reader: waits, and is granted when the reader leaves.
+	if err := l.acquire(ctx, reader, lockShared); err != nil {
+		t.Fatal(err)
+	}
+	done := queued(t, l, func() error { return l.acquireBehindReaders(ctx, push) })
+	// Anybody queued, here the push itself, turns a second one away.
+	if err := l.acquireBehindReaders(ctx, op(7, 8)); err != errLockBusy {
+		t.Fatalf("behind a queued waiter: %v, want errLockBusy", err)
+	}
+	l.release(reader)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	l.release(push)
+
+	// A writer holds it, pinned or not: refused at once, nothing queued.
+	if err := l.acquire(ctx, writer, lockExclusive); err != nil {
+		t.Fatal(err)
+	}
+	l.pin(writer)
+	if err := l.acquireBehindReaders(ctx, push); err != errLockBusy {
+		t.Fatalf("behind a prepared writer: %v, want errLockBusy", err)
+	}
+	l.mu.Lock()
+	queuedNow := len(l.waiters)
+	l.mu.Unlock()
+	if queuedNow != 0 {
+		t.Errorf("%d waiters left behind by refused requests", queuedNow)
+	}
+}
+
 // TestOrderedLocksNeverDeadlock is the rule's reason to exist: goroutines
 // that each lock a random overlapping subset of several replicas' locks in
 // a random order — the shape that ties two coordinators until CallTimeout
@@ -369,6 +455,11 @@ func TestOrderedLocksNeverDeadlock(t *testing.T) {
 							runtime.Gosched()
 							continue attempt
 						}
+						// Let the others run while this one holds part of
+						// its set: on a single processor a worker would
+						// otherwise finish whole rounds between two
+						// preemptions and nobody would ever contend.
+						runtime.Gosched()
 					}
 					for _, i := range want {
 						owner[i] = o

@@ -182,14 +182,23 @@ type PrepareBatch struct {
 	GoodSet      nodeset.Set
 }
 
-// ApplyDirect performs the safety-threshold extension's unsolicited write
-// (paper, Section 4.1): a current replica outside the contacted quorum
-// applies the update with no permission round. The replica briefly takes
-// its own lock, verifies it is non-stale and exactly one version behind,
-// applies, and releases — all within this single message.
+// ApplyDirect is the unsolicited write of the paper's Section 4.1: a
+// current replica outside the contacted quorum applies the update with no
+// permission round. The replica briefly takes its own lock, verifies it is
+// non-stale and exactly one version behind, applies, and releases — all
+// within this single message. Coordinators send it one-way to every
+// bystander of a committed write (write-through) and synchronously for the
+// safety-threshold extension.
+//
+// More carries the rest of a group-committed run: Update produces
+// NewVersion, More[i] produces NewVersion+1+i, and the replica applies all
+// of them or none. One message per batch, because one-way sends are not
+// ordered among themselves and a run delivered out of order would be
+// refused at the first gap.
 type ApplyDirect struct {
 	Op         OpID
 	Update     Update
+	More       []Update
 	NewVersion uint64
 	GoodSet    nodeset.Set
 }

@@ -31,6 +31,18 @@ type itemMetrics struct {
 	propUpdates    *obs.Counter
 	propSnapshots  *obs.Counter
 	propRetries    *obs.Counter
+
+	// Direct-applies (write-through pushes and the safety-threshold
+	// extension) by what became of them. A refusal for a gap means the
+	// replica missed an earlier push and waits to be drawn into a quorum;
+	// stale and recovering replicas are already owed propagation; busy
+	// means a write held or awaited the replica's lock, and that write
+	// will find the replica behind.
+	pushApplied    *obs.Counter
+	pushBusy       *obs.Counter
+	pushGap        *obs.Counter
+	pushStale      *obs.Counter
+	pushRecovering *obs.Counter
 }
 
 func newItemMetrics(r *obs.Registry) itemMetrics {
@@ -49,6 +61,11 @@ func newItemMetrics(r *obs.Registry) itemMetrics {
 		propUpdates:    r.Counter("replica_propagation_updates_total"),
 		propSnapshots:  r.Counter("replica_propagation_snapshots_total"),
 		propRetries:    r.Counter("replica_propagation_retries_total"),
+		pushApplied:    r.Counter("replica_push_applied_total"),
+		pushBusy:       r.Counter("replica_push_refused_busy_total"),
+		pushGap:        r.Counter("replica_push_refused_gap_total"),
+		pushStale:      r.Counter("replica_push_refused_stale_total"),
+		pushRecovering: r.Counter("replica_push_refused_recovering_total"),
 	}
 }
 

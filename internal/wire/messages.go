@@ -99,6 +99,10 @@ func appendMessage(b []byte, msg any) ([]byte, error) {
 		b = append(b, tagApplyDirect)
 		b = putOp(b, m.Op)
 		b = putUpdate(b, m.Update)
+		b = putUvarint(b, uint64(len(m.More)))
+		for _, u := range m.More {
+			b = putUpdate(b, u)
+		}
 		b = putUvarint(b, m.NewVersion)
 		return putSet(b, m.GoodSet), nil
 	case replica.PrepareEpoch:
@@ -315,7 +319,20 @@ func decodeMessage(b []byte) (any, int, error) {
 			StaleSet: r.set(), GoodSet: r.set(),
 		}
 	case tagApplyDirect:
-		msg = replica.ApplyDirect{Op: r.op(), Update: r.update(), NewVersion: r.uvarint(), GoodSet: r.set()}
+		m := replica.ApplyDirect{Op: r.op(), Update: r.update()}
+		count := r.uvarint()
+		if count > r.remaining() {
+			r.fail(ErrTruncated)
+			break
+		}
+		if count > 0 {
+			m.More = make([]replica.Update, 0, count)
+		}
+		for i := uint64(0); i < count && r.err == nil; i++ {
+			m.More = append(m.More, r.update())
+		}
+		m.NewVersion, m.GoodSet = r.uvarint(), r.set()
+		msg = m
 	case tagPrepareEpoch:
 		msg = replica.PrepareEpoch{
 			Op: r.op(), Epoch: r.set(), EpochNum: r.uvarint(),

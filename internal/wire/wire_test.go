@@ -42,6 +42,11 @@ func sampleMessages() []any {
 		replica.PrepareStale{Op: op(4, 4), Desired: 13, GoodSet: nodeset.New(0)},
 		replica.PrepareReplace{Op: op(3, 2), Value: []byte("total"), NewVersion: 5, StaleSet: nodeset.New(7), GoodSet: nodeset.New(3, 4)},
 		replica.ApplyDirect{Op: op(6, 1), Update: replica.Update{Offset: 0, Data: []byte("d")}, NewVersion: 2, GoodSet: nodeset.New(6)},
+		replica.ApplyDirect{
+			Op: op(6, 2), Update: replica.Update{Offset: 1, Data: []byte("e")},
+			More:       []replica.Update{{Offset: 2, Data: []byte("fg")}, {Offset: 0, Data: []byte("h")}},
+			NewVersion: 3, GoodSet: nodeset.New(0, 6),
+		},
 		replica.PrepareEpoch{Op: op(8, 8), Epoch: nodeset.Range(0, 9), EpochNum: 3, Good: nodeset.New(0, 8), MaxVersion: 44},
 		replica.Commit{Op: op(1, 2)},
 		replica.Abort{Op: op(2, 3)},
