@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-bench vet race race-conflict bench-pair bench-pair-all bench bench-smoke bench-loadgen bench-obs bench-batch bench-net bench-shard bench-shard-smoke bench-trace bench-quorum bench-quorum-smoke profile-net check-obs-imports check-allocs check-admin fuzz-smoke ci
+.PHONY: all build test test-bench vet race race-conflict race-legs bench-pair bench-pair-all bench bench-smoke bench-loadgen bench-obs bench-batch bench-net bench-shard bench-shard-smoke bench-trace bench-quorum bench-quorum-smoke profile-net check-obs-imports check-allocs check-admin fuzz-smoke ci
 
 all: build
 
@@ -29,6 +29,13 @@ test-bench:
 race-conflict:
 	$(GO) test -race -short -count=3 -run 'TestOrderedLock|TestRefused' ./internal/replica/
 	$(GO) test -race -short -count=3 -run 'TestHotItemWritersOnEveryNode|TestRefused' ./internal/core/
+
+# race-legs repeats the sim transport's leg-worker tests under the race
+# detector: no leg waits for another, no concurrency cap, results in ID
+# order on the caller's goroutine, failed targets, nested multicasts, and
+# the hand-off itself (idle tokens claimed by compare-and-swap).
+race-legs:
+	$(GO) test -race -count=5 -run 'TestLegs|TestWorkers' ./internal/transport/
 
 # bench-pair W=<workload> [N=10] [SEED=1] [BASE=HEAD~1] [TRACE=1] compares
 # the working tree against commit BASE on one workload of BENCHMARK.json:
@@ -152,8 +159,11 @@ profile-net:
 
 # check-allocs runs the steady-state allocation gates: the combiner's
 # submit/drain machinery, the batched-propagation capture path, the
-# decision ring, a refused write-through push, the mux dispatch and wire
-# encode hot paths, the tcpnet frame codec, and the weighted quorum pick
+# decision ring, a refused write-through push, the sim transport's
+# multicast (no allocation and no goroutine started once its leg workers
+# are warm; at most a constant number parked after a burst), the mux
+# dispatch and wire encode hot paths, the tcpnet frame codec, and the
+# weighted quorum pick
 # (alias-table sampling in coterie and the coordinator's pick wrapper) must
 # not allocate per operation; planning a write's push targets under the
 # capacity rule may allocate the target set and nothing else
@@ -161,7 +171,7 @@ profile-net:
 check-allocs:
 	$(GO) test -run 'TestCombinerDrainDoesNotAllocate' ./internal/core/ -v -count=1 | grep -E 'PASS|FAIL|allocates' || exit 1
 	$(GO) test -run 'TestCaptureDataDoesNotAllocate|TestDecisionRingDoesNotAllocate|TestRefusedPushDoesNotAllocate' ./internal/replica/ -v -count=1 | grep -E 'PASS|FAIL|allocates' || exit 1
-	$(GO) test -run 'TestMuxDispatchDoesNotAllocate|TestMulticastFuncAllocs' ./internal/transport/ -v -count=1 | grep -E 'PASS|FAIL|allocates' || exit 1
+	$(GO) test -run 'TestMuxDispatchDoesNotAllocate|TestMulticastFuncAllocs|TestLegsSteadyStateIsFree|TestLegsParkedBounded' ./internal/transport/ -v -count=1 | grep -E 'PASS|FAIL|allocates' || exit 1
 	$(GO) test -run 'TestAppendMarshalDoesNotAllocate|TestAppendTraceContextDoesNotAllocate|TestDecodeTraceContextDoesNotAllocate' ./internal/wire/ -v -count=1 | grep -E 'PASS|FAIL|allocates' || exit 1
 	$(GO) test -run 'TestRequestFrameEncodeDoesNotAllocate|TestReplyFrameEncodeDoesNotAllocate|TestFusedMessageEncodeDoesNotAllocate|TestRingFlushPathDoesNotAllocate|TestTracedRequestFrameEncodeDoesNotAllocate' ./internal/transport/tcpnet/ -v -count=1 | grep -E 'PASS|FAIL|allocates' || exit 1
 	$(GO) test -run 'TestZipfNextDoesNotAllocate|TestMixNextDoesNotAllocate' ./internal/workload/ -v -count=1 | grep -E 'PASS|FAIL|allocates' || exit 1
@@ -188,4 +198,4 @@ check-obs-imports:
 	fi; \
 	echo "check-obs-imports: internal/obs is clean"
 
-ci: vet build test-bench check-obs-imports check-allocs check-admin fuzz-smoke race race-conflict bench-smoke bench-loadgen bench-obs bench-batch bench-net bench-shard-smoke bench-quorum-smoke
+ci: vet build test-bench check-obs-imports check-allocs check-admin fuzz-smoke race race-conflict race-legs bench-smoke bench-loadgen bench-obs bench-batch bench-net bench-shard-smoke bench-quorum-smoke

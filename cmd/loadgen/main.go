@@ -51,6 +51,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -618,7 +619,7 @@ func sleepUntil(d time.Duration, deadline time.Time) bool {
 // about).
 func printSummary(w *os.File, snap obs.Snapshot) {
 	fmt.Fprintln(w, "--- obs summary ---")
-	for _, c := range snap.Counters {
+	for _, c := range slices.Concat(snap.Counters, snap.Gauges) {
 		if c.Value != 0 {
 			fmt.Fprintf(w, "%-45s %d\n", c.Name, c.Value)
 		}

@@ -79,6 +79,14 @@ func (g *Gauge) Load() int64 {
 	return g.v.Load()
 }
 
+// CompareAndSwap stores new if the gauge still holds old and reports
+// whether it did; false on nil. It is for owners whose gauge is their
+// state (a count of idle workers claimed and returned one at a time), not
+// a copy of it.
+func (g *Gauge) CompareAndSwap(old, new int64) bool {
+	return g != nil && g.v.CompareAndSwap(old, new)
+}
+
 // CounterVec is a vector of counters indexed by a small non-negative
 // integer label — per-node served requests, per-outcome tallies. The zero
 // value is ready to use; a nil *CounterVec is a no-op.

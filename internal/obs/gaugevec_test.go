@@ -125,3 +125,26 @@ func TestFlightRecorderBatchEvent(t *testing.T) {
 	var nilOp *ActiveOp
 	nilOp.Batch(1, 1, 1)
 }
+
+// TestAdoptedGaugeIsTheOwnersCell: an owner whose gauge is its state (the
+// transport's count of parked leg workers) moves it by compare-and-swap,
+// and every registry that adopted it reads the same cell.
+func TestAdoptedGaugeIsTheOwnersCell(t *testing.T) {
+	var own Gauge
+	a, b := New(), New()
+	a.AdoptGauge("parked", &own)
+	b.AdoptGauge("parked", &own)
+	Nop.AdoptGauge("parked", &own) // no-op on the Nop registry
+	if !own.CompareAndSwap(0, 3) || own.CompareAndSwap(0, 5) {
+		t.Fatalf("CompareAndSwap: gauge = %d, want 3", own.Load())
+	}
+	if a.Gauge("parked") != &own || b.Gauge("parked").Load() != 3 {
+		t.Error("adopting registries do not read the owner's cell")
+	}
+	if snap := a.Snapshot(); len(snap.Gauges) != 1 || snap.Gauges[0].Value != 3 {
+		t.Errorf("snapshot gauges = %+v, want parked=3", snap.Gauges)
+	}
+	if (*Gauge)(nil).CompareAndSwap(0, 1) {
+		t.Error("CompareAndSwap on a nil gauge reported a swap")
+	}
+}

@@ -174,6 +174,20 @@ func (r *Registry) AdoptCounter(name string, c *Counter) {
 	r.mu.Unlock()
 }
 
+// AdoptGauge registers an externally owned gauge under name, making it
+// visible to Snapshot and exposition. Same rationale as AdoptCounter; the
+// simulated transport's process-wide leg workers are adopted by every
+// network's registry. Adopting an already-registered name replaces the
+// previous gauge.
+func (r *Registry) AdoptGauge(name string, g *Gauge) {
+	if r == nil || g == nil {
+		return
+	}
+	r.mu.Lock()
+	r.gauges[name] = g
+	r.mu.Unlock()
+}
+
 // AdoptHistogram registers an externally owned histogram under name,
 // making it visible to Snapshot and exposition. Components that must
 // observe even when observability is disabled (e.g. the smart client's

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"coterie/internal/deadline"
@@ -15,10 +14,9 @@ import (
 	"coterie/internal/wire"
 )
 
-// maxServeWorkers bounds the persistent worker pool per accepted
-// connection. Requests beyond this many concurrently blocked handlers
-// fall back to one-shot goroutines, so concurrency is never capped — the
-// pool only decides which requests get a warm, already-grown stack.
+// maxServeWorkers bounds the idle workers an accepted connection keeps
+// (transport.Workers). Concurrency is never capped — the bound only
+// decides how many warm, already-grown stacks outlive a burst.
 const maxServeWorkers = 32
 
 // Start opens a listener for every locally registered node that has an
@@ -62,13 +60,12 @@ func (n *Network) acceptLoop(ln net.Listener, ep *localEndpoint) {
 			tc.SetNoDelay(true)
 		}
 		sc := &serverConn{
-			n:      n,
-			ep:     ep,
-			nc:     nc,
-			out:    newOutRing(n.outQueue, n.flushStalls, n.outDepth),
-			closed: make(chan struct{}),
-			work:   make(chan srvReq),
+			n:   n,
+			ep:  ep,
+			nc:  nc,
+			out: newOutRing(n.outQueue, n.flushStalls, n.outDepth),
 		}
+		sc.pool = transport.NewWorkers(maxServeWorkers, sc.serveOne)
 		if !n.track(sc) {
 			nc.Close()
 			return
@@ -107,20 +104,18 @@ func (n *Network) untrack(sc *serverConn) {
 // goroutines paid for stack growth (runtime.morestack/newstack ≈ 10% of
 // daemon CPU) on every request. Persistent workers grow their stacks once
 // and keep them. Dispatch never blocks the read loop: a request that
-// finds no idle worker spawns one (persistent up to maxServeWorkers, else
-// one-shot), so a handler parked on a contended lock queue cannot
-// head-of-line-block the requests arriving behind it.
+// finds no idle worker starts one, so a handler parked on a contended lock
+// queue cannot head-of-line-block the requests arriving behind it. The
+// scheme is transport.Workers, shared with the simulated network's
+// multicast legs.
 type serverConn struct {
-	n      *Network
-	ep     *localEndpoint
-	nc     net.Conn
-	out    *outRing
-	closed chan struct{}
-	once   sync.Once
+	n    *Network
+	ep   *localEndpoint
+	nc   net.Conn
+	out  *outRing
+	once sync.Once
 
-	work    chan srvReq  // unbuffered; only sent to with an idle token claimed
-	idle    atomic.Int32 // committed idle receivers on work
-	workers atomic.Int32 // persistent workers spawned
+	pool *transport.Workers[srvReq] // dispatched to by readLoop only, which closes it
 }
 
 // srvReq is one decoded request handed from the read loop to a worker.
@@ -134,7 +129,6 @@ type srvReq struct {
 
 func (sc *serverConn) close() {
 	sc.once.Do(func() {
-		close(sc.closed)
 		sc.nc.Close()
 		sc.out.close()
 		sc.n.untrack(sc)
@@ -142,6 +136,7 @@ func (sc *serverConn) close() {
 }
 
 func (sc *serverConn) readLoop() {
+	defer sc.pool.Close()
 	defer sc.close()
 	fr := newFrameReader(sc.nc)
 	for {
@@ -169,44 +164,7 @@ func (sc *serverConn) readLoop() {
 			continue
 		}
 		sc.ep.served.Inc()
-		sc.dispatch(srvReq{corr: corr, from: from, timeout: timeout, tc: tc, msg: msg})
-	}
-}
-
-// dispatch hands one request to the worker pool. idle counts workers
-// committed to receive on work: claiming a token (decrement stays ≥ 0)
-// guarantees the send completes promptly, so the read loop never waits on
-// a busy handler. With no token available, a new worker takes the request
-// as its first job.
-func (sc *serverConn) dispatch(rq srvReq) {
-	if sc.idle.Add(-1) >= 0 {
-		select {
-		case sc.work <- rq:
-		case <-sc.closed:
-		}
-		return
-	}
-	sc.idle.Add(1)
-	if sc.workers.Add(1) <= maxServeWorkers {
-		go sc.worker(rq)
-		return
-	}
-	sc.workers.Add(-1)
-	go sc.serveOne(rq) // overflow: plain goroutine-per-request
-}
-
-// worker serves its first request, then parks for more until the
-// connection closes.
-func (sc *serverConn) worker(rq srvReq) {
-	sc.serveOne(rq)
-	for {
-		sc.idle.Add(1)
-		select {
-		case rq := <-sc.work:
-			sc.serveOne(rq)
-		case <-sc.closed:
-			return
-		}
+		sc.pool.Go(srvReq{corr: corr, from: from, timeout: timeout, tc: tc, msg: msg})
 	}
 }
 

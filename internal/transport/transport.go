@@ -25,8 +25,10 @@
 //   - Latency sampling draws from per-endpoint RNG streams (one per node,
 //     see WithSeed for the seeding scheme), so calls from different nodes
 //     never serialize on a shared RNG.
-//   - Multicast fan-out collects into pooled scratch buffers; the only
-//     steady-state allocations are the per-target goroutine spawns.
+//   - Multicast fan-out collects into pooled scratch buffers and runs its
+//     legs on warm stacks — one on the caller's goroutine, the rest on the
+//     process-wide leg workers — so the steady state neither allocates nor
+//     starts a goroutine.
 package transport
 
 import (
@@ -240,6 +242,8 @@ func NewNetwork(opts ...Option) *Network {
 		n.obsReg.AdoptCounter("transport_calls_failed_total", n.failedCalls)
 		n.obsReg.AdoptCounter("transport_messages_total", n.messages)
 		n.obsReg.AdoptCounterVec("transport_endpoint_served_total", n.served)
+		n.obsReg.AdoptCounter("transport_leg_spawn_total", &legWorkers.Spawned)
+		n.obsReg.AdoptGauge("transport_leg_workers_parked", &legWorkers.Parked)
 		n.callLatency = n.obsReg.Histogram("transport_call_latency_ns")
 		n.mcFanout = n.obsReg.Histogram("transport_multicast_fanout")
 	}
@@ -433,8 +437,8 @@ func (n *Network) call(ctx context.Context, from, to nodeset.ID, req Message) (M
 // the cheapest honest implementation, and it keeps the simulation's
 // strong property that a delivered message's effects are visible the
 // moment the send returns (tests rely on it). With latency configured,
-// the fan-out moves to a background goroutine so the transit time stays
-// off the sender's critical path, as a real one-way send would.
+// the fan-out moves to a leg worker so the transit time stays off the
+// sender's critical path, as a real one-way send would.
 func (n *Network) SendAsync(ctx context.Context, from nodeset.ID, targets nodeset.Set, req Message) {
 	if targets.Empty() {
 		return
@@ -450,12 +454,7 @@ func (n *Network) SendAsync(ctx context.Context, from nodeset.ID, targets nodese
 		}
 		return
 	}
-	ids := targets.IDs()
-	go func() {
-		for _, to := range ids {
-			n.deliverOneWay(sendCtx, from, to, req)
-		}
-	}()
+	legWorkers.Go(leg{n: n, ctx: sendCtx, from: from, oneWay: targets.IDs(), req: req})
 }
 
 // deliverOneWay is one target's leg of SendAsync: the request journey of
@@ -520,21 +519,49 @@ type Result struct {
 
 // mcScratch is the pooled working set of one multicast fan-out: the target
 // list, one result slot per target, and the WaitGroup joining the calls.
-// Pooling it keeps the steady-state fan-out free of map and slice
-// allocations; the remaining per-call allocations are the goroutine spawns
-// themselves.
+// Pooling it keeps the steady-state fan-out free of allocations.
 type mcScratch struct {
 	ids     []nodeset.ID
 	results []Result
 	wg      sync.WaitGroup
 }
 
-// mcCall is one leg of a fan-out. A named method (not a closure) so the
-// `go` statement does not capture loop variables beyond its arguments.
-func (n *Network) mcCall(ctx context.Context, from, to nodeset.ID, req Message, out *Result, wg *sync.WaitGroup) {
-	defer wg.Done()
-	reply, err := n.Call(ctx, from, to, req)
-	*out = Result{Reply: reply, Err: err}
+// maxParkedLegs bounds the idle leg workers the process keeps. It is
+// several times the legs the benchmark's two clients or loadgen's default
+// workers have in flight, so the steady state never starts a goroutine,
+// and small enough that what a burst leaves behind (a parked worker is a
+// goroutine and the few KB of stack its handlers grew) is not a leak.
+const maxParkedLegs = 128
+
+// legWorkers run the legs of every multicast and every delayed one-way
+// fan-out on every Network of the process: a Network has no Close to stop
+// workers of its own, and tests and benchmarks build networks by the
+// hundred.
+var legWorkers = NewWorkers(maxParkedLegs, leg.run)
+
+// leg is one unit of fan-out handed to a worker: one target's call of a
+// multicast (out and wg set), or a whole one-way fan-out (oneWay set).
+type leg struct {
+	n      *Network
+	ctx    context.Context
+	from   nodeset.ID
+	to     nodeset.ID
+	req    Message
+	out    *Result
+	wg     *sync.WaitGroup
+	oneWay []nodeset.ID
+}
+
+func (l leg) run() {
+	if l.oneWay != nil {
+		for _, to := range l.oneWay {
+			l.n.deliverOneWay(l.ctx, l.from, to, l.req)
+		}
+		return
+	}
+	reply, err := l.n.Call(l.ctx, l.from, l.to, l.req)
+	*l.out = Result{Reply: reply, Err: err}
+	l.wg.Done()
 }
 
 // MulticastFunc calls every target concurrently, waits for all of them,
@@ -543,8 +570,12 @@ func (n *Network) mcCall(ctx context.Context, from, to nodeset.ID, req Message, 
 // are collected into pooled scratch, so no per-call result map is built.
 // fn must not retain the reply beyond the callback unless it copies it.
 //
-// Empty target sets return immediately; single-target sets take a fast
-// path with no goroutine spawn and zero allocations.
+// One leg — the caller's own node when it is a target, otherwise the last
+// by ID — runs on the caller's goroutine, which would only have waited;
+// the others go to the leg workers first. No leg waits for another: a leg
+// parked in a replica's lock queue holds up neither the rest of its round
+// nor anybody else's. Empty target sets return immediately; single-target
+// sets are a plain Call.
 func (n *Network) MulticastFunc(ctx context.Context, from nodeset.ID, targets nodeset.Set, req Message, fn func(to nodeset.ID, r Result)) {
 	if targets.Empty() {
 		return
@@ -562,10 +593,18 @@ func (n *Network) MulticastFunc(ctx context.Context, from nodeset.ID, targets no
 		sc.results = make([]Result, len(sc.ids))
 	}
 	sc.results = sc.results[:len(sc.ids)]
-	sc.wg.Add(len(sc.ids))
-	for i, id := range sc.ids {
-		go n.mcCall(ctx, from, id, req, &sc.results[i], &sc.wg)
+	own := len(sc.ids) - 1
+	if pos, ok := targets.OrderedNumber(from); ok {
+		own = pos - 1
 	}
+	sc.wg.Add(len(sc.ids) - 1)
+	for i, id := range sc.ids {
+		if i != own {
+			legWorkers.Go(leg{n: n, ctx: ctx, from: from, to: id, req: req, out: &sc.results[i], wg: &sc.wg})
+		}
+	}
+	reply, err := n.Call(ctx, from, sc.ids[own], req)
+	sc.results[own] = Result{Reply: reply, Err: err}
 	sc.wg.Wait()
 	for i, id := range sc.ids {
 		fn(id, sc.results[i])
