@@ -168,6 +168,14 @@ func printSummary(w io.Writer, cs *capi.ClusterSnapshot) {
 		cs.Counters["replica_push_refused_recovering_total"], cs.Counters["core_push_skipped_total"],
 		cs.Counters["core_spec_prepare_hit_total"], cs.Counters["core_spec_prepare_miss_total"])
 
+	// Mean members per round sent to a drawn quorum, reads then writes
+	// (vector cells 0 and 1): the locks and frames an operation pays for.
+	// A rule's minimal quorums set the floor — 2 and 2 on a three-member
+	// grid, 3 and 5 on a 3×3 — and a mean above it is a dominated quorum.
+	fmt.Fprintf(w, "quorum size: read=%s write=%s (mean members per round)\n",
+		meanCell(cs.Vecs["core_quorum_members_total"], cs.Vecs["core_quorum_rounds_total"], 0),
+		meanCell(cs.Vecs["core_quorum_members_total"], cs.Vecs["core_quorum_rounds_total"], 1))
+
 	gnames := make([]string, 0, len(cs.Gauges))
 	for name, v := range cs.Gauges {
 		if v != 0 {
@@ -264,6 +272,15 @@ func fmtVec[T uint64 | int64](vals []T) string {
 		fmt.Fprintf(&b, "%d:%d", i, v)
 	}
 	return b.String()
+}
+
+// meanCell renders sums[i]/counts[i] to two decimals, or "-" when the cell
+// is missing or nothing was counted.
+func meanCell(sums, counts []uint64, i int) string {
+	if i >= len(sums) || i >= len(counts) || counts[i] == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.2f", float64(sums[i])/float64(counts[i]))
 }
 
 // clusterJSON shapes the merged snapshot for -json output.

@@ -54,6 +54,11 @@ func TestSummaryRendersMergedStrategyVectors(t *testing.T) {
 	r2.Counter("replica_push_refused_gap_total").Add(10)
 	r1.Counter("core_spec_prepare_hit_total").Add(97)
 	r2.Counter("core_spec_prepare_miss_total").Add(3)
+	// 100 + 50 write rounds to 300 + 100 members: no read round anywhere.
+	r1.CounterVec("core_quorum_rounds_total").At(1).Add(100)
+	r1.CounterVec("core_quorum_members_total").At(1).Add(300)
+	r2.CounterVec("core_quorum_rounds_total").At(1).Add(50)
+	r2.CounterVec("core_quorum_members_total").At(1).Add(100)
 
 	cs := capi.MergeNodes([]capi.NodeSnapshot{
 		nodeSnapshot(t, "a:9100", r1),
@@ -76,6 +81,7 @@ func TestSummaryRendersMergedStrategyVectors(t *testing.T) {
 		"5400",     // predicted capacity gauge
 		"lock conflicts: refused=42 rerun=17 denied=0 expired=0 decision-unknown=0",
 		"write-through: sent=400 applied=390 refused(gap)=10 refused(busy)=0 refused(stale)=0 refused(recovering)=0 skipped=100 | spec hit=97 miss=3",
+		"quorum size: read=- write=2.67 (mean members per round)",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("summary missing %q:\n%s", want, got)

@@ -208,8 +208,7 @@ func (c *Coordinator) writeBatch(ctx context.Context, a *obs.ActiveOp, op replic
 	if !ok {
 		return 0, errBatchRetry
 	}
-	rows, cols, _ := lay.GridShape()
-	a.Quorum(quorum, rows, cols)
+	c.noteQuorum(a, quorumWrite, lay, quorum)
 	res := c.lockRound(ctx, a, quorum, replica.LockRequest{Op: op, Mode: replica.LockWrite})
 	if !res.refusedBy.Empty() {
 		c.unlock(ctx, op, res.held()) // a LockRequest stages nothing

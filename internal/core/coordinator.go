@@ -549,8 +549,7 @@ func (c *Coordinator) write(ctx context.Context, a *obs.ActiveOp, op replica.OpI
 		// go heavy immediately.
 		return c.heavyWrite(ctx, a, op, u, nodeset.Set{})
 	}
-	rows, cols, _ := lay.GridShape()
-	a.Quorum(quorum, rows, cols)
+	c.noteQuorum(a, quorumWrite, lay, quorum)
 	// The lock round carries the update speculatively (LockPrepare): if the
 	// whole quorum turns out current at the predicted version, every member
 	// has already staged and the write goes straight to commit — one round
@@ -783,8 +782,7 @@ func (c *Coordinator) read(ctx context.Context, a *obs.ActiveOp, op replica.OpID
 		if !ok {
 			break
 		}
-		rows, cols, _ := lay.GridShape()
-		a.Quorum(quorum, rows, cols)
+		c.noteQuorum(a, quorumRead, lay, quorum)
 		began := a.Elapsed()
 		responses, values, busy := c.snapRound(ctx, op, quorum)
 		a.Phase(obs.PhaseLock, began, len(responses), busy.Len())

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 
+	"coterie/internal/coterie"
+	"coterie/internal/nodeset"
 	"coterie/internal/obs"
 )
 
@@ -42,10 +44,28 @@ type coordMetrics struct {
 	// replica_push_refused_{gap,stale,recovering}_total.
 	pushSent    *obs.Counter // core_push_sent_total
 	pushSkipped *obs.Counter // core_push_skipped_total
+	// Quorum size, indexed by quorumRead / quorumWrite: rounds sent to a
+	// drawn quorum (a fast read's snapshot round and each redraw of it, a
+	// write's or a batch's lock round; heavy rounds poll every replica and
+	// are not counted) and the members those rounds were sent to. Members
+	// over rounds is the mean quorum size — what an operation costs in
+	// locks and frames, and the first thing to look at when it costs more
+	// than the rule's minimal quorums should.
+	quorumRounds  [2]*obs.Counter // core_quorum_rounds_total
+	quorumMembers [2]*obs.Counter // core_quorum_members_total
 }
 
+// Cells of the two quorum-size vectors.
+const (
+	quorumRead  = 0
+	quorumWrite = 1
+)
+
 func newCoordMetrics(r *obs.Registry) coordMetrics {
+	rounds, members := r.CounterVec("core_quorum_rounds_total"), r.CounterVec("core_quorum_members_total")
 	return coordMetrics{
+		quorumRounds:  [2]*obs.Counter{rounds.At(quorumRead), rounds.At(quorumWrite)},
+		quorumMembers: [2]*obs.Counter{members.At(quorumRead), members.At(quorumWrite)},
 		writes:        r.Counter("core_writes_total"),
 		reads:         r.Counter("core_reads_total"),
 		epochChecks:   r.Counter("core_epoch_checks_total"),
@@ -76,6 +96,15 @@ func outcomeOf(err error) obs.Outcome {
 	default:
 		return obs.OutcomeError
 	}
+}
+
+// noteQuorum records the quorum a round is about to be sent to — kind is
+// quorumRead or quorumWrite — on the size counters and the trace.
+func (c *Coordinator) noteQuorum(a *obs.ActiveOp, kind int, lay *coterie.Layout, quorum nodeset.Set) {
+	c.metrics.quorumRounds[kind].Inc()
+	c.metrics.quorumMembers[kind].Add(uint64(quorum.Len()))
+	rows, cols, _ := lay.GridShape()
+	a.Quorum(quorum, rows, cols)
 }
 
 // noteRedirect records an epoch redirect — the response set carried a later

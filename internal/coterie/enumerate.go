@@ -176,10 +176,14 @@ func (c *compiledGrid) enumerateReads(limit int) []nodeset.Set {
 
 // enumerateWrites pairs each full column with a cover of the remaining
 // columns: for each usable column j, emit quorums column[j] ∪ {one member
-// per other column}, striding the cover space like enumerateReads.
+// per other column}, striding the cover space like enumerateReads. Where
+// every cover is a write quorum the minimal write quorums are the covers.
 func (c *compiledGrid) enumerateWrites(limit int) []nodeset.Set {
 	if c.empty {
 		return nil
+	}
+	if c.coverIsWrite {
+		return c.enumerateReads(limit)
 	}
 	usable := make([]int, 0, len(c.cols))
 	for j := range c.cols {

@@ -101,7 +101,12 @@ func DefineGridRatio(n int, k float64) GridShape {
 // ⌊(k−1)/n⌋+1, column ((k−1) mod n)+1.
 //
 // A read quorum is a set covering every column. A write quorum additionally
-// covers completely the physical nodes of some column. With Strict set, a
+// covers completely the physical nodes of some column. Both families are
+// antichains (Section 3), and the constructors return minimal members only:
+// on a ragged grid whose last column is one node high (2×2−1 for three
+// members, 2×3−1 for five) every read cover already holds that column
+// whole, so there the write quorums are exactly the read covers and
+// WriteQuorum adds no second column (coverIsWrite). With Strict set, a
 // full column means all M positions including unoccupied ones — the
 // pre-optimization rule the paper's availability analysis assumes for the
 // N = 3 grid (Figure 2); the default follows the paper's IsWriteQuorum
@@ -139,6 +144,15 @@ func (g Grid) shape(n int) GridShape {
 		return DefineGridRatio(n, g.Ratio)
 	}
 	return DefineGrid(n)
+}
+
+// coverIsWrite reports whether every read cover of the shape is already a
+// write quorum: some column that can count as full is one member high, so
+// its only member — in every cover — covers it. Column heights do not
+// increase with j, so the last column decides; under Strict a one-high
+// column is full only when the whole grid is one row.
+func (g Grid) coverIsWrite(shape GridShape) bool {
+	return shape.ColumnHeight(shape.N) == 1 && (!g.Strict || shape.M == 1)
 }
 
 // Position returns the 1-based (row, column) of id within the grid over V,
@@ -246,7 +260,8 @@ func (g Grid) ReadQuorum(V, avail nodeset.Set, hint int) (nodeset.Set, bool) {
 
 // WriteQuorum implements Rule: it selects a fully available column —
 // starting the search at a hint-dependent column for load sharing — plus a
-// representative of every other column.
+// representative of every other column. Where the cover alone is a write
+// quorum (coverIsWrite) it is the result: a second column would be dominated.
 func (g Grid) WriteQuorum(V, avail nodeset.Set, hint int) (nodeset.Set, bool) {
 	if V.Empty() {
 		return nodeset.Set{}, false
@@ -255,6 +270,9 @@ func (g Grid) WriteQuorum(V, avail nodeset.Set, hint int) (nodeset.Set, bool) {
 	cover, ok := g.ReadQuorum(V, avail, hint)
 	if !ok {
 		return nodeset.Set{}, false
+	}
+	if g.coverIsWrite(shape) {
+		return cover, true
 	}
 	for dj := 0; dj < shape.N; dj++ {
 		j := positiveMod(hint+dj, shape.N) + 1

@@ -134,6 +134,11 @@ type compiledGrid struct {
 	// 0 when the column can never be full (strict rule, column shortened by
 	// unoccupied positions).
 	full []int
+	// coverIsWrite is Grid.coverIsWrite for the compiled shape: some usable
+	// column is one member high, so a read cover is a write quorum and every
+	// write picker returns it as is. Decided here, once; false on every grid
+	// whose shortest column is two high (3×3 and up), which pay one branch.
+	coverIsWrite bool
 }
 
 func compileGrid(g Grid, V nodeset.Set) *compiledGrid {
@@ -143,6 +148,7 @@ func compileGrid(g Grid, V nodeset.Set) *compiledGrid {
 	}
 	shape := g.shape(V.Len())
 	c.rows, c.colCount = shape.M, shape.N
+	c.coverIsWrite = g.coverIsWrite(shape)
 	c.cols = make([]nodeset.Set, shape.N)
 	c.ids = make([][]nodeset.ID, shape.N)
 	c.full = make([]int, shape.N)
@@ -226,8 +232,8 @@ func (c *compiledGrid) readQuorum(avail nodeset.Set, hint int) (nodeset.Set, boo
 
 func (c *compiledGrid) writeQuorum(avail nodeset.Set, hint int) (nodeset.Set, bool) {
 	cover, ok := c.readQuorum(avail, hint)
-	if !ok {
-		return nodeset.Set{}, false
+	if !ok || c.coverIsWrite {
+		return cover, ok
 	}
 	n := len(c.cols)
 	for dj := 0; dj < n; dj++ {
@@ -398,7 +404,8 @@ func (c *compiledWheel) quorum(avail nodeset.Set, hint int) (nodeset.Set, bool) 
 		}
 		return nodeset.Set{}, false
 	}
-	if avail.Contains(c.hub) {
+	// A one-spoke rim is itself the only minimal quorum (see Wheel).
+	if avail.Contains(c.hub) && len(c.rimIDs) > 1 {
 		if cnt := avail.IntersectionLen(c.rim); cnt > 0 {
 			i := positiveMod(hint, cnt)
 			for _, id := range c.rimIDs {

@@ -97,10 +97,11 @@ func (c *compiledGrid) readQuorumLoaded(avail nodeset.Set, load LoadFunc, hint i
 // comparing sums would pin every write onto the smallest column even on an
 // idle system — the opposite of load sharing. Mean compares hotness alone,
 // so an all-equal signal ties every column and the hint rotation decides.
+// Where the cover is already a write quorum it is returned as is.
 func (c *compiledGrid) writeQuorumLoaded(avail nodeset.Set, load LoadFunc, hint int) (nodeset.Set, bool) {
 	cover, ok := c.readQuorumLoaded(avail, load, hint)
-	if !ok {
-		return nodeset.Set{}, false
+	if !ok || c.coverIsWrite {
+		return cover, ok
 	}
 	n := len(c.cols)
 	bestJ, bestMean := -1, 0.0

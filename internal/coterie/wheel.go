@@ -17,6 +17,11 @@ import "coterie/internal/nodeset"
 // change the new epoch's lowest-named member is the hub.
 //
 // Read and write quorums coincide (the wheel is a symmetric coterie).
+//
+// Over two nodes the rim is the single spoke, so "the entire rim" is {spoke}
+// and {hub, spoke} contains it: as an antichain the two-node wheel has the
+// one quorum {spoke}, and the hub alone is none. The predicate always said
+// so; the constructor used to return {hub, spoke} and now returns the rim.
 type Wheel struct{}
 
 var _ Rule = Wheel{}
@@ -72,7 +77,7 @@ func (w Wheel) quorum(V, avail nodeset.Set, hint int) (nodeset.Set, bool) {
 		}
 		return nodeset.Set{}, false
 	}
-	if a.Contains(hub) {
+	if a.Contains(hub) && rim.Len() > 1 {
 		rimAvail := a.Intersect(rim).IDs()
 		if len(rimAvail) > 0 {
 			partner := rimAvail[positiveMod(hint, len(rimAvail))]

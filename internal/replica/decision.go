@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"coterie/internal/nodeset"
 	"coterie/internal/transport"
 )
 
@@ -17,9 +18,10 @@ import (
 //
 //   - the coordinator durably records its decision at its co-located
 //     replica (RecordDecision) before distributing it;
-//   - every replica runs a resolver that notices staged actions older than
-//     ResolveAfter and asks the coordinator's replica for the decision
-//     (DecisionQuery), then commits or aborts locally.
+//   - every node runs a resolver that walks the items with staged actions,
+//     notices the ones older than ResolveAfter and asks the coordinator's
+//     replica for the decision (DecisionQuery), then commits or aborts
+//     locally.
 //
 // If the coordinator node stays unreachable the participant remains
 // blocked — 2PC's inherent window — but any recovery or heal resolves it.
@@ -142,47 +144,100 @@ func (it *Item) handleDecisionQuery(m DecisionQuery) (transport.Message, error) 
 	return DecisionReply{Known: known, Commit: known && d.applies(m.NewVersion)}, nil
 }
 
-// resolveLoop periodically scans staged 2PC actions and resolves the ones
-// whose coordinator has gone quiet. It is started on demand by
-// ensureResolverLocked and parks itself (returns) once the staged table
-// drains, so an idle item carries no ticker.
-func (it *Item) resolveLoop() {
-	defer it.wg.Done()
-	ticker := time.NewTicker(it.cfg.ResolveInterval)
+// watchStaged puts it on the node's termination walk and starts the walk if
+// it is parked. Item.stageLocked calls it, under the item's mu, when it
+// stages at an item that is not on the walk (Item.watched); a sweep takes the
+// item off again, under the same mu, when it finds nothing staged there — so
+// a staging can never be missed between the two, and an item is on the walk
+// at most once. One goroutine and one ticker serve every item of the node: a
+// write burst over a hundred thousand lazily materialized items starts no
+// goroutine and arms no timer per item, and a node with nothing staged runs
+// neither.
+func (n *Node) watchStaged(it *Item) {
+	n.resMu.Lock()
+	defer n.resMu.Unlock()
+	n.resWatched = append(n.resWatched, it)
+	if n.resRunning {
+		return
+	}
+	select {
+	case <-n.closed:
+		return
+	default:
+	}
+	n.resRunning = true
+	n.wg.Add(1)
+	go n.resolveLoop()
+}
+
+// resolveLoop sweeps the watched items every ResolveInterval and parks
+// itself (returns) once a sweep leaves none.
+func (n *Node) resolveLoop() {
+	defer n.wg.Done()
+	ticker := time.NewTicker(n.cfg.ResolveInterval)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-it.closed:
+		case <-n.closed:
 			return
 		case <-ticker.C:
-			if it.resolveStale() {
-				return
+		}
+		// Take the list; items staged at meanwhile join a fresh one.
+		n.resMu.Lock()
+		items := n.resWatched
+		n.resWatched = nil
+		n.resMu.Unlock()
+
+		// A coordinator that failed to answer one item's query is not asked
+		// again this sweep: one walk serves every item, so an unreachable
+		// node must cost it one call timeout, not one per blocked item.
+		var unreachable nodeset.Set
+		kept := items[:0]
+		for _, it := range items {
+			if !it.unwatchIfDrained() {
+				it.resolveStale(&unreachable)
+				kept = append(kept, it)
 			}
 		}
+
+		n.resMu.Lock()
+		n.resWatched = append(n.resWatched, kept...)
+		if len(n.resWatched) == 0 {
+			n.resRunning = false
+			n.resMu.Unlock()
+			return
+		}
+		n.resMu.Unlock()
 	}
+}
+
+// unwatchIfDrained takes it off the walk if nothing is staged at it, which
+// is how nearly every watched item is found: its write committed long before
+// the sweep. The emptiness check and the flag share one critical section of
+// mu, the lock stageLocked holds when it tests the flag.
+func (it *Item) unwatchIfDrained() bool {
+	it.mu.Lock()
+	defer it.mu.Unlock()
+	if len(it.staged) != 0 {
+		return false
+	}
+	it.watched = false
+	return true
 }
 
 // resolveStale queries the coordinator of every sufficiently old staged
 // action and applies the learned decision. Speculative stagings carry
 // their staged version in the query so a commit that decided a different
-// version resolves them as abort. It reports true when nothing is staged
-// any more: the resolverOn flag is cleared under the same mu critical
-// section that observes emptiness, so a concurrent staging either sees
-// the flag still set (and the loop runs at least one more tick) or
-// restarts the loop itself — no wakeup is lost.
-func (it *Item) resolveStale() (drained bool) {
+// version resolves them as abort. Coordinators whose query fails are added
+// to unreachable, and those already in it are skipped.
+func (it *Item) resolveStale(unreachable *nodeset.Set) {
 	cutoff := time.Now().Add(-it.cfg.ResolveAfter)
 	type query struct {
 		op          OpID
 		specVersion uint64
 	}
-	it.mu.Lock()
-	if len(it.staged) == 0 {
-		it.resolverOn = false
-		it.mu.Unlock()
-		return true
-	}
 	var pending []query
+	it.mu.Lock()
 	for op, st := range it.staged {
 		if st.preparedAt.Before(cutoff) {
 			q := query{op: op}
@@ -202,10 +257,14 @@ func (it *Item) resolveStale() (drained bool) {
 			}
 			continue
 		}
+		if unreachable.Contains(q.op.Coordinator) {
+			continue
+		}
 		ctx, cancel := context.WithTimeout(context.Background(), it.cfg.PropagationCallTimeout)
 		reply, err := it.net.Call(ctx, it.self, q.op.Coordinator, Envelope{Item: it.name, Msg: DecisionQuery{Op: q.op, NewVersion: q.specVersion}})
 		cancel()
 		if err != nil {
+			unreachable.Add(q.op.Coordinator)
 			continue // coordinator unreachable; stay blocked
 		}
 		dr, ok := reply.(DecisionReply)
@@ -214,7 +273,6 @@ func (it *Item) resolveStale() (drained bool) {
 		}
 		it.applyDecision(q.op, dr.Commit)
 	}
-	return false
 }
 
 // applyDecision commits or aborts a staged action locally.

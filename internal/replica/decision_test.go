@@ -1,9 +1,12 @@
 package replica
 
 import (
+	"context"
+	"fmt"
 	"testing"
 	"time"
 
+	"coterie/internal/nodeset"
 	"coterie/internal/obs"
 )
 
@@ -258,4 +261,103 @@ func TestLocalCoordinatorSelfResolves(t *testing.T) {
 		_, v := it.Value()
 		return v == 1
 	}, "local self-resolution never happened")
+}
+
+// TestResolverOneWalkPerNode: staged actions on many items of one node are
+// all on that node's single termination walk, every one is resolved from
+// it, and the walk parks once nothing is staged — no item keeps a goroutine
+// or a ticker of its own.
+func TestResolverOneWalkPerNode(t *testing.T) {
+	cfg := Config{
+		LockLease:       200 * time.Millisecond,
+		ResolveInterval: 10 * time.Millisecond,
+		ResolveAfter:    30 * time.Millisecond,
+	}
+	h := newHarness(t, 2, nil, cfg)
+	const items = 40
+	names := make([]string, items)
+	ops := make([]OpID, items)
+	for i := range names {
+		names[i] = fmt.Sprintf("k%d", i)
+		for _, nd := range h.nodes {
+			if _, err := nd.AddItem(names[i], h.members, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ops[i] = h.nodes[0].Item(names[i]).NextOp()
+		for _, msg := range []any{
+			LockRequest{Op: ops[i], Mode: LockWrite},
+			PrepareUpdate{Op: ops[i], Update: Update{Data: []byte("t")}, NewVersion: 1},
+		} {
+			if _, err := h.net.Call(context.Background(), 0, 1, Envelope{Item: names[i], Msg: msg}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// walk reads the list between sweeps; during one the sweeper holds it.
+	walk := func() (watched int, running bool) {
+		nd := h.nodes[1]
+		nd.resMu.Lock()
+		defer nd.resMu.Unlock()
+		return len(nd.resWatched), nd.resRunning
+	}
+	waitFor(t, 3*time.Second, func() bool {
+		watched, running := walk()
+		return watched == items && running
+	}, "the walk does not hold every staged item")
+	for i, name := range names {
+		h.nodes[0].Item(name).RecordDecision(ops[i], i%2 == 0)
+	}
+	waitFor(t, 3*time.Second, func() bool {
+		watched, running := walk()
+		return watched == 0 && !running
+	}, "the walk never drained and parked")
+	for i, name := range names {
+		it := h.nodes[1].Item(name)
+		if _, v := it.Value(); v != uint64((i+1)%2) {
+			t.Errorf("%s: version %d after decision commit=%v", name, v, i%2 == 0)
+		}
+		if it.lock.holderCount() != 0 {
+			t.Errorf("%s: lock still held after resolution", name)
+		}
+	}
+	// A parked walk restarts on the next staging.
+	o := h.item(0).NextOp()
+	h.call(t, 0, 1, LockRequest{Op: o, Mode: LockWrite})
+	h.call(t, 0, 1, PrepareUpdate{Op: o, Update: Update{Data: []byte("t")}, NewVersion: 1})
+	waitFor(t, 3*time.Second, func() bool {
+		watched, running := walk()
+		return watched == 1 && running
+	}, "a new staging did not restart the walk")
+	h.call(t, 0, 1, Abort{Op: o})
+}
+
+// TestResolverSkipsUnreachableCoordinator: a coordinator that failed to
+// answer earlier in a sweep is not queried again in it, so a dead node costs
+// the one walk one call timeout rather than one per item it left blocked.
+func TestResolverSkipsUnreachableCoordinator(t *testing.T) {
+	cfg := Config{LockLease: 200 * time.Millisecond, ResolveInterval: time.Hour, ResolveAfter: time.Nanosecond}
+	h := newHarness(t, 2, nil, cfg)
+	o := h.item(0).NextOp()
+	h.call(t, 0, 1, LockRequest{Op: o, Mode: LockWrite})
+	h.call(t, 0, 1, PrepareUpdate{Op: o, Update: Update{Data: []byte("t")}, NewVersion: 1})
+	h.item(0).RecordDecision(o, true)
+	time.Sleep(time.Millisecond)
+
+	h.net.Crash(0)
+	var unreachable nodeset.Set
+	h.item(1).resolveStale(&unreachable)
+	if !unreachable.Contains(0) {
+		t.Fatal("a failed query did not mark the coordinator unreachable")
+	}
+	h.net.Restart(0)
+	h.item(1).resolveStale(&unreachable)
+	if _, v := h.item(1).Value(); v != 0 {
+		t.Fatal("queried a coordinator already marked unreachable this sweep")
+	}
+	unreachable = nodeset.Set{}
+	h.item(1).resolveStale(&unreachable)
+	if _, v := h.item(1).Value(); v != 1 {
+		t.Fatal("the next sweep did not resolve through the restarted coordinator")
+	}
 }

@@ -144,7 +144,7 @@ type Item struct {
 	good       nodeset.Set // recorded good list (safety-threshold extension)
 	goodVer    uint64      // version the good list corresponds to
 	staged     map[OpID]*staged
-	resolverOn bool // resolver goroutine running (demand-driven; see ensureResolverLocked)
+	watched    bool // on the node's termination walk (see stageLocked)
 	propOp     OpID // operation currently allowed to propagate into this replica
 
 	// Coordinator decision log for 2PC termination (see decision.go),
@@ -170,11 +170,15 @@ type Item struct {
 	// per-item worker. Written once before any message can reach the item.
 	batchSink func(item string, targets nodeset.Set)
 
+	// watch is Node.watchStaged of the hosting node: it puts the item on the
+	// node's termination walk (see stageLocked). Set at construction.
+	watch func(*Item)
+
 	closed chan struct{}
 	wg     sync.WaitGroup
 }
 
-func newItem(name string, self nodeset.ID, members nodeset.Set, initial []byte, net transport.Net, cfg Config) *Item {
+func newItem(name string, self nodeset.ID, members nodeset.Set, initial []byte, net transport.Net, cfg Config, watch func(*Item)) *Item {
 	cfg = cfg.withDefaults()
 	it := &Item{
 		name:    name,
@@ -187,6 +191,7 @@ func newItem(name string, self nodeset.ID, members nodeset.Set, initial []byte, 
 		store:   NewStore(initial, cfg.MaxLog),
 		epoch:   members.Clone(),
 		staged:  make(map[OpID]*staged),
+		watch:   watch,
 		closed:  make(chan struct{}),
 	}
 	it.lock.attachMetrics(cfg.Obs)
@@ -194,27 +199,20 @@ func newItem(name string, self nodeset.ID, members nodeset.Set, initial []byte, 
 	return it
 }
 
-// ensureResolverLocked starts the 2PC termination resolver if it is not
-// already running. Called with mu held at every staging site. The
-// resolver is demand-driven rather than an always-on per-item ticker: a
-// sharded daemon lazily materializes hundreds of thousands of items, and
-// a ticker per item is a timer storm that would dwarf the data path —
-// cold items must carry zero background machinery. The loop lives only
-// while staged actions exist and parks itself when the table drains.
-func (it *Item) ensureResolverLocked() {
-	if it.resolverOn {
-		return
+// stageLocked records a prepared action under op, replacing whatever op
+// had staged before. Called with mu held. The first staging puts the item on
+// its node's termination walk (Node.watchStaged), which keeps it until a
+// sweep finds the table empty — so an item with something staged is always
+// on the walk, a busy item pays for it one flag test per staging (the node's
+// lock and set are touched once per sweep interval, not once per write), and
+// a cold item carries no timer or goroutine of its own.
+func (it *Item) stageLocked(op OpID, st *staged) {
+	st.preparedAt = time.Now()
+	if !it.watched {
+		it.watched = true
+		it.watch(it)
 	}
-	select {
-	case <-it.closed:
-		// Close marks the item closed under mu, so from here on no handler
-		// still in flight adds to wg behind Close's Wait.
-		return
-	default:
-	}
-	it.resolverOn = true
-	it.wg.Add(1)
-	go it.resolveLoop()
+	it.staged[op] = st
 }
 
 // Name returns the data item's name.
@@ -357,16 +355,14 @@ func (it *Item) handleLockPrepare(ctx context.Context, m LockPrepare) (transport
 	if m.Update.Validate() == nil {
 		it.mu.Lock()
 		if !it.recovering && !it.stale && it.store.Version()+1 == m.NewVersion && it.lock.pin(m.Op) {
-			it.staged[m.Op] = &staged{
+			it.stageLocked(m.Op, &staged{
 				kind:        stagedUpdate,
 				speculative: true,
-				preparedAt:  time.Now(),
 				update:      m.Update.clone(),
 				newVersion:  m.NewVersion,
 				good:        m.GoodSet.Clone(),
 				goodVer:     m.NewVersion,
-			}
-			it.ensureResolverLocked()
+			})
 			prepared = true
 		}
 		it.mu.Unlock()
@@ -430,16 +426,14 @@ func (it *Item) handlePrepareUpdate(m PrepareUpdate) (transport.Message, error) 
 	if it.store.Version()+1 != m.NewVersion {
 		return Ack{Reason: fmt.Sprintf("version %d cannot advance to %d", it.store.Version(), m.NewVersion)}, nil
 	}
-	it.staged[m.Op] = &staged{
+	it.stageLocked(m.Op, &staged{
 		kind:       stagedUpdate,
-		preparedAt: time.Now(),
 		update:     m.Update.clone(),
 		newVersion: m.NewVersion,
 		staleSet:   m.StaleSet.Clone(),
 		good:       m.GoodSet.Clone(),
 		goodVer:    m.NewVersion,
-	}
-	it.ensureResolverLocked()
+	})
 	return Ack{OK: true}, nil
 }
 
@@ -470,16 +464,14 @@ func (it *Item) handlePrepareBatch(m PrepareBatch) (transport.Message, error) {
 	for i, u := range m.Updates {
 		ups[i] = u.clone()
 	}
-	it.staged[m.Op] = &staged{
+	it.stageLocked(m.Op, &staged{
 		kind:       stagedBatch,
-		preparedAt: time.Now(),
 		updates:    ups,
 		newVersion: m.FirstVersion,
 		staleSet:   m.StaleSet.Clone(),
 		good:       m.GoodSet.Clone(),
 		goodVer:    m.FirstVersion + uint64(len(m.Updates)) - 1,
-	}
-	it.ensureResolverLocked()
+	})
 	return Ack{OK: true}, nil
 }
 
@@ -497,16 +489,14 @@ func (it *Item) handlePrepareReplace(m PrepareReplace) (transport.Message, error
 	}
 	value := make([]byte, len(m.Value))
 	copy(value, m.Value)
-	it.staged[m.Op] = &staged{
+	it.stageLocked(m.Op, &staged{
 		kind:       stagedReplace,
-		preparedAt: time.Now(),
 		value:      value,
 		newVersion: m.NewVersion,
 		staleSet:   m.StaleSet.Clone(),
 		good:       m.GoodSet.Clone(),
 		goodVer:    m.NewVersion,
-	}
-	it.ensureResolverLocked()
+	})
 	return Ack{OK: true}, nil
 }
 
@@ -519,8 +509,7 @@ func (it *Item) handlePrepareStale(m PrepareStale) (transport.Message, error) {
 	if it.recovering {
 		return Ack{Reason: "replica is recovering from state loss"}, nil
 	}
-	it.staged[m.Op] = &staged{kind: stagedStale, preparedAt: time.Now(), desired: m.Desired, good: m.GoodSet.Clone(), goodVer: m.Desired}
-	it.ensureResolverLocked()
+	it.stageLocked(m.Op, &staged{kind: stagedStale, desired: m.Desired, good: m.GoodSet.Clone(), goodVer: m.Desired})
 	return Ack{OK: true}, nil
 }
 
@@ -536,15 +525,13 @@ func (it *Item) handlePrepareEpoch(m PrepareEpoch) (transport.Message, error) {
 	if !m.Epoch.Contains(it.self) {
 		return Ack{Reason: "node not a member of the proposed epoch"}, nil
 	}
-	it.staged[m.Op] = &staged{
+	it.stageLocked(m.Op, &staged{
 		kind:       stagedEpoch,
-		preparedAt: time.Now(),
 		epoch:      m.Epoch.Clone(),
 		epochNum:   m.EpochNum,
 		good:       m.Good.Clone(),
 		maxVersion: m.MaxVersion,
-	}
-	it.ensureResolverLocked()
+	})
 	return Ack{OK: true}, nil
 }
 
@@ -694,12 +681,10 @@ func (it *Item) handleAbort(m Abort) (transport.Message, error) {
 
 // Close stops the propagation worker and waits for it to exit.
 func (it *Item) Close() {
-	it.mu.Lock()
 	select {
 	case <-it.closed:
 	default:
 		close(it.closed)
 	}
-	it.mu.Unlock()
 	it.wg.Wait()
 }

