@@ -312,24 +312,30 @@ func (c *Coordinator) retryRefused(ctx context.Context, attempt int, err error) 
 func (c *Coordinator) snapRound(ctx context.Context, op replica.OpID, targets nodeset.Set) ([]response, [][]byte, nodeset.Set) {
 	callCtx, cancel := deadline.Bound(ctx, c.opts.CallTimeout)
 	defer cancel()
-	out := make([]response, 0, targets.Len())
-	values := make([][]byte, 0, targets.Len())
-	var busy nodeset.Set
+	// One struct, because what the collector closure captures moves to the
+	// heap variable by variable.
+	var got struct {
+		responses []response
+		values    [][]byte
+		busy      nodeset.Set
+	}
+	got.responses = make([]response, 0, targets.Len())
+	got.values = make([][]byte, 0, targets.Len())
 	c.net.MulticastFunc(callCtx, c.item.Self(), targets,
 		replica.Envelope{Item: c.item.Name(), Msg: replica.ReadSnap{Op: op}},
 		func(id nodeset.ID, r transport.Result) {
 			if r.Err != nil {
 				if !errors.Is(r.Err, transport.ErrCallFailed) {
-					busy.Add(id)
+					got.busy.Add(id)
 				}
 				return
 			}
 			if sr, ok := r.Reply.(replica.SnapReply); ok {
-				out = append(out, response{node: id, state: sr.State})
-				values = append(values, sr.Value)
+				got.responses = append(got.responses, response{node: id, state: sr.State})
+				got.values = append(got.values, sr.Value)
 			}
 		})
-	return out, values, busy
+	return got.responses, got.values, got.busy
 }
 
 // classify analyzes a response set per the paper's write algorithm:
@@ -460,14 +466,14 @@ func (c *Coordinator) unlock(ctx context.Context, op replica.OpID, targets nodes
 // replies. The co-located member (if present) is served synchronously on
 // this goroutine — callers rely on the local replica reflecting the
 // decision by the time the operation returns — while remote members get
-// the transport's one-way send. Callers must hold c.async != nil.
+// the transport's one-way send. msg is a Commit or an Abort, which wait for
+// nothing at a replica, so the local leg runs under the caller's context
+// without a call deadline of its own. Callers must hold c.async != nil.
 func (c *Coordinator) fireAndForget(ctx context.Context, targets nodeset.Set, msg any) {
 	env := replica.Envelope{Item: c.item.Name(), Msg: msg}
 	self := c.item.Self()
 	if targets.Contains(self) {
-		callCtx, cancel := deadline.Bound(ctx, c.opts.CallTimeout)
-		c.net.Call(callCtx, self, self, env) //nolint:errcheck // local leg of a fire-and-forget round
-		cancel()
+		c.net.Call(ctx, self, self, env) //nolint:errcheck // local leg of a fire-and-forget round
 		targets = targets.Diff(nodeset.New(self))
 	}
 	if !targets.Empty() {

@@ -55,12 +55,25 @@ var _ context.Context = (*Ctx)(nil)
 // deadline and now+timeout, plus a release function that must be called
 // when the bounded work finishes (the analogue of WithTimeout's cancel:
 // it disarms the lazily armed timer; it does not close Done).
+//
+// Bound and At are small enough to inline, so a caller that only calls or
+// defers the release function keeps it on its stack: a bounded round costs
+// one allocation, the context. That is why Bound builds the context itself
+// instead of calling At and keeps the clock arithmetic in within: either
+// would put it over the inliner's budget
+// (TestBoundAllocatesOnlyTheContext).
 func Bound(parent context.Context, timeout time.Duration) (*Ctx, func()) {
+	c := &Ctx{base: parent, deadline: within(parent, timeout)}
+	return c, c.release
+}
+
+// within returns now+timeout or the parent's deadline, whichever is first.
+func within(parent context.Context, timeout time.Duration) time.Time {
 	d := time.Now().Add(timeout)
 	if pd, ok := parent.Deadline(); ok && pd.Before(d) {
-		d = pd
+		return pd
 	}
-	return At(parent, d)
+	return d
 }
 
 // At is Bound with an absolute deadline.

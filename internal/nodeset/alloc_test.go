@@ -44,6 +44,38 @@ func TestHotMethodsDoNotAllocate(t *testing.T) {
 	_, _, _ = sink, sinkInt, sinkID
 }
 
+// TestInlineSetOperationsDoNotAllocate is the gate for sets drawn from IDs
+// 0…63, which is every epoch, quorum and good list this repository builds:
+// the word lives in the Set itself, so building, copying, combining and
+// decoding one never reaches the heap.
+func TestInlineSetOperationsDoNotAllocate(t *testing.T) {
+	a, b := Range(0, 9), New(1, 4, 7, 63)
+	enc := a.Encode()
+	buf := make([]byte, 0, 16)
+	var sink Set
+	checks := []struct {
+		name string
+		fn   func()
+	}{
+		{"New", func() { sink = New(0, 3, 63) }},
+		{"Range", func() { sink = Range(2, 40) }},
+		{"Add", func() { sink.Add(63) }},
+		{"Remove", func() { sink.Remove(63) }},
+		{"Clone", func() { sink = a.Clone() }},
+		{"Union", func() { sink = a.Union(b) }},
+		{"Intersect", func() { sink = a.Intersect(b) }},
+		{"Diff", func() { sink = a.Diff(b) }},
+		{"Decode", func() { sink, _, _ = Decode(enc) }},
+		{"AppendEncode", func() { buf = a.AppendEncode(buf[:0]) }},
+	}
+	for _, c := range checks {
+		if allocs := testing.AllocsPerRun(100, c.fn); allocs != 0 {
+			t.Errorf("%s allocates %.1f objects per call on IDs below 64, want 0", c.name, allocs)
+		}
+	}
+	_ = sink
+}
+
 func TestAppendIDsMatchesIDs(t *testing.T) {
 	s := New(0, 5, 63, 64, 100, 4095)
 	got := s.AppendIDs(nil)

@@ -15,21 +15,19 @@ import (
 // ErrTruncated is returned by Decode when the input ends mid-value.
 var ErrTruncated = errors.New("nodeset: truncated encoding")
 
-// trim returns s.words without trailing zero words.
-func (s Set) trim() []uint64 {
-	words := s.words
-	for len(words) > 0 && words[len(words)-1] == 0 {
-		words = words[:len(words)-1]
-	}
-	return words
-}
-
 // AppendEncode appends the canonical encoding of s to dst and returns the
 // extended slice.
 func (s Set) AppendEncode(dst []byte) []byte {
-	words := s.trim()
-	dst = binary.AppendUvarint(dst, uint64(len(words)))
-	for _, w := range words {
+	hi := s.hi
+	for len(hi) > 0 && hi[len(hi)-1] == 0 {
+		hi = hi[:len(hi)-1]
+	}
+	if len(hi) == 0 && s.lo == 0 {
+		return append(dst, 0)
+	}
+	dst = binary.AppendUvarint(dst, uint64(1+len(hi)))
+	dst = binary.LittleEndian.AppendUint64(dst, s.lo)
+	for _, w := range hi {
 		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
 	return dst
@@ -60,12 +58,18 @@ func Decode(b []byte) (Set, int, error) {
 	if len(b) < need {
 		return Set{}, 0, ErrTruncated
 	}
-	words := make([]uint64, n)
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(b[k+i*8:])
+	var s Set
+	if n > 0 {
+		s.lo = binary.LittleEndian.Uint64(b[k:])
 	}
-	if n > 0 && words[n-1] == 0 {
+	if n > 1 {
+		s.hi = make([]uint64, n-1)
+		for i := range s.hi {
+			s.hi[i] = binary.LittleEndian.Uint64(b[k+8+i*8:])
+		}
+	}
+	if n > 0 && s.Word(int(n)-1) == 0 {
 		return Set{}, 0, fmt.Errorf("nodeset: non-canonical encoding with trailing zero word")
 	}
-	return Set{words: words}, need, nil
+	return s, need, nil
 }

@@ -32,8 +32,16 @@ const wordBits = 64
 // Set is an ordered set of node IDs backed by a bit vector. The zero value
 // is an empty set ready to use. Sets are value types: methods that modify
 // the receiver use pointer receivers; all others work on copies safely.
+//
+// The first word of the vector (IDs 0…63) lives in the struct itself, so a
+// set drawn from those IDs — every epoch this repository builds — is one
+// machine word that is copied, cloned and combined without touching the
+// heap. IDs from 64 up spill into a slice, which value copies of a Set share
+// the way they would share any slice: copy with Clone before modifying one
+// of two copies in place.
 type Set struct {
-	words []uint64
+	lo uint64   // IDs 0…63
+	hi []uint64 // hi[i] holds IDs 64·(i+1) … 64·(i+1)+63; nil below ID 64
 }
 
 // New returns a set containing the given IDs.
@@ -63,22 +71,30 @@ func checkID(id ID) {
 	}
 }
 
+// bit is id's mask within its word.
+func bit(id ID) uint64 { return 1 << (uint(id) % wordBits) }
+
 // Add inserts id into the set.
 func (s *Set) Add(id ID) {
 	checkID(id)
-	w := int(id) / wordBits
-	for len(s.words) <= w {
-		s.words = append(s.words, 0)
+	if id < wordBits {
+		s.lo |= bit(id)
+		return
 	}
-	s.words[w] |= 1 << (uint(id) % wordBits)
+	w := int(id)/wordBits - 1
+	for len(s.hi) <= w {
+		s.hi = append(s.hi, 0)
+	}
+	s.hi[w] |= bit(id)
 }
 
 // Remove deletes id from the set. Removing an absent ID is a no-op.
 func (s *Set) Remove(id ID) {
 	checkID(id)
-	w := int(id) / wordBits
-	if w < len(s.words) {
-		s.words[w] &^= 1 << (uint(id) % wordBits)
+	if id < wordBits {
+		s.lo &^= bit(id)
+	} else if w := int(id)/wordBits - 1; w < len(s.hi) {
+		s.hi[w] &^= bit(id)
 	}
 }
 
@@ -87,29 +103,27 @@ func (s Set) Contains(id ID) bool {
 	if id < 0 || id >= MaxNodes {
 		return false
 	}
-	w := int(id) / wordBits
-	if w >= len(s.words) {
-		return false
-	}
-	return s.words[w]&(1<<(uint(id)%wordBits)) != 0
+	return s.Word(int(id)/wordBits)&bit(id) != 0
 }
 
-// Word returns the i-th 64-bit word of the backing bit vector (membership
-// bits for IDs 64·i … 64·i+63); indexes past the backing array read as
-// zero. For sets drawn from 0..63 the zeroth word is a complete,
-// allocation-free fingerprint of the set, which epoch-keyed layout caches
-// exploit.
+// Word returns the i-th 64-bit word of the bit vector (membership bits for
+// IDs 64·i … 64·i+63); indexes past the vector read as zero. For sets drawn
+// from 0..63 the zeroth word is a complete, allocation-free fingerprint of
+// the set, which epoch-keyed layout caches exploit.
 func (s Set) Word(i int) uint64 {
-	if i >= 0 && i < len(s.words) {
-		return s.words[i]
+	if i == 0 {
+		return s.lo
+	}
+	if i > 0 && i <= len(s.hi) {
+		return s.hi[i-1]
 	}
 	return 0
 }
 
 // Len returns the number of members.
 func (s Set) Len() int {
-	n := 0
-	for _, w := range s.words {
+	n := bits.OnesCount64(s.lo)
+	for _, w := range s.hi {
 		n += bits.OnesCount64(w)
 	}
 	return n
@@ -117,7 +131,10 @@ func (s Set) Len() int {
 
 // Empty reports whether the set has no members.
 func (s Set) Empty() bool {
-	for _, w := range s.words {
+	if s.lo != 0 {
+		return false
+	}
+	for _, w := range s.hi {
 		if w != 0 {
 			return false
 		}
@@ -127,26 +144,27 @@ func (s Set) Empty() bool {
 
 // Clone returns an independent copy of the set.
 func (s Set) Clone() Set {
-	words := make([]uint64, len(s.words))
-	copy(words, s.words)
-	return Set{words: words}
+	if len(s.hi) > 0 {
+		s.hi = append([]uint64(nil), s.hi...)
+	}
+	return s
 }
 
 // Equal reports whether s and t have the same members.
 func (s Set) Equal(t Set) bool {
-	n := len(s.words)
-	if len(t.words) > n {
-		n = len(t.words)
+	if s.lo != t.lo {
+		return false
 	}
-	for i := 0; i < n; i++ {
-		var a, b uint64
-		if i < len(s.words) {
-			a = s.words[i]
+	long, short := s.hi, t.hi
+	if len(long) < len(short) {
+		long, short = short, long
+	}
+	for i, w := range long {
+		var u uint64
+		if i < len(short) {
+			u = short[i]
 		}
-		if i < len(t.words) {
-			b = t.words[i]
-		}
-		if a != b {
+		if w != u {
 			return false
 		}
 	}
@@ -155,53 +173,53 @@ func (s Set) Equal(t Set) bool {
 
 // Union returns s ∪ t.
 func (s Set) Union(t Set) Set {
-	n := len(s.words)
-	if len(t.words) > n {
-		n = len(t.words)
+	out := Set{lo: s.lo | t.lo}
+	long, short := s.hi, t.hi
+	if len(long) < len(short) {
+		long, short = short, long
 	}
-	words := make([]uint64, n)
-	for i := range words {
-		if i < len(s.words) {
-			words[i] |= s.words[i]
-		}
-		if i < len(t.words) {
-			words[i] |= t.words[i]
+	if len(long) > 0 {
+		out.hi = append([]uint64(nil), long...)
+		for i, w := range short {
+			out.hi[i] |= w
 		}
 	}
-	return Set{words: words}
+	return out
 }
 
 // Intersect returns s ∩ t.
 func (s Set) Intersect(t Set) Set {
-	n := len(s.words)
-	if len(t.words) < n {
-		n = len(t.words)
+	out := Set{lo: s.lo & t.lo}
+	if n := min(len(s.hi), len(t.hi)); n > 0 {
+		out.hi = make([]uint64, n)
+		for i := range out.hi {
+			out.hi[i] = s.hi[i] & t.hi[i]
+		}
 	}
-	words := make([]uint64, n)
-	for i := range words {
-		words[i] = s.words[i] & t.words[i]
-	}
-	return Set{words: words}
+	return out
 }
 
 // Diff returns s \ t.
 func (s Set) Diff(t Set) Set {
-	words := make([]uint64, len(s.words))
-	for i := range words {
-		words[i] = s.words[i]
-		if i < len(t.words) {
-			words[i] &^= t.words[i]
+	out := Set{lo: s.lo &^ t.lo}
+	if len(s.hi) > 0 {
+		out.hi = append([]uint64(nil), s.hi...)
+		for i := 0; i < len(out.hi) && i < len(t.hi); i++ {
+			out.hi[i] &^= t.hi[i]
 		}
 	}
-	return Set{words: words}
+	return out
 }
 
 // Subset reports whether every member of s is also in t.
 func (s Set) Subset(t Set) bool {
-	for i, w := range s.words {
+	if s.lo&^t.lo != 0 {
+		return false
+	}
+	for i, w := range s.hi {
 		var u uint64
-		if i < len(t.words) {
-			u = t.words[i]
+		if i < len(t.hi) {
+			u = t.hi[i]
 		}
 		if w&^u != 0 {
 			return false
@@ -214,13 +232,9 @@ func (s Set) Subset(t Set) bool {
 // a word-wise AND plus popcount, performing no heap allocations. It is the
 // hot-path form of s.Intersect(t).Len() for quorum threshold checks.
 func (s Set) IntersectionLen(t Set) int {
-	n := len(s.words)
-	if len(t.words) < n {
-		n = len(t.words)
-	}
-	c := 0
-	for i := 0; i < n; i++ {
-		c += bits.OnesCount64(s.words[i] & t.words[i])
+	c := bits.OnesCount64(s.lo & t.lo)
+	for i := 0; i < len(s.hi) && i < len(t.hi); i++ {
+		c += bits.OnesCount64(s.hi[i] & t.hi[i])
 	}
 	return c
 }
@@ -234,12 +248,11 @@ func (s Set) ContainsAll(t Set) bool {
 
 // Intersects reports whether s ∩ t is non-empty.
 func (s Set) Intersects(t Set) bool {
-	n := len(s.words)
-	if len(t.words) < n {
-		n = len(t.words)
+	if s.lo&t.lo != 0 {
+		return true
 	}
-	for i := 0; i < n; i++ {
-		if s.words[i]&t.words[i] != 0 {
+	for i := 0; i < len(s.hi) && i < len(t.hi); i++ {
+		if s.hi[i]&t.hi[i] != 0 {
 			return true
 		}
 	}
@@ -255,11 +268,9 @@ func (s Set) IDs() []ID {
 // extended slice. It lets callers reuse a buffer across calls where IDs
 // would allocate a fresh slice every time.
 func (s Set) AppendIDs(dst []ID) []ID {
-	for wi, w := range s.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			dst = append(dst, ID(wi*wordBits+b))
-			w &= w - 1
+	for wi := 0; wi <= len(s.hi); wi++ {
+		for w := s.Word(wi); w != 0; w &= w - 1 {
+			dst = append(dst, ID(wi*wordBits+bits.TrailingZeros64(w)))
 		}
 	}
 	return dst
@@ -275,9 +286,9 @@ func (s Set) OrderedNumber(id ID) (int, bool) {
 	w := int(id) / wordBits
 	pos := 1
 	for i := 0; i < w; i++ {
-		pos += bits.OnesCount64(s.words[i])
+		pos += bits.OnesCount64(s.Word(i))
 	}
-	pos += bits.OnesCount64(s.words[w] & ((1 << (uint(id) % wordBits)) - 1))
+	pos += bits.OnesCount64(s.Word(w) & (bit(id) - 1))
 	return pos, true
 }
 
@@ -288,28 +299,25 @@ func (s Set) Nth(n int) (ID, bool) {
 		return 0, false
 	}
 	remaining := n
-	for wi, w := range s.words {
+	for wi := 0; wi <= len(s.hi); wi++ {
+		w := s.Word(wi)
 		c := bits.OnesCount64(w)
 		if remaining > c {
 			remaining -= c
 			continue
 		}
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			remaining--
-			if remaining == 0 {
-				return ID(wi*wordBits + b), true
-			}
+		for ; remaining > 1; remaining-- {
 			w &= w - 1
 		}
+		return ID(wi*wordBits + bits.TrailingZeros64(w)), true
 	}
 	return 0, false
 }
 
 // Min returns the smallest member and true, or 0 and false for the empty set.
 func (s Set) Min() (ID, bool) {
-	for wi, w := range s.words {
-		if w != 0 {
+	for wi := 0; wi <= len(s.hi); wi++ {
+		if w := s.Word(wi); w != 0 {
 			return ID(wi*wordBits + bits.TrailingZeros64(w)), true
 		}
 	}
@@ -318,8 +326,8 @@ func (s Set) Min() (ID, bool) {
 
 // Max returns the largest member and true, or 0 and false for the empty set.
 func (s Set) Max() (ID, bool) {
-	for wi := len(s.words) - 1; wi >= 0; wi-- {
-		if w := s.words[wi]; w != 0 {
+	for wi := len(s.hi); wi >= 0; wi-- {
+		if w := s.Word(wi); w != 0 {
 			return ID(wi*wordBits + 63 - bits.LeadingZeros64(w)), true
 		}
 	}

@@ -1,6 +1,10 @@
 package replica
 
-import "coterie/internal/nodeset"
+import (
+	"time"
+
+	"coterie/internal/nodeset"
+)
 
 // Crash amnesia. The paper's fail-stop model implicitly assumes stable
 // storage: a node that returns remembers its version number, stale flag
@@ -59,7 +63,7 @@ func (it *Item) Amnesia() {
 
 	// The lock table was volatile too: drop every hold so waiters proceed
 	// against the fresh (recovering) replica.
-	it.lock.resetHolders()
+	it.lock.resetHolders(time.Now())
 
 	it.propMu.Lock()
 	it.pending = nodeset.Set{}

@@ -31,7 +31,7 @@ func TestAmnesiaResetsEverything(t *testing.T) {
 	if v, _ := it.Value(); string(v) != "data" {
 		t.Errorf("value after amnesia = %q, want configured initial %q", v, "data")
 	}
-	if it.lock.holderCount() != 0 {
+	if it.lock.holderCount(time.Now()) != 0 {
 		t.Error("lock holds survived amnesia")
 	}
 	if !it.PendingPropagation().Empty() {

@@ -162,7 +162,7 @@ func TestResolverCommitsAbandonedPrepare(t *testing.T) {
 		_, v := h.item(1).Value()
 		return v == 1
 	}, "resolver never committed the abandoned prepare")
-	if h.item(1).lock.holderCount() != 0 {
+	if h.item(1).lock.holderCount(time.Now()) != 0 {
 		t.Error("lock still held after resolution")
 	}
 }
@@ -183,7 +183,7 @@ func TestResolverAbortsAbandonedPrepare(t *testing.T) {
 	h.item(0).RecordDecision(o, false)
 
 	waitFor(t, 3*time.Second, func() bool {
-		return h.item(1).lock.holderCount() == 0
+		return h.item(1).lock.holderCount(time.Now()) == 0
 	}, "resolver never aborted the abandoned prepare")
 	if _, v := h.item(1).Value(); v != 0 {
 		t.Errorf("aborted write applied: version %d", v)
@@ -205,7 +205,7 @@ func TestResolverWaitsWhileCoordinatorUnknown(t *testing.T) {
 		t.Fatalf("prepare: %s", ack.Reason)
 	}
 	time.Sleep(150 * time.Millisecond)
-	if !h.item(1).lock.heldBy(o, lockExclusive) {
+	if !h.item(1).lock.heldBy(time.Now(), o, lockExclusive) {
 		t.Error("participant unblocked without a decision")
 	}
 	if _, v := h.item(1).Value(); v != 0 {
@@ -317,7 +317,7 @@ func TestResolverOneWalkPerNode(t *testing.T) {
 		if _, v := it.Value(); v != uint64((i+1)%2) {
 			t.Errorf("%s: version %d after decision commit=%v", name, v, i%2 == 0)
 		}
-		if it.lock.holderCount() != 0 {
+		if it.lock.holderCount(time.Now()) != 0 {
 			t.Errorf("%s: lock still held after resolution", name)
 		}
 	}

@@ -3,6 +3,7 @@ package replica
 import (
 	"context"
 	"testing"
+	"time"
 
 	"coterie/internal/nodeset"
 	"coterie/internal/obs"
@@ -77,7 +78,7 @@ func TestApplyDirectOutcomesAreCounted(t *testing.T) {
 	// A replica whose lock a write holds refuses as busy instead of queueing
 	// the push behind a hold that may outlast the sender.
 	w := h.item(0).NextOp()
-	if err := it.lock.acquire(context.Background(), w, lockExclusive); err != nil {
+	if err := it.lock.acquire(context.Background(), time.Now(), w, lockExclusive); err != nil {
 		t.Fatal(err)
 	}
 	if ack := push(1, "x"); ack.OK {

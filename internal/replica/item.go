@@ -205,9 +205,12 @@ func newItem(name string, self nodeset.ID, members nodeset.Set, initial []byte, 
 // sweep finds the table empty — so an item with something staged is always
 // on the walk, a busy item pays for it one flag test per staging (the node's
 // lock and set are touched once per sweep interval, not once per write), and
-// a cold item carries no timer or goroutine of its own.
-func (it *Item) stageLocked(op OpID, st *staged) {
-	st.preparedAt = time.Now()
+// a cold item carries no timer or goroutine of its own. now is the handler's
+// reading of the clock on arrival: a prepare that queued for its lock counts
+// as prepared from when it was asked, which only makes the resolver look a
+// little sooner.
+func (it *Item) stageLocked(now time.Time, op OpID, st *staged) {
+	st.preparedAt = now
 	if !it.watched {
 		it.watched = true
 		it.watch(it)
@@ -319,7 +322,7 @@ func (it *Item) handleLock(ctx context.Context, m LockRequest) (transport.Messag
 	if m.Mode == LockWrite {
 		mode = lockExclusive
 	}
-	if refusal, err := it.lockOrdered(ctx, m.Op, mode); refusal != nil || err != nil {
+	if refusal, err := it.lockOrdered(ctx, time.Now(), m.Op, mode, false); refusal != nil || err != nil {
 		return refusal, err
 	}
 	return it.State(), nil
@@ -328,9 +331,9 @@ func (it *Item) handleLock(ctx context.Context, m LockRequest) (transport.Messag
 // lockOrdered takes the replica lock for a multi-replica operation. A nil
 // reply and nil error mean op holds it; otherwise the pair is the
 // handler's answer — LockRefused when an older operation is ahead, an
-// error when the context ended in the queue.
-func (it *Item) lockOrdered(ctx context.Context, op OpID, mode lockMode) (transport.Message, error) {
-	switch by, err := it.lock.acquireOrdered(ctx, op, mode); err {
+// error when the context ended in the queue. pin is acquireOrdered's.
+func (it *Item) lockOrdered(ctx context.Context, now time.Time, op OpID, mode lockMode, pin bool) (transport.Message, error) {
+	switch by, err := it.lock.acquireOrdered(ctx, now, op, mode, pin); err {
 	case nil:
 		return nil, nil
 	case errLockRefused:
@@ -346,16 +349,19 @@ func (it *Item) lockOrdered(ctx context.Context, op OpID, mode lockMode) (transp
 // the combined effect of a LockRequest and a PrepareUpdate in one round
 // trip. On a mismatch it degrades to a plain lock grant: the state reply
 // lets the coordinator classify and run the normal prepare, which
-// overwrites this entry at the replicas it covers.
+// overwrites this entry at the replicas it covers. The lock is taken pinned,
+// as the staging will need it, in the same visit to the lock table; the rare
+// mismatch goes back to unpin it.
 func (it *Item) handleLockPrepare(ctx context.Context, m LockPrepare) (transport.Message, error) {
-	if refusal, err := it.lockOrdered(ctx, m.Op, lockExclusive); refusal != nil || err != nil {
+	now := time.Now()
+	if refusal, err := it.lockOrdered(ctx, now, m.Op, lockExclusive, true); refusal != nil || err != nil {
 		return refusal, err
 	}
 	prepared := false
 	if m.Update.Validate() == nil {
 		it.mu.Lock()
-		if !it.recovering && !it.stale && it.store.Version()+1 == m.NewVersion && it.lock.pin(m.Op) {
-			it.stageLocked(m.Op, &staged{
+		if !it.recovering && !it.stale && it.store.Version()+1 == m.NewVersion {
+			it.stageLocked(now, m.Op, &staged{
 				kind:        stagedUpdate,
 				speculative: true,
 				update:      m.Update.clone(),
@@ -367,6 +373,9 @@ func (it *Item) handleLockPrepare(ctx context.Context, m LockPrepare) (transport
 		}
 		it.mu.Unlock()
 	}
+	if !prepared {
+		it.lock.unpin(now, m.Op)
+	}
 	return LockPrepareReply{State: it.State(), Prepared: prepared}, nil
 }
 
@@ -376,7 +385,7 @@ func (it *Item) handleLockPrepare(ctx context.Context, m LockPrepare) (transport
 // observe a committed-but-unapplied write as absent — but nothing stays
 // locked after the reply, so the read has no release round.
 func (it *Item) handleReadSnap(ctx context.Context, m ReadSnap) (transport.Message, error) {
-	if err := it.lock.acquire(ctx, m.Op, lockShared); err != nil {
+	if err := it.lock.acquire(ctx, time.Now(), m.Op, lockShared); err != nil {
 		return nil, fmt.Errorf("replica %v/%s: lock for %v: %w", it.self, it.name, m.Op, err)
 	}
 	it.mu.Lock()
@@ -388,7 +397,7 @@ func (it *Item) handleReadSnap(ctx context.Context, m ReadSnap) (transport.Messa
 }
 
 func (it *Item) handleFetch(m FetchValue) (transport.Message, error) {
-	if !it.lock.heldBy(m.Op, lockShared) {
+	if !it.lock.heldBy(time.Now(), m.Op, lockShared) {
 		return nil, fmt.Errorf("replica %v/%s: fetch without lock by %v", it.self, it.name, m.Op)
 	}
 	it.mu.Lock()
@@ -397,23 +406,21 @@ func (it *Item) handleFetch(m FetchValue) (transport.Message, error) {
 	return ValueReply{Value: value, Version: version}, nil
 }
 
-// requirePinned checks the exclusive hold and pins it for 2PC.
-func (it *Item) requirePinned(op OpID) *Ack {
-	if !it.lock.heldBy(op, lockExclusive) {
-		return &Ack{Reason: "not exclusive lock holder"}
-	}
-	if !it.lock.pin(op) {
-		return &Ack{Reason: "lock lease expired"}
-	}
-	return nil
-}
+// notLockHolder refuses a prepare whose operation does not hold the lock
+// exclusively: it never locked here, or its lease ran out.
+var notLockHolder transport.Message = Ack{Reason: "not exclusive lock holder"}
+
+// ackOK is the one positive acknowledgement, boxed once: a 3×3 write is
+// answered with nine of them.
+var ackOK transport.Message = Ack{OK: true}
 
 func (it *Item) handlePrepareUpdate(m PrepareUpdate) (transport.Message, error) {
 	if err := m.Update.Validate(); err != nil {
 		return Ack{Reason: err.Error()}, nil
 	}
-	if refusal := it.requirePinned(m.Op); refusal != nil {
-		return *refusal, nil
+	now := time.Now()
+	if !it.lock.pin(now, m.Op) {
+		return notLockHolder, nil
 	}
 	it.mu.Lock()
 	defer it.mu.Unlock()
@@ -426,7 +433,7 @@ func (it *Item) handlePrepareUpdate(m PrepareUpdate) (transport.Message, error) 
 	if it.store.Version()+1 != m.NewVersion {
 		return Ack{Reason: fmt.Sprintf("version %d cannot advance to %d", it.store.Version(), m.NewVersion)}, nil
 	}
-	it.stageLocked(m.Op, &staged{
+	it.stageLocked(now, m.Op, &staged{
 		kind:       stagedUpdate,
 		update:     m.Update.clone(),
 		newVersion: m.NewVersion,
@@ -434,7 +441,7 @@ func (it *Item) handlePrepareUpdate(m PrepareUpdate) (transport.Message, error) 
 		good:       m.GoodSet.Clone(),
 		goodVer:    m.NewVersion,
 	})
-	return Ack{OK: true}, nil
+	return ackOK, nil
 }
 
 func (it *Item) handlePrepareBatch(m PrepareBatch) (transport.Message, error) {
@@ -446,8 +453,9 @@ func (it *Item) handlePrepareBatch(m PrepareBatch) (transport.Message, error) {
 			return Ack{Reason: err.Error()}, nil
 		}
 	}
-	if refusal := it.requirePinned(m.Op); refusal != nil {
-		return *refusal, nil
+	now := time.Now()
+	if !it.lock.pin(now, m.Op) {
+		return notLockHolder, nil
 	}
 	it.mu.Lock()
 	defer it.mu.Unlock()
@@ -464,7 +472,7 @@ func (it *Item) handlePrepareBatch(m PrepareBatch) (transport.Message, error) {
 	for i, u := range m.Updates {
 		ups[i] = u.clone()
 	}
-	it.stageLocked(m.Op, &staged{
+	it.stageLocked(now, m.Op, &staged{
 		kind:       stagedBatch,
 		updates:    ups,
 		newVersion: m.FirstVersion,
@@ -472,12 +480,13 @@ func (it *Item) handlePrepareBatch(m PrepareBatch) (transport.Message, error) {
 		good:       m.GoodSet.Clone(),
 		goodVer:    m.FirstVersion + uint64(len(m.Updates)) - 1,
 	})
-	return Ack{OK: true}, nil
+	return ackOK, nil
 }
 
 func (it *Item) handlePrepareReplace(m PrepareReplace) (transport.Message, error) {
-	if refusal := it.requirePinned(m.Op); refusal != nil {
-		return *refusal, nil
+	now := time.Now()
+	if !it.lock.pin(now, m.Op) {
+		return notLockHolder, nil
 	}
 	it.mu.Lock()
 	defer it.mu.Unlock()
@@ -489,7 +498,7 @@ func (it *Item) handlePrepareReplace(m PrepareReplace) (transport.Message, error
 	}
 	value := make([]byte, len(m.Value))
 	copy(value, m.Value)
-	it.stageLocked(m.Op, &staged{
+	it.stageLocked(now, m.Op, &staged{
 		kind:       stagedReplace,
 		value:      value,
 		newVersion: m.NewVersion,
@@ -497,25 +506,27 @@ func (it *Item) handlePrepareReplace(m PrepareReplace) (transport.Message, error
 		good:       m.GoodSet.Clone(),
 		goodVer:    m.NewVersion,
 	})
-	return Ack{OK: true}, nil
+	return ackOK, nil
 }
 
 func (it *Item) handlePrepareStale(m PrepareStale) (transport.Message, error) {
-	if refusal := it.requirePinned(m.Op); refusal != nil {
-		return *refusal, nil
+	now := time.Now()
+	if !it.lock.pin(now, m.Op) {
+		return notLockHolder, nil
 	}
 	it.mu.Lock()
 	defer it.mu.Unlock()
 	if it.recovering {
 		return Ack{Reason: "replica is recovering from state loss"}, nil
 	}
-	it.stageLocked(m.Op, &staged{kind: stagedStale, desired: m.Desired, good: m.GoodSet.Clone(), goodVer: m.Desired})
-	return Ack{OK: true}, nil
+	it.stageLocked(now, m.Op, &staged{kind: stagedStale, desired: m.Desired, good: m.GoodSet.Clone(), goodVer: m.Desired})
+	return ackOK, nil
 }
 
 func (it *Item) handlePrepareEpoch(m PrepareEpoch) (transport.Message, error) {
-	if refusal := it.requirePinned(m.Op); refusal != nil {
-		return *refusal, nil
+	now := time.Now()
+	if !it.lock.pin(now, m.Op) {
+		return notLockHolder, nil
 	}
 	it.mu.Lock()
 	defer it.mu.Unlock()
@@ -525,14 +536,14 @@ func (it *Item) handlePrepareEpoch(m PrepareEpoch) (transport.Message, error) {
 	if !m.Epoch.Contains(it.self) {
 		return Ack{Reason: "node not a member of the proposed epoch"}, nil
 	}
-	it.stageLocked(m.Op, &staged{
+	it.stageLocked(now, m.Op, &staged{
 		kind:       stagedEpoch,
 		epoch:      m.Epoch.Clone(),
 		epochNum:   m.EpochNum,
 		good:       m.Good.Clone(),
 		maxVersion: m.MaxVersion,
 	})
-	return Ack{OK: true}, nil
+	return ackOK, nil
 }
 
 func (it *Item) handleCommit(m Commit) (transport.Message, error) {
@@ -542,7 +553,7 @@ func (it *Item) handleCommit(m Commit) (transport.Message, error) {
 		it.mu.Unlock()
 		// Lock-only participant (e.g. a read): commit just releases.
 		it.lock.release(m.Op)
-		return Ack{OK: true}, nil
+		return ackOK, nil
 	}
 	delete(it.staged, m.Op)
 	var propagateTo nodeset.Set
@@ -555,7 +566,7 @@ func (it *Item) handleCommit(m Commit) (transport.Message, error) {
 			it.lock.release(m.Op)
 			return Ack{Reason: "staged update no longer applicable"}, nil
 		}
-		it.store.Apply(st.update)
+		it.store.applyOwned(st.update)
 		it.clearStaleLocked()
 		it.good = st.good
 		it.goodVer = st.goodVer
@@ -572,7 +583,7 @@ func (it *Item) handleCommit(m Commit) (transport.Message, error) {
 		// update log per-version, so propagation toward a target at any
 		// intermediate version still works.
 		for _, u := range st.updates {
-			it.store.Apply(u)
+			it.store.applyOwned(u)
 		}
 		it.clearStaleLocked()
 		it.good = st.good
@@ -612,7 +623,7 @@ func (it *Item) handleCommit(m Commit) (transport.Message, error) {
 	if !propagateTo.Empty() {
 		it.enqueuePropagation(propagateTo)
 	}
-	return Ack{OK: true}, nil
+	return ackOK, nil
 }
 
 // Refusals of a direct-apply, boxed once: a bystander that fell behind
@@ -639,7 +650,7 @@ func (it *Item) handleApplyDirect(ctx context.Context, m ApplyDirect) (transport
 			return Ack{Reason: err.Error()}, nil
 		}
 	}
-	switch err := it.lock.acquireBehindReaders(ctx, m.Op); {
+	switch err := it.lock.acquireBehindReaders(ctx, time.Now(), m.Op); {
 	case err == errLockBusy:
 		it.metrics.pushBusy.Inc()
 		return directBusy, nil
@@ -668,7 +679,7 @@ func (it *Item) handleApplyDirect(ctx context.Context, m ApplyDirect) (transport
 	it.goodVer = it.store.Version()
 	it.metrics.pushApplied.Inc()
 	it.publishStateLocked()
-	return Ack{OK: true}, nil
+	return ackOK, nil
 }
 
 func (it *Item) handleAbort(m Abort) (transport.Message, error) {
@@ -676,7 +687,7 @@ func (it *Item) handleAbort(m Abort) (transport.Message, error) {
 	delete(it.staged, m.Op)
 	it.mu.Unlock()
 	it.lock.release(m.Op)
-	return Ack{OK: true}, nil
+	return ackOK, nil
 }
 
 // Close stops the propagation worker and waits for it to exit.

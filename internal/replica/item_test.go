@@ -66,13 +66,13 @@ func TestLockRequestReturnsState(t *testing.T) {
 	if s := reply.(StateReply); s.Node != 1 {
 		t.Errorf("state = %+v", s)
 	}
-	if !h.item(1).lock.heldBy(o, lockExclusive) {
+	if !h.item(1).lock.heldBy(time.Now(), o, lockExclusive) {
 		t.Error("lock not held after LockRequest")
 	}
 	// Idempotent re-lock.
 	h.call(t, 0, 1, LockRequest{Op: o, Mode: LockWrite})
 	h.call(t, 0, 1, Abort{Op: o})
-	if h.item(1).lock.holderCount() != 0 {
+	if h.item(1).lock.holderCount(time.Now()) != 0 {
 		t.Error("lock not released by Abort")
 	}
 }
@@ -155,7 +155,7 @@ func TestAbortDiscardsStaged(t *testing.T) {
 	if _, ver := h.item(1).Value(); ver != 0 {
 		t.Errorf("aborted write applied: version %d", ver)
 	}
-	if h.item(1).lock.holderCount() != 0 {
+	if h.item(1).lock.holderCount(time.Now()) != 0 {
 		t.Error("lock held after abort")
 	}
 }
@@ -165,7 +165,7 @@ func TestCommitWithoutStagedJustReleases(t *testing.T) {
 	o := h.item(0).NextOp()
 	h.call(t, 0, 1, LockRequest{Op: o, Mode: LockRead})
 	ack := h.call(t, 0, 1, Commit{Op: o}).(Ack)
-	if !ack.OK || h.item(1).lock.holderCount() != 0 {
+	if !ack.OK || h.item(1).lock.holderCount(time.Now()) != 0 {
 		t.Error("lock-only commit failed to release")
 	}
 }

@@ -51,7 +51,8 @@ func (op OpID) Older(than OpID) bool {
 	return op.Coordinator < than.Coordinator
 }
 
-// lockMode distinguishes shared (read) from exclusive (write) holds.
+// lockMode distinguishes shared (read) from exclusive (write) holds; the
+// stronger mode is the larger value.
 type lockMode int
 
 const (
@@ -59,10 +60,12 @@ const (
 	lockExclusive
 )
 
-// holder is stored by value in the holders map: steady-state acquire and
-// release then reuse map bucket cells instead of allocating a fresh holder
-// per acquisition (see TestLockTableDoesNotAllocate).
+// holder is one operation's hold. Holders live by value in a small slice —
+// uncontended it has one writer or a few readers — so steady-state acquire
+// and release reuse its cells and a scan of it is a handful of compares (see
+// TestLockTableDoesNotAllocate).
 type holder struct {
+	op       OpID
 	mode     lockMode
 	deadline time.Time // lease expiry; zero when pinned or leases disabled
 	pinned   bool      // pinned holders (prepared 2PC participants) never expire
@@ -73,7 +76,7 @@ type waiter struct {
 	op        OpID
 	mode      lockMode
 	ordered   bool // queued through acquireOrdered
-	upgrade   bool // op already holds shared and wants exclusive
+	pin       bool // the grant is a prepared participant's: pinned from the start
 	cancelled bool
 	ready     chan struct{} // closed when granted
 }
@@ -122,9 +125,16 @@ const (
 // wedge the replica forever. Preparing a 2PC action pins the hold — a
 // prepared participant must block until the coordinator resolves the
 // transaction (the classic 2PC window the paper inherits from [2]).
+//
+// The lock does not read the clock for its callers: every entry point that
+// judges or starts a lease takes now, the one reading its message handler
+// made on arrival. Expiry is lazy and happens in whoever looks next — an
+// acquire, a pin, heldBy — so a release that nobody waits for touches no
+// clock at all. Only the two places with nobody to ask read it themselves:
+// a release that hands the lock to a waiter, and the parked waiter's timer.
 type itemLock struct {
 	mu      sync.Mutex
-	holders map[OpID]holder
+	holders []holder
 	waiters []*waiter
 	lease   time.Duration
 
@@ -139,7 +149,7 @@ type itemLock struct {
 }
 
 func newItemLock(lease time.Duration) *itemLock {
-	return &itemLock{holders: make(map[OpID]holder), lease: lease}
+	return &itemLock{lease: lease}
 }
 
 // attachMetrics resolves the lock's counters from r (a no-op on nil).
@@ -151,21 +161,42 @@ func (l *itemLock) attachMetrics(r *obs.Registry) {
 	l.expired = r.Counter("replica_lock_expired_total")
 }
 
-func (l *itemLock) newDeadline() time.Time {
+// leaseFrom returns the expiry of a lease that starts at now: zero when
+// leases are disabled.
+func (l *itemLock) leaseFrom(now time.Time) time.Time {
 	if l.lease <= 0 {
 		return time.Time{}
 	}
-	return time.Now().Add(l.lease)
+	return now.Add(l.lease)
 }
 
 // expireLocked drops unpinned holders whose lease has passed. Caller holds mu.
 func (l *itemLock) expireLocked(now time.Time) {
-	for op, h := range l.holders {
-		if !h.pinned && !h.deadline.IsZero() && now.After(h.deadline) {
-			delete(l.holders, op)
+	for i := 0; i < len(l.holders); {
+		if h := l.holders[i]; !h.pinned && !h.deadline.IsZero() && now.After(h.deadline) {
+			l.dropLocked(i)
 			l.expired.Inc()
+		} else {
+			i++
 		}
 	}
+}
+
+// indexLocked returns op's position among the holders, or -1. Caller holds mu.
+func (l *itemLock) indexLocked(op OpID) int {
+	for i := range l.holders {
+		if l.holders[i].op == op {
+			return i
+		}
+	}
+	return -1
+}
+
+// dropLocked removes holder i; the holders' order carries no meaning.
+func (l *itemLock) dropLocked(i int) {
+	last := len(l.holders) - 1
+	l.holders[i] = l.holders[last]
+	l.holders = l.holders[:last]
 }
 
 // nextExpiryLocked returns the earliest lease deadline among current
@@ -183,60 +214,59 @@ func (l *itemLock) nextExpiryLocked() time.Time {
 	return min
 }
 
-// grantableLocked reports whether op could hold in mode alongside the
-// current holders. Caller holds mu.
-func (l *itemLock) grantableLocked(op OpID, mode lockMode) bool {
-	for other, h := range l.holders {
-		if other == op {
-			continue
-		}
-		if mode == lockExclusive || h.mode == lockExclusive {
+// grantableLocked reports whether an operation could hold in mode alongside
+// the current holders other than itself (own is its position among them, or
+// -1). Caller holds mu.
+func (l *itemLock) grantableLocked(own int, mode lockMode) bool {
+	for i, h := range l.holders {
+		if i != own && (mode == lockExclusive || h.mode == lockExclusive) {
 			return false
 		}
 	}
 	return true
 }
 
+// grantLocked records h as granted at now: a new holder, or over the
+// operation's earlier hold (own ≥ 0), which it never downgrades, unpins or
+// takes out of the conflict order. Caller holds mu.
+func (l *itemLock) grantLocked(now time.Time, own int, h holder) {
+	if own >= 0 {
+		prior := l.holders[own]
+		h.mode = max(h.mode, prior.mode)
+		h.pinned = h.pinned || prior.pinned
+		h.ordered = h.ordered || prior.ordered
+	}
+	if !h.pinned {
+		h.deadline = l.leaseFrom(now)
+	}
+	if own >= 0 {
+		l.holders[own] = h
+	} else {
+		l.holders = append(l.holders, h)
+	}
+}
+
 // dispatchLocked grants queued waiters in FIFO order: the front waiter is
-// granted when compatible with the holders; consecutive shared waiters are
-// granted together. Caller holds mu.
-func (l *itemLock) dispatchLocked() {
-	l.expireLocked(time.Now())
+// granted when compatible with the holders — for one that already holds
+// shared and wants exclusive, when it is the only holder left — and
+// consecutive shared waiters are granted together. Caller holds mu.
+func (l *itemLock) dispatchLocked(now time.Time) {
+	l.expireLocked(now)
 	for len(l.waiters) > 0 {
 		w := l.waiters[0]
 		if w.cancelled {
 			l.waiters = l.waiters[1:]
 			continue
 		}
-		if w.upgrade {
-			// Upgrade: wait until op is the only holder.
-			if len(l.holders) == 1 {
-				if h, ok := l.holders[w.op]; ok {
-					h.mode = lockExclusive
-					h.deadline = l.newDeadline()
-					h.ordered = h.ordered || w.ordered
-					l.holders[w.op] = h
-					l.waiters = l.waiters[1:]
-					close(w.ready)
-					continue
-				}
-			}
-			// The upgrading op lost its hold (lease expiry): treat as a
-			// fresh exclusive acquisition.
-			if _, ok := l.holders[w.op]; !ok {
-				w.upgrade = false
-				continue
-			}
+		own := l.indexLocked(w.op)
+		if !l.grantableLocked(own, w.mode) {
 			return
 		}
-		if !l.grantableLocked(w.op, w.mode) {
-			return
-		}
-		l.holders[w.op] = holder{mode: w.mode, deadline: l.newDeadline(), ordered: w.ordered}
+		l.grantLocked(now, own, holder{op: w.op, mode: w.mode, ordered: w.ordered, pinned: w.pin})
 		l.waiters = l.waiters[1:]
 		close(w.ready)
-		// After an exclusive grant nothing else fits; for shared grants the
-		// loop continues and admits following shared waiters.
+		// After an exclusive grant nothing else fits; after a shared one the
+		// loop goes on and admits the shared waiters that follow.
 		if w.mode == lockExclusive {
 			return
 		}
@@ -252,9 +282,9 @@ func (l *itemLock) dispatchLocked() {
 // plain exclusive waiter of a propagation offer or a write-through, which
 // the order itself does not see. Caller holds mu.
 func (l *itemLock) olderAheadLocked(op OpID) OpID {
-	for other, h := range l.holders {
-		if h.ordered && other != op && other.Older(op) {
-			return other
+	for _, h := range l.holders {
+		if h.ordered && h.op != op && h.op.Older(op) {
+			return h.op
 		}
 	}
 	for _, w := range l.waiters {
@@ -286,8 +316,8 @@ func (l *itemLock) writerAheadLocked() bool {
 // shared to exclusive if requested — the paper's HeavyProcedure re-polls
 // nodes already locked by the same operation. It is the form for
 // operations that hold no other replica's lock meanwhile.
-func (l *itemLock) acquire(ctx context.Context, op OpID, mode lockMode) error {
-	_, err := l.doAcquire(ctx, op, mode, waitPlain)
+func (l *itemLock) acquire(ctx context.Context, now time.Time, op OpID, mode lockMode) error {
+	_, err := l.doAcquire(ctx, now, op, mode, waitPlain, false)
 	return err
 }
 
@@ -302,36 +332,32 @@ func (l *itemLock) acquire(ctx context.Context, op OpID, mode lockMode) error {
 // push waited; if it gives up (refused elsewhere), the replica stays one
 // version behind until a quorum draws it — the price of never waiting on
 // another coordinator.
-func (l *itemLock) acquireBehindReaders(ctx context.Context, op OpID) error {
-	_, err := l.doAcquire(ctx, op, lockExclusive, waitReaders)
+func (l *itemLock) acquireBehindReaders(ctx context.Context, now time.Time, op OpID) error {
+	_, err := l.doAcquire(ctx, now, op, lockExclusive, waitReaders, false)
 	return err
 }
 
 // acquireOrdered is acquire for an operation that locks several replicas
 // at once. Instead of queueing behind an older ordered operation it
 // returns that operation and errLockRefused, with nothing held or queued.
-func (l *itemLock) acquireOrdered(ctx context.Context, op OpID, mode lockMode) (OpID, error) {
-	return l.doAcquire(ctx, op, mode, waitOrdered)
+// With pin the grant is pinned from the start, the acquire and the pin of a
+// LockPrepare in one visit; a caller that then stages nothing must unpin.
+func (l *itemLock) acquireOrdered(ctx context.Context, now time.Time, op OpID, mode lockMode, pin bool) (OpID, error) {
+	return l.doAcquire(ctx, now, op, mode, waitOrdered, pin)
 }
 
-func (l *itemLock) doAcquire(ctx context.Context, op OpID, mode lockMode, policy waitPolicy) (OpID, error) {
+func (l *itemLock) doAcquire(ctx context.Context, now time.Time, op OpID, mode lockMode, policy waitPolicy, pin bool) (OpID, error) {
 	ordered := policy == waitOrdered
 	if op.IsZero() {
 		return OpID{}, fmt.Errorf("replica: zero OpID cannot lock")
 	}
 	l.mu.Lock()
-	l.expireLocked(time.Now())
-	h, held := l.holders[op]
-	if held && (mode != lockExclusive || h.mode == lockExclusive) {
-		h.deadline = l.newDeadline()
-		l.holders[op] = h
-		l.mu.Unlock()
-		l.granted.Inc()
-		return OpID{}, nil
-	}
-	// A fresh acquisition, or (held) a shared-to-exclusive upgrade.
-	if (held || len(l.waiters) == 0) && l.grantableLocked(op, mode) {
-		l.holders[op] = holder{mode: mode, deadline: l.newDeadline(), pinned: h.pinned, ordered: ordered || h.ordered}
+	l.expireLocked(now)
+	// A holder asking again — for the mode it has, or to upgrade shared to
+	// exclusive — does not queue behind the waiters; a newcomer does.
+	own := l.indexLocked(op)
+	if (own >= 0 || len(l.waiters) == 0) && l.grantableLocked(own, mode) {
+		l.grantLocked(now, own, holder{op: op, mode: mode, ordered: ordered, pinned: pin})
 		l.mu.Unlock()
 		l.granted.Inc()
 		return OpID{}, nil
@@ -349,7 +375,7 @@ func (l *itemLock) doAcquire(ctx context.Context, op OpID, mode lockMode, policy
 			return OpID{}, errLockBusy
 		}
 	}
-	err := l.waitLocked(ctx, &waiter{op: op, mode: mode, ordered: ordered, upgrade: held, ready: make(chan struct{})})
+	err := l.waitLocked(ctx, now, &waiter{op: op, mode: mode, ordered: ordered, pin: pin, ready: make(chan struct{})})
 	if err != nil {
 		l.denied.Inc()
 	} else {
@@ -358,122 +384,122 @@ func (l *itemLock) doAcquire(ctx context.Context, op OpID, mode lockMode, policy
 	return OpID{}, err
 }
 
+// coarsePoll is how often a parked waiter looks again when no lease is
+// pending, so an unexpected state cannot hang it forever.
+const coarsePoll = 50 * time.Millisecond
+
 // waitLocked enqueues w and blocks until it is granted or ctx ends. It is
-// entered with mu held and returns with mu released.
-func (l *itemLock) waitLocked(ctx context.Context, w *waiter) error {
+// entered with mu held and returns with mu released. While parked it wakes
+// at the holders' next lease expiry, since nobody else may come by to reap
+// it.
+func (l *itemLock) waitLocked(ctx context.Context, now time.Time, w *waiter) error {
 	l.waiters = append(l.waiters, w)
-	l.dispatchLocked()
+	l.dispatchLocked(now)
 	expiry := l.nextExpiryLocked()
 	l.mu.Unlock()
 
-	var timer *time.Timer
-	var timeC <-chan time.Time
-	armTimer := func(at time.Time) {
-		if at.IsZero() {
-			return
+	untilExpiry := func() time.Duration {
+		if expiry.IsZero() {
+			return coarsePoll
 		}
-		d := time.Until(at)
-		if d < time.Millisecond {
-			d = time.Millisecond
-		}
-		timer = time.NewTimer(d)
-		timeC = timer.C
+		return max(expiry.Sub(now), time.Millisecond)
 	}
-	armTimer(expiry)
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
-
+	timer := time.NewTimer(untilExpiry())
+	defer timer.Stop()
 	for {
 		select {
 		case <-w.ready:
 			return nil
 		case <-ctx.Done():
-			l.mu.Lock()
+		case <-timer.C:
+		}
+		now = time.Now()
+		l.mu.Lock()
+		if err := ctx.Err(); err != nil {
 			select {
 			case <-w.ready:
 				// Granted concurrently with cancellation: keep the grant;
 				// the coordinator's abort will release it.
-				l.mu.Unlock()
-				return nil
+				err = nil
 			default:
+				w.cancelled = true
+				l.dispatchLocked(now)
 			}
-			w.cancelled = true
-			l.dispatchLocked()
 			l.mu.Unlock()
-			return ctx.Err()
-		case <-timeC:
-			// A lease may have expired: re-dispatch and re-arm.
-			if timer != nil {
-				timer.Stop()
-				timer, timeC = nil, nil
-			}
-			l.mu.Lock()
-			l.dispatchLocked()
-			expiry := l.nextExpiryLocked()
-			l.mu.Unlock()
-			armTimer(expiry)
-			if timeC == nil {
-				// No leases pending: fall back to a coarse poll so an
-				// unexpected state cannot hang us forever.
-				armTimer(time.Now().Add(50 * time.Millisecond))
-			}
+			return err
 		}
+		// A lease may have expired: re-dispatch and re-arm.
+		l.dispatchLocked(now)
+		expiry = l.nextExpiryLocked()
+		l.mu.Unlock()
+		timer.Reset(untilExpiry())
 	}
 }
 
-// pin marks op's hold as a prepared 2PC participant: the lease stops
-// applying. Returns false if op no longer holds the lock.
-func (l *itemLock) pin(op OpID) bool {
+// pin marks op's exclusive hold as a prepared 2PC participant: the lease
+// stops applying. It returns false if op does not hold the lock exclusively
+// at now — it never did, or its lease ran out.
+func (l *itemLock) pin(now time.Time, op OpID) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.expireLocked(time.Now())
-	h, ok := l.holders[op]
-	if !ok {
+	l.expireLocked(now)
+	i := l.indexLocked(op)
+	if i < 0 || l.holders[i].mode != lockExclusive {
 		return false
 	}
-	h.pinned = true
-	h.deadline = time.Time{}
-	l.holders[op] = h
+	l.holders[i].pinned = true
+	l.holders[i].deadline = time.Time{}
 	return true
 }
 
+// unpin turns op's hold, pinned on arrival by acquireOrdered, back into a
+// leased one starting at now: nothing was staged under it after all.
+func (l *itemLock) unpin(now time.Time, op OpID) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if i := l.indexLocked(op); i >= 0 {
+		l.holders[i].pinned = false
+		l.holders[i].deadline = l.leaseFrom(now)
+	}
+}
+
 // release drops op's hold. Releasing a non-held lock is a no-op, so
-// duplicate aborts are harmless.
+// duplicate aborts are harmless. With nobody queued it reads no clock and
+// reaps nothing: an expired hold waits for the next visitor that has one.
 func (l *itemLock) release(op OpID) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, ok := l.holders[op]; ok {
-		delete(l.holders, op)
+	if i := l.indexLocked(op); i >= 0 {
+		l.dropLocked(i)
 	}
-	l.dispatchLocked()
+	if len(l.waiters) > 0 {
+		l.dispatchLocked(time.Now())
+	}
 }
 
 // resetHolders drops every current hold (volatile lock state lost on
 // amnesia) and lets queued waiters acquire against the fresh replica.
-func (l *itemLock) resetHolders() {
+func (l *itemLock) resetHolders(now time.Time) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.holders = make(map[OpID]holder)
-	l.dispatchLocked()
+	l.holders = nil
+	l.dispatchLocked(now)
 }
 
-// heldBy reports whether op currently holds the lock in at least the given
+// heldBy reports whether op holds the lock at now in at least the given
 // mode.
-func (l *itemLock) heldBy(op OpID, mode lockMode) bool {
+func (l *itemLock) heldBy(now time.Time, op OpID, mode lockMode) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.expireLocked(time.Now())
-	h, ok := l.holders[op]
-	return ok && (mode == lockShared || h.mode == lockExclusive)
+	l.expireLocked(now)
+	i := l.indexLocked(op)
+	return i >= 0 && l.holders[i].mode >= mode
 }
 
-// holderCount returns the number of current holders (tests).
-func (l *itemLock) holderCount() int {
+// holderCount returns the number of holders at now (tests).
+func (l *itemLock) holderCount(now time.Time) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.expireLocked(time.Now())
+	l.expireLocked(now)
 	return len(l.holders)
 }

@@ -18,16 +18,16 @@ func op(n nodeset.ID, seq uint64) OpID { return OpID{Coordinator: n, Seq: seq} }
 func TestLockExclusiveBlocks(t *testing.T) {
 	l := newItemLock(0)
 	ctx := context.Background()
-	if err := l.acquire(ctx, op(1, 1), lockExclusive); err != nil {
+	if err := l.acquire(ctx, time.Now(), op(1, 1), lockExclusive); err != nil {
 		t.Fatal(err)
 	}
 	ctx2, cancel := context.WithTimeout(ctx, 30*time.Millisecond)
 	defer cancel()
-	if err := l.acquire(ctx2, op(2, 1), lockExclusive); err == nil {
+	if err := l.acquire(ctx2, time.Now(), op(2, 1), lockExclusive); err == nil {
 		t.Fatal("second exclusive acquire succeeded")
 	}
 	l.release(op(1, 1))
-	if err := l.acquire(ctx, op(2, 1), lockExclusive); err != nil {
+	if err := l.acquire(ctx, time.Now(), op(2, 1), lockExclusive); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -36,23 +36,23 @@ func TestLockSharedCoexist(t *testing.T) {
 	l := newItemLock(0)
 	ctx := context.Background()
 	for i := uint64(1); i <= 3; i++ {
-		if err := l.acquire(ctx, op(1, i), lockShared); err != nil {
+		if err := l.acquire(ctx, time.Now(), op(1, i), lockShared); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if l.holderCount() != 3 {
-		t.Errorf("holders = %d", l.holderCount())
+	if l.holderCount(time.Now()) != 3 {
+		t.Errorf("holders = %d", l.holderCount(time.Now()))
 	}
 	// A writer must wait for all readers.
 	ctx2, cancel := context.WithTimeout(ctx, 30*time.Millisecond)
 	defer cancel()
-	if err := l.acquire(ctx2, op(2, 1), lockExclusive); err == nil {
+	if err := l.acquire(ctx2, time.Now(), op(2, 1), lockExclusive); err == nil {
 		t.Fatal("exclusive acquired alongside readers")
 	}
 	for i := uint64(1); i <= 3; i++ {
 		l.release(op(1, i))
 	}
-	if err := l.acquire(ctx, op(2, 1), lockExclusive); err != nil {
+	if err := l.acquire(ctx, time.Now(), op(2, 1), lockExclusive); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -61,28 +61,28 @@ func TestLockReentrantAndUpgrade(t *testing.T) {
 	l := newItemLock(0)
 	ctx := context.Background()
 	o := op(1, 1)
-	if err := l.acquire(ctx, o, lockShared); err != nil {
+	if err := l.acquire(ctx, time.Now(), o, lockShared); err != nil {
 		t.Fatal(err)
 	}
 	// Re-acquire shared: idempotent.
-	if err := l.acquire(ctx, o, lockShared); err != nil {
+	if err := l.acquire(ctx, time.Now(), o, lockShared); err != nil {
 		t.Fatal(err)
 	}
-	if l.holderCount() != 1 {
-		t.Errorf("holders = %d", l.holderCount())
+	if l.holderCount(time.Now()) != 1 {
+		t.Errorf("holders = %d", l.holderCount(time.Now()))
 	}
 	// Upgrade to exclusive while sole holder.
-	if err := l.acquire(ctx, o, lockExclusive); err != nil {
+	if err := l.acquire(ctx, time.Now(), o, lockExclusive); err != nil {
 		t.Fatal(err)
 	}
-	if !l.heldBy(o, lockExclusive) {
+	if !l.heldBy(time.Now(), o, lockExclusive) {
 		t.Error("upgrade did not take effect")
 	}
 	// Exclusive re-acquire as shared request stays exclusive.
-	if err := l.acquire(ctx, o, lockShared); err != nil {
+	if err := l.acquire(ctx, time.Now(), o, lockShared); err != nil {
 		t.Fatal(err)
 	}
-	if !l.heldBy(o, lockExclusive) {
+	if !l.heldBy(time.Now(), o, lockExclusive) {
 		t.Error("re-acquire downgraded the lock")
 	}
 }
@@ -90,22 +90,22 @@ func TestLockReentrantAndUpgrade(t *testing.T) {
 func TestLockUpgradeBlockedByOtherReader(t *testing.T) {
 	l := newItemLock(0)
 	ctx := context.Background()
-	if err := l.acquire(ctx, op(1, 1), lockShared); err != nil {
+	if err := l.acquire(ctx, time.Now(), op(1, 1), lockShared); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.acquire(ctx, op(2, 1), lockShared); err != nil {
+	if err := l.acquire(ctx, time.Now(), op(2, 1), lockShared); err != nil {
 		t.Fatal(err)
 	}
 	ctx2, cancel := context.WithTimeout(ctx, 30*time.Millisecond)
 	defer cancel()
-	if err := l.acquire(ctx2, op(1, 1), lockExclusive); err == nil {
+	if err := l.acquire(ctx2, time.Now(), op(1, 1), lockExclusive); err == nil {
 		t.Fatal("upgrade succeeded with a second reader present")
 	}
 }
 
 func TestLockZeroOpRejected(t *testing.T) {
 	l := newItemLock(0)
-	if err := l.acquire(context.Background(), OpID{}, lockShared); err == nil {
+	if err := l.acquire(context.Background(), time.Now(), OpID{}, lockShared); err == nil {
 		t.Error("zero OpID accepted")
 	}
 }
@@ -113,7 +113,7 @@ func TestLockZeroOpRejected(t *testing.T) {
 func TestLockReleaseUnknownNoop(t *testing.T) {
 	l := newItemLock(0)
 	l.release(op(9, 9)) // must not panic or corrupt
-	if l.holderCount() != 0 {
+	if l.holderCount(time.Now()) != 0 {
 		t.Error("phantom holder")
 	}
 }
@@ -121,51 +121,168 @@ func TestLockReleaseUnknownNoop(t *testing.T) {
 func TestLockLeaseExpiry(t *testing.T) {
 	l := newItemLock(30 * time.Millisecond)
 	ctx := context.Background()
-	if err := l.acquire(ctx, op(1, 1), lockExclusive); err != nil {
+	if err := l.acquire(ctx, time.Now(), op(1, 1), lockExclusive); err != nil {
 		t.Fatal(err)
 	}
 	// A competitor blocked on the lock gets it once the lease passes.
 	start := time.Now()
-	if err := l.acquire(ctx, op(2, 1), lockExclusive); err != nil {
+	if err := l.acquire(ctx, time.Now(), op(2, 1), lockExclusive); err != nil {
 		t.Fatal(err)
 	}
 	if time.Since(start) < 20*time.Millisecond {
 		t.Error("lease expired too early")
 	}
-	if l.heldBy(op(1, 1), lockShared) {
+	if l.heldBy(time.Now(), op(1, 1), lockShared) {
 		t.Error("expired holder still held")
 	}
 }
 
+// t0 is where the hand-made clock of the lease tests starts. The lock takes
+// every reading from its caller, so these tests pass the times in instead of
+// sleeping; t0 lies decades back, so any reading the lock took for itself
+// would find every lease below long expired.
+var t0 = time.Unix(1_000_000, 0)
+
 func TestLockPinPreventsExpiry(t *testing.T) {
-	l := newItemLock(20 * time.Millisecond)
-	ctx := context.Background()
+	const lease = 20 * time.Millisecond
+	l := newItemLock(lease)
 	o := op(1, 1)
-	if err := l.acquire(ctx, o, lockExclusive); err != nil {
+	if err := l.acquire(context.Background(), t0, o, lockExclusive); err != nil {
 		t.Fatal(err)
 	}
-	if !l.pin(o) {
+	if !l.pin(t0.Add(lease/2), o) {
 		t.Fatal("pin failed")
 	}
-	ctx2, cancel := context.WithTimeout(ctx, 80*time.Millisecond)
-	defer cancel()
-	if err := l.acquire(ctx2, op(2, 1), lockExclusive); err == nil {
+	// Long after the lease a competitor still queues, and gives up: its
+	// context is over, and its own look at the (real) clock reaps nothing.
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := l.acquire(gone, t0.Add(100*lease), op(2, 1), lockExclusive); err == nil {
 		t.Fatal("pinned lock was stolen")
 	}
-	if !l.heldBy(o, lockExclusive) {
+	if !l.heldBy(t0.Add(100*lease), o, lockExclusive) {
 		t.Error("pinned holder lost the lock")
 	}
 }
 
 func TestLockPinAfterExpiryFails(t *testing.T) {
-	l := newItemLock(15 * time.Millisecond)
+	const lease = 15 * time.Millisecond
+	l := newItemLock(lease)
 	o := op(1, 1)
-	if err := l.acquire(context.Background(), o, lockExclusive); err != nil {
+	if err := l.acquire(context.Background(), t0, o, lockExclusive); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(40 * time.Millisecond)
-	if l.pin(o) {
+	// The pin judges the lease by its own caller's clock, not by the
+	// acquire's.
+	if l.pin(t0.Add(lease+25*time.Millisecond), o) {
 		t.Error("pin succeeded after lease expiry")
+	}
+	if err := l.acquire(context.Background(), t0, o, lockExclusive); err != nil {
+		t.Fatal(err)
+	}
+	if !l.pin(t0.Add(lease), o) {
+		t.Error("pin failed at the last instant of the lease")
+	}
+}
+
+// TestLockReleaseReadsNoClock: with nobody queued a release only removes its
+// own hold. Another holder whose lease has passed stays in the table until
+// the next visitor that brings a clock reaps it — and counts it.
+func TestLockReleaseReadsNoClock(t *testing.T) {
+	const lease = time.Second
+	reg := obs.New()
+	l := newItemLock(lease)
+	l.attachMetrics(reg)
+	ctx := context.Background()
+	a, b, c := op(1, 1), op(2, 1), op(3, 1)
+	for _, o := range []OpID{a, b} {
+		if err := l.acquire(ctx, t0, o, lockShared); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.release(a)
+	l.mu.Lock()
+	left := len(l.holders)
+	l.mu.Unlock()
+	if left != 1 || reg.Counter("replica_lock_expired_total").Load() != 0 {
+		t.Fatalf("after a release with no waiter: %d holders, %d expired; the release read a clock",
+			left, reg.Counter("replica_lock_expired_total").Load())
+	}
+	if err := l.acquire(ctx, t0.Add(2*lease), c, lockExclusive); err != nil {
+		t.Fatal(err)
+	}
+	if !l.heldBy(t0.Add(2*lease), c, lockExclusive) || l.holderCount(t0.Add(2*lease)) != 1 {
+		t.Error("the next acquire did not reap the expired hold")
+	}
+	if got := reg.Counter("replica_lock_expired_total").Load(); got != 1 {
+		t.Errorf("replica_lock_expired_total = %d, want 1", got)
+	}
+}
+
+// TestLockQueriesExpireOnDemand: heldBy and holderCount answer as of the
+// time they are given.
+func TestLockQueriesExpireOnDemand(t *testing.T) {
+	const lease = time.Second
+	reg := obs.New()
+	l := newItemLock(lease)
+	l.attachMetrics(reg)
+	a, b := op(1, 1), op(2, 1)
+	for _, o := range []OpID{a, b} {
+		if err := l.acquire(context.Background(), t0, o, lockShared); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !l.heldBy(t0.Add(lease), a, lockShared) || l.holderCount(t0.Add(lease)) != 2 {
+		t.Fatal("holds lost within their lease")
+	}
+	// A re-acquire renews a's lease from its own reading.
+	if err := l.acquire(context.Background(), t0.Add(lease), a, lockShared); err != nil {
+		t.Fatal(err)
+	}
+	if l.heldBy(t0.Add(lease+1), b, lockShared) {
+		t.Error("heldBy kept a hold past its lease")
+	}
+	if n := l.holderCount(t0.Add(lease + 1)); n != 1 {
+		t.Errorf("%d holders just past the first lease, want the renewed one", n)
+	}
+	if n := l.holderCount(t0.Add(2*lease + 1)); n != 0 {
+		t.Errorf("%d holders past every lease", n)
+	}
+	if got := reg.Counter("replica_lock_expired_total").Load(); got != 2 {
+		t.Errorf("replica_lock_expired_total = %d, want 2", got)
+	}
+}
+
+// TestLockAcquirePinned: a LockPrepare's acquisition is pinned in the same
+// visit, granted on arrival or from the queue, and unpin gives a hold that
+// staged nothing its lease back.
+func TestLockAcquirePinned(t *testing.T) {
+	const lease = time.Second
+	l := newItemLock(lease)
+	ctx := context.Background()
+	ops := agedOps(2)
+	first, second := ops[1], ops[0] // the older one waits for the younger
+	if _, err := l.acquireOrdered(ctx, t0, first, lockExclusive, true); err != nil {
+		t.Fatal(err)
+	}
+	if !l.heldBy(t0.Add(10*lease), first, lockExclusive) {
+		t.Fatal("a hold pinned on arrival expired")
+	}
+	l.unpin(t0.Add(10*lease), first)
+	if !l.heldBy(t0.Add(11*lease), first, lockExclusive) || l.heldBy(t0.Add(11*lease+1), first, lockShared) {
+		t.Error("an unpinned hold does not run one lease from the unpin")
+	}
+
+	if _, err := l.acquireOrdered(ctx, time.Now(), first, lockExclusive, false); err != nil {
+		t.Fatal(err)
+	}
+	done := queued(t, l, func() error { _, err := l.acquireOrdered(ctx, time.Now(), second, lockExclusive, true); return err })
+	l.release(first)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if !l.heldBy(time.Now().Add(10*lease), second, lockExclusive) {
+		t.Error("a hold pinned from the queue expired")
 	}
 }
 
@@ -180,7 +297,7 @@ func TestLockContention(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				o := op(nodeset.ID(w), uint64(i+1))
-				if err := l.acquire(context.Background(), o, lockExclusive); err != nil {
+				if err := l.acquire(context.Background(), time.Now(), o, lockExclusive); err != nil {
 					t.Error(err)
 					return
 				}
@@ -245,22 +362,22 @@ func TestOrderedLockWaitOrRefuse(t *testing.T) {
 	ops := agedOps(4)
 	oldest, middle, young, youngest := ops[0], ops[1], ops[2], ops[3]
 
-	if _, err := l.acquireOrdered(ctx, young, lockExclusive); err != nil {
+	if _, err := l.acquireOrdered(ctx, time.Now(), young, lockExclusive, false); err != nil {
 		t.Fatal(err)
 	}
 	// Younger than the holder: refused, naming it, nothing queued.
-	if by, err := l.acquireOrdered(ctx, youngest, lockExclusive); err != errLockRefused || by != young {
+	if by, err := l.acquireOrdered(ctx, time.Now(), youngest, lockExclusive, false); err != errLockRefused || by != young {
 		t.Fatalf("younger request: by=%v err=%v, want refusal by %v", by, err, young)
 	}
 	// Older than the holder: waits.
-	oldestDone := queued(t, l, func() error { _, err := l.acquireOrdered(ctx, oldest, lockExclusive); return err })
+	oldestDone := queued(t, l, func() error { _, err := l.acquireOrdered(ctx, time.Now(), oldest, lockExclusive, false); return err })
 	// Older than the holder but younger than the waiter: must not queue.
-	if by, err := l.acquireOrdered(ctx, middle, lockExclusive); err != errLockRefused || by != oldest {
+	if by, err := l.acquireOrdered(ctx, time.Now(), middle, lockExclusive, false); err != errLockRefused || by != oldest {
 		t.Fatalf("request behind an older waiter: by=%v err=%v, want refusal by %v", by, err, oldest)
 	}
 	// A shared request conflicts with nobody older once the holder leaves,
 	// but in a FIFO queue it too would wait behind the older waiter.
-	if by, err := l.acquireOrdered(ctx, middle, lockShared); err != errLockRefused || by != oldest {
+	if by, err := l.acquireOrdered(ctx, time.Now(), middle, lockShared, false); err != errLockRefused || by != oldest {
 		t.Fatalf("shared request behind an older waiter: by=%v err=%v, want refusal by %v", by, err, oldest)
 	}
 	l.release(young)
@@ -269,7 +386,7 @@ func TestOrderedLockWaitOrRefuse(t *testing.T) {
 	}
 	// The waiter, once granted from the queue, is an ordered holder like
 	// any other.
-	if by, err := l.acquireOrdered(ctx, middle, lockExclusive); err != errLockRefused || by != oldest {
+	if by, err := l.acquireOrdered(ctx, time.Now(), middle, lockExclusive, false); err != errLockRefused || by != oldest {
 		t.Fatalf("request against a holder granted from the queue: by=%v err=%v, want refusal by %v", by, err, oldest)
 	}
 	l.release(oldest)
@@ -292,13 +409,13 @@ func TestOrderedLockExemptsSingleSiteHolders(t *testing.T) {
 	ops := agedOps(3)
 	oldest, middle, youngest := ops[0], ops[1], ops[2]
 
-	if err := l.acquire(ctx, oldest, lockExclusive); err != nil {
+	if err := l.acquire(ctx, time.Now(), oldest, lockExclusive); err != nil {
 		t.Fatal(err)
 	}
-	orderedDone := queued(t, l, func() error { _, err := l.acquireOrdered(ctx, youngest, lockExclusive); return err })
+	orderedDone := queued(t, l, func() error { _, err := l.acquireOrdered(ctx, time.Now(), youngest, lockExclusive, false); return err })
 	// A second ordered request is still subject to the order among ordered
 	// ones: youngest is ahead of it in the queue, and younger, so it waits.
-	middleDone := queued(t, l, func() error { _, err := l.acquireOrdered(ctx, middle, lockExclusive); return err })
+	middleDone := queued(t, l, func() error { _, err := l.acquireOrdered(ctx, time.Now(), middle, lockExclusive, false); return err })
 	l.release(oldest)
 	if err := <-orderedDone; err != nil {
 		t.Fatal(err)
@@ -306,7 +423,7 @@ func TestOrderedLockExemptsSingleSiteHolders(t *testing.T) {
 	// An exempt request younger than nobody in particular queues behind the
 	// ordered holder and the ordered waiter.
 	exempt := op(7, 7)
-	exemptDone := queued(t, l, func() error { return l.acquire(ctx, exempt, lockShared) })
+	exemptDone := queued(t, l, func() error { return l.acquire(ctx, time.Now(), exempt, lockShared) })
 	l.release(youngest)
 	if err := <-middleDone; err != nil {
 		t.Fatal(err)
@@ -315,7 +432,7 @@ func TestOrderedLockExemptsSingleSiteHolders(t *testing.T) {
 	if err := <-exemptDone; err != nil {
 		t.Fatal(err)
 	}
-	if !l.heldBy(exempt, lockShared) {
+	if !l.heldBy(time.Now(), exempt, lockShared) {
 		t.Error("exempt request not granted after the ordered ones left")
 	}
 }
@@ -333,20 +450,20 @@ func TestOrderedLockSharedBehindExemptWaiter(t *testing.T) {
 	ops := agedOps(3)
 	oldest, middle, youngest := ops[0], ops[1], ops[2]
 
-	if _, err := l.acquireOrdered(ctx, middle, lockShared); err != nil {
+	if _, err := l.acquireOrdered(ctx, time.Now(), middle, lockShared, false); err != nil {
 		t.Fatal(err)
 	}
 	// Nothing queued: shared holders of any age share.
-	if _, err := l.acquireOrdered(ctx, youngest, lockShared); err != nil {
+	if _, err := l.acquireOrdered(ctx, time.Now(), youngest, lockShared, false); err != nil {
 		t.Fatalf("shared request beside a shared holder, empty queue: %v", err)
 	}
 	l.release(youngest)
-	pushDone := queued(t, l, func() error { return l.acquire(ctx, op(7, 7), lockExclusive) })
-	if by, err := l.acquireOrdered(ctx, youngest, lockShared); err != errLockRefused || by != middle {
+	pushDone := queued(t, l, func() error { return l.acquire(ctx, time.Now(), op(7, 7), lockExclusive) })
+	if by, err := l.acquireOrdered(ctx, time.Now(), youngest, lockShared, false); err != errLockRefused || by != middle {
 		t.Fatalf("younger shared request behind an exempt waiter: by=%v err=%v, want refusal by the holder %v", by, err, middle)
 	}
 	// An older one may wait for the holder, through the waiter or not.
-	oldestDone := queued(t, l, func() error { _, err := l.acquireOrdered(ctx, oldest, lockShared); return err })
+	oldestDone := queued(t, l, func() error { _, err := l.acquireOrdered(ctx, time.Now(), oldest, lockShared, false); return err })
 	l.release(middle)
 	if err := <-pushDone; err != nil {
 		t.Fatal(err)
@@ -367,21 +484,21 @@ func TestAcquireBehindReaders(t *testing.T) {
 	push, reader, writer := op(7, 7), op(1, 1), op(2, 1)
 
 	// Free lock: granted, exclusively.
-	if err := l.acquireBehindReaders(ctx, push); err != nil {
+	if err := l.acquireBehindReaders(ctx, time.Now(), push); err != nil {
 		t.Fatal(err)
 	}
-	if !l.heldBy(push, lockExclusive) {
+	if !l.heldBy(time.Now(), push, lockExclusive) {
 		t.Fatal("the grant is not exclusive")
 	}
 	l.release(push)
 
 	// Behind a reader: waits, and is granted when the reader leaves.
-	if err := l.acquire(ctx, reader, lockShared); err != nil {
+	if err := l.acquire(ctx, time.Now(), reader, lockShared); err != nil {
 		t.Fatal(err)
 	}
-	done := queued(t, l, func() error { return l.acquireBehindReaders(ctx, push) })
+	done := queued(t, l, func() error { return l.acquireBehindReaders(ctx, time.Now(), push) })
 	// Anybody queued, here the push itself, turns a second one away.
-	if err := l.acquireBehindReaders(ctx, op(7, 8)); err != errLockBusy {
+	if err := l.acquireBehindReaders(ctx, time.Now(), op(7, 8)); err != errLockBusy {
 		t.Fatalf("behind a queued waiter: %v, want errLockBusy", err)
 	}
 	l.release(reader)
@@ -391,11 +508,11 @@ func TestAcquireBehindReaders(t *testing.T) {
 	l.release(push)
 
 	// A writer holds it, pinned or not: refused at once, nothing queued.
-	if err := l.acquire(ctx, writer, lockExclusive); err != nil {
+	if err := l.acquire(ctx, time.Now(), writer, lockExclusive); err != nil {
 		t.Fatal(err)
 	}
-	l.pin(writer)
-	if err := l.acquireBehindReaders(ctx, push); err != errLockBusy {
+	l.pin(time.Now(), writer)
+	if err := l.acquireBehindReaders(ctx, time.Now(), push); err != errLockBusy {
 		t.Fatalf("behind a prepared writer: %v, want errLockBusy", err)
 	}
 	l.mu.Lock()
@@ -444,7 +561,7 @@ func TestOrderedLocksNeverDeadlock(t *testing.T) {
 					seq++
 					o := op(nodeset.ID(w), seq)
 					for k, i := range want {
-						if _, err := ls[i].acquireOrdered(ctx, o, lockExclusive); err != nil {
+						if _, err := ls[i].acquireOrdered(ctx, time.Now(), o, lockExclusive, false); err != nil {
 							for _, j := range want[:k] {
 								ls[j].release(o)
 							}

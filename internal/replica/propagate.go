@@ -23,6 +23,7 @@ import (
 // replica needs nothing from a source at version v, and otherwise lock the
 // replica, remember the propagation operation, and permit the transfer.
 func (it *Item) handlePropagationOffer(ctx context.Context, m PropagationOffer) (transport.Message, error) {
+	now := time.Now()
 	it.mu.Lock()
 	if it.recovering {
 		// Not yet readmitted by an epoch change: the source should retry
@@ -31,7 +32,7 @@ func (it *Item) handlePropagationOffer(ctx context.Context, m PropagationOffer) 
 		it.metrics.offerBusy.Inc()
 		return PropagationReply{Status: PropAlreadyRecovering}, nil
 	}
-	if !it.propOp.IsZero() && it.lock.heldBy(it.propOp, lockExclusive) {
+	if !it.propOp.IsZero() && it.lock.heldBy(now, it.propOp, lockExclusive) {
 		it.mu.Unlock()
 		it.metrics.offerBusy.Inc()
 		return PropagationReply{Status: PropAlreadyRecovering}, nil
@@ -44,7 +45,7 @@ func (it *Item) handlePropagationOffer(ctx context.Context, m PropagationOffer) 
 	// commit that is about to mark this replica stale: the source would
 	// drop the target permanently while the target still needs the data.
 	// Holding the lock serializes the offer after any prepared commit.
-	if err := it.lock.acquire(ctx, m.Op, lockExclusive); err != nil {
+	if err := it.lock.acquire(ctx, now, m.Op, lockExclusive); err != nil {
 		return nil, fmt.Errorf("replica %v/%s: propagation lock: %w", it.self, it.name, err)
 	}
 	it.mu.Lock()
@@ -62,7 +63,7 @@ func (it *Item) handlePropagationOffer(ctx context.Context, m PropagationOffer) 
 // handlePropagationData applies the shipped updates (or snapshot), clears
 // the stale flag, and releases the propagation lock.
 func (it *Item) handlePropagationData(m PropagationData) (transport.Message, error) {
-	if !it.lock.heldBy(m.Op, lockExclusive) {
+	if !it.lock.heldBy(time.Now(), m.Op, lockExclusive) {
 		return Ack{Reason: "propagation lock not held"}, nil
 	}
 	it.mu.Lock()
@@ -87,7 +88,7 @@ func (it *Item) handlePropagationData(m PropagationData) (transport.Message, err
 	if err != nil {
 		return Ack{Reason: err.Error()}, nil
 	}
-	return Ack{OK: true}, nil
+	return ackOK, nil
 }
 
 // enqueuePropagation records stale targets and ensures a single worker is

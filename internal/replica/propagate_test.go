@@ -106,7 +106,7 @@ func TestPropagationDataByUpdates(t *testing.T) {
 	if v, _ := h.item(1).Value(); string(v) != "Base" {
 		t.Errorf("target value = %q", v)
 	}
-	if h.item(1).lock.holderCount() != 0 {
+	if h.item(1).lock.holderCount(time.Now()) != 0 {
 		t.Error("target lock held after propagation")
 	}
 }
@@ -315,7 +315,7 @@ func TestPropagationAbandonOnSourceLockTimeout(t *testing.T) {
 	makeStale(t, h, []int{0}, []int{1}, Update{Data: []byte("a")}, 1)
 	// Hold the source's lock exclusively so the worker cannot read.
 	blocker := h.item(0).NextOp()
-	if err := h.item(0).lock.acquire(context.Background(), blocker, lockExclusive); err != nil {
+	if err := h.item(0).lock.acquire(context.Background(), time.Now(), blocker, lockExclusive); err != nil {
 		t.Fatal(err)
 	}
 	h.item(0).enqueuePropagation(nodeset.New(1))

@@ -41,7 +41,7 @@ func TestRefusedLockPrepareStagesNothing(t *testing.T) {
 	if n := stagedCount(it); n != 1 {
 		t.Errorf("%d staged actions, want only the winner's", n)
 	}
-	if it.lock.heldBy(loser, lockShared) || it.lock.holderCount() != 1 {
+	if it.lock.heldBy(time.Now(), loser, lockShared) || it.lock.holderCount(time.Now()) != 1 {
 		t.Error("the refused operation holds the lock")
 	}
 	// The winner is unaffected: it commits what it staged.
@@ -80,7 +80,7 @@ func TestRefusedRoundSpeculativeStagingCleaned(t *testing.T) {
 				h.call(t, 0, 1, Abort{Op: o})
 			}
 			waitFor(t, 2*time.Second, func() bool {
-				return stagedCount(member) == 0 && member.lock.holderCount() == 0
+				return stagedCount(member) == 0 && member.lock.holderCount(time.Now()) == 0
 			}, "speculative staging of a refused round never cleaned")
 			if _, v := member.Value(); v != 0 {
 				t.Errorf("a refused round's update was applied (version %d)", v)

@@ -41,12 +41,19 @@ func (s *Store) Value() []byte {
 // Len returns the current value's length in bytes.
 func (s *Store) Len() int { return len(s.value) }
 
-// Apply applies one committed update, increments the version, and logs the
-// update. It returns the new version.
+// Apply applies one committed update, increments the version, and logs a
+// copy of the update: u.Data stays the caller's. It returns the new version.
 func (s *Store) Apply(u Update) uint64 {
+	return s.applyOwned(u.clone())
+}
+
+// applyOwned is Apply for an update whose Data the store may keep — the
+// copy a prepare made when it staged the update — so that a write's bytes
+// are copied once per replica, not once to stage and again to log.
+func (s *Store) applyOwned(u Update) uint64 {
 	s.value = u.apply(s.value)
 	s.version++
-	s.log = append(s.log, u.clone())
+	s.log = append(s.log, u)
 	s.trim()
 	return s.version
 }

@@ -106,6 +106,40 @@ func TestRegisterPreservesAccounting(t *testing.T) {
 	}
 }
 
+// TestOneWayDeliveryAllocs: a one-way send costs its detached context — one
+// small object per SendAsync, shared by the whole fan-out — and a delivery
+// costs nothing, even when its handler asks the context for the trace tag as
+// every replica handler does. (context.WithoutCancel's context boxed itself
+// on each such lookup: one more object per delivery.)
+func TestOneWayDeliveryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime adds bookkeeping allocations")
+	}
+	n := NewNetwork(WithObs(obs.New()))
+	delivered := 0
+	for id := nodeset.ID(0); id < 9; id++ {
+		n.Register(id, func(ctx context.Context, from nodeset.ID, req Message) (Message, error) {
+			if obs.TraceFrom(ctx).Valid() {
+				delivered++
+			}
+			return nil, nil
+		})
+	}
+	ctx := obs.WithTrace(context.Background(), obs.TraceContext{TraceID: 7, SpanID: 1, Sampled: true})
+	var msg Message = "commit"
+	for _, fanout := range []int{1, 8} {
+		targets := nodeset.Range(1, nodeset.ID(1+fanout))
+		delivered = 0
+		allocs := testing.AllocsPerRun(200, func() { n.SendAsync(ctx, 0, targets, msg) })
+		if allocs != 1 {
+			t.Errorf("SendAsync to %d targets allocates %.1f objects, want 1 whatever the fan-out", fanout, allocs)
+		}
+		if delivered != 201*fanout {
+			t.Errorf("%d deliveries saw the trace tag, want %d", delivered, 201*fanout)
+		}
+	}
+}
+
 // TestMulticastFuncAllocs is the ISSUE's zero-allocation gate for the
 // fan-out path: point-to-point calls, single-target multicasts and — since
 // the legs run on warm workers — multi-target fan-outs must not allocate at

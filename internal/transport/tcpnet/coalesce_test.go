@@ -171,7 +171,8 @@ func TestFusedMessageEncodeDoesNotAllocate(t *testing.T) {
 // TestRingFlushPathDoesNotAllocate gates the queue-and-drain cycle
 // between a producer and the writer: steady-state enqueue, wakeup, and
 // batch gather reuse the ring slots and scratch slice — no per-frame
-// garbage.
+// garbage — and so does the real flush, writeRing on a connection that
+// discards, header of the vectored write included.
 func TestRingFlushPathDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is skewed under -race")
@@ -197,4 +198,40 @@ func TestRingFlushPathDoesNotAllocate(t *testing.T) {
 	}); allocs > 0.01 {
 		t.Errorf("ring enqueue+gather allocates %.2f objects per cycle, want 0", allocs)
 	}
+
+	n := New(nil)
+	defer n.Close()
+	conn := &discardConn{wrote: make(chan struct{}, 1)}
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		n.writeRing(conn, r, func() {})
+	}()
+	flush := func() {
+		f := getBuf()
+		f.b = append(f.b[:0], "frame-bytes"...)
+		if err := r.tryEnqueue(f); err != nil {
+			t.Fatal(err)
+		}
+		<-conn.wrote
+	}
+	flush() // the writer's own scratch and header, once per connection
+	// AllocsPerRun counts the whole process, the writer's goroutine included.
+	if allocs := testing.AllocsPerRun(1000, flush); allocs > 0.01 {
+		t.Errorf("ring enqueue+flush allocates %.2f objects per frame, want 0", allocs)
+	}
+	r.close()
+	<-exited
+}
+
+// discardConn is a connection whose writes succeed and go nowhere; each one
+// is announced on wrote.
+type discardConn struct {
+	net.Conn // nil: the writer only writes
+	wrote    chan struct{}
+}
+
+func (c *discardConn) Write(b []byte) (int, error) {
+	c.wrote <- struct{}{}
+	return len(b), nil
 }

@@ -232,6 +232,12 @@ func (r *outRing) close() {
 func (n *Network) writeRing(nc net.Conn, r *outRing, kill func()) {
 	scratch := make([]*frameBuf, 0, len(r.frames))
 	iov := make([][]byte, 0, len(r.frames))
+	// WriteTo advances the Buffers header as it consumes entries, so it
+	// gets a throwaway header over iov's backing array and iov itself stays
+	// reusable at full capacity. The header escapes through WriteTo's
+	// pointer receiver: declared here it is one object per connection,
+	// inside the loop it was one per flush.
+	var bufs net.Buffers
 	for {
 		batch, total, ok := r.gather(scratch)
 		if !ok {
@@ -270,10 +276,7 @@ func (n *Network) writeRing(nc net.Conn, r *outRing, kill func()) {
 		n.bytesSent.Add(uint64(total))
 		n.flushSize.Record(uint64(len(batch)))
 		n.writevBytes.Record(uint64(total))
-		// WriteTo advances the Buffers header as it consumes entries, so
-		// hand it a throwaway header over iov's backing array; iov itself
-		// stays reusable at full capacity.
-		bufs := net.Buffers(iov)
+		bufs = iov
 		_, err := bufs.WriteTo(nc)
 		for i, f := range batch {
 			putBuf(f)

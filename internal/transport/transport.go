@@ -446,7 +446,7 @@ func (n *Network) SendAsync(ctx context.Context, from nodeset.ID, targets nodese
 	// Per the AsyncSender contract the caller's cancellation and deadline
 	// do not apply; only the context's request-scoped values (e.g. trace
 	// tags) travel with the delivery.
-	sendCtx := context.WithoutCancel(ctx)
+	sendCtx := &detached{values: ctx}
 	if n.latency == nil {
 		var buf [16]nodeset.ID
 		for _, to := range targets.AppendIDs(buf[:0]) {
@@ -456,6 +456,17 @@ func (n *Network) SendAsync(ctx context.Context, from nodeset.ID, targets nodese
 	}
 	legWorkers.Go(leg{n: n, ctx: sendCtx, from: from, oneWay: targets.IDs(), req: req})
 }
+
+// detached carries a context's values past its cancellation and deadline,
+// as context.WithoutCancel does. It is a type of its own for its pointer
+// receiver: WithoutCancel's context is a struct value that boxes itself anew
+// on every Value call, one allocation per obs.TraceFrom in a handler.
+type detached struct{ values context.Context }
+
+func (*detached) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (*detached) Done() <-chan struct{}       { return nil }
+func (*detached) Err() error                  { return nil }
+func (d *detached) Value(key any) any         { return d.values.Value(key) }
 
 // deliverOneWay is one target's leg of SendAsync: the request journey of
 // call, with no reply journey back.
