@@ -168,7 +168,9 @@ profile-net:
 # dispatch and wire encode hot paths, the tcpnet frame codec, and the
 # weighted quorum pick
 # (alias-table sampling in coterie and the coordinator's pick wrapper) must
-# not allocate per operation, nor planning a write's push targets under the
+# not allocate per operation — with measured capacities too: a sim Call that
+# times itself into its destination's cell, a LoadTracker refresh and the
+# picks that follow — nor planning a write's push targets under the
 # capacity rule, nor tcpnet's flush itself (writeRing on a discarding
 # connection). The per-message budget rides here too: every nodeset.Set
 # operation on IDs below 64 allocates nothing; a bounded round allocates its
@@ -193,7 +195,7 @@ check-allocs:
 	$(GO) test -run 'TestZipfNextDoesNotAllocate|TestMixNextDoesNotAllocate' ./internal/workload/ $(allocgate)
 	$(GO) test -run 'TestShardOfDoesNotAllocate' ./internal/placement/ $(allocgate)
 	$(GO) test -run 'TestAliasPickAllocs' ./internal/coterie/ $(allocgate)
-	$(GO) test -run 'TestOptimizedPickAllocs|TestPushPlanningDoesNotAllocate' ./internal/core/ $(allocgate)
+	$(GO) test -run 'TestOptimizedPickAllocs|TestMeasuredCapacityAllocs|TestPushPlanningDoesNotAllocate' ./internal/core/ $(allocgate)
 
 # fuzz-smoke runs the wire-layer fuzzers briefly: every generated input
 # must either fail to decode or round-trip byte-identically (the canonical-

@@ -10,10 +10,10 @@
 //
 // The default view is one screen: cluster-merged counters and gauges,
 // the lock-conflict line (refused and rerun beside denied and expired),
-// the counter/gauge vectors (quorum pick counts by size, per-node
-// capacity and load-EWMA cells from the weighted strategies, per-shard
-// totals), the latency histograms' tails, per-shard route latency, and
-// hedge attribution.
+// the per-node capacity line of the weighted strategies (declared, used
+// by the last solve, predicted utilisation), the counter/gauge vectors
+// (quorum pick counts by size, load-EWMA cells, per-shard totals), the
+// latency histograms' tails, per-shard route latency, and hedge attribution.
 // Merging rules live in internal/capi (ScrapeCluster); cotop is a thin
 // renderer over them.
 package main
@@ -176,6 +176,12 @@ func printSummary(w io.Writer, cs *capi.ClusterSnapshot) {
 		meanCell(cs.Vecs["core_quorum_members_total"], cs.Vecs["core_quorum_rounds_total"], 0),
 		meanCell(cs.Vecs["core_quorum_members_total"], cs.Vecs["core_quorum_rounds_total"], 1))
 
+	// What the weighted strategies solve with, as means over the daemons
+	// publishing it: every daemon times its peers from where it sits.
+	if line := capacityLine(cs.Nodes); line != "" {
+		fmt.Fprintln(w, "capacity:", line)
+	}
+
 	gnames := make([]string, 0, len(cs.Gauges))
 	for name, v := range cs.Gauges {
 		if v != 0 {
@@ -272,6 +278,31 @@ func fmtVec[T uint64 | int64](vals []T) string {
 		fmt.Fprintf(&b, "%d:%d", i, v)
 	}
 	return b.String()
+}
+
+// capacityLine renders "n4 declared 0.100 used 0.004 util pred 0.310" for
+// every node some daemon declared a capacity for ("" without a weighted
+// strategy); a value no daemon has published yet is "-".
+func capacityLine(nodes []capi.NodeSnapshot) string {
+	var parts []string
+	for i := 0; ; i++ {
+		cell := [3]string{"-", "-", "-"}
+		for k, name := range [3]string{"core_node_declared_capacity_milli", "core_node_capacity_milli", "core_node_utilization_milli"} {
+			var sum, n float64
+			for _, nd := range nodes {
+				if vals := nd.GaugeVecs[name]; i < len(vals) {
+					sum, n = sum+float64(vals[i]), n+1
+				}
+			}
+			if n > 0 {
+				cell[k] = fmt.Sprintf("%.3f", sum/n/1000)
+			}
+		}
+		if cell[0] == "-" {
+			return strings.Join(parts, " | ")
+		}
+		parts = append(parts, fmt.Sprintf("n%d declared %s used %s util pred %s", i, cell[0], cell[1], cell[2]))
+	}
 }
 
 // meanCell renders sums[i]/counts[i] to two decimals, or "-" when the cell

@@ -37,10 +37,19 @@ func TestSummaryRendersMergedStrategyVectors(t *testing.T) {
 	r1.CounterVec("core_strategy_read_pick_total").At(2).Add(5)
 	r2.CounterVec("core_strategy_read_pick_total").At(0).Add(12)
 	r1.CounterVec("core_strategy_write_pick_total").At(1).Add(8)
-	// Both daemons publish the same declared capacity map; the merged
-	// cell is the cluster sum (2 nodes x 100 milli).
-	r1.GaugeVec("core_node_capacity_milli").At(4).Set(100)
-	r2.GaugeVec("core_node_capacity_milli").At(4).Set(100)
+	// Both daemons publish the same declared capacity map; each measured
+	// node 4 from where it sits, and only the first has solved twice and
+	// predicts a utilisation. The capacity line shows the means; the raw
+	// vectors below it stay cluster sums.
+	for _, r := range []*obs.Registry{r1, r2} {
+		for id := 0; id < 5; id++ {
+			r.GaugeVec("core_node_declared_capacity_milli").At(id).Set(1000)
+		}
+		r.GaugeVec("core_node_declared_capacity_milli").At(4).Set(100)
+	}
+	r1.GaugeVec("core_node_capacity_milli").At(4).Set(3)
+	r2.GaugeVec("core_node_capacity_milli").At(4).Set(5)
+	r1.GaugeVec("core_node_utilization_milli").At(4).Set(310)
 	r1.GaugeVec("core_endpoint_load_ewma").At(1).Set(7)
 	r1.GaugeVec("core_strategy_entropy_milli").At(0).Set(2100)
 	r1.Gauge("core_strategy_capacity_milli").Set(5400)
@@ -75,10 +84,12 @@ func TestSummaryRendersMergedStrategyVectors(t *testing.T) {
 		"gauges (cluster sum):",
 		"0:42 2:5", // read picks summed across both daemons
 		"1:8",      // write picks from the single daemon that had any
-		"4:200",    // capacity cells summed node-wise
-		"1:7",      // load EWMA passes through
-		"0:2100",   // read-distribution entropy
-		"5400",     // predicted capacity gauge
+		"4:8",      // used-capacity cells summed node-wise
+		"n0 declared 1.000 used 0.000 util pred 0.000 | ",
+		"n4 declared 0.100 used 0.004 util pred 0.310\n",
+		"1:7",    // load EWMA passes through
+		"0:2100", // read-distribution entropy
+		"5400",   // predicted capacity gauge
 		"lock conflicts: refused=42 rerun=17 denied=0 expired=0 decision-unknown=0",
 		"write-through: sent=400 applied=390 refused(gap)=10 refused(busy)=0 refused(stale)=0 refused(recovering)=0 skipped=100 | spec hit=97 miss=3",
 		"quorum size: read=- write=2.67 (mean members per round)",

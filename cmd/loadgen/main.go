@@ -624,7 +624,16 @@ func printSummary(w *os.File, snap obs.Snapshot) {
 			fmt.Fprintf(w, "%-45s %d\n", c.Name, c.Value)
 		}
 	}
-	for _, h := range snap.Histograms {
+	// A histogram vector (call times by destination) prints merged.
+	hists := snap.Histograms
+	for _, v := range snap.HistVecs {
+		var merged obs.HistogramSnapshot
+		for _, cell := range v.Hists {
+			merged = merged.Merge(cell)
+		}
+		hists = append(hists, obs.NamedHistogram{Name: v.Name, Hist: merged})
+	}
+	for _, h := range hists {
 		if h.Hist.Count == 0 {
 			continue
 		}

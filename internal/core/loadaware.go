@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"coterie/internal/coterie"
 	"coterie/internal/nodeset"
 	"coterie/internal/obs"
 	"coterie/internal/transport"
@@ -23,6 +24,19 @@ const (
 	// every operation; the interval (plus the TryLock) makes that a cheap
 	// atomic comparison for all but one caller per interval.
 	loadRefreshInterval = 5 * time.Millisecond
+
+	// callAlpha weighs the calls completed since the previous solve in a
+	// node's mean call time; minCallSamples is how many of them move it.
+	// Fewer are carried to the next solve: a node the solver steers around
+	// still answers the odd call, and a mean over two of them is noise.
+	callAlpha      = 0.5
+	minCallSamples = 8
+	// relaxAfter is how many solves in a row may leave a node's mean unmoved
+	// before it goes back towards what the declared capacity implies, half
+	// the remaining way (geometrically) per solve: a node priced out of every
+	// quorum yields no measurement that could show it has recovered. 25
+	// solves are 5 s by default; a probe costs a fraction of a percent.
+	relaxAfter = 25
 )
 
 // LoadTracker maintains a per-endpoint load estimate — an EWMA of the rate
@@ -40,6 +54,7 @@ type LoadTracker struct {
 	index  []int32 // node ID -> position+1 in ids; 0 = untracked
 	cells  []loadCell
 	gauges []*obs.Gauge // core_endpoint_load_ewma cells, aligned with ids
+	calls  []callCell   // measured call times, aligned with ids; under mu
 	// sample reads a node's cumulative served-request count; it is the
 	// transport's Served counter in production and a test seam here.
 	sample func(nodeset.ID) uint64
@@ -59,9 +74,19 @@ type loadCell struct {
 	_    [48]byte
 }
 
+// callCell is one destination's call time: an EWMA of per-solve means.
+type callCell struct {
+	hist               *obs.Histogram // transport.EndpointCallNs cell; nil on obs.Nop
+	seenSum, seenCount uint64         // hist at the previous solve
+	newSum, newCount   uint64         // completed since meanNs last moved
+	meanNs             float64        // 0 = no estimate yet
+	idle               int            // solves since meanNs last moved
+}
+
 // NewLoadTracker tracks the members' load on the given network, publishing
 // the estimates through reg's core_endpoint_load_ewma gauge vector
-// (indexed by node ID).
+// (indexed by node ID), and reads the network's per-destination call times
+// from it (transport.EndpointCallNs): reg is the registry net was given.
 func NewLoadTracker(net transport.Net, members nodeset.Set, reg *obs.Registry) *LoadTracker {
 	return newLoadTracker(members, net.Served, reg)
 }
@@ -79,13 +104,16 @@ func newLoadTracker(members nodeset.Set, sample func(nodeset.ID) uint64, reg *ob
 		index:  make([]int32, int(maxID)+2),
 		cells:  make([]loadCell, len(ids)),
 		gauges: make([]*obs.Gauge, len(ids)),
+		calls:  make([]callCell, len(ids)),
 		sample: sample,
 	}
 	vec := reg.GaugeVec("core_endpoint_load_ewma")
+	callNs := reg.HistogramVec(transport.EndpointCallNs)
 	for i, id := range ids {
 		t.index[id] = int32(i) + 1
 		t.cells[i].prev = sample(id)
 		t.gauges[i] = vec.At(int(id))
+		t.calls[i].hist = callNs.At(int(id))
 	}
 	now := time.Now().UnixNano()
 	t.prevT = now
@@ -164,4 +192,64 @@ func (t *LoadTracker) refreshLocked(now int64) {
 	}
 	t.prevT = now
 	t.last.Store(now)
+}
+
+// capacity advances the call-time estimates by one solve and returns the
+// capacities it should use: fastest mean / its mean for a node whose calls
+// have been timed, declared (1 when nil) for any other, declared itself when
+// nothing has been timed at all (obs.Nop, a nil tracker).
+func (t *LoadTracker) capacity(declared coterie.LoadFunc) coterie.LoadFunc {
+	if t == nil {
+		return declared
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	fastest := math.Inf(1)
+	for i := range t.calls {
+		c := &t.calls[i]
+		now := c.hist.Snapshot() // nil-safe: empty on obs.Nop
+		c.newCount += now.Count - c.seenCount
+		c.newSum += now.Sum - c.seenSum
+		c.seenCount, c.seenSum = now.Count, now.Sum
+		if c.newCount >= minCallSamples {
+			mean := float64(c.newSum) / float64(c.newCount)
+			if c.meanNs > 0 {
+				mean = callAlpha*mean + (1-callAlpha)*c.meanNs
+			}
+			c.meanNs, c.newSum, c.newCount, c.idle = mean, 0, 0, -1
+		}
+		if c.meanNs > 0 {
+			c.idle++
+			fastest = min(fastest, c.meanNs)
+		}
+	}
+	if math.IsInf(fastest, 1) {
+		return declared
+	}
+	caps := make([]float64, len(t.ids))
+	for i, id := range t.ids {
+		c := &t.calls[i]
+		caps[i] = capacityOf(declared, id)
+		if c.meanNs == 0 {
+			continue
+		}
+		if c.idle > relaxAfter && caps[i] > 0 {
+			c.meanNs = math.Sqrt(c.meanNs * fastest / caps[i])
+		}
+		caps[i] = fastest / c.meanNs
+	}
+	return func(id nodeset.ID) float64 {
+		if int(id) < len(t.index) && t.index[id] != 0 {
+			return caps[t.index[id]-1]
+		}
+		return capacityOf(declared, id)
+	}
+}
+
+// capacityOf is a node's declared capacity; nothing declared means 1.
+func capacityOf(declared coterie.LoadFunc, id nodeset.ID) float64 {
+	if declared == nil {
+		return 1
+	}
+	return declared(id)
 }

@@ -96,7 +96,8 @@ type strategyMetrics struct {
 	capacity    *obs.Gauge      // core_strategy_capacity_milli (predicted, ×1000)
 	rPickVec    *obs.CounterVec // core_strategy_read_pick_total by quorum size
 	wPickVec    *obs.CounterVec // core_strategy_write_pick_total by quorum size
-	nodeCap     *obs.GaugeVec   // core_node_capacity_milli by node ID
+	nodeCap     *obs.GaugeVec   // core_node_capacity_milli by node ID: what the last solve used
+	nodeUtil    *obs.GaugeVec   // core_node_utilization_milli by node ID: what it predicts
 }
 
 func newStrategyMetrics(r *obs.Registry) strategyMetrics {
@@ -108,13 +109,14 @@ func newStrategyMetrics(r *obs.Registry) strategyMetrics {
 		rPickVec:    r.CounterVec("core_strategy_read_pick_total"),
 		wPickVec:    r.CounterVec("core_strategy_write_pick_total"),
 		nodeCap:     r.GaugeVec("core_node_capacity_milli"),
+		nodeUtil:    r.GaugeVec("core_node_utilization_milli"),
 	}
 }
 
 // NewStrategyEngine builds one weighted-strategy engine for the given
-// member set. load may be nil (capacity-only solves); opts supplies the
-// strategy, capacity function, recompute interval and registry, exactly
-// as they would reach a coordinator.
+// member set. load may be nil (declared capacities only); opts supplies
+// the strategy, declared capacities, recompute interval and registry,
+// exactly as they would reach a coordinator.
 func NewStrategyEngine(all nodeset.Set, load *LoadTracker, opts Options) *StrategyEngine {
 	opts = opts.withDefaults()
 	s := &StrategyEngine{
@@ -131,17 +133,16 @@ func NewStrategyEngine(all nodeset.Set, load *LoadTracker, opts Options) *Strate
 		// between quorum sizes without overriding a genuine hot spot.
 		s.readBias = 0.02
 	}
-	// Publish configured capacities so capi scrapes and cotop can show the
-	// heterogeneity the solver is working with.
+	// Publish the declared capacities, so a scrape can set what the operator
+	// said beside what each solve measured and used (core_node_capacity_milli).
+	declared := opts.Obs.GaugeVec("core_node_declared_capacity_milli")
 	for _, id := range all.IDs() {
-		c := 1.0
-		if s.capacity != nil {
-			c = s.capacity(id)
-		}
-		s.metrics.nodeCap.At(int(id)).Set(int64(c * 1000))
+		declared.At(int(id)).Set(milli(capacityOf(s.capacity, id)))
 	}
 	return s
 }
+
+func milli(x float64) int64 { return int64(math.Round(x * 1000)) }
 
 // readFrac returns the observed read fraction of the registry's operation
 // counters, or 0.5 before enough samples exist.
@@ -262,18 +263,14 @@ func (s *StrategyEngine) recompute(lay *coterie.Layout, epoch nodeset.Set) {
 		s.lastSolve.Store(time.Now().UnixNano())
 		return
 	}
-	var loadFn coterie.LoadFunc
-	if s.load != nil {
-		s.load.maybeRefresh()
-		loadFn = s.load.Load
-	}
+	members := epoch.IDs()
+	capacity := s.load.capacity(s.capacity)
 	dist, err := coterie.Optimize(coterie.OptimizeInput{
 		Reads:        reads,
 		Writes:       writes,
-		Members:      epoch.IDs(),
+		Members:      members,
 		ReadFrac:     s.readFrac(),
-		Capacity:     s.capacity,
-		Load:         loadFn,
+		Capacity:     capacity,
 		ReadSizeBias: s.readBias,
 	})
 	if err != nil {
@@ -305,6 +302,10 @@ func (s *StrategyEngine) recompute(lay *coterie.Layout, epoch nodeset.Set) {
 	s.metrics.entropy.At(1).Set(int64(snap.wTable.Entropy() * 1000))
 	if dist.Capacity > 0 && !math.IsInf(dist.Capacity, 0) {
 		s.metrics.capacity.Set(int64(dist.Capacity * 1000))
+	}
+	for i, id := range members {
+		s.metrics.nodeCap.At(int(id)).Set(milli(capacityOf(capacity, id)))
+		s.metrics.nodeUtil.At(int(id)).Set(milli(dist.Utilization[i]))
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -204,20 +205,27 @@ func TestOptimizedStrategyCluster(t *testing.T) {
 					t.Errorf("counter %s missing or zero", name)
 				}
 			}
-			foundCap, foundEntropy := false, false
+			foundCap, foundEntropy, foundSolved := false, false, 0
 			for _, gv := range snap.GaugeVecs {
 				switch gv.Name {
-				case "core_node_capacity_milli":
+				case "core_node_declared_capacity_milli":
 					foundCap = true
-					if len(gv.Values) < 9 || gv.Values[4] != 250 {
-						t.Errorf("capacity gauge vec %v, want node 4 at 250", gv.Values)
+					if len(gv.Values) < 9 || gv.Values[4] != 250 || gv.Values[0] != 1000 {
+						t.Errorf("declared capacity gauge vec %v, want node 4 at 250 and node 0 at 1000", gv.Values)
+					}
+				case "core_node_capacity_milli", "core_node_utilization_milli":
+					// What the last solve used and predicted: measured
+					// where calls were timed, so only its shape is fixed.
+					foundSolved++
+					if len(gv.Values) != 9 || slices.Max(gv.Values) <= 0 || slices.Min(gv.Values) < 0 {
+						t.Errorf("%s = %v, want nine cells, none negative, one positive", gv.Name, gv.Values)
 					}
 				case "core_strategy_entropy_milli":
 					foundEntropy = true
 				}
 			}
-			if !foundCap {
-				t.Error("core_node_capacity_milli missing from snapshot")
+			if !foundCap || foundSolved != 2 {
+				t.Errorf("per-node capacity gauges missing from snapshot (declared %v, solved %d of 2)", foundCap, foundSolved)
 			}
 			if !foundEntropy {
 				t.Error("core_strategy_entropy_milli missing from snapshot")

@@ -9,9 +9,8 @@ import (
 
 // Quorum-distribution optimizer.
 //
-// Given the candidate read and write quorums a Layout admits, per-node
-// capacity weights, and (optionally) the live per-endpoint load the obs
-// layer measures, Optimize solves for a probability distribution over the
+// Given the candidate read and write quorums a Layout admits and per-node
+// capacity weights, Optimize solves for a probability distribution over the
 // candidates that maximizes sustainable throughput: the load-maximizing
 // weighted quorum systems of Whittaker et al. ("Read-Write Quorum Systems
 // Made Practical"), with WOC-style heterogeneous node weights.
@@ -49,14 +48,6 @@ type OptimizeInput struct {
 	// are clamped to a small epsilon so a mis-configured node is avoided
 	// rather than dividing by zero.
 	Capacity LoadFunc
-	// Load optionally returns node i's live EWMA request rate. When set,
-	// LoadBlend·load_i/Σload is added to node i's modeled utilization
-	// numerator, steering the solved distribution away from endpoints that
-	// are currently hot for reasons the model cannot see (other items,
-	// background work). It is a heuristic: our own steered traffic is part
-	// of that EWMA too, so the blend is kept below 1.
-	Load      LoadFunc
-	LoadBlend float64 // 0 means default 0.5; only used when Load != nil
 	// ReadSizeBias adds bias·|r| to each read candidate's price in the
 	// linear oracle, skewing read mass toward small (cheap) quorums — the
 	// read-dominant mode per Kumar & Agarwal. 0 disables. The solved
@@ -75,8 +66,7 @@ type Distribution struct {
 	ReadWeights  []float64
 	WriteWeights []float64
 	// Capacity is the predicted sustainable throughput 1/max_i u_i in
-	// multiples of a single unit-capacity node's rate (heuristic when Load
-	// is folded in).
+	// multiples of a single unit-capacity node's rate.
 	Capacity float64
 	// PeakUtil is max_i u_i at the solution, Utilization the per-member
 	// value (parallel to Members).
@@ -121,7 +111,6 @@ func Optimize(in OptimizeInput) (Distribution, error) {
 	n := len(in.Members)
 	index := make(map[nodeset.ID]int, n)
 	cap_ := make([]float64, n)
-	base := make([]float64, n)
 	for i, id := range in.Members {
 		index[id] = i
 		c := 1.0
@@ -132,28 +121,6 @@ func Optimize(in OptimizeInput) (Distribution, error) {
 			c = capEpsilon
 		}
 		cap_[i] = c
-	}
-	if in.Load != nil {
-		blend := in.LoadBlend
-		if blend <= 0 {
-			blend = 0.5
-		}
-		var sum float64
-		raw := make([]float64, n)
-		for i, id := range in.Members {
-			l := in.Load(id)
-			if l > 0 && l == l {
-				raw[i] = l
-				sum += l
-			}
-		}
-		if sum > 0 {
-			for i := range base {
-				// Per-op load share: scaled so Σ base = blend, matching the
-				// unit where one op distributes 1 expected touch per block.
-				base[i] = blend * raw[i] / sum
-			}
-		}
 	}
 
 	// Per-candidate member index lists, resolved once.
@@ -166,9 +133,7 @@ func Optimize(in OptimizeInput) (Distribution, error) {
 	price := make([]float64, n)
 
 	computeUtil := func() {
-		for i := range util {
-			util[i] = base[i]
-		}
+		clear(util)
 		for k, members := range rIdx {
 			w := fr * p[k]
 			for _, i := range members {

@@ -159,45 +159,6 @@ func TestOptimizeReadSizeBias(t *testing.T) {
 	}
 }
 
-// TestOptimizeLoadSteering: live load on one endpoint shifts mass away
-// from it even with homogeneous capacity.
-func TestOptimizeLoadSteering(t *testing.T) {
-	in := optInput(t, Majority{}, 5)
-	hot := nodeset.ID(2)
-	in.Load = func(id nodeset.ID) float64 {
-		if id == hot {
-			return 900
-		}
-		return 100
-	}
-	d, err := Optimize(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mass through the hot node must be below the average of the others.
-	touch := make(map[nodeset.ID]float64)
-	for k, q := range in.Reads {
-		for _, id := range q.IDs() {
-			touch[id] += 0.5 * d.ReadWeights[k]
-		}
-	}
-	for k, q := range in.Writes {
-		for _, id := range q.IDs() {
-			touch[id] += 0.5 * d.WriteWeights[k]
-		}
-	}
-	var others float64
-	for id, m := range touch {
-		if id != hot {
-			others += m
-		}
-	}
-	others /= 4
-	if touch[hot] >= others {
-		t.Errorf("hot node touch mass %v >= peer average %v: load steering failed", touch[hot], others)
-	}
-}
-
 // TestOptimizeDeterministic is the CI convergence gate: fixed inputs (the
 // "seed" fixes the pseudo-random capacity vector) must converge to the
 // identical distribution on every run, and to a peak utilization within

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -17,6 +18,11 @@ func ctxT2(t *testing.T) context.Context {
 	return ctx
 }
 
+// batchInitial is every harness item's first value: large enough that a
+// few logged one-byte updates cost less than the value, so the store keeps
+// them and propagation ships updates rather than a snapshot.
+var batchInitial = bytes.Repeat([]byte("12345678"), 32)
+
 // newBatchHarness builds n nodes each replicating every named item.
 func newBatchHarness(t *testing.T, n int, items []string, cfg Config) (*transport.Network, []*Node) {
 	t.Helper()
@@ -26,7 +32,7 @@ func newBatchHarness(t *testing.T, n int, items []string, cfg Config) (*transpor
 	for i := range nodes {
 		nodes[i] = NewNode(nodeset.ID(i), net, cfg)
 		for _, name := range items {
-			if _, err := nodes[i].AddItem(name, members, []byte("12345678")); err != nil {
+			if _, err := nodes[i].AddItem(name, members, batchInitial); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -132,7 +138,7 @@ func TestBatchPropagateOnceCatchesUp(t *testing.T) {
 			t.Errorf("item %s after round: %+v", name, s)
 		}
 		v, _ := nodes[1].Item(name).Value()
-		want := []byte("12345678")
+		want := bytes.Clone(batchInitial)
 		want[i] = byte('A' + i)
 		if string(v) != string(want) {
 			t.Errorf("item %s value %q, want %q", name, v, want)

@@ -83,7 +83,9 @@ func TestPropagationOfferStatuses(t *testing.T) {
 }
 
 func TestPropagationDataByUpdates(t *testing.T) {
-	h := newHarness(t, 2, []byte("base"), Config{})
+	// 64 bytes: a value the one logged update is cheaper to ship than.
+	base := append([]byte("base"), make([]byte, 60)...)
+	h := newHarness(t, 2, base, Config{})
 	makeStale(t, h, []int{0}, []int{1}, Update{Offset: 0, Data: []byte("B")}, 1)
 
 	o := h.item(0).NextOp()
@@ -103,7 +105,7 @@ func TestPropagationDataByUpdates(t *testing.T) {
 	if s.Stale || s.Version != 1 {
 		t.Errorf("target state = %+v", s)
 	}
-	if v, _ := h.item(1).Value(); string(v) != "Base" {
+	if v, _ := h.item(1).Value(); string(v[:4]) != "Base" || len(v) != len(base) {
 		t.Errorf("target value = %q", v)
 	}
 	if h.item(1).lock.holderCount(time.Now()) != 0 {
@@ -184,7 +186,7 @@ func TestAutomaticPropagationAfterWrite(t *testing.T) {
 // the offer/transfer tallies.
 func TestStalenessDurationHistogram(t *testing.T) {
 	r := obs.New()
-	h := newHarness(t, 3, []byte("...."), Config{PropagationRetry: 5 * time.Millisecond, Obs: r})
+	h := newHarness(t, 3, make([]byte, 64), Config{PropagationRetry: 5 * time.Millisecond, Obs: r})
 
 	o := h.item(0).NextOp()
 	u := Update{Offset: 0, Data: []byte("W")}

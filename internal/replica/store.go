@@ -8,7 +8,8 @@ import "fmt"
 // current replica can bring a stale one up to date by shipping only the
 // missing updates ("propagates missing updates to the target node", paper
 // Section 4.2). When the log has been truncated past what a target needs,
-// propagation falls back to a full snapshot.
+// propagation falls back to a full snapshot. The log is bounded by entries
+// and by bytes: a suffix dearer to ship than the value it patches is not kept.
 //
 // Store does no locking; the owning Item serializes access.
 type Store struct {
@@ -16,8 +17,12 @@ type Store struct {
 	version uint64
 	log     []Update // log[i] produced version logBase+1+i
 	logBase uint64   // version before the first logged update
+	logCost int      // Σ len(Data)+updateOverhead over log
 	maxLog  int      // log entries retained; <=0 means unbounded
 }
+
+// updateOverhead is a logged update's cost beyond its data: the log header.
+const updateOverhead = 32
 
 // NewStore returns a store at version 0 holding the given initial value
 // (which may be nil) and retaining at most maxLog update-log entries
@@ -54,25 +59,34 @@ func (s *Store) applyOwned(u Update) uint64 {
 	s.value = u.apply(s.value)
 	s.version++
 	s.log = append(s.log, u)
+	s.logCost += len(u.Data) + updateOverhead
 	s.trim()
 	return s.version
 }
 
+// trim drops the oldest entries while the log is longer than maxLog or
+// costs more than the value (UpdatesSince then sends the caller to the
+// snapshot), zeroing their headers so the Data buffers are collectable. A
+// short surviving window moves down in place; a long one slides and append
+// reallocates only when the backing array fills, so Applies pay amortized
+// O(1) per trim, not O(maxLog) (once a double-digit percent of replica CPU).
 func (s *Store) trim() {
-	if s.maxLog <= 0 || len(s.log) <= s.maxLog {
+	drop := 0
+	for s.maxLog > 0 && drop < len(s.log) && (len(s.log)-drop > s.maxLog || s.logCost > len(s.value)) {
+		s.logCost -= len(s.log[drop].Data) + updateOverhead
+		drop++
+	}
+	if drop == 0 {
 		return
 	}
-	drop := len(s.log) - s.maxLog
 	s.logBase += uint64(drop)
-	// Zero the dropped headers so their Data buffers are collectable, then
-	// slide the window instead of copying the survivors into a fresh
-	// slice: append reuses the tail capacity and reallocates only when the
-	// backing array fills, so a steady stream of Applies pays amortized
-	// O(1) per trim rather than O(maxLog) — at full write load the old
-	// copy-per-Apply showed up as double-digit percent of replica CPU.
-	for i := 0; i < drop; i++ {
-		s.log[i] = Update{}
+	if keep := len(s.log) - drop; keep <= 32 {
+		copy(s.log, s.log[drop:])
+		clear(s.log[keep:])
+		s.log = s.log[:keep]
+		return
 	}
+	clear(s.log[:drop])
 	s.log = s.log[drop:]
 }
 
@@ -134,7 +148,7 @@ func (s *Store) InstallSnapshot(value []byte, version uint64) {
 	copy(s.value, value)
 	s.version = version
 	s.log = nil
-	s.logBase = version
+	s.logBase, s.logCost = version, 0
 }
 
 // LogLen returns the number of retained log entries (for tests and

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 )
 
@@ -84,7 +85,7 @@ func TestStoreUpdatesSince(t *testing.T) {
 }
 
 func TestStoreLogTruncation(t *testing.T) {
-	s := NewStore(nil, 2)
+	s := NewStore(make([]byte, 256), 2)
 	for i := 0; i < 5; i++ {
 		s.Apply(Update{Offset: i, Data: []byte{byte(i)}})
 	}
@@ -97,6 +98,50 @@ func TestStoreLogTruncation(t *testing.T) {
 	}
 	if _, ok := s.UpdatesSince(2); ok {
 		t.Error("UpdatesSince(2) succeeded past truncation")
+	}
+}
+
+// TestStoreLogCheaperThanSnapshot is the byte bound as a property, over
+// random write sizes against values from 64 bytes to 4 KB: whatever run of
+// updates the store still offers a lagging target costs no more to ship
+// (data plus updateOverhead each) than the value itself, every version
+// inside the retained suffix is served from the log, every version before
+// it is refused so that its caller ships the snapshot, and the suffix is
+// never cut shorter than the bound requires.
+func TestStoreLogCheaperThanSnapshot(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, size := range []int{64, 300, 1024, 4096} {
+		s := NewStore(make([]byte, size), 1024)
+		for i := 0; i < 2000; i++ {
+			n := 1 + rng.Intn(size/4)
+			s.Apply(Update{Offset: rng.Intn(size - n + 1), Data: make([]byte, n)})
+
+			oldest := s.Version() - uint64(s.LogLen())
+			ups, ok := s.UpdatesSince(oldest)
+			if !ok || len(ups) != s.LogLen() {
+				t.Fatalf("size %d write %d: version %d is inside the suffix but got %d updates, ok=%v", size, i, oldest, len(ups), ok)
+			}
+			cost := 0
+			for _, u := range ups {
+				cost += len(u.Data) + updateOverhead
+			}
+			if cost > s.Len() {
+				t.Fatalf("size %d write %d: the log offers %d bytes of updates for a %d-byte value", size, i, cost, s.Len())
+			}
+			if oldest > 0 {
+				if _, ok := s.UpdatesSince(oldest - 1); ok {
+					t.Fatalf("size %d write %d: version %d is before the suffix and was served from the log", size, i, oldest-1)
+				}
+			}
+			// An entry costs at most size/4+updateOverhead, so a log that
+			// has been trimmed is within one entry of the bound.
+			if oldest > 0 && s.LogLen() < 1024 && cost+size/4+updateOverhead <= s.Len() {
+				t.Fatalf("size %d write %d: log holds %d of the %d bytes allowed, trimmed too far", size, i, cost, s.Len())
+			}
+		}
+		if s.LogLen() == 0 {
+			t.Errorf("size %d: nothing retained; small writes behind a larger value must stay logged", size)
+		}
 	}
 }
 

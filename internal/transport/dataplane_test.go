@@ -169,6 +169,9 @@ func testMulticastFuncAllocs(t *testing.T, n *Network) {
 	}); allocs != 0 {
 		t.Errorf("Call allocates %.1f objects per call, want 0", allocs)
 	}
+	if n.callNs != nil && n.callNs.Get(1).Count() < 200 {
+		t.Errorf("the gated calls were not timed: node 1's cell counts %d", n.callNs.Get(1).Count())
+	}
 
 	one := nodeset.New(3)
 	if allocs := testing.AllocsPerRun(200, func() {
@@ -234,8 +237,11 @@ func TestObsRegistryView(t *testing.T) {
 	if got := r.Counter("transport_calls_failed_total").Load(); got != 1 {
 		t.Errorf("calls_failed_total = %d, want 1", got)
 	}
-	if got := r.Histogram("transport_call_latency_ns").Count(); got != 5 {
-		t.Errorf("latency histogram count = %d, want 5", got)
+	// Completed calls are timed by destination; the failed one is not, so
+	// a crashed node never looks quick.
+	timed := r.HistogramVec(EndpointCallNs)
+	if n1, n2 := timed.Get(1).Count(), timed.Get(2).Count(); n1 != 3 || n2 != 1 {
+		t.Errorf("timed calls to node 1, node 2 = %d, %d, want 3, 1", n1, n2)
 	}
 
 	// ResetStats must clear the registry view too (same cells).

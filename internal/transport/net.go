@@ -36,6 +36,12 @@ type Net interface {
 	Served(id nodeset.ID) uint64
 }
 
+// EndpointCallNs names the histogram vector, by destination node ID, in which
+// a transport with a registry times every call that returned a reply (a
+// failure is not timed: a crashed peer must not look quick). It travels by
+// name through the registry, not through Net, so no decorator hides it.
+const EndpointCallNs = "transport_endpoint_call_ns"
+
 // AsyncSender is an optional Net capability: SendAsync delivers req to
 // every target one-way — no reply is collected and the caller never
 // blocks on the network. Delivery is best-effort: an unreachable peer or

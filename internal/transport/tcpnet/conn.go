@@ -331,10 +331,11 @@ func uvarintAt(b []byte, i int) (uint64, int) {
 // direction — rides the same socket, so a round's frames coalesce into
 // the same writev flush instead of splitting across sockets.
 type peer struct {
-	id   nodeset.ID
-	addr string
-	sent *obs.Counter
-	pool []peerSlot
+	id     nodeset.ID
+	addr   string
+	sent   *obs.Counter
+	callNs *obs.Histogram // transport.EndpointCallNs cell; nil without a registry
+	pool   []peerSlot
 }
 
 type peerSlot struct {

@@ -118,10 +118,9 @@ type Network struct {
 	served      *obs.CounterVec // per hosted node
 	sent        *obs.CounterVec // per remote peer, requests sent
 
-	// Present only with WithObs; recording on nil is a no-op and Call
-	// skips its clock reads entirely when latency is nil.
+	// Present only with WithObs; recording on nil is a no-op, and without
+	// a registry no call reads the clock (a peer's callNs cell is nil).
 	obsReg      *obs.Registry
-	callLatency *obs.Histogram
 	flushSize   *obs.Histogram
 	writevBytes *obs.Histogram
 	mcFanout    *obs.Histogram
@@ -222,7 +221,8 @@ func New(addrs map[nodeset.ID]string, opts ...Option) *Network {
 	}
 	n.peers = make([]*peer, maxID+1)
 	for id, addr := range addrs {
-		p := &peer{id: id, addr: addr, sent: n.sent.At(int(id))}
+		p := &peer{id: id, addr: addr, sent: n.sent.At(int(id)),
+			callNs: n.obsReg.HistogramVec(transport.EndpointCallNs).At(int(id))} // nil without a registry
 		p.pool = make([]peerSlot, n.poolSize)
 		n.peers[id] = p
 	}
@@ -241,7 +241,6 @@ func New(addrs map[nodeset.ID]string, opts ...Option) *Network {
 		n.obsReg.AdoptCounter("tcp_flush_stall_total", n.flushStalls)
 		n.obsReg.AdoptCounterVec("tcp_endpoint_served_total", n.served)
 		n.obsReg.AdoptCounterVec("tcp_peer_requests_sent_total", n.sent)
-		n.callLatency = n.obsReg.Histogram("tcp_call_latency_ns")
 		n.flushSize = n.obsReg.Histogram("tcp_flush_frames")
 		n.writevBytes = n.obsReg.Histogram("tcp_writev_bytes")
 		n.mcFanout = n.obsReg.Histogram("tcp_multicast_fanout")
@@ -350,16 +349,19 @@ func (n *Network) Register(id nodeset.ID, h transport.Handler) {
 // remote handler errors pass through as application errors.
 func (n *Network) Call(ctx context.Context, from, to nodeset.ID, req transport.Message) (transport.Message, error) {
 	n.calls.Inc()
+	// Only a call that leaves the process is timed: a hosted target is a
+	// function call, and timing it would make every remote peer look slow.
+	var cell *obs.Histogram
 	var start time.Time
-	if n.callLatency != nil {
-		start = time.Now()
+	if p := n.peerOf(to); p != nil && p.callNs != nil && n.local.Load().get(to) == nil {
+		cell, start = p.callNs, time.Now()
 	}
 	reply, err := n.call(ctx, from, to, req)
 	if err != nil && errors.Is(err, transport.ErrCallFailed) {
 		n.failed.Inc()
 	}
-	if n.callLatency != nil {
-		n.callLatency.Record(uint64(time.Since(start)))
+	if err == nil && cell != nil {
+		cell.Record(uint64(time.Since(start)))
 	}
 	return reply, err
 }
@@ -542,7 +544,7 @@ func (n *Network) MulticastFunc(ctx context.Context, from nodeset.ID, targets no
 	}
 
 	var start time.Time
-	if n.callLatency != nil {
+	if n.obsReg != nil {
 		start = time.Now()
 	}
 	if cap(sc.calls) < len(sc.ids) {
@@ -611,8 +613,8 @@ func (n *Network) MulticastFunc(ctx context.Context, from nodeset.ID, targets no
 		if err != nil && errors.Is(err, transport.ErrCallFailed) {
 			n.failed.Inc()
 		}
-		if n.callLatency != nil {
-			n.callLatency.Record(uint64(time.Since(start)))
+		if err == nil && n.obsReg != nil {
+			n.peers[sc.ids[i]].callNs.Record(uint64(time.Since(start)))
 		}
 		st.res = transport.Result{Reply: reply, Err: err}
 	}

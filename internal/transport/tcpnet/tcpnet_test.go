@@ -240,8 +240,8 @@ func TestPerCallBaseline(t *testing.T) {
 
 func TestObsAdoption(t *testing.T) {
 	reg := obs.New()
-	addrs := freeAddrs(t, 1)
-	book := map[nodeset.ID]string{1: addrs[0]}
+	addrs := freeAddrs(t, 2)
+	book := map[nodeset.ID]string{1: addrs[0], 2: addrs[1]} // nobody listens for node 2
 	srv := New(book)
 	srv.Register(1, echoHandler(nil))
 	if err := srv.Start(); err != nil {
@@ -256,7 +256,12 @@ func TestObsAdoption(t *testing.T) {
 	if got := reg.Counter("tcp_calls_total").Load(); got != 1 {
 		t.Errorf("tcp_calls_total=%d, want 1", got)
 	}
-	if reg.Histogram("tcp_call_latency_ns").Count() != 1 {
-		t.Error("call latency not recorded")
+	if _, err := cli.Call(context.Background(), 99, 2, replica.FetchValue{}); !errors.Is(err, transport.ErrCallFailed) {
+		t.Fatalf("call to a dead peer: %v, want ErrCallFailed", err)
+	}
+	// A reply is timed under its destination; a failure is not timed at all.
+	timed := reg.HistogramVec(transport.EndpointCallNs)
+	if n1, n2 := timed.Get(1).Count(), timed.Get(2).Count(); n1 != 1 || n2 != 0 {
+		t.Errorf("timed calls to node 1, node 2 = %d, %d, want 1, 0", n1, n2)
 	}
 }

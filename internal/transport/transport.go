@@ -93,9 +93,9 @@ type Network struct {
 
 	// Present only when WithObs attached a registry; recording on the nil
 	// defaults is a no-op, and Call skips its clock reads entirely.
-	obsReg      *obs.Registry // attached registry (nil when disabled)
-	callLatency *obs.Histogram
-	mcFanout    *obs.Histogram
+	obsReg   *obs.Registry     // attached registry (nil when disabled)
+	callNs   *obs.HistogramVec // EndpointCallNs: completed calls by destination
+	mcFanout *obs.Histogram
 
 	scratch sync.Pool // *mcScratch
 }
@@ -218,8 +218,8 @@ func WithCodec(encode func(Message) ([]byte, error), decode func([]byte) (Messag
 // WithObs attaches an observability registry. The network adopts its
 // traffic counters and per-endpoint served vector into the registry (they
 // exist and count regardless, backing Stats and Load) and additionally
-// records a per-call latency histogram and a multicast fan-out-width
-// histogram. Without this option no registry is attached and the extra
+// times every completed call into its destination's EndpointCallNs cell and
+// records a multicast fan-out-width histogram. Without this option the extra
 // histograms cost nothing — Call performs no clock reads for them.
 func WithObs(r *obs.Registry) Option {
 	return func(n *Network) { n.obsReg = r }
@@ -244,7 +244,7 @@ func NewNetwork(opts ...Option) *Network {
 		n.obsReg.AdoptCounterVec("transport_endpoint_served_total", n.served)
 		n.obsReg.AdoptCounter("transport_leg_spawn_total", &legWorkers.Spawned)
 		n.obsReg.AdoptGauge("transport_leg_workers_parked", &legWorkers.Parked)
-		n.callLatency = n.obsReg.Histogram("transport_call_latency_ns")
+		n.callNs = n.obsReg.HistogramVec(EndpointCallNs)
 		n.mcFanout = n.obsReg.Histogram("transport_multicast_fanout")
 	}
 	n.scratch.New = func() any { return new(mcScratch) }
@@ -279,6 +279,7 @@ func (n *Network) Register(id nodeset.ID, h Handler) {
 		copy(eps, old.eps)
 	}
 	ep := &endpoint{id: id, served: n.served.At(int(id)), rng: rand.New(rand.NewSource(streamSeed(n.seed, id)))}
+	n.callNs.At(int(id)) // Call records through the lock-free Get
 	ep.handler.Store(&h)
 	ep.up.Store(true)
 	eps[id] = ep
@@ -373,13 +374,15 @@ func (n *Network) sleepLatency(ctx context.Context, ep *endpoint) error {
 // returns ErrCallFailed when delivery is impossible (crashed endpoint,
 // partition, unknown node); handler errors pass through unchanged.
 func (n *Network) Call(ctx context.Context, from, to nodeset.ID, req Message) (Message, error) {
-	if n.trace == nil && n.callLatency == nil {
+	if n.trace == nil && n.callNs == nil {
 		return n.call(ctx, from, to, req)
 	}
 	start := time.Now()
 	reply, err := n.call(ctx, from, to, req)
 	elapsed := time.Since(start)
-	n.callLatency.RecordDuration(elapsed)
+	if err == nil {
+		n.callNs.Get(int(to)).RecordDuration(elapsed)
+	}
 	if n.trace != nil {
 		n.trace(TraceEvent{From: from, To: to, Request: req, Reply: reply, Err: err, Elapsed: elapsed})
 	}
