@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-bench vet race race-conflict race-legs bench-pair bench-pair-all bench bench-smoke bench-loadgen bench-obs bench-batch bench-net bench-shard bench-shard-smoke bench-trace bench-quorum bench-quorum-smoke profile-net check-obs-imports check-allocs check-admin fuzz-smoke ci
+.PHONY: all build test test-bench vet race race-conflict race-legs bench-pair bench-pair-all bench bench-smoke profile-net check-obs-imports check-allocs check-admin check-cluster check-clean fuzz-smoke ci
 
 all: build
 
@@ -68,80 +68,11 @@ bench-pair-all:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 
-# bench-loadgen is a short closed-loop data-plane smoke run (see README
-# "Load generator"): it proves cmd/loadgen builds and completes a mixed
-# read/partial-write run, not a measurement. Full methodology in
-# BENCH_2.json.
-bench-loadgen:
-	$(GO) run ./cmd/loadgen -duration 1s -items 8 -workers 4 -disjoint
-
 # bench produces benchstat-comparable numbers for the tracked hot paths
 # (see README "Benchmarks" for methodology).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkTable1Dynamic|BenchmarkSimAvailability' -benchmem -count=5 -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkQuorumMessages' -benchmem -count=5 -benchtime=50x .
-
-# bench-obs measures the observability overhead — loadgen with the full
-# registry + flight recorder vs obs.Nop, at GOMAXPROCS=1 and 4 — and writes
-# BENCH_3.json. The budget is 5% (DESIGN.md §7).
-bench-obs:
-	$(GO) run ./scripts/benchobs -duration 2s -trials 3
-
-# bench-batch measures the group-commit write pipeline — loadgen with
-# batching off vs on, contended and disjoint, at GOMAXPROCS=1 and 4 — and
-# writes BENCH_4.json. Gates: >= 1.5x contended at GOMAXPROCS=4, no
-# meaningful disjoint regression (DESIGN.md §8).
-bench-batch:
-	$(GO) run ./scripts/benchbatch -duration 2s -trials 3
-
-# bench-net measures the networked hot path — tcp-pipelined loadgen vs the
-# BENCH_5 baseline, a 1->4 core scaling curve at 8 workers per core, a
-# crash/recovery churn run, and a sim run for the sim-vs-TCP gap — and
-# writes BENCH_6.json. Gates: >= 3x BENCH_5 tcp-pipelined ops/sec at
-# GOMAXPROCS=1, monotone non-decreasing scaling, zero one-copy violations
-# under churn (DESIGN.md §10, EXPERIMENTS.md BENCH_6).
-bench-net:
-	$(GO) run ./scripts/benchnet -duration 3s -trials 3
-
-# bench-shard measures the horizontally sharded data plane — a million-key
-# Zipfian sweep over 4 daemons with stride-sampled one-copy checking, an
-# unsharded-vs-sharded throughput comparison on the same hardware, and a
-# hedged-reads run against a deliberately slow daemon — and writes
-# BENCH_7.json. Gates: full keyspace coverage with zero violations,
-# >= 1.8x sharded speedup, >= 30% read-p99 cut from hedging (DESIGN.md
-# §11, EXPERIMENTS.md BENCH_7).
-bench-shard:
-	$(GO) run ./scripts/benchshard -duration 5s -trials 2
-
-# bench-shard-smoke is the CI-sized version: a 2000-key sweep plus the
-# hedging section, gating coverage, zero violations and the p99 cut; no
-# report file.
-bench-shard-smoke:
-	$(GO) run ./scripts/benchshard -smoke
-
-# bench-trace measures the observability-plane overhead on the networked
-# data path — sharded TCP loadgen dark vs with per-daemon admin endpoints,
-# 1-in-16 trace sampling and the post-run cluster scrape — plus a hedged
-# run that must produce non-zero hedge-attribution counters, and writes
-# BENCH_8.json. Gate: <= 2% overhead (DESIGN.md §12).
-bench-trace:
-	$(GO) run ./scripts/benchtrace -duration 3s -trials 3
-
-# bench-quorum measures the capacity-optimized quorum strategies — a
-# strategy x workload loadgen matrix (uniform / zipf / slow-member /
-# 95%-read) at GOMAXPROCS=4 plus the predicted-vs-measured availability
-# table at the paper's Table 1 operating point — and writes BENCH_9.json.
-# Gates: optimized >= 1.15x load-aware ops/sec under tail injection with a
-# read p99 of at most 1.5 injected delays; read-dominant read p99 at most
-# 1.5 injected delays on the 95/5 mix (DESIGN.md §13, EXPERIMENTS.md BENCH_9).
-bench-quorum:
-	$(GO) run ./scripts/benchquorum -duration 3s -trials 3
-
-# bench-quorum-smoke is the CI-sized version: only the two gated
-# scenarios over the strategies the gates compare, with a short
-# availability horizon and no report file; fails on a gate miss.
-bench-quorum-smoke:
-	$(GO) run ./scripts/benchquorum -smoke
 
 # check-admin smokes the admin plane: an in-process 3-daemon cluster with
 # admin endpoints, fully-sampled client traffic, every route on every
@@ -149,14 +80,30 @@ bench-quorum-smoke:
 check-admin:
 	$(GO) run ./scripts/checkadmin
 
-# profile-net captures a CPU profile of the networked hot path: a
-# tcp-pipelined loadgen run serves pprof on 127.0.0.1:6161 (its daemons on
-# 6162+) and the client process is sampled mid-run. The flat top lands on
-# stdout; the raw profile stays under $$HOME/pprof for `go tool pprof`.
+# check-cluster runs the multi-process data plane twice and takes loadgen's
+# exit status as the verdict: three daemons under SIGKILL/respawn churn must
+# leave one-copy serializable histories, and a sweep of a sharded keyspace
+# must touch every key with none violated.
+check-cluster:
+	$(GO) run ./cmd/loadgen -net tcp -nodes 3 -items 2 -workers 4 -duration 5s -churn 800ms >/dev/null
+	$(GO) run ./cmd/loadgen -shards 8 -rf 2 -nodes 4 -keyspace 2000 -sweep -duration 2s >/dev/null
+
+# check-clean fails when `git status` is not empty — a tracked file changed,
+# or a file appeared that git neither tracks nor ignores: the stages before
+# it write no tracked file.
+check-clean:
+	@dirty=$$(git status --porcelain); \
+	if [ -n "$$dirty" ]; then echo "check-clean: the tree is not clean:"; echo "$$dirty"; exit 1; fi; \
+	echo "check-clean: git status is empty"
+
+# profile-net captures a CPU profile of the networked hot path: a tcp-mode
+# loadgen run serves pprof on 127.0.0.1:6161 (its daemons on 6162+) and the
+# client process is sampled mid-run. The flat top lands on stdout; the raw
+# profile stays under $$HOME/pprof for `go tool pprof`.
 profile-net:
 	$(GO) build -o /tmp/coterie-loadgen ./cmd/loadgen
 	/tmp/coterie-loadgen -duration 18s -nodes 3 -items 8 -workers 8 -disjoint \
-		-read-frac 0.5 -net tcp -pipeline=true -pprof 6161 >/dev/null & \
+		-read-frac 0.5 -net tcp -pprof 6161 >/dev/null & \
 	sleep 3 && $(GO) tool pprof -top -nodecount 25 \
 		-seconds 10 http://127.0.0.1:6161/debug/pprof/profile; wait
 
@@ -192,7 +139,7 @@ check-allocs:
 	$(GO) test -run 'TestMuxDispatchDoesNotAllocate|TestMulticastFuncAllocs|TestOneWayDeliveryAllocs|TestLegsSteadyStateIsFree|TestLegsParkedBounded' ./internal/transport/ $(allocgate)
 	$(GO) test -run 'TestAppendMarshalDoesNotAllocate|TestAppendTraceContextDoesNotAllocate|TestDecodeTraceContextDoesNotAllocate' ./internal/wire/ $(allocgate)
 	$(GO) test -run 'TestRequestFrameEncodeDoesNotAllocate|TestReplyFrameEncodeDoesNotAllocate|TestFusedMessageEncodeDoesNotAllocate|TestRingFlushPathDoesNotAllocate|TestTracedRequestFrameEncodeDoesNotAllocate' ./internal/transport/tcpnet/ $(allocgate)
-	$(GO) test -run 'TestZipfNextDoesNotAllocate|TestMixNextDoesNotAllocate' ./internal/workload/ $(allocgate)
+	$(GO) test -run 'TestZipfNextDoesNotAllocate' ./internal/workload/ $(allocgate)
 	$(GO) test -run 'TestShardOfDoesNotAllocate' ./internal/placement/ $(allocgate)
 	$(GO) test -run 'TestAliasPickAllocs' ./internal/coterie/ $(allocgate)
 	$(GO) test -run 'TestOptimizedPickAllocs|TestMeasuredCapacityAllocs|TestPushPlanningDoesNotAllocate' ./internal/core/ $(allocgate)
@@ -216,4 +163,4 @@ check-obs-imports:
 	fi; \
 	echo "check-obs-imports: internal/obs is clean"
 
-ci: vet build test-bench check-obs-imports check-allocs check-admin fuzz-smoke race race-conflict race-legs bench-smoke bench-loadgen bench-obs bench-batch bench-net bench-shard-smoke bench-quorum-smoke
+ci: vet build test-bench check-obs-imports check-allocs check-admin check-cluster fuzz-smoke race race-conflict race-legs bench-smoke check-clean

@@ -7,8 +7,8 @@
 //	coteried -node 0 -cluster 0=127.0.0.1:7000,1=127.0.0.1:7001,2=127.0.0.1:7002 -items 4
 //
 // On startup the daemon prints "READY <node> <addr>" to stdout once it is
-// serving; spawning harnesses (cmd/loadgen -net tcp, scripts/benchnet)
-// wait for that line. SIGINT/SIGTERM shut it down gracefully.
+// serving; a spawning harness (cmd/loadgen -net tcp) waits for that line.
+// SIGINT/SIGTERM shut it down gracefully.
 //
 // A restarted daemon has lost its in-memory replica state; restart it
 // with -recovering so it rejoins as the paper's recovering replica

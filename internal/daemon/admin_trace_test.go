@@ -28,7 +28,6 @@ func startTracedCluster(t *testing.T, n, shards, rf int) (map[nodeset.ID]string,
 			Addrs:       book,
 			ItemSize:    32,
 			CallTimeout: 2 * time.Second,
-			Pipeline:    true,
 			Shards:      shards,
 			RF:          rf,
 			Obs:         true,

@@ -37,8 +37,7 @@ func ParseFlags(args []string) (Config, error) {
 	fs.IntVar(&cfg.GroupCommit.MaxBatch, "batch-max", 0, "max writes merged per batched round (0 = default)")
 	fs.IntVar(&cfg.GroupCommit.MaxQueue, "batch-queue", 0, "combiner queue depth (0 = default)")
 	fs.BoolVar(&cfg.BatchProp, "batch-prop", false, "batch stale propagation per target node")
-	fs.IntVar(&cfg.PoolSize, "pool", 0, "pipelined connections per peer (0 = default)")
-	fs.BoolVar(&cfg.Pipeline, "pipeline", true, "multiplex calls over persistent connections (false = dial per call)")
+	fs.IntVar(&cfg.PoolSize, "pool", 0, "connections per peer (0 = default)")
 	fs.BoolVar(&cfg.Obs, "obs", true, "attach the observability registry")
 	fs.StringVar(&cfg.MetricsAddr, "metrics", "", "serve live metrics over HTTP on this address")
 	fs.StringVar(&cfg.PprofAddr, "pprof", "", "serve net/http/pprof profiling on this address")

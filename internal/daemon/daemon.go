@@ -101,10 +101,10 @@ type Config struct {
 	GroupCommit core.GroupCommitOptions
 	// BatchProp batches stale propagation per target node.
 	BatchProp bool
-	// PoolSize is the pipelined-connections-per-peer count (0 = default).
+	// PoolSize is the connections-per-peer count (0 = default).
 	PoolSize int
-	// Pipeline toggles transport pipelining (default true); the per-call
-	// baseline is only for benchmarks.
+	// Pipeline is read by nothing: the transport has one call mode. The
+	// field remains only because bench/tcp.go still sets it.
 	Pipeline bool
 	// Obs attaches a metrics registry; MetricsAddr additionally serves it
 	// over HTTP.
@@ -224,7 +224,7 @@ func Start(cfg Config) (*Daemon, error) {
 		reg = obs.New()
 		reg.SetFlight(obs.NewFlightRecorder(256))
 	}
-	topts := []tcpnet.Option{tcpnet.WithPipeline(cfg.Pipeline)}
+	var topts []tcpnet.Option
 	if reg != obs.Nop {
 		topts = append(topts, tcpnet.WithObs(reg))
 	}

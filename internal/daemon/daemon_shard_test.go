@@ -23,7 +23,6 @@ func startShardCluster(t *testing.T, n, shards, rf, maxCoords int) (map[nodeset.
 			Addrs:       book,
 			ItemSize:    32,
 			CallTimeout: 2 * time.Second,
-			Pipeline:    true,
 			Shards:      shards,
 			RF:          rf,
 			MaxCoords:   maxCoords,

@@ -43,7 +43,6 @@ func startCluster(t *testing.T, n int) (map[nodeset.ID]string, []*Daemon) {
 			Items:       ItemNames(2),
 			ItemSize:    32,
 			CallTimeout: 2 * time.Second,
-			Pipeline:    true,
 		})
 		if err != nil {
 			t.Fatalf("daemon %d: %v", i, err)
@@ -134,7 +133,6 @@ func TestDaemonRecoveringStartsQuarantined(t *testing.T) {
 		Items:       ItemNames(2),
 		ItemSize:    32,
 		CallTimeout: 2 * time.Second,
-		Pipeline:    true,
 		Recovering:  true,
 	})
 	if err != nil {
@@ -172,5 +170,37 @@ func TestDaemonRecoveringStartsQuarantined(t *testing.T) {
 	}
 	if v, _ := d2.Item("item-0").Value(); string(v) != string(want) {
 		t.Fatalf("rebuilt value = %q, want %q", v, want)
+	}
+}
+
+// TestZeroConfigKeepsConnections: a Config that names only what a daemon
+// cannot guess must still get the transport's one call mode — pooled,
+// multiplexed connections — so a hundred calls to a peer dial at most a
+// pool's worth of sockets, not a hundred.
+func TestZeroConfigKeepsConnections(t *testing.T) {
+	book := freeAddrs(t, 2)
+	daemons := make([]*Daemon, 2)
+	for i := range daemons {
+		d, err := Start(Config{Self: nodeset.ID(i), Addrs: book, Items: ItemNames(1), Obs: true})
+		if err != nil {
+			t.Fatalf("daemon %d: %v", i, err)
+		}
+		t.Cleanup(d.Close)
+		daemons[i] = d
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	for i := 0; i < 100; i++ {
+		reply, err := daemons[0].Net.Call(ctx, 0, 1, capi.Read{Item: "item-0"})
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if rr := reply.(capi.ReadReply); rr.Status != capi.StatusOK {
+			t.Fatalf("call %d: reply %+v", i, rr)
+		}
+	}
+	const poolSize = 2 // tcpnet's default connections per peer
+	if dials := daemons[0].Reg.Counter("tcp_dials_total").Load(); dials == 0 || dials > poolSize {
+		t.Errorf("100 calls to one peer dialed %d times, want 1..%d", dials, poolSize)
 	}
 }

@@ -145,8 +145,7 @@ type NamedRule struct {
 }
 
 // StrategyMatrix evaluates every rule × strategy cell at n nodes and
-// per-node availability p — the analytic half of the BENCH_9 scenario
-// matrix (scripts/benchquorum measures the other half under churn).
+// per-node availability p.
 func StrategyMatrix(rules []NamedRule, n int, p float64) ([]StrategyCell, error) {
 	cells := make([]StrategyCell, 0, len(rules)*len(StrategyNames()))
 	for _, nr := range rules {

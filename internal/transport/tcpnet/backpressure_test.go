@@ -58,7 +58,7 @@ func TestBackpressureSaturation(t *testing.T) {
 
 	reg := obs.New()
 	book := map[nodeset.ID]string{0: "127.0.0.1:0", 1: ln.Addr().String()}
-	n := New(book, WithPipeline(true), WithObs(reg))
+	n := New(book, WithObs(reg))
 	n.outQueue = 2 // tiny ring so saturation needs only a few frames
 	defer n.Close()
 

@@ -69,7 +69,7 @@ func TestCoalescedFlushByteEquality(t *testing.T) {
 	// All frames are queued before the writer starts, so the first gather
 	// drains the whole ring into a single net.Buffers flush.
 	reg := obs.New()
-	n := New(map[nodeset.ID]string{}, WithPipeline(true), WithObs(reg))
+	n := New(map[nodeset.ID]string{}, WithObs(reg))
 	r := newOutRing(len(frames), n.flushStalls, n.outDepth)
 	for _, f := range frames {
 		if err := r.enqueue(ctx, f); err != nil {

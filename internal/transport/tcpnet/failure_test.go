@@ -35,16 +35,6 @@ func TestCallFailureMapping(t *testing.T) {
 			},
 		},
 		{
-			name: "connection refused per-call mode",
-			run: func(t *testing.T) error {
-				addrs := freeAddrs(t, 1)
-				cli := New(map[nodeset.ID]string{1: addrs[0]}, WithPipeline(false), WithDialTimeout(250*time.Millisecond))
-				defer cli.Close()
-				_, err := cli.Call(context.Background(), 99, 1, ping)
-				return err
-			},
-		},
-		{
 			name: "peer killed mid-call",
 			run: func(t *testing.T) error {
 				addrs := freeAddrs(t, 1)

@@ -2,7 +2,6 @@ package tcpnet
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -199,50 +198,4 @@ func (sc *serverConn) reply(corr uint64, reply transport.Message, herr error) {
 	if err := sc.out.enqueue(nil, f); err != nil {
 		putBuf(f) // caller is gone; it will see ErrCallFailed from its side
 	}
-}
-
-// readFrameConn reads one frame directly from an unbuffered connection —
-// the per-call baseline's reply read, where a windowed reader per
-// throwaway connection would be waste.
-func readFrameConn(nc net.Conn) (*frameBuf, error) {
-	var hdr [lenSize]byte
-	if _, err := io.ReadFull(nc, hdr[:]); err != nil {
-		return nil, err
-	}
-	size := beUint32(hdr[:])
-	if size == 0 || size > maxFrameSize {
-		return nil, errFrameSize
-	}
-	f := getBuf()
-	if cap(f.b) < int(size) {
-		f.b = make([]byte, size)
-	}
-	f.b = f.b[:size]
-	if _, err := io.ReadFull(nc, f.b); err != nil {
-		putBuf(f)
-		return nil, err
-	}
-	return f, nil
-}
-
-func beUint32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-// decodePerConn turns the baseline path's reply frame into a message or
-// application error, mirroring the pipelined reader's decode without a
-// connection to retire.
-func decodePerConn(f *frameBuf, kind byte, off int) (transport.Message, error) {
-	payload := f.b[off:]
-	if kind == frameError {
-		err := fmt.Errorf("%s", string(payload))
-		putBuf(f)
-		return nil, err
-	}
-	msg, err := wire.Unmarshal(payload)
-	putBuf(f)
-	if err != nil {
-		return nil, transport.ErrCallFailed
-	}
-	return msg, nil
 }

@@ -43,10 +43,6 @@
 //   - Recovery: a connection dies as a unit on its first I/O error,
 //     failing in-flight calls with ErrCallFailed. The pool slot re-dials
 //     on the next call, so a restarted peer is reached transparently.
-//
-// With pipelining disabled (WithPipeline(false)) every call dials a fresh
-// connection, issues one request, and closes — the classic
-// connection-per-call baseline that scripts/benchnet compares against.
 package tcpnet
 
 import (
@@ -86,7 +82,6 @@ type Network struct {
 	local   atomic.Pointer[localTable]
 
 	peers    []*peer // indexed by node ID; nil = no address known
-	pipeline bool
 	poolSize int
 	outQueue int // writer-ring depth per connection
 
@@ -157,13 +152,7 @@ type Option func(*Network)
 // recorded.
 func WithObs(r *obs.Registry) Option { return func(n *Network) { n.obsReg = r } }
 
-// WithPipeline toggles request pipelining. Enabled (the default), calls
-// multiplex over pooled persistent connections. Disabled, every call
-// dials, sends one request, and closes — the baseline benchmarked by
-// scripts/benchnet.
-func WithPipeline(enabled bool) Option { return func(n *Network) { n.pipeline = enabled } }
-
-// WithPoolSize sets how many pipelined connections are kept per peer.
+// WithPoolSize sets how many connections are kept per peer.
 func WithPoolSize(k int) Option {
 	return func(n *Network) {
 		if k > 0 {
@@ -185,7 +174,6 @@ func WithDialTimeout(d time.Duration) Option {
 // until Start (server side) or the first Call (client side).
 func New(addrs map[nodeset.ID]string, opts ...Option) *Network {
 	n := &Network{
-		pipeline:    true,
 		poolSize:    defaultPoolSize,
 		outQueue:    outQueueLen,
 		dialTimeout: defaultDialTimeout,
@@ -261,8 +249,7 @@ var (
 // request frame with the one-way correlation ID, so the peer serves it
 // and sends nothing back; the enqueue never blocks (a saturated ring
 // drops the send — it is best-effort by contract, and the writer is
-// behind by a full ring anyway). Per-call mode falls back to a throwaway
-// goroutine running an ordinary call whose reply is discarded.
+// behind by a full ring anyway).
 //
 // ctx contributes only its steering key and trace context to the outgoing
 // frames (the trace is what lets one-way commits and push-throughs land in
@@ -295,14 +282,6 @@ func (n *Network) SendAsync(ctx context.Context, from nodeset.ID, targets nodese
 			continue
 		}
 		p.sent.Inc()
-		if !n.pipeline {
-			go func(to nodeset.ID) {
-				callCtx, cancel := context.WithTimeout(sendCtx, n.dialTimeout)
-				defer cancel()
-				n.call(callCtx, from, to, req) //nolint:errcheck // one-way: outcome is discarded
-			}(id)
-			continue
-		}
 		c, err := p.conn(sendCtx, n, from)
 		if err != nil {
 			continue
@@ -344,9 +323,9 @@ func (n *Network) Register(id nodeset.ID, h transport.Handler) {
 
 // Call issues one RPC. Local targets (hosted in this process) dispatch
 // directly on the caller's goroutine, exactly as the simulator does;
-// remote targets go over a pipelined connection (or a fresh one in
-// per-call mode). Delivery failures return transport.ErrCallFailed;
-// remote handler errors pass through as application errors.
+// remote targets go over a pooled, multiplexed connection. Delivery
+// failures return transport.ErrCallFailed; remote handler errors pass
+// through as application errors.
 func (n *Network) Call(ctx context.Context, from, to nodeset.ID, req transport.Message) (transport.Message, error) {
 	n.calls.Inc()
 	// Only a call that leaves the process is timed: a hosted target is a
@@ -378,9 +357,6 @@ func (n *Network) call(ctx context.Context, from, to nodeset.ID, req transport.M
 		return nil, transport.ErrCallFailed // no address for target
 	}
 	p.sent.Inc()
-	if !n.pipeline {
-		return n.callPerConn(ctx, from, p.addr, req)
-	}
 	c, err := p.conn(ctx, n, from)
 	if err != nil {
 		return nil, transport.ErrCallFailed
@@ -418,73 +394,18 @@ func (n *Network) Stats() transport.Stats {
 	}
 }
 
-// callPerConn is the pipelining-disabled baseline: dial, one request, one
-// reply, close. SetLinger(0) closes with RST so a benchmark's thousands
-// of short-lived connections do not exhaust ephemeral ports in TIME_WAIT.
-func (n *Network) callPerConn(ctx context.Context, from nodeset.ID, addr string, req transport.Message) (transport.Message, error) {
-	n.dials.Inc()
-	d := net.Dialer{Timeout: n.dialTimeout}
-	nc, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		n.dialErrors.Inc()
-		return nil, transport.ErrCallFailed
-	}
-	defer nc.Close()
-	if tc, ok := nc.(*net.TCPConn); ok {
-		tc.SetLinger(0)
-		tc.SetNoDelay(true)
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		nc.SetDeadline(dl)
-	}
-	f := getBuf()
-	if err := appendRequest(f, 1, from, ctx, req); err != nil {
-		putBuf(f)
-		if errors.Is(err, context.DeadlineExceeded) {
-			return nil, transport.ErrCallFailed
-		}
-		return nil, err
-	}
-	n.flushes.Inc()
-	n.framesSent.Inc()
-	n.bytesSent.Add(uint64(len(f.b)))
-	if _, err := nc.Write(f.b); err != nil {
-		putBuf(f)
-		return nil, transport.ErrCallFailed
-	}
-	putBuf(f)
-	rf, err := readFrameConn(nc)
-	if err != nil {
-		return nil, transport.ErrCallFailed
-	}
-	n.framesRecv.Inc()
-	n.bytesRecv.Add(uint64(len(rf.b)) + lenSize)
-	kind := rf.b[0]
-	_, k := uvarintAt(rf.b, 1)
-	if k <= 0 || (kind != frameReply && kind != frameError) {
-		putBuf(rf)
-		return nil, transport.ErrCallFailed
-	}
-	return decodePerConn(rf, kind, 1+k)
-}
-
-// Result re-exported shape: see transport.Result.
-
 // mcScratch is the pooled working set of one multicast fan-out: target
-// list, per-target call state, and (per-call mode only) the joining
-// WaitGroup of the goroutine fallback.
+// list and per-target call state.
 type mcScratch struct {
-	ids     []nodeset.ID
-	calls   []mcCallState
-	results []transport.Result
-	wg      sync.WaitGroup
+	ids   []nodeset.ID
+	calls []mcTarget
 }
 
-// mcCallState tracks one multicast target across the send and wait
+// mcTarget tracks one multicast target across the send and wait
 // phases. done marks targets resolved during the send phase (local
 // fast-path, dial failure, encode rejection); the rest hold a started
 // call's pending handle until the wait phase collects it.
-type mcCallState struct {
+type mcTarget struct {
 	c    *clientConn
 	pc   *pendingCall
 	corr uint64
@@ -492,24 +413,16 @@ type mcCallState struct {
 	done bool
 }
 
-func (n *Network) mcCall(ctx context.Context, from, to nodeset.ID, req transport.Message, out *transport.Result, wg *sync.WaitGroup) {
-	defer wg.Done()
-	reply, err := n.Call(ctx, from, to, req)
-	*out = transport.Result{Reply: reply, Err: err}
-}
-
 // MulticastFunc fans req out to every target, waits for all, and invokes
 // fn once per target in ID order on the caller's goroutine — the same
 // contract as the simulator's.
 //
-// Pipelined, the fan-out is two-phase on the caller's goroutine with no
-// per-target goroutines: first every remote target's frame is encoded and
-// enqueued (the send phase — because a caller's traffic to one peer rides
-// one socket, a whole quorum round coalesces into one writev per peer),
-// then the local target's handler runs inline while the remote peers
-// work, then the caller parks for each remote reply. Per-call mode keeps
-// the goroutine-per-target fallback, since each call must block in its
-// own dial.
+// The fan-out is two-phase on the caller's goroutine with no per-target
+// goroutines: first every remote target's frame is encoded and enqueued
+// (the send phase — because a caller's traffic to one peer rides one
+// socket, a whole quorum round coalesces into one writev per peer), then
+// the local target's handler runs inline while the remote peers work, then
+// the caller parks for each remote reply.
 func (n *Network) MulticastFunc(ctx context.Context, from nodeset.ID, targets nodeset.Set, req transport.Message, fn func(to nodeset.ID, r transport.Result)) {
 	if targets.Empty() {
 		return
@@ -523,32 +436,12 @@ func (n *Network) MulticastFunc(ctx context.Context, from nodeset.ID, targets no
 	}
 	sc := n.scratch.Get().(*mcScratch)
 	sc.ids = targets.AppendIDs(sc.ids[:0])
-	if !n.pipeline {
-		if cap(sc.results) < len(sc.ids) {
-			sc.results = make([]transport.Result, len(sc.ids))
-		}
-		sc.results = sc.results[:len(sc.ids)]
-		sc.wg.Add(len(sc.ids))
-		for i, id := range sc.ids {
-			go n.mcCall(ctx, from, id, req, &sc.results[i], &sc.wg)
-		}
-		sc.wg.Wait()
-		for i, id := range sc.ids {
-			fn(id, sc.results[i])
-		}
-		for i := range sc.results {
-			sc.results[i] = transport.Result{}
-		}
-		n.scratch.Put(sc)
-		return
-	}
-
 	var start time.Time
 	if n.obsReg != nil {
 		start = time.Now()
 	}
 	if cap(sc.calls) < len(sc.ids) {
-		sc.calls = make([]mcCallState, len(sc.ids))
+		sc.calls = make([]mcTarget, len(sc.ids))
 	}
 	calls := sc.calls[:len(sc.ids)]
 
@@ -558,7 +451,7 @@ func (n *Network) MulticastFunc(ctx context.Context, from nodeset.ID, targets no
 	local := n.local.Load()
 	for i, id := range sc.ids {
 		st := &calls[i]
-		*st = mcCallState{}
+		*st = mcTarget{}
 		if local.get(id) != nil {
 			continue
 		}
@@ -622,7 +515,7 @@ func (n *Network) MulticastFunc(ctx context.Context, from nodeset.ID, targets no
 		fn(id, calls[i].res)
 	}
 	for i := range calls {
-		calls[i] = mcCallState{}
+		calls[i] = mcTarget{}
 	}
 	n.scratch.Put(sc)
 }
@@ -674,5 +567,5 @@ func (n *Network) Addr(id nodeset.ID) string {
 }
 
 func (n *Network) String() string {
-	return fmt.Sprintf("tcpnet(%d peers, pipeline=%v)", len(n.peers), n.pipeline)
+	return fmt.Sprintf("tcpnet(%d peers)", len(n.peers))
 }

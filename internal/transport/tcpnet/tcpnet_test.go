@@ -99,9 +99,9 @@ func TestCallOverTCP(t *testing.T) {
 	}
 }
 
-// TestPipelinedCorrelation floods one connection with out-of-order
+// TestOutOfOrderCorrelation floods one connection with out-of-order
 // completions and checks every caller gets its own reply back.
-func TestPipelinedCorrelation(t *testing.T) {
+func TestOutOfOrderCorrelation(t *testing.T) {
 	addrs := freeAddrs(t, 1)
 	book := map[nodeset.ID]string{1: addrs[0]}
 	srv := New(book)
@@ -210,31 +210,6 @@ func TestServedCounters(t *testing.T) {
 	}
 	if got := a.Served(1); got != 5 {
 		t.Errorf("client-side Served(1)=%d, want 5 (sent proxy)", got)
-	}
-}
-
-func TestPerCallBaseline(t *testing.T) {
-	addrs := freeAddrs(t, 1)
-	book := map[nodeset.ID]string{1: addrs[0]}
-	srv := New(book)
-	srv.Register(1, echoHandler(nil))
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cli := New(book, WithPipeline(false))
-	defer cli.Close()
-	for i := 0; i < 10; i++ {
-		reply, err := cli.Call(context.Background(), 99, 1, replica.FetchValue{Op: replica.OpID{Seq: uint64(i)}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if vr := reply.(replica.ValueReply); vr.Version != uint64(i) {
-			t.Fatalf("reply %d: %#v", i, vr)
-		}
-	}
-	if dials := cli.dials.Load(); dials != 10 {
-		t.Errorf("per-call mode dialed %d times for 10 calls", dials)
 	}
 }
 

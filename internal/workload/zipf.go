@@ -102,119 +102,3 @@ func (z *Zipf) Split(k int) ([]*Zipf, error) {
 	}
 	return out, nil
 }
-
-// Tenant describes one tenant of a multi-tenant mix: a contiguous slice
-// of the keyspace with its own skew and read/write balance.
-type Tenant struct {
-	// Weight is the tenant's share of operations, relative to the other
-	// tenants' weights.
-	Weight float64
-	// Keys is the tenant's keyspace size.
-	Keys uint64
-	// Theta is the tenant's Zipfian skew (0 < Theta < 1).
-	Theta float64
-	// ReadFraction is the tenant's probability that an operation reads.
-	ReadFraction float64
-}
-
-// Mix draws (key, read) pairs from a weighted set of tenants, each with
-// its own Zipfian popularity curve over a disjoint slice of a global
-// keyspace — multi-tenant traffic against one sharded cluster. Tenant
-// key ranges are laid out contiguously: tenant t's rank r maps to global
-// key base(t)+r. Like Zipf, a Mix is deterministic under its seed, draws
-// without allocating, and is not safe for concurrent use; Split gives
-// each worker its own.
-type Mix struct {
-	tenants []Tenant
-	zipfs   []*Zipf
-	bases   []uint64
-	cum     []float64 // cumulative normalized weights
-	total   uint64    // global keyspace size
-	state   uint64
-}
-
-// NewMix builds a multi-tenant mix. Construction cost is the sum of the
-// tenants' O(Keys) zeta sums.
-func NewMix(tenants []Tenant, seed int64) (*Mix, error) {
-	if len(tenants) == 0 {
-		return nil, fmt.Errorf("workload: mix needs at least one tenant")
-	}
-	m := &Mix{
-		tenants: append([]Tenant(nil), tenants...),
-		zipfs:   make([]*Zipf, len(tenants)),
-		bases:   make([]uint64, len(tenants)),
-		cum:     make([]float64, len(tenants)),
-		state:   mix64(uint64(seed) + 0x6a09e667f3bcc909),
-	}
-	var wsum float64
-	var base uint64
-	for i, t := range tenants {
-		if t.Weight <= 0 {
-			return nil, fmt.Errorf("workload: tenant %d weight %g must be positive", i, t.Weight)
-		}
-		if t.ReadFraction < 0 || t.ReadFraction > 1 {
-			return nil, fmt.Errorf("workload: tenant %d read fraction %g out of range", i, t.ReadFraction)
-		}
-		z, err := NewZipf(t.Keys, t.Theta, seed+int64(i)*7919)
-		if err != nil {
-			return nil, fmt.Errorf("workload: tenant %d: %w", i, err)
-		}
-		m.zipfs[i] = z
-		m.bases[i] = base
-		base += t.Keys
-		wsum += t.Weight
-	}
-	m.total = base
-	var acc float64
-	for i, t := range tenants {
-		acc += t.Weight / wsum
-		m.cum[i] = acc
-	}
-	m.cum[len(m.cum)-1] = 1 // guard against float drift
-	return m, nil
-}
-
-// TotalKeys returns the global keyspace size (the sum of tenant sizes).
-func (m *Mix) TotalKeys() uint64 { return m.total }
-
-// Next draws one operation: the owning tenant, the global key, and
-// whether the operation reads. Allocation-free.
-func (m *Mix) Next() (tenant int, key uint64, read bool) {
-	m.state += 0x9e3779b97f4a7c15
-	r := mix64(m.state)
-	u := float64(r>>11) / (1 << 53)
-	tenant = len(m.cum) - 1
-	for i, c := range m.cum {
-		if u < c {
-			tenant = i
-			break
-		}
-	}
-	key = m.bases[tenant] + m.zipfs[tenant].Next()
-	read = float64(mix64(r)>>11)/(1<<53) < m.tenants[tenant].ReadFraction
-	return tenant, key, read
-}
-
-// Split derives k independent child mixes, one per worker, sharing the
-// already-computed zeta sums.
-func (m *Mix) Split(k int) ([]*Mix, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("workload: mix split into %d parts", k)
-	}
-	out := make([]*Mix, k)
-	for i := range out {
-		child := *m
-		child.zipfs = make([]*Zipf, len(m.zipfs))
-		for j, z := range m.zipfs {
-			zs, err := z.Split(1)
-			if err != nil {
-				return nil, err
-			}
-			child.zipfs[j] = zs[0]
-		}
-		m.state += 0x9e3779b97f4a7c15
-		child.state = mix64(m.state)
-		out[i] = &child
-	}
-	return out, nil
-}

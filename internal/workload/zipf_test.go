@@ -139,92 +139,3 @@ func TestZipfNextDoesNotAllocate(t *testing.T) {
 		t.Fatalf("Zipf.Next allocates %.1f per draw, want 0", allocs)
 	}
 }
-
-func TestMixNextDoesNotAllocate(t *testing.T) {
-	m, err := NewMix([]Tenant{
-		{Weight: 3, Keys: 10000, Theta: 0.99, ReadFraction: 0.9},
-		{Weight: 1, Keys: 5000, Theta: 0.7, ReadFraction: 0.5},
-	}, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(1000, func() { _, _, _ = m.Next() }); allocs != 0 {
-		t.Fatalf("Mix.Next allocates %.1f per draw, want 0", allocs)
-	}
-}
-
-func TestMixTenantShapes(t *testing.T) {
-	tenants := []Tenant{
-		{Weight: 3, Keys: 1000, Theta: 0.99, ReadFraction: 1},
-		{Weight: 1, Keys: 500, Theta: 0.5, ReadFraction: 0},
-	}
-	m, err := NewMix(tenants, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.TotalKeys() != 1500 {
-		t.Fatalf("total keys = %d", m.TotalKeys())
-	}
-	const draws = 100000
-	var t0, t1, reads int
-	for i := 0; i < draws; i++ {
-		tn, key, read := m.Next()
-		switch tn {
-		case 0:
-			t0++
-			if key >= 1000 {
-				t.Fatalf("tenant 0 key %d outside its range", key)
-			}
-			if !read {
-				t.Fatal("tenant 0 is read-only but drew a write")
-			}
-		case 1:
-			t1++
-			if key < 1000 || key >= 1500 {
-				t.Fatalf("tenant 1 key %d outside its range", key)
-			}
-			if read {
-				t.Fatal("tenant 1 is write-only but drew a read")
-			}
-		}
-		if read {
-			reads++
-		}
-	}
-	// Weight 3:1 → tenant 0 should see ~75% of draws.
-	if frac := float64(t0) / draws; frac < 0.70 || frac > 0.80 {
-		t.Fatalf("tenant 0 drew %.2f of traffic, want ~0.75", frac)
-	}
-	// Determinism across identically seeded mixes.
-	m2, _ := NewMix(tenants, 5)
-	m3, _ := NewMix(tenants, 5)
-	for i := 0; i < 1000; i++ {
-		a, b, c := m2.Next()
-		x, y, z := m3.Next()
-		if a != x || b != y || c != z {
-			t.Fatalf("mix not deterministic at draw %d", i)
-		}
-	}
-}
-
-func TestMixSplitDecorrelated(t *testing.T) {
-	m, err := NewMix([]Tenant{{Weight: 1, Keys: 2000, Theta: 0.9, ReadFraction: 0.5}}, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kids, err := m.Split(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	match := 0
-	for i := 0; i < 5000; i++ {
-		_, a, _ := kids[0].Next()
-		_, b, _ := kids[1].Next()
-		if a == b {
-			match++
-		}
-	}
-	if match > 2500 {
-		t.Fatalf("sibling mixes agree on %d/5000 draws — correlated", match)
-	}
-}

@@ -58,7 +58,6 @@ func run() error {
 			Addrs:       book,
 			ItemSize:    64,
 			CallTimeout: 2 * time.Second,
-			Pipeline:    true,
 			Shards:      4,
 			RF:          3,
 			Obs:         true,
