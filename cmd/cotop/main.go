@@ -10,8 +10,9 @@
 //
 // The default view is one screen: cluster-merged counters and gauges,
 // the lock-conflict line (refused and rerun beside denied and expired),
-// the per-node capacity line of the weighted strategies (declared, used
-// by the last solve, predicted utilisation), the counter/gauge vectors
+// the capacity line of the weighted strategies (predicted capacity against
+// the solve's certified bound; per node declared, used by the last solve,
+// predicted utilisation), the counter/gauge vectors
 // (quorum pick counts by size, load-EWMA cells, per-shard totals), the
 // latency histograms' tails, per-shard route latency, and hedge attribution.
 // Merging rules live in internal/capi (ScrapeCluster); cotop is a thin
@@ -282,9 +283,20 @@ func fmtVec[T uint64 | int64](vals []T) string {
 
 // capacityLine renders "n4 declared 0.100 used 0.004 util pred 0.310" for
 // every node some daemon declared a capacity for ("" without a weighted
-// strategy); a value no daemon has published yet is "-".
+// strategy); a value no daemon has published yet is "-". Before them, once a
+// solve has landed: the capacity it predicts, the most its certificate allows
+// any distribution, and the gap between the two (at most the solver's 1 %).
 func capacityLine(nodes []capi.NodeSnapshot) string {
 	var parts []string
+	var pred, bound, solved float64
+	for _, nd := range nodes {
+		if b := nd.Gauges["core_strategy_capacity_bound_milli"]; b > 0 {
+			pred, bound, solved = pred+float64(nd.Gauges["core_strategy_capacity_milli"]), bound+float64(b), solved+1
+		}
+	}
+	if pred > 0 {
+		parts = append(parts, fmt.Sprintf("pred %.3f of at most %.3f (gap %.1f %%)", pred/solved/1000, bound/solved/1000, 100*(bound/pred-1)))
+	}
 	for i := 0; ; i++ {
 		cell := [3]string{"-", "-", "-"}
 		for k, name := range [3]string{"core_node_declared_capacity_milli", "core_node_capacity_milli", "core_node_utilization_milli"} {

@@ -52,7 +52,9 @@ func TestSummaryRendersMergedStrategyVectors(t *testing.T) {
 	r1.GaugeVec("core_node_utilization_milli").At(4).Set(310)
 	r1.GaugeVec("core_endpoint_load_ewma").At(1).Set(7)
 	r1.GaugeVec("core_strategy_entropy_milli").At(0).Set(2100)
-	r1.Gauge("core_strategy_capacity_milli").Set(5400)
+	// Only the first daemon has solved: 1.980 against a bound of 2.000.
+	r1.Gauge("core_strategy_capacity_milli").Set(1980)
+	r1.Gauge("core_strategy_capacity_bound_milli").Set(2000)
 	r1.Counter("core_reads_total").Add(3)
 	r1.Counter("replica_lock_refused_total").Add(40)
 	r2.Counter("replica_lock_refused_total").Add(2)
@@ -85,11 +87,11 @@ func TestSummaryRendersMergedStrategyVectors(t *testing.T) {
 		"0:42 2:5", // read picks summed across both daemons
 		"1:8",      // write picks from the single daemon that had any
 		"4:8",      // used-capacity cells summed node-wise
-		"n0 declared 1.000 used 0.000 util pred 0.000 | ",
+		"capacity: pred 1.980 of at most 2.000 (gap 1.0 %) | n0 declared 1.000 used 0.000 util pred 0.000 | ",
 		"n4 declared 0.100 used 0.004 util pred 0.310\n",
 		"1:7",    // load EWMA passes through
 		"0:2100", // read-distribution entropy
-		"5400",   // predicted capacity gauge
+		"1980",   // predicted capacity gauge
 		"lock conflicts: refused=42 rerun=17 denied=0 expired=0 decision-unknown=0",
 		"write-through: sent=400 applied=390 refused(gap)=10 refused(busy)=0 refused(stale)=0 refused(recovering)=0 skipped=100 | spec hit=97 miss=3",
 		"quorum size: read=- write=2.67 (mean members per round)",

@@ -67,9 +67,10 @@ const (
 	// load-aware path.
 	StrategyOptimized
 	// StrategyReadDominant is StrategyOptimized with the solver's
-	// read-size bias enabled: read mass skews toward small, cheap quorums
-	// (per Kumar & Agarwal) at some write-side cost — for read-heavy
-	// workloads where read tail latency dominates.
+	// read-size bias enabled: among distributions within the solver's
+	// tolerance of the best peak, read mass goes to small, cheap quorums
+	// (per Kumar & Agarwal) — for read-heavy workloads where read tail
+	// latency dominates.
 	StrategyReadDominant
 )
 
@@ -177,7 +178,7 @@ type Options struct {
 	// Like Load, it should be shared by every coordinator of a process
 	// (NewCluster builds one): the solved distribution is not per-item,
 	// and a private engine per coordinator multiplies the background
-	// Frank-Wolfe solves by the item count. When nil and the strategy is
+	// solves by the item count. When nil and the strategy is
 	// weighted, each coordinator builds its own.
 	Engine *StrategyEngine
 	// Replica configures the per-node replica behavior.

@@ -31,10 +31,13 @@ const (
 	// still answers the odd call, and a mean over two of them is noise.
 	callAlpha      = 0.5
 	minCallSamples = 8
-	// relaxAfter is how many solves in a row may leave a node's mean unmoved
-	// before it goes back towards what the declared capacity implies, half
-	// the remaining way (geometrically) per solve: a node priced out of every
-	// quorum yields no measurement that could show it has recovered. 25
+	// relaxAfter is the solve, counted from the one that last moved a node's
+	// mean, at which the mean starts back towards what the declared capacity
+	// implies, half the remaining way (geometrically) per solve. The solver
+	// gives a seat that buys less than its tolerance no mass at all, so this
+	// is the only way a node priced out of every quorum is ever timed again:
+	// a step or two may still buy nothing, the next is offered a sliver of
+	// traffic, and eight timed calls settle whether it has recovered. 25
 	// solves are 5 s by default; a probe costs a fraction of a percent.
 	relaxAfter = 25
 )
@@ -233,7 +236,7 @@ func (t *LoadTracker) capacity(declared coterie.LoadFunc) coterie.LoadFunc {
 		if c.meanNs == 0 {
 			continue
 		}
-		if c.idle > relaxAfter && caps[i] > 0 {
+		if c.idle >= relaxAfter && caps[i] > 0 {
 			c.meanNs = math.Sqrt(c.meanNs * fastest / caps[i])
 		}
 		caps[i] = fastest / c.meanNs

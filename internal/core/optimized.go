@@ -18,20 +18,19 @@ import (
 //
 // One engine serves every coordinator that shares a registry and member
 // set — the solved distribution depends only on the layout, capacities
-// and load signal, none of which are per-item, and the Frank-Wolfe solve
-// is far too expensive to run once per item per node (a 9-node, 8-item
-// process would solve ~70× more often than the tick intends, saturating
-// small machines). NewCluster, the daemon and loadgen all build exactly
-// one and share it through Options.Engine; a coordinator constructed
-// without one falls back to a private engine.
+// and load signal, none of which are per-item, and a process of 9 nodes and
+// 8 items solving per item would solve ~70× more often than the tick
+// intends. NewCluster, the daemon and loadgen all build exactly one and
+// share it through Options.Engine; a coordinator constructed without one
+// falls back to a private engine.
 //
 // The hot path (pickRead/pickWrite) is: one atomic pointer load, one
 // epoch-equality check on preallocated sets, one alias-table lookup, one
 // counter increment — no heap allocations (gated by
 // TestOptimizedPickAllocs / `make check-allocs`). Everything expensive —
-// candidate enumeration, the Frank-Wolfe solve, alias-table construction,
-// metric resolution — happens on the recompute goroutine and is published
-// by a single pointer swap.
+// candidate enumeration (once per epoch), the solve, alias-table
+// construction — happens on the recompute goroutine and is published by a
+// single pointer swap.
 type StrategyEngine struct {
 	capacity coterie.LoadFunc
 	load     *LoadTracker
@@ -53,9 +52,9 @@ type StrategyEngine struct {
 	// independently, so two items can transiently live in different
 	// epochs; with only the single fast-path pointer their picks would
 	// ping-pong it between epochs and (worse) each mismatch would demand
-	// a fresh Frank-Wolfe solve. The cache lets every recently-solved
-	// epoch keep serving its distribution; the fast-path pointer is just
-	// a lock-free shortcut to whichever epoch picked last.
+	// a fresh solve. The cache lets every recently-solved epoch keep serving
+	// its distribution; the fast-path pointer is just a lock-free shortcut
+	// to whichever epoch picked last.
 	mu        sync.Mutex
 	cache     [snapCacheSlots]*stratSnapshot
 	cacheNext int
@@ -74,6 +73,10 @@ type stratSnapshot struct {
 	epoch  nodeset.Set
 	reads  []nodeset.Set
 	writes []nodeset.Set
+	// prog is the candidates resolved against the epoch's members. It, the
+	// candidates and the pick counters depend on the epoch alone: the epoch's
+	// next snapshot takes them over as they are.
+	prog   *coterie.Program
 	rTable *coterie.Alias
 	wTable *coterie.Alias
 	// rPicks/wPicks are the pick counters, resolved at snapshot
@@ -94,6 +97,7 @@ type strategyMetrics struct {
 	recomputeNs *obs.Histogram  // core_strategy_recompute_ns
 	entropy     *obs.GaugeVec   // core_strategy_entropy_milli: [0]=read, [1]=write
 	capacity    *obs.Gauge      // core_strategy_capacity_milli (predicted, ×1000)
+	capBound    *obs.Gauge      // core_strategy_capacity_bound_milli: what the certificate allows at most
 	rPickVec    *obs.CounterVec // core_strategy_read_pick_total by quorum size
 	wPickVec    *obs.CounterVec // core_strategy_write_pick_total by quorum size
 	nodeCap     *obs.GaugeVec   // core_node_capacity_milli by node ID: what the last solve used
@@ -106,6 +110,7 @@ func newStrategyMetrics(r *obs.Registry) strategyMetrics {
 		recomputeNs: r.Histogram("core_strategy_recompute_ns"),
 		entropy:     r.GaugeVec("core_strategy_entropy_milli"),
 		capacity:    r.Gauge("core_strategy_capacity_milli"),
+		capBound:    r.Gauge("core_strategy_capacity_bound_milli"),
 		rPickVec:    r.CounterVec("core_strategy_read_pick_total"),
 		wPickVec:    r.CounterVec("core_strategy_write_pick_total"),
 		nodeCap:     r.GaugeVec("core_node_capacity_milli"),
@@ -128,9 +133,9 @@ func NewStrategyEngine(all nodeset.Set, load *LoadTracker, opts Options) *Strate
 		metrics:     newStrategyMetrics(opts.Obs),
 	}
 	if opts.Strategy == StrategyReadDominant {
-		// The bias competes with softmax prices, which sum to 1 across all
-		// nodes; a few hundredths per member is enough to dominate ties
-		// between quorum sizes without overriding a genuine hot spot.
+		// The bias is weighed against the work a seat costs, 1/cap_i per
+		// touch: a few hundredths per member settles ties between quorum
+		// sizes and never outweighs a slower node.
 		s.readBias = 0.02
 	}
 	// Publish the declared capacities, so a scrape can set what the operator
@@ -191,9 +196,9 @@ func (s *StrategyEngine) pickWrite(lay *coterie.Layout, avail nodeset.Set, h int
 // the per-epoch cache. Recomputes are triggered at most once per interval
 // no matter how many epochs are live or how stale the match is: the
 // engine is shared by every coordinator, and letting each epoch mismatch
-// demand its own solve would run Frank-Wolfe back-to-back whenever two
-// items transiently disagree on membership. A not-yet-solved epoch just
-// falls back until its tick.
+// demand its own solve would run solves back-to-back whenever two items
+// transiently disagree on membership. A not-yet-solved epoch just falls
+// back until its tick.
 func (s *StrategyEngine) maybeSnapshot(lay *coterie.Layout, avail nodeset.Set) *stratSnapshot {
 	snap := s.snap.Load()
 	if snap != nil && !snap.epoch.Equal(avail) {
@@ -250,58 +255,46 @@ func (s *StrategyEngine) trigger(lay *coterie.Layout, avail nodeset.Set) {
 	}()
 }
 
-// recompute enumerates, solves and publishes one snapshot for the given
-// epoch. lay must be the layout compiled for exactly that epoch (layouts
-// are immutable, so reading it off-thread is safe).
+// recompute solves and publishes one snapshot for the given epoch. lay must
+// be the layout compiled for exactly that epoch (layouts are immutable, so
+// reading it off-thread is safe). Only an epoch's first solve enumerates the
+// candidates and resolves the pick counters; later ones take them from the
+// snapshot they replace. Every attempt is stamped, so the tick cannot spin.
 func (s *StrategyEngine) recompute(lay *coterie.Layout, epoch nodeset.Set) {
 	start := time.Now()
-	reads := lay.EnumerateReadQuorums(0)
-	writes := lay.EnumerateWriteQuorums(0)
-	if len(reads) == 0 || len(writes) == 0 {
-		// Degenerate epoch; leave the fallback path in charge but stamp the
-		// attempt so the tick does not spin.
-		s.lastSolve.Store(time.Now().UnixNano())
-		return
-	}
+	defer func() { s.lastSolve.Store(time.Now().UnixNano()) }()
 	members := epoch.IDs()
+	snap := &stratSnapshot{}
+	if prev := s.cached(epoch); prev != nil {
+		*snap = *prev // the tables are replaced below
+	} else {
+		reads, writes := lay.EnumerateReadQuorums(0), lay.EnumerateWriteQuorums(0)
+		prog, err := coterie.NewProgram(reads, writes, members)
+		if err != nil {
+			return // degenerate epoch: the fallback path stays in charge
+		}
+		*snap = stratSnapshot{epoch: epoch, reads: reads, writes: writes, prog: prog}
+		for _, q := range reads {
+			snap.rPicks = append(snap.rPicks, s.metrics.rPickVec.At(q.Len()))
+		}
+		for _, q := range writes {
+			snap.wPicks = append(snap.wPicks, s.metrics.wPickVec.At(q.Len()))
+		}
+	}
 	capacity := s.load.capacity(s.capacity)
-	dist, err := coterie.Optimize(coterie.OptimizeInput{
-		Reads:        reads,
-		Writes:       writes,
-		Members:      members,
-		ReadFrac:     s.readFrac(),
-		Capacity:     capacity,
-		ReadSizeBias: s.readBias,
-	})
-	if err != nil {
-		s.lastSolve.Store(time.Now().UnixNano())
-		return
-	}
-	snap := &stratSnapshot{
-		epoch:  epoch,
-		reads:  reads,
-		writes: writes,
-		rTable: coterie.NewAlias(dist.ReadWeights),
-		wTable: coterie.NewAlias(dist.WriteWeights),
-		rPicks: make([]*obs.Counter, len(reads)),
-		wPicks: make([]*obs.Counter, len(writes)),
-	}
-	for k := range snap.rPicks {
-		snap.rPicks[k] = s.metrics.rPickVec.At(reads[k].Len())
-	}
-	for k := range snap.wPicks {
-		snap.wPicks[k] = s.metrics.wPickVec.At(writes[k].Len())
-	}
+	dist := snap.prog.Solve(s.readFrac(), capacity, s.readBias)
+	snap.rTable = coterie.NewAlias(dist.ReadWeights)
+	snap.wTable = coterie.NewAlias(dist.WriteWeights)
 	s.snap.Store(snap)
 	s.storeCache(snap)
-	s.lastSolve.Store(time.Now().UnixNano())
 
 	s.metrics.recomputes.Inc()
 	s.metrics.recomputeNs.Record(uint64(time.Since(start).Nanoseconds()))
 	s.metrics.entropy.At(0).Set(int64(snap.rTable.Entropy() * 1000))
 	s.metrics.entropy.At(1).Set(int64(snap.wTable.Entropy() * 1000))
-	if dist.Capacity > 0 && !math.IsInf(dist.Capacity, 0) {
-		s.metrics.capacity.Set(int64(dist.Capacity * 1000))
+	s.metrics.capacity.Set(milli(dist.Capacity))
+	if dist.Bound > 0 {
+		s.metrics.capBound.Set(milli(1 / dist.Bound))
 	}
 	for i, id := range members {
 		s.metrics.nodeCap.At(int(id)).Set(milli(capacityOf(capacity, id)))

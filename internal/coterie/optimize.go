@@ -10,26 +10,32 @@ import (
 // Quorum-distribution optimizer.
 //
 // Given the candidate read and write quorums a Layout admits and per-node
-// capacity weights, Optimize solves for a probability distribution over the
+// capacities, Optimize solves for a probability distribution over the
 // candidates that maximizes sustainable throughput: the load-maximizing
 // weighted quorum systems of Whittaker et al. ("Read-Write Quorum Systems
 // Made Practical"), with WOC-style heterogeneous node weights.
 //
 // The LP is
 //
-//	max  C                        (sustained ops/sec)
+//	min  z                        (peak utilisation; capacity is 1/z)
 //	s.t. Σ_r p_r = 1, Σ_w q_w = 1, p,q ≥ 0
-//	     ∀i:  C·(fr·Σ_{r∋i} p_r + (1-fr)·Σ_{w∋i} q_w) ≤ cap_i
+//	     ∀i:  fr·Σ_{r∋i} p_r + (1-fr)·Σ_{w∋i} q_w ≤ cap_i·z
 //
-// equivalently: minimize the peak normalized per-node utilization
-// u_i = x_i/cap_i where x_i is node i's expected per-op touch rate. We
-// solve the minimax by Frank-Wolfe on the softmax-smoothed objective
-// (1/η)·log Σ_i exp(η·u_i): each iteration prices every node at the
-// softmax gradient s_i/cap_i, picks the cheapest candidate quorum per
-// block (the linear minimization oracle is exactly "cheapest quorum under
-// current prices"), and steps with γ_t = 2/(t+2). The iteration count is
-// fixed and the arithmetic is deterministic, so every replica that feeds
-// the solver identical inputs computes the identical distribution.
+// and it is solved twice by one dense primal simplex over the enumerated
+// columns (at most 256 + 256 of them and one row per member). The first
+// solve minimises z; its row prices λ certify the answer, because for any
+// λ ≥ 0 every distribution's peak is at least
+//
+//	(fr·min_r Σ_{i∈r} λ_i + (1-fr)·min_w Σ_{i∈w} λ_i) / Σ_i λ_i·cap_i
+//
+// (Distribution.Bound, one pass over the candidates). The second solve keeps
+// the peak within optimizeTolerance of that bound and minimises each
+// candidate's price offset: the work it costs, Σ_{i∈k} f_k/cap_i (Whittaker's
+// second objective; 1/cap_i rounded down to a power of two), plus
+// ReadSizeBias per member of a read. A seat that
+// buys less than the tolerance only adds work, so it gets exactly zero
+// mass. Pivoting rules and arithmetic are deterministic: every replica that
+// feeds the solver identical inputs computes the identical distribution.
 type OptimizeInput struct {
 	// Reads and Writes are the candidate quorums (see EnumerateReadQuorums /
 	// EnumerateWriteQuorums). Both must be non-empty.
@@ -48,15 +54,10 @@ type OptimizeInput struct {
 	// are clamped to a small epsilon so a mis-configured node is avoided
 	// rather than dividing by zero.
 	Capacity LoadFunc
-	// ReadSizeBias adds bias·|r| to each read candidate's price in the
-	// linear oracle, skewing read mass toward small (cheap) quorums — the
-	// read-dominant mode per Kumar & Agarwal. 0 disables. The solved
-	// objective becomes peak-utilization + bias·E[|read quorum|].
+	// ReadSizeBias adds bias·|r| to each read candidate's price offset,
+	// skewing read mass toward small (cheap) quorums among distributions
+	// within the tolerance — the read-dominant mode per Kumar & Agarwal.
 	ReadSizeBias float64
-	// Iters is the Frank-Wolfe iteration count (0 = 300). Eta is the
-	// softmax sharpness (0 = 32).
-	Iters int
-	Eta   float64
 }
 
 // Distribution is a solved weighted quorum strategy.
@@ -69,28 +70,73 @@ type Distribution struct {
 	// multiples of a single unit-capacity node's rate.
 	Capacity float64
 	// PeakUtil is max_i u_i at the solution, Utilization the per-member
-	// value (parallel to Members).
+	// value (parallel to Members). Bound is the certificate: no distribution
+	// over these candidates has a lower peak, and PeakUtil is at most
+	// (1 + optimizeTolerance) times it.
 	PeakUtil    float64
+	Bound       float64
 	Utilization []float64
 }
 
 const (
-	defaultIters = 300
-	defaultEta   = 32.0
-	capEpsilon   = 1e-6
+	// optimizeTolerance is how far above the certified optimum the peak may
+	// sit: the slack the second solve spends on doing less work.
+	optimizeTolerance = 0.01
+	capEpsilon        = 1e-6
+	pivotEpsilon      = 1e-9
 )
 
-// Optimize solves for the capacity-maximizing distribution. It returns an
-// error when either candidate block is empty or Members is empty; the
-// caller falls back to the unweighted strategies in that case.
+// Program is the part of a solve that depends only on the candidates and the
+// member universe; an epoch's Program is built once and solved every tick.
+type Program struct {
+	members []nodeset.ID
+	// cands[k] lists candidate k's positions in members: reads, of which
+	// there are nr, then writes.
+	cands [][]int
+	nr    int
+}
+
+// NewProgram resolves the candidates against the members. It returns an
+// error when either candidate block or Members is empty; the caller falls
+// back to the unweighted strategies in that case.
+func NewProgram(reads, writes []nodeset.Set, members []nodeset.ID) (*Program, error) {
+	if len(reads) == 0 || len(writes) == 0 {
+		return nil, fmt.Errorf("coterie: optimize needs candidates (reads=%d writes=%d)", len(reads), len(writes))
+	}
+	if len(members) == 0 {
+		return nil, fmt.Errorf("coterie: optimize needs a member universe")
+	}
+	index := make(map[nodeset.ID]int, len(members))
+	for i, id := range members {
+		index[id] = i
+	}
+	pr := &Program{members: members, nr: len(reads)}
+	for _, sets := range [2][]nodeset.Set{reads, writes} {
+		for _, s := range sets {
+			at := make([]int, 0, s.Len())
+			for _, id := range s.IDs() {
+				if i, ok := index[id]; ok {
+					at = append(at, i)
+				}
+			}
+			pr.cands = append(pr.cands, at)
+		}
+	}
+	return pr, nil
+}
+
+// Optimize solves for the capacity-maximizing distribution.
 func Optimize(in OptimizeInput) (Distribution, error) {
-	if len(in.Reads) == 0 || len(in.Writes) == 0 {
-		return Distribution{}, fmt.Errorf("coterie: optimize needs candidates (reads=%d writes=%d)", len(in.Reads), len(in.Writes))
+	pr, err := NewProgram(in.Reads, in.Writes, in.Members)
+	if err != nil {
+		return Distribution{}, err
 	}
-	if len(in.Members) == 0 {
-		return Distribution{}, fmt.Errorf("coterie: optimize needs a member universe")
-	}
-	fr := in.ReadFrac
+	return pr.Solve(in.ReadFrac, in.Capacity, in.ReadSizeBias), nil
+}
+
+// Solve runs both solves for one read fraction and capacity vector (see
+// OptimizeInput for the arguments' meaning).
+func (pr *Program) Solve(fr float64, capacity LoadFunc, readSizeBias float64) Distribution {
 	switch {
 	case fr < 0: // negative sentinel: caller has no measured mix
 		fr = 0.5
@@ -99,148 +145,259 @@ func Optimize(in OptimizeInput) (Distribution, error) {
 	case fr >= 1: // pure-read workload: same clamp on the other side
 		fr = 1 - 1e-3
 	}
-	iters := in.Iters
-	if iters <= 0 {
-		iters = defaultIters
-	}
-	eta := in.Eta
-	if eta <= 0 {
-		eta = defaultEta
-	}
-
-	n := len(in.Members)
-	index := make(map[nodeset.ID]int, n)
-	cap_ := make([]float64, n)
-	for i, id := range in.Members {
-		index[id] = i
-		c := 1.0
-		if in.Capacity != nil {
-			c = in.Capacity(id)
-		}
-		if c < capEpsilon {
-			c = capEpsilon
-		}
-		cap_[i] = c
-	}
-
-	// Per-candidate member index lists, resolved once.
-	rIdx := memberIndexLists(in.Reads, index)
-	wIdx := memberIndexLists(in.Writes, index)
-
-	p := uniformVec(len(in.Reads))
-	q := uniformVec(len(in.Writes))
-	util := make([]float64, n)
-	price := make([]float64, n)
-
-	computeUtil := func() {
-		clear(util)
-		for k, members := range rIdx {
-			w := fr * p[k]
-			for _, i := range members {
-				util[i] += w
-			}
-		}
-		for k, members := range wIdx {
-			w := (1 - fr) * q[k]
-			for _, i := range members {
-				util[i] += w
-			}
-		}
-		for i := range util {
-			util[i] /= cap_[i]
+	n, nr := len(pr.members), pr.nr
+	caps := make([]float64, n)
+	for i, id := range pr.members {
+		caps[i] = 1
+		if capacity != nil {
+			caps[i] = max(capacity(id), capEpsilon)
 		}
 	}
+	share := func(k int) float64 { // candidate k's part of an operation
+		if k < nr {
+			return fr
+		}
+		return 1 - fr
+	}
 
-	for t := 0; t < iters; t++ {
-		computeUtil()
-		// Softmax prices s_i (stabilized by max subtraction); the price of
-		// touching node i is s_i/cap_i.
-		maxU := util[0]
-		for _, u := range util[1:] {
-			if u > maxU {
-				maxU = u
+	// Columns: the candidates, z, one slack per member, the right-hand side.
+	// Row i < n is member i's capacity constraint multiplied through by
+	// cap_i, so its entries are shares and not shares over a capacity:
+	// Σ_{k∋i} f_k·x_k − cap_i·z + s_i = 0. Rows n and n+1 are Σp = 1, Σq = 1.
+	zc := len(pr.cands)
+	t := newTableau(n+2, zc+1+n)
+	for k, at := range pr.cands {
+		for _, i := range at {
+			t.rows[i][k] = share(k)
+		}
+		if k < nr {
+			t.rows[n][k] = 1
+		} else {
+			t.rows[n+1][k] = 1
+		}
+	}
+	for i := range caps {
+		t.rows[i][zc], t.rows[i][zc+1+i], t.basis[i] = -caps[i], 1, zc+1+i
+	}
+	t.rows[n][t.rhs], t.rows[n+1][t.rhs] = 1, 1
+	t.obj[zc] = 1
+	// A first basis without artificial variables: the first read and the
+	// first write at weight 1, and z brought in on the member they load
+	// most, which leaves every other member's slack non-negative.
+	t.pivot(n, 0)
+	t.pivot(n+1, nr)
+	worst := 0
+	for i := range caps {
+		if t.rows[i][t.rhs]*caps[worst] < t.rows[worst][t.rhs]*caps[i] {
+			worst = i
+		}
+	}
+	t.pivot(worst, zc)
+	t.run()
+
+	// The first solve's prices are the slacks' reduced costs.
+	lambda := make([]float64, n)
+	for i := range lambda {
+		lambda[i] = max(t.obj[zc+1+i], 0)
+	}
+	bound := pr.bound(fr, caps, lambda)
+
+	// Second solve. z ≤ τ becomes a variable of its own by writing
+	// z = τ − z': z is basic, so only its row changes, and z' takes its
+	// place there with the value τ − z ≥ 0. pivotEpsilon keeps rounding inside
+	// the tolerance, so the certificate holds on the numbers returned.
+	zr := 0
+	for t.basis[zr] != zc {
+		zr++
+	}
+	tau := max(bound*(1+optimizeTolerance-pivotEpsilon), t.rows[zr][t.rhs])
+	for j := range t.rows[zr] {
+		t.rows[zr][j] = -t.rows[zr][j]
+	}
+	t.rows[zr][zc], t.rows[zr][t.rhs] = 1, tau+t.rows[zr][t.rhs]
+	// Work is counted in octaves of capacity: measured capacities of equal
+	// nodes differ by tens of percent from solve to solve, and a price that
+	// followed them would drop a healthy node for being the slowest by a hair.
+	clear(t.obj)
+	for k, at := range pr.cands {
+		for _, i := range at {
+			t.obj[k] += share(k) * math.Exp2(math.Floor(-math.Log2(caps[i])))
+		}
+		if k < nr {
+			t.obj[k] += readSizeBias * float64(len(at))
+		}
+	}
+	for r, b := range t.basis {
+		if c := t.obj[b]; c != 0 {
+			for j, a := range t.rows[r] {
+				t.obj[j] -= c * a
+			}
+			t.obj[b] = 0
+		}
+	}
+	t.run()
+
+	// The simplex stops at a vertex: at most n+2 candidates carry mass, and
+	// which of many equally good ones is an accident of pivoting order. Every
+	// non-basic column whose reduced cost is zero leads to a neighbouring
+	// vertex with the same work inside the same peak; the answer is the
+	// centroid of this vertex (j = t.rhs, no step) and those neighbours, which
+	// shares the load over all of them and still gives nothing to a candidate
+	// that would add work. A weight below pivotEpsilon is rounding.
+	x := make([]float64, zc)
+	for _, b := range t.basis {
+		t.obj[b] = math.Inf(1)
+	}
+	for j := 0; j <= t.rhs; j++ {
+		theta := 0.0
+		if j < t.rhs {
+			if t.obj[j] > pivotEpsilon {
+				continue
+			}
+			if _, theta = t.leaving(j); theta <= pivotEpsilon {
+				continue
+			}
+			if j < zc {
+				x[j] += theta
 			}
 		}
-		var z float64
-		for i, u := range util {
-			e := math.Exp(eta * (u - maxU))
-			price[i] = e
-			z += e
-		}
-		for i := range price {
-			price[i] = price[i] / z / cap_[i]
-		}
-		// Linear minimization oracle per block: cheapest candidate.
-		br, bw := 0, 0
-		best := math.Inf(1)
-		for k, members := range rIdx {
-			c := in.ReadSizeBias * float64(len(members))
-			for _, i := range members {
-				c += fr * price[i]
-			}
-			if c < best {
-				best, br = c, k
+		for r, b := range t.basis {
+			if b < zc {
+				x[b] += t.rows[r][t.rhs] - theta*t.rows[r][j]
 			}
 		}
-		best = math.Inf(1)
-		for k, members := range wIdx {
+	}
+	d := Distribution{ReadWeights: x[:nr:nr], WriteWeights: x[nr:], Bound: bound, Utilization: make([]float64, n)}
+	for _, w := range [2][]float64{d.ReadWeights, d.WriteWeights} {
+		var sum float64
+		for k, v := range w {
+			if v < pivotEpsilon {
+				w[k] = 0
+			}
+			sum += w[k]
+		}
+		for k := range w {
+			w[k] /= sum
+		}
+	}
+	for k, at := range pr.cands {
+		for _, i := range at {
+			d.Utilization[i] += share(k) * x[k] / caps[i]
+		}
+	}
+	for _, u := range d.Utilization {
+		d.PeakUtil = max(d.PeakUtil, u)
+	}
+	d.Capacity = 1 / d.PeakUtil // a read and a write are drawn, so somebody is loaded
+	return d
+}
+
+// bound prices every candidate at λ and returns the lower bound on peak
+// utilisation the cheapest read and the cheapest write certify.
+func (pr *Program) bound(fr float64, caps, lambda []float64) float64 {
+	cheapest := func(cands [][]int) float64 {
+		least := math.Inf(1)
+		for _, at := range cands {
 			var c float64
-			for _, i := range members {
-				c += (1 - fr) * price[i]
+			for _, i := range at {
+				c += lambda[i]
 			}
-			if c < best {
-				best, bw = c, k
-			}
+			least = min(least, c)
 		}
-		gamma := 2.0 / float64(t+2)
-		for k := range p {
-			p[k] *= 1 - gamma
-		}
-		p[br] += gamma
-		for k := range q {
-			q[k] *= 1 - gamma
-		}
-		q[bw] += gamma
+		return least
 	}
-
-	computeUtil()
-	peak := 0.0
-	for _, u := range util {
-		if u > peak {
-			peak = u
-		}
+	var norm float64
+	for i, l := range lambda {
+		norm += l * caps[i]
 	}
-	d := Distribution{
-		ReadWeights:  p,
-		WriteWeights: q,
-		PeakUtil:     peak,
-		Utilization:  util,
+	if norm <= 0 {
+		return 0
 	}
-	if peak > 0 {
-		d.Capacity = 1 / peak
-	}
-	return d, nil
+	return (fr*cheapest(pr.cands[:pr.nr]) + (1-fr)*cheapest(pr.cands[pr.nr:])) / norm
 }
 
-func memberIndexLists(sets []nodeset.Set, index map[nodeset.ID]int) [][]int {
-	out := make([][]int, len(sets))
-	for k, s := range sets {
-		ids := s.IDs()
-		lst := make([]int, 0, len(ids))
-		for _, id := range ids {
-			if i, ok := index[id]; ok {
-				lst = append(lst, i)
-			}
-		}
-		out[k] = lst
-	}
-	return out
+// tableau is a dense simplex tableau: rows[r] is constraint r in terms of the
+// non-basic variables with its right-hand side last, basis[r] the variable
+// basic in it. One more row, obj, holds the reduced costs of the objective
+// being minimised, so a pivot eliminates in it as in any other.
+type tableau struct {
+	rows  [][]float64
+	obj   []float64
+	basis []int
+	rhs   int
 }
 
-func uniformVec(n int) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 1 / float64(n)
+func newTableau(m, vars int) *tableau {
+	t := &tableau{rows: make([][]float64, m+1), basis: make([]int, m), rhs: vars}
+	cells := make([]float64, (m+1)*(vars+1))
+	for r := range t.rows {
+		t.rows[r] = cells[r*(vars+1) : (r+1)*(vars+1)]
 	}
-	return v
+	t.obj = t.rows[m]
+	return t
+}
+
+// pivot makes variable e basic in row l.
+func (t *tableau) pivot(l, e int) {
+	row := t.rows[l]
+	inv := 1 / row[e]
+	for j := range row {
+		row[j] *= inv
+	}
+	row[e] = 1
+	for r, other := range t.rows {
+		if f := other[e]; r != l && f != 0 {
+			for j, a := range row {
+				other[j] -= f * a
+			}
+			other[e] = 0
+		}
+	}
+	t.basis[l] = e
+}
+
+// leaving is the ratio test: the row whose basic variable reaches zero first
+// as variable e enters, ties to the lowest basic index, and how far e gets.
+// No row (-1) means nothing stops it.
+func (t *tableau) leaving(e int) (l int, ratio float64) {
+	l = -1
+	for r, row := range t.rows[:len(t.basis)] {
+		if a := row[e]; a > pivotEpsilon {
+			q := row[t.rhs] / a
+			if l < 0 || q < ratio || q == ratio && t.basis[r] < t.basis[l] {
+				l, ratio = r, q
+			}
+		}
+	}
+	return l, ratio
+}
+
+// run pivots from a feasible basis to an optimal one: the most negative
+// reduced cost enters, the smallest ratio leaves, ties to the lowest index.
+// After a pivot that moved nothing the lowest eligible index enters instead
+// (Bland's rule), which is what rules cycling out on these very degenerate
+// programs. The pivot budget is a backstop against rounding, never reached
+// in the tests; a basis it stops at is feasible and its gap is reported.
+func (t *tableau) run() {
+	bland := false
+	for budget := 50 * (len(t.rows) + t.rhs); budget > 0; budget-- {
+		e, best := -1, -pivotEpsilon
+		for j, d := range t.obj[:t.rhs] {
+			if d < best {
+				e, best = j, d
+				if bland {
+					break
+				}
+			}
+		}
+		if e < 0 {
+			return
+		}
+		l, ratio := t.leaving(e)
+		if l < 0 {
+			return // unbounded: not possible over two simplices
+		}
+		bland = ratio <= pivotEpsilon
+		t.pivot(l, e)
+	}
 }
