@@ -12,7 +12,8 @@
 // the lock-conflict line (refused and rerun beside denied and expired),
 // the capacity line of the weighted strategies (predicted capacity against
 // the solve's certified bound; per node declared, used by the last solve,
-// predicted utilisation), the counter/gauge vectors
+// predicted utilisation), the memory line (replicas held, their payload, the
+// daemons' heaps as a multiple of it), the counter/gauge vectors
 // (quorum pick counts by size, load-EWMA cells, per-shard totals), the
 // latency histograms' tails, per-shard route latency, and hedge attribution.
 // Merging rules live in internal/capi (ScrapeCluster); cotop is a thin
@@ -181,6 +182,15 @@ func printSummary(w io.Writer, cs *capi.ClusterSnapshot) {
 	// publishing it: every daemon times its peers from where it sits.
 	if line := capacityLine(cs.Nodes); line != "" {
 		fmt.Fprintln(w, "capacity:", line)
+	}
+
+	// What the cluster holds against what holding it costs: replicas, the sum
+	// of their values, and the daemons' heaps as sampled by this scrape — the
+	// ratio is bytes of process per byte of replicated payload.
+	if payload := float64(cs.Gauges["replica_payload_bytes"]); payload > 0 {
+		heap := float64(cs.Gauges["process_heap_bytes"])
+		fmt.Fprintf(w, "memory: items=%d payload=%.1f MB heap=%.1f MB (%.1f x)\n",
+			cs.Gauges["replica_items"], payload/(1<<20), heap/(1<<20), heap/payload)
 	}
 
 	gnames := make([]string, 0, len(cs.Gauges))

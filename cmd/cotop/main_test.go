@@ -70,6 +70,12 @@ func TestSummaryRendersMergedStrategyVectors(t *testing.T) {
 	r1.CounterVec("core_quorum_members_total").At(1).Add(300)
 	r2.CounterVec("core_quorum_rounds_total").At(1).Add(50)
 	r2.CounterVec("core_quorum_members_total").At(1).Add(100)
+	// 3 072 replicas of 1 KB on each daemon, in 16.55 MB of heap apiece.
+	for _, r := range []*obs.Registry{r1, r2} {
+		r.Gauge("replica_items").Set(3072)
+		r.Gauge("replica_payload_bytes").Set(3072 << 10)
+		r.Gauge("process_heap_bytes").Set(1655 << 20 / 100)
+	}
 
 	cs := capi.MergeNodes([]capi.NodeSnapshot{
 		nodeSnapshot(t, "a:9100", r1),
@@ -95,6 +101,7 @@ func TestSummaryRendersMergedStrategyVectors(t *testing.T) {
 		"lock conflicts: refused=42 rerun=17 denied=0 expired=0 decision-unknown=0",
 		"write-through: sent=400 applied=390 refused(gap)=10 refused(busy)=0 refused(stale)=0 refused(recovering)=0 skipped=100 | spec hit=97 miss=3",
 		"quorum size: read=- write=2.67 (mean members per round)",
+		"memory: items=6144 payload=6.0 MB heap=33.1 MB (5.5 x)\n",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("summary missing %q:\n%s", want, got)

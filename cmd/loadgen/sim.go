@@ -85,10 +85,11 @@ func setupSim(cfg config, reg *obs.Registry) (*target, error) {
 		})
 		fmt.Fprintf(os.Stderr, "loadgen: node %d serves every message %s slower\n", cfg.slowNode, delay)
 	}
+	initial := make([]byte, itemSize) // one for every replica: they keep it by reference
 	for _, name := range daemon.ItemNames(cfg.items) {
 		row := make([]*core.Coordinator, cfg.nodes)
 		for i, n := range nodes {
-			rep, err := n.AddItem(name, members, make([]byte, itemSize))
+			rep, err := n.AddItem(name, members, initial)
 			if err != nil {
 				t.close()
 				return nil, err

@@ -121,7 +121,9 @@ var ErrUnavailable = core.ErrUnavailable
 var ErrConflict = core.ErrConflict
 
 // NewCluster creates an n-node cluster (IDs 0..n-1) replicating one data
-// item with the given initial value.
+// item with the given initial value. Here and in the constructors below the
+// replicas keep initial by reference and only read it: the caller must not
+// modify it afterwards.
 func NewCluster(n int, item string, initial []byte, opts Options) (*Cluster, error) {
 	return core.NewCluster(n, item, initial, opts)
 }

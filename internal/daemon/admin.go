@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"runtime/metrics"
 	"sort"
 
 	"coterie/internal/obs"
@@ -73,7 +74,19 @@ func (d *Daemon) AdminAddr() string {
 // exact production surface on a listener they control.
 func (d *Daemon) AdminMux() *http.ServeMux {
 	mux := PprofMux()
-	mux.Handle("/metrics", expose.Handler(d.Reg))
+	// process_heap_bytes is sampled when somebody asks, not kept current:
+	// bytes in live and not yet swept heap objects (runtime.MemStats'
+	// HeapAlloc), which cotop sets against replica_payload_bytes. It is the
+	// process's figure: daemons sharing a process (tests) each report all of it.
+	heap, serve := d.Reg.Gauge("process_heap_bytes"), expose.Handler(d.Reg)
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+		metrics.Read(sample)
+		if sample[0].Value.Kind() == metrics.KindUint64 {
+			heap.Set(int64(sample[0].Value.Uint64()))
+		}
+		serve.ServeHTTP(w, r)
+	})
 	mux.Handle("/traces", expose.TracesHandler(d.Reg))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

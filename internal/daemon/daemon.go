@@ -147,6 +147,9 @@ type Daemon struct {
 	Reg  *obs.Registry
 	node *replica.Node
 	cfg  Config
+	// initial is every item's version-0 value, ItemSize zero bytes: one
+	// slice for the whole daemon, which its replicas read and never write.
+	initial []byte
 
 	coords map[string]*core.Coordinator // legacy mode: fixed at Start
 
@@ -271,7 +274,8 @@ func Start(cfg Config) (*Daemon, error) {
 		copts.Engine = core.NewStrategyEngine(cfg.Members, tracker, copts)
 	}
 	d := &Daemon{Net: tnet, Reg: reg, node: node, cfg: cfg, copts: copts,
-		coords: make(map[string]*core.Coordinator, len(cfg.Items))}
+		initial: make([]byte, cfg.ItemSize),
+		coords:  make(map[string]*core.Coordinator, len(cfg.Items))}
 
 	if cfg.Shards > 0 {
 		pmap, err := placement.New(cfg.Members, cfg.Shards, cfg.RF, cfg.MapVersion)
@@ -294,7 +298,7 @@ func Start(cfg Config) (*Daemon, error) {
 		})
 	} else {
 		for _, name := range cfg.Items {
-			rep, err := node.AddItem(name, cfg.Members, make([]byte, cfg.ItemSize))
+			rep, err := node.AddItem(name, cfg.Members, d.initial)
 			if err != nil {
 				node.Close()
 				tnet.Close()
@@ -453,7 +457,7 @@ func (d *Daemon) provisionReplica(item string) (*replica.Item, error) {
 	if !members.Contains(d.cfg.Self) {
 		return nil, fmt.Errorf("daemon: shard %d of %q not owned under map v%d", shard, item, d.pmap.Version())
 	}
-	rep, created, err := d.node.EnsureItem(item, members, make([]byte, d.cfg.ItemSize))
+	rep, created, err := d.node.EnsureItem(item, members, d.initial)
 	if err != nil {
 		return nil, err
 	}

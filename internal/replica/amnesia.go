@@ -41,16 +41,16 @@ import (
 // reset, the value returns to the configured initial, and the replica
 // enters the recovering state.
 func (it *Item) Amnesia() {
-	it.metrics.amnesia.Inc()
+	it.node.metrics.amnesia.Inc()
 	it.mu.Lock()
-	it.store = NewStore(it.initial, it.cfg.MaxLog)
+	it.store = NewStore(it.initial, it.node.cfg.MaxLog)
 	it.stale = false
 	it.desired = 0
 	it.epoch = nodeset.Set{}
 	it.epochNum = 0
 	it.good = nodeset.Set{}
 	it.goodVer = 0
-	it.staged = make(map[OpID]*staged)
+	it.staged = nil
 	it.propOp = OpID{}
 	it.recovering = true
 	it.publishStateLocked()

@@ -43,9 +43,10 @@ func newNodeBatchMetrics(r *obs.Registry) nodeBatchMetrics {
 	}
 }
 
-// enqueueBatchPropagation is the Item.batchSink target: record the owed
-// (target, item) pairs and ensure a single dispatcher worker is draining
-// them. Duplicate enqueues merge.
+// enqueueBatchPropagation is where Item.enqueuePropagation sends its work
+// under Config.PropagationBatch: record the owed (target, item) pairs and
+// ensure a single dispatcher worker is draining them. Duplicate enqueues
+// merge.
 func (n *Node) enqueueBatchPropagation(item string, targets nodeset.Set) {
 	n.bpMu.Lock()
 	n.bpGen++
@@ -285,9 +286,9 @@ func (n *Node) captureData(it *Item, op OpID, targetVersion uint64, sc *bpScratc
 	}
 	it.mu.Unlock()
 	if d.HasSnapshot {
-		it.metrics.propSnapshots.Inc()
+		it.node.metrics.propSnapshots.Inc()
 	} else {
-		it.metrics.propUpdates.Inc()
+		it.node.metrics.propUpdates.Inc()
 	}
 	return d, true
 }

@@ -32,9 +32,11 @@ import (
 // replica_decision_unknown_total, and it stays pinned), so retention must
 // outlast the resolver's first query, ResolveAfter after the staging. It
 // does, but not by hours: one item-coordinator committing 500 writes a
-// second fills 8192 entries in 16 s, which is the default ResolveAfter
-// (2 x LockLease = 8 x CallTimeout = 16 s) — a deployment that sustains
-// more per item-coordinator must shorten ResolveAfter to match.
+// second fills 8192 entries in 16 s, which is ResolveAfter under core's
+// default CallTimeout of 2 s (2 x LockLease = 8 x CallTimeout; a daemon's
+// default CallTimeout is 250 ms and its ResolveAfter 2 s) — a deployment
+// that sustains more per item-coordinator must shorten ResolveAfter to
+// match.
 const maxDecisions = 8192
 
 // decision is one logged outcome, 16 bytes. Every logged operation was
@@ -58,22 +60,37 @@ func (d decision) applies(specVersion uint64) bool {
 
 // decisionLog is a ring of the last maxDecisions outcomes. Its size is
 // fixed by that bound, not by how many operations the node has completed,
-// and it is allocated a chunk at a time as it first fills, so an item that
-// coordinates little pays for little.
+// and it is allocated as it first fills: the first chunk's worth of slots in
+// a slice that starts at four and doubles, so an item that coordinates
+// little pays for little, and after it a whole chunk at a time, so a busy
+// ring never holds more than a chunk it has not reached. A full ring is 128
+// KB of slots.
 type decisionLog struct {
-	chunks []*[decisionChunk]decision
-	n      int // records ever written; record k lives in slot k % maxDecisions
+	head   []decision                 // slots 0 … decisionChunk-1
+	chunks []*[decisionChunk]decision // chunk c holds slots (c+1)·decisionChunk …
+	n      int                        // records ever written; record k lives in slot k % maxDecisions
 }
 
 const decisionChunk = 128 // 2 KB; divides maxDecisions
 
 func (l *decisionLog) slot(k int) *decision {
 	i := k % maxDecisions
-	return &l.chunks[i/decisionChunk][i%decisionChunk]
+	if i < decisionChunk {
+		return &l.head[i]
+	}
+	return &l.chunks[i/decisionChunk-1][i%decisionChunk]
 }
 
 func (l *decisionLog) record(d decision) {
-	if l.n < maxDecisions && l.n%decisionChunk == 0 {
+	switch {
+	case l.n >= maxDecisions: // every slot exists
+	case l.n < decisionChunk:
+		if l.n == len(l.head) {
+			grown := make([]decision, max(4, 2*l.n))
+			copy(grown, l.head)
+			l.head = grown
+		}
+	case l.n%decisionChunk == 0:
 		l.chunks = append(l.chunks, new([decisionChunk]decision))
 	}
 	*l.slot(l.n) = d
@@ -127,13 +144,13 @@ const decisionUnknownMetric = "replica_decision_unknown_total"
 func (it *Item) decided(op OpID) (decision, bool) {
 	known := false
 	var d decision
-	if op.Coordinator == it.self {
+	if op.Coordinator == it.node.self {
 		it.decMu.Lock()
 		d, known = it.decisions.lookup(op.Seq)
 		it.decMu.Unlock()
 	}
 	if !known {
-		it.cfg.Obs.Counter(decisionUnknownMetric).Inc() // as rare as the event: not worth a field per item
+		it.node.cfg.Obs.Counter(decisionUnknownMetric).Inc() // as rare as the event: not worth a field per item
 	}
 	return d, known
 }
@@ -231,7 +248,7 @@ func (it *Item) unwatchIfDrained() bool {
 // version resolves them as abort. Coordinators whose query fails are added
 // to unreachable, and those already in it are skipped.
 func (it *Item) resolveStale(unreachable *nodeset.Set) {
-	cutoff := time.Now().Add(-it.cfg.ResolveAfter)
+	cutoff := time.Now().Add(-it.node.cfg.ResolveAfter)
 	type query struct {
 		op          OpID
 		specVersion uint64
@@ -250,7 +267,7 @@ func (it *Item) resolveStale(unreachable *nodeset.Set) {
 	it.mu.Unlock()
 
 	for _, q := range pending {
-		if q.op.Coordinator == it.self {
+		if q.op.Coordinator == it.node.self {
 			// Local coordinator: consult the log directly.
 			if d, known := it.decided(q.op); known {
 				it.applyDecision(q.op, d.applies(q.specVersion))
@@ -260,8 +277,8 @@ func (it *Item) resolveStale(unreachable *nodeset.Set) {
 		if unreachable.Contains(q.op.Coordinator) {
 			continue
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), it.cfg.PropagationCallTimeout)
-		reply, err := it.net.Call(ctx, it.self, q.op.Coordinator, Envelope{Item: it.name, Msg: DecisionQuery{Op: q.op, NewVersion: q.specVersion}})
+		ctx, cancel := context.WithTimeout(context.Background(), it.node.cfg.PropagationCallTimeout)
+		reply, err := it.node.net.Call(ctx, it.node.self, q.op.Coordinator, Envelope{Item: it.name, Msg: DecisionQuery{Op: q.op, NewVersion: q.specVersion}})
 		cancel()
 		if err != nil {
 			unreachable.Add(q.op.Coordinator)

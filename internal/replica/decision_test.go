@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"coterie/internal/nodeset"
 	"coterie/internal/obs"
@@ -37,14 +38,17 @@ func TestDecisionLogRecordAndQuery(t *testing.T) {
 func TestDecisionRingWrapAround(t *testing.T) {
 	var l decisionLog
 	const extra = 100
+	ringBytes := func() int {
+		return (cap(l.head) + len(l.chunks)*decisionChunk) * int(unsafe.Sizeof(decision{}))
+	}
 	for seq := uint64(1); seq <= maxDecisions+extra; seq++ {
 		l.record(decision{seq: seq, vc: seq<<1 | 1})
-		if seq == 10 && len(l.chunks) != 1 {
-			t.Fatalf("%d chunks after ten records, want 1: a quiet item must stay small", len(l.chunks))
+		if seq == 10 && ringBytes() > 256 {
+			t.Fatalf("%d ring bytes after ten records, want at most 256: a quiet item must stay small", ringBytes())
 		}
 	}
-	if got := len(l.chunks) * decisionChunk; got != maxDecisions {
-		t.Fatalf("ring grew to %d slots, want %d", got, maxDecisions)
+	if got := ringBytes(); got != 128<<10 {
+		t.Fatalf("the full ring is %d bytes, want %d", got, 128<<10)
 	}
 	for _, seq := range []uint64{1, extra} {
 		if _, known := l.lookup(seq); known {
@@ -89,7 +93,7 @@ func TestDecisionRingAmnesiaReset(t *testing.T) {
 	if _, known := it.decided(o); known {
 		t.Error("decision survived amnesia")
 	}
-	if it.decisions.chunks != nil {
+	if it.decisions.head != nil || it.decisions.chunks != nil {
 		t.Error("amnesia kept the ring's memory")
 	}
 }

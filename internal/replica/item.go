@@ -114,18 +114,18 @@ type staged struct {
 // against a published snapshot (see state below). mu protects only the
 // store, the protocol flags, and the staged-2PC table.
 type Item struct {
-	name    string
-	self    nodeset.ID
-	net     transport.Net
-	cfg     Config
-	lock    *itemLock
-	metrics itemMetrics
+	name string
+	// node is the hosting node. An item reads only what NewNode set and
+	// nothing writes afterwards — self, net, cfg, metrics, lockEnv, closed
+	// — so what a node owns once is paid for once, not once per item.
+	node *Node
 
 	// initial is the item's configured version-0 value. It is deployment
 	// configuration, not replicated state: a rebuilt process re-supplies it
 	// to AddItem, so Amnesia may reset the store onto it — which is what
 	// makes update replay from version 0 rebuild the correct value (see
-	// amnesia.go).
+	// amnesia.go). It is the caller's slice, shared with every item given the
+	// same one and never written: the store holds its own copy.
 	initial []byte
 
 	// state is the published protocol-state snapshot, refreshed by every
@@ -135,17 +135,24 @@ type Item struct {
 	state atomic.Pointer[StateReply]
 
 	mu         sync.Mutex
-	store      *Store
-	stale      bool
+	store      Store
+	payload    int       // value length last added to replica_payload_bytes
 	staleSince time.Time // when stale last became true (staleness histogram)
 	desired    uint64
 	epoch      nodeset.Set
 	epochNum   uint64
-	good       nodeset.Set // recorded good list (safety-threshold extension)
-	goodVer    uint64      // version the good list corresponds to
-	staged     map[OpID]*staged
+	good       nodeset.Set      // recorded good list (safety-threshold extension)
+	goodVer    uint64           // version the good list corresponds to
+	staged     map[OpID]*staged // nil until the first staging
+	propOp     OpID             // operation currently allowed to propagate into this replica
+	stale      bool
 	watched    bool // on the node's termination walk (see stageLocked)
-	propOp     OpID // operation currently allowed to propagate into this replica
+	// recovering marks a replica that lost its stable state (amnesia.go);
+	// it is excluded from quorums until an epoch change readmits it.
+	recovering bool
+	// propRunning is propMu's, not mu's; it sits here because four flags in
+	// one word instead of four keep the Item in its size class.
+	propRunning bool
 
 	// Coordinator decision log for 2PC termination (see decision.go),
 	// striped off mu so termination queries and decision writes do not
@@ -153,48 +160,28 @@ type Item struct {
 	decMu     sync.Mutex
 	decisions decisionLog
 
-	// recovering marks a replica that lost its stable state (amnesia.go);
-	// it is excluded from quorums until an epoch change readmits it.
-	recovering bool
-
 	opSeq atomic.Uint64
 
-	propMu      sync.Mutex
-	pending     nodeset.Set
-	propGen     uint64 // bumped by every enqueuePropagation (see propagateWorker)
-	propRunning bool
+	propMu  sync.Mutex
+	pending nodeset.Set
+	propGen uint64 // bumped by every enqueuePropagation (see propagateWorker)
 
-	// batchSink, when set (Config.PropagationBatch via Node.AddItem,
-	// before the item is published to the dispatch map), diverts
-	// propagation work to the node-level batched dispatcher instead of the
-	// per-item worker. Written once before any message can reach the item.
-	batchSink func(item string, targets nodeset.Set)
-
-	// watch is Node.watchStaged of the hosting node: it puts the item on the
-	// node's termination walk (see stageLocked). Set at construction.
-	watch func(*Item)
-
-	closed chan struct{}
-	wg     sync.WaitGroup
+	lock itemLock
 }
 
-func newItem(name string, self nodeset.ID, members nodeset.Set, initial []byte, net transport.Net, cfg Config, watch func(*Item)) *Item {
-	cfg = cfg.withDefaults()
+// newItem builds node n's replica of an item: the Item, its copy of the
+// value and its first published state, and nothing else. Whatever does not
+// differ between the items of a node is n's.
+func newItem(n *Node, name string, members nodeset.Set, initial []byte) *Item {
 	it := &Item{
 		name:    name,
-		self:    self,
-		net:     net,
-		cfg:     cfg,
-		lock:    newItemLock(cfg.LockLease),
-		metrics: newItemMetrics(cfg.Obs),
-		initial: append([]byte(nil), initial...),
-		store:   NewStore(initial, cfg.MaxLog),
+		node:    n,
+		initial: initial,
+		store:   NewStore(initial, n.cfg.MaxLog),
 		epoch:   members.Clone(),
-		staged:  make(map[OpID]*staged),
-		watch:   watch,
-		closed:  make(chan struct{}),
+		lock:    itemLock{lockEnv: &n.lockEnv},
 	}
-	it.lock.attachMetrics(cfg.Obs)
+	n.metrics.items.Add(1)
 	it.publishStateLocked() // no concurrent access yet; mu not needed
 	return it
 }
@@ -213,7 +200,10 @@ func (it *Item) stageLocked(now time.Time, op OpID, st *staged) {
 	st.preparedAt = now
 	if !it.watched {
 		it.watched = true
-		it.watch(it)
+		it.node.watchStaged(it)
+	}
+	if it.staged == nil {
+		it.staged = make(map[OpID]*staged)
 	}
 	it.staged[op] = st
 }
@@ -222,11 +212,11 @@ func (it *Item) stageLocked(now time.Time, op OpID, st *staged) {
 func (it *Item) Name() string { return it.name }
 
 // Self returns the hosting node's ID.
-func (it *Item) Self() nodeset.ID { return it.self }
+func (it *Item) Self() nodeset.ID { return it.node.self }
 
 // NextOp mints a fresh operation ID coordinated by this node.
 func (it *Item) NextOp() OpID {
-	return OpID{Coordinator: it.self, Seq: it.opSeq.Add(1)}
+	return OpID{Coordinator: it.node.self, Seq: it.opSeq.Add(1)}
 }
 
 // AdvanceOpSeq moves the operation-ID sequence forward by at least delta.
@@ -252,10 +242,17 @@ func (it *Item) State() StateReply {
 // publishStateLocked rebuilds and publishes the state snapshot. Callers
 // hold mu (except item construction); the atomic store orders the publish
 // before the mutating operation's lock release, so any operation granted
-// the replica lock afterwards observes it.
+// the replica lock afterwards observes it. Every change of the value passes
+// through here, so this is also where replica_payload_bytes follows its
+// length — touched when the value was created, grown or replaced, not per
+// message.
 func (it *Item) publishStateLocked() {
+	if n := it.store.Len(); n != it.payload {
+		it.node.metrics.payloadBytes.Add(int64(n - it.payload))
+		it.payload = n
+	}
 	st := StateReply{
-		Node:       it.self,
+		Node:       it.node.self,
 		Version:    it.store.Version(),
 		Desired:    it.desired,
 		Stale:      it.stale,
@@ -313,7 +310,7 @@ func (it *Item) Handle(ctx context.Context, from nodeset.ID, msg any) (transport
 	case DecisionQuery:
 		return it.handleDecisionQuery(m)
 	default:
-		return nil, fmt.Errorf("replica %v/%s: unknown message %T", it.self, it.name, msg)
+		return nil, fmt.Errorf("replica %v/%s: unknown message %T", it.node.self, it.name, msg)
 	}
 }
 
@@ -339,7 +336,7 @@ func (it *Item) lockOrdered(ctx context.Context, now time.Time, op OpID, mode lo
 	case errLockRefused:
 		return LockRefused{State: it.State(), By: by}, nil
 	default:
-		return nil, fmt.Errorf("replica %v/%s: lock for %v: %w", it.self, it.name, op, err)
+		return nil, fmt.Errorf("replica %v/%s: lock for %v: %w", it.node.self, it.name, op, err)
 	}
 }
 
@@ -386,7 +383,7 @@ func (it *Item) handleLockPrepare(ctx context.Context, m LockPrepare) (transport
 // locked after the reply, so the read has no release round.
 func (it *Item) handleReadSnap(ctx context.Context, m ReadSnap) (transport.Message, error) {
 	if err := it.lock.acquire(ctx, time.Now(), m.Op, lockShared); err != nil {
-		return nil, fmt.Errorf("replica %v/%s: lock for %v: %w", it.self, it.name, m.Op, err)
+		return nil, fmt.Errorf("replica %v/%s: lock for %v: %w", it.node.self, it.name, m.Op, err)
 	}
 	it.mu.Lock()
 	st := *it.state.Load()
@@ -398,7 +395,7 @@ func (it *Item) handleReadSnap(ctx context.Context, m ReadSnap) (transport.Messa
 
 func (it *Item) handleFetch(m FetchValue) (transport.Message, error) {
 	if !it.lock.heldBy(time.Now(), m.Op, lockShared) {
-		return nil, fmt.Errorf("replica %v/%s: fetch without lock by %v", it.self, it.name, m.Op)
+		return nil, fmt.Errorf("replica %v/%s: fetch without lock by %v", it.node.self, it.name, m.Op)
 	}
 	it.mu.Lock()
 	defer it.mu.Unlock()
@@ -533,7 +530,7 @@ func (it *Item) handlePrepareEpoch(m PrepareEpoch) (transport.Message, error) {
 	if m.EpochNum <= it.epochNum {
 		return Ack{Reason: fmt.Sprintf("epoch %d not newer than %d", m.EpochNum, it.epochNum)}, nil
 	}
-	if !m.Epoch.Contains(it.self) {
+	if !m.Epoch.Contains(it.node.self) {
 		return Ack{Reason: "node not a member of the proposed epoch"}, nil
 	}
 	it.stageLocked(now, m.Op, &staged{
@@ -605,18 +602,18 @@ func (it *Item) handleCommit(m Commit) (transport.Message, error) {
 		it.good = st.good
 		it.goodVer = st.maxVersion
 		if it.recovering {
-			it.metrics.readmitted.Inc()
+			it.node.metrics.readmitted.Inc()
 		}
 		it.recovering = false // an epoch change readmits an amnesiac replica
-		it.metrics.epochInstalls.Inc()
-		if st.good.Contains(it.self) {
+		it.node.metrics.epochInstalls.Inc()
+		if st.good.Contains(it.node.self) {
 			it.clearStaleLocked()
 			propagateTo = st.epoch.Diff(st.good)
 		} else {
 			it.markStaleLocked(st.maxVersion)
 		}
 	}
-	it.metrics.commits.Inc()
+	it.node.metrics.commits.Inc()
 	it.publishStateLocked()
 	it.mu.Unlock()
 	it.lock.release(m.Op)
@@ -652,23 +649,23 @@ func (it *Item) handleApplyDirect(ctx context.Context, m ApplyDirect) (transport
 	}
 	switch err := it.lock.acquireBehindReaders(ctx, time.Now(), m.Op); {
 	case err == errLockBusy:
-		it.metrics.pushBusy.Inc()
+		it.node.metrics.pushBusy.Inc()
 		return directBusy, nil
 	case err != nil:
-		return nil, fmt.Errorf("replica %v/%s: direct-apply lock: %w", it.self, it.name, err)
+		return nil, fmt.Errorf("replica %v/%s: direct-apply lock: %w", it.node.self, it.name, err)
 	}
 	defer it.lock.release(m.Op)
 	it.mu.Lock()
 	defer it.mu.Unlock()
 	switch {
 	case it.recovering:
-		it.metrics.pushRecovering.Inc()
+		it.node.metrics.pushRecovering.Inc()
 		return directRecovering, nil
 	case it.stale:
-		it.metrics.pushStale.Inc()
+		it.node.metrics.pushStale.Inc()
 		return directStale, nil
 	case it.store.Version()+1 != m.NewVersion:
-		it.metrics.pushGap.Inc()
+		it.node.metrics.pushGap.Inc()
 		return directGap, nil
 	}
 	it.store.Apply(m.Update)
@@ -677,7 +674,7 @@ func (it *Item) handleApplyDirect(ctx context.Context, m ApplyDirect) (transport
 	}
 	it.good = m.GoodSet.Clone()
 	it.goodVer = it.store.Version()
-	it.metrics.pushApplied.Inc()
+	it.node.metrics.pushApplied.Inc()
 	it.publishStateLocked()
 	return ackOK, nil
 }
@@ -688,14 +685,4 @@ func (it *Item) handleAbort(m Abort) (transport.Message, error) {
 	it.mu.Unlock()
 	it.lock.release(m.Op)
 	return ackOK, nil
-}
-
-// Close stops the propagation worker and waits for it to exit.
-func (it *Item) Close() {
-	select {
-	case <-it.closed:
-	default:
-		close(it.closed)
-	}
-	it.wg.Wait()
 }

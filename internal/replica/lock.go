@@ -136,29 +136,30 @@ type itemLock struct {
 	mu      sync.Mutex
 	holders []holder
 	waiters []*waiter
-	lease   time.Duration
+	*lockEnv
+}
 
-	// Obs counters (nil — no-op — unless attachMetrics ran): acquisitions
-	// granted, acquisitions denied (caller's context ended while queued),
-	// ordered acquisitions refused at once, and holds dropped by lease
-	// expiry.
+// lockEnv is what the locks of one node's replicas have in common, built
+// once per node and never written afterwards: the lease, and the obs counters
+// (nil — no-op — without a registry) of acquisitions granted, acquisitions
+// denied (caller's context ended while queued), ordered acquisitions refused
+// at once, and holds dropped by lease expiry.
+type lockEnv struct {
+	lease   time.Duration
 	granted *obs.Counter
 	denied  *obs.Counter
 	refused *obs.Counter
 	expired *obs.Counter
 }
 
-func newItemLock(lease time.Duration) *itemLock {
-	return &itemLock{lease: lease}
-}
-
-// attachMetrics resolves the lock's counters from r (a no-op on nil).
-// Called once at item construction, before the lock sees traffic.
-func (l *itemLock) attachMetrics(r *obs.Registry) {
-	l.granted = r.Counter("replica_lock_granted_total")
-	l.denied = r.Counter("replica_lock_denied_total")
-	l.refused = r.Counter("replica_lock_refused_total")
-	l.expired = r.Counter("replica_lock_expired_total")
+func newLockEnv(lease time.Duration, r *obs.Registry) lockEnv {
+	return lockEnv{
+		lease:   lease,
+		granted: r.Counter("replica_lock_granted_total"),
+		denied:  r.Counter("replica_lock_denied_total"),
+		refused: r.Counter("replica_lock_refused_total"),
+		expired: r.Counter("replica_lock_expired_total"),
+	}
 }
 
 // leaseFrom returns the expiry of a lease that starts at now: zero when

@@ -15,6 +15,16 @@ import (
 
 func op(n nodeset.ID, seq uint64) OpID { return OpID{Coordinator: n, Seq: seq} }
 
+// newItemLock builds a lock on its own, outside any node: its shared part is
+// private to it and carries no counters until attachMetrics.
+func newItemLock(lease time.Duration) *itemLock {
+	return &itemLock{lockEnv: &lockEnv{lease: lease}}
+}
+
+func (l *itemLock) attachMetrics(r *obs.Registry) {
+	*l.lockEnv = newLockEnv(l.lease, r)
+}
+
 func TestLockExclusiveBlocks(t *testing.T) {
 	l := newItemLock(0)
 	ctx := context.Background()

@@ -6,11 +6,11 @@ import (
 	"coterie/internal/obs"
 )
 
-// itemMetrics holds the replica layer's obs counters, resolved once at item
-// construction. All items in a process share a registry, so these aggregate
-// across items and nodes. Resolving against a nil registry yields nil
-// metrics whose recording methods are no-ops (see obs.Nop), so the data
-// path carries no conditionals.
+// itemMetrics holds the replica layer's obs counters, resolved once per node
+// (NewNode) and read by its items through it. All nodes in a process share a
+// registry, so these aggregate across items and nodes. Resolving against a
+// nil registry yields nil metrics whose recording methods are no-ops (see
+// obs.Nop), so the data path carries no conditionals.
 type itemMetrics struct {
 	commits      *obs.Counter
 	staleMarked  *obs.Counter
@@ -43,6 +43,12 @@ type itemMetrics struct {
 	pushGap        *obs.Counter
 	pushStale      *obs.Counter
 	pushRecovering *obs.Counter
+
+	// What the node holds: replicas built, and the sum of their values'
+	// lengths (see publishStateLocked). cotop's memory line sets them against
+	// process_heap_bytes.
+	items        *obs.Gauge
+	payloadBytes *obs.Gauge
 }
 
 func newItemMetrics(r *obs.Registry) itemMetrics {
@@ -66,6 +72,8 @@ func newItemMetrics(r *obs.Registry) itemMetrics {
 		pushGap:        r.Counter("replica_push_refused_gap_total"),
 		pushStale:      r.Counter("replica_push_refused_stale_total"),
 		pushRecovering: r.Counter("replica_push_refused_recovering_total"),
+		items:          r.Gauge("replica_items"),
+		payloadBytes:   r.Gauge("replica_payload_bytes"),
 	}
 }
 
@@ -73,7 +81,7 @@ func newItemMetrics(r *obs.Registry) itemMetrics {
 // stamping the staleness clock on the current→stale edge. Caller holds mu.
 func (it *Item) markStaleLocked(desired uint64) {
 	if !it.stale {
-		it.metrics.staleMarked.Inc()
+		it.node.metrics.staleMarked.Inc()
 		it.staleSince = time.Now()
 	}
 	it.stale = true
@@ -84,8 +92,8 @@ func (it *Item) markStaleLocked(desired uint64) {
 // stale. Caller holds mu.
 func (it *Item) clearStaleLocked() {
 	if it.stale {
-		it.metrics.staleCleared.Inc()
-		it.metrics.stalenessNS.RecordDuration(time.Since(it.staleSince))
+		it.node.metrics.staleCleared.Inc()
+		it.node.metrics.stalenessNS.RecordDuration(time.Since(it.staleSince))
 	}
 	it.stale = false
 	it.desired = 0

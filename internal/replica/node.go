@@ -16,9 +16,14 @@ import (
 // though the epoch-checking coordinator may sweep a whole group of items to
 // amortize its polling (paper, Section 2).
 type Node struct {
-	self nodeset.ID
-	net  transport.Net
-	cfg  Config
+	// Set by NewNode and never written afterwards: what the node's items
+	// have in common, which each reads through its one pointer to the node
+	// instead of carrying a copy.
+	self    nodeset.ID
+	net     transport.Net
+	cfg     Config // defaults applied
+	metrics itemMetrics
+	lockEnv lockEnv
 
 	mu         sync.RWMutex
 	items      map[string]*Item
@@ -40,6 +45,9 @@ type Node struct {
 	resWatched []*Item
 	resRunning bool
 
+	// closed stops, and wg counts, every background goroutine of the node and
+	// of its items: the resolver, the batched dispatcher and the items'
+	// propagation workers. Closed once, under resMu (see Close).
 	closed chan struct{}
 	wg     sync.WaitGroup
 }
@@ -47,10 +55,13 @@ type Node struct {
 // NewNode creates a node and registers its message handler with the
 // network.
 func NewNode(self nodeset.ID, net transport.Net, cfg Config) *Node {
+	cfg = cfg.withDefaults()
 	n := &Node{
 		self:      self,
 		net:       net,
-		cfg:       cfg.withDefaults(),
+		cfg:       cfg,
+		metrics:   newItemMetrics(cfg.Obs),
+		lockEnv:   newLockEnv(cfg.LockLease, cfg.Obs),
 		items:     make(map[string]*Item),
 		bpPending: make(map[nodeset.ID]map[string]uint64),
 		bpMetrics: newNodeBatchMetrics(cfg.Obs),
@@ -69,7 +80,9 @@ func (n *Node) Self() nodeset.ID { return n.self }
 // AddItem creates this node's replica of a data item. members is the full
 // replica set of the item (the initial epoch — "originally all replicas of
 // the data item form the current epoch", paper Section 1); initial is the
-// starting value, identical on every replica.
+// starting value, identical on every replica. The replica keeps initial by
+// reference — any number of items may be given the same slice — and only
+// reads it: the caller must not modify it after the call.
 func (n *Node) AddItem(name string, members nodeset.Set, initial []byte) (*Item, error) {
 	if !members.Contains(n.self) {
 		return nil, fmt.Errorf("replica: node %v not in member set %v of item %q", n.self, members, name)
@@ -85,13 +98,7 @@ func (n *Node) AddItem(name string, members nodeset.Set, initial []byte) (*Item,
 // newItemLocked builds the replica and publishes it to the dispatch map.
 // Called with mu held.
 func (n *Node) newItemLocked(name string, members nodeset.Set, initial []byte) *Item {
-	it := newItem(name, n.self, members, initial, n.net, n.cfg, n.watchStaged)
-	if n.cfg.PropagationBatch {
-		// Set before the item is published to the dispatch map, so every
-		// propagation enqueue the item ever performs goes through the
-		// node-level batched dispatcher.
-		it.batchSink = n.enqueueBatchPropagation
-	}
+	it := newItem(n, name, members, initial)
 	n.items[name] = it
 	return it
 }
@@ -102,7 +109,8 @@ func (n *Node) newItemLocked(name string, members nodeset.Set, initial []byte) *
 // provisioned lazily from either side — a client operation arriving at the
 // co-located coordinator, or a protocol message from a peer coordinator —
 // and both may race on first touch. The members and initial value are only
-// used on creation; an existing replica is returned as-is. The boolean
+// used on creation (initial as AddItem uses it: kept by reference, not to be
+// modified afterwards); an existing replica is returned as-is. The boolean
 // reports whether this call created the replica — exactly one racing
 // caller sees true, so creation-time setup (e.g. a recovering daemon's
 // Amnesia) runs once.
@@ -256,10 +264,12 @@ func (n *Node) groupState() GroupStateReply {
 }
 
 // Close stops the batched-propagation dispatcher, the termination resolver
-// and all items' background work.
+// and all items' background work, and waits for them to exit. It may be
+// called more than once, from any goroutines.
 func (n *Node) Close() {
-	// Under resMu, so that no staging still in flight starts the resolver —
-	// and adds to wg — behind the Wait below (see watchStaged).
+	// Under resMu, so that concurrent calls close the channel once and no
+	// staging still in flight starts the resolver — and adds to wg — behind
+	// the Wait below (see watchStaged).
 	n.resMu.Lock()
 	select {
 	case <-n.closed:
@@ -268,13 +278,4 @@ func (n *Node) Close() {
 	}
 	n.resMu.Unlock()
 	n.wg.Wait()
-	n.mu.RLock()
-	items := make([]*Item, 0, len(n.items))
-	for _, it := range n.items {
-		items = append(items, it)
-	}
-	n.mu.RUnlock()
-	for _, it := range items {
-		it.Close()
-	}
 }

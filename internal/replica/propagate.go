@@ -29,12 +29,12 @@ func (it *Item) handlePropagationOffer(ctx context.Context, m PropagationOffer) 
 		// Not yet readmitted by an epoch change: the source should retry
 		// later, when this replica is a stale member ready for data.
 		it.mu.Unlock()
-		it.metrics.offerBusy.Inc()
+		it.node.metrics.offerBusy.Inc()
 		return PropagationReply{Status: PropAlreadyRecovering}, nil
 	}
 	if !it.propOp.IsZero() && it.lock.heldBy(now, it.propOp, lockExclusive) {
 		it.mu.Unlock()
-		it.metrics.offerBusy.Inc()
+		it.node.metrics.offerBusy.Inc()
 		return PropagationReply{Status: PropAlreadyRecovering}, nil
 	}
 	it.propOp = OpID{} // previous propagation finished or its lease expired
@@ -46,17 +46,17 @@ func (it *Item) handlePropagationOffer(ctx context.Context, m PropagationOffer) 
 	// drop the target permanently while the target still needs the data.
 	// Holding the lock serializes the offer after any prepared commit.
 	if err := it.lock.acquire(ctx, now, m.Op, lockExclusive); err != nil {
-		return nil, fmt.Errorf("replica %v/%s: propagation lock: %w", it.self, it.name, err)
+		return nil, fmt.Errorf("replica %v/%s: propagation lock: %w", it.node.self, it.name, err)
 	}
 	it.mu.Lock()
 	defer it.mu.Unlock()
 	if !it.stale || it.desired > m.Version {
 		it.lock.release(m.Op)
-		it.metrics.offerCurrent.Inc()
+		it.node.metrics.offerCurrent.Inc()
 		return PropagationReply{Status: PropIAmCurrent}, nil
 	}
 	it.propOp = m.Op
-	it.metrics.offerPermitted.Inc()
+	it.node.metrics.offerPermitted.Inc()
 	return PropagationReply{Status: PropPermitted, TargetVersion: it.store.Version()}, nil
 }
 
@@ -96,12 +96,12 @@ func (it *Item) handlePropagationData(m PropagationData) (transport.Message, err
 // enqueues merge.
 func (it *Item) enqueuePropagation(targets nodeset.Set) {
 	targets = targets.Clone()
-	targets.Remove(it.self)
+	targets.Remove(it.node.self)
 	if targets.Empty() {
 		return
 	}
-	if it.batchSink != nil {
-		it.batchSink(it.name, targets)
+	if it.node.cfg.PropagationBatch {
+		it.node.enqueueBatchPropagation(it.name, targets)
 		return
 	}
 	it.propMu.Lock()
@@ -113,7 +113,7 @@ func (it *Item) enqueuePropagation(targets nodeset.Set) {
 	}
 	it.propMu.Unlock()
 	if start {
-		it.wg.Add(1)
+		it.node.wg.Add(1)
 		go it.propagateWorker()
 	}
 }
@@ -130,10 +130,10 @@ func (it *Item) PendingPropagation() nodeset.Set {
 // pending target, dropping targets that report "i-am-current" and retrying
 // the rest after a pause.
 func (it *Item) propagateWorker() {
-	defer it.wg.Done()
+	defer it.node.wg.Done()
 	for {
 		select {
-		case <-it.closed:
+		case <-it.node.closed:
 			return
 		default:
 		}
@@ -182,9 +182,9 @@ func (it *Item) propagateWorker() {
 			continue
 		}
 		select {
-		case <-it.closed:
+		case <-it.node.closed:
 			return
-		case <-time.After(it.cfg.PropagationRetry):
+		case <-time.After(it.node.cfg.PropagationRetry):
 		}
 	}
 }
@@ -213,7 +213,7 @@ var errRetry = errors.New("replica: propagation retry")
 // timeout-length deadlock cycles with write and epoch coordinators, which
 // acquire many replica locks concurrently.
 func (it *Item) propagateOnce(target nodeset.ID) (done bool, err error) {
-	ctx, cancel := context.WithTimeout(context.Background(), it.cfg.PropagationCallTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), it.node.cfg.PropagationCallTimeout)
 	defer cancel()
 
 	op := it.NextOp()
@@ -227,10 +227,10 @@ func (it *Item) propagateOnce(target nodeset.ID) (done bool, err error) {
 	myVersion := it.store.Version()
 	it.mu.Unlock()
 
-	it.metrics.propRounds.Inc()
-	reply, err := it.net.Call(ctx, it.self, target, Envelope{Item: it.name, Msg: PropagationOffer{Op: op, Version: myVersion}})
+	it.node.metrics.propRounds.Inc()
+	reply, err := it.node.net.Call(ctx, it.node.self, target, Envelope{Item: it.name, Msg: PropagationOffer{Op: op, Version: myVersion}})
 	if err != nil {
-		it.metrics.propRetries.Inc()
+		it.node.metrics.propRetries.Inc()
 		return false, errRetry
 	}
 	pr, ok := reply.(PropagationReply)
@@ -241,7 +241,7 @@ func (it *Item) propagateOnce(target nodeset.ID) (done bool, err error) {
 	case PropIAmCurrent:
 		return true, nil
 	case PropAlreadyRecovering:
-		it.metrics.propRetries.Inc()
+		it.node.metrics.propRetries.Inc()
 		return false, errRetry
 	case PropPermitted:
 	default:
@@ -264,19 +264,19 @@ func (it *Item) propagateOnce(target nodeset.ID) (done bool, err error) {
 	}
 	it.mu.Unlock()
 	if data.HasSnapshot {
-		it.metrics.propSnapshots.Inc()
+		it.node.metrics.propSnapshots.Inc()
 	} else {
-		it.metrics.propUpdates.Inc()
+		it.node.metrics.propUpdates.Inc()
 	}
 
-	reply, err = it.net.Call(ctx, it.self, target, Envelope{Item: it.name, Msg: data})
+	reply, err = it.node.net.Call(ctx, it.node.self, target, Envelope{Item: it.name, Msg: data})
 	if err != nil {
 		// The target's lock lease will expire on its own.
-		it.metrics.propRetries.Inc()
+		it.node.metrics.propRetries.Inc()
 		return false, errRetry
 	}
 	if ack, ok := reply.(Ack); !ok || !ack.OK {
-		it.metrics.propRetries.Inc()
+		it.node.metrics.propRetries.Inc()
 		return false, errRetry
 	}
 	return true, nil

@@ -26,11 +26,13 @@ const updateOverhead = 32
 
 // NewStore returns a store at version 0 holding the given initial value
 // (which may be nil) and retaining at most maxLog update-log entries
-// (<= 0 for unbounded).
-func NewStore(initial []byte, maxLog int) *Store {
+// (<= 0 for unbounded). The value is the store's own copy; initial is only
+// read. The store is returned by value, for its owner to hold inline, and
+// must not be copied once in use.
+func NewStore(initial []byte, maxLog int) Store {
 	v := make([]byte, len(initial))
 	copy(v, initial)
-	return &Store{value: v, maxLog: maxLog}
+	return Store{value: v, maxLog: maxLog}
 }
 
 // Version returns the replica's version number.
