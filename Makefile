@@ -33,12 +33,15 @@ race-conflict:
 	$(GO) test -race -short -count=3 -run 'TestOrderedLock|TestRefused' ./internal/replica/
 	$(GO) test -race -short -count=3 -run 'TestHotItemWritersOnEveryNode|TestRefused' ./internal/core/
 
-# race-legs repeats the sim transport's leg-worker tests under the race
-# detector: no leg waits for another, no concurrency cap, results in ID
-# order on the caller's goroutine, failed targets, nested multicasts, and
-# the hand-off itself (idle tokens claimed by compare-and-swap).
+# race-legs repeats the sim transport's leg tests under the race detector:
+# legs run on their caller's goroutine unless they wait, a waiting leg holds
+# up no other, no concurrency cap, results in ID order on the caller's
+# goroutine, failed targets, nested multicasts (the no-wait marker does not
+# leak into them), a would-wait attempt counted as nothing, the hand-off
+# itself (idle tokens claimed by compare-and-swap) — and the seam on the
+# other side: a no-wait acquire that changes nothing, under each policy.
 race-legs:
-	$(GO) test -race -count=5 -run 'TestLegs|TestWorkers' ./internal/transport/
+	$(GO) test -race -count=20 -run 'TestLegs|TestWorkers|TestNoWait|TestWouldWait' ./internal/transport/ ./internal/replica/
 
 # bench-pair W=<workload> [N=10] [SEED=1] [BASE=HEAD~1] [TRACE=1] compares
 # the working tree against commit BASE on one workload of BENCHMARK.json:
@@ -126,8 +129,9 @@ profile-heap:
 # check-allocs runs the steady-state allocation gates: the combiner's
 # submit/drain machinery, the batched-propagation capture path, the
 # decision ring, a refused write-through push, the sim transport's
-# multicast (no allocation and no goroutine started once its leg workers
-# are warm; at most a constant number parked after a burst), the mux
+# multicast (one 16-byte object per round, the context that marks its legs
+# no-wait, and no leg handed to a worker or goroutine started while nothing
+# waits; at most a constant number parked after a burst), the mux
 # dispatch and wire encode hot paths, the tcpnet frame codec, and the
 # weighted quorum pick
 # (alias-table sampling in coterie and the coordinator's pick wrapper) must

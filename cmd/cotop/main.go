@@ -147,12 +147,14 @@ func printSummary(w io.Writer, cs *capi.ClusterSnapshot) {
 		fmt.Fprintf(w, "  %-44s %d\n", name, cs.Counters[name])
 	}
 
-	// Lock contention on one line, zeros included: refused rounds were
-	// untied by the replicas' conflict order within a round trip (and rerun
-	// by their coordinators), denied and expired ones by a timeout — those
-	// two, and an unanswerable termination query, should stay at zero.
-	fmt.Fprintf(w, "lock conflicts: refused=%d rerun=%d denied=%d expired=%d decision-unknown=%d\n",
-		cs.Counters["replica_lock_refused_total"], cs.Counters["core_lock_retry_total"],
+	// Lock contention on one line, zeros included: waited requests queued
+	// behind another operation (on the sim transport, the legs that left
+	// their sender's goroutine), refused rounds were untied by the replicas'
+	// conflict order within a round trip (and rerun by their coordinators),
+	// denied and expired ones by a timeout — those two, and an unanswerable
+	// termination query, should stay at zero.
+	fmt.Fprintf(w, "lock conflicts: waited=%d refused=%d rerun=%d denied=%d expired=%d decision-unknown=%d\n",
+		cs.Counters["replica_lock_waited_total"], cs.Counters["replica_lock_refused_total"], cs.Counters["core_lock_retry_total"],
 		cs.Counters["replica_lock_denied_total"], cs.Counters["replica_lock_expired_total"],
 		cs.Counters["replica_decision_unknown_total"])
 

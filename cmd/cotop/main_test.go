@@ -56,6 +56,8 @@ func TestSummaryRendersMergedStrategyVectors(t *testing.T) {
 	r1.Gauge("core_strategy_capacity_milli").Set(1980)
 	r1.Gauge("core_strategy_capacity_bound_milli").Set(2000)
 	r1.Counter("core_reads_total").Add(3)
+	r1.Counter("replica_lock_waited_total").Add(5)
+	r2.Counter("replica_lock_waited_total").Add(4)
 	r1.Counter("replica_lock_refused_total").Add(40)
 	r2.Counter("replica_lock_refused_total").Add(2)
 	r2.Counter("core_lock_retry_total").Add(17)
@@ -98,7 +100,7 @@ func TestSummaryRendersMergedStrategyVectors(t *testing.T) {
 		"1:7",    // load EWMA passes through
 		"0:2100", // read-distribution entropy
 		"1980",   // predicted capacity gauge
-		"lock conflicts: refused=42 rerun=17 denied=0 expired=0 decision-unknown=0",
+		"lock conflicts: waited=9 refused=42 rerun=17 denied=0 expired=0 decision-unknown=0",
 		"write-through: sent=400 applied=390 refused(gap)=10 refused(busy)=0 refused(stale)=0 refused(recovering)=0 skipped=100 | spec hit=97 miss=3",
 		"quorum size: read=- write=2.67 (mean members per round)",
 		"memory: items=6144 payload=6.0 MB heap=33.1 MB (5.5 x)\n",

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -11,12 +12,23 @@ import (
 	"coterie/internal/obs"
 	"coterie/internal/onecopy"
 	"coterie/internal/replica"
+	"coterie/internal/transport"
 )
 
 func batchOptions() Options {
 	o := fastOptions()
 	o.GroupCommit = GroupCommitOptions{Enabled: true}
 	o.Obs = obs.New()
+	return o
+}
+
+// pilingOptions is batchOptions on a network whose messages take a few
+// microseconds to arrive. A round then takes its caller long enough for the
+// writers behind it to pile up in the combiner; without transit time a round
+// runs to its end on its caller's goroutine and usually finds the queue empty.
+func pilingOptions() Options {
+	o := batchOptions()
+	o.Transport = []transport.Option{transport.WithLatency(func(*rand.Rand) time.Duration { return 5 * time.Microsecond })}
 	return o
 }
 
@@ -28,7 +40,7 @@ func batchOptions() Options {
 // history is one-copy serializable. At least one multi-write flush must
 // actually have happened, or the test exercised nothing.
 func TestGroupCommitEquivalence(t *testing.T) {
-	opts := batchOptions()
+	opts := pilingOptions()
 	// Generous call timeout: writers queuing behind the in-flight batch's
 	// replica locks (or a propagation worker's) must block and proceed,
 	// not time out — this test asserts strict all-succeed equivalence.
@@ -190,7 +202,7 @@ func TestGroupCommitDisabledBySafetyThreshold(t *testing.T) {
 // the single-write flow (whose own failure is the ordinary unavailability
 // error), and the fallback counter records the abort.
 func TestGroupCommitFallbackOnQuorumLoss(t *testing.T) {
-	opts := batchOptions()
+	opts := pilingOptions()
 	c, err := NewCluster(9, "item", make([]byte, 16), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -301,11 +313,13 @@ func TestGroupCommitChurnStress(t *testing.T) {
 
 	const workers = 8
 	deadline := time.Now().Add(3 * time.Second)
+	pace := newOpPacer(8)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; time.Now().Before(deadline); i++ {
+				pace.next()
 				// Writes share three coordinators so the combiner sees
 				// contention; reads rotate over everyone.
 				opCtx, opCancel := context.WithTimeout(ctx, 2*time.Second)

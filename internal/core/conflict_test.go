@@ -303,6 +303,11 @@ func hotItemWriters(t *testing.T, writes int, groupCommit bool) {
 	if got := int(opts.Obs.Counter("replica_commits_total").Load()); got == 0 {
 		t.Fatal("nothing committed")
 	}
+	// Legs that found a lock taken waited for it on the network's workers
+	// (the combiner can take all contention away: 0 refusals in some runs).
+	if !groupCommit && opts.Obs.Counter("replica_lock_waited_total").Load() == 0 {
+		t.Error("replica_lock_waited_total = 0: no request ever queued behind another")
+	}
 	if err := rec.Check(); err != nil {
 		t.Fatalf("history not one-copy serializable: %v", err)
 	}

@@ -81,6 +81,25 @@ func chaosRead(ctx context.Context, t *testing.T, co *Coordinator, rec *onecopy.
 	return false
 }
 
+// opPacer holds the workers of a time-bounded stress test to a rate. The
+// history checker is quadratic, and on a network whose rounds do not park
+// their caller the same seconds complete six times the operations: the test
+// keeps its seconds, for the faults injected meanwhile, and its history.
+type opPacer struct {
+	began time.Time
+	perMs int64
+	done  atomic.Int64
+}
+
+func newOpPacer(perMs int64) *opPacer { return &opPacer{began: time.Now(), perMs: perMs} }
+
+// next admits one more operation, sleeping while the workers are ahead.
+func (p *opPacer) next() {
+	for n := p.done.Add(1); n > p.perMs*(1+time.Since(p.began).Milliseconds()); {
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func sleepJitter(ctx context.Context, r *rand.Rand) {
 	d := time.Duration(5+r.Intn(25)) * time.Millisecond
 	select {
@@ -135,6 +154,7 @@ func runChaos(t *testing.T, seed int64, crashable nodeset.Set, coordinators []no
 
 	var wrote, read atomic.Int64
 	var workers sync.WaitGroup
+	pace := newOpPacer(8)
 	workCtx, stopWork := context.WithTimeout(ctx, 2500*time.Millisecond)
 	defer stopWork()
 	for wi, node := range coordinators {
@@ -144,6 +164,7 @@ func runChaos(t *testing.T, seed int64, crashable nodeset.Set, coordinators []no
 			r := rand.New(rand.NewSource(seed*31 + int64(wi)))
 			co := c.Coordinator(node)
 			for i := 0; workCtx.Err() == nil; i++ {
+				pace.next()
 				if r.Intn(100) < 40 {
 					if chaosRead(workCtx, t, co, rec, 8, r) {
 						read.Add(1)

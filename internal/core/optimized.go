@@ -14,7 +14,8 @@ import (
 // StrategyEngine drives StrategyOptimized / StrategyReadDominant: it
 // keeps an atomically-swapped snapshot of the solved quorum distribution
 // and serves allocation-free weighted picks from it, re-solving on a
-// low-frequency tick in a background goroutine.
+// low-frequency tick in a background goroutine; only an epoch's first table
+// is solved where it was asked for.
 //
 // One engine serves every coordinator that shares a registry and member
 // set — the solved distribution depends only on the layout, capacities
@@ -29,8 +30,8 @@ import (
 // counter increment — no heap allocations (gated by
 // TestOptimizedPickAllocs / `make check-allocs`). Everything expensive —
 // candidate enumeration (once per epoch), the solve, alias-table
-// construction — happens on the recompute goroutine and is published by a
-// single pointer swap.
+// construction — happens in recompute, off the pick path but for an epoch's
+// first solve, and is published by a single pointer swap.
 type StrategyEngine struct {
 	capacity coterie.LoadFunc
 	load     *LoadTracker
@@ -161,9 +162,9 @@ func (s *StrategyEngine) readFrac() float64 {
 }
 
 // pickRead returns a read quorum sampled from the solved distribution.
-// ok=false means no valid snapshot is available (cold start, or an epoch
-// not solved yet); the caller falls back to the load-aware/hint path, and
-// a recompute fires at the next tick.
+// ok=false means no valid snapshot is available (a degenerate epoch, or one
+// not solved yet while another solve runs or none is due); the caller falls
+// back to the load-aware/hint path, and a recompute fires at the next tick.
 func (s *StrategyEngine) pickRead(lay *coterie.Layout, avail nodeset.Set, h int) (nodeset.Set, bool) {
 	snap := s.maybeSnapshot(lay, avail)
 	if snap == nil {
@@ -192,26 +193,43 @@ func (s *StrategyEngine) pickWrite(lay *coterie.Layout, avail nodeset.Set, h int
 }
 
 // maybeSnapshot returns a snapshot matching the epoch the caller is
-// selecting over — the lock-free fast-path pointer when it matches, else
-// the per-epoch cache. Recomputes are triggered at most once per interval
-// no matter how many epochs are live or how stale the match is: the
-// engine is shared by every coordinator, and letting each epoch mismatch
-// demand its own solve would run solves back-to-back whenever two items
-// transiently disagree on membership. A not-yet-solved epoch just falls
-// back until its tick.
+// selecting over. Recomputes are triggered at most once per interval no
+// matter how many epochs are live or how stale the match is: the engine is
+// shared by every coordinator, and letting each epoch mismatch demand its own
+// solve would run solves back-to-back whenever two items transiently disagree
+// on membership. A due solve for an epoch that has no table yet runs on the
+// goroutine that asked, which then picks from it: tens of microseconds, where
+// a caller whose rounds never park could draw fallback quorums for long before
+// a background goroutine ran. Re-solves run in the background; an unsolved
+// epoch that is not due falls back until its tick.
 func (s *StrategyEngine) maybeSnapshot(lay *coterie.Layout, avail nodeset.Set) *stratSnapshot {
-	snap := s.snap.Load()
-	if snap != nil && !snap.epoch.Equal(avail) {
-		snap = nil
+	snap := s.lookup(avail)
+	if now := time.Now().UnixNano(); now-s.lastSolve.Load() >= int64(s.interval) &&
+		s.recomputing.CompareAndSwap(false, true) {
+		epoch := avail.Clone()
+		solve := func() {
+			defer s.recomputing.Store(false)
+			s.recompute(lay, epoch)
+		}
+		if snap != nil {
+			go solve()
+		} else {
+			solve()
+			snap = s.lookup(avail)
+		}
 	}
-	if snap == nil {
-		if snap = s.cached(avail); snap != nil {
+	return snap
+}
+
+// lookup returns the solved snapshot of the given epoch, or nil: the
+// lock-free fast-path pointer when it matches, else the per-epoch cache.
+func (s *StrategyEngine) lookup(epoch nodeset.Set) *stratSnapshot {
+	snap := s.snap.Load()
+	if snap == nil || !snap.epoch.Equal(epoch) {
+		if snap = s.cached(epoch); snap != nil {
 			// Promote so subsequent picks for this epoch stay lock-free.
 			s.snap.Store(snap)
 		}
-	}
-	if now := time.Now().UnixNano(); now-s.lastSolve.Load() >= int64(s.interval) {
-		s.trigger(lay, avail)
 	}
 	return snap
 }
@@ -241,18 +259,6 @@ func (s *StrategyEngine) storeCache(snap *stratSnapshot) {
 	}
 	s.cache[s.cacheNext] = snap
 	s.cacheNext = (s.cacheNext + 1) % len(s.cache)
-}
-
-// trigger starts one background recompute unless one is already running.
-func (s *StrategyEngine) trigger(lay *coterie.Layout, avail nodeset.Set) {
-	if !s.recomputing.CompareAndSwap(false, true) {
-		return
-	}
-	epoch := avail.Clone()
-	go func() {
-		defer s.recomputing.Store(false)
-		s.recompute(lay, epoch)
-	}()
 }
 
 // recompute solves and publishes one snapshot for the given epoch. lay must

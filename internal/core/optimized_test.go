@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -24,19 +25,53 @@ func testEngine(t *testing.T, strategy QuorumStrategy, n int, capacity coterie.L
 	return NewStrategyEngine(epoch, nil, opts), lay
 }
 
-// TestOptimizedColdStartFallsBack: before the first solve the engine must
-// decline picks (the coordinator then uses the load-aware/hint path), and
-// serve them after warm-up; an epoch change invalidates the snapshot.
-func TestOptimizedColdStartFallsBack(t *testing.T) {
+// TestFirstPickUsesSolvedTable: the first pick of an engine finds no table
+// and a solve due, and runs it where it stands. One goroutine on one
+// processor that never yields — a coordinator whose rounds do not park —
+// would otherwise draw fallback quorums, the weak node among them, for as
+// long as it kept the processor.
+func TestFirstPickUsesSolvedTable(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	weak := nodeset.ID(4)
+	s, lay := testEngine(t, StrategyOptimized, 9, func(id nodeset.ID) float64 {
+		if id == weak {
+			return 0.1
+		}
+		return 1
+	})
+	epoch := lay.Epoch()
+	const picks = 1000
+	drawn := 0
+	for i := 0; i < picks; i++ {
+		q, ok := s.pickRead(lay, epoch, hint(replica.OpID{Coordinator: 3, Seq: uint64(i)}))
+		if !ok {
+			t.Fatalf("pick %d declined: no table on the goroutine that asked", i)
+		}
+		if got := s.metrics.recomputes.Load(); got != 1 {
+			t.Fatalf("after pick %d: %d solves, want the first pick's one", i, got)
+		}
+		if q.Contains(weak) {
+			drawn++
+		}
+	}
+	if drawn*50 > picks {
+		t.Errorf("weak node in %d of %d read quorums, want under 2 %%", drawn, picks)
+	}
+	if s.recomputing.Load() {
+		t.Error("the first solve left the engine marked as solving")
+	}
+}
+
+// TestOptimizedUnsolvedEpochFallsBack: picks come from the table of the
+// epoch they select over; an epoch that has none while no solve is due (the
+// interval is an hour) is declined — the coordinator then uses the
+// load-aware/hint path — not served another epoch's.
+func TestOptimizedUnsolvedEpochFallsBack(t *testing.T) {
 	s, lay := testEngine(t, StrategyOptimized, 9, nil)
 	epoch := lay.Epoch()
-	if _, ok := s.pickRead(lay, epoch, 1); ok {
-		t.Fatal("cold engine served a pick")
-	}
-	s.warm(lay)
 	q, ok := s.pickRead(lay, epoch, 1)
 	if !ok {
-		t.Fatal("warmed engine declined a pick")
+		t.Fatal("engine declined its first pick")
 	}
 	if !lay.IsReadQuorum(q) {
 		t.Fatalf("picked set %v is not a read quorum", q.IDs())

@@ -295,7 +295,7 @@ func TestNoWriteThroughWithoutAsyncSender(t *testing.T) {
 // as one direct-apply carrying all of it. Without it every bystander falls
 // K versions behind at the first batch and refuses every later push.
 func TestGroupCommitWritesThrough(t *testing.T) {
-	opts := batchOptions()
+	opts := pilingOptions()
 	opts.CallTimeout = 2 * time.Second
 	c, err := NewCluster(9, "item", make([]byte, 64), opts)
 	if err != nil {
@@ -323,6 +323,16 @@ func TestGroupCommitWritesThrough(t *testing.T) {
 	if reg.Counter("core_batch_flush_total").Load() == 0 {
 		t.Fatal("no multi-write batch was flushed; the test did not exercise group commit")
 	}
+	// With transit time the commits and the pushes, one-way both, are still
+	// travelling when the writes return.
+	waitUntil(t, 2*time.Second, func() bool {
+		for _, id := range c.Members.IDs() {
+			if c.Replica(id).State().Version != K {
+				return false
+			}
+		}
+		return true
+	}, "not every replica reached the last version")
 	want, _ := c.Replica(0).Value()
 	for _, id := range c.Members.IDs() {
 		st := c.Replica(id).State()

@@ -9,6 +9,7 @@ import (
 
 	"coterie/internal/nodeset"
 	"coterie/internal/obs"
+	"coterie/internal/transport"
 )
 
 // OpID identifies one protocol operation (a read, write, propagation or
@@ -142,11 +143,12 @@ type itemLock struct {
 // lockEnv is what the locks of one node's replicas have in common, built
 // once per node and never written afterwards: the lease, and the obs counters
 // (nil — no-op — without a registry) of acquisitions granted, acquisitions
-// denied (caller's context ended while queued), ordered acquisitions refused
-// at once, and holds dropped by lease expiry.
+// that queued, acquisitions denied (caller's context ended while queued),
+// ordered acquisitions refused at once, and holds dropped by lease expiry.
 type lockEnv struct {
 	lease   time.Duration
 	granted *obs.Counter
+	waited  *obs.Counter
 	denied  *obs.Counter
 	refused *obs.Counter
 	expired *obs.Counter
@@ -156,6 +158,7 @@ func newLockEnv(lease time.Duration, r *obs.Registry) lockEnv {
 	return lockEnv{
 		lease:   lease,
 		granted: r.Counter("replica_lock_granted_total"),
+		waited:  r.Counter("replica_lock_waited_total"),
 		denied:  r.Counter("replica_lock_denied_total"),
 		refused: r.Counter("replica_lock_refused_total"),
 		expired: r.Counter("replica_lock_expired_total"),
@@ -376,6 +379,13 @@ func (l *itemLock) doAcquire(ctx context.Context, now time.Time, op OpID, mode l
 			return OpID{}, errLockBusy
 		}
 	}
+	// The one place a handler waits for another operation. Asked not to, it says
+	// so having queued and counted nothing: run again, it is a first request.
+	if transport.NoWait(ctx) {
+		l.mu.Unlock()
+		return OpID{}, transport.ErrWouldWait
+	}
+	l.waited.Inc()
 	err := l.waitLocked(ctx, now, &waiter{op: op, mode: mode, ordered: ordered, pin: pin, ready: make(chan struct{})})
 	if err != nil {
 		l.denied.Inc()

@@ -608,7 +608,9 @@ func TestOrderedLocksNeverDeadlock(t *testing.T) {
 			t.Errorf("%s = %d, want 0: a wait ended by timeout, not by the order", name, got)
 		}
 	}
-	if reg.Counter("replica_lock_refused_total").Load() == 0 {
-		t.Error("no request was ever refused: the workers did not contend")
+	for _, name := range []string{"replica_lock_refused_total", "replica_lock_waited_total"} {
+		if reg.Counter(name).Load() == 0 {
+			t.Errorf("%s = 0: the workers did not contend", name)
+		}
 	}
 }

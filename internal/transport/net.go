@@ -19,10 +19,15 @@ import (
 //     peer, connection loss, per-call deadline expiry). Application-level
 //     errors returned by the remote handler pass through as ordinary
 //     errors; protocol code distinguishes the two with errors.Is.
-//   - MulticastFunc fans req out to every target concurrently, waits for
-//     all of them, and invokes fn once per target in ID order on the
-//     caller's goroutine (the simulated network's contract, which the
-//     lock-round collectors rely on for determinism).
+//   - MulticastFunc sends req to every target, waits for all of them, and
+//     invokes fn once per target in ID order on the caller's goroutine (the
+//     simulated network's contract, which the lock-round collectors rely on
+//     for determinism). A target whose handler queues behind a lock holds
+//     up neither the rest of its round nor anybody else's. The simulated
+//     network's one rule, for calls and one-way sends alike: a message leaves
+//     its sender's goroutine only to wait, and a handler says when it would
+//     (NoWait, ErrWouldWait). tcpnet's legs are in flight side by side
+//     anyway; it never sets the marker.
 //   - Register attaches the handler serving a locally-hosted node;
 //     re-registering replaces the handler (node restart with fresh state).
 //   - Served reports a monotone per-node served-request counter — the load

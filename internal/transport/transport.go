@@ -26,9 +26,9 @@
 //     see WithSeed for the seeding scheme), so calls from different nodes
 //     never serialize on a shared RNG.
 //   - Multicast fan-out collects into pooled scratch buffers and runs its
-//     legs on warm stacks — one on the caller's goroutine, the rest on the
-//     process-wide leg workers — so the steady state neither allocates nor
-//     starts a goroutine.
+//     legs on the caller's goroutine; a leg leaves it only to wait (transit
+//     time, a lock queue), for a warm stack of the process-wide leg
+//     workers, so the steady state starts no goroutine.
 package transport
 
 import (
@@ -49,6 +49,29 @@ import (
 // application-level errors returned by handlers.
 var ErrCallFailed = errors.New("transport: call failed")
 
+// ErrWouldWait is a handler's answer under NoWait to a request it could serve
+// only after waiting for another operation. It promises that the attempt changed
+// and counted nothing, so the network runs the request again where it may wait.
+var ErrWouldWait = errors.New("transport: handler would wait")
+
+type noWaitKey struct{}
+
+// noWait marks the legs a multicast runs on its caller's goroutine. Its 16 bytes
+// are all such a round allocates; pooled, a kept context would turn into some
+// later round's.
+type noWait struct{ context.Context }
+
+func (c noWait) Value(key any) any {
+	if key == (noWaitKey{}) {
+		return true
+	}
+	return c.Context.Value(key)
+}
+
+// NoWait reports whether a handler given ctx runs on its sender's goroutine,
+// the rest of the round behind it, and must not wait for another operation.
+func NoWait(ctx context.Context) bool { return ctx.Value(noWaitKey{}) == true }
+
 // Message is an RPC payload. Concrete protocols define their own typed
 // request and response structs.
 type Message interface{}
@@ -59,7 +82,8 @@ type Message interface{}
 type Handler func(ctx context.Context, from nodeset.ID, req Message) (Message, error)
 
 // Stats counts network traffic. A completed call costs two messages
-// (request and reply); a failed call costs at most one.
+// (request and reply); a failed call costs at most one. A request counts when
+// its handler has answered, so never for an answer of ErrWouldWait.
 type Stats struct {
 	Calls       int64 // calls attempted
 	FailedCalls int64 // calls that ended in ErrCallFailed
@@ -372,8 +396,18 @@ func (n *Network) sleepLatency(ctx context.Context, ep *endpoint) error {
 
 // Call sends req from one node to another and waits for the reply. It
 // returns ErrCallFailed when delivery is impossible (crashed endpoint,
-// partition, unknown node); handler errors pass through unchanged.
+// partition, unknown node); handler errors pass through unchanged. The caller
+// waits for it, so the handler may wait, whatever marker ctx has inherited.
 func (n *Network) Call(ctx context.Context, from, to nodeset.ID, req Message) (Message, error) {
+	if NoWait(ctx) {
+		ctx = context.WithValue(ctx, noWaitKey{}, false)
+	}
+	return n.timedCall(ctx, from, to, req)
+}
+
+// timedCall is call under the registry's clock and the trace hook; an attempt
+// that ended in ErrWouldWait was no call and is neither timed nor traced.
+func (n *Network) timedCall(ctx context.Context, from, to nodeset.ID, req Message) (Message, error) {
 	if n.trace == nil && n.callNs == nil {
 		return n.call(ctx, from, to, req)
 	}
@@ -383,49 +417,42 @@ func (n *Network) Call(ctx context.Context, from, to nodeset.ID, req Message) (M
 	if err == nil {
 		n.callNs.Get(int(to)).RecordDuration(elapsed)
 	}
-	if n.trace != nil {
+	if n.trace != nil && !errors.Is(err, ErrWouldWait) {
 		n.trace(TraceEvent{From: from, To: to, Request: req, Reply: reply, Err: err, Elapsed: elapsed})
 	}
 	return reply, err
 }
 
 func (n *Network) call(ctx context.Context, from, to nodeset.ID, req Message) (Message, error) {
-	n.calls.Inc()
 	reg := n.reg.Load()
 	src, dst := reg.get(from), reg.get(to)
-	if src == nil || dst == nil || !src.up.Load() || !dst.up.Load() || !n.reachable(from, to) {
+	if src == nil || dst == nil || !src.up.Load() || !dst.up.Load() || !n.reachable(from, to) ||
+		n.sleepLatency(ctx, src) != nil ||
+		!dst.up.Load() || !n.reachable(from, to) { // looked at again on "arrival"
+		n.calls.Inc()
 		return n.fail()
 	}
-	if err := n.sleepLatency(ctx, src); err != nil {
-		return n.fail()
-	}
-	// Re-check on "arrival".
-	if !dst.up.Load() || !n.reachable(from, to) {
-		return n.fail()
-	}
-	n.messages.Inc()
-	dst.served.Inc()
 	handler := *dst.handler.Load()
-
 	if n.encode != nil {
-		req, err := n.transcode(req)
-		if err != nil {
+		var err error
+		if req, err = n.transcode(req); err != nil {
 			return nil, fmt.Errorf("transport: request codec: %w", err)
 		}
-		reply, err := handler(ctx, from, req)
-		if err != nil {
-			return nil, err
-		}
-		reply, err = n.transcode(reply)
-		if err != nil {
-			return nil, fmt.Errorf("transport: reply codec: %w", err)
-		}
-		return n.finishCall(ctx, src, dst, from, to, reply)
 	}
-
 	reply, err := handler(ctx, from, req)
+	if errors.Is(err, ErrWouldWait) {
+		return nil, err
+	}
+	n.calls.Inc()
+	n.messages.Inc()
+	dst.served.Inc()
 	if err != nil {
 		return nil, err
+	}
+	if n.encode != nil {
+		if reply, err = n.transcode(reply); err != nil {
+			return nil, fmt.Errorf("transport: reply codec: %w", err)
+		}
 	}
 	return n.finishCall(ctx, src, dst, from, to, reply)
 }
@@ -435,13 +462,13 @@ func (n *Network) call(ctx context.Context, from, to nodeset.ID, req Message) (M
 // (there is no reply leg); crashed or partitioned targets drop the
 // message, exactly as the request leg of a call would.
 //
-// Without latency injection the simulator has no transit time to model,
-// so delivery runs inline on the caller's goroutine — a handler call is
-// the cheapest honest implementation, and it keeps the simulation's
-// strong property that a delivered message's effects are visible the
-// moment the send returns (tests rely on it). With latency configured,
-// the fan-out moves to a leg worker so the transit time stays off the
-// sender's critical path, as a real one-way send would.
+// A message leaves its sender's goroutine only to wait, here as in
+// MulticastFunc. Without latency injection there is no transit time, so
+// delivery runs inline — a handler call is the cheapest honest
+// implementation, and a delivered message's effects are visible the moment
+// the send returns (tests rely on it); the handler may wait, at the sender's
+// cost. With latency configured the fan-out moves to a leg worker so the
+// transit time stays off the sender's critical path, as a real one-way send.
 func (n *Network) SendAsync(ctx context.Context, from nodeset.ID, targets nodeset.Set, req Message) {
 	if targets.Empty() {
 		return
@@ -460,16 +487,21 @@ func (n *Network) SendAsync(ctx context.Context, from nodeset.ID, targets nodese
 	legWorkers.Go(leg{n: n, ctx: sendCtx, from: from, oneWay: targets.IDs(), req: req})
 }
 
-// detached carries a context's values past its cancellation and deadline,
-// as context.WithoutCancel does. It is a type of its own for its pointer
-// receiver: WithoutCancel's context is a struct value that boxes itself anew
-// on every Value call, one allocation per obs.TraceFrom in a handler.
+// detached carries a context's values, bar an inherited no-wait marker, past
+// its cancellation and deadline, as context.WithoutCancel does. It has its own
+// type for the pointer receiver: WithoutCancel's context is a struct value that
+// boxes itself anew on every Value call, an allocation per obs.TraceFrom.
 type detached struct{ values context.Context }
 
 func (*detached) Deadline() (time.Time, bool) { return time.Time{}, false }
 func (*detached) Done() <-chan struct{}       { return nil }
 func (*detached) Err() error                  { return nil }
-func (d *detached) Value(key any) any         { return d.values.Value(key) }
+func (d *detached) Value(key any) any {
+	if key == (noWaitKey{}) {
+		return nil
+	}
+	return d.values.Value(key)
+}
 
 // deliverOneWay is one target's leg of SendAsync: the request journey of
 // call, with no reply journey back.
@@ -547,9 +579,9 @@ type mcScratch struct {
 // goroutine and the few KB of stack its handlers grew) is not a leak.
 const maxParkedLegs = 128
 
-// legWorkers run the legs of every multicast and every delayed one-way
-// fan-out on every Network of the process: a Network has no Close to stop
-// workers of its own, and tests and benchmarks build networks by the
+// legWorkers run the waiting legs of every multicast and every delayed
+// one-way fan-out on every Network of the process: a Network has no Close to
+// stop workers of its own, and tests and benchmarks build networks by the
 // hundred.
 var legWorkers = NewWorkers(maxParkedLegs, leg.run)
 
@@ -578,18 +610,21 @@ func (l leg) run() {
 	l.wg.Done()
 }
 
-// MulticastFunc calls every target concurrently, waits for all of them,
-// and then invokes fn once per target (in the targets' ID order) on the
-// caller's goroutine. It is the allocation-lean core of Multicast: results
-// are collected into pooled scratch, so no per-call result map is built.
-// fn must not retain the reply beyond the callback unless it copies it.
+// MulticastFunc calls every target, waits for all of them, and then invokes
+// fn once per target (in the targets' ID order) on the caller's goroutine.
+// It is the allocation-lean core of Multicast: results are collected into
+// pooled scratch, so no per-call result map is built. fn must not retain
+// the reply beyond the callback unless it copies it.
 //
-// One leg — the caller's own node when it is a target, otherwise the last
-// by ID — runs on the caller's goroutine, which would only have waited;
-// the others go to the leg workers first. No leg waits for another: a leg
-// parked in a replica's lock queue holds up neither the rest of its round
-// nor anybody else's. Empty target sets return immediately; single-target
-// sets are a plain Call.
+// A leg leaves the caller's goroutine only to wait. Without latency each
+// handler is called in ID order where the round was sent, under NoWait; a
+// leg that answers ErrWouldWait goes, with the caller's own context, to a leg
+// worker, where it may wait, and the round goes on with the rest. With
+// latency every leg has its transit time to wait for and goes to a worker.
+// Either way a leg parked in a replica's lock queue holds up neither the rest
+// of its round nor anybody else's; a handler that blocks under NoWait without
+// saying so holds up its round, as a one-way delivery to it does. Empty
+// target sets return immediately; single-target sets are a plain Call.
 func (n *Network) MulticastFunc(ctx context.Context, from nodeset.ID, targets nodeset.Set, req Message, fn func(to nodeset.ID, r Result)) {
 	if targets.Empty() {
 		return
@@ -607,18 +642,21 @@ func (n *Network) MulticastFunc(ctx context.Context, from nodeset.ID, targets no
 		sc.results = make([]Result, len(sc.ids))
 	}
 	sc.results = sc.results[:len(sc.ids)]
-	own := len(sc.ids) - 1
-	if pos, ok := targets.OrderedNumber(from); ok {
-		own = pos - 1
+	var inline context.Context
+	if n.latency == nil {
+		inline = noWait{ctx}
 	}
-	sc.wg.Add(len(sc.ids) - 1)
 	for i, id := range sc.ids {
-		if i != own {
-			legWorkers.Go(leg{n: n, ctx: ctx, from: from, to: id, req: req, out: &sc.results[i], wg: &sc.wg})
+		if inline != nil {
+			reply, err := n.timedCall(inline, from, id, req)
+			if !errors.Is(err, ErrWouldWait) {
+				sc.results[i] = Result{Reply: reply, Err: err}
+				continue
+			}
 		}
+		sc.wg.Add(1)
+		legWorkers.Go(leg{n: n, ctx: ctx, from: from, to: id, req: req, out: &sc.results[i], wg: &sc.wg})
 	}
-	reply, err := n.Call(ctx, from, sc.ids[own], req)
-	sc.results[own] = Result{Reply: reply, Err: err}
 	sc.wg.Wait()
 	for i, id := range sc.ids {
 		fn(id, sc.results[i])
