@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-bench vet race race-conflict race-legs bench-pair bench-pair-all bench bench-smoke profile-net profile-heap check-obs-imports check-allocs check-admin check-cluster check-clean fuzz-smoke ci
+.PHONY: all build test test-bench vet race race-conflict race-legs bench-pair bench-pair-all bench bench-smoke profile-net profile-heap profile-sim check-obs-imports check-allocs check-admin check-cluster check-clean fuzz-smoke ci
 
 all: build
 
@@ -39,9 +39,10 @@ race-conflict:
 # goroutine, failed targets, nested multicasts (the no-wait marker does not
 # leak into them), a would-wait attempt counted as nothing, the hand-off
 # itself (idle tokens claimed by compare-and-swap) — and the seam on the
-# other side: a no-wait acquire that changes nothing, under each policy.
+# other side: a no-wait acquire that changes nothing, under each policy, and
+# a handler that judges leases by the reading its leg was lent.
 race-legs:
-	$(GO) test -race -count=20 -run 'TestLegs|TestWorkers|TestNoWait|TestWouldWait' ./internal/transport/ ./internal/replica/
+	$(GO) test -race -count=20 -run 'TestLegs|TestWorkers|TestNoWait|TestWouldWait|TestHandlerUsesRoundClock' ./internal/transport/ ./internal/replica/
 
 # bench-pair W=<workload> [N=10] [SEED=1] [BASE=HEAD~1] [TRACE=1] compares
 # the working tree against commit BASE on one workload of BENCHMARK.json:
@@ -126,13 +127,31 @@ profile-heap:
 	sleep 8 && $(GO) tool pprof -sample_index=inuse_space -top -nodecount 25 \
 		'http://127.0.0.1:6172/debug/pprof/heap?gc=1'; wait
 
-# check-allocs runs the steady-state allocation gates: the combiner's
+# profile-sim prints where the simulated fast path spends its processor and
+# what it allocates: a one-processor loadgen run of sim_disjoint's shape
+# (nine nodes, two clients on an item each, half reads, the same registry,
+# flight recorder and hint strategy) serves pprof on 127.0.0.1:6181, and
+# mid-run the flat CPU top of ten seconds and the top by objects allocated
+# since start land on stdout. Binary and raw profiles stay under
+# .bench_build. Not part of ci.
+profile-sim:
+	$(GO) build -o .bench_build/coterie-loadgen ./cmd/loadgen
+	GOMAXPROCS=1 .bench_build/coterie-loadgen -net sim -nodes 9 -items 2 -workers 2 -disjoint \
+		-read-frac 0.5 -duration 16s -pprof 6181 >/dev/null & \
+	sleep 3 && PPROF_TMPDIR=.bench_build/pprof $(GO) tool pprof -top -nodecount 30 \
+		-seconds 10 http://127.0.0.1:6181/debug/pprof/profile && \
+	PPROF_TMPDIR=.bench_build/pprof $(GO) tool pprof -sample_index=alloc_objects -top -nodecount 20 \
+		http://127.0.0.1:6181/debug/pprof/allocs; wait
+
+# check-allocs runs the steady-state allocation gates: a whole operation on
+# the benchmark's nine-node sim cluster (a write at most 14 objects, a read
+# 4: what outlives the operation and nothing of its rounds), the combiner's
 # submit/drain machinery, the batched-propagation capture path, the
 # decision ring, a refused write-through push, the sim transport's
-# multicast (one 16-byte object per round, the context that marks its legs
-# no-wait, and no leg handed to a worker or goroutine started while nothing
-# waits; at most a constant number parked after a burst), the mux
-# dispatch and wire encode hot paths, the tcpnet frame codec, and the
+# multicast (nothing per round — legs, reply slots and the no-wait marker
+# are pooled scratch — and no leg handed to a worker or goroutine started
+# while nothing waits; at most a constant number parked after a burst), the
+# mux dispatch and wire encode hot paths, the tcpnet frame codec, and the
 # weighted quorum pick
 # (alias-table sampling in coterie and the coordinator's pick wrapper) must
 # not allocate per operation — with measured capacities too: a sim Call that
@@ -141,12 +160,12 @@ profile-heap:
 # capacity rule, nor tcpnet's flush itself (writeRing on a discarding
 # connection). The per-message budget rides here too: every nodeset.Set
 # operation on IDs below 64 allocates nothing; a bounded round allocates its
-# deadline context and nothing else; a LockPrepare+Commit cycle on one
-# replica allocates at most four objects (staged record, the update's one
-# copy, reply, published state), a ReadSnap two, an applied ApplyDirect two;
-# a one-way send one detached context whatever its fan-out
-# (they gate with testing.AllocsPerRun and skip themselves under -race).
-# So does what an item weighs before any message: a cold replica is three
+# deadline context and nothing else; answering into a lent slot, a
+# LockPrepare+Commit cycle on one replica allocates the update's one copy, a
+# ReadSnap nothing, an applied ApplyDirect the update's copy; an inline
+# one-way send nothing whatever its fan-out (they gate with
+# testing.AllocsPerRun and skip themselves under -race).
+# So does what an item weighs before any message: a cold replica is two
 # allocations and at most 768 bytes beyond its value, ten decisions 256 bytes,
 # a full decision ring 128 KB (live heap after a collection, as live_heap_mb
 # is read).
@@ -158,7 +177,7 @@ allocgate = -v -count=1 | awk '/PASS|FAIL|allocat/ { print } /FAIL/ { bad = 1 } 
 check-allocs:
 	$(GO) test -run 'TestHotMethodsDoNotAllocate|TestInlineSetOperationsDoNotAllocate' ./internal/nodeset/ $(allocgate)
 	$(GO) test -run 'TestBoundAllocatesOnlyTheContext' ./internal/deadline/ $(allocgate)
-	$(GO) test -run 'TestCombinerDrainDoesNotAllocate' ./internal/core/ $(allocgate)
+	$(GO) test -run 'TestOperationAllocationBudget|TestCombinerDrainDoesNotAllocate' ./internal/core/ $(allocgate)
 	$(GO) test -run 'TestCaptureDataDoesNotAllocate|TestDecisionRingDoesNotAllocate|TestRefusedPushDoesNotAllocate|TestLockTableDoesNotAllocate|TestHandlerAllocationBudget|TestColdItemFootprint|TestQuietCoordinatorFootprint' ./internal/replica/ $(allocgate)
 	$(GO) test -run 'TestMuxDispatchDoesNotAllocate|TestMulticastFuncAllocs|TestOneWayDeliveryAllocs|TestLegsSteadyStateIsFree|TestLegsParkedBounded' ./internal/transport/ $(allocgate)
 	$(GO) test -run 'TestAppendMarshalDoesNotAllocate|TestAppendTraceContextDoesNotAllocate|TestDecodeTraceContextDoesNotAllocate' ./internal/wire/ $(allocgate)

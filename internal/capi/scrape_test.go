@@ -45,9 +45,9 @@ func TestScrapeParseRoundTrip(t *testing.T) {
 	h.Record(1 << 40)
 	r.HistogramVec("route_ns").At(3).Record(500)
 
-	a := r.Flight().Begin(obs.OpWrite, 2, 77, "item-x")
+	a := r.Flight().Begin(obs.OpWrite, 2, 77, "item-x", time.Now())
 	a.Trace(obs.TraceContext{TraceID: 0xabc, SpanID: 0xdef, Sampled: true})
-	a.End(obs.OutcomeOK, 5)
+	a.End(obs.OutcomeOK, 5, time.Now())
 
 	ns := snapshotBody(t, "n0:9100", r)
 	if ns.Counters["writes_total"] != 41 || ns.Gauges["conns_live"] != 3 {
@@ -148,11 +148,11 @@ func TestTimelineAcrossNodes(t *testing.T) {
 		r := obs.New()
 		r.SetFlight(obs.NewFlightRecorder(8))
 		time.Sleep(delay) // order the Start timestamps deterministically
-		a := r.Flight().Begin(kind, nodeset.ID(node), 1, "item-y")
+		a := r.Flight().Begin(kind, nodeset.ID(node), 1, "item-y", time.Now())
 		if traceID != 0 {
 			a.Trace(obs.TraceContext{TraceID: traceID, SpanID: 9, Sampled: true})
 		}
-		a.End(obs.OutcomeOK, 1)
+		a.End(obs.OutcomeOK, 1, time.Now())
 		return r
 	}
 	coord := mk(0, obs.OpWrite, 0x5151, 0)

@@ -365,9 +365,7 @@ func TestSlowNodeWithoutDeclaredCapacity(t *testing.T) {
 					co := c.Coordinator(nodeset.ID((w*5 + i) % 9))
 					start := rec.Begin()
 					if i%10 != 0 {
-						// Every write is recorded and one read in eight: the
-						// checker is quadratic in what it is given.
-						if value, version, err := co.Read(ctx); err == nil && i%8 == 0 {
+						if value, version, err := co.Read(ctx); err == nil {
 							rec.EndRead(start, version, value)
 						}
 						continue

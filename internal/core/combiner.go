@@ -157,21 +157,21 @@ func (c *Coordinator) executeBatch(batch []*pendingWrite) {
 		return
 	}
 	op := c.item.NextOp()
-	a := c.obsReg.Flight().Begin(obs.OpWrite, c.item.Self(), uint64(op.Seq), c.item.Name())
+	r := c.operation(ctx, obs.OpWrite, op.Seq)
 	var first uint64
 	var err error
 	// A refused batch runs again as a batch: scattered to the single-write
 	// flow its writers would contend with each other for the same replicas.
 	for attempt := 0; ; attempt++ {
-		first, err = c.writeBatch(ctx, a, op, batch)
-		if !c.retryRefused(ctx, attempt, err) {
+		first, err = c.writeBatch(ctx, r, op, batch)
+		if !c.retryRefused(ctx, r, attempt, err) {
 			break
 		}
 		op = c.item.NextOp()
 	}
 	switch {
 	case err == errBatchRetry:
-		a.End(obs.OutcomeConflict, 0)
+		c.done(r, obs.OutcomeConflict, 0)
 		c.metrics.batchFallback.Inc()
 		for _, pw := range batch {
 			pw.err = errBatchRetry
@@ -179,13 +179,13 @@ func (c *Coordinator) executeBatch(batch []*pendingWrite) {
 		}
 		return
 	case err == nil:
-		a.End(obs.OutcomeOK, first+uint64(len(batch))-1)
+		c.done(r, obs.OutcomeOK, first+uint64(len(batch))-1)
 		for i, pw := range batch {
 			pw.version = first + uint64(i)
 			pw.done <- struct{}{}
 		}
 	default:
-		a.End(outcomeOf(err), 0)
+		c.done(r, outcomeOf(err), 0)
 		for _, pw := range batch {
 			pw.err = err
 			pw.done <- struct{}{}
@@ -201,34 +201,35 @@ func (c *Coordinator) executeBatch(batch []*pendingWrite) {
 // dispatch, an incomplete acknowledgement is the usual uncertain
 // ErrUnavailable for the whole batch (the updates commit or abort
 // atomically — participants stage all K versions under one operation).
-func (c *Coordinator) writeBatch(ctx context.Context, a *obs.ActiveOp, op replica.OpID, batch []*pendingWrite) (uint64, error) {
+func (c *Coordinator) writeBatch(ctx context.Context, r *rounds, op replica.OpID, batch []*pendingWrite) (uint64, error) {
 	local := c.item.State()
 	lay := c.layout(local.EpochNum, local.Epoch)
 	quorum, ok := c.pickWriteQuorum(lay, local.Epoch, op)
 	if !ok {
 		return 0, errBatchRetry
 	}
-	c.noteQuorum(a, quorumWrite, lay, quorum)
-	res := c.lockRound(ctx, a, quorum, replica.LockRequest{Op: op, Mode: replica.LockWrite})
+	c.noteQuorum(r.a, quorumWrite, lay, quorum)
+	res := c.lockRound(ctx, r, quorum, replica.Envelope{Item: c.item.Name(), Msg: replica.LockRequest{Op: op, Mode: replica.LockWrite}})
+	held := res.held()
 	if !res.refusedBy.Empty() {
-		c.unlock(ctx, op, res.held()) // a LockRequest stages nothing
+		c.unlock(ctx, r, op, held) // a LockRequest stages nothing
 		return 0, errRefused
 	}
 	cl := classify(res.responses)
-	c.noteRedirect(a, local.EpochNum, cl)
+	c.noteRedirect(r.a, local.EpochNum, cl)
 	if cl.maxEpoch.EpochNum != local.EpochNum || cl.responders.Empty() ||
 		!lay.IsWriteQuorum(cl.responders) || !cl.currentReachable() {
 		// Epoch redirects included: the single-write flow re-resolves the
 		// layout per responder epoch; the batch path only runs the common,
 		// settled-epoch case.
-		c.abortAll(ctx, op, res.held())
+		c.abortAll(ctx, r, op, held)
 		return 0, errBatchRetry
 	}
 
 	k := uint64(len(batch))
 	first := cl.maxVersion + 1
 	last := first + k - 1
-	a.Batch(len(batch), first, last)
+	r.a.Batch(len(batch), first, last)
 	c.metrics.batchFlush.Inc()
 	c.metrics.batchSize.Record(k)
 
@@ -238,29 +239,29 @@ func (c *Coordinator) writeBatch(ctx context.Context, a *obs.ActiveOp, op replic
 	}
 	c.combiner.updates = updates
 
-	began := a.Elapsed()
-	prepared := c.ackRound(ctx, cl.good, replica.PrepareBatch{
+	began := r.clock.Now
+	prepared := c.ackRound(ctx, r, cl.good, replica.PrepareBatch{
 		Op: op, Updates: updates, FirstVersion: first, StaleSet: cl.stale, GoodSet: cl.good,
 	})
-	a.Phase(obs.PhasePrepare, began, prepared.Len(), 0)
+	r.a.Phase(obs.PhasePrepare, began, r.clock.Now, prepared.Len(), 0)
 	if !prepared.Equal(cl.good) {
-		c.abortAll(ctx, op, res.held())
+		c.abortAll(ctx, r, op, held)
 		return 0, errBatchRetry
 	}
 	if !cl.stale.Empty() {
-		a.StaleMark(cl.stale, last)
-		preparedStale := c.ackRound(ctx, cl.stale, replica.PrepareStale{
+		r.a.StaleMark(cl.stale, last)
+		preparedStale := c.ackRound(ctx, r, cl.stale, replica.PrepareStale{
 			Op: op, Desired: last, GoodSet: cl.good,
 		})
 		if !preparedStale.Equal(cl.stale) {
-			c.abortAll(ctx, op, res.held())
+			c.abortAll(ctx, r, op, held)
 			return 0, errBatchRetry
 		}
 	}
-	began = a.Elapsed()
-	committed := c.commitAll(ctx, op, last, cl.responders)
-	a.Phase(obs.PhaseCommit, began, committed.Len(), 0)
-	c.unlock(ctx, op, res.held().Diff(cl.responders)) // granted, but took no part
+	began = r.clock.Now
+	committed := c.commitAll(ctx, r, op, last, cl.responders)
+	r.a.Phase(obs.PhaseCommit, began, r.clock.Now, committed.Len(), 0)
+	c.unlock(ctx, r, op, held.Diff(cl.responders)) // granted, but took no part
 	if !cl.good.Subset(committed) {
 		return 0, fmt.Errorf("%w: commit not acknowledged by all good replicas", ErrUnavailable)
 	}

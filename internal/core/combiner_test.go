@@ -313,13 +313,11 @@ func TestGroupCommitChurnStress(t *testing.T) {
 
 	const workers = 8
 	deadline := time.Now().Add(3 * time.Second)
-	pace := newOpPacer(8)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; time.Now().Before(deadline); i++ {
-				pace.next()
 				// Writes share three coordinators so the combiner sees
 				// contention; reads rotate over everyone.
 				opCtx, opCancel := context.WithTimeout(ctx, 2*time.Second)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"coterie/internal/coterie"
@@ -55,6 +56,8 @@ type Coordinator struct {
 	// Terminal lock releases, commits and bystander write-through ride it
 	// instead of a synchronous round.
 	async transport.AsyncSender
+	// spare is the rounds the last operation gave back (see rounds).
+	spare atomic.Pointer[rounds]
 }
 
 // NewCoordinator builds a coordinator around the local replica `item`.
@@ -209,9 +212,9 @@ type response struct {
 	state replica.StateReply
 }
 
-// lockResult is what a phase-1 lock round collected.
+// lockResult is what a round collected (rounds.add).
 type lockResult struct {
-	responses []response  // members that granted the lock, with their state
+	responses []response  // members that answered with their state
 	prepared  nodeset.Set // LockPrepare only: members that staged the update
 	// busy members answered but could not grant in time (the context ended
 	// in their queue) — distinct from members whose calls failed outright
@@ -221,6 +224,11 @@ type lockResult struct {
 	// ahead there (replica.LockRefused); lostTo is one such operation.
 	refusedBy nodeset.Set
 	lostTo    replica.OpID
+	acked     nodeset.Set // members that acknowledged OK
+	// value is a ReadSnap round's: a copy of the value of the first member,
+	// in ID order, that is good at the highest version, valueVer.
+	value    []byte
+	valueVer uint64
 }
 
 // held returns the members that may hold the round's lock: the ones that
@@ -234,42 +242,19 @@ func (r lockResult) held() nodeset.Set {
 	return held
 }
 
-// lockRound multicasts msg — a LockRequest, or the write path's fused
+// lockRound sends msg — a LockRequest, or r.lockReq, the write path's fused
 // LockPrepare, which predicts that every target is current at
-// newVersion−1 with the quorum itself as the good set — sorts the answers
-// and records the round on the operation's trace.
-func (c *Coordinator) lockRound(ctx context.Context, a *obs.ActiveOp, targets nodeset.Set, msg any) lockResult {
-	began := a.Elapsed()
-	callCtx, cancel := deadline.Bound(ctx, c.opts.CallTimeout)
-	defer cancel()
-	res := lockResult{responses: make([]response, 0, targets.Len())}
-	c.net.MulticastFunc(callCtx, c.item.Self(), targets, replica.Envelope{Item: c.item.Name(), Msg: msg},
-		func(id nodeset.ID, r transport.Result) {
-			if r.Err != nil {
-				if !errors.Is(r.Err, transport.ErrCallFailed) {
-					res.busy.Add(id)
-				}
-				return
-			}
-			switch m := r.Reply.(type) {
-			case replica.StateReply:
-				res.responses = append(res.responses, response{node: id, state: m})
-			case replica.LockPrepareReply:
-				res.responses = append(res.responses, response{node: id, state: m.State})
-				if m.Prepared {
-					res.prepared.Add(id)
-				}
-			case replica.LockRefused:
-				res.refusedBy.Add(id)
-				res.lostTo = m.By
-			}
-		})
-	a.Phase(obs.PhaseLock, began, len(res.responses), res.busy.Len())
+// newVersion−1 with the quorum itself as the good set — and records the
+// round on the operation's trace. Its responses are the rounds' (see send).
+func (c *Coordinator) lockRound(ctx context.Context, r *rounds, targets nodeset.Set, msg transport.Message) lockResult {
+	began := r.clock.Now
+	res := c.send(ctx, r, targets, msg)
+	r.a.Phase(obs.PhaseLock, began, r.clock.Now, len(res.responses), res.busy.Len())
 	if !res.busy.Empty() {
-		a.LockBusy(res.busy)
+		r.a.LockBusy(res.busy)
 	}
 	if !res.refusedBy.Empty() {
-		a.Refused(res.refusedBy, uint64(res.lostTo.Coordinator), res.lostTo.Seq)
+		r.a.Refused(res.refusedBy, uint64(res.lostTo.Coordinator), res.lostTo.Seq)
 	}
 	return res
 }
@@ -292,7 +277,7 @@ const lockAttempts = 8
 // again under a fresh OpID. A refusal means an older operation is in its
 // own round right now, so the retry first yields the processor to it, and
 // from the third attempt on a few tens of microseconds as well.
-func (c *Coordinator) retryRefused(ctx context.Context, attempt int, err error) bool {
+func (c *Coordinator) retryRefused(ctx context.Context, r *rounds, attempt int, err error) bool {
 	if err != errRefused || attempt+1 >= lockAttempts || ctx.Err() != nil {
 		return false
 	}
@@ -302,40 +287,16 @@ func (c *Coordinator) retryRefused(ctx context.Context, attempt int, err error) 
 	} else {
 		time.Sleep(time.Duration(10+rand.Intn(40)) * time.Microsecond)
 	}
+	r.tick()
 	return true
 }
 
-// snapRound is the read path's fused phase 1: a ReadSnap multicast whose
+// snapRound is the read path's fused phase 1: a ReadSnap round whose
 // replies carry each replica's state and value as one atomic snapshot,
-// with the replica lock already released. values[i] is the value of
-// responses[i].
-func (c *Coordinator) snapRound(ctx context.Context, op replica.OpID, targets nodeset.Set) ([]response, [][]byte, nodeset.Set) {
-	callCtx, cancel := deadline.Bound(ctx, c.opts.CallTimeout)
-	defer cancel()
-	// One struct, because what the collector closure captures moves to the
-	// heap variable by variable.
-	var got struct {
-		responses []response
-		values    [][]byte
-		busy      nodeset.Set
-	}
-	got.responses = make([]response, 0, targets.Len())
-	got.values = make([][]byte, 0, targets.Len())
-	c.net.MulticastFunc(callCtx, c.item.Self(), targets,
-		replica.Envelope{Item: c.item.Name(), Msg: replica.ReadSnap{Op: op}},
-		func(id nodeset.ID, r transport.Result) {
-			if r.Err != nil {
-				if !errors.Is(r.Err, transport.ErrCallFailed) {
-					got.busy.Add(id)
-				}
-				return
-			}
-			if sr, ok := r.Reply.(replica.SnapReply); ok {
-				got.responses = append(got.responses, response{node: id, state: sr.State})
-				got.values = append(got.values, sr.Value)
-			}
-		})
-	return got.responses, got.values, got.busy
+// with the replica lock already released.
+func (c *Coordinator) snapRound(ctx context.Context, r *rounds, op replica.OpID, targets nodeset.Set) lockResult {
+	r.snap = replica.ReadSnap{Op: op}
+	return c.send(ctx, r, targets, r.snapReq)
 }
 
 // classify analyzes a response set per the paper's write algorithm:
@@ -404,20 +365,8 @@ func (cl classification) currentReachable() bool {
 
 // ack sends msg to every member of targets and reports the IDs that
 // acknowledged OK.
-func (c *Coordinator) ackRound(ctx context.Context, targets nodeset.Set, msg any) nodeset.Set {
-	callCtx, cancel := deadline.Bound(ctx, c.opts.CallTimeout)
-	defer cancel()
-	var ok nodeset.Set
-	c.net.MulticastFunc(callCtx, c.item.Self(), targets, replica.Envelope{Item: c.item.Name(), Msg: msg},
-		func(id nodeset.ID, r transport.Result) {
-			if r.Err != nil {
-				return
-			}
-			if ack, isAck := r.Reply.(replica.Ack); isAck && ack.OK {
-				ok.Add(id)
-			}
-		})
-	return ok
+func (c *Coordinator) ackRound(ctx context.Context, r *rounds, targets nodeset.Set, msg any) nodeset.Set {
+	return c.send(ctx, r, targets, replica.Envelope{Item: c.item.Name(), Msg: msg}).acked
 }
 
 // abortAll releases every participant; failures are ignored (leases expire
@@ -426,22 +375,22 @@ func (c *Coordinator) ackRound(ctx context.Context, targets nodeset.Set, msg any
 // operation (heavy fallbacks, epoch-check retries): lock acquisition for
 // an already-held OpID is idempotent, so an abort still in flight when the
 // op re-locks would release the re-acquired lock out from under it.
-func (c *Coordinator) abortAll(ctx context.Context, op replica.OpID, targets nodeset.Set) {
+func (c *Coordinator) abortAll(ctx context.Context, r *rounds, op replica.OpID, targets nodeset.Set) {
 	if targets.Empty() {
 		return
 	}
 	c.item.RecordDecision(op, false)
-	c.ackRound(ctx, targets, replica.Abort{Op: op})
+	c.ackRound(ctx, r, targets, replica.Abort{Op: op})
 }
 
 // releaseAll is abortAll for a finished operation — the op's ID will never
 // be locked again, so the release round can leave the critical path.
-func (c *Coordinator) releaseAll(ctx context.Context, op replica.OpID, targets nodeset.Set) {
+func (c *Coordinator) releaseAll(ctx context.Context, r *rounds, op replica.OpID, targets nodeset.Set) {
 	if targets.Empty() {
 		return
 	}
 	c.item.RecordDecision(op, false)
-	c.unlock(ctx, op, targets)
+	c.unlock(ctx, r, op, targets)
 }
 
 // unlock releases a finished operation's locks without logging a decision,
@@ -451,29 +400,30 @@ func (c *Coordinator) releaseAll(ctx context.Context, op replica.OpID, targets n
 // change the outcome, and dropping the wait removes a round-trip from every
 // heavy read. A lost abort resolves through the lock lease and, for
 // writes, the recorded decision.
-func (c *Coordinator) unlock(ctx context.Context, op replica.OpID, targets nodeset.Set) {
+func (c *Coordinator) unlock(ctx context.Context, r *rounds, op replica.OpID, targets nodeset.Set) {
 	if targets.Empty() {
 		return
 	}
 	if c.async != nil {
-		c.fireAndForget(ctx, targets, replica.Abort{Op: op})
+		c.fireAndForget(ctx, r, targets, replica.Abort{Op: op})
 		return
 	}
-	c.ackRound(ctx, targets, replica.Abort{Op: op})
+	c.ackRound(ctx, r, targets, replica.Abort{Op: op})
 }
 
 // fireAndForget delivers msg to every target without waiting for remote
-// replies. The co-located member (if present) is served synchronously on
-// this goroutine — callers rely on the local replica reflecting the
-// decision by the time the operation returns — while remote members get
-// the transport's one-way send. msg is a Commit or an Abort, which wait for
-// nothing at a replica, so the local leg runs under the caller's context
-// without a call deadline of its own. Callers must hold c.async != nil.
-func (c *Coordinator) fireAndForget(ctx context.Context, targets nodeset.Set, msg any) {
-	env := replica.Envelope{Item: c.item.Name(), Msg: msg}
+// replies. The co-located member (if present) is served synchronously, in a
+// round of one on this goroutine — callers rely on the local replica
+// reflecting the decision by the time the operation returns — while remote
+// members get the transport's one-way send. msg is a Commit or an Abort,
+// which wait for nothing at a replica. It is boxed per call, not kept in r:
+// a one-way send may still be reading it when r's next operation runs.
+// Callers must hold c.async != nil.
+func (c *Coordinator) fireAndForget(ctx context.Context, r *rounds, targets nodeset.Set, msg any) {
+	var env transport.Message = replica.Envelope{Item: c.item.Name(), Msg: msg}
 	self := c.item.Self()
 	if targets.Contains(self) {
-		c.net.Call(ctx, self, self, env) //nolint:errcheck // local leg of a fire-and-forget round
+		c.send(ctx, r, nodeset.New(self), env)
 		targets = targets.Diff(nodeset.New(self))
 	}
 	if !targets.Empty() {
@@ -488,12 +438,12 @@ func (c *Coordinator) fireAndForget(ctx context.Context, targets nodeset.Set, ms
 // recorded so version-gated termination queries from speculative stagings
 // can be answered. Returns the set of participants that acknowledged; the
 // rest resolve through the decision log.
-func (c *Coordinator) commitAll(ctx context.Context, op replica.OpID, version uint64, targets nodeset.Set) nodeset.Set {
+func (c *Coordinator) commitAll(ctx context.Context, r *rounds, op replica.OpID, version uint64, targets nodeset.Set) nodeset.Set {
 	c.item.RecordCommit(op, version)
 	committed := nodeset.Set{}
 	remaining := targets.Clone()
 	for attempt := 0; attempt <= c.opts.CommitRetries && !remaining.Empty(); attempt++ {
-		acked := c.ackRound(ctx, remaining, replica.Commit{Op: op})
+		acked := c.ackRound(ctx, r, remaining, replica.Commit{Op: op})
 		committed = committed.Union(acked)
 		remaining = remaining.Diff(acked)
 	}
@@ -532,20 +482,19 @@ func (c *Coordinator) Write(ctx context.Context, u replica.Update) (uint64, erro
 // writer of a batch that aborted with nothing applied.
 func (c *Coordinator) writeOne(ctx context.Context, u replica.Update) (version uint64, err error) {
 	op := c.item.NextOp()
-	a := c.obsReg.Flight().Begin(obs.OpWrite, c.item.Self(), uint64(op.Seq), c.item.Name())
-	a.Trace(obs.TraceFrom(ctx))
+	r := c.operation(ctx, obs.OpWrite, op.Seq)
 	for attempt := 0; ; attempt++ {
-		version, err = c.write(ctx, a, op, u)
-		if !c.retryRefused(ctx, attempt, err) {
+		version, err = c.write(ctx, r, op, u)
+		if !c.retryRefused(ctx, r, attempt, err) {
 			break
 		}
 		op = c.item.NextOp()
 	}
-	a.End(outcomeOf(err), version)
+	c.done(r, outcomeOf(err), version)
 	return version, err
 }
 
-func (c *Coordinator) write(ctx context.Context, a *obs.ActiveOp, op replica.OpID, u replica.Update) (uint64, error) {
+func (c *Coordinator) write(ctx context.Context, r *rounds, op replica.OpID, u replica.Update) (uint64, error) {
 	local := c.item.State()
 
 	lay := c.layout(local.EpochNum, local.Epoch)
@@ -553,22 +502,24 @@ func (c *Coordinator) write(ctx context.Context, a *obs.ActiveOp, op replica.OpI
 	if !ok {
 		// The local epoch list admits no quorum at all (degenerate state);
 		// go heavy immediately.
-		return c.heavyWrite(ctx, a, op, u, nodeset.Set{})
+		return c.heavyWrite(ctx, r, op, u, nodeset.Set{})
 	}
-	c.noteQuorum(a, quorumWrite, lay, quorum)
+	c.noteQuorum(r.a, quorumWrite, lay, quorum)
 	// The lock round carries the update speculatively (LockPrepare): if the
 	// whole quorum turns out current at the predicted version, every member
 	// has already staged and the write goes straight to commit — one round
 	// trip instead of two. Any miss degrades to the classified prepare
 	// below, which overwrites the speculative stagings it covers.
 	specVersion := local.Version + 1
-	res := c.lockRound(ctx, a, quorum, replica.LockPrepare{Op: op, Update: u, NewVersion: specVersion, GoodSet: quorum})
+	r.lock = replica.LockPrepare{Op: op, Update: u, NewVersion: specVersion, GoodSet: quorum}
+	res := c.lockRound(ctx, r, quorum, r.lockReq)
+	held := res.held()
 	if !res.refusedBy.Empty() {
-		c.releaseAll(ctx, op, res.held())
+		c.releaseAll(ctx, r, op, held)
 		return 0, errRefused
 	}
 	cl := classify(res.responses)
-	c.noteRedirect(a, local.EpochNum, cl)
+	c.noteRedirect(r.a, local.EpochNum, cl)
 	if !cl.responders.Empty() && c.layoutAt(lay, local.EpochNum, cl.maxEpoch).IsWriteQuorum(cl.responders) && cl.currentReachable() {
 		if res.prepared.Equal(quorum) && cl.good.Equal(quorum) && cl.maxVersion+1 == specVersion {
 			// Speculation hit: every quorum member answered, is current at
@@ -576,22 +527,22 @@ func (c *Coordinator) write(ctx context.Context, a *obs.ActiveOp, op replica.OpI
 			// the state a PrepareUpdate round to cl.good would have
 			// produced. The prepare phase is already done; commit.
 			c.metrics.specHits.Inc()
-			if err := c.commitPhase(ctx, a, op, specVersion, quorum, quorum); err != nil {
+			if err := c.commitPhase(ctx, r, op, specVersion, quorum, quorum); err != nil {
 				return 0, err
 			}
-			c.afterWrite(ctx, op, u, specVersion, cl)
+			c.afterWrite(ctx, r, op, u, specVersion, cl)
 			return specVersion, nil
 		}
 		c.metrics.specMisses.Inc()
-		version, err := c.executeWrite(ctx, a, op, u, cl)
+		version, err := c.executeWrite(ctx, r, op, u, cl)
 		if err == nil || !errors.Is(err, ErrConflict) {
 			// Committed — or the commit phase started, and retrying could
 			// apply the update twice, so the uncertain outcome is surfaced.
 			// Members that granted the lock without taking part (a
 			// recovering replica) are let go.
-			c.unlock(ctx, op, res.held().Diff(cl.responders))
+			c.unlock(ctx, r, op, held.Diff(cl.responders))
 			if err == nil {
-				c.afterWrite(ctx, op, u, version, cl)
+				c.afterWrite(ctx, r, op, u, version, cl)
 			}
 			return version, err
 		}
@@ -599,18 +550,18 @@ func (c *Coordinator) write(ctx context.Context, a *obs.ActiveOp, op replica.OpI
 		// through to the heavy procedure, as the paper does when the
 		// atomic action fails.
 	}
-	return c.heavyWrite(ctx, a, op, u, res.held())
+	return c.heavyWrite(ctx, r, op, u, held)
 }
 
 // heavyWrite is the paper's HeavyProcedure: request permission from every
 // replica (re-polling is idempotent for nodes already locked by this op),
 // then either execute the write or abort.
-func (c *Coordinator) heavyWrite(ctx context.Context, a *obs.ActiveOp, op replica.OpID, u replica.Update, alreadyLocked nodeset.Set) (uint64, error) {
+func (c *Coordinator) heavyWrite(ctx context.Context, r *rounds, op replica.OpID, u replica.Update, alreadyLocked nodeset.Set) (uint64, error) {
 	c.metrics.heavy.Inc()
-	a.Heavy()
-	res := c.lockRound(ctx, a, c.all, replica.LockRequest{Op: op, Mode: replica.LockWrite})
+	r.a.Heavy()
+	res := c.lockRound(ctx, r, c.all, replica.Envelope{Item: c.item.Name(), Msg: replica.LockRequest{Op: op, Mode: replica.LockWrite}})
 	if !res.refusedBy.Empty() {
-		c.releaseAll(ctx, op, res.held().Union(alreadyLocked))
+		c.releaseAll(ctx, r, op, res.held().Union(alreadyLocked))
 		return 0, errRefused
 	}
 	cl := classify(res.responses)
@@ -622,17 +573,17 @@ func (c *Coordinator) heavyWrite(ctx context.Context, a *obs.ActiveOp, op replic
 		// such an operation can succeed only if it can obtain a quorum as
 		// well." (paper, Section 4.1) The heavy procedure is this op's last
 		// attempt, so its releases are terminal and go one-way.
-		c.releaseAll(ctx, op, release)
+		c.releaseAll(ctx, r, op, release)
 		return 0, fmt.Errorf("%w: no write quorum with a current replica (epoch %d)", ErrUnavailable, cl.maxEpoch.EpochNum)
 	}
-	version, err := c.executeWrite(ctx, a, op, u, cl)
+	version, err := c.executeWrite(ctx, r, op, u, cl)
 	// Commit or abort, executeWrite settled its participants and logged the
 	// decision. Whoever else holds the op's lock — first-round members that
 	// did not answer this round, recovering replicas — is only unlocked: an
 	// abort logged here would overwrite a commit.
-	c.unlock(ctx, op, release.Diff(cl.responders))
+	c.unlock(ctx, r, op, release.Diff(cl.responders))
 	if err == nil {
-		c.afterWrite(ctx, op, u, version, cl)
+		c.afterWrite(ctx, r, op, u, version, cl)
 	}
 	return version, err
 }
@@ -641,30 +592,30 @@ func (c *Coordinator) heavyWrite(ctx context.Context, a *obs.ActiveOp, op replic
 // responders apply the update (carrying the stale list for propagation),
 // the remaining responders are marked stale with the desired version the
 // good replicas will reach.
-func (c *Coordinator) executeWrite(ctx context.Context, a *obs.ActiveOp, op replica.OpID, u replica.Update, cl classification) (uint64, error) {
+func (c *Coordinator) executeWrite(ctx context.Context, r *rounds, op replica.OpID, u replica.Update, cl classification) (uint64, error) {
 	newVersion := cl.maxVersion + 1
 	goodSet := cl.good
 
-	began := a.Elapsed()
-	prepared := c.ackRound(ctx, goodSet, replica.PrepareUpdate{
+	began := r.clock.Now
+	prepared := c.ackRound(ctx, r, goodSet, replica.PrepareUpdate{
 		Op: op, Update: u, NewVersion: newVersion, StaleSet: cl.stale, GoodSet: goodSet,
 	})
-	a.Phase(obs.PhasePrepare, began, prepared.Len(), 0)
+	r.a.Phase(obs.PhasePrepare, began, r.clock.Now, prepared.Len(), 0)
 	if !prepared.Equal(goodSet) {
-		c.abortAll(ctx, op, cl.responders)
+		c.abortAll(ctx, r, op, cl.responders)
 		return 0, fmt.Errorf("%w: %d of %d good replicas failed to prepare", ErrConflict, goodSet.Len()-prepared.Len(), goodSet.Len())
 	}
 	if !cl.stale.Empty() {
-		a.StaleMark(cl.stale, newVersion)
-		preparedStale := c.ackRound(ctx, cl.stale, replica.PrepareStale{
+		r.a.StaleMark(cl.stale, newVersion)
+		preparedStale := c.ackRound(ctx, r, cl.stale, replica.PrepareStale{
 			Op: op, Desired: newVersion, GoodSet: goodSet,
 		})
 		if !preparedStale.Equal(cl.stale) {
-			c.abortAll(ctx, op, cl.responders)
+			c.abortAll(ctx, r, op, cl.responders)
 			return 0, fmt.Errorf("%w: stale-marking prepare incomplete", ErrConflict)
 		}
 	}
-	if err := c.commitPhase(ctx, a, op, newVersion, goodSet, cl.responders); err != nil {
+	if err := c.commitPhase(ctx, r, op, newVersion, goodSet, cl.responders); err != nil {
 		return 0, err
 	}
 	return newVersion, nil
@@ -678,15 +629,15 @@ func (c *Coordinator) executeWrite(ctx context.Context, a *obs.ActiveOp, op repl
 // acquireBehindReaders) as a single-site operation, outside the replicas'
 // conflict order, and that is only deadlock-free for an operation nobody
 // else is waiting for.
-func (c *Coordinator) afterWrite(ctx context.Context, op replica.OpID, u replica.Update, version uint64, cl classification) {
-	written := c.applySafetyThreshold(ctx, op, u, version, cl)
+func (c *Coordinator) afterWrite(ctx context.Context, r *rounds, op replica.OpID, u replica.Update, version uint64, cl classification) {
+	written := c.applySafetyThreshold(ctx, r, op, u, version, cl)
 	c.pushThrough(ctx, cl.maxEpoch.Epoch, written, replica.ApplyDirect{Op: op, Update: u, NewVersion: version, GoodSet: cl.good})
 }
 
 // commitPhase distributes the commit decision of a fully prepared write
 // producing version and reports whether the good set durably applied it.
-func (c *Coordinator) commitPhase(ctx context.Context, a *obs.ActiveOp, op replica.OpID, version uint64, goodSet, responders nodeset.Set) error {
-	began := a.Elapsed()
+func (c *Coordinator) commitPhase(ctx context.Context, r *rounds, op replica.OpID, version uint64, goodSet, responders nodeset.Set) error {
+	began := r.clock.Now
 	if c.async != nil {
 		// One-way commit. The write is decided the moment every good
 		// replica is prepared and the decision is recorded at the
@@ -701,12 +652,12 @@ func (c *Coordinator) commitPhase(ctx context.Context, a *obs.ActiveOp, op repli
 		// keeps the coordinator's own state (and the value it serves
 		// reads from) current when Write returns.
 		c.item.RecordCommit(op, version)
-		c.fireAndForget(ctx, responders, replica.Commit{Op: op})
-		a.Phase(obs.PhaseCommit, began, responders.Len(), 0)
+		c.fireAndForget(ctx, r, responders, replica.Commit{Op: op})
+		r.a.Phase(obs.PhaseCommit, began, r.clock.Now, responders.Len(), 0)
 		return nil
 	}
-	committed := c.commitAll(ctx, op, version, responders)
-	a.Phase(obs.PhaseCommit, began, committed.Len(), 0)
+	committed := c.commitAll(ctx, r, op, version, responders)
+	r.a.Phase(obs.PhaseCommit, began, r.clock.Now, committed.Len(), 0)
 	if !goodSet.Subset(committed) {
 		// The update is not durably applied on the good set; the
 		// remaining prepared participants stay pinned until the decision
@@ -723,7 +674,7 @@ func (c *Coordinator) commitPhase(ctx context.Context, a *obs.ActiveOp, op repli
 // It returns the members that have been sent the update by now — the
 // write's responders and the ones tried here — so that write-through does
 // not send these the same direct-apply again.
-func (c *Coordinator) applySafetyThreshold(ctx context.Context, op replica.OpID, u replica.Update, newVersion uint64, cl classification) nodeset.Set {
+func (c *Coordinator) applySafetyThreshold(ctx context.Context, r *rounds, op replica.OpID, u replica.Update, newVersion uint64, cl classification) nodeset.Set {
 	written := cl.responders
 	need := c.opts.SafetyThreshold - cl.good.Len()
 	if c.opts.SafetyThreshold <= 0 || need <= 0 {
@@ -737,16 +688,8 @@ func (c *Coordinator) applySafetyThreshold(ctx context.Context, op replica.OpID,
 			break
 		}
 		written = written.Union(nodeset.New(id))
-		callCtx, cancel := deadline.Bound(ctx, c.opts.CallTimeout)
-		reply, err := c.net.Call(callCtx, c.item.Self(), id, replica.Envelope{
-			Item: c.item.Name(),
-			Msg:  replica.ApplyDirect{Op: op, Update: u, NewVersion: newVersion, GoodSet: cl.good},
-		})
-		cancel()
-		if err == nil {
-			if ack, ok := reply.(replica.Ack); ok && ack.OK {
-				need--
-			}
+		if !c.ackRound(ctx, r, nodeset.New(id), replica.ApplyDirect{Op: op, Update: u, NewVersion: newVersion, GoodSet: cl.good}).Empty() {
+			need--
 		}
 	}
 	return written
@@ -759,16 +702,15 @@ func (c *Coordinator) applySafetyThreshold(ctx context.Context, op replica.OpID,
 func (c *Coordinator) Read(ctx context.Context) (value []byte, version uint64, err error) {
 	op := c.item.NextOp()
 	c.metrics.reads.Inc()
-	a := c.obsReg.Flight().Begin(obs.OpRead, c.item.Self(), uint64(op.Seq), c.item.Name())
-	a.Trace(obs.TraceFrom(ctx))
+	r := c.operation(ctx, obs.OpRead, op.Seq)
 	for attempt := 0; ; attempt++ {
-		value, version, err = c.read(ctx, a, op)
-		if !c.retryRefused(ctx, attempt, err) {
+		value, version, err = c.read(ctx, r, op)
+		if !c.retryRefused(ctx, r, attempt, err) {
 			break
 		}
 		op = c.item.NextOp()
 	}
-	a.End(outcomeOf(err), version)
+	c.done(r, outcomeOf(err), version)
 	return value, version, err
 }
 
@@ -778,7 +720,7 @@ func (c *Coordinator) Read(ctx context.Context) (value []byte, version uint64, e
 // three rounds; more attempts trade heavy-path certainty for latency.
 const readRedraws = 1
 
-func (c *Coordinator) read(ctx context.Context, a *obs.ActiveOp, op replica.OpID) (value []byte, version uint64, err error) {
+func (c *Coordinator) read(ctx context.Context, r *rounds, op replica.OpID) (value []byte, version uint64, err error) {
 	local := c.item.State()
 
 	lay := c.layout(local.EpochNum, local.Epoch)
@@ -788,25 +730,22 @@ func (c *Coordinator) read(ctx context.Context, a *obs.ActiveOp, op replica.OpID
 		if !ok {
 			break
 		}
-		c.noteQuorum(a, quorumRead, lay, quorum)
-		began := a.Elapsed()
-		responses, values, busy := c.snapRound(ctx, op, quorum)
-		a.Phase(obs.PhaseLock, began, len(responses), busy.Len())
+		c.noteQuorum(r.a, quorumRead, lay, quorum)
+		began := r.clock.Now
+		res := c.snapRound(ctx, r, op, quorum)
+		busy := res.busy
+		r.a.Phase(obs.PhaseLock, began, r.clock.Now, len(res.responses), busy.Len())
 		if !busy.Empty() {
-			a.LockBusy(busy)
+			r.a.LockBusy(busy)
 		}
-		cl := classify(responses)
-		c.noteRedirect(a, local.EpochNum, cl)
+		cl := classify(res.responses)
+		c.noteRedirect(r.a, local.EpochNum, cl)
 		formed := !cl.responders.Empty() && c.layoutAt(lay, local.EpochNum, cl.maxEpoch).IsReadQuorum(cl.responders)
 		if formed && cl.currentReachable() {
 			// Every snapshot released its replica lock before replying, so
 			// there is no fetch round and nothing to release or abort: return
 			// the freshest good snapshot's value.
-			for i, r := range responses {
-				if !r.state.Recovering && !r.state.Stale && r.state.Version == cl.maxVersion {
-					return values[i], cl.maxVersion, nil
-				}
-			}
+			return res.value, cl.maxVersion, nil
 		}
 		// Two transient failure shapes are worth one cheap retry before
 		// the heavy procedure: a member answered "busy" (a concurrent
@@ -827,33 +766,33 @@ func (c *Coordinator) read(ctx context.Context, a *obs.ActiveOp, op replica.OpID
 		c.metrics.readRedraws.Inc()
 		h = remix(h)
 	}
-	return c.heavyRead(ctx, a, op, nodeset.Set{})
+	return c.heavyRead(ctx, r, op, nodeset.Set{})
 }
 
 // heavyRead polls all replicas, mirroring HeavyProcedure for reads.
-func (c *Coordinator) heavyRead(ctx context.Context, a *obs.ActiveOp, op replica.OpID, alreadyLocked nodeset.Set) ([]byte, uint64, error) {
+func (c *Coordinator) heavyRead(ctx context.Context, r *rounds, op replica.OpID, alreadyLocked nodeset.Set) ([]byte, uint64, error) {
 	c.metrics.heavy.Inc()
-	a.Heavy()
-	res := c.lockRound(ctx, a, c.all, replica.LockRequest{Op: op, Mode: replica.LockRead})
+	r.a.Heavy()
+	res := c.lockRound(ctx, r, c.all, replica.Envelope{Item: c.item.Name(), Msg: replica.LockRequest{Op: op, Mode: replica.LockRead}})
 	if !res.refusedBy.Empty() {
-		c.unlock(ctx, op, res.held().Union(alreadyLocked))
+		c.unlock(ctx, r, op, res.held().Union(alreadyLocked))
 		return nil, 0, errRefused
 	}
 	cl := classify(res.responses)
 	// Terminal either way — success or error, this op's ID is never locked
 	// again.
-	defer c.unlock(ctx, op, alreadyLocked.Union(res.held()))
+	defer c.unlock(ctx, r, op, alreadyLocked.Union(res.held()))
 	if cl.responders.Empty() ||
 		!c.layout(cl.maxEpoch.EpochNum, cl.maxEpoch.Epoch).IsReadQuorum(cl.responders) ||
 		!cl.currentReachable() {
 		return nil, 0, fmt.Errorf("%w: no read quorum with a current replica (epoch %d)", ErrUnavailable, cl.maxEpoch.EpochNum)
 	}
-	return c.fetchBest(ctx, a, op, cl)
+	return c.fetchBest(ctx, r, op, cl)
 }
 
 // fetchBest retrieves the value from a good responder at the maximum
 // version, preferring the local replica to save a round trip.
-func (c *Coordinator) fetchBest(ctx context.Context, a *obs.ActiveOp, op replica.OpID, cl classification) ([]byte, uint64, error) {
+func (c *Coordinator) fetchBest(ctx context.Context, r *rounds, op replica.OpID, cl classification) ([]byte, uint64, error) {
 	target, ok := cl.good.Min()
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: no current replica in quorum", ErrUnavailable)
@@ -863,15 +802,15 @@ func (c *Coordinator) fetchBest(ctx context.Context, a *obs.ActiveOp, op replica
 	}
 	callCtx, cancel := deadline.Bound(ctx, c.opts.CallTimeout)
 	defer cancel()
-	began := a.Elapsed()
+	began := r.clock.Now
 	reply, err := c.net.Call(callCtx, c.item.Self(), target, replica.Envelope{
 		Item: c.item.Name(), Msg: replica.FetchValue{Op: op},
 	})
 	if err != nil {
-		a.Phase(obs.PhaseFetch, began, 0, 0)
+		r.a.Phase(obs.PhaseFetch, began, r.tick(), 0, 0)
 		return nil, 0, fmt.Errorf("%w: value fetch from %v failed", ErrUnavailable, target)
 	}
-	a.Phase(obs.PhaseFetch, began, 1, 0)
+	r.a.Phase(obs.PhaseFetch, began, r.tick(), 1, 0)
 	vr, ok := reply.(replica.ValueReply)
 	if !ok {
 		return nil, 0, fmt.Errorf("core: unexpected fetch reply %T", reply)

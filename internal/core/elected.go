@@ -49,14 +49,7 @@ func NewElectedCluster(n int, item string, initial []byte, opts Options) (*Elect
 			return nil, err
 		}
 		mux := transport.NewMux()
-		mux.HandleType(replica.Envelope{}, func(ctx context.Context, from nodeset.ID, req transport.Message) (transport.Message, error) {
-			env := req.(replica.Envelope)
-			target := node.Item(env.Item)
-			if target == nil {
-				return nil, fmt.Errorf("core: node %v has no replica of %q", node.Self(), env.Item)
-			}
-			return target.Handle(ctx, from, env.Msg)
-		})
+		mux.HandleType(replica.Envelope{}, node.Handler())
 		ec.electors[id] = election.New(id, c.Members, c.Net, mux, opts.CallTimeout)
 		c.Net.Register(id, mux.Handler())
 

@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"coterie/internal/deadline"
 	"coterie/internal/nodeset"
 	"coterie/internal/obs"
 	"coterie/internal/replica"
-	"coterie/internal/transport"
 )
 
 // CheckResult reports the outcome of one epoch-checking run.
@@ -28,18 +26,12 @@ type CheckResult struct {
 // of the newest epoch, in which case the epoch (and the data item) stays
 // unavailable until more replicas return.
 func (c *Coordinator) CheckEpoch(ctx context.Context) (CheckResult, error) {
-	c.metrics.epochChecks.Inc()
-	a := c.obsReg.Flight().Begin(obs.OpEpochChange, c.item.Self(), 0, c.item.Name())
+	r := c.operation(ctx, obs.OpEpochChange, 0)
 	// Round 0: lock-free poll of all replicas.
-	began := a.Elapsed()
-	states := c.pollAll(ctx)
-	a.Phase(obs.PhasePoll, began, len(states), 0)
-	res, err := c.checkEpochTraced(ctx, a, states)
-	a.End(epochOutcome(res, err), res.EpochNum)
-	if res.Changed {
-		c.metrics.epochChanges.Inc()
-	}
-	return res, err
+	began := r.clock.Now
+	states := c.pollAll(ctx, r)
+	r.a.Phase(obs.PhasePoll, began, r.clock.Now, len(states), 0)
+	return c.checkEpoch(ctx, r, states)
 }
 
 // checkEpochFromPoll continues an epoch check from already-collected poll
@@ -49,11 +41,17 @@ func (c *Coordinator) CheckEpoch(ctx context.Context) (CheckResult, error) {
 // phase's duration is unknown here (it ran before this trace began) and is
 // recorded as zero.
 func (c *Coordinator) checkEpochFromPoll(ctx context.Context, states []response) (CheckResult, error) {
+	r := c.operation(ctx, obs.OpEpochChange, 0)
+	r.a.Phase(obs.PhasePoll, r.clock.Now, r.clock.Now, len(states), 0)
+	return c.checkEpoch(ctx, r, states)
+}
+
+// checkEpoch runs the check from the poll's responses and ends the operation
+// r began.
+func (c *Coordinator) checkEpoch(ctx context.Context, r *rounds, states []response) (CheckResult, error) {
 	c.metrics.epochChecks.Inc()
-	a := c.obsReg.Flight().Begin(obs.OpEpochChange, c.item.Self(), 0, c.item.Name())
-	a.Phase(obs.PhasePoll, 0, len(states), 0)
-	res, err := c.checkEpochTraced(ctx, a, states)
-	a.End(epochOutcome(res, err), res.EpochNum)
+	res, err := c.checkEpochTraced(ctx, r, states)
+	c.done(r, epochOutcome(res, err), res.EpochNum)
 	if res.Changed {
 		c.metrics.epochChanges.Inc()
 	}
@@ -70,8 +68,9 @@ func epochOutcome(res CheckResult, err error) obs.Outcome {
 }
 
 // checkEpochTraced is the epoch-checking algorithm proper, recording its
-// lifecycle into a (possibly nil) flight trace.
-func (c *Coordinator) checkEpochTraced(ctx context.Context, a *obs.ActiveOp, states []response) (CheckResult, error) {
+// lifecycle into r's (possibly nil) flight trace. states may be r's, which
+// its first round overwrites.
+func (c *Coordinator) checkEpochTraced(ctx context.Context, r *rounds, states []response) (CheckResult, error) {
 	cl := classify(states)
 	if cl.responders.Empty() {
 		return CheckResult{}, fmt.Errorf("%w: no replica reachable", ErrUnavailable)
@@ -93,12 +92,12 @@ func (c *Coordinator) checkEpochTraced(ctx context.Context, a *obs.ActiveOp, sta
 	var locked []response
 	var lcl classification
 	for attempt := 0; ; attempt++ {
-		res := c.lockRound(ctx, a, cl.responders.Union(cl.recovering), replica.LockRequest{Op: op, Mode: replica.LockWrite})
+		res := c.lockRound(ctx, r, cl.responders.Union(cl.recovering), replica.Envelope{Item: c.item.Name(), Msg: replica.LockRequest{Op: op, Mode: replica.LockWrite}})
 		if !res.refusedBy.Empty() {
 			// An older read, write or check is ahead at some member: like
 			// them, release and lock again under a fresh OpID.
-			c.unlock(ctx, op, res.held()) // a LockRequest stages nothing
-			if !c.retryRefused(ctx, attempt, errRefused) {
+			c.unlock(ctx, r, op, res.held()) // a LockRequest stages nothing
+			if !c.retryRefused(ctx, r, attempt, errRefused) {
 				return CheckResult{}, errRefused
 			}
 			op = c.item.NextOp()
@@ -109,7 +108,7 @@ func (c *Coordinator) checkEpochTraced(ctx context.Context, a *obs.ActiveOp, sta
 		if !lcl.responders.Empty() && c.layout(lcl.maxEpoch.EpochNum, lcl.maxEpoch.Epoch).IsWriteQuorum(lcl.responders) {
 			break
 		}
-		c.abortAll(ctx, op, lcl.responders.Union(lcl.recovering))
+		c.abortAll(ctx, r, op, lcl.responders.Union(lcl.recovering))
 		if res.busy.Empty() || attempt >= 2 || ctx.Err() != nil {
 			return CheckResult{}, fmt.Errorf("%w: reachable replicas hold no write quorum of epoch %d",
 				ErrUnavailable, lcl.maxEpoch.EpochNum)
@@ -119,14 +118,14 @@ func (c *Coordinator) checkEpochTraced(ctx context.Context, a *obs.ActiveOp, sta
 	newEpoch := lcl.responders.Union(lcl.recovering)
 	if newEpoch.Equal(lcl.maxEpoch.Epoch) && uniformEpoch(locked, lcl.maxEpoch.EpochNum) && lcl.recovering.Empty() {
 		// The anomaly healed while we were locking.
-		c.abortAll(ctx, op, release)
+		c.abortAll(ctx, r, op, release)
 		return CheckResult{Epoch: lcl.maxEpoch.Epoch, EpochNum: lcl.maxEpoch.EpochNum}, nil
 	}
 	if !lcl.currentReachable() {
 		// No replica provably current among the candidates ("if
 		// max-version >= max-dversion" in the paper's CheckEpoch): leave
 		// the epoch alone; a later check may reach the current replica.
-		c.abortAll(ctx, op, release)
+		c.abortAll(ctx, r, op, release)
 		return CheckResult{}, fmt.Errorf("%w: no current replica among reachable ones", ErrUnavailable)
 	}
 
@@ -136,20 +135,20 @@ func (c *Coordinator) checkEpochTraced(ctx context.Context, a *obs.ActiveOp, sta
 		// The new epoch admits these members as stale with the current
 		// maximum version as their desired version — the predicted stale
 		// set of this epoch change.
-		a.StaleMark(staleSet, lcl.maxVersion)
+		r.a.StaleMark(staleSet, lcl.maxVersion)
 	}
-	began := a.Elapsed()
-	prepared := c.ackRound(ctx, newEpoch, replica.PrepareEpoch{
+	began := r.clock.Now
+	prepared := c.ackRound(ctx, r, newEpoch, replica.PrepareEpoch{
 		Op: op, Epoch: newEpoch, EpochNum: newNum, Good: lcl.good, MaxVersion: lcl.maxVersion,
 	})
-	a.Phase(obs.PhasePrepare, began, prepared.Len(), 0)
+	r.a.Phase(obs.PhasePrepare, began, r.clock.Now, prepared.Len(), 0)
 	if !prepared.Equal(newEpoch) {
-		c.abortAll(ctx, op, release)
+		c.abortAll(ctx, r, op, release)
 		return CheckResult{}, fmt.Errorf("%w: epoch prepare incomplete (%d/%d)", ErrConflict, prepared.Len(), newEpoch.Len())
 	}
-	began = a.Elapsed()
-	committed := c.commitAll(ctx, op, 0, newEpoch)
-	a.Phase(obs.PhaseCommit, began, committed.Len(), 0)
+	began = r.clock.Now
+	committed := c.commitAll(ctx, r, op, 0, newEpoch)
+	r.a.Phase(obs.PhaseCommit, began, r.clock.Now, committed.Len(), 0)
 	// Keyed by the new epoch's number: this both checks the commit round and
 	// warms the cache for the first operations on the epoch just installed.
 	if !c.layout(newNum, newEpoch).IsWriteQuorum(committed) {
@@ -157,48 +156,26 @@ func (c *Coordinator) checkEpochTraced(ctx context.Context, a *obs.ActiveOp, sta
 		// stragglers hold pinned locks until the decision reaches them.
 		return CheckResult{}, fmt.Errorf("%w: epoch commit incomplete", ErrUnavailable)
 	}
-	a.EpochInstall(newEpoch, newNum)
+	r.a.EpochInstall(newEpoch, newNum)
 	return CheckResult{Changed: true, Epoch: newEpoch, EpochNum: newNum, Stale: staleSet}, nil
 }
 
 // pollAll sends a lock-free StateQuery to every replica holder. Targets
-// whose calls fail outright are retried once: a state query is pure, and
-// the dominant failure mode after a node restart is a stale pipelined
+// whose calls fail are retried once: a state query is pure, and the
+// dominant failure mode after a node restart is a stale pipelined
 // connection — the failed first attempt evicts it, so the retry dials
 // fresh and distinguishes a dead node from a dead connection. Without
 // the retry an epoch check run right after a crash-restart would exclude
 // the restarted (possibly recovering) replica from the new epoch instead
-// of readmitting it, costing an extra epoch change later.
-func (c *Coordinator) pollAll(ctx context.Context) []response {
-	out := make([]response, 0, c.all.Len())
-	var failed nodeset.Set
+// of readmitting it, costing an extra epoch change later. The responses
+// are r's (see send).
+func (c *Coordinator) pollAll(ctx context.Context, r *rounds) []response {
 	query := replica.Envelope{Item: c.item.Name(), Msg: replica.StateQuery{}}
-	callCtx, cancel := deadline.Bound(ctx, c.opts.CallTimeout)
-	c.net.MulticastFunc(callCtx, c.item.Self(), c.all, query,
-		func(id nodeset.ID, r transport.Result) {
-			if r.Err != nil {
-				failed.Add(id)
-				return
-			}
-			if st, ok := r.Reply.(replica.StateReply); ok {
-				out = append(out, response{node: id, state: st})
-			}
-		})
-	cancel()
-	if !failed.Empty() && ctx.Err() == nil {
-		retryCtx, retryCancel := deadline.Bound(ctx, c.opts.CallTimeout)
-		c.net.MulticastFunc(retryCtx, c.item.Self(), failed, query,
-			func(id nodeset.ID, r transport.Result) {
-				if r.Err != nil {
-					return
-				}
-				if st, ok := r.Reply.(replica.StateReply); ok {
-					out = append(out, response{node: id, state: st})
-				}
-			})
-		retryCancel()
+	c.send(ctx, r, c.all, query)
+	if failed := c.all.Diff(r.got.held()).Union(r.got.busy); !failed.Empty() && ctx.Err() == nil {
+		c.resend(ctx, r, failed, query)
 	}
-	return out
+	return r.got.responses
 }
 
 // uniformEpoch reports whether every response carries the given epoch

@@ -52,10 +52,12 @@ func (m *msgTally) total(typ string) int {
 	return sum
 }
 
+// The two hot rounds send their requests from the coordinator's rounds
+// scratch, as pointers.
 const (
-	msgLockPrepare = "replica.LockPrepare"
+	msgLockPrepare = "*replica.LockPrepare"
 	msgLockRequest = "replica.LockRequest"
-	msgReadSnap    = "replica.ReadSnap"
+	msgReadSnap    = "*replica.ReadSnap"
 	msgApplyDirect = "replica.ApplyDirect"
 )
 

@@ -212,7 +212,7 @@ func TestWriteThroughDoesNotWaitBehindPreparedWrite(t *testing.T) {
 						NewVersion: c.Replica(id).State().Version + 1,
 						GoodSet:    c.Members,
 					}})
-					if r, ok := reply.(replica.LockPrepareReply); err != nil || !ok || !r.Prepared {
+					if r, ok := reply.(*replica.LockPrepareReply); err != nil || !ok || !r.Prepared {
 						t.Errorf("node %v: the competing write did not prepare: %v, %v", id, reply, err)
 					}
 				}

@@ -15,7 +15,8 @@
 //
 // Ctx inverts the cost: Deadline() is a field read, Err() checks the
 // clock, and Done() materializes the channel and arms the timer only on
-// first call. Handlers and transports that never park never pay.
+// first call. Handlers and transports that never park never pay, and an
+// owner that sends round after round re-arms one Ctx (Rebound).
 //
 // Semantic narrowing versus context.WithTimeout, deliberate and safe for
 // the protocol stack's use: cancellation of the parent context does not
@@ -59,17 +60,21 @@ var _ context.Context = (*Ctx)(nil)
 // Bound and At are small enough to inline, so a caller that only calls or
 // defers the release function keeps it on its stack: a bounded round costs
 // one allocation, the context. That is why Bound builds the context itself
-// instead of calling At and keeps the clock arithmetic in within: either
+// instead of calling At and keeps the clock arithmetic in withinNow: either
 // would put it over the inliner's budget
 // (TestBoundAllocatesOnlyTheContext).
 func Bound(parent context.Context, timeout time.Duration) (*Ctx, func()) {
-	c := &Ctx{base: parent, deadline: within(parent, timeout)}
+	c := &Ctx{base: parent, deadline: withinNow(parent, timeout)}
 	return c, c.release
 }
 
+func withinNow(parent context.Context, timeout time.Duration) time.Time {
+	return within(parent, time.Now(), timeout)
+}
+
 // within returns now+timeout or the parent's deadline, whichever is first.
-func within(parent context.Context, timeout time.Duration) time.Time {
-	d := time.Now().Add(timeout)
+func within(parent context.Context, now time.Time, timeout time.Duration) time.Time {
+	d := now.Add(timeout)
 	if pd, ok := parent.Deadline(); ok && pd.Before(d) {
 		return pd
 	}
@@ -80,6 +85,23 @@ func within(parent context.Context, timeout time.Duration) time.Time {
 func At(parent context.Context, d time.Time) (*Ctx, func()) {
 	c := &Ctx{base: parent, deadline: d}
 	return c, c.release
+}
+
+// Rebound returns c re-armed as Bound(parent, timeout) would have made it
+// at now, a reading of the clock its owner took, for an owner that keeps
+// one Ctx from round to round. A Ctx whose Done was asked for is released
+// instead, and a fresh one returned: its timer may yet fire into it, and
+// whoever parked may still hold its channel.
+func (c *Ctx) Rebound(parent context.Context, now time.Time, timeout time.Duration) *Ctx {
+	c.mu.Lock()
+	if c.done != nil {
+		c.mu.Unlock()
+		c.release()
+		return &Ctx{base: parent, deadline: within(parent, now, timeout)}
+	}
+	c.base, c.deadline, c.err = parent, within(parent, now, timeout), nil
+	c.mu.Unlock()
+	return c
 }
 
 func (c *Ctx) Deadline() (time.Time, bool) { return c.deadline, true }

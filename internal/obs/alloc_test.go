@@ -72,14 +72,14 @@ func TestFlightRecorderCycleDoesNotAllocate(t *testing.T) {
 	quorum := nodeset.New(0, 1, 2)
 	stale := nodeset.New(2)
 	// Warm the pool so the first Begin's ActiveOp allocation is done.
-	f.Begin(OpWrite, 0, 0, "warm").End(OutcomeOK, 0)
+	now := time.Now()
+	f.Begin(OpWrite, 0, 0, "warm", now).End(OutcomeOK, 0, now)
 	if n := testing.AllocsPerRun(1000, func() {
-		a := f.Begin(OpWrite, 0, 1, "item")
+		a := f.Begin(OpWrite, 0, 1, "item", now)
 		a.Quorum(quorum, 3, 3)
-		began := a.Elapsed()
-		a.Phase(PhaseLock, began, 3, 0)
+		a.Phase(PhaseLock, now, now, 3, 0)
 		a.StaleMark(stale, 2)
-		a.End(OutcomeOK, 2)
+		a.End(OutcomeOK, 2, now)
 	}); n != 0 {
 		t.Fatalf("flight-recorder cycle allocates %.1f per run, want 0", n)
 	}

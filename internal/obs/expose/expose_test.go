@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"coterie/internal/nodeset"
 	"coterie/internal/obs"
@@ -20,11 +21,11 @@ func sampleRegistry() *obs.Registry {
 	r.GaugeVec("endpoint_load").At(1).Set(7)
 	f := obs.NewFlightRecorder(4)
 	r.SetFlight(f)
-	a := f.Begin(obs.OpWrite, 1, 1, "item-a")
+	a := f.Begin(obs.OpWrite, 1, 1, "item-a", time.Now())
 	a.Quorum(nodeset.New(0, 1, 2), 3, 3)
 	a.Batch(3, 2, 4)
 	a.StaleMark(nodeset.New(2), 4)
-	a.End(obs.OutcomeOK, 4)
+	a.End(obs.OutcomeOK, 4, time.Now())
 	return r
 }
 

@@ -193,6 +193,15 @@ type Trace struct {
 // EventsSlice returns the stored events.
 func (t *Trace) EventsSlice() []Event { return t.Events[:t.NumEvents] }
 
+// copyFrom copies src into t but for the events past src.NumEvents, which
+// nothing reads: a whole Trace is 2 KB of events.
+func (t *Trace) copyFrom(src *Trace) {
+	t.Seq, t.Kind, t.Coordinator, t.OpSeq, t.Item = src.Seq, src.Kind, src.Coordinator, src.OpSeq, src.Item
+	t.TraceID, t.ParentSpan, t.Start, t.Elapsed = src.TraceID, src.ParentSpan, src.Start, src.Elapsed
+	t.Outcome, t.Version, t.NumEvents, t.Dropped = src.Outcome, src.Version, src.NumEvents, src.Dropped
+	copy(t.Events[:], src.EventsSlice())
+}
+
 // slot is one ring cell. The mutex serializes a completing operation
 // copying its trace in against snapshots copying it out (and, under
 // wraparound, against another operation completing into the same cell).
@@ -242,31 +251,29 @@ func (f *FlightRecorder) Completed() uint64 {
 // belongs to the goroutine driving the operation; methods are not safe for
 // concurrent use on one ActiveOp (operations are single-driver by
 // construction). A nil *ActiveOp no-ops everywhere.
+//
+// It reads no clock: Begin, Phase and End take readings their caller took
+// for its own use (a round's deadline, its legs), and every other event is
+// stamped with the latest of those.
 type ActiveOp struct {
-	rec *FlightRecorder
-	t   Trace
+	rec  *FlightRecorder
+	t    Trace
+	last time.Time // the latest reading handed in
 }
 
-// Begin starts a trace. On a nil recorder it returns nil, which every
-// ActiveOp method accepts.
-func (f *FlightRecorder) Begin(kind OpKind, coordinator nodeset.ID, opSeq uint64, item string) *ActiveOp {
+// Begin starts a trace at now. On a nil recorder it returns nil, which
+// every ActiveOp method accepts.
+func (f *FlightRecorder) Begin(kind OpKind, coordinator nodeset.ID, opSeq uint64, item string, now time.Time) *ActiveOp {
 	if f == nil {
 		return nil
 	}
 	a := f.pool.Get().(*ActiveOp)
-	a.rec = f
-	a.t = Trace{Kind: kind, Coordinator: coordinator, OpSeq: opSeq, Item: item, Start: time.Now()}
+	a.rec, a.last = f, now
+	// Field by field, as copyFrom: the events past NumEvents are never read.
+	t := &a.t
+	t.Kind, t.Coordinator, t.OpSeq, t.Item, t.Start = kind, coordinator, opSeq, item, now
+	t.TraceID, t.ParentSpan, t.NumEvents, t.Dropped = 0, 0, 0, 0
 	return a
-}
-
-// Elapsed returns the time since the operation began — the `began`
-// argument for a later Phase call. Zero on nil, so disabled recording
-// performs no clock reads.
-func (a *ActiveOp) Elapsed() time.Duration {
-	if a == nil {
-		return 0
-	}
-	return time.Since(a.t.Start)
 }
 
 // event appends e, stamping When; events beyond the cap are counted as
@@ -275,7 +282,7 @@ func (a *ActiveOp) event(e Event) {
 	if a == nil {
 		return
 	}
-	e.When = time.Since(a.t.Start)
+	e.When = a.last.Sub(a.t.Start)
 	if a.t.NumEvents < MaxTraceEvents {
 		a.t.Events[a.t.NumEvents] = e
 		a.t.NumEvents++
@@ -304,14 +311,15 @@ func (a *ActiveOp) Quorum(q nodeset.Set, rows, cols int) {
 	a.event(Event{Kind: EvQuorum, N: int32(q.Len()), A: uint64(rows), B: uint64(cols), Nodes: MaskOf(q)})
 }
 
-// Phase records one completed RPC round: began is the ActiveOp.Elapsed()
-// value captured before the round, responders the nodes that answered,
-// busy those that answered but refused.
-func (a *ActiveOp) Phase(p Phase, began time.Duration, responders, busy int) {
+// Phase records one completed RPC round that began and ended at the given
+// readings: responders the nodes that answered, busy those that answered
+// but refused.
+func (a *ActiveOp) Phase(p Phase, began, ended time.Time, responders, busy int) {
 	if a == nil {
 		return
 	}
-	a.event(Event{Kind: EvPhase, Phase: p, Dur: time.Since(a.t.Start) - began, N: int32(responders), A: uint64(busy)})
+	a.last = ended
+	a.event(Event{Kind: EvPhase, Phase: p, Dur: ended.Sub(began), N: int32(responders), A: uint64(busy)})
 }
 
 // Redirect records an epoch redirect from the cached epoch number to a
@@ -375,13 +383,13 @@ func (a *ActiveOp) Batch(size int, first, last uint64) {
 	a.event(Event{Kind: EvBatch, N: int32(size), A: first, B: last})
 }
 
-// End finishes the trace, publishes it into the ring, and recycles the
-// ActiveOp. The ActiveOp must not be used afterwards.
-func (a *ActiveOp) End(o Outcome, version uint64) {
+// End finishes the trace at now, publishes it into the ring, and recycles
+// the ActiveOp. The ActiveOp must not be used afterwards.
+func (a *ActiveOp) End(o Outcome, version uint64, now time.Time) {
 	if a == nil {
 		return
 	}
-	a.t.Elapsed = time.Since(a.t.Start)
+	a.t.Elapsed = now.Sub(a.t.Start)
 	a.t.Outcome = o
 	a.t.Version = version
 	f := a.rec
@@ -390,9 +398,10 @@ func (a *ActiveOp) End(o Outcome, version uint64) {
 	s := &f.slots[(seq-1)%uint64(len(f.slots))]
 	s.mu.Lock()
 	// Two completions can map to the same slot with their stores reordered
-	// relative to their sequence assignment; keep the newer trace.
+	// relative to their sequence assignment; keep the newer trace. Its
+	// events past NumEvents are not copied: nothing reads them.
 	if seq > s.t.Seq {
-		s.t = a.t
+		s.t.copyFrom(&a.t)
 	}
 	s.mu.Unlock()
 	a.rec = nil

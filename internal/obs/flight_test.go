@@ -1,27 +1,30 @@
 package obs
 
 import (
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"coterie/internal/nodeset"
 )
 
 // TestFlightRecorderBasic: a traced write's events come back in order with
-// the recorded payloads.
+// the recorded payloads, timed by the readings handed in and nothing else:
+// an event between two readings carries the earlier one.
 func TestFlightRecorderBasic(t *testing.T) {
 	f := NewFlightRecorder(8)
 	quorum := nodeset.New(0, 2, 4)
 	stale := nodeset.New(2)
 
-	a := f.Begin(OpWrite, 1, 7, "item-x")
+	t0 := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC) // hours off the clock: nothing may read it
+	a := f.Begin(OpWrite, 1, 7, "item-x", t0)
 	a.Quorum(quorum, 3, 3)
-	began := a.Elapsed()
-	a.Phase(PhaseLock, began, 3, 1)
+	a.Phase(PhaseLock, t0.Add(time.Microsecond), t0.Add(5*time.Microsecond), 3, 1)
 	a.Redirect(1, 2)
 	a.StaleMark(stale, 9)
 	a.Heavy()
-	a.End(OutcomeOK, 9)
+	a.End(OutcomeOK, 9, t0.Add(8*time.Microsecond))
 
 	traces := f.Traces()
 	if len(traces) != 1 {
@@ -53,17 +56,21 @@ func TestFlightRecorderBasic(t *testing.T) {
 	if evs[4].Kind != EvHeavy {
 		t.Errorf("heavy event %+v", evs[4])
 	}
+	if evs[0].When != 0 || evs[1].Dur != 4*time.Microsecond || evs[1].When != 5*time.Microsecond ||
+		evs[4].When != 5*time.Microsecond || tr.Elapsed != 8*time.Microsecond || !tr.Start.Equal(t0) {
+		t.Errorf("timing: start %v elapsed %v, events %+v", tr.Start, tr.Elapsed, evs)
+	}
 }
 
 // TestFlightRecorderEventCap: events beyond MaxTraceEvents are counted as
 // dropped, not stored, and recording them does not corrupt the trace.
 func TestFlightRecorderEventCap(t *testing.T) {
 	f := NewFlightRecorder(2)
-	a := f.Begin(OpRead, 0, 1, "x")
+	a := f.Begin(OpRead, 0, 1, "x", time.Now())
 	for i := 0; i < MaxTraceEvents+5; i++ {
 		a.Heavy()
 	}
-	a.End(OutcomeOK, 0)
+	a.End(OutcomeOK, 0, time.Now())
 	tr := f.Traces()[0]
 	if tr.NumEvents != MaxTraceEvents || tr.Dropped != 5 {
 		t.Fatalf("NumEvents=%d Dropped=%d, want %d/5", tr.NumEvents, tr.Dropped, MaxTraceEvents)
@@ -109,10 +116,11 @@ func TestFlightRecorderWraparound(t *testing.T) {
 		go func(w int) {
 			defer writersWG.Done()
 			for i := 0; i < perW; i++ {
-				a := f.Begin(OpWrite, nodeset.ID(w), uint64(i), "item")
+				now := time.Now()
+				a := f.Begin(OpWrite, nodeset.ID(w), uint64(i), "item", now)
 				a.Quorum(set, 0, 0)
-				a.Phase(PhaseLock, a.Elapsed(), 3, 0)
-				a.End(OutcomeOK, uint64(i))
+				a.Phase(PhaseLock, now, now, 3, 0)
+				a.End(OutcomeOK, uint64(i), now)
 			}
 		}(w)
 	}
@@ -141,18 +149,19 @@ func TestFlightRecorderWraparound(t *testing.T) {
 // call.
 func TestFlightRecorderNil(t *testing.T) {
 	var f *FlightRecorder
-	a := f.Begin(OpWrite, 0, 1, "x")
+	now := time.Now()
+	a := f.Begin(OpWrite, 0, 1, "x", now)
 	if a != nil {
 		t.Fatal("nil recorder returned a non-nil op")
 	}
 	a.Quorum(nodeset.New(1), 0, 0)
-	a.Phase(PhaseLock, a.Elapsed(), 1, 0)
+	a.Phase(PhaseLock, now, now, 1, 0)
 	a.Redirect(0, 1)
 	a.StaleMark(nodeset.New(1), 1)
 	a.LockBusy(nodeset.New(1))
 	a.Heavy()
 	a.EpochInstall(nodeset.New(1), 1)
-	a.End(OutcomeOK, 1)
+	a.End(OutcomeOK, 1, now)
 	if f.Traces() != nil || f.Cap() != 0 || f.Completed() != 0 {
 		t.Fatal("nil recorder reported state")
 	}
@@ -172,5 +181,33 @@ func TestMaskTruncation(t *testing.T) {
 	}
 	if !m.Set().Equal(nodeset.New(1)) {
 		t.Fatalf("truncated mask kept wrong members: %v", m.Set())
+	}
+}
+
+// TestTraceCopyKeepsEveryField: a completed trace reaches its ring slot
+// field by field (copyFrom), so that the events past NumEvents are not
+// copied; a field added to Trace and forgotten there would be lost.
+func TestTraceCopyKeepsEveryField(t *testing.T) {
+	var src Trace
+	v := reflect.ValueOf(&src).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Array: // the events, below
+		case reflect.String:
+			f.SetString("x")
+		case reflect.Struct: // time.Time
+			f.Set(reflect.ValueOf(time.Unix(1, 2)))
+		case reflect.Int, reflect.Int32, reflect.Int64:
+			f.SetInt(2)
+		default:
+			f.SetUint(uint64(i + 1))
+		}
+	}
+	src.Events[1].N, src.Events[2].N = 7, 9 // NumEvents is 2: the second is copied, the third is not
+	var dst Trace
+	dst.copyFrom(&src)
+	src.Events[2].N = 0
+	if !reflect.DeepEqual(dst, src) {
+		t.Errorf("copied %+v\nwant   %+v", dst, src)
 	}
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestGaugeVecBasics(t *testing.T) {
@@ -107,9 +108,10 @@ func TestRegistryGaugeVecSnapshot(t *testing.T) {
 // of a batched write remains attributable per operation.
 func TestFlightRecorderBatchEvent(t *testing.T) {
 	f := NewFlightRecorder(4)
-	a := f.Begin(OpWrite, 0, 3, "item")
+	now := time.Now()
+	a := f.Begin(OpWrite, 0, 3, "item", now)
 	a.Batch(5, 11, 15)
-	a.End(OutcomeOK, 15)
+	a.End(OutcomeOK, 15, now)
 	traces := f.Traces()
 	if len(traces) != 1 {
 		t.Fatalf("got %d traces", len(traces))

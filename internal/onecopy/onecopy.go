@@ -128,11 +128,33 @@ func (r *Recorder) EndRead(start uint64, v uint64, value []byte) {
 // Events returns the recorded history, merged across shards into end-stamp
 // order. End stamps are unique (each is a fresh clock tick), so the merge
 // is a deterministic total order regardless of which shard held an event.
+//
+// From here on, reads that returned equal bytes at one version share one
+// copy of them, in the recorder and in what it returns: a read-heavy history
+// of millions of operations otherwise holds its item's value once per read
+// while it is checked. Recording still copies every read's value.
 func (r *Recorder) Events() []Event {
-	var out []Event
+	n := 0
 	for i := range r.shards {
 		s := &r.shards[i]
 		s.mu.Lock()
+		n += len(s.events)
+		s.mu.Unlock()
+	}
+	out := make([]Event, 0, n)
+	seen := make(map[uint64][]byte)
+	for i := range r.shards {
+		s := &r.shards[i]
+		s.mu.Lock()
+		for j := range s.events {
+			if e := &s.events[j]; e.Kind == KindRead {
+				if v, ok := seen[e.Version]; !ok {
+					seen[e.Version] = e.Value
+				} else if bytes.Equal(v, e.Value) {
+					e.Value = v
+				}
+			}
+		}
 		out = append(out, s.events...)
 		s.mu.Unlock()
 	}
@@ -146,7 +168,10 @@ func (r *Recorder) Check() error {
 	return CheckHistory(r.initial, r.Events())
 }
 
-// CheckHistory verifies an explicit history against an initial value.
+// CheckHistory verifies an explicit history against an initial value, in
+// O(n log n): it sorts, and never compares two events directly. The
+// quadratic reading of the three conditions, one pair of events at a time,
+// is kept in onecopy_test.go as the oracle this checker is held to.
 //
 // Histories may contain KindMaybeWrite events; each can account for at
 // most one version gap in the definite writes, and reads whose version
@@ -172,79 +197,122 @@ func CheckHistory(initial []byte, events []Event) error {
 	// have landed.
 	sort.Slice(writes, func(i, j int) bool { return writes[i].Version < writes[j].Version })
 	maxVersion := uint64(0)
-	byVersion := make(map[uint64]int, len(writes))
 	for i, w := range writes {
 		if w.Version == 0 {
 			return fmt.Errorf("onecopy: committed write with version 0")
 		}
-		if _, dup := byVersion[w.Version]; dup {
+		if i > 0 && writes[i-1].Version == w.Version {
 			return fmt.Errorf("onecopy: two committed writes share version %d", w.Version)
 		}
-		byVersion[w.Version] = i
-		if w.Version > maxVersion {
-			maxVersion = w.Version
-		}
+		maxVersion = w.Version
 	}
 	for _, rd := range reads {
-		if rd.Version > maxVersion {
-			maxVersion = rd.Version
-		}
+		maxVersion = max(maxVersion, rd.Version)
 	}
-	gaps := int(maxVersion) - len(writes)
-	if gaps < 0 || gaps > maybes {
+	if gaps := int(maxVersion) - len(writes); gaps < 0 || gaps > maybes {
 		return fmt.Errorf("onecopy: %d version gaps below v%d but only %d uncertain writes", gaps, maxVersion, maybes)
 	}
 
-	// (2a) Write version order refines real-time order.
-	for i := range writes {
-		for j := range writes {
-			if writes[i].End < writes[j].Start && writes[i].Version > writes[j].Version {
-				return fmt.Errorf("onecopy: write v%d finished before write v%d started but serializes after it",
-					writes[i].Version, writes[j].Version)
-			}
+	// (2) Real-time order. "An operation that ended before X started has a
+	// version above X's" becomes a prefix maximum over operations sorted by
+	// end stamp, looked up at X's start stamp.
+	wEnded := newPrefixMax(writes)
+	for _, w := range writes {
+		if v, ok := wEnded.before(w.Start); ok && v > w.Version {
+			return fmt.Errorf("onecopy: write v%d finished before write v%d started but serializes after it", v, w.Version)
+		}
+	}
+	wStarted := newSuffixMin(writes)
+	rEnded := newPrefixMax(reads)
+	for _, rd := range reads {
+		if v, ok := wEnded.before(rd.Start); ok && v > rd.Version {
+			return fmt.Errorf("onecopy: read observed v%d but write v%d had already completed", rd.Version, v)
+		}
+		if v, ok := wStarted.after(rd.End); ok && v <= rd.Version {
+			return fmt.Errorf("onecopy: read observed v%d before write v%d started", rd.Version, v)
+		}
+		if v, ok := rEnded.before(rd.Start); ok && v > rd.Version {
+			return fmt.Errorf("onecopy: read observed v%d after an earlier read observed v%d", rd.Version, v)
 		}
 	}
 
-	// Replay values along the definite prefix: values[v] is valid while
-	// versions 1..v are all definite.
-	definitePrefix := uint64(0)
-	for definitePrefix < maxVersion {
-		if _, ok := byVersion[definitePrefix+1]; !ok {
+	// (3) Value replay along the definite prefix (versions 1..v all known),
+	// visiting reads in version order so one running value suffices.
+	definite := uint64(0)
+	for definite < uint64(len(writes)) && writes[definite].Version == definite+1 {
+		definite++
+	}
+	sort.Slice(reads, func(i, j int) bool { return reads[i].Version < reads[j].Version })
+	cur := append([]byte(nil), initial...)
+	at := uint64(0)
+	for _, rd := range reads {
+		if rd.Version > definite {
 			break
 		}
-		definitePrefix++
-	}
-	values := make([][]byte, definitePrefix+1)
-	values[0] = append([]byte(nil), initial...)
-	cur := append([]byte(nil), initial...)
-	for v := uint64(1); v <= definitePrefix; v++ {
-		cur = applyUpdate(cur, writes[byVersion[v]].Update)
-		values[v] = append([]byte(nil), cur...)
-	}
-
-	for _, rd := range reads {
-		// (3) Value replay, when the full prefix is known.
-		if rd.Version <= definitePrefix && !bytes.Equal(rd.Value, values[rd.Version]) {
-			return fmt.Errorf("onecopy: read at version %d returned %q, replay gives %q",
-				rd.Version, rd.Value, values[rd.Version])
+		for ; at < rd.Version; at++ {
+			cur = applyUpdate(cur, writes[at].Update)
 		}
-		// (2b) Reads respect real-time order against committed writes.
-		for _, w := range writes {
-			if w.End < rd.Start && rd.Version < w.Version {
-				return fmt.Errorf("onecopy: read observed v%d but write v%d had already completed", rd.Version, w.Version)
-			}
-			if rd.End < w.Start && rd.Version >= w.Version {
-				return fmt.Errorf("onecopy: read observed v%d before write v%d started", rd.Version, w.Version)
-			}
-		}
-		// (2c) Reads respect real-time order against reads (monotonicity).
-		for _, rd2 := range reads {
-			if rd.End < rd2.Start && rd.Version > rd2.Version {
-				return fmt.Errorf("onecopy: read observed v%d after an earlier read observed v%d", rd2.Version, rd.Version)
-			}
+		if !bytes.Equal(rd.Value, cur) {
+			return fmt.Errorf("onecopy: read at version %d returned %q, replay gives %q", rd.Version, rd.Value, cur)
 		}
 	}
 	return nil
+}
+
+// prefixMax answers "the highest version among events that ended strictly
+// before stamp t".
+type prefixMax struct {
+	ends []uint64
+	max  []uint64
+}
+
+func newPrefixMax(events []Event) prefixMax {
+	byEnd := append([]Event(nil), events...)
+	sort.Slice(byEnd, func(i, j int) bool { return byEnd[i].End < byEnd[j].End })
+	p := prefixMax{ends: make([]uint64, len(byEnd)), max: make([]uint64, len(byEnd))}
+	for i, e := range byEnd {
+		p.ends[i], p.max[i] = e.End, e.Version
+		if i > 0 {
+			p.max[i] = max(p.max[i], p.max[i-1])
+		}
+	}
+	return p
+}
+
+func (p prefixMax) before(t uint64) (uint64, bool) {
+	n := sort.Search(len(p.ends), func(i int) bool { return p.ends[i] >= t })
+	if n == 0 {
+		return 0, false
+	}
+	return p.max[n-1], true
+}
+
+// suffixMin answers "the lowest version among events that started strictly
+// after stamp t".
+type suffixMin struct {
+	starts []uint64
+	min    []uint64
+}
+
+func newSuffixMin(events []Event) suffixMin {
+	byStart := append([]Event(nil), events...)
+	sort.Slice(byStart, func(i, j int) bool { return byStart[i].Start < byStart[j].Start })
+	s := suffixMin{starts: make([]uint64, len(byStart)), min: make([]uint64, len(byStart))}
+	for i := len(byStart) - 1; i >= 0; i-- {
+		s.starts[i], s.min[i] = byStart[i].Start, byStart[i].Version
+		if i+1 < len(byStart) {
+			s.min[i] = min(s.min[i], s.min[i+1])
+		}
+	}
+	return s
+}
+
+func (s suffixMin) after(t uint64) (uint64, bool) {
+	n := sort.Search(len(s.starts), func(i int) bool { return s.starts[i] > t })
+	if n == len(s.starts) {
+		return 0, false
+	}
+	return s.min[n], true
 }
 
 // applyUpdate mirrors replica's update semantics for replay.

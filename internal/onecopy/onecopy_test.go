@@ -1,6 +1,9 @@
 package onecopy
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -239,5 +242,163 @@ func TestUpdateExtensionReplay(t *testing.T) {
 	}
 	if err := CheckHistory([]byte("a"), events); err != nil {
 		t.Error(err)
+	}
+}
+
+// checkPairwise is the three conditions read literally — every pair of
+// events compared, every version's value replayed — and the oracle
+// CheckHistory is held to. It is quadratic in the history, which is why it
+// is not the checker.
+func checkPairwise(initial []byte, events []Event) error {
+	var writes, reads []Event
+	maybes := 0
+	for _, e := range events {
+		switch e.Kind {
+		case KindWrite:
+			writes = append(writes, e)
+		case KindRead:
+			reads = append(reads, e)
+		case KindMaybeWrite:
+			maybes++
+		default:
+			return fmt.Errorf("unknown event kind %d", e.Kind)
+		}
+	}
+	maxVersion := uint64(0)
+	byVersion := make(map[uint64]Event, len(writes))
+	for _, w := range writes {
+		if _, dup := byVersion[w.Version]; dup || w.Version == 0 {
+			return fmt.Errorf("write version %d zero or shared", w.Version)
+		}
+		byVersion[w.Version] = w
+		maxVersion = max(maxVersion, w.Version)
+	}
+	for _, rd := range reads {
+		maxVersion = max(maxVersion, rd.Version)
+	}
+	if gaps := int(maxVersion) - len(writes); gaps < 0 || gaps > maybes {
+		return fmt.Errorf("%d gaps, %d uncertain writes", gaps, maybes)
+	}
+	for _, a := range writes {
+		for _, b := range writes {
+			if a.End < b.Start && a.Version > b.Version {
+				return fmt.Errorf("write v%d serializes after the later v%d", a.Version, b.Version)
+			}
+		}
+	}
+	values := [][]byte{append([]byte(nil), initial...)}
+	for v := uint64(1); v <= maxVersion; v++ {
+		w, ok := byVersion[v]
+		if !ok {
+			break
+		}
+		values = append(values, applyUpdate(append([]byte(nil), values[v-1]...), w.Update))
+	}
+	for _, rd := range reads {
+		if rd.Version < uint64(len(values)) && !bytes.Equal(rd.Value, values[rd.Version]) {
+			return fmt.Errorf("read at v%d returned the wrong value", rd.Version)
+		}
+		for _, w := range writes {
+			if w.End < rd.Start && rd.Version < w.Version || rd.End < w.Start && rd.Version >= w.Version {
+				return fmt.Errorf("read at v%d against write v%d", rd.Version, w.Version)
+			}
+		}
+		for _, rd2 := range reads {
+			if rd.End < rd2.Start && rd.Version > rd2.Version {
+				return fmt.Errorf("reads at v%d then v%d", rd.Version, rd2.Version)
+			}
+		}
+	}
+	return nil
+}
+
+// randomHistory builds a valid history of n operations by two interleaved
+// clients on one item: operations overlap in time (one may start before the
+// previous one ended) but take effect in issue order.
+func randomHistory(rng *rand.Rand, n int, maybes bool) ([]byte, []Event) {
+	initial := make([]byte, 8)
+	value := append([]byte(nil), initial...)
+	var events []Event
+	clock, version := uint64(0), uint64(0)
+	for i := 0; i < n; i++ {
+		clock++
+		start := clock
+		if rng.Intn(3) == 0 && start > 2 {
+			start -= 2 // overlaps its predecessor
+		}
+		clock++
+		switch r := rng.Intn(10); {
+		case r < 5:
+			version++
+			u := replica.Update{Offset: rng.Intn(10), Data: []byte{byte('a' + rng.Intn(3))}}
+			value = applyUpdate(value, u)
+			events = append(events, Event{Kind: KindWrite, Start: start, End: clock, Version: version, Update: u})
+		case r == 5 && maybes:
+			// An uncertain write that did not land.
+			events = append(events, Event{Kind: KindMaybeWrite, Start: start, End: clock, Update: replica.Update{Data: []byte{'?'}}})
+		default:
+			events = append(events, Event{Kind: KindRead, Start: start, End: clock, Version: version, Value: append([]byte(nil), value...)})
+		}
+	}
+	return initial, events
+}
+
+// corrupt damages one event of a history the way a broken protocol would.
+func corrupt(rng *rand.Rand, events []Event) []Event {
+	out := append([]Event(nil), events...)
+	i := rng.Intn(len(out))
+	e := out[i]
+	switch rng.Intn(6) {
+	case 0: // a read returns bytes nobody wrote
+		if e.Kind == KindRead && len(e.Value) > 0 {
+			e.Value = append([]byte(nil), e.Value...)
+			e.Value[rng.Intn(len(e.Value))] ^= 0x55
+		}
+	case 1: // a stale read, or a write serialized in the past
+		if e.Version > 1 {
+			e.Version -= 1 + uint64(rng.Intn(int(e.Version-1)))
+		}
+	case 2: // a version from the future
+		e.Version += 1 + uint64(rng.Intn(3))
+	case 3: // an acknowledged write vanishes
+		if e.Kind == KindWrite {
+			return append(out[:i], out[i+1:]...)
+		}
+	case 4: // the operation "finished" long before it did
+		if e.End > 4 {
+			e.Start, e.End = 1, 2
+		}
+	case 5: // an uncertain write turns out to have landed nowhere it could
+		e.Kind = KindMaybeWrite
+	}
+	out[i] = e
+	return out
+}
+
+// TestCheckerMatchesPairwise holds CheckHistory to the pairwise oracle's
+// verdict on 12 000 small random histories: valid ones, with and without
+// uncertain writes, and each of them corrupted once.
+func TestCheckerMatchesPairwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	rejected := 0
+	for trial := 0; trial < 6000; trial++ {
+		initial, events := randomHistory(rng, 1+rng.Intn(12), trial%2 == 1)
+		if err := CheckHistory(initial, events); err != nil {
+			t.Fatalf("trial %d: valid history rejected: %v\n%+v", trial, err, events)
+		}
+		if err := checkPairwise(initial, events); err != nil {
+			t.Fatalf("trial %d: the oracle rejects the generator's history: %v", trial, err)
+		}
+		bad := corrupt(rng, events)
+		got, want := CheckHistory(initial, bad), checkPairwise(initial, bad)
+		if (got == nil) != (want == nil) {
+			t.Fatalf("trial %d: checker says %v, oracle says %v\n%+v", trial, got, want, bad)
+		}
+		if want != nil {
+			rejected++
+		}
+	}
+	if rejected < 2000 {
+		t.Errorf("only %d of 6000 corruptions were violations; the test is too weak", rejected)
 	}
 }

@@ -81,3 +81,35 @@ func TestRecorderSequentialUnchanged(t *testing.T) {
 		t.Fatalf("serial history rejected: %v", err)
 	}
 }
+
+// TestEventsShareEqualReadValues: once merged, reads that returned equal
+// bytes at one version hold one copy of them, and a read that returned other
+// bytes at that version keeps its own, so the checker still sees it.
+func TestEventsShareEqualReadValues(t *testing.T) {
+	r := NewRecorder([]byte{0})
+	start := r.Begin()
+	r.EndWrite(start, 1, replica.Update{Data: []byte{7}})
+	for i := 0; i < 2*recorderShards; i++ {
+		start = r.Begin()
+		r.EndRead(start, 1, []byte{7})
+	}
+	start = r.Begin()
+	r.EndRead(start, 1, []byte{8})
+	var shared *byte
+	for _, e := range r.Events() {
+		switch {
+		case e.Kind != KindRead:
+		case e.Value[0] == 8:
+			if &e.Value[0] == shared {
+				t.Fatal("a read with other bytes was given the shared copy")
+			}
+		case shared == nil:
+			shared = &e.Value[0]
+		case &e.Value[0] != shared:
+			t.Fatal("two reads of equal bytes at one version hold two copies")
+		}
+	}
+	if err := r.Check(); err == nil {
+		t.Fatal("the read of bytes nobody wrote went unnoticed")
+	}
+}

@@ -50,10 +50,10 @@ func (it *Item) Amnesia() {
 	it.epochNum = 0
 	it.good = nodeset.Set{}
 	it.goodVer = 0
-	it.staged = nil
+	it.staged = staged{}
 	it.propOp = OpID{}
 	it.recovering = true
-	it.publishStateLocked()
+	it.notePayloadLocked()
 	it.mu.Unlock()
 
 	// The decision log lives on its own stripe (decision.go).
@@ -72,5 +72,7 @@ func (it *Item) Amnesia() {
 
 // Recovering reports whether the replica is quarantined after amnesia.
 func (it *Item) Recovering() bool {
-	return it.state.Load().Recovering
+	it.mu.Lock()
+	defer it.mu.Unlock()
+	return it.recovering
 }

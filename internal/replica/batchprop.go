@@ -343,7 +343,8 @@ func (n *Node) handleBatchOffer(ctx context.Context, m BatchPropagationOffer) (t
 
 // handleBatchData applies a batched transfer entry-by-entry through the
 // single-item data handler.
-func (n *Node) handleBatchData(m BatchPropagationData) (transport.Message, error) {
+func (n *Node) handleBatchData(ctx context.Context, m BatchPropagationData) (transport.Message, error) {
+	now := transport.Now(ctx)
 	ack := BatchPropagationAck{Items: make([]ItemAck, 0, len(m.Items))}
 	for _, d := range m.Items {
 		it := n.Item(d.Item)
@@ -351,7 +352,7 @@ func (n *Node) handleBatchData(m BatchPropagationData) (transport.Message, error
 			ack.Items = append(ack.Items, ItemAck{Item: d.Item, Reason: "no replica of item"})
 			continue
 		}
-		r, err := it.handlePropagationData(d.Data)
+		r, err := it.handlePropagationData(now, d.Data)
 		if err != nil {
 			ack.Items = append(ack.Items, ItemAck{Item: d.Item, Reason: err.Error()})
 			continue

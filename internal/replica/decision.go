@@ -235,60 +235,48 @@ func (n *Node) resolveLoop() {
 func (it *Item) unwatchIfDrained() bool {
 	it.mu.Lock()
 	defer it.mu.Unlock()
-	if len(it.staged) != 0 {
+	if !it.staged.op.IsZero() {
 		return false
 	}
 	it.watched = false
 	return true
 }
 
-// resolveStale queries the coordinator of every sufficiently old staged
-// action and applies the learned decision. Speculative stagings carry
-// their staged version in the query so a commit that decided a different
-// version resolves them as abort. Coordinators whose query fails are added
-// to unreachable, and those already in it are skipped.
+// resolveStale queries the coordinator of the staged action, if it is old
+// enough, and applies the learned decision. A speculative staging carries its
+// staged version in the query so a commit that decided a different version
+// resolves it as abort. A coordinator whose query fails is added to
+// unreachable, and one already in it is skipped.
 func (it *Item) resolveStale(unreachable *nodeset.Set) {
-	cutoff := time.Now().Add(-it.node.cfg.ResolveAfter)
-	type query struct {
-		op          OpID
-		specVersion uint64
-	}
-	var pending []query
 	it.mu.Lock()
-	for op, st := range it.staged {
-		if st.preparedAt.Before(cutoff) {
-			q := query{op: op}
-			if st.speculative {
-				q.specVersion = st.newVersion
-			}
-			pending = append(pending, q)
-		}
-	}
+	st := it.staged
 	it.mu.Unlock()
-
-	for _, q := range pending {
-		if q.op.Coordinator == it.node.self {
-			// Local coordinator: consult the log directly.
-			if d, known := it.decided(q.op); known {
-				it.applyDecision(q.op, d.applies(q.specVersion))
-			}
-			continue
+	if st.op.IsZero() || st.preparedAt >= time.Now().Add(-it.node.cfg.ResolveAfter).UnixNano() {
+		return
+	}
+	op, specVersion := st.op, uint64(0)
+	if st.speculative {
+		specVersion = st.version
+	}
+	if op.Coordinator == it.node.self {
+		// Local coordinator: consult the log directly.
+		if d, known := it.decided(op); known {
+			it.applyDecision(op, d.applies(specVersion))
 		}
-		if unreachable.Contains(q.op.Coordinator) {
-			continue
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), it.node.cfg.PropagationCallTimeout)
-		reply, err := it.node.net.Call(ctx, it.node.self, q.op.Coordinator, Envelope{Item: it.name, Msg: DecisionQuery{Op: q.op, NewVersion: q.specVersion}})
-		cancel()
-		if err != nil {
-			unreachable.Add(q.op.Coordinator)
-			continue // coordinator unreachable; stay blocked
-		}
-		dr, ok := reply.(DecisionReply)
-		if !ok || !dr.Known {
-			continue
-		}
-		it.applyDecision(q.op, dr.Commit)
+		return
+	}
+	if unreachable.Contains(op.Coordinator) {
+		return
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), it.node.cfg.PropagationCallTimeout)
+	reply, err := it.node.net.Call(ctx, it.node.self, op.Coordinator, Envelope{Item: it.name, Msg: DecisionQuery{Op: op, NewVersion: specVersion}})
+	cancel()
+	if err != nil {
+		unreachable.Add(op.Coordinator) // coordinator unreachable; stay blocked
+		return
+	}
+	if dr, ok := reply.(DecisionReply); ok && dr.Known {
+		it.applyDecision(op, dr.Commit)
 	}
 }
 

@@ -62,7 +62,6 @@ func TestApplyDirectOutcomesAreCounted(t *testing.T) {
 
 	it.mu.Lock()
 	it.markStaleLocked(9)
-	it.publishStateLocked()
 	it.mu.Unlock()
 	if ack := push(5, "x"); ack.OK {
 		t.Error("a stale replica applied a push")

@@ -67,7 +67,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-type stagedKind int
+type stagedKind uint8
 
 const (
 	stagedUpdate stagedKind = iota
@@ -77,9 +77,22 @@ const (
 	stagedBatch
 )
 
-// staged is a prepared-but-uncommitted 2PC action.
+// staged is a prepared-but-uncommitted 2PC action. An item holds at most
+// one, inline: staging takes the exclusive lock pinned, so no other
+// operation can prepare here until this one commits or aborts (a pinned
+// hold never expires; Amnesia drops both). The fields serve several kinds.
 type staged struct {
-	kind stagedKind
+	op         OpID     // zero: nothing staged
+	preparedAt int64    // Unix nanoseconds: a time.Time would move the Item up a size class
+	update     Update   // stagedUpdate; stagedReplace: the new value, at offset 0
+	updates    []Update // stagedBatch: applied in order on commit
+	// version is what a commit produces: the (first) new version, the
+	// desired version a stale-marking records, or the epoch number.
+	version uint64
+	set     nodeset.Set // the stale set propagation starts toward; stagedEpoch: the epoch list
+	good    nodeset.Set
+	goodVer uint64 // stagedEpoch: the maximum version of the epoch change
+	kind    stagedKind
 	// speculative marks an action staged from a LockPrepare prediction
 	// rather than a coordinator-endorsed prepare. If the reply carrying
 	// the staging was lost, the coordinator may have decided the write
@@ -87,18 +100,6 @@ type staged struct {
 	// termination resolver must version-gate the decision query (see
 	// DecisionQuery.NewVersion).
 	speculative bool
-	preparedAt  time.Time
-	update      Update
-	updates     []Update // stagedBatch: applied in order on commit
-	value       []byte
-	newVersion  uint64
-	staleSet    nodeset.Set
-	desired     uint64
-	epoch       nodeset.Set
-	epochNum    uint64
-	good        nodeset.Set
-	goodVer     uint64
-	maxVersion  uint64
 }
 
 // Item is one replica of one data item living on one node. It owns the
@@ -110,9 +111,8 @@ type staged struct {
 // Concurrency is striped so independent operations do not serialize behind
 // one mutex: the lock table has its own mutex (lock.go), the coordinator
 // decision log its own (decision.go), the propagation queue its own
-// (propagate.go), and state reads (the phase-1 hot path) are lock-free
-// against a published snapshot (see state below). mu protects only the
-// store, the protocol flags, and the staged-2PC table.
+// (propagate.go). mu protects the store, the protocol flags and the staged
+// action, and State reads them under it.
 type Item struct {
 	name string
 	// node is the hosting node. An item reads only what NewNode set and
@@ -128,31 +128,27 @@ type Item struct {
 	// same one and never written: the store holds its own copy.
 	initial []byte
 
-	// state is the published protocol-state snapshot, refreshed by every
-	// mutation (publishStateLocked) and read lock-free by State(). The sets
-	// inside are shared, never mutated in place: every mutation installs
-	// freshly-built sets, so a published snapshot is immutable.
-	state atomic.Pointer[StateReply]
-
 	mu         sync.Mutex
 	store      Store
-	payload    int       // value length last added to replica_payload_bytes
 	staleSince time.Time // when stale last became true (staleness histogram)
 	desired    uint64
-	epoch      nodeset.Set
-	epochNum   uint64
-	good       nodeset.Set      // recorded good list (safety-threshold extension)
-	goodVer    uint64           // version the good list corresponds to
-	staged     map[OpID]*staged // nil until the first staging
-	propOp     OpID             // operation currently allowed to propagate into this replica
-	stale      bool
-	watched    bool // on the node's termination walk (see stageLocked)
+	// The epoch and good sets are never mutated in place: every change
+	// installs a freshly built set, so a StateReply may share them.
+	epoch    nodeset.Set
+	epochNum uint64
+	good     nodeset.Set // recorded good list (safety-threshold extension)
+	goodVer  uint64      // version the good list corresponds to
+	staged   staged
+	propOp   OpID // operation currently allowed to propagate into this replica
+	stale    bool
+	watched  bool // on the node's termination walk (see stageLocked)
 	// recovering marks a replica that lost its stable state (amnesia.go);
 	// it is excluded from quorums until an epoch change readmits it.
 	recovering bool
-	// propRunning is propMu's, not mu's; it sits here because four flags in
-	// one word instead of four keep the Item in its size class.
+	// propRunning is propMu's, not mu's; it sits here because four flags and
+	// the payload in one word instead of five keep the Item in its size class.
 	propRunning bool
+	payload     int32 // value length last added to replica_payload_bytes
 
 	// Coordinator decision log for 2PC termination (see decision.go),
 	// striped off mu so termination queries and decision writes do not
@@ -169,9 +165,9 @@ type Item struct {
 	lock itemLock
 }
 
-// newItem builds node n's replica of an item: the Item, its copy of the
-// value and its first published state, and nothing else. Whatever does not
-// differ between the items of a node is n's.
+// newItem builds node n's replica of an item: the Item and its copy of the
+// value, and nothing else. Whatever does not differ between the items of a
+// node is n's.
 func newItem(n *Node, name string, members nodeset.Set, initial []byte) *Item {
 	it := &Item{
 		name:    name,
@@ -182,30 +178,32 @@ func newItem(n *Node, name string, members nodeset.Set, initial []byte) *Item {
 		lock:    itemLock{lockEnv: &n.lockEnv},
 	}
 	n.metrics.items.Add(1)
-	it.publishStateLocked() // no concurrent access yet; mu not needed
+	it.notePayloadLocked() // no concurrent access yet; mu not needed
 	return it
 }
 
-// stageLocked records a prepared action under op, replacing whatever op
-// had staged before. Called with mu held. The first staging puts the item on
-// its node's termination walk (Node.watchStaged), which keeps it until a
-// sweep finds the table empty — so an item with something staged is always
-// on the walk, a busy item pays for it one flag test per staging (the node's
-// lock and set are touched once per sweep interval, not once per write), and
-// a cold item carries no timer or goroutine of its own. now is the handler's
-// reading of the clock on arrival: a prepare that queued for its lock counts
-// as prepared from when it was asked, which only makes the resolver look a
-// little sooner.
-func (it *Item) stageLocked(now time.Time, op OpID, st *staged) {
-	st.preparedAt = now
+// stageLocked records st, a prepared action of st.op, replacing whatever
+// st.op had staged before, and acknowledges it; another operation's action is
+// refused, never overwritten (see staged). Called with mu held. The first
+// staging puts the item on its node's termination walk (Node.watchStaged),
+// which keeps it until a sweep finds nothing staged — so an item with
+// something staged is always on the walk, a busy item pays for it one flag
+// test per staging (the node's lock and set are touched once per sweep
+// interval, not once per write), and a cold item carries no timer or
+// goroutine of its own. now is the handler's reading of the clock on
+// arrival: a prepare that queued for its lock counts as prepared from when it
+// was asked, which only makes the resolver look a little sooner.
+func (it *Item) stageLocked(now time.Time, st *staged) transport.Message {
+	if !it.staged.op.IsZero() && it.staged.op != st.op {
+		return otherStaged
+	}
 	if !it.watched {
 		it.watched = true
 		it.node.watchStaged(it)
 	}
-	if it.staged == nil {
-		it.staged = make(map[OpID]*staged)
-	}
-	it.staged[op] = st
+	it.staged = *st
+	it.staged.preparedAt = now.UnixNano()
+	return ackOK
 }
 
 // Name returns the data item's name.
@@ -230,28 +228,19 @@ func (it *Item) AdvanceOpSeq(delta uint64) {
 	it.opSeq.Add(delta)
 }
 
-// State returns the replica's current protocol state. It is lock-free: it
-// reads the snapshot published by the last mutation, so the phase-1 lock
-// round (every replica answering with its state) never contends with the
-// data path. The sets inside the reply are shared immutable values; callers
-// must not mutate them in place (nodeset's non-pointer methods all copy).
-func (it *Item) State() StateReply {
-	return *it.state.Load()
+// State returns the replica's current protocol state, read under mu. The
+// sets inside the reply are shared immutable values; callers must not
+// mutate them in place (nodeset's non-pointer methods all copy).
+func (it *Item) State() (st StateReply) {
+	it.mu.Lock()
+	it.stateLocked(&st)
+	it.mu.Unlock()
+	return st
 }
 
-// publishStateLocked rebuilds and publishes the state snapshot. Callers
-// hold mu (except item construction); the atomic store orders the publish
-// before the mutating operation's lock release, so any operation granted
-// the replica lock afterwards observes it. Every change of the value passes
-// through here, so this is also where replica_payload_bytes follows its
-// length — touched when the value was created, grown or replaced, not per
-// message.
-func (it *Item) publishStateLocked() {
-	if n := it.store.Len(); n != it.payload {
-		it.node.metrics.payloadBytes.Add(int64(n - it.payload))
-		it.payload = n
-	}
-	st := StateReply{
+// stateLocked writes the replica's state into st. Caller holds mu.
+func (it *Item) stateLocked(st *StateReply) {
+	*st = StateReply{
 		Node:       it.node.self,
 		Version:    it.store.Version(),
 		Desired:    it.desired,
@@ -262,7 +251,16 @@ func (it *Item) publishStateLocked() {
 		GoodVer:    it.goodVer,
 		Recovering: it.recovering,
 	}
-	it.state.Store(&st)
+}
+
+// notePayloadLocked makes replica_payload_bytes follow the value's length.
+// Every change of the value passes through here — when it was created, grown
+// or replaced, not per message. Callers hold mu (except item construction).
+func (it *Item) notePayloadLocked() {
+	if n := int32(it.store.Len()); n != it.payload {
+		it.node.metrics.payloadBytes.Add(int64(n - it.payload))
+		it.payload = n
+	}
 }
 
 // Value returns a copy of the replica's value and its version. It reflects
@@ -274,29 +272,86 @@ func (it *Item) Value() ([]byte, uint64) {
 	return it.store.Snapshot()
 }
 
-// Handle processes one protocol message addressed to this item.
+// replies is what a replica keeps in a slot its sender lent
+// (transport.SlotOf): one of each reply that carries its state, lock's State
+// doubling as the StateReply.
+type replies struct {
+	lock    LockPrepareReply
+	snap    SnapReply
+	refused LockRefused
+}
+
+func (r *replies) state() *StateReply        { return &r.lock.State }
+func (r *replies) locked() *LockPrepareReply { return &r.lock }
+func (r *replies) snapshot() *SnapReply      { return &r.snap }
+func (r *replies) refusal() *LockRefused     { return &r.refused }
+
+// answer returns the reply, of those at picks, that a handler called under
+// ctx answers into: its sender's slot's, or its own if the sender lent none.
+func answer[T any](ctx context.Context, at func(*replies) *T) *T {
+	s := transport.SlotOf(ctx)
+	if s == nil {
+		return new(T)
+	}
+	r, _ := (*s).(*replies)
+	if r == nil {
+		r = new(replies)
+		*s = r
+	}
+	return at(r)
+}
+
+// Handle serves msg outside any round, for callers that drive one replica
+// directly: it answers values where the network's handler answers pointers
+// into its sender's slot, and never into a slot ctx carries.
 func (it *Item) Handle(ctx context.Context, from nodeset.ID, msg any) (transport.Message, error) {
+	if transport.SlotOf(ctx) != nil {
+		ctx = new(transport.Leg).Lend(ctx)
+	}
+	reply, err := it.serve(ctx, from, msg)
+	switch r := reply.(type) {
+	case *StateReply:
+		return *r, err
+	case *LockPrepareReply:
+		return *r, err
+	case *LockRefused:
+		return *r, err
+	case *SnapReply:
+		return *r, err
+	}
+	return reply, err
+}
+
+// serve processes one protocol message addressed to this item. A
+// coordinator sends its fused requests as pointers, the wire decodes values.
+func (it *Item) serve(ctx context.Context, from nodeset.ID, msg any) (transport.Message, error) {
 	switch m := msg.(type) {
 	case StateQuery:
-		return it.State(), nil
+		r := answer(ctx, (*replies).state)
+		*r = it.State()
+		return r, nil
 	case LockRequest:
 		return it.handleLock(ctx, m)
-	case LockPrepare:
+	case *LockPrepare:
 		return it.handleLockPrepare(ctx, m)
-	case ReadSnap:
+	case LockPrepare:
+		return it.handleLockPrepare(ctx, &m)
+	case *ReadSnap:
 		return it.handleReadSnap(ctx, m)
+	case ReadSnap:
+		return it.handleReadSnap(ctx, &m)
 	case FetchValue:
-		return it.handleFetch(m)
+		return it.handleFetch(transport.Now(ctx), m)
 	case PrepareUpdate:
-		return it.handlePrepareUpdate(m)
+		return it.handlePrepareUpdate(transport.Now(ctx), m)
 	case PrepareBatch:
-		return it.handlePrepareBatch(m)
+		return it.handlePrepareBatch(transport.Now(ctx), m)
 	case PrepareReplace:
-		return it.handlePrepareReplace(m)
+		return it.handlePrepareReplace(transport.Now(ctx), m)
 	case PrepareStale:
-		return it.handlePrepareStale(m)
+		return it.handlePrepareStale(transport.Now(ctx), m)
 	case PrepareEpoch:
-		return it.handlePrepareEpoch(m)
+		return it.handlePrepareEpoch(transport.Now(ctx), m)
 	case Commit:
 		return it.handleCommit(m)
 	case Abort:
@@ -306,7 +361,7 @@ func (it *Item) Handle(ctx context.Context, from nodeset.ID, msg any) (transport
 	case PropagationOffer:
 		return it.handlePropagationOffer(ctx, m)
 	case PropagationData:
-		return it.handlePropagationData(m)
+		return it.handlePropagationData(transport.Now(ctx), m)
 	case DecisionQuery:
 		return it.handleDecisionQuery(m)
 	default:
@@ -319,22 +374,26 @@ func (it *Item) handleLock(ctx context.Context, m LockRequest) (transport.Messag
 	if m.Mode == LockWrite {
 		mode = lockExclusive
 	}
-	if refusal, err := it.lockOrdered(ctx, time.Now(), m.Op, mode, false); refusal != nil || err != nil {
+	if refusal, err := it.lockOrdered(ctx, transport.Now(ctx), m.Op, mode, false); refusal != nil || err != nil {
 		return refusal, err
 	}
-	return it.State(), nil
+	r := answer(ctx, (*replies).state)
+	*r = it.State()
+	return r, nil
 }
 
 // lockOrdered takes the replica lock for a multi-replica operation. A nil
-// reply and nil error mean op holds it; otherwise the pair is the
-// handler's answer — LockRefused when an older operation is ahead, an
-// error when the context ended in the queue. pin is acquireOrdered's.
+// reply and nil error mean op holds it; otherwise the pair is the handler's
+// answer — LockRefused when an older operation is ahead, an error when the
+// context ended in the queue. pin is acquireOrdered's.
 func (it *Item) lockOrdered(ctx context.Context, now time.Time, op OpID, mode lockMode, pin bool) (transport.Message, error) {
 	switch by, err := it.lock.acquireOrdered(ctx, now, op, mode, pin); err {
 	case nil:
 		return nil, nil
 	case errLockRefused:
-		return LockRefused{State: it.State(), By: by}, nil
+		r := answer(ctx, (*replies).refusal)
+		*r = LockRefused{State: it.State(), By: by}
+		return r, nil
 	default:
 		return nil, fmt.Errorf("replica %v/%s: lock for %v: %w", it.node.self, it.name, op, err)
 	}
@@ -349,52 +408,55 @@ func (it *Item) lockOrdered(ctx context.Context, now time.Time, op OpID, mode lo
 // overwrites this entry at the replicas it covers. The lock is taken pinned,
 // as the staging will need it, in the same visit to the lock table; the rare
 // mismatch goes back to unpin it.
-func (it *Item) handleLockPrepare(ctx context.Context, m LockPrepare) (transport.Message, error) {
-	now := time.Now()
+func (it *Item) handleLockPrepare(ctx context.Context, m *LockPrepare) (transport.Message, error) {
+	now := transport.Now(ctx)
 	if refusal, err := it.lockOrdered(ctx, now, m.Op, lockExclusive, true); refusal != nil || err != nil {
 		return refusal, err
 	}
+	r := answer(ctx, (*replies).locked)
 	prepared := false
-	if m.Update.Validate() == nil {
-		it.mu.Lock()
-		if !it.recovering && !it.stale && it.store.Version()+1 == m.NewVersion {
-			it.stageLocked(now, m.Op, &staged{
-				kind:        stagedUpdate,
-				speculative: true,
-				update:      m.Update.clone(),
-				newVersion:  m.NewVersion,
-				good:        m.GoodSet.Clone(),
-				goodVer:     m.NewVersion,
-			})
-			prepared = true
-		}
-		it.mu.Unlock()
+	it.mu.Lock()
+	if m.Update.Validate() == nil && !it.recovering && !it.stale && it.store.Version()+1 == m.NewVersion {
+		prepared = ackOK == it.stageLocked(now, &staged{
+			op:          m.Op,
+			kind:        stagedUpdate,
+			speculative: true,
+			update:      m.Update.clone(),
+			version:     m.NewVersion,
+			good:        m.GoodSet.Clone(),
+			goodVer:     m.NewVersion,
+		})
 	}
+	it.stateLocked(&r.State)
+	r.Prepared = prepared
+	it.mu.Unlock()
 	if !prepared {
 		it.lock.unpin(now, m.Op)
 	}
-	return LockPrepareReply{State: it.State(), Prepared: prepared}, nil
+	return r, nil
 }
 
 // handleReadSnap serves a fused read: lock shared, snapshot state and
 // value atomically, release, reply. The shared acquisition still queues
 // behind a prepared write's pinned exclusive hold — the snapshot cannot
 // observe a committed-but-unapplied write as absent — but nothing stays
-// locked after the reply, so the read has no release round.
-func (it *Item) handleReadSnap(ctx context.Context, m ReadSnap) (transport.Message, error) {
-	if err := it.lock.acquire(ctx, time.Now(), m.Op, lockShared); err != nil {
+// locked after the reply, so the read has no release round. The value goes
+// into the slot's buffer, kept from round to round.
+func (it *Item) handleReadSnap(ctx context.Context, m *ReadSnap) (transport.Message, error) {
+	if err := it.lock.acquire(ctx, transport.Now(ctx), m.Op, lockShared); err != nil {
 		return nil, fmt.Errorf("replica %v/%s: lock for %v: %w", it.node.self, it.name, m.Op, err)
 	}
+	r := answer(ctx, (*replies).snapshot)
 	it.mu.Lock()
-	st := *it.state.Load()
-	value, _ := it.store.Snapshot()
+	it.stateLocked(&r.State)
+	r.Value = append(r.Value[:0], it.store.value...)
 	it.mu.Unlock()
 	it.lock.release(m.Op)
-	return SnapReply{State: st, Value: value}, nil
+	return r, nil
 }
 
-func (it *Item) handleFetch(m FetchValue) (transport.Message, error) {
-	if !it.lock.heldBy(time.Now(), m.Op, lockShared) {
+func (it *Item) handleFetch(now time.Time, m FetchValue) (transport.Message, error) {
+	if !it.lock.heldBy(now, m.Op, lockShared) {
 		return nil, fmt.Errorf("replica %v/%s: fetch without lock by %v", it.node.self, it.name, m.Op)
 	}
 	it.mu.Lock()
@@ -411,11 +473,14 @@ var notLockHolder transport.Message = Ack{Reason: "not exclusive lock holder"}
 // answered with nine of them.
 var ackOK transport.Message = Ack{OK: true}
 
-func (it *Item) handlePrepareUpdate(m PrepareUpdate) (transport.Message, error) {
+// otherStaged refuses a prepare at an item where another operation's action
+// is staged, which only an Amnesia racing a prepare leaves (see staged).
+var otherStaged transport.Message = Ack{Reason: "another operation is staged"}
+
+func (it *Item) handlePrepareUpdate(now time.Time, m PrepareUpdate) (transport.Message, error) {
 	if err := m.Update.Validate(); err != nil {
 		return Ack{Reason: err.Error()}, nil
 	}
-	now := time.Now()
 	if !it.lock.pin(now, m.Op) {
 		return notLockHolder, nil
 	}
@@ -430,18 +495,18 @@ func (it *Item) handlePrepareUpdate(m PrepareUpdate) (transport.Message, error) 
 	if it.store.Version()+1 != m.NewVersion {
 		return Ack{Reason: fmt.Sprintf("version %d cannot advance to %d", it.store.Version(), m.NewVersion)}, nil
 	}
-	it.stageLocked(now, m.Op, &staged{
-		kind:       stagedUpdate,
-		update:     m.Update.clone(),
-		newVersion: m.NewVersion,
-		staleSet:   m.StaleSet.Clone(),
-		good:       m.GoodSet.Clone(),
-		goodVer:    m.NewVersion,
-	})
-	return ackOK, nil
+	return it.stageLocked(now, &staged{
+		op:      m.Op,
+		kind:    stagedUpdate,
+		update:  m.Update.clone(),
+		version: m.NewVersion,
+		set:     m.StaleSet.Clone(),
+		good:    m.GoodSet.Clone(),
+		goodVer: m.NewVersion,
+	}), nil
 }
 
-func (it *Item) handlePrepareBatch(m PrepareBatch) (transport.Message, error) {
+func (it *Item) handlePrepareBatch(now time.Time, m PrepareBatch) (transport.Message, error) {
 	if len(m.Updates) == 0 {
 		return Ack{Reason: "empty batch"}, nil
 	}
@@ -450,7 +515,6 @@ func (it *Item) handlePrepareBatch(m PrepareBatch) (transport.Message, error) {
 			return Ack{Reason: err.Error()}, nil
 		}
 	}
-	now := time.Now()
 	if !it.lock.pin(now, m.Op) {
 		return notLockHolder, nil
 	}
@@ -469,19 +533,18 @@ func (it *Item) handlePrepareBatch(m PrepareBatch) (transport.Message, error) {
 	for i, u := range m.Updates {
 		ups[i] = u.clone()
 	}
-	it.stageLocked(now, m.Op, &staged{
-		kind:       stagedBatch,
-		updates:    ups,
-		newVersion: m.FirstVersion,
-		staleSet:   m.StaleSet.Clone(),
-		good:       m.GoodSet.Clone(),
-		goodVer:    m.FirstVersion + uint64(len(m.Updates)) - 1,
-	})
-	return ackOK, nil
+	return it.stageLocked(now, &staged{
+		op:      m.Op,
+		kind:    stagedBatch,
+		updates: ups,
+		version: m.FirstVersion,
+		set:     m.StaleSet.Clone(),
+		good:    m.GoodSet.Clone(),
+		goodVer: m.FirstVersion + uint64(len(m.Updates)) - 1,
+	}), nil
 }
 
-func (it *Item) handlePrepareReplace(m PrepareReplace) (transport.Message, error) {
-	now := time.Now()
+func (it *Item) handlePrepareReplace(now time.Time, m PrepareReplace) (transport.Message, error) {
 	if !it.lock.pin(now, m.Op) {
 		return notLockHolder, nil
 	}
@@ -493,21 +556,18 @@ func (it *Item) handlePrepareReplace(m PrepareReplace) (transport.Message, error
 	if m.NewVersion <= it.store.Version() {
 		return Ack{Reason: fmt.Sprintf("replace version %d not beyond %d", m.NewVersion, it.store.Version())}, nil
 	}
-	value := make([]byte, len(m.Value))
-	copy(value, m.Value)
-	it.stageLocked(now, m.Op, &staged{
-		kind:       stagedReplace,
-		value:      value,
-		newVersion: m.NewVersion,
-		staleSet:   m.StaleSet.Clone(),
-		good:       m.GoodSet.Clone(),
-		goodVer:    m.NewVersion,
-	})
-	return ackOK, nil
+	return it.stageLocked(now, &staged{
+		op:      m.Op,
+		kind:    stagedReplace,
+		update:  Update{Data: m.Value}.clone(),
+		version: m.NewVersion,
+		set:     m.StaleSet.Clone(),
+		good:    m.GoodSet.Clone(),
+		goodVer: m.NewVersion,
+	}), nil
 }
 
-func (it *Item) handlePrepareStale(m PrepareStale) (transport.Message, error) {
-	now := time.Now()
+func (it *Item) handlePrepareStale(now time.Time, m PrepareStale) (transport.Message, error) {
 	if !it.lock.pin(now, m.Op) {
 		return notLockHolder, nil
 	}
@@ -516,12 +576,10 @@ func (it *Item) handlePrepareStale(m PrepareStale) (transport.Message, error) {
 	if it.recovering {
 		return Ack{Reason: "replica is recovering from state loss"}, nil
 	}
-	it.stageLocked(now, m.Op, &staged{kind: stagedStale, desired: m.Desired, good: m.GoodSet.Clone(), goodVer: m.Desired})
-	return ackOK, nil
+	return it.stageLocked(now, &staged{op: m.Op, kind: stagedStale, version: m.Desired, good: m.GoodSet.Clone(), goodVer: m.Desired}), nil
 }
 
-func (it *Item) handlePrepareEpoch(m PrepareEpoch) (transport.Message, error) {
-	now := time.Now()
+func (it *Item) handlePrepareEpoch(now time.Time, m PrepareEpoch) (transport.Message, error) {
 	if !it.lock.pin(now, m.Op) {
 		return notLockHolder, nil
 	}
@@ -533,50 +591,40 @@ func (it *Item) handlePrepareEpoch(m PrepareEpoch) (transport.Message, error) {
 	if !m.Epoch.Contains(it.node.self) {
 		return Ack{Reason: "node not a member of the proposed epoch"}, nil
 	}
-	it.stageLocked(now, m.Op, &staged{
-		kind:       stagedEpoch,
-		epoch:      m.Epoch.Clone(),
-		epochNum:   m.EpochNum,
-		good:       m.Good.Clone(),
-		maxVersion: m.MaxVersion,
-	})
-	return ackOK, nil
+	return it.stageLocked(now, &staged{
+		op:      m.Op,
+		kind:    stagedEpoch,
+		set:     m.Epoch.Clone(),
+		version: m.EpochNum,
+		good:    m.Good.Clone(),
+		goodVer: m.MaxVersion,
+	}), nil
 }
 
 func (it *Item) handleCommit(m Commit) (transport.Message, error) {
 	it.mu.Lock()
-	st, ok := it.staged[m.Op]
-	if !ok {
+	st := it.staged
+	if st.op != m.Op || st.op.IsZero() {
 		it.mu.Unlock()
 		// Lock-only participant (e.g. a read): commit just releases.
 		it.lock.release(m.Op)
 		return ackOK, nil
 	}
-	delete(it.staged, m.Op)
+	it.staged = staged{}
 	var propagateTo nodeset.Set
 	switch st.kind {
-	case stagedUpdate:
-		if it.store.Version()+1 != st.newVersion || it.stale {
+	case stagedUpdate, stagedBatch:
+		if it.store.Version()+1 != st.version || it.stale {
 			// Unreachable while the exclusive lock is held from prepare to
 			// commit; refuse rather than corrupt the replica.
 			it.mu.Unlock()
 			it.lock.release(m.Op)
 			return Ack{Reason: "staged update no longer applicable"}, nil
 		}
-		it.store.applyOwned(st.update)
-		it.clearStaleLocked()
-		it.good = st.good
-		it.goodVer = st.goodVer
-		propagateTo = st.staleSet
-	case stagedBatch:
-		if it.store.Version()+1 != st.newVersion || it.stale {
-			// Unreachable while the exclusive lock is held from prepare to
-			// commit; refuse rather than corrupt the replica.
-			it.mu.Unlock()
-			it.lock.release(m.Op)
-			return Ack{Reason: "staged batch no longer applicable"}, nil
+		if st.kind == stagedUpdate {
+			it.store.applyOwned(st.update)
 		}
-		// Applying per update (not as one merged mutation) keeps the
+		// Applying a batch per update (not as one merged mutation) keeps the
 		// update log per-version, so propagation toward a target at any
 		// intermediate version still works.
 		for _, u := range st.updates {
@@ -585,22 +633,22 @@ func (it *Item) handleCommit(m Commit) (transport.Message, error) {
 		it.clearStaleLocked()
 		it.good = st.good
 		it.goodVer = st.goodVer
-		propagateTo = st.staleSet
+		propagateTo = st.set
 	case stagedReplace:
-		it.store.InstallSnapshot(st.value, st.newVersion)
+		it.store.InstallSnapshot(st.update.Data, st.version)
 		it.clearStaleLocked()
 		it.good = st.good
 		it.goodVer = st.goodVer
-		propagateTo = st.staleSet
+		propagateTo = st.set
 	case stagedStale:
-		it.markStaleLocked(st.desired)
+		it.markStaleLocked(st.version)
 		it.good = st.good
 		it.goodVer = st.goodVer
 	case stagedEpoch:
-		it.epoch = st.epoch
-		it.epochNum = st.epochNum
+		it.epoch = st.set
+		it.epochNum = st.version
 		it.good = st.good
-		it.goodVer = st.maxVersion
+		it.goodVer = st.goodVer
 		if it.recovering {
 			it.node.metrics.readmitted.Inc()
 		}
@@ -608,13 +656,13 @@ func (it *Item) handleCommit(m Commit) (transport.Message, error) {
 		it.node.metrics.epochInstalls.Inc()
 		if st.good.Contains(it.node.self) {
 			it.clearStaleLocked()
-			propagateTo = st.epoch.Diff(st.good)
+			propagateTo = st.set.Diff(st.good)
 		} else {
-			it.markStaleLocked(st.maxVersion)
+			it.markStaleLocked(st.goodVer)
 		}
 	}
 	it.node.metrics.commits.Inc()
-	it.publishStateLocked()
+	it.notePayloadLocked()
 	it.mu.Unlock()
 	it.lock.release(m.Op)
 	if !propagateTo.Empty() {
@@ -647,7 +695,7 @@ func (it *Item) handleApplyDirect(ctx context.Context, m ApplyDirect) (transport
 			return Ack{Reason: err.Error()}, nil
 		}
 	}
-	switch err := it.lock.acquireBehindReaders(ctx, time.Now(), m.Op); {
+	switch err := it.lock.acquireBehindReaders(ctx, transport.Now(ctx), m.Op); {
 	case err == errLockBusy:
 		it.node.metrics.pushBusy.Inc()
 		return directBusy, nil
@@ -675,13 +723,15 @@ func (it *Item) handleApplyDirect(ctx context.Context, m ApplyDirect) (transport
 	it.good = m.GoodSet.Clone()
 	it.goodVer = it.store.Version()
 	it.node.metrics.pushApplied.Inc()
-	it.publishStateLocked()
+	it.notePayloadLocked()
 	return ackOK, nil
 }
 
 func (it *Item) handleAbort(m Abort) (transport.Message, error) {
 	it.mu.Lock()
-	delete(it.staged, m.Op)
+	if it.staged.op == m.Op {
+		it.staged = staged{}
+	}
 	it.mu.Unlock()
 	it.lock.release(m.Op)
 	return ackOK, nil

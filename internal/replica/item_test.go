@@ -38,7 +38,8 @@ func newHarness(t *testing.T, n int, initial []byte, cfg Config) *harness {
 
 func (h *harness) item(i int) *Item { return h.nodes[i].Item("x") }
 
-// call sends a message from node `from` to node `to` for item "x".
+// call sends a message from node `from` to node `to` for item "x", and
+// returns the reply as a value.
 func (h *harness) call(t *testing.T, from, to int, msg any) transport.Message {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -46,6 +47,22 @@ func (h *harness) call(t *testing.T, from, to int, msg any) transport.Message {
 	reply, err := h.net.Call(ctx, nodeset.ID(from), nodeset.ID(to), Envelope{Item: "x", Msg: msg})
 	if err != nil {
 		t.Fatalf("call %v: %v", msg, err)
+	}
+	return valueOf(reply)
+}
+
+// valueOf copies a reply a handler answered into a slot, so that a test can
+// keep it past the slot's next use; other replies come back as they are.
+func valueOf(reply transport.Message) transport.Message {
+	switch r := reply.(type) {
+	case *StateReply:
+		return *r
+	case *LockPrepareReply:
+		return *r
+	case *LockRefused:
+		return *r
+	case *SnapReply:
+		return SnapReply{State: r.State, Value: append([]byte(nil), r.Value...)}
 	}
 	return reply
 }

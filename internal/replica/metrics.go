@@ -45,7 +45,7 @@ type itemMetrics struct {
 	pushRecovering *obs.Counter
 
 	// What the node holds: replicas built, and the sum of their values'
-	// lengths (see publishStateLocked). cotop's memory line sets them against
+	// lengths (see notePayloadLocked). cotop's memory line sets them against
 	// process_heap_bytes.
 	items        *obs.Gauge
 	payloadBytes *obs.Gauge

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"coterie/internal/nodeset"
 	"coterie/internal/obs"
@@ -180,7 +181,7 @@ func (n *Node) handle(ctx context.Context, from nodeset.ID, req transport.Messag
 	case BatchPropagationOffer:
 		return n.handleBatchOffer(ctx, m)
 	case BatchPropagationData:
-		return n.handleBatchData(m)
+		return n.handleBatchData(ctx, m)
 	case Envelope:
 		it := n.Item(m.Item)
 		if it == nil {
@@ -191,7 +192,7 @@ func (n *Node) handle(ctx context.Context, from nodeset.ID, req transport.Messag
 		if tc := obs.TraceFrom(ctx); tc.Sampled && tc.Valid() {
 			return n.handleTraced(ctx, from, it, m.Msg, tc)
 		}
-		return it.Handle(ctx, from, m.Msg)
+		return it.serve(ctx, from, m.Msg)
 	default:
 		return nil, fmt.Errorf("replica: node %v: unexpected message %T", n.self, req)
 	}
@@ -204,15 +205,16 @@ func (n *Node) handle(ctx context.Context, from nodeset.ID, req transport.Messag
 // Only sampled operations reach this path, which is what keeps recorder
 // pressure (ring churn, pooled-ActiveOp traffic) bounded under load.
 func (n *Node) handleTraced(ctx context.Context, from nodeset.ID, it *Item, msg any, tc obs.TraceContext) (transport.Message, error) {
-	a := n.cfg.Obs.Flight().Begin(obs.OpServe, n.self, tc.SpanID, it.Name())
+	began := transport.Now(ctx)
+	a := n.cfg.Obs.Flight().Begin(obs.OpServe, n.self, tc.SpanID, it.Name(), began)
 	a.Trace(tc)
-	began := a.Elapsed()
-	reply, err := it.Handle(ctx, from, msg)
-	a.Phase(spanPhase(msg), began, 1, 0)
+	reply, err := it.serve(ctx, from, msg)
+	ended := time.Now()
+	a.Phase(spanPhase(msg), began, ended, 1, 0)
 	if err != nil {
-		a.End(obs.OutcomeError, 0)
+		a.End(obs.OutcomeError, 0, ended)
 	} else {
-		a.End(obs.OutcomeOK, 0)
+		a.End(obs.OutcomeOK, 0, ended)
 	}
 	return reply, err
 }
@@ -223,13 +225,13 @@ func spanPhase(msg any) obs.Phase {
 	switch msg.(type) {
 	case StateQuery, DecisionQuery:
 		return obs.PhasePoll
-	case LockRequest, LockPrepare:
+	case LockRequest, LockPrepare, *LockPrepare:
 		return obs.PhaseLock
 	case PrepareUpdate, PrepareBatch, PrepareReplace, PrepareStale, PrepareEpoch:
 		return obs.PhasePrepare
 	case Commit, Abort, ApplyDirect:
 		return obs.PhaseCommit
-	case ReadSnap, FetchValue:
+	case ReadSnap, *ReadSnap, FetchValue:
 		return obs.PhaseFetch
 	default:
 		return obs.PhaseNone

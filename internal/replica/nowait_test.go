@@ -166,7 +166,7 @@ func TestNoWaitRoundAgainstHeldReplica(t *testing.T) {
 	go func() {
 		n := 0
 		h.net.MulticastFunc(context.Background(), 0, h.members, Envelope{Item: "x", Msg: ReadSnap{Op: reader}}, func(to nodeset.ID, r transport.Result) {
-			if snap, ok := r.Reply.(SnapReply); ok && r.Err == nil && string(snap.Value) == "v" {
+			if snap, ok := r.Reply.(*SnapReply); ok && r.Err == nil && string(snap.Value) == "v" {
 				n++
 			} else {
 				t.Errorf("replica %d answered %+v, %v", to, r.Reply, r.Err)
@@ -188,5 +188,36 @@ func TestNoWaitRoundAgainstHeldReplica(t *testing.T) {
 	}
 	if got := waited.Load(); got != 1 {
 		t.Errorf("replica_lock_waited_total = %d, want 1", got)
+	}
+}
+
+// TestHandlerUsesRoundClock: a handler judges leases by the reading its
+// round lent it and reads no clock of its own. A round whose clock is an
+// hour old sends a LockPrepare that stages nothing — its predicted version
+// is wrong — so the hold it leaves is leased from that reading: the next
+// acquire, under the real clock, finds it expired and reaps it. Had the
+// handler read the clock itself, the hold would have a minute to run and the
+// younger operation would be refused behind it.
+func TestHandlerUsesRoundClock(t *testing.T) {
+	reg := obs.New()
+	h := newHarness(t, 2, nil, Config{Obs: reg, LockLease: time.Minute})
+	ops := agedOps(2)
+	older, younger := ops[0], ops[1]
+	round := &transport.Timed{Context: context.Background(), Now: time.Now().Add(-time.Hour)}
+	var reply transport.Message
+	h.net.MulticastFunc(round, 0, nodeset.New(1), Envelope{Item: "x", Msg: LockPrepare{
+		Op: older, Update: Update{Data: []byte("x")}, NewVersion: 7, GoodSet: nodeset.New(1),
+	}}, func(_ nodeset.ID, r transport.Result) { reply = valueOf(r.Reply) })
+	if lp, ok := reply.(LockPrepareReply); !ok || lp.Prepared {
+		t.Fatalf("the mispredicted LockPrepare answered %+v", reply)
+	}
+	if time.Since(round.Now) > time.Minute {
+		t.Errorf("the round left its clock at %v, an hour old: it should hold the reading its last leg ended at", round.Now)
+	}
+	if _, ok := h.call(t, 0, 1, LockRequest{Op: younger, Mode: LockWrite}).(StateReply); !ok {
+		t.Fatal("the younger operation was refused: the hold was leased from a clock the handler read")
+	}
+	if got := reg.Counter("replica_lock_expired_total").Load(); got != 1 {
+		t.Errorf("replica_lock_expired_total = %d, want the one hold the round left", got)
 	}
 }

@@ -23,7 +23,7 @@ import (
 // replica needs nothing from a source at version v, and otherwise lock the
 // replica, remember the propagation operation, and permit the transfer.
 func (it *Item) handlePropagationOffer(ctx context.Context, m PropagationOffer) (transport.Message, error) {
-	now := time.Now()
+	now := transport.Now(ctx)
 	it.mu.Lock()
 	if it.recovering {
 		// Not yet readmitted by an epoch change: the source should retry
@@ -62,8 +62,8 @@ func (it *Item) handlePropagationOffer(ctx context.Context, m PropagationOffer) 
 
 // handlePropagationData applies the shipped updates (or snapshot), clears
 // the stale flag, and releases the propagation lock.
-func (it *Item) handlePropagationData(m PropagationData) (transport.Message, error) {
-	if !it.lock.heldBy(time.Now(), m.Op, lockExclusive) {
+func (it *Item) handlePropagationData(now time.Time, m PropagationData) (transport.Message, error) {
+	if !it.lock.heldBy(now, m.Op, lockExclusive) {
 		return Ack{Reason: "propagation lock not held"}, nil
 	}
 	it.mu.Lock()
@@ -82,7 +82,7 @@ func (it *Item) handlePropagationData(m PropagationData) (transport.Message, err
 		it.clearStaleLocked()
 	}
 	it.propOp = OpID{}
-	it.publishStateLocked()
+	it.notePayloadLocked()
 	it.mu.Unlock()
 	it.lock.release(m.Op)
 	if err != nil {

@@ -7,11 +7,14 @@ import (
 	"coterie/internal/nodeset"
 )
 
-// stagedCount returns the number of staged 2PC actions at it.
+// stagedCount returns the number of staged 2PC actions at it: one or none.
 func stagedCount(it *Item) int {
 	it.mu.Lock()
 	defer it.mu.Unlock()
-	return len(it.staged)
+	if it.staged.op.IsZero() {
+		return 0
+	}
+	return 1
 }
 
 // TestRefusedLockPrepareStagesNothing: the refusal is decided before the

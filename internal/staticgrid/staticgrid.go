@@ -96,8 +96,8 @@ func (c *Coordinator) lockRound(ctx context.Context, op replica.OpID, targets no
 			if r.Err != nil {
 				return
 			}
-			if st, ok := r.Reply.(replica.StateReply); ok {
-				out = append(out, response{node: id, state: st})
+			if st, ok := r.Reply.(*replica.StateReply); ok {
+				out = append(out, response{node: id, state: *st})
 			}
 		})
 	return out

@@ -9,35 +9,9 @@ import (
 	"coterie/internal/nodeset"
 )
 
-// BenchmarkMulticast measures quorum-shaped fan-outs on a zero-latency
-// network: 1 target (the single-node fast path — no goroutine spawn),
-// 5 targets (a typical quorum), and 25 targets (a full broadcast at the
-// largest Table 1 scale with a square grid).
-func BenchmarkMulticast(b *testing.B) {
-	const nodes = 25
-	n := NewNetwork()
-	for id := nodeset.ID(0); id < nodes; id++ {
-		n.Register(id, func(ctx context.Context, from nodeset.ID, req Message) (Message, error) {
-			return req, nil
-		})
-	}
-	ctx := context.Background()
-	for _, targets := range []int{1, 5, 25} {
-		set := nodeset.Range(0, nodeset.ID(targets))
-		b.Run(fmt.Sprintf("targets=%d", targets), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res := n.Multicast(ctx, 0, set, "ping")
-				if len(res) != targets {
-					b.Fatalf("%d results, want %d", len(res), targets)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkMulticastFunc measures the pooled, map-free fan-out the
-// protocol hot paths use.
+// BenchmarkMulticastFunc measures quorum-shaped fan-outs on a zero-latency
+// network: 1 target, 5 targets (a typical quorum), and 25 targets (a full
+// broadcast at the largest Table 1 scale with a square grid).
 func BenchmarkMulticastFunc(b *testing.B) {
 	const nodes = 25
 	n := NewNetwork()

@@ -106,11 +106,11 @@ func TestRegisterPreservesAccounting(t *testing.T) {
 	}
 }
 
-// TestOneWayDeliveryAllocs: a one-way send costs its detached context — one
-// small object per SendAsync, shared by the whole fan-out — and a delivery
-// costs nothing, even when its handler asks the context for the trace tag as
-// every replica handler does. (context.WithoutCancel's context boxed itself
-// on each such lookup: one more object per delivery.)
+// TestOneWayDeliveryAllocs: an inline one-way send costs nothing — its
+// detached context, shared by the whole fan-out, is pooled scratch — and a
+// delivery costs nothing, even when its handler asks the context for the
+// trace tag as every replica handler does. (context.WithoutCancel's context
+// boxed itself on each such lookup: one more object per delivery.)
 func TestOneWayDeliveryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime adds bookkeeping allocations")
@@ -131,8 +131,8 @@ func TestOneWayDeliveryAllocs(t *testing.T) {
 		targets := nodeset.Range(1, nodeset.ID(1+fanout))
 		delivered = 0
 		allocs := testing.AllocsPerRun(200, func() { n.SendAsync(ctx, 0, targets, msg) })
-		if allocs != 1 {
-			t.Errorf("SendAsync to %d targets allocates %.1f objects, want 1 whatever the fan-out", fanout, allocs)
+		if allocs != 0 {
+			t.Errorf("SendAsync to %d targets allocates %.1f objects, want none whatever the fan-out", fanout, allocs)
 		}
 		if delivered != 201*fanout {
 			t.Errorf("%d deliveries saw the trace tag, want %d", delivered, 201*fanout)
@@ -182,8 +182,8 @@ func testMulticastFuncAllocs(t *testing.T, n *Network) {
 
 	for _, targets := range []int{5, 25} {
 		set := nodeset.Range(0, nodeset.ID(targets))
-		// Target list, result slots, wait group and result delivery come
-		// from pooled scratch; the round's no-wait context does not.
+		// Target list, legs, result slots, wait group and result delivery
+		// all come from pooled scratch.
 		if allocs := testing.AllocsPerRun(100, func() {
 			n.MulticastFunc(ctx, 0, set, "ping", func(to nodeset.ID, r Result) { sink++ })
 		}); allocs != roundObjects {

@@ -27,7 +27,10 @@ import (
 //     network's one rule, for calls and one-way sends alike: a message leaves
 //     its sender's goroutine only to wait, and a handler says when it would
 //     (NoWait, ErrWouldWait). tcpnet's legs are in flight side by side
-//     anyway; it never sets the marker.
+//     anyway; it never sets the marker. A handler a round reaches in process
+//     answers into a slot of its Leg (see Handler), valid until fn returns;
+//     a round sent under a clock (Timed) starts from it and leaves the last
+//     reading there.
 //   - Register attaches the handler serving a locally-hosted node;
 //     re-registering replaces the handler (node restart with fresh state).
 //   - Served reports a monotone per-node served-request counter — the load

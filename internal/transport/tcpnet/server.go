@@ -171,7 +171,9 @@ func (sc *serverConn) readLoop() {
 // reply. The handler context carries the caller's propagated deadline —
 // a lazily armed deadline.Ctx, so fast handlers that never park never
 // touch the timer heap — and is canceled when the whole network closes.
-func (sc *serverConn) serveOne(rq srvReq) {
+// The worker lends the handler its Leg, whose slot the reply is encoded out
+// of before the worker takes its next request.
+func (sc *serverConn) serveOne(rq srvReq, own *transport.Leg) {
 	ctx := sc.n.baseCtx
 	if rq.timeout > 0 {
 		dctx, release := deadline.At(ctx, time.Now().Add(rq.timeout))
@@ -185,7 +187,8 @@ func (sc *serverConn) serveOne(rq srvReq) {
 		ctx = obs.WithTrace(ctx, rq.tc)
 	}
 	h := *sc.ep.handler.Load()
-	reply, err := h(ctx, rq.from, rq.msg)
+	reply, err := h(own.Lend(ctx), rq.from, rq.msg)
+	own.Context = nil
 	if rq.corr == oneWayCorr {
 		return // fire-and-forget request: the sender dropped the outcome
 	}

@@ -395,10 +395,11 @@ func (n *Network) Stats() transport.Stats {
 }
 
 // mcScratch is the pooled working set of one multicast fan-out: target
-// list and per-target call state.
+// list, per-target call state, and the Legs lent to hosted targets.
 type mcScratch struct {
 	ids   []nodeset.ID
 	calls []mcTarget
+	legs  []transport.Leg
 }
 
 // mcTarget tracks one multicast target across the send and wait
@@ -421,27 +422,28 @@ type mcTarget struct {
 // goroutines: first every remote target's frame is encoded and enqueued
 // (the send phase — because a caller's traffic to one peer rides one
 // socket, a whole quorum round coalesces into one writev per peer), then
-// the local target's handler runs inline while the remote peers work, then
-// the caller parks for each remote reply.
+// the local target's handler runs inline, under a Leg of the scratch, while
+// the remote peers work, then the caller parks for each remote reply. A
+// round sent under a transport.Timed starts from its reading and leaves
+// there the one taken when the last reply is in.
 func (n *Network) MulticastFunc(ctx context.Context, from nodeset.ID, targets nodeset.Set, req transport.Message, fn func(to nodeset.ID, r transport.Result)) {
 	if targets.Empty() {
 		return
 	}
 	n.mcFanout.Record(uint64(targets.Len()))
-	if targets.Len() == 1 {
-		id, _ := targets.Min()
-		reply, err := n.Call(ctx, from, id, req)
-		fn(id, transport.Result{Reply: reply, Err: err})
-		return
-	}
 	sc := n.scratch.Get().(*mcScratch)
 	sc.ids = targets.AppendIDs(sc.ids[:0])
+	clock := transport.TimedOf(ctx)
 	var start time.Time
-	if n.obsReg != nil {
+	switch {
+	case clock != nil:
+		start = clock.Now
+	case n.obsReg != nil:
 		start = time.Now()
 	}
-	if cap(sc.calls) < len(sc.ids) {
+	if len(sc.legs) < len(sc.ids) {
 		sc.calls = make([]mcTarget, len(sc.ids))
+		sc.legs = append(sc.legs, make([]transport.Leg, len(sc.ids)-len(sc.legs))...)
 	}
 	calls := sc.calls[:len(sc.ids)]
 
@@ -483,14 +485,14 @@ func (n *Network) MulticastFunc(ctx context.Context, from nodeset.ID, targets no
 		st.c, st.pc, st.corr = c, pc, corr
 	}
 
-	// Local phase: hosted targets dispatch inline, exactly as Call would.
+	// Local phase: hosted targets dispatch inline, as Call would.
 	for i, id := range sc.ids {
 		if ep := local.get(id); ep != nil {
 			n.calls.Inc()
 			n.localCalls.Inc()
 			ep.served.Inc()
 			h := *ep.handler.Load()
-			reply, err := h(ctx, from, req)
+			reply, err := h(sc.legs[i].Lend(ctx), from, req)
 			calls[i].res = transport.Result{Reply: reply, Err: err}
 			calls[i].done = true
 		}
@@ -511,11 +513,14 @@ func (n *Network) MulticastFunc(ctx context.Context, from nodeset.ID, targets no
 		}
 		st.res = transport.Result{Reply: reply, Err: err}
 	}
+	if clock != nil {
+		clock.Now = time.Now()
+	}
 	for i, id := range sc.ids {
 		fn(id, calls[i].res)
 	}
 	for i := range calls {
-		calls[i] = mcTarget{}
+		calls[i], sc.legs[i].Context = mcTarget{}, nil
 	}
 	n.scratch.Put(sc)
 }

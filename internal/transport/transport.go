@@ -28,7 +28,8 @@
 //   - Multicast fan-out collects into pooled scratch buffers and runs its
 //     legs on the caller's goroutine; a leg leaves it only to wait (transit
 //     time, a lock queue), for a warm stack of the process-wide leg
-//     workers, so the steady state starts no goroutine.
+//     workers, so the steady state starts no goroutine. Each leg's context
+//     and reply slot (Leg) are pooled scratch too.
 package transport
 
 import (
@@ -54,24 +55,6 @@ var ErrCallFailed = errors.New("transport: call failed")
 // and counted nothing, so the network runs the request again where it may wait.
 var ErrWouldWait = errors.New("transport: handler would wait")
 
-type noWaitKey struct{}
-
-// noWait marks the legs a multicast runs on its caller's goroutine. Its 16 bytes
-// are all such a round allocates; pooled, a kept context would turn into some
-// later round's.
-type noWait struct{ context.Context }
-
-func (c noWait) Value(key any) any {
-	if key == (noWaitKey{}) {
-		return true
-	}
-	return c.Context.Value(key)
-}
-
-// NoWait reports whether a handler given ctx runs on its sender's goroutine,
-// the rest of the round behind it, and must not wait for another operation.
-func NoWait(ctx context.Context) bool { return ctx.Value(noWaitKey{}) == true }
-
 // Message is an RPC payload. Concrete protocols define their own typed
 // request and response structs.
 type Message interface{}
@@ -79,6 +62,12 @@ type Message interface{}
 // Handler processes one request at a node and returns the reply. Handlers
 // may issue further calls on the same network, but must not hold locks that
 // the nested calls' handlers need.
+//
+// Slot ownership: a handler lent a slot (SlotOf) answers into it and returns
+// a pointer into it, so no reply is boxed. Slot and reply are the sender's
+// until it lends the slot again — for a multicast, until fn has seen the
+// reply — so a caller that keeps a reply copies it, and a handler keeps
+// neither its context nor the slot past the call.
 type Handler func(ctx context.Context, from nodeset.ID, req Message) (Message, error)
 
 // Stats counts network traffic. A completed call costs two messages
@@ -396,31 +385,37 @@ func (n *Network) sleepLatency(ctx context.Context, ep *endpoint) error {
 
 // Call sends req from one node to another and waits for the reply. It
 // returns ErrCallFailed when delivery is impossible (crashed endpoint,
-// partition, unknown node); handler errors pass through unchanged. The caller
-// waits for it, so the handler may wait, whatever marker ctx has inherited.
+// partition, unknown node); handler errors pass through unchanged. It lends
+// the handler no Leg, whatever ctx has inherited: the handler may wait, and
+// answers into storage of its own, for the caller to keep.
 func (n *Network) Call(ctx context.Context, from, to nodeset.ID, req Message) (Message, error) {
-	if NoWait(ctx) {
-		ctx = context.WithValue(ctx, noWaitKey{}, false)
+	if legOf(ctx) != nil {
+		ctx = &Leg{Context: ctx}
 	}
 	return n.timedCall(ctx, from, to, req)
 }
 
-// timedCall is call under the registry's clock and the trace hook; an attempt
-// that ended in ErrWouldWait was no call and is neither timed nor traced.
+// timedCall is call under the registry's clock and the trace hook.
 func (n *Network) timedCall(ctx context.Context, from, to nodeset.ID, req Message) (Message, error) {
 	if n.trace == nil && n.callNs == nil {
 		return n.call(ctx, from, to, req)
 	}
 	start := time.Now()
 	reply, err := n.call(ctx, from, to, req)
-	elapsed := time.Since(start)
+	n.timed(from, to, req, reply, err, time.Since(start))
+	return reply, err
+}
+
+// timed records a call's time into its destination's cell, if it returned a
+// reply, and hands it to the trace hook, unless it would have waited: such
+// an attempt was no call.
+func (n *Network) timed(from, to nodeset.ID, req, reply Message, err error, elapsed time.Duration) {
 	if err == nil {
 		n.callNs.Get(int(to)).RecordDuration(elapsed)
 	}
 	if n.trace != nil && !errors.Is(err, ErrWouldWait) {
 		n.trace(TraceEvent{From: from, To: to, Request: req, Reply: reply, Err: err, Elapsed: elapsed})
 	}
-	return reply, err
 }
 
 func (n *Network) call(ctx context.Context, from, to nodeset.ID, req Message) (Message, error) {
@@ -469,39 +464,38 @@ func (n *Network) call(ctx context.Context, from, to nodeset.ID, req Message) (M
 // the send returns (tests rely on it); the handler may wait, at the sender's
 // cost. With latency configured the fan-out moves to a leg worker so the
 // transit time stays off the sender's critical path, as a real one-way send.
+// An inline fan-out's handlers share one Leg of pooled scratch; a delayed
+// one outlives the send and gets a context of its own.
 func (n *Network) SendAsync(ctx context.Context, from nodeset.ID, targets nodeset.Set, req Message) {
 	if targets.Empty() {
 		return
 	}
-	// Per the AsyncSender contract the caller's cancellation and deadline
-	// do not apply; only the context's request-scoped values (e.g. trace
-	// tags) travel with the delivery.
-	sendCtx := &detached{values: ctx}
-	if n.latency == nil {
-		var buf [16]nodeset.ID
-		for _, to := range targets.AppendIDs(buf[:0]) {
-			n.deliverOneWay(sendCtx, from, to, req)
-		}
+	if n.latency != nil {
+		legWorkers.Go(job{n: n, ctx: &detached{Leg{Context: ctx}}, from: from, oneWay: targets.IDs(), req: req})
 		return
 	}
-	legWorkers.Go(leg{n: n, ctx: sendCtx, from: from, oneWay: targets.IDs(), req: req})
+	sc := n.scratch.Get().(*mcScratch)
+	sendCtx := &sc.oneWay
+	sendCtx.Lend(ctx)
+	var buf [16]nodeset.ID
+	for _, to := range targets.AppendIDs(buf[:0]) {
+		n.deliverOneWay(sendCtx, from, to, req)
+	}
+	sendCtx.Context = nil
+	n.scratch.Put(sc)
 }
 
-// detached carries a context's values, bar an inherited no-wait marker, past
-// its cancellation and deadline, as context.WithoutCancel does. It has its own
-// type for the pointer receiver: WithoutCancel's context is a struct value that
-// boxes itself anew on every Value call, an allocation per obs.TraceFrom.
-type detached struct{ values context.Context }
+// detached carries a context's values past its cancellation and deadline, as
+// context.WithoutCancel does: per the AsyncSender contract only the values
+// (trace tags) travel with a one-way send. It has its own type for the
+// pointer receiver: WithoutCancel's context is a struct value that boxes
+// itself anew on every Value call, an allocation per obs.TraceFrom. Its Leg
+// hides the sender's.
+type detached struct{ Leg }
 
 func (*detached) Deadline() (time.Time, bool) { return time.Time{}, false }
 func (*detached) Done() <-chan struct{}       { return nil }
 func (*detached) Err() error                  { return nil }
-func (d *detached) Value(key any) any {
-	if key == (noWaitKey{}) {
-		return nil
-	}
-	return d.values.Value(key)
-}
 
 // deliverOneWay is one target's leg of SendAsync: the request journey of
 // call, with no reply journey back.
@@ -557,19 +551,22 @@ func (n *Network) finishCall(ctx context.Context, src, dst *endpoint, from, to n
 	return reply, nil
 }
 
-// Result is one node's outcome within a Multicast.
+// Result is one node's outcome within a MulticastFunc round.
 type Result struct {
 	Reply Message
 	Err   error
 }
 
 // mcScratch is the pooled working set of one multicast fan-out: the target
-// list, one result slot per target, and the WaitGroup joining the calls.
-// Pooling it keeps the steady-state fan-out free of allocations.
+// list, one Leg and one result per target, and the WaitGroup joining the
+// calls — or an inline one-way fan-out's Leg. Pooling it keeps the
+// steady-state fan-out free of allocations.
 type mcScratch struct {
 	ids     []nodeset.ID
+	legs    []Leg
 	results []Result
 	wg      sync.WaitGroup
+	oneWay  detached
 }
 
 // maxParkedLegs bounds the idle leg workers the process keeps. It is
@@ -583,11 +580,11 @@ const maxParkedLegs = 128
 // one-way fan-out on every Network of the process: a Network has no Close to
 // stop workers of its own, and tests and benchmarks build networks by the
 // hundred.
-var legWorkers = NewWorkers(maxParkedLegs, leg.run)
+var legWorkers = NewWorkers(maxParkedLegs, job.run)
 
-// leg is one unit of fan-out handed to a worker: one target's call of a
-// multicast (out and wg set), or a whole one-way fan-out (oneWay set).
-type leg struct {
+// job is one unit of fan-out handed to a worker: one target's call of a
+// multicast, under its Leg (out and wg set), or a one-way fan-out (oneWay).
+type job struct {
 	n      *Network
 	ctx    context.Context
 	from   nodeset.ID
@@ -598,90 +595,94 @@ type leg struct {
 	oneWay []nodeset.ID
 }
 
-func (l leg) run() {
-	if l.oneWay != nil {
-		for _, to := range l.oneWay {
-			l.n.deliverOneWay(l.ctx, l.from, to, l.req)
+func (j job) run(*Leg) {
+	if j.oneWay != nil {
+		for _, to := range j.oneWay {
+			j.n.deliverOneWay(j.ctx, j.from, to, j.req)
 		}
 		return
 	}
-	reply, err := l.n.Call(l.ctx, l.from, l.to, l.req)
-	*l.out = Result{Reply: reply, Err: err}
-	l.wg.Done()
+	reply, err := j.n.timedCall(j.ctx, j.from, j.to, j.req)
+	*j.out = Result{Reply: reply, Err: err}
+	j.wg.Done()
 }
 
 // MulticastFunc calls every target, waits for all of them, and then invokes
 // fn once per target (in the targets' ID order) on the caller's goroutine.
-// It is the allocation-lean core of Multicast: results are collected into
-// pooled scratch, so no per-call result map is built. fn must not retain
-// the reply beyond the callback unless it copies it.
+// It allocates nothing: every target's handler runs under a Leg of pooled
+// scratch and answers into its slot. fn must not retain the reply beyond the
+// callback unless it copies it.
 //
 // A leg leaves the caller's goroutine only to wait. Without latency each
 // handler is called in ID order where the round was sent, under NoWait; a
-// leg that answers ErrWouldWait goes, with the caller's own context, to a leg
-// worker, where it may wait, and the round goes on with the rest. With
-// latency every leg has its transit time to wait for and goes to a worker.
-// Either way a leg parked in a replica's lock queue holds up neither the rest
-// of its round nor anybody else's; a handler that blocks under NoWait without
-// saying so holds up its round, as a one-way delivery to it does. Empty
-// target sets return immediately; single-target sets are a plain Call.
+// leg that answers ErrWouldWait goes to a leg worker, where it may wait, and
+// the round goes on with the rest. With latency every leg has its transit
+// time to wait for and goes to a worker. Either way a leg parked in a
+// replica's lock queue holds up neither the rest of its round nor anybody
+// else's; a handler that blocks under NoWait without saying so holds up its
+// round, as a one-way delivery to it does. Empty target sets return
+// immediately.
+//
+// The inline legs are timed as a chain: the reading of the clock that ends
+// one leg starts the next and is lent to its handler (Now). The chain starts
+// at the round's clock when ctx carries one (Timed) and leaves its last
+// reading there; a round nothing times reads no clock.
 func (n *Network) MulticastFunc(ctx context.Context, from nodeset.ID, targets nodeset.Set, req Message, fn func(to nodeset.ID, r Result)) {
 	if targets.Empty() {
 		return
 	}
 	n.mcFanout.Record(uint64(targets.Len()))
-	if targets.Len() == 1 {
-		id, _ := targets.Min()
-		reply, err := n.Call(ctx, from, id, req)
-		fn(id, Result{Reply: reply, Err: err})
-		return
-	}
 	sc := n.scratch.Get().(*mcScratch)
 	sc.ids = targets.AppendIDs(sc.ids[:0])
-	if cap(sc.results) < len(sc.ids) {
-		sc.results = make([]Result, len(sc.ids))
+	if len(sc.legs) < len(sc.ids) {
+		sc.legs = append(sc.legs, make([]Leg, len(sc.ids)-len(sc.legs))...)
+		sc.results = make([]Result, len(sc.legs))
 	}
-	sc.results = sc.results[:len(sc.ids)]
-	var inline context.Context
-	if n.latency == nil {
-		inline = noWait{ctx}
+	clock, waited := TimedOf(ctx), false
+	timing := clock != nil || n.callNs != nil || n.trace != nil
+	var now time.Time // zero when nothing times the round: a handler that asks reads the clock
+	switch {
+	case clock != nil:
+		now = clock.Now
+	case timing:
+		now = time.Now()
 	}
 	for i, id := range sc.ids {
-		if inline != nil {
-			reply, err := n.timedCall(inline, from, id, req)
+		l := &sc.legs[i]
+		l.Context, l.now, l.noWait = ctx, now, n.latency == nil
+		if l.noWait {
+			reply, err := n.call(l, from, id, req)
+			began := now
+			if timing {
+				now = time.Now()
+			}
 			if !errors.Is(err, ErrWouldWait) {
+				if timing {
+					n.timed(from, id, req, reply, err, now.Sub(began))
+				}
 				sc.results[i] = Result{Reply: reply, Err: err}
 				continue
 			}
 		}
+		// A leg that waits reads the clock when it is served.
+		l.now, l.noWait, waited = time.Time{}, false, true
 		sc.wg.Add(1)
-		legWorkers.Go(leg{n: n, ctx: ctx, from: from, to: id, req: req, out: &sc.results[i], wg: &sc.wg})
+		legWorkers.Go(job{n: n, ctx: l, from: from, to: id, req: req, out: &sc.results[i], wg: &sc.wg})
 	}
 	sc.wg.Wait()
+	if clock != nil {
+		if waited {
+			now = time.Now()
+		}
+		clock.Now = now
+	}
 	for i, id := range sc.ids {
 		fn(id, sc.results[i])
 	}
-	for i := range sc.results {
-		sc.results[i] = Result{} // drop message references before pooling
+	for i := range sc.ids {
+		sc.results[i], sc.legs[i].Context = Result{}, nil // drop references before pooling
 	}
 	n.scratch.Put(sc)
-}
-
-// Multicast calls every target concurrently and collects all outcomes,
-// indexed by target. It always waits for every call to finish.
-//
-// The fan-out and collection run through MulticastFunc's pooled scratch;
-// only the returned map is allocated here. Hot paths that do not need a
-// retained map should call MulticastFunc directly.
-func (n *Network) Multicast(ctx context.Context, from nodeset.ID, targets nodeset.Set, req Message) map[nodeset.ID]Result {
-	if targets.Empty() {
-		return nil
-	}
-	out := make(map[nodeset.ID]Result, targets.Len())
-	n.MulticastFunc(ctx, from, targets, req, func(to nodeset.ID, r Result) {
-		out[to] = r
-	})
-	return out
 }
 
 // Stats returns a snapshot of the traffic counters.

@@ -21,8 +21,11 @@ import "coterie/internal/obs"
 // Go claims (Parked−1) only while Parked > 0, both by compare-and-swap, so
 // the gauge stays in [0, maxParked] and a claimed send on the unbuffered
 // channel always finds its receiver: Go never waits for a running job.
+//
+// Each worker owns a Leg for its life and hands it to every job it runs: a
+// server worker lends it, with its reply slot, to each request it serves.
 type Workers[T any] struct {
-	run       func(T)
+	run       func(T, *Leg)
 	work      chan T
 	maxParked int64
 
@@ -32,7 +35,7 @@ type Workers[T any] struct {
 
 // NewWorkers returns a pool that runs each job through run and keeps at
 // most maxParked idle workers.
-func NewWorkers[T any](maxParked int, run func(T)) *Workers[T] {
+func NewWorkers[T any](maxParked int, run func(T, *Leg)) *Workers[T] {
 	return &Workers[T]{run: run, work: make(chan T), maxParked: int64(maxParked)}
 }
 
@@ -60,8 +63,9 @@ func (w *Workers[T]) Close() { close(w.work) }
 
 func (w *Workers[T]) worker(job T) {
 	var none T
+	own := new(Leg)
 	for {
-		w.run(job)
+		w.run(job, own)
 		job = none // a parked worker pins no message
 		for {
 			n := w.Parked.Load()

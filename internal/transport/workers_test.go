@@ -436,10 +436,10 @@ func descend(n int) int {
 }
 
 // roundObjects and roundBytes are what a multi-target round on a network
-// without latency may allocate: the 16-byte context that marks its legs no-wait. Everything else
-// comes from pooled scratch. The marker is not pooled because a handler may
-// keep its context, and would find some later round's in it.
-const roundObjects, roundBytes = 1, 16
+// without latency may allocate: nothing. The legs' contexts, with their
+// no-wait marker, reading of the clock and reply slot, come from pooled
+// scratch; a handler must not keep its context past the call.
+const roundObjects, roundBytes = 0, 0
 
 // allocatedPerRun is testing.AllocsPerRun's twin for bytes.
 func allocatedPerRun(runs int, f func()) uint64 {
@@ -561,7 +561,7 @@ func TestLegsParkedBounded(t *testing.T) {
 func TestWorkersClose(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var ran atomic.Int32
-	w := NewWorkers(4, func(gate chan struct{}) {
+	w := NewWorkers(4, func(gate chan struct{}, _ *Leg) {
 		<-gate
 		ran.Add(1)
 	})

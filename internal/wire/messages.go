@@ -49,27 +49,29 @@ func appendMessage(b []byte, msg any) ([]byte, error) {
 		b = putOp(b, m.Op)
 		return putUvarint(b, uint64(m.Mode)), nil
 	case replica.LockPrepare:
-		b = append(b, tagLockPrepare)
-		b = putOp(b, m.Op)
-		b = putUpdate(b, m.Update)
-		b = putUvarint(b, m.NewVersion)
-		return putSet(b, m.GoodSet), nil
+		return putLockPrepare(b, &m), nil
+	case *replica.LockPrepare:
+		return putLockPrepare(b, m), nil
 	case replica.LockPrepareReply:
-		b = append(b, tagLockPrepareReply)
-		b = putStateReply(b, m.State)
-		return putBool(b, m.Prepared), nil
+		return putLockPrepareReply(b, &m), nil
+	case *replica.LockPrepareReply:
+		return putLockPrepareReply(b, m), nil
 	case replica.LockRefused:
-		b = append(b, tagLockRefused)
-		b = putStateReply(b, m.State)
-		return putOp(b, m.By), nil
+		return putLockRefused(b, &m), nil
+	case *replica.LockRefused:
+		return putLockRefused(b, m), nil
 	case replica.ReadSnap:
 		return putOp(append(b, tagReadSnap), m.Op), nil
+	case *replica.ReadSnap:
+		return putOp(append(b, tagReadSnap), m.Op), nil
 	case replica.SnapReply:
-		b = append(b, tagSnapReply)
-		b = putStateReply(b, m.State)
-		return putBytes(b, m.Value), nil
+		return putSnapReply(b, &m), nil
+	case *replica.SnapReply:
+		return putSnapReply(b, m), nil
 	case replica.StateReply:
 		return putStateReply(append(b, tagStateReply), m), nil
+	case *replica.StateReply:
+		return putStateReply(append(b, tagStateReply), *m), nil
 	case replica.FetchValue:
 		return putOp(append(b, tagFetchValue), m.Op), nil
 	case replica.ValueReply:
@@ -293,15 +295,16 @@ func decodeMessage(b []byte) (any, int, error) {
 			Op: r.op(), Update: r.update(), NewVersion: r.uvarint(), GoodSet: r.set(),
 		}
 	case tagLockPrepareReply:
-		msg = replica.LockPrepareReply{State: r.stateReply(), Prepared: r.boolean()}
+		msg = &replica.LockPrepareReply{State: r.stateReply(), Prepared: r.boolean()}
 	case tagLockRefused:
-		msg = replica.LockRefused{State: r.stateReply(), By: r.op()}
+		msg = &replica.LockRefused{State: r.stateReply(), By: r.op()}
 	case tagReadSnap:
 		msg = replica.ReadSnap{Op: r.op()}
 	case tagSnapReply:
-		msg = replica.SnapReply{State: r.stateReply(), Value: r.bytes()}
+		msg = &replica.SnapReply{State: r.stateReply(), Value: r.bytes()}
 	case tagStateReply:
-		msg = r.stateReply()
+		st := r.stateReply()
+		msg = &st
 	case tagFetchValue:
 		msg = replica.FetchValue{Op: r.op()}
 	case tagValueReply:

@@ -157,6 +157,37 @@ func putPropagationData(b []byte, m replica.PropagationData) []byte {
 	return putUvarint(b, m.SnapVersion)
 }
 
+// The replies that carry a replica's state travel in-process as pointers
+// into the slot their handler answered into (transport.SlotOf), and decode as
+// pointers to storage of their own; the round messages a coordinator sends
+// from its scratch travel as pointers too. Both forms encode alike.
+
+func putLockPrepare(b []byte, m *replica.LockPrepare) []byte {
+	b = append(b, tagLockPrepare)
+	b = putOp(b, m.Op)
+	b = putUpdate(b, m.Update)
+	b = putUvarint(b, m.NewVersion)
+	return putSet(b, m.GoodSet)
+}
+
+func putLockPrepareReply(b []byte, m *replica.LockPrepareReply) []byte {
+	b = append(b, tagLockPrepareReply)
+	b = putStateReply(b, m.State)
+	return putBool(b, m.Prepared)
+}
+
+func putLockRefused(b []byte, m *replica.LockRefused) []byte {
+	b = append(b, tagLockRefused)
+	b = putStateReply(b, m.State)
+	return putOp(b, m.By)
+}
+
+func putSnapReply(b []byte, m *replica.SnapReply) []byte {
+	b = append(b, tagSnapReply)
+	b = putStateReply(b, m.State)
+	return putBytes(b, m.Value)
+}
+
 func putStateReply(b []byte, st replica.StateReply) []byte {
 	b = putUvarint(b, uint64(st.Node))
 	b = putUvarint(b, st.Version)
