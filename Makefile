@@ -166,9 +166,10 @@ profile-sim:
 # one-way send nothing whatever its fan-out (they gate with
 # testing.AllocsPerRun and skip themselves under -race).
 # So does what an item weighs before any message: a cold replica is two
-# allocations and at most 768 bytes beyond its value, ten decisions 256 bytes,
-# a full decision ring 128 KB (live heap after a collection, as live_heap_mb
-# is read).
+# allocations and at most 768 bytes beyond its value, ten decisions 128 bytes,
+# a full decision ring 36 KB, one whose records fit no chunk base the old
+# 16-byte ring and 2 KB (the ring's own count, cross-checked against the live
+# heap after a collection, as live_heap_mb is read).
 #
 # allocgate cuts a verbose run down to its verdict lines and fails the stage
 # when one of them is a FAIL or none is a PASS: a pipeline's status is its
@@ -190,11 +191,14 @@ check-allocs:
 # fuzz-smoke runs the wire-layer fuzzers briefly: every generated input
 # must either fail to decode or round-trip byte-identically (the canonical-
 # encoding property the propagation and client paths rely on), for the
-# message codec, the trace-context field, and the full TCP request frame.
+# message codec, the trace-context field, and the full TCP request frame —
+# and the packed decision ring against the 16-byte reference ring: every
+# lookup of a decoded stream of records and queries must answer alike.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzUnmarshal' -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz 'FuzzTraceContext' -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseRequest' -fuzztime 5s ./internal/transport/tcpnet/
+	$(GO) test -run '^$$' -fuzz 'FuzzDecisionRing' -fuzztime 5s ./internal/replica/
 
 # check-obs-imports enforces the obs data-plane discipline: internal/obs
 # must not import fmt, log, os, io or encoding packages — formatting and

@@ -13,7 +13,7 @@
 // the capacity line of the weighted strategies (predicted capacity against
 // the solve's certified bound; per node declared, used by the last solve,
 // predicted utilisation), the memory line (replicas held, their payload, the
-// daemons' heaps as a multiple of it), the counter/gauge vectors
+// daemons' heaps as a multiple of it, the 2PC decision rings), the counter/gauge vectors
 // (quorum pick counts by size, load-EWMA cells, per-shard totals), the
 // latency histograms' tails, per-shard route latency, and hedge attribution.
 // Merging rules live in internal/capi (ScrapeCluster); cotop is a thin
@@ -188,11 +188,17 @@ func printSummary(w io.Writer, cs *capi.ClusterSnapshot) {
 
 	// What the cluster holds against what holding it costs: replicas, the sum
 	// of their values, and the daemons' heaps as sampled by this scrape — the
-	// ratio is bytes of process per byte of replicated payload.
+	// ratio is bytes of process per byte of replicated payload. The decision
+	// rings (2PC termination) follow operations coordinated, not payload, so
+	// they are shown beside it when any exist.
 	if payload := float64(cs.Gauges["replica_payload_bytes"]); payload > 0 {
 		heap := float64(cs.Gauges["process_heap_bytes"])
-		fmt.Fprintf(w, "memory: items=%d payload=%.1f MB heap=%.1f MB (%.1f x)\n",
+		fmt.Fprintf(w, "memory: items=%d payload=%.1f MB heap=%.1f MB (%.1f x)",
 			cs.Gauges["replica_items"], payload/(1<<20), heap/(1<<20), heap/payload)
+		if decisions := cs.Gauges["replica_decision_bytes"]; decisions > 0 {
+			fmt.Fprintf(w, " decisions=%.1f MB", float64(decisions)/(1<<20))
+		}
+		fmt.Fprintln(w)
 	}
 
 	gnames := make([]string, 0, len(cs.Gauges))

@@ -122,6 +122,25 @@ func TestSummaryRendersMergedStrategyVectors(t *testing.T) {
 	}
 }
 
+// TestMemoryLineShowsDecisionRings: the memory line ends with what the
+// daemons' decision rings hold, summed, when they hold anything.
+func TestMemoryLineShowsDecisionRings(t *testing.T) {
+	r1, r2 := obs.New(), obs.New()
+	for _, r := range []*obs.Registry{r1, r2} {
+		r.Gauge("replica_items").Set(8)
+		r.Gauge("replica_payload_bytes").Set(1 << 20)
+		r.Gauge("process_heap_bytes").Set(4 << 20)
+	}
+	// 72 full rings of 34 848 bytes on one daemon, one of 96 on the other.
+	r1.Gauge("replica_decision_bytes").Set(72 * 34848)
+	r2.Gauge("replica_decision_bytes").Set(96)
+	var out bytes.Buffer
+	printSummary(&out, capi.MergeNodes([]capi.NodeSnapshot{nodeSnapshot(t, "a:9100", r1), nodeSnapshot(t, "b:9100", r2)}))
+	if want := "memory: items=16 payload=2.0 MB heap=8.0 MB (4.0 x) decisions=2.4 MB\n"; !strings.Contains(out.String(), want) {
+		t.Errorf("summary missing %q:\n%s", want, out.String())
+	}
+}
+
 // TestFmtVec pins the rendering contract: zero cells are skipped, an
 // all-zero vector renders empty (and so stays off the summary screen).
 func TestFmtVec(t *testing.T) {

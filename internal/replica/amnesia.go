@@ -58,6 +58,7 @@ func (it *Item) Amnesia() {
 
 	// The decision log lives on its own stripe (decision.go).
 	it.decMu.Lock()
+	it.node.metrics.decisionBytes.Add(-int64(it.decisions.bytes()))
 	it.decisions = decisionLog{}
 	it.decMu.Unlock()
 

@@ -3,6 +3,7 @@ package replica
 import (
 	"context"
 	"time"
+	"unsafe"
 
 	"coterie/internal/nodeset"
 	"coterie/internal/transport"
@@ -36,11 +37,12 @@ import (
 // default CallTimeout of 2 s (2 x LockLease = 8 x CallTimeout; a daemon's
 // default CallTimeout is 250 ms and its ResolveAfter 2 s) — a deployment
 // that sustains more per item-coordinator must shorten ResolveAfter to
-// match.
+// match. A slot is 4 bytes (16 in a chunk that met a record too far from its
+// base), so a full ring is 32 KB of slots and a 2 KB chunk table.
 const maxDecisions = 8192
 
-// decision is one logged outcome, 16 bytes. Every logged operation was
-// coordinated by this replica's own node, so its sequence number alone
+// decision is one logged outcome, 16 bytes unpacked. Every logged operation
+// was coordinated by this replica's own node, so its sequence number alone
 // identifies it. vc packs version<<1 | commit; version is the version
 // number a commit produced — zero when the operation has none (aborts,
 // epoch changes, stale-markings) — and exists to gate speculatively staged
@@ -58,56 +60,193 @@ func (d decision) applies(specVersion uint64) bool {
 	return d.vc&1 == 1 && (specVersion == 0 || d.vc>>1 == specVersion)
 }
 
-// decisionLog is a ring of the last maxDecisions outcomes. Its size is
-// fixed by that bound, not by how many operations the node has completed,
-// and it is allocated as it first fills: the first chunk's worth of slots in
-// a slice that starts at four and doubles, so an item that coordinates
-// little pays for little, and after it a whole chunk at a time, so a busy
-// ring never holds more than a chunk it has not reached. A full ring is 128
-// KB of slots.
+// A slot packs a decision against its chunk's base: bit 0 the commit bit,
+// bits 1–12 the sequence number less the base's and bits 13–31 the version
+// less the base's, both two's complement, or slotVerZero for version 0.
+const (
+	slotSeqBits  = 12
+	slotSeqMask  = (1<<slotSeqBits - 1) << 1
+	slotSeqSpan  = 1 << (slotSeqBits - 1)
+	slotVerShift = 1 + slotSeqBits
+	slotVerZero  = -1 << (31 - slotVerShift)
+)
+
+// decisionBase is what a chunk's slots are deltas from: the sequence number
+// of its lap's first record and the first nonzero version of the lap.
+type decisionBase struct{ seq, ver uint64 }
+
+// pack encodes d against b, or reports that it does not fit.
+func (b *decisionBase) pack(d decision) (uint32, bool) {
+	ver := d.vc >> 1
+	if b.ver == 0 {
+		b.ver = ver
+	}
+	ds, dv := int64(d.seq-b.seq), int64(ver-b.ver)
+	if ver == 0 {
+		dv = slotVerZero
+	}
+	fits := ds >= -slotSeqSpan && ds < slotSeqSpan && (ver == 0 || dv > slotVerZero && dv < -slotVerZero)
+	return uint32(dv)<<slotVerShift | uint32(ds)<<1&slotSeqMask | uint32(d.vc&1), fits
+}
+
+// unpack decodes slot s, packed against b.
+func (b decisionBase) unpack(s uint32) decision {
+	ver := uint64(0)
+	if dv := int64(int32(s) >> slotVerShift); dv != slotVerZero {
+		ver = b.ver + uint64(dv)
+	}
+	ds := int64(int32(s<<(31-slotSeqBits)) >> (32 - slotSeqBits))
+	return decision{seq: b.seq + uint64(ds), vc: ver<<1 | uint64(s&1)}
+}
+
+// decisionChunkEntry is one chunk of the ring: its base and its slots,
+// packed or, once a record did not fit the base, wide for good.
+type decisionChunkEntry struct {
+	decisionBase
+	slots *[decisionChunk]uint32 // nil for chunk 0, whose slots are the log's head
+	wide  *[decisionChunk]decision
+}
+
+// decisionLog is a ring of the last maxDecisions outcomes, allocated as it
+// first fills: chunk 0's slots in a slice that starts at four and doubles, so
+// an item that coordinates little pays for little, then a chunk at a time,
+// never more than the bound. A chunk is overwritten one slot at a time, so
+// once the ring has wrapped the one being overwritten still holds the end of
+// its previous lap, whose base the table keeps past the last chunk.
 type decisionLog struct {
-	head   []decision                 // slots 0 … decisionChunk-1
-	chunks []*[decisionChunk]decision // chunk c holds slots (c+1)·decisionChunk …
-	n      int                        // records ever written; record k lives in slot k % maxDecisions
+	head   []uint32             // chunk 0's slots
+	chunks []decisionChunkEntry // one per chunk reached, and chunks[decisionChunks] once wrapped
+	n      int                  // records ever written; record k lives in slot k % maxDecisions
 }
 
-const decisionChunk = 128 // 2 KB; divides maxDecisions
+const (
+	decisionChunk  = 128 // slots; divides maxDecisions
+	decisionChunks = maxDecisions / decisionChunk
+	packedBytes    = decisionChunk * 4
+	wideBytes      = decisionChunk * int(unsafe.Sizeof(decision{}))
+	entryBytes     = int(unsafe.Sizeof(decisionChunkEntry{}))
+)
 
-func (l *decisionLog) slot(k int) *decision {
-	i := k % maxDecisions
-	if i < decisionChunk {
-		return &l.head[i]
+// record logs d and returns the bytes the ring allocated for it less those
+// it let go: nonzero only when it reaches a chunk or a chunk widens.
+func (l *decisionLog) record(d decision) (grown int) {
+	w := l.n % maxDecisions
+	c, i := w/decisionChunk, w%decisionChunk
+	if i == 0 {
+		grown = l.startLap(c, d.seq)
 	}
-	return &l.chunks[i/decisionChunk-1][i%decisionChunk]
-}
-
-func (l *decisionLog) record(d decision) {
-	switch {
-	case l.n >= maxDecisions: // every slot exists
-	case l.n < decisionChunk:
-		if l.n == len(l.head) {
-			grown := make([]decision, max(4, 2*l.n))
-			copy(grown, l.head)
-			l.head = grown
+	if l.n < decisionChunk && l.n == len(l.head) && l.chunks[0].wide == nil {
+		head := make([]uint32, max(4, 2*l.n))
+		grown += 4 * (len(head) - copy(head, l.head))
+		l.head = head
+	}
+	e := &l.chunks[c]
+	if s, ok := e.pack(d); ok && e.wide == nil {
+		l.packed(c)[i] = s
+	} else {
+		if e.wide == nil {
+			grown += l.widen(c)
 		}
-	case l.n%decisionChunk == 0:
-		l.chunks = append(l.chunks, new([decisionChunk]decision))
+		e.wide[i] = d
 	}
-	*l.slot(l.n) = d
 	l.n++
+	return grown
+}
+
+// startLap bases chunk c's next lap on its first record. On the ring's first
+// lap it allocates the chunk; on a later one the base of the lap it starts to
+// overwrite moves past the last chunk, to an entry added at the first wrap.
+func (l *decisionLog) startLap(c int, seq uint64) (grown int) {
+	if l.n <= maxDecisions {
+		if len(l.chunks) == cap(l.chunks) {
+			table := make([]decisionChunkEntry, len(l.chunks), min(max(1, 2*cap(l.chunks)), decisionChunks+1))
+			grown = entryBytes * (cap(table) - copy(table, l.chunks))
+			l.chunks = table
+		}
+		l.chunks = append(l.chunks, decisionChunkEntry{})
+	}
+	if l.n >= maxDecisions {
+		l.chunks[decisionChunks].decisionBase = l.chunks[c].decisionBase
+	} else if c > 0 {
+		l.chunks[c].slots = new([decisionChunk]uint32)
+		grown += packedBytes
+	}
+	l.chunks[c].decisionBase = decisionBase{seq: seq}
+	return grown
+}
+
+// packed returns chunk c's slots; c must not be wide.
+func (l *decisionLog) packed(c int) []uint32 {
+	if c == 0 {
+		return l.head
+	}
+	return l.chunks[c].slots[:]
+}
+
+// base returns the base slot i of chunk c was packed against: the chunk's,
+// unless that slot is one the current lap has not yet reached.
+func (l *decisionLog) base(c, i int) decisionBase {
+	if w := l.n % maxDecisions; l.n > maxDecisions && c == w/decisionChunk && i >= w%decisionChunk && w%decisionChunk != 0 {
+		return l.chunks[decisionChunks].decisionBase
+	}
+	return l.chunks[c].decisionBase
+}
+
+// widen unpacks chunk c for a record that does not fit its base.
+func (l *decisionLog) widen(c int) int {
+	e, s := &l.chunks[c], l.packed(c)
+	e.wide = new([decisionChunk]decision)
+	for i := range s {
+		e.wide[i] = l.base(c, i).unpack(s[i])
+	}
+	if e.slots = nil; c == 0 {
+		l.head = nil
+	}
+	return wideBytes - 4*len(s)
 }
 
 // lookup scans newest first, so the latest record for a sequence number
 // wins (an abort logged on a round's failure, then the commit of a later
-// round of the same operation). Termination queries are rare; the scan is
-// at most 128 KB.
+// round of the same operation). Packed slots are compared with seq packed
+// against their base, and not at all when seq is out of the base's reach.
 func (l *decisionLog) lookup(seq uint64) (decision, bool) {
-	for k := l.n - 1; k >= 0 && k >= l.n-maxDecisions; k-- {
-		if d := *l.slot(k); d.seq == seq {
-			return d, true
+	for end, left := l.n%maxDecisions, min(l.n, maxDecisions); left > 0; {
+		if end == 0 {
+			end = maxDecisions
+		}
+		c := (end - 1) / decisionChunk
+		from, to := max(0, end-left-c*decisionChunk), end-c*decisionChunk
+		left, end = left-(to-from), c*decisionChunk+from
+		if wide := l.chunks[c].wide; wide != nil {
+			for i := to - 1; i >= from; i-- {
+				if wide[i].seq == seq {
+					return wide[i], true
+				}
+			}
+		} else if b := l.base(c, from); seq-b.seq+slotSeqSpan < 2*slotSeqSpan {
+			want, s := uint32(seq-b.seq)<<1&slotSeqMask, l.packed(c)
+			for i := to - 1; i >= from; i-- {
+				if s[i]&slotSeqMask == want {
+					return b.unpack(s[i]), true
+				}
+			}
 		}
 	}
 	return decision{}, false
+}
+
+// bytes returns what the ring has asked the allocator for and holds.
+func (l *decisionLog) bytes() int {
+	n := 4*cap(l.head) + entryBytes*cap(l.chunks)
+	for _, e := range l.chunks {
+		if e.slots != nil {
+			n += packedBytes
+		}
+		if e.wide != nil {
+			n += wideBytes
+		}
+	}
+	return n
 }
 
 // RecordDecision logs the outcome of an operation this node coordinated.
@@ -129,10 +268,14 @@ func (it *Item) RecordCommit(op OpID, version uint64) {
 	it.record(decision{seq: op.Seq, vc: version<<1 | 1})
 }
 
+// record logs d; replica_decision_bytes follows the rings' allocations.
 func (it *Item) record(d decision) {
 	it.decMu.Lock()
-	it.decisions.record(d)
+	grown := it.decisions.record(d)
 	it.decMu.Unlock()
+	if grown != 0 {
+		it.node.metrics.decisionBytes.Add(int64(grown))
+	}
 }
 
 // decisionUnknownMetric counts termination queries that found no decision.

@@ -3,6 +3,7 @@ package replica
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 	"unsafe"
@@ -34,21 +35,19 @@ func TestDecisionLogRecordAndQuery(t *testing.T) {
 }
 
 // TestDecisionRingWrapAround: the log keeps exactly the last maxDecisions
-// outcomes in a backing array that stops growing at that bound.
+// outcomes in slots that stop growing at that bound: 4 bytes a slot, and a
+// table of 65 chunk entries.
 func TestDecisionRingWrapAround(t *testing.T) {
 	var l decisionLog
 	const extra = 100
-	ringBytes := func() int {
-		return (cap(l.head) + len(l.chunks)*decisionChunk) * int(unsafe.Sizeof(decision{}))
-	}
 	for seq := uint64(1); seq <= maxDecisions+extra; seq++ {
 		l.record(decision{seq: seq, vc: seq<<1 | 1})
-		if seq == 10 && ringBytes() > 256 {
-			t.Fatalf("%d ring bytes after ten records, want at most 256: a quiet item must stay small", ringBytes())
+		if seq == 10 && l.bytes() > 128 {
+			t.Fatalf("%d ring bytes after ten records, want at most 128: a quiet item must stay small", l.bytes())
 		}
 	}
-	if got := ringBytes(); got != 128<<10 {
-		t.Fatalf("the full ring is %d bytes, want %d", got, 128<<10)
+	if got, want := l.bytes(), maxDecisions*4+(decisionChunks+1)*entryBytes; got != want {
+		t.Fatalf("the full ring is %d bytes, want %d", got, want)
 	}
 	for _, seq := range []uint64{1, extra} {
 		if _, known := l.lookup(seq); known {
@@ -142,6 +141,305 @@ func TestDecisionRingDoesNotAllocate(t *testing.T) {
 		t.Errorf("steady-state record+lookup allocates %.1f times per run", allocs)
 	}
 }
+
+// refRing is the decision log as it was before its slots were packed: a
+// ring of 16-byte records, the first chunk's worth in a slice that doubles,
+// whole chunks after it. The packed ring must answer every lookup as it does.
+type refRing struct {
+	head   []decision
+	chunks []*[decisionChunk]decision
+	n      int
+}
+
+func (l *refRing) slot(k int) *decision {
+	i := k % maxDecisions
+	if i < decisionChunk {
+		return &l.head[i]
+	}
+	return &l.chunks[i/decisionChunk-1][i%decisionChunk]
+}
+
+func (l *refRing) record(d decision) {
+	switch {
+	case l.n >= maxDecisions:
+	case l.n < decisionChunk:
+		if l.n == len(l.head) {
+			grown := make([]decision, max(4, 2*l.n))
+			copy(grown, l.head)
+			l.head = grown
+		}
+	case l.n%decisionChunk == 0:
+		l.chunks = append(l.chunks, new([decisionChunk]decision))
+	}
+	*l.slot(l.n) = d
+	l.n++
+}
+
+func (l *refRing) lookup(seq uint64) (decision, bool) {
+	for k := l.n - 1; k >= 0 && k >= l.n-maxDecisions; k-- {
+		if d := *l.slot(k); d.seq == seq {
+			return d, true
+		}
+	}
+	return decision{}, false
+}
+
+// ringPair feeds the packed ring and the reference the same records and
+// checks that they answer every query alike.
+type ringPair struct {
+	got  decisionLog
+	want refRing
+	seqs []uint64 // every sequence number recorded, in order
+}
+
+func (p *ringPair) record(d decision) {
+	p.got.record(d)
+	p.want.record(d)
+	p.seqs = append(p.seqs, d.seq)
+}
+
+func (p *ringPair) check(t testing.TB, seq uint64) {
+	t.Helper()
+	d, known := p.got.lookup(seq)
+	wd, wknown := p.want.lookup(seq)
+	if d != wd || known != wknown {
+		t.Fatalf("after %d records, seq %d: packed ring (%+v, %v), reference (%+v, %v)", p.want.n, seq, d, known, wd, wknown)
+	}
+}
+
+// streamShape is how often a stream of records departs from the common
+// case — one commit per fresh sequence number, the version a little higher
+// each time.
+type streamShape struct {
+	seqJump, outOfOrder, abortThenCommit, versionZero, versionJump float64
+}
+
+// draw records n records of shape s into p, querying it every few records.
+func (s streamShape) draw(t *testing.T, rng *rand.Rand, p *ringPair, n int) {
+	seq, ver := rng.Uint64()>>1, rng.Uint64()>>40
+	jump := func(by int) uint64 { return 1<<by + uint64(rng.Int63n(1<<(by+6))) }
+	for p.want.n < n {
+		seq++
+		ver += 1 + uint64(rng.Intn(4))
+		if rng.Float64() < s.seqJump {
+			if rng.Intn(2) == 0 {
+				seq += jump(15)
+			} else {
+				seq -= jump(15)
+			}
+		}
+		if rng.Float64() < s.versionJump {
+			if by := jump(14); rng.Intn(2) == 0 || by >= ver {
+				ver += by
+			} else {
+				ver -= by
+			}
+		}
+		at := seq
+		if rng.Float64() < s.outOfOrder {
+			at -= uint64(1 + rng.Intn(3000))
+		}
+		switch r := rng.Float64(); {
+		case r < s.abortThenCommit:
+			p.record(decision{seq: at, vc: 0})
+			p.record(decision{seq: at, vc: ver<<1 | 1})
+		case r < s.abortThenCommit+s.versionZero:
+			p.record(decision{seq: at, vc: uint64(rng.Intn(2))})
+		default:
+			p.record(decision{seq: at, vc: ver<<1 | 1})
+		}
+		if p.want.n%101 == 0 {
+			p.queries(t, rng)
+		}
+	}
+}
+
+// queries asks p for sequence numbers recorded just now, long ago and right
+// at the edge of retention, and for ones never recorded.
+func (p *ringPair) queries(t testing.TB, rng *rand.Rand) {
+	last := len(p.seqs) - 1
+	for _, back := range []int{0, 1, rng.Intn(maxDecisions), maxDecisions - 1, maxDecisions, maxDecisions + 1, rng.Intn(len(p.seqs))} {
+		if back <= last {
+			p.check(t, p.seqs[last-back])
+			p.check(t, p.seqs[last-back]+1)
+		}
+	}
+	p.check(t, rng.Uint64())
+}
+
+// TestDecisionRingMatchesReference: the packed ring keeps exactly what the
+// 16-byte ring kept. Streams of four and more laps, clean and ragged —
+// sequence numbers that jump by 2^15 and more either way or arrive out of
+// order, aborts followed by the commit of the same sequence number,
+// version-0 records, versions that jump by 2^14 and more either way — get
+// the same answer from both rings for every query, misses included.
+func TestDecisionRingMatchesReference(t *testing.T) {
+	for i, s := range []struct {
+		name  string
+		shape streamShape
+	}{
+		{"clean", streamShape{}},
+		{"rare-jumps", streamShape{seqJump: 0.001, versionJump: 0.001, abortThenCommit: 0.01, versionZero: 0.05}},
+		{"jumpy", streamShape{seqJump: 0.03, versionJump: 0.03}},
+		{"out-of-order", streamShape{outOfOrder: 0.2, abortThenCommit: 0.1}},
+		{"aborts", streamShape{abortThenCommit: 0.3, versionZero: 0.3}},
+		{"ragged", streamShape{seqJump: 0.1, outOfOrder: 0.1, abortThenCommit: 0.1, versionZero: 0.1, versionJump: 0.1}},
+	} {
+		t.Run(s.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(i + 1)))
+			var p ringPair
+			// Phases of the shape alternate with clean ones: a chunk widened
+			// on one lap is overwritten on the next.
+			for laps := 1; laps <= 4; laps++ {
+				s.shape.draw(t, rng, &p, laps*maxDecisions-rng.Intn(decisionChunk))
+				streamShape{}.draw(t, rng, &p, p.want.n+maxDecisions/3)
+			}
+			for _, seq := range p.seqs[len(p.seqs)-maxDecisions-decisionChunk:] {
+				p.check(t, seq)
+			}
+			// At most the 16-byte ring with its chunk table, and 2 KB.
+			if got, limit := p.got.bytes(), maxDecisions*int(unsafe.Sizeof(decision{}))+512+2<<10; got > limit {
+				t.Errorf("the ring holds %d bytes, want at most %d", got, limit)
+			}
+		})
+	}
+}
+
+// TestDecisionSlotEdges: every delta a slot holds comes back exact, the first
+// one past either edge is refused rather than wrapped, and version 0 packs
+// whatever the base.
+func TestDecisionSlotEdges(t *testing.T) {
+	base := decisionBase{seq: 1 << 40, ver: 1 << 30}
+	for _, ds := range []int64{-slotSeqSpan - 1, -slotSeqSpan, -1, 0, 1, slotSeqSpan - 1, slotSeqSpan} {
+		for _, dv := range []int64{slotVerZero - 1, slotVerZero, slotVerZero + 1, -1, 0, 1, -slotVerZero - 1, -slotVerZero, -1 << 30} {
+			for commit := uint64(0); commit < 2; commit++ {
+				d := decision{seq: base.seq + uint64(ds), vc: (base.ver+uint64(dv))<<1 | commit}
+				fits := ds >= -slotSeqSpan && ds < slotSeqSpan && (dv > slotVerZero && dv < -slotVerZero || dv == -1<<30)
+				b := base
+				s, ok := b.pack(d)
+				if ok != fits || ok && b.unpack(s) != d {
+					t.Errorf("seq%+d version%+d commit %d: packed=%v (want %v), unpacked %+v", ds, dv, commit, ok, fits, b.unpack(s))
+				}
+			}
+		}
+	}
+}
+
+// TestDecisionBytesGauge: replica_decision_bytes is the sum of the rings'
+// bytes, and amnesia takes an item's ring out of it.
+func TestDecisionBytesGauge(t *testing.T) {
+	reg := obs.New()
+	h := newHarness(t, 2, nil, Config{Obs: reg})
+	gauge := reg.Gauge("replica_decision_bytes")
+	a, b := h.item(0), h.item(1)
+	for i := 0; i < 300; i++ {
+		a.RecordCommit(a.NextOp(), uint64(i+1))
+	}
+	for i := 0; i < 10; i++ {
+		b.RecordDecision(b.NextOp(), false)
+	}
+	if got, want := gauge.Load(), int64(a.decisions.bytes()+b.decisions.bytes()); got != want || want == 0 {
+		t.Fatalf("replica_decision_bytes = %d, the rings hold %d", got, want)
+	}
+	a.Amnesia()
+	if got, want := gauge.Load(), int64(b.decisions.bytes()); got != want {
+		t.Errorf("after amnesia replica_decision_bytes = %d, want %d", got, want)
+	}
+}
+
+// FuzzDecisionRing decodes bytes into records and queries — small steps and
+// large jumps of sequence number and version either way, abort-then-commit
+// pairs, runs of in-order records long enough to lap the ring — and checks
+// every query against the reference ring.
+func FuzzDecisionRing(f *testing.F) {
+	f.Add([]byte{4, 200, 0, 0, 1, 0, 1, 20, 5, 3, 0, 0, 4, 200, 0, 0, 2, 128, 0, 40, 5, 0, 100, 0})
+	f.Add([]byte{0, 1, 1, 1, 0, 255, 3, 2, 3, 0, 0, 0, 4, 255, 255, 0, 7, 1, 2, 3, 6, 250, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var p ringPair
+		seq, ver := uint64(1), uint64(1)
+		record := func(vc uint64) { p.record(decision{seq: seq, vc: vc}) }
+		for ; len(data) >= 4; data = data[4:] {
+			x, y, z := data[1], data[2], data[3]
+			wide := uint64(int64(int16(uint16(x)<<8 | uint16(y))))
+			switch data[0] % 8 {
+			case 0: // a step
+				seq += uint64(int64(int8(x)))
+				ver += uint64(int64(int8(y)))
+				v := ver
+				if z&2 == 0 {
+					v = 0
+				}
+				record(v<<1 | uint64(z&1))
+			case 1:
+				seq += wide << (z % 48)
+			case 2:
+				ver += wide << (z % 48)
+			case 3:
+				record(0)
+				record(ver<<1 | 1)
+			case 4: // a run, up to twice round the ring
+				for n := 1 + int(x)<<6 | int(y); n > 0; n-- {
+					seq, ver = seq+1, ver+1
+					record(ver<<1 | 1)
+				}
+			case 5:
+				p.check(t, seq-(uint64(x)<<8|uint64(y)))
+			case 6:
+				p.check(t, seq+uint64(int64(int8(x))))
+			case 7:
+				p.check(t, wide<<(z%64)^uint64(x))
+			}
+			p.check(t, seq)
+		}
+	})
+}
+
+// BenchmarkDecisionRing times a record into a full ring and a lookup that
+// misses on one, for the packed ring and for the reference. The miss is the
+// packed ring's worst: every chunk's base within reach of the sequence number,
+// so every slot is compared.
+func BenchmarkDecisionRing(b *testing.B) {
+	type ring interface {
+		record(decision)
+		lookup(uint64) (decision, bool)
+	}
+	rings := map[string]func() ring{
+		"":           func() ring { return packedRing{new(decisionLog)} },
+		"reference/": func() ring { return new(refRing) },
+	}
+	for prefix, ringOf := range rings {
+		b.Run(prefix+"record", func(b *testing.B) {
+			r := ringOf()
+			for seq := uint64(1); seq <= maxDecisions; seq++ {
+				r.record(decision{seq: seq, vc: seq<<1 | 1})
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				seq := uint64(maxDecisions + 1 + i)
+				r.record(decision{seq: seq, vc: seq<<1 | 1})
+			}
+		})
+		b.Run(prefix+"lookup-miss-full", func(b *testing.B) {
+			r := ringOf()
+			for k := uint64(0); k < maxDecisions; k++ {
+				seq := 2 * (k%500 + 1)
+				r.record(decision{seq: seq, vc: seq<<1 | 1})
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, known := r.lookup(501); known {
+					b.Fatal("an odd sequence number was found")
+				}
+			}
+		})
+	}
+}
+
+// packedRing drops the byte count record returns, to share an interface
+// with the reference.
+type packedRing struct{ *decisionLog }
+
+func (r packedRing) record(d decision) { r.decisionLog.record(d) }
 
 // TestResolverCommitsAbandonedPrepare is the termination protocol end to
 // end: a participant prepared an update, the coordinator recorded "commit"

@@ -65,16 +65,24 @@ func TestColdItemFootprint(t *testing.T) {
 }
 
 // TestQuietCoordinatorFootprint: the decision log costs what the item has
-// coordinated. Ten commits fit in 256 bytes; a ring filled past maxDecisions
-// is 128 KB and its table of chunks, as it was before the first chunk learned
-// to start small — sim_hot holds 72 of them — and lookup still finds the newest record of a sequence number on either
-// side of the wrap.
+// coordinated. Ten decisions fit in 128 bytes; a ring filled past
+// maxDecisions is at most 36 KB with its chunk table (128.5 KB before its
+// slots were packed; sim_hot holds 72 of them), one in which no record fits
+// its chunk's base no more than that plus 2 KB, and lookup still finds the
+// newest record of a sequence number on either side of the wrap. The gates
+// read the ring's own count of what it allocated (decisionLog.bytes); the
+// live heap is a cross-check, with slack for what the rest of the process
+// leaves live meanwhile.
 func TestQuietCoordinatorFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap counts are not meaningful under -race")
 	}
-	// The quiet half over many items, so that a stray allocation elsewhere in
-	// the process cannot decide it: ten records need sixteen slots, 256 bytes.
+	const (
+		quietBytes    = 128
+		fullBytes     = 36 << 10
+		wideRingBytes = maxDecisions*16 + 512 + 2<<10 // the 16-byte ring and its chunk table, and 2 KB
+		slack         = 32                            // per quiet item: 32 KB over the 1 024
+	)
 	const quiet = 1024
 	node := NewNode(0, transport.NewNetwork(), Config{})
 	defer node.Close()
@@ -99,18 +107,29 @@ func TestQuietCoordinatorFootprint(t *testing.T) {
 		}
 		return its
 	})
-	if per := grew / quiet; per > 256 {
-		t.Errorf("ten decisions on a fresh item hold %d bytes, want at most 256", per)
+	if got := its[0].decisions.bytes(); got > quietBytes {
+		t.Errorf("ten decisions on a fresh item hold %d bytes, want at most %d", got, quietBytes)
+	}
+	if per := grew / quiet; per > quietBytes+slack {
+		t.Errorf("ten decisions on a fresh item grew the live heap by %d bytes, want at most %d", per, quietBytes+slack)
 	}
 	it := its[0]
-	const full = maxDecisions * int64(unsafe.Sizeof(decision{}))
-	if full != 128<<10 {
-		t.Fatalf("a full ring is %d bytes, want %d", full, 128<<10)
-	}
 	grew = liveHeapGrowth(func() any { record(it, maxDecisions); return it })
-	if pointers := int64(maxDecisions / decisionChunk * unsafe.Sizeof(it.decisions.chunks[0])); grew > full+pointers {
-		t.Errorf("filling the ring past its bound added %d bytes, want at most %d and the %d of its chunk table", grew, full, pointers)
+	if got := it.decisions.bytes(); got > fullBytes || grew > fullBytes {
+		t.Errorf("a full ring holds %d bytes and grew the live heap by %d, want at most %d", got, grew, fullBytes)
 	}
+	var wide decisionLog
+	grew = liveHeapGrowth(func() any {
+		for k := uint64(0); k < maxDecisions+maxDecisions/2; k++ {
+			wide.record(decision{seq: k << 20, vc: k<<41 | 1})
+		}
+		return &wide
+	})
+	if got := wide.bytes(); got > wideRingBytes || grew > wideRingBytes {
+		t.Errorf("a ring no record of which fits its base holds %d bytes and grew the live heap by %d, want at most %d", got, grew, wideRingBytes)
+	}
+	t.Logf("decision ring bytes: %d after ten decisions, %d full, %d with no record fitting its base",
+		its[1].decisions.bytes(), it.decisions.bytes(), wide.bytes())
 	// 2·(5 + maxDecisions) records were written; the ring keeps the last
 	// maxDecisions, so sequence numbers up to 5 + maxDecisions/2 are gone.
 	last := uint64(5 + maxDecisions)

@@ -49,6 +49,9 @@ type itemMetrics struct {
 	// process_heap_bytes.
 	items        *obs.Gauge
 	payloadBytes *obs.Gauge
+	// decisionBytes is what the decision rings hold (decisionLog.bytes): it
+	// moves when a ring reaches a chunk or amnesia drops it, not per record.
+	decisionBytes *obs.Gauge
 }
 
 func newItemMetrics(r *obs.Registry) itemMetrics {
@@ -74,6 +77,7 @@ func newItemMetrics(r *obs.Registry) itemMetrics {
 		pushRecovering: r.Counter("replica_push_refused_recovering_total"),
 		items:          r.Gauge("replica_items"),
 		payloadBytes:   r.Gauge("replica_payload_bytes"),
+		decisionBytes:  r.Gauge("replica_decision_bytes"),
 	}
 }
 

@@ -523,7 +523,7 @@ func TestLegsWaitingSteadyStateStartsNoGoroutine(t *testing.T) {
 // goroutines while it lasts and leaves at most maxParkedLegs behind.
 func TestLegsParkedBounded(t *testing.T) {
 	const burst = 500
-	before := runtime.NumGoroutine() - int(legWorkers.Parked.Load())
+	before := settledLegs(t)
 	net := NewNetwork()
 	var started atomic.Int32
 	release := make(chan struct{})
@@ -554,6 +554,24 @@ func TestLegsParkedBounded(t *testing.T) {
 	if got := legWorkers.Parked.Load(); got < 1 || got > maxParkedLegs {
 		t.Errorf("%d workers parked after the burst, want 1..%d", got, maxParkedLegs)
 	}
+}
+
+// settledLegs waits until the legs earlier tests left running have
+// finished — their workers parked or gone, so that the goroutines that are
+// not parked workers stay as many for 50 ms — and returns that number. A
+// worker whose leg has answered still has to park: sampled before it does,
+// it would park during the next burst as if the burst had left it idle.
+func settledLegs(t *testing.T) int {
+	t.Helper()
+	busy := func() int { return runtime.NumGoroutine() - int(legWorkers.Parked.Load()) }
+	last, since := busy(), time.Now()
+	waitFor(t, "the legs of earlier tests to settle", func() bool {
+		if b := busy(); b != last {
+			last, since = b, time.Now()
+		}
+		return time.Since(since) >= 50*time.Millisecond
+	})
+	return last
 }
 
 // TestWorkersClose: Close releases a pool's parked workers (tcpnet closes
