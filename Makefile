@@ -155,8 +155,8 @@ profile-sim:
 # weighted quorum pick
 # (alias-table sampling in coterie and the coordinator's pick wrapper) must
 # not allocate per operation — with measured capacities too: a sim Call that
-# times itself into its destination's cell, a LoadTracker refresh and the
-# picks that follow — nor planning a write's push targets under the
+# times itself into its destination's cell and the picks that follow — nor
+# planning a write's push targets under the
 # capacity rule, nor tcpnet's flush itself (writeRing on a discarding
 # connection). The per-message budget rides here too: every nodeset.Set
 # operation on IDs below 64 allocates nothing; a bounded round allocates its

@@ -10,7 +10,7 @@
 //
 // The default view is one screen: cluster-merged counters and gauges,
 // the lock-conflict line (refused and rerun beside denied and expired),
-// the capacity line of the weighted strategies (predicted capacity against
+// the capacity line of the weighted strategy (predicted capacity against
 // the solve's certified bound; per node declared, used by the last solve,
 // predicted utilisation), the memory line (replicas held, their payload, the
 // daemons' heaps as a multiple of it, the 2PC decision rings), the counter/gauge vectors
@@ -180,7 +180,7 @@ func printSummary(w io.Writer, cs *capi.ClusterSnapshot) {
 		meanCell(cs.Vecs["core_quorum_members_total"], cs.Vecs["core_quorum_rounds_total"], 0),
 		meanCell(cs.Vecs["core_quorum_members_total"], cs.Vecs["core_quorum_rounds_total"], 1))
 
-	// What the weighted strategies solve with, as means over the daemons
+	// What the weighted strategy solves with, as means over the daemons
 	// publishing it: every daemon times its peers from where it sits.
 	if line := capacityLine(cs.Nodes); line != "" {
 		fmt.Fprintln(w, "capacity:", line)
@@ -215,8 +215,8 @@ func printSummary(w io.Writer, cs *capi.ClusterSnapshot) {
 		}
 	}
 
-	// Vector metrics — per-size quorum pick counts, per-node
-	// capacities and load estimates from the weighted strategies, per-shard
+	// Vector metrics — per-size quorum pick counts and per-node
+	// capacities from the weighted strategy, per-shard
 	// totals — render as index:value pairs over the cluster-summed cells.
 	vnames := make([]string, 0, len(cs.Vecs))
 	for name, vals := range cs.Vecs {

@@ -28,8 +28,8 @@ func nodeSnapshot(t *testing.T, addr string, r *obs.Registry) capi.NodeSnapshot 
 
 // TestSummaryRendersMergedStrategyVectors drives the full merge round
 // trip for the weighted-strategy vector metrics: two daemons expose
-// per-candidate pick counters, per-node capacity gauges and load-EWMA
-// cells, the cluster merge sums them element-wise, and the summary view
+// per-candidate pick counters and per-node capacity gauges, the cluster
+// merge sums them element-wise, and the summary view
 // renders the summed cells as index:value pairs.
 func TestSummaryRendersMergedStrategyVectors(t *testing.T) {
 	r1, r2 := obs.New(), obs.New()
@@ -50,7 +50,6 @@ func TestSummaryRendersMergedStrategyVectors(t *testing.T) {
 	r1.GaugeVec("core_node_capacity_milli").At(4).Set(3)
 	r2.GaugeVec("core_node_capacity_milli").At(4).Set(5)
 	r1.GaugeVec("core_node_utilization_milli").At(4).Set(310)
-	r1.GaugeVec("core_endpoint_load_ewma").At(1).Set(7)
 	r1.GaugeVec("core_strategy_entropy_milli").At(0).Set(2100)
 	// Only the first daemon has solved: 1.980 against a bound of 2.000.
 	r1.Gauge("core_strategy_capacity_milli").Set(1980)
@@ -97,7 +96,6 @@ func TestSummaryRendersMergedStrategyVectors(t *testing.T) {
 		"4:8",      // used-capacity cells summed node-wise
 		"capacity: pred 1.980 of at most 2.000 (gap 1.0 %) | n0 declared 1.000 used 0.000 util pred 0.000 | ",
 		"n4 declared 0.100 used 0.004 util pred 0.310\n",
-		"1:7",    // load EWMA passes through
 		"0:2100", // read-distribution entropy
 		"1980",   // predicted capacity gauge
 		"lock conflicts: waited=9 refused=42 rerun=17 denied=0 expired=0 decision-unknown=0",
@@ -113,7 +111,6 @@ func TestSummaryRendersMergedStrategyVectors(t *testing.T) {
 		"core_strategy_read_pick_total",
 		"core_strategy_write_pick_total",
 		"core_node_capacity_milli",
-		"core_endpoint_load_ewma",
 		"core_strategy_entropy_milli",
 	} {
 		if !strings.Contains(got, name) {

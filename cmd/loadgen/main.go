@@ -105,7 +105,7 @@ func newFlags(fs *flag.FlagSet) *config {
 	fs.IntVar(&cfg.pprofPort, "pprof", 0, "serve net/http/pprof on 127.0.0.1:PORT (spawned daemon i on PORT+1+i)")
 	fs.BoolVar(&cfg.batch, "batch", false, "enable the group-commit write combiner")
 	fs.BoolVar(&cfg.batchProp, "batch-prop", false, "batch stale propagation per target node")
-	fs.StringVar(&cfg.strategy, "strategy", "hint", "quorum selection: hint, load, optimized or read-dominant")
+	fs.StringVar(&cfg.strategy, "strategy", "hint", "quorum selection: hint or optimized")
 	fs.StringVar(&cfg.capacity, "capacity", "", "declared relative node capacities, id=weight,... (unlisted nodes are 1.0)")
 	fs.IntVar(&cfg.slowNode, "slow-node", -1, "node to slow down by -slow-read (-1 = none)")
 	fs.DurationVar(&cfg.slowRead, "slow-read", 0, "delay added at -slow-node (sim: every message it serves; daemons: every client read)")

@@ -33,9 +33,13 @@ func setupSim(cfg config, reg *obs.Registry) (*target, error) {
 	if err != nil {
 		return nil, err
 	}
-	capacity, err := capacityFunc(cfg.capacity)
-	if err != nil {
-		return nil, err
+	var capacity coterie.CapacityFunc
+	if cfg.capacity != "" {
+		caps, err := daemon.ParseCapacities(cfg.capacity)
+		if err != nil {
+			return nil, err
+		}
+		capacity = daemon.CapacityFunc(caps)
 	}
 	tOpts := []transport.Option{transport.WithSeed(cfg.seed), transport.WithObs(reg)}
 	if mean := cfg.latency; mean > 0 {
@@ -55,15 +59,12 @@ func setupSim(cfg config, reg *obs.Registry) (*target, error) {
 		GroupCommit: core.GroupCommitOptions{Enabled: cfg.batch},
 		Replica:     rcfg,
 	}
-	if strategy != core.StrategyHint {
-		// One tracker, and for the weighted strategies one engine, across
-		// every coordinator of every item: they steer by the same observed
-		// load, and an engine each would multiply the background solves by
-		// nodes × items.
+	if strategy.Weighted() {
+		// One tracker and one engine across every coordinator of every item:
+		// they solve with the same measured capacities, and an engine each
+		// would multiply the background solves by nodes × items.
 		copts.Load = core.NewLoadTracker(cl.netw, members, reg)
-		if strategy.Weighted() {
-			copts.Engine = core.NewStrategyEngine(members, copts.Load, copts)
-		}
+		copts.Engine = core.NewStrategyEngine(members, copts.Load, copts)
 	}
 
 	nodes := make([]*replica.Node, cfg.nodes)
@@ -120,22 +121,4 @@ func (cl *simCluster) restart(id nodeset.ID) error {
 
 func (cl *simCluster) checkEpoch(ctx context.Context, item int, from nodeset.ID) {
 	_, _ = cl.coords[item][from].CheckEpoch(ctx) // a failed check is retried by the next round
-}
-
-// capacityFunc turns -capacity into a load function, nil when the cluster
-// is declared homogeneous.
-func capacityFunc(spec string) (coterie.LoadFunc, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	caps, err := daemon.ParseCapacities(spec)
-	if err != nil {
-		return nil, err
-	}
-	return func(id nodeset.ID) float64 {
-		if c, ok := caps[id]; ok {
-			return c
-		}
-		return 1
-	}, nil
 }

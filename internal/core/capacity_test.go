@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -26,11 +27,11 @@ type fedEngine struct {
 	cells *obs.HistogramVec
 }
 
-func newFedEngine(t *testing.T, reg *obs.Registry, declared coterie.LoadFunc) *fedEngine {
+func newFedEngine(t *testing.T, reg *obs.Registry, declared coterie.CapacityFunc) *fedEngine {
 	t.Helper()
 	opts := Options{Strategy: StrategyOptimized, Obs: reg, Capacity: declared, OptimizeInterval: time.Hour}.withDefaults()
 	epoch := nodeset.Range(0, 9)
-	tr := newLoadTracker(epoch, func(nodeset.ID) uint64 { return 0 }, reg)
+	tr := newLoadTracker(epoch, reg)
 	return &fedEngine{
 		eng:   NewStrategyEngine(epoch, tr, opts),
 		lay:   coterie.Compile(opts.Rule, epoch),
@@ -241,7 +242,7 @@ func TestNoMeasurementIsTheDeclaredSolve(t *testing.T) {
 		}
 		return 1
 	}
-	tr := newLoadTracker(nodeset.Range(0, 9), func(nodeset.ID) uint64 { return 0 }, obs.Nop)
+	tr := newLoadTracker(nodeset.Range(0, 9), obs.Nop)
 	if got := tr.capacity(nil); got != nil {
 		t.Fatal("no measurement and nothing declared, yet the tracker made up capacities")
 	}
@@ -270,8 +271,77 @@ func TestNoMeasurementIsTheDeclaredSolve(t *testing.T) {
 	}
 }
 
+// TestLoadTrackerEWMA checks the mean call time a solve folds in: the calls
+// completed since the last solve move it once there are minCallSamples of
+// them, by callAlpha, and fewer are carried to a later solve, not dropped.
+func TestLoadTrackerEWMA(t *testing.T) {
+	reg := obs.New()
+	tr := newLoadTracker(nodeset.New(0, 1, 2), reg)
+	cells := reg.HistogramVec(transport.EndpointCallNs)
+	feed := func(id nodeset.ID, calls int, ns uint64) {
+		for i := 0; i < calls; i++ {
+			cells.At(int(id)).Record(ns)
+		}
+	}
+	check := func(step string, want1 float64) {
+		t.Helper()
+		capacity := tr.capacity(nil)
+		if got := capacity(1); math.Abs(got-want1) > 1e-12 {
+			t.Fatalf("%s: capacity(1) = %v, want %v", step, got, want1)
+		}
+		if got := capacity(0); got != 1 {
+			t.Fatalf("%s: the fastest node's capacity is %v, want 1", step, got)
+		}
+		if got := capacity(2); got != 1 {
+			t.Fatalf("%s: a node never timed reads %v, want its declared 1", step, got)
+		}
+	}
+
+	feed(0, minCallSamples, 1000)
+	feed(1, minCallSamples, 1000)
+	check("first solve", 1)
+	// Eight calls of 3 µs: mean 0.5·3000 + 0.5·1000 = 2000 ns.
+	feed(1, minCallSamples, 3000)
+	check("second solve", 0.5)
+	// One call short of a sample: the mean stands still.
+	feed(1, minCallSamples-1, 100_000)
+	check("short of a sample", 0.5)
+	// The eighth arrives: 0.5·100 000 + 0.5·2000 = 51 000 ns.
+	feed(1, 1, 100_000)
+	check("carried calls", 1000.0/51000)
+}
+
+// TestLoadTrackerUntrackedAndNil: a node outside the tracked members and
+// every node of a nil tracker read their declared capacity, 1 when nothing
+// is declared — the solve is then the declared-capacity solve.
+func TestLoadTrackerUntrackedAndNil(t *testing.T) {
+	reg := obs.New()
+	tr := newLoadTracker(nodeset.New(0, 2), reg)
+	for i := 0; i < minCallSamples; i++ {
+		reg.HistogramVec(transport.EndpointCallNs).At(0).Record(1000)
+	}
+	declared := func(id nodeset.ID) float64 { return float64(id) / 10 }
+	capacity := tr.capacity(declared)
+	if got := capacity(1); got != 0.1 {
+		t.Fatalf("untracked in-range ID: %v, want declared 0.1", got)
+	}
+	if got := capacity(99); got != 9.9 {
+		t.Fatalf("out-of-range ID: %v, want declared 9.9", got)
+	}
+	if got := capacity(0); got != 1 {
+		t.Fatalf("the one timed node: %v, want 1", got)
+	}
+	var nilTr *LoadTracker
+	if got := nilTr.capacity(nil); got != nil {
+		t.Fatal("a nil tracker made up capacities")
+	}
+	if got := nilTr.capacity(declared)(4); got != 0.4 {
+		t.Fatalf("nil tracker: %v, want declared 0.4", got)
+	}
+}
+
 // TestMeasuredCapacityAllocs gates the steady state of the loop (`make
-// check-allocs`): a tracker refresh and a read and a write pick from the
+// check-allocs`): a timed call and a read and a write pick from the
 // measured strategy allocate nothing, and advancing the tracker by one
 // solve allocates the capacity table and its reader and no more.
 func TestMeasuredCapacityAllocs(t *testing.T) {
@@ -285,12 +355,11 @@ func TestMeasuredCapacityAllocs(t *testing.T) {
 	var sink int
 	if allocs := testing.AllocsPerRun(1000, func() {
 		f.cells.At(3).Record(2000)
-		f.eng.load.Refresh()
 		q, _ := f.eng.pickRead(f.lay, epoch, sink)
 		w, _ := f.eng.pickWrite(f.lay, epoch, sink)
 		sink += q.Len() + w.Len()
 	}); allocs != 0 {
-		t.Errorf("a refresh and two picks allocate %.1f objects, want 0", allocs)
+		t.Errorf("a timed call and two picks allocate %.1f objects, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
 		f.cells.At(3).Record(2000)

@@ -39,15 +39,9 @@ type Coordinator struct {
 	// takes effect. Both are nil-safe when observability is disabled.
 	obsReg  *obs.Registry
 	metrics coordMetrics
-	// load/loadFn drive StrategyLoadAware quorum selection; loadFn is the
-	// bound method value, resolved once so the hot path allocates nothing.
-	// Both nil under StrategyHint.
-	load   *LoadTracker
-	loadFn coterie.LoadFunc
-	// strat drives the weighted strategies (StrategyOptimized /
-	// StrategyReadDominant); nil otherwise. Normally the process-shared
-	// engine from Options.Engine. When it has no valid snapshot yet (cold
-	// start, epoch change) picks fall through to the load-aware path above.
+	// strat drives StrategyOptimized; nil under StrategyHint. Normally the
+	// process-shared engine from Options.Engine. When it has no valid
+	// snapshot (an epoch not solved yet) picks fall through to the hint path.
 	strat *StrategyEngine
 	// combiner is the group-commit write queue; nil unless enabled.
 	combiner *combiner
@@ -74,17 +68,14 @@ func NewCoordinator(item *replica.Item, net transport.Net, all nodeset.Set, opts
 		metrics: newCoordMetrics(opts.Obs),
 	}
 	c.async, _ = net.(transport.AsyncSender)
-	if opts.Strategy == StrategyLoadAware || opts.Strategy.Weighted() {
-		c.load = opts.Load
-		if c.load == nil {
-			c.load = NewLoadTracker(net, c.all, opts.Obs)
-		}
-		c.loadFn = c.load.Load
-	}
 	if opts.Strategy.Weighted() {
 		c.strat = opts.Engine
 		if c.strat == nil {
-			c.strat = NewStrategyEngine(c.all, c.load, opts)
+			load := opts.Load
+			if load == nil {
+				load = NewLoadTracker(net, c.all, opts.Obs)
+			}
+			c.strat = NewStrategyEngine(c.all, load, opts)
 		}
 	}
 	if opts.GroupCommit.Enabled && opts.SafetyThreshold <= 0 {
@@ -133,21 +124,16 @@ func hint(op replica.OpID) int {
 }
 
 // pickWriteQuorum selects a write quorum from the layout's candidates per
-// the configured strategy: least-loaded under StrategyLoadAware (with a
-// load refresh at most every loadRefreshInterval), the hint rotation
-// otherwise.
+// the configured strategy: a draw from the solved distribution under
+// StrategyOptimized, the hint rotation otherwise.
 func (c *Coordinator) pickWriteQuorum(lay *coterie.Layout, avail nodeset.Set, op replica.OpID) (nodeset.Set, bool) {
 	if c.strat != nil {
-		// Weighted strategies sample the solved distribution directly — no
+		// The weighted strategy samples the solved distribution directly — no
 		// self-preference probe, because reshaping picks toward self would
 		// re-concentrate exactly the load the solver spread out.
 		if q, ok := c.strat.pickWrite(lay, avail, hint(op)); ok {
 			return q, true
 		}
-	}
-	if c.loadFn != nil {
-		c.load.maybeRefresh()
-		return lay.WriteQuorumLoaded(avail, c.loadFn, hint(op))
 	}
 	return preferSelf(c.item.Self(), lay.WriteQuorum, avail, hint(op))
 }
@@ -187,10 +173,6 @@ func (c *Coordinator) pickReadQuorum(lay *coterie.Layout, avail nodeset.Set, h i
 		if q, ok := c.strat.pickRead(lay, avail, h); ok {
 			return q, true
 		}
-	}
-	if c.loadFn != nil {
-		c.load.maybeRefresh()
-		return lay.ReadQuorumLoaded(avail, c.loadFn, h)
 	}
 	return preferSelf(c.item.Self(), lay.ReadQuorum, avail, h)
 }

@@ -50,42 +50,27 @@ const (
 	// operation ID — the paper's Section 5 load sharing ("different nodes
 	// may use different quorums"), blind to observed load.
 	StrategyHint QuorumStrategy = iota
-	// StrategyLoadAware picks the least-loaded candidate quorum using the
-	// per-endpoint EWMA request rates of a LoadTracker, breaking ties
-	// toward the hint rotation (so uniform load degrades to StrategyHint)
-	// and falling back to it entirely for structures with no load-aware
-	// form.
-	StrategyLoadAware
 	// StrategyOptimized samples quorums from a solved weighted distribution
 	// over the layout's candidate quorums — the capacity-maximizing LP of
-	// Whittaker et al. with WOC-style heterogeneous node capacities
-	// (Options.Capacity) and the live EWMA load folded in. The distribution
-	// is recomputed on a low-frequency tick (Options.OptimizeInterval) and
-	// swapped atomically; the per-operation pick is one splitmix64 draw and
-	// an alias-table lookup, allocation-free. Until the first solve lands
-	// (and whenever the epoch shifts under it) picks fall back to the
-	// load-aware path.
+	// Whittaker et al., solved to a certificate, with WOC-style
+	// heterogeneous node capacities: measured call times (Options.Load),
+	// declared ones (Options.Capacity) until a node has been timed. The
+	// distribution is recomputed on a low-frequency tick
+	// (Options.OptimizeInterval) and swapped atomically; the per-operation
+	// pick is one splitmix64 draw and an alias-table lookup,
+	// allocation-free. A pick the distribution cannot serve (an epoch not
+	// solved yet, a degenerate one) is StrategyHint's.
 	StrategyOptimized
-	// StrategyReadDominant is StrategyOptimized with the solver's
-	// read-size bias enabled: among distributions within the solver's
-	// tolerance of the best peak, read mass goes to small, cheap quorums
-	// (per Kumar & Agarwal) — for read-heavy workloads where read tail
-	// latency dominates.
-	StrategyReadDominant
 )
 
-// String returns the flag-syntax name of the strategy ("hint", "load",
-// "optimized", "read-dominant").
+// String returns the flag-syntax name of the strategy ("hint",
+// "optimized").
 func (s QuorumStrategy) String() string {
 	switch s {
 	case StrategyHint:
 		return "hint"
-	case StrategyLoadAware:
-		return "load"
 	case StrategyOptimized:
 		return "optimized"
-	case StrategyReadDominant:
-		return "read-dominant"
 	}
 	return "unknown"
 }
@@ -97,20 +82,16 @@ func ParseStrategy(s string) (QuorumStrategy, error) {
 	switch s {
 	case "", "hint":
 		return StrategyHint, nil
-	case "load":
-		return StrategyLoadAware, nil
-	case "optimized", "opt":
+	case "optimized":
 		return StrategyOptimized, nil
-	case "read-dominant", "readdom":
-		return StrategyReadDominant, nil
 	}
-	return 0, errors.New("core: unknown strategy " + s + " (want hint, load, optimized or read-dominant)")
+	return 0, errors.New("core: unknown strategy " + s + " (want hint or optimized)")
 }
 
 // Weighted reports whether the strategy samples a solved distribution
 // (and therefore needs the optimizer engine and a load tracker).
 func (s QuorumStrategy) Weighted() bool {
-	return s == StrategyOptimized || s == StrategyReadDominant
+	return s == StrategyOptimized
 }
 
 // GroupCommitOptions configures the coordinator's write combiner (see
@@ -158,28 +139,28 @@ type Options struct {
 	// Strategy selects how quorums are picked from a layout's candidates.
 	// Default StrategyHint.
 	Strategy QuorumStrategy
-	// Load supplies the load signal for StrategyLoadAware and the weighted
-	// strategies. Coordinators sharing a network should share one tracker
-	// (NewCluster builds one); when nil and the strategy needs it, each
-	// coordinator builds its own.
+	// Load measures the capacities StrategyOptimized solves with.
+	// Coordinators sharing a network should share one tracker (NewCluster
+	// builds one); when nil under StrategyOptimized, each coordinator
+	// builds its own.
 	Load *LoadTracker
-	// Capacity returns a node's relative service capacity for the weighted
-	// strategies (only ratios matter; nil means homogeneous 1.0). A node
-	// with capacity 0.25 receives roughly a quarter of the quorum mass a
-	// full-capacity peer does. Under every strategy the capacities also
-	// plan write-through: a member declared below pushCapacityFloor of its
-	// epoch's largest capacity is sent no bystander pushes (see pushTargets).
-	Capacity coterie.LoadFunc
-	// OptimizeInterval is the recompute tick of the weighted strategies:
-	// how often the quorum distribution is re-solved against current load
-	// and read mix. Default 200ms.
+	// Capacity returns a node's declared relative service capacity (only
+	// ratios matter; nil means homogeneous 1.0): StrategyOptimized solves
+	// with it for a node whose calls have not been timed yet. Under every
+	// strategy the capacities also plan write-through: a member declared
+	// below pushCapacityFloor of its epoch's largest capacity is sent no
+	// bystander pushes (see pushTargets).
+	Capacity coterie.CapacityFunc
+	// OptimizeInterval is the recompute tick of StrategyOptimized: how
+	// often the quorum distribution is re-solved against measured
+	// capacities and read mix. Default 200ms.
 	OptimizeInterval time.Duration
-	// Engine is the weighted-strategy engine coordinators sample from.
+	// Engine is the StrategyOptimized engine coordinators sample from.
 	// Like Load, it should be shared by every coordinator of a process
 	// (NewCluster builds one): the solved distribution is not per-item,
 	// and a private engine per coordinator multiplies the background
-	// solves by the item count. When nil and the strategy is
-	// weighted, each coordinator builds its own.
+	// solves by the item count. When nil under StrategyOptimized, each
+	// coordinator builds its own.
 	Engine *StrategyEngine
 	// Replica configures the per-node replica behavior.
 	Replica replica.Config

@@ -11,15 +11,15 @@ import (
 	"coterie/internal/obs"
 )
 
-// StrategyEngine drives StrategyOptimized / StrategyReadDominant: it
+// StrategyEngine drives StrategyOptimized: it
 // keeps an atomically-swapped snapshot of the solved quorum distribution
 // and serves allocation-free weighted picks from it, re-solving on a
 // low-frequency tick in a background goroutine; only an epoch's first table
 // is solved where it was asked for.
 //
 // One engine serves every coordinator that shares a registry and member
-// set — the solved distribution depends only on the layout, capacities
-// and load signal, none of which are per-item, and a process of 9 nodes and
+// set — the solved distribution depends only on the layout, the
+// capacities and the read mix, none of which are per-item, and a process of 9 nodes and
 // 8 items solving per item would solve ~70× more often than the tick
 // intends. NewCluster, the daemon and loadgen all build exactly one and
 // share it through Options.Engine; a coordinator constructed without one
@@ -33,12 +33,9 @@ import (
 // construction — happens in recompute, off the pick path but for an epoch's
 // first solve, and is published by a single pointer swap.
 type StrategyEngine struct {
-	capacity coterie.LoadFunc
+	capacity coterie.CapacityFunc
 	load     *LoadTracker
 	interval time.Duration
-	// readBias is the solver's ReadSizeBias: non-zero under
-	// StrategyReadDominant.
-	readBias float64
 	// reads/writes observe the registry-shared operation counters so the
 	// solver can weight the read and write blocks by the measured mix.
 	readsTotal, writesTotal *obs.Counter
@@ -121,8 +118,8 @@ func newStrategyMetrics(r *obs.Registry) strategyMetrics {
 
 // NewStrategyEngine builds one weighted-strategy engine for the given
 // member set. load may be nil (declared capacities only); opts supplies
-// the strategy, declared capacities, recompute interval and registry,
-// exactly as they would reach a coordinator.
+// the declared capacities, recompute interval and registry, exactly as
+// they would reach a coordinator.
 func NewStrategyEngine(all nodeset.Set, load *LoadTracker, opts Options) *StrategyEngine {
 	opts = opts.withDefaults()
 	s := &StrategyEngine{
@@ -132,12 +129,6 @@ func NewStrategyEngine(all nodeset.Set, load *LoadTracker, opts Options) *Strate
 		readsTotal:  opts.Obs.Counter("core_reads_total"),
 		writesTotal: opts.Obs.Counter("core_writes_total"),
 		metrics:     newStrategyMetrics(opts.Obs),
-	}
-	if opts.Strategy == StrategyReadDominant {
-		// The bias is weighed against the work a seat costs, 1/cap_i per
-		// touch: a few hundredths per member settles ties between quorum
-		// sizes and never outweighs a slower node.
-		s.readBias = 0.02
 	}
 	// Publish the declared capacities, so a scrape can set what the operator
 	// said beside what each solve measured and used (core_node_capacity_milli).
@@ -164,7 +155,7 @@ func (s *StrategyEngine) readFrac() float64 {
 // pickRead returns a read quorum sampled from the solved distribution.
 // ok=false means no valid snapshot is available (a degenerate epoch, or one
 // not solved yet while another solve runs or none is due); the caller falls
-// back to the load-aware/hint path, and a recompute fires at the next tick.
+// back to the hint path, and a recompute fires at the next tick.
 func (s *StrategyEngine) pickRead(lay *coterie.Layout, avail nodeset.Set, h int) (nodeset.Set, bool) {
 	snap := s.maybeSnapshot(lay, avail)
 	if snap == nil {
@@ -288,7 +279,7 @@ func (s *StrategyEngine) recompute(lay *coterie.Layout, epoch nodeset.Set) {
 		}
 	}
 	capacity := s.load.capacity(s.capacity)
-	dist := snap.prog.Solve(s.readFrac(), capacity, s.readBias)
+	dist := snap.prog.Solve(s.readFrac(), capacity)
 	snap.rTable = coterie.NewAlias(dist.ReadWeights)
 	snap.wTable = coterie.NewAlias(dist.WriteWeights)
 	s.snap.Store(snap)

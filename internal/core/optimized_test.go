@@ -12,7 +12,7 @@ import (
 	"coterie/internal/replica"
 )
 
-func testEngine(t *testing.T, strategy QuorumStrategy, n int, capacity coterie.LoadFunc) (*StrategyEngine, *coterie.Layout) {
+func testEngine(t *testing.T, strategy QuorumStrategy, n int, capacity coterie.CapacityFunc) (*StrategyEngine, *coterie.Layout) {
 	t.Helper()
 	opts := Options{
 		Strategy:         strategy,
@@ -64,8 +64,8 @@ func TestFirstPickUsesSolvedTable(t *testing.T) {
 
 // TestOptimizedUnsolvedEpochFallsBack: picks come from the table of the
 // epoch they select over; an epoch that has none while no solve is due (the
-// interval is an hour) is declined — the coordinator then uses the
-// load-aware/hint path — not served another epoch's.
+// interval is an hour) is declined — the coordinator then uses the hint
+// path — not served another epoch's.
 func TestOptimizedUnsolvedEpochFallsBack(t *testing.T) {
 	s, lay := testEngine(t, StrategyOptimized, 9, nil)
 	epoch := lay.Epoch()
@@ -182,103 +182,103 @@ func TestOptimizedPickAllocs(t *testing.T) {
 	}
 }
 
-// TestOptimizedStrategyCluster runs a full cluster under each weighted
+// TestOptimizedStrategyCluster runs a full cluster under the weighted
 // strategy: operations must land (via fallback before the first solve and
 // via the distribution after), and the strategy metrics must appear.
 func TestOptimizedStrategyCluster(t *testing.T) {
-	for _, strategy := range []QuorumStrategy{StrategyOptimized, StrategyReadDominant} {
-		t.Run(strategy.String(), func(t *testing.T) {
-			opts := fastOptions()
-			opts.Strategy = strategy
-			opts.Obs = obs.New()
-			opts.OptimizeInterval = time.Millisecond
-			opts.Capacity = func(id nodeset.ID) float64 {
-				if id == 4 {
-					return 0.25
+	t.Run(StrategyOptimized.String(), func(t *testing.T) {
+		opts := fastOptions()
+		opts.Strategy = StrategyOptimized
+		opts.Obs = obs.New()
+		opts.OptimizeInterval = time.Millisecond
+		opts.Capacity = func(id nodeset.ID) float64 {
+			if id == 4 {
+				return 0.25
+			}
+			return 1
+		}
+		c, err := NewCluster(9, "item", make([]byte, 16), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		if c.opts.Load == nil {
+			t.Fatal("cluster did not build a LoadTracker for the weighted strategy")
+		}
+		if c.Coordinator(0).strat == nil || c.Coordinator(0).strat != c.Coordinator(8).strat {
+			t.Fatal("coordinators do not share one strategy engine")
+		}
+		for i := 0; i < 5; i++ {
+			mustWrite(t, c, nodeset.ID(i), replica.Update{Offset: i, Data: []byte{byte('a' + i)}})
+		}
+		// Give the async solver a chance to publish, then keep operating
+		// on the distribution path.
+		deadline := time.Now().Add(2 * time.Second)
+		for c.Coordinator(0).strat.snap.Load() == nil && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if c.Coordinator(0).strat.snap.Load() == nil {
+			t.Fatal("no distribution snapshot published")
+		}
+		for i := 0; i < 20; i++ {
+			mustWrite(t, c, nodeset.ID(i%9), replica.Update{Offset: 5, Data: []byte{byte('A' + i)}})
+			v, _ := mustRead(t, c, nodeset.ID((i+3)%9))
+			if string(v[:5]) != "abcde" {
+				t.Fatalf("read %q", v[:6])
+			}
+		}
+		snap := opts.Obs.Snapshot()
+		wantCounters := map[string]bool{"core_strategy_recomputes_total": false}
+		for _, c := range snap.Counters {
+			if _, ok := wantCounters[c.Name]; ok && c.Value > 0 {
+				wantCounters[c.Name] = true
+			}
+		}
+		for name, seen := range wantCounters {
+			if !seen {
+				t.Errorf("counter %s missing or zero", name)
+			}
+		}
+		foundCap, foundEntropy, foundSolved := false, false, 0
+		for _, gv := range snap.GaugeVecs {
+			switch gv.Name {
+			case "core_node_declared_capacity_milli":
+				foundCap = true
+				if len(gv.Values) < 9 || gv.Values[4] != 250 || gv.Values[0] != 1000 {
+					t.Errorf("declared capacity gauge vec %v, want node 4 at 250 and node 0 at 1000", gv.Values)
 				}
-				return 1
-			}
-			c, err := NewCluster(9, "item", make([]byte, 16), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(c.Close)
-			if c.opts.Load == nil {
-				t.Fatal("cluster did not build a LoadTracker for the weighted strategy")
-			}
-			if c.Coordinator(0).strat == nil || c.Coordinator(0).strat != c.Coordinator(8).strat {
-				t.Fatal("coordinators do not share one strategy engine")
-			}
-			for i := 0; i < 5; i++ {
-				mustWrite(t, c, nodeset.ID(i), replica.Update{Offset: i, Data: []byte{byte('a' + i)}})
-			}
-			// Give the async solver a chance to publish, then keep operating
-			// on the distribution path.
-			deadline := time.Now().Add(2 * time.Second)
-			for c.Coordinator(0).strat.snap.Load() == nil && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			if c.Coordinator(0).strat.snap.Load() == nil {
-				t.Fatal("no distribution snapshot published")
-			}
-			for i := 0; i < 20; i++ {
-				mustWrite(t, c, nodeset.ID(i%9), replica.Update{Offset: 5, Data: []byte{byte('A' + i)}})
-				v, _ := mustRead(t, c, nodeset.ID((i+3)%9))
-				if string(v[:5]) != "abcde" {
-					t.Fatalf("read %q", v[:6])
+			case "core_node_capacity_milli", "core_node_utilization_milli":
+				// What the last solve used and predicted: measured
+				// where calls were timed, so only its shape is fixed.
+				foundSolved++
+				if len(gv.Values) != 9 || slices.Max(gv.Values) <= 0 || slices.Min(gv.Values) < 0 {
+					t.Errorf("%s = %v, want nine cells, none negative, one positive", gv.Name, gv.Values)
 				}
+			case "core_strategy_entropy_milli":
+				foundEntropy = true
 			}
-			snap := opts.Obs.Snapshot()
-			wantCounters := map[string]bool{"core_strategy_recomputes_total": false}
-			for _, c := range snap.Counters {
-				if _, ok := wantCounters[c.Name]; ok && c.Value > 0 {
-					wantCounters[c.Name] = true
-				}
-			}
-			for name, seen := range wantCounters {
-				if !seen {
-					t.Errorf("counter %s missing or zero", name)
-				}
-			}
-			foundCap, foundEntropy, foundSolved := false, false, 0
-			for _, gv := range snap.GaugeVecs {
-				switch gv.Name {
-				case "core_node_declared_capacity_milli":
-					foundCap = true
-					if len(gv.Values) < 9 || gv.Values[4] != 250 || gv.Values[0] != 1000 {
-						t.Errorf("declared capacity gauge vec %v, want node 4 at 250 and node 0 at 1000", gv.Values)
-					}
-				case "core_node_capacity_milli", "core_node_utilization_milli":
-					// What the last solve used and predicted: measured
-					// where calls were timed, so only its shape is fixed.
-					foundSolved++
-					if len(gv.Values) != 9 || slices.Max(gv.Values) <= 0 || slices.Min(gv.Values) < 0 {
-						t.Errorf("%s = %v, want nine cells, none negative, one positive", gv.Name, gv.Values)
-					}
-				case "core_strategy_entropy_milli":
-					foundEntropy = true
-				}
-			}
-			if !foundCap || foundSolved != 2 {
-				t.Errorf("per-node capacity gauges missing from snapshot (declared %v, solved %d of 2)", foundCap, foundSolved)
-			}
-			if !foundEntropy {
-				t.Error("core_strategy_entropy_milli missing from snapshot")
-			}
-		})
-	}
+		}
+		if !foundCap || foundSolved != 2 {
+			t.Errorf("per-node capacity gauges missing from snapshot (declared %v, solved %d of 2)", foundCap, foundSolved)
+		}
+		if !foundEntropy {
+			t.Error("core_strategy_entropy_milli missing from snapshot")
+		}
+	})
 }
 
 // TestParseStrategyRoundTrip pins the flag vocabulary.
 func TestParseStrategyRoundTrip(t *testing.T) {
-	for _, s := range []QuorumStrategy{StrategyHint, StrategyLoadAware, StrategyOptimized, StrategyReadDominant} {
+	for _, s := range []QuorumStrategy{StrategyHint, StrategyOptimized} {
 		got, err := ParseStrategy(s.String())
 		if err != nil || got != s {
 			t.Errorf("ParseStrategy(%q) = %v, %v", s.String(), got, err)
 		}
 	}
-	if _, err := ParseStrategy("bogus"); err == nil {
-		t.Error("ParseStrategy(bogus) accepted")
+	for _, gone := range []string{"bogus", "load", "read-dominant"} {
+		if _, err := ParseStrategy(gone); err == nil {
+			t.Errorf("ParseStrategy(%q) accepted", gone)
+		}
 	}
 	if got, err := ParseStrategy(""); err != nil || got != StrategyHint {
 		t.Errorf("ParseStrategy(\"\") = %v, %v, want hint", got, err)

@@ -30,7 +30,7 @@ import (
 
 // pushCapacityFloor is the share of its epoch's largest declared capacity
 // below which a member is sent no write-through. In the load model the
-// weighted strategies solve (Whittaker et al.), a push is write load on
+// weighted strategy solves (Whittaker et al.), a push is write load on
 // its receiver just as a quorum seat is, and a member the operator
 // declared weak is one the solver steers quorums around: pushing every
 // write to it would hand back the load the strategy took away. One half
@@ -45,7 +45,7 @@ const pushCapacityFloor = 0.5
 // bystanders that rule left out. Homogeneous capacity (nil) leaves nobody
 // out. It depends on nothing but its arguments, so every coordinator of a
 // deployment picks the same set.
-func pushTargets(epoch, written nodeset.Set, capacity coterie.LoadFunc) (targets nodeset.Set, skipped int) {
+func pushTargets(epoch, written nodeset.Set, capacity coterie.CapacityFunc) (targets nodeset.Set, skipped int) {
 	targets = epoch.Diff(written)
 	if capacity == nil {
 		return targets, 0

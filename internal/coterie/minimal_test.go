@@ -40,8 +40,8 @@ func removable(q nodeset.Set, is func(nodeset.Set) bool) (nodeset.ID, bool) {
 
 // TestPickersReturnMinimalQuorums is the antichain property (paper, Section
 // 3: the read and the write quorums of a coterie are antichains): for every
-// rule, every epoch size up to 16, random availability, load and hint, no
-// picker — hint, load-aware, uncompiled, enumerated — returns a quorum from
+// rule, every epoch size up to 16, random availability and hint, no
+// picker — compiled, uncompiled, enumerated — returns a quorum from
 // which a member can be removed. A dominated quorum costs a lock, two frames
 // and a share of some replica's capacity that buy no safety.
 func TestPickersReturnMinimalQuorums(t *testing.T) {
@@ -89,11 +89,6 @@ func TestPickersReturnMinimalQuorums(t *testing.T) {
 							}
 						}
 					}
-					loads := make(map[nodeset.ID]float64, n)
-					for _, id := range V.IDs() {
-						loads[id] = float64(rng.Intn(4))
-					}
-					load := func(id nodeset.ID) float64 { return loads[id] }
 					hint := rng.Intn(4096) - 64
 
 					type pick struct {
@@ -110,10 +105,6 @@ func TestPickersReturnMinimalQuorums(t *testing.T) {
 					add("ReadQuorum", lay.IsReadQuorum, q, ok)
 					q, ok = lay.WriteQuorum(avail, hint)
 					add("WriteQuorum", lay.IsWriteQuorum, q, ok)
-					q, ok = lay.ReadQuorumLoaded(avail, load, hint)
-					add("ReadQuorumLoaded", lay.IsReadQuorum, q, ok)
-					q, ok = lay.WriteQuorumLoaded(avail, load, hint)
-					add("WriteQuorumLoaded", lay.IsWriteQuorum, q, ok)
 					q, ok = tc.rule.ReadQuorum(V, avail, hint)
 					add("Rule.ReadQuorum", lay.IsReadQuorum, q, ok)
 					q, ok = tc.rule.WriteQuorum(V, avail, hint)

@@ -31,8 +31,7 @@ import (
 // (Distribution.Bound, one pass over the candidates). The second solve keeps
 // the peak within optimizeTolerance of that bound and minimises each
 // candidate's price offset: the work it costs, Σ_{i∈k} f_k/cap_i (Whittaker's
-// second objective; 1/cap_i rounded down to a power of two), plus
-// ReadSizeBias per member of a read. A seat that
+// second objective; 1/cap_i rounded down to a power of two). A seat that
 // buys less than the tolerance only adds work, so it gets exactly zero
 // mass. Pivoting rules and arithmetic are deterministic: every replica that
 // feeds the solver identical inputs computes the identical distribution.
@@ -53,12 +52,12 @@ type OptimizeInput struct {
 	// only ratios matter). nil means homogeneous capacity 1.0. Values ≤ 0
 	// are clamped to a small epsilon so a mis-configured node is avoided
 	// rather than dividing by zero.
-	Capacity LoadFunc
-	// ReadSizeBias adds bias·|r| to each read candidate's price offset,
-	// skewing read mass toward small (cheap) quorums among distributions
-	// within the tolerance — the read-dominant mode per Kumar & Agarwal.
-	ReadSizeBias float64
+	Capacity CapacityFunc
 }
+
+// CapacityFunc reports a node's relative service capacity: only ratios
+// matter, and 1 is an ordinary node.
+type CapacityFunc func(nodeset.ID) float64
 
 // Distribution is a solved weighted quorum strategy.
 type Distribution struct {
@@ -98,7 +97,7 @@ type Program struct {
 
 // NewProgram resolves the candidates against the members. It returns an
 // error when either candidate block or Members is empty; the caller falls
-// back to the unweighted strategies in that case.
+// back to the hint rotation in that case.
 func NewProgram(reads, writes []nodeset.Set, members []nodeset.ID) (*Program, error) {
 	if len(reads) == 0 || len(writes) == 0 {
 		return nil, fmt.Errorf("coterie: optimize needs candidates (reads=%d writes=%d)", len(reads), len(writes))
@@ -131,12 +130,12 @@ func Optimize(in OptimizeInput) (Distribution, error) {
 	if err != nil {
 		return Distribution{}, err
 	}
-	return pr.Solve(in.ReadFrac, in.Capacity, in.ReadSizeBias), nil
+	return pr.Solve(in.ReadFrac, in.Capacity), nil
 }
 
 // Solve runs both solves for one read fraction and capacity vector (see
 // OptimizeInput for the arguments' meaning).
-func (pr *Program) Solve(fr float64, capacity LoadFunc, readSizeBias float64) Distribution {
+func (pr *Program) Solve(fr float64, capacity CapacityFunc) Distribution {
 	switch {
 	case fr < 0: // negative sentinel: caller has no measured mix
 		fr = 0.5
@@ -222,9 +221,6 @@ func (pr *Program) Solve(fr float64, capacity LoadFunc, readSizeBias float64) Di
 	for k, at := range pr.cands {
 		for _, i := range at {
 			t.obj[k] += share(k) * math.Exp2(math.Floor(-math.Log2(caps[i])))
-		}
-		if k < nr {
-			t.obj[k] += readSizeBias * float64(len(at))
 		}
 	}
 	for r, b := range t.basis {

@@ -10,6 +10,7 @@ import (
 	"syscall"
 	"time"
 
+	"coterie/internal/coterie"
 	"coterie/internal/nodeset"
 )
 
@@ -31,8 +32,8 @@ func ParseFlags(args []string) (Config, error) {
 	fs.IntVar(&cfg.ItemSize, "item-size", 256, "logical item size in bytes")
 	fs.BoolVar(&cfg.Recovering, "recovering", false, "rejoin as a recovering replica (process restart after crash)")
 	fs.DurationVar(&cfg.CallTimeout, "call-timeout", 250*time.Millisecond, "per-RPC-round timeout (also scales lock leases)")
-	fs.StringVar(&cfg.Strategy, "strategy", "hint", "quorum selection strategy: hint, load, optimized or read-dominant")
-	fs.StringVar(&capacity, "capacity", "", "relative node capacities for weighted strategies: id=weight,... (unlisted nodes are 1.0)")
+	fs.StringVar(&cfg.Strategy, "strategy", "hint", "quorum selection strategy: hint or optimized")
+	fs.StringVar(&capacity, "capacity", "", "declared relative node capacities: id=weight,... (unlisted nodes are 1.0)")
 	fs.BoolVar(&cfg.GroupCommit.Enabled, "batch", false, "enable the group-commit write combiner")
 	fs.IntVar(&cfg.GroupCommit.MaxBatch, "batch-max", 0, "max writes merged per batched round (0 = default)")
 	fs.IntVar(&cfg.GroupCommit.MaxQueue, "batch-queue", 0, "combiner queue depth (0 = default)")
@@ -70,9 +71,9 @@ func ParseFlags(args []string) (Config, error) {
 	return cfg, nil
 }
 
-// ParseCapacities parses "0=1.0,4=0.25" into a capacity map for the
-// weighted quorum strategies. Weights must be positive; nodes not listed
-// default to 1.0 at use sites.
+// ParseCapacities parses "0=1.0,4=0.25" into a map of declared
+// capacities. Weights must be positive; nodes not listed are 1.0
+// (CapacityFunc).
 func ParseCapacities(s string) (map[nodeset.ID]float64, error) {
 	caps := make(map[nodeset.ID]float64)
 	for _, part := range strings.Split(s, ",") {
@@ -94,6 +95,21 @@ func ParseCapacities(s string) (map[nodeset.ID]float64, error) {
 		return nil, fmt.Errorf("empty -capacity")
 	}
 	return caps, nil
+}
+
+// CapacityFunc turns a capacity map into core.Options.Capacity: a listed
+// node's weight, 1.0 for any other, nil for an empty map (a homogeneous
+// cluster).
+func CapacityFunc(caps map[nodeset.ID]float64) coterie.CapacityFunc {
+	if len(caps) == 0 {
+		return nil
+	}
+	return func(id nodeset.ID) float64 {
+		if c, ok := caps[id]; ok {
+			return c
+		}
+		return 1
+	}
 }
 
 // FormatCapacities renders a capacity map back into -capacity syntax.

@@ -60,7 +60,6 @@ import (
 
 	"coterie/internal/capi"
 	"coterie/internal/core"
-	"coterie/internal/coterie"
 	"coterie/internal/nodeset"
 	"coterie/internal/obs"
 	"coterie/internal/obs/expose"
@@ -89,13 +88,13 @@ type Config struct {
 	// CallTimeout bounds each protocol RPC round; lock leases follow it
 	// (4x) as in the in-process harness.
 	CallTimeout time.Duration
-	// Strategy is the quorum selection strategy: "hint" (default),
-	// "load", "optimized" or "read-dominant" (see core.ParseStrategy).
+	// Strategy is the quorum selection strategy: "hint" (default) or
+	// "optimized" (see core.ParseStrategy).
 	Strategy string
-	// Capacities assigns relative service capacities to nodes for the
-	// weighted strategies (missing nodes default to 1.0). Nil means a
-	// homogeneous cluster. All daemons of one deployment should agree so
-	// their solved distributions match.
+	// Capacities declares relative service capacities (missing nodes
+	// default to 1.0; see CapacityFunc). Nil means a homogeneous cluster.
+	// All daemons of one deployment should agree so their solved
+	// distributions match.
 	Capacities map[nodeset.ID]float64
 	// GroupCommit enables and sizes the write combiner.
 	GroupCommit core.GroupCommitOptions
@@ -240,23 +239,6 @@ func Start(cfg Config) (*Daemon, error) {
 	if err != nil {
 		return nil, fmt.Errorf("daemon: %w", err)
 	}
-	var tracker *core.LoadTracker
-	if strategy != core.StrategyHint {
-		// One tracker for every coordinator this process hosts, so all of
-		// them steer by the same observed per-endpoint load.
-		tracker = core.NewLoadTracker(tnet, cfg.Members, reg)
-	}
-	var capacity coterie.LoadFunc
-	if len(cfg.Capacities) > 0 {
-		caps := cfg.Capacities
-		capacity = func(id nodeset.ID) float64 {
-			if c, ok := caps[id]; ok {
-				return c
-			}
-			return 1
-		}
-	}
-
 	rcfg := replica.Config{LockLease: 4 * cfg.CallTimeout, Obs: reg, PropagationBatch: cfg.BatchProp}
 	node := replica.NewNode(cfg.Self, tnet, rcfg)
 	copts := core.Options{
@@ -264,14 +246,15 @@ func Start(cfg Config) (*Daemon, error) {
 		Replica:     rcfg,
 		Obs:         reg,
 		Strategy:    strategy,
-		Load:        tracker,
-		Capacity:    capacity,
+		Capacity:    CapacityFunc(cfg.Capacities),
 		GroupCommit: cfg.GroupCommit,
 	}
 	if strategy.Weighted() {
-		// One engine per process: the background solves must not multiply
-		// with the item count this daemon hosts.
-		copts.Engine = core.NewStrategyEngine(cfg.Members, tracker, copts)
+		// One tracker and one engine per process: every coordinator this
+		// daemon hosts solves with the same measured capacities, and the
+		// background solves must not multiply with its item count.
+		copts.Load = core.NewLoadTracker(tnet, cfg.Members, reg)
+		copts.Engine = core.NewStrategyEngine(cfg.Members, copts.Load, copts)
 	}
 	d := &Daemon{Net: tnet, Reg: reg, node: node, cfg: cfg, copts: copts,
 		initial: make([]byte, cfg.ItemSize),

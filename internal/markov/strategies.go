@@ -14,14 +14,14 @@ import (
 // core.ParseStrategy's canonical vocabulary; this package keeps them as
 // strings so the analysis layer stays free of protocol dependencies.
 func StrategyNames() []string {
-	return []string{"hint", "load", "optimized", "read-dominant"}
+	return []string{"hint", "optimized"}
 }
 
 // StrategyWeighted reports whether the named strategy serves from an
-// enumerated candidate distribution (the alias-table strategies) rather
+// enumerated candidate distribution (the alias-table strategy) rather
 // than selecting directly over the full rule.
 func StrategyWeighted(strategy string) bool {
-	return strategy == "optimized" || strategy == "read-dominant"
+	return strategy == "optimized"
 }
 
 // StrategyCell is one cell of the rule × strategy availability matrix
@@ -29,12 +29,12 @@ func StrategyWeighted(strategy string) bool {
 //
 // Read/Write are the rule's exact availabilities — every strategy shares
 // them, because any strategy only ever picks valid quorums of the same
-// layout and the weighted strategies fall back to the hint path when
-// their distribution cannot serve. CandidateRead/CandidateWrite are the
-// weighted strategies' distribution-serving availabilities: the
+// layout and the weighted strategy falls back to the hint path when
+// its distribution cannot serve. CandidateRead/CandidateWrite are the
+// weighted strategy's distribution-serving availabilities: the
 // probability that at least one enumerated candidate quorum survives in
 // the up-set, i.e. how often the solved distribution answers without
-// falling back. For the non-weighted strategies they equal Read/Write.
+// falling back. For the hint strategy they equal Read/Write.
 type StrategyCell struct {
 	Rule           string
 	Strategy       string

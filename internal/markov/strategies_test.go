@@ -10,7 +10,7 @@ import (
 
 // TestStrategyMatrixGridExact: on a 3×3 grid the candidate enumeration is
 // exact (every minimal read transversal and write column+cover), so the
-// weighted strategies' candidate availability must coincide with the
+// weighted strategy's candidate availability must coincide with the
 // rule's — the fallback adds nothing the distribution cannot already
 // serve.
 func TestStrategyMatrixGridExact(t *testing.T) {
@@ -39,7 +39,7 @@ func TestStrategyMatrixGridExact(t *testing.T) {
 
 // TestStrategySampledCandidatesLoseMass: Majority over 12 nodes has
 // C(12,7) = 792 write quorums, above the enumeration limit, so the
-// weighted strategies sample — their candidate write availability may
+// weighted strategy samples — its candidate write availability may
 // only fall below the rule's, never above, and must stay meaningful.
 func TestStrategySampledCandidatesLoseMass(t *testing.T) {
 	cell, err := StrategyAvailability(coterie.Majority{}, 12, 0.95, "optimized")

@@ -63,13 +63,12 @@ type Config struct {
 	// storage.
 	AmnesiaFraction float64
 	// Strategy names a quorum-selection strategy whose candidate
-	// distribution the run additionally tracks ("optimized" or
-	// "read-dominant"; empty, "hint" and "load" disable it). ModelProtocol
-	// only. The weighted strategies serve from an enumerated candidate
-	// list and fall back to the full rule when no candidate survives in
-	// the up-set; the Candidate* results measure how much availability
-	// that distribution covers on its own, i.e. how often the fallback is
-	// what keeps the system available.
+	// distribution the run additionally tracks ("optimized"; empty and
+	// "hint" disable it). ModelProtocol only. The weighted strategy serves
+	// from an enumerated candidate list and falls back to the full rule
+	// when no candidate survives in the up-set; the Candidate* results
+	// measure how much availability that distribution covers on its own,
+	// i.e. how often the fallback is what keeps the system available.
 	Strategy string
 	// Seed drives the run's randomness.
 	Seed int64
@@ -132,9 +131,9 @@ func Run(cfg Config) (Result, error) {
 	if cfg.AmnesiaFraction > 0 && cfg.Model != ModelProtocol {
 		return Result{}, fmt.Errorf("sim: amnesia requires ModelProtocol")
 	}
-	weighted := cfg.Strategy == "optimized" || cfg.Strategy == "read-dominant"
+	weighted := cfg.Strategy == "optimized"
 	switch cfg.Strategy {
-	case "", "hint", "load", "optimized", "read-dominant":
+	case "", "hint", "optimized":
 	default:
 		return Result{}, fmt.Errorf("sim: unknown strategy %q", cfg.Strategy)
 	}
@@ -193,7 +192,7 @@ func Run(cfg Config) (Result, error) {
 		}
 		return l
 	}
-	// The weighted strategies' candidate lists follow the layout: each
+	// The weighted strategy's candidate lists follow the layout: each
 	// epoch change re-enumerates the quorums the solved distribution can
 	// draw from (deterministic per layout, like the engine's recompute).
 	var candReads, candWrites []nodeset.Set

@@ -38,10 +38,10 @@ func TestStrategyCandidateTracking(t *testing.T) {
 }
 
 // TestStrategyTrackingOffByDefault: without a weighted strategy the
-// candidate accounting stays zero, and hint/load are accepted as inert
-// strategy names.
+// candidate accounting stays zero, and hint is accepted as an inert
+// strategy name.
 func TestStrategyTrackingOffByDefault(t *testing.T) {
-	for _, s := range []string{"", "hint", "load"} {
+	for _, s := range []string{"", "hint"} {
 		res, err := Run(Config{
 			N: 9, Lambda: 1, Mu: 19,
 			Model: ModelProtocol, Rule: coterie.Grid{},
@@ -60,8 +60,10 @@ func TestStrategyTrackingOffByDefault(t *testing.T) {
 // TestStrategyValidation: unknown strategies and non-protocol models are
 // rejected.
 func TestStrategyValidation(t *testing.T) {
-	if _, err := Run(Config{N: 9, Lambda: 1, Mu: 19, Model: ModelProtocol, Strategy: "bogus", Horizon: 10}); err == nil {
-		t.Error("unknown strategy accepted")
+	for _, s := range []string{"bogus", "load", "read-dominant"} {
+		if _, err := Run(Config{N: 9, Lambda: 1, Mu: 19, Model: ModelProtocol, Strategy: s, Horizon: 10}); err == nil {
+			t.Errorf("unknown strategy %q accepted", s)
+		}
 	}
 	if _, err := Run(Config{N: 9, Lambda: 1, Mu: 19, Model: ModelPaper, Strategy: "optimized", Horizon: 10}); err == nil {
 		t.Error("weighted strategy accepted under ModelPaper")

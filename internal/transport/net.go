@@ -33,10 +33,9 @@ import (
 //     reading there.
 //   - Register attaches the handler serving a locally-hosted node;
 //     re-registering replaces the handler (node restart with fresh state).
-//   - Served reports a monotone per-node served-request counter — the load
-//     signal core.LoadTracker samples. A networked transport reports its
-//     local view: true service counts for nodes it hosts, requests sent
-//     for remote peers (a coordinator-local proxy of the load it imposes).
+//   - Served reports a monotone per-node served-request counter. A
+//     networked transport reports its local view: true service counts for
+//     nodes it hosts, requests sent for remote peers.
 type Net interface {
 	Register(id nodeset.ID, h Handler)
 	Call(ctx context.Context, from, to nodeset.ID, req Message) (Message, error)

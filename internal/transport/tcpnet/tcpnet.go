@@ -373,7 +373,7 @@ func (n *Network) peerOf(id nodeset.ID) *peer {
 
 // Served reports this process's view of traffic at node id: true served
 // counts for hosted nodes, requests-sent as a proxy for remote peers.
-// Both are monotone, which is all LoadTracker's windowed deltas need.
+// Both are monotone.
 func (n *Network) Served(id nodeset.ID) uint64 {
 	if ep := n.local.Load().get(id); ep != nil {
 		return ep.served.Load()

@@ -727,8 +727,7 @@ func (n *Network) Load() map[nodeset.ID]int64 {
 
 // Served returns the served-request counter for one node without
 // allocating: the lock-free single-node view of Load. Unregistered nodes
-// read zero. Load-aware quorum selection samples this per endpoint on the
-// hot path, so it must stay a couple of atomic loads.
+// read zero.
 func (n *Network) Served(id nodeset.ID) uint64 {
 	if ep := n.reg.Load().get(id); ep != nil {
 		return ep.served.Load()

@@ -214,10 +214,8 @@ func TestLoadAccounting(t *testing.T) {
 }
 
 // TestServedCounters: Served is the cumulative per-endpoint request count
-// feeding load-aware quorum selection — it must count every handled call
-// and read zero for unknown nodes. ResetStats rewinds it; consumers that
-// difference successive samples (core.LoadTracker) clamp that regression
-// to a zero delta.
+// (transport_endpoint_served_total) — it must count every handled call
+// and read zero for unknown nodes. ResetStats rewinds it.
 func TestServedCounters(t *testing.T) {
 	net := newEchoNet(t, 3)
 	for i := 0; i < 4; i++ {
