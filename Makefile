@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-bench vet race race-conflict race-legs bench-pair bench-pair-all bench bench-smoke profile-net profile-heap profile-sim check-obs-imports check-allocs check-admin check-cluster check-clean fuzz-smoke ci
+.PHONY: all build test test-bench vet race race-conflict race-legs bench-pair bench-pair-all bench bench-smoke profile-net profile-heap profile-sim check-obs-imports check-allocs check-admin check-cluster check-clean fuzz-smoke loc ci
 
 all: build
 
@@ -199,6 +199,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzTraceContext' -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseRequest' -fuzztime 5s ./internal/transport/tcpnet/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecisionRing' -fuzztime 5s ./internal/replica/
+
+# loc prints the number of non-test Go lines in tracked files outside
+# bench/ — the size ROADMAP tracks. Print-only; not part of ci.
+loc:
+	@git ls-files '*.go' ':!:*_test.go' ':!:bench/*' | xargs cat | wc -l
 
 # check-obs-imports enforces the obs data-plane discipline: internal/obs
 # must not import fmt, log, os, io or encoding packages — formatting and

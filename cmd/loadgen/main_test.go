@@ -12,6 +12,9 @@ import (
 	"time"
 
 	"coterie/internal/core"
+	"coterie/internal/daemon"
+	"coterie/internal/nodeset"
+	"coterie/internal/obs"
 	"coterie/internal/onecopy"
 	"coterie/internal/workload"
 )
@@ -148,16 +151,54 @@ func TestLoopStopsAtTheDeadline(t *testing.T) {
 	}
 }
 
+// The sim mode end to end, through core.NewGroup, under each strategy and
+// the batching options: twelve items (so "item-10" sorts before "item-2" in
+// the group), every key checked one-copy serializable, and the weighted
+// strategy solving on one shared engine's tick, not once per coordinator.
 func TestSimRunEndToEnd(t *testing.T) {
-	res, err := run(context.Background(), testConfig(t, "-duration", "200ms", "-nodes", "4", "-items", "3", "-seed", "7"))
+	const (
+		duration         = 200 * time.Millisecond
+		optimizeInterval = 200 * time.Millisecond // core's default
+	)
+	for _, args := range [][]string{
+		{"-strategy", "hint"},
+		{"-strategy", "optimized", "-slow-node", "2", "-slow-read", "200us"},
+		{"-batch", "-batch-prop"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			cfg := testConfig(t, append([]string{"-duration", duration.String(), "-nodes", "4", "-items", "12", "-seed", "7"}, args...)...)
+			res, err := run(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Ops == 0 || res.OneCopyViolations != 0 || res.CheckedKeys != 12 {
+				t.Errorf("ops %d, one-copy violations %d, checked keys %d", res.Ops, res.OneCopyViolations, res.CheckedKeys)
+			}
+			if res.Metrics["core_writes_total"] == 0 {
+				t.Errorf("no core_writes_total among the reported metrics: %v", res.Metrics)
+			}
+			if solves, most := res.Metrics["core_strategy_recomputes_total"], int64(duration/optimizeInterval)+2; solves > most {
+				t.Errorf("%d strategy solves in %v, want at most %d", solves, duration, most)
+			}
+		})
+	}
+}
+
+// Key i is the item daemon.ItemNames names i on every node, whatever order
+// the group keeps its items in.
+func TestSimKeysFollowItemNames(t *testing.T) {
+	tg, err := setupSim(testConfig(t, "-nodes", "3", "-items", "12"), obs.New())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Ops == 0 || res.OneCopyViolations != 0 || res.CheckedKeys != 3 {
-		t.Errorf("ops %d, one-copy violations %d, checked keys %d", res.Ops, res.OneCopyViolations, res.CheckedKeys)
-	}
-	if res.Metrics["core_writes_total"] == 0 {
-		t.Errorf("no core_writes_total among the reported metrics: %v", res.Metrics)
+	defer tg.close()
+	cl := tg.faults.(*simCluster)
+	for key, name := range daemon.ItemNames(12) {
+		for id, co := range cl.coords[key] {
+			if got := co.Item().Name(); got != name || co.Item().Self() != nodeset.ID(id) {
+				t.Errorf("key %d, node %d: coordinator of %q on node %v, want %q on %d", key, id, got, co.Item().Self(), name, id)
+			}
+		}
 	}
 }
 

@@ -20,14 +20,15 @@ import (
 // simCluster is the in-process mode: every node replicates every item and
 // hosts a coordinator for it, like the paper's symmetric deployment.
 type simCluster struct {
-	netw   *transport.Network
-	coords [][]*core.Coordinator // [item][node]
+	*core.Group
+	coords [][]*core.Coordinator // [key][node], key i being daemon.ItemNames' i-th
 }
 
-// setupSim builds cfg.nodes replica nodes on a simulated network. Options
-// are core's defaults but for the round timeout; lock leases follow it (4×,
-// core's own relation), so operations that wedge each other's quorum locks
-// resolve on a short lease instead of stalling the loop.
+// setupSim builds a core.Group of cfg.nodes nodes and cfg.items items on a
+// simulated network. Options are core's defaults but for the round timeout;
+// lock leases follow it (4×, core's own relation), so operations that wedge
+// each other's quorum locks resolve on a short lease instead of stalling the
+// loop.
 func setupSim(cfg config, reg *obs.Registry) (*target, error) {
 	strategy, err := core.ParseStrategy(cfg.strategy)
 	if err != nil {
@@ -41,65 +42,49 @@ func setupSim(cfg config, reg *obs.Registry) (*target, error) {
 		}
 		capacity = daemon.CapacityFunc(caps)
 	}
-	tOpts := []transport.Option{transport.WithSeed(cfg.seed), transport.WithObs(reg)}
+	tOpts := []transport.Option{transport.WithSeed(cfg.seed)}
 	if mean := cfg.latency; mean > 0 {
 		tOpts = append(tOpts, transport.WithLatency(func(r *rand.Rand) time.Duration {
 			return mean/2 + time.Duration(r.Int63n(int64(mean)))
 		}))
 	}
-	cl := &simCluster{netw: transport.NewNetwork(tOpts...)}
-	members := nodeset.Range(0, nodeset.ID(cfg.nodes))
-
-	rcfg := replica.Config{LockLease: 4 * callTimeout, Obs: reg, PropagationBatch: cfg.batchProp}
-	copts := core.Options{
+	names := daemon.ItemNames(cfg.items)
+	shared := make([]byte, itemSize) // one for every replica: they keep it by reference
+	initial := make(map[string][]byte, len(names))
+	for _, name := range names {
+		initial[name] = shared
+	}
+	g, err := core.NewGroup(cfg.nodes, names, initial, core.Options{
 		CallTimeout: callTimeout,
 		Obs:         reg,
 		Strategy:    strategy,
 		Capacity:    capacity,
 		GroupCommit: core.GroupCommitOptions{Enabled: cfg.batch},
-		Replica:     rcfg,
+		Replica:     replica.Config{LockLease: 4 * callTimeout, Obs: reg, PropagationBatch: cfg.batchProp},
+		Transport:   tOpts,
+	})
+	if err != nil {
+		return nil, err
 	}
-	if strategy.Weighted() {
-		// One tracker and one engine across every coordinator of every item:
-		// they solve with the same measured capacities, and an engine each
-		// would multiply the background solves by nodes × items.
-		copts.Load = core.NewLoadTracker(cl.netw, members, reg)
-		copts.Engine = core.NewStrategyEngine(members, copts.Load, copts)
-	}
-
-	nodes := make([]*replica.Node, cfg.nodes)
-	for i := range nodes {
-		nodes[i] = replica.NewNode(nodeset.ID(i), cl.netw, rcfg)
-	}
-	t := &target{keys: cfg.items, attempt: cl.attempt, faults: cl, close: func() {
-		for _, n := range nodes {
-			n.Close()
+	// Resolved by name once: the group sorts its items, so "item-10" sits
+	// before "item-2" there, and the operation path indexes this table.
+	cl := &simCluster{Group: g, coords: make([][]*core.Coordinator, len(names))}
+	for key, name := range names {
+		for id := range cfg.nodes {
+			cl.coords[key] = append(cl.coords[key], g.Coordinator(name, nodeset.ID(id)))
 		}
-	}}
+	}
 	if cfg.slowRead > 0 && cfg.slowNode >= 0 && cfg.slowNode < cfg.nodes {
 		// A weak node: every message it serves takes -slow-read longer.
 		// Registering over the node's own handler changes service time only.
-		inner, delay := nodes[cfg.slowNode].Handler(), cfg.slowRead
-		cl.netw.Register(nodeset.ID(cfg.slowNode), func(ctx context.Context, from nodeset.ID, req transport.Message) (transport.Message, error) {
+		inner, delay := g.Node(nodeset.ID(cfg.slowNode)).Handler(), cfg.slowRead
+		g.Net.Register(nodeset.ID(cfg.slowNode), func(ctx context.Context, from nodeset.ID, req transport.Message) (transport.Message, error) {
 			time.Sleep(delay)
 			return inner(ctx, from, req)
 		})
 		fmt.Fprintf(os.Stderr, "loadgen: node %d serves every message %s slower\n", cfg.slowNode, delay)
 	}
-	initial := make([]byte, itemSize) // one for every replica: they keep it by reference
-	for _, name := range daemon.ItemNames(cfg.items) {
-		row := make([]*core.Coordinator, cfg.nodes)
-		for i, n := range nodes {
-			rep, err := n.AddItem(name, members, initial)
-			if err != nil {
-				t.close()
-				return nil, err
-			}
-			row[i] = core.NewCoordinator(rep, cl.netw, members, copts)
-		}
-		cl.coords = append(cl.coords, row)
-	}
-	return t, nil
+	return &target{keys: cfg.items, attempt: cl.attempt, faults: cl, close: g.Close}, nil
 }
 
 func (cl *simCluster) attempt(ctx context.Context, _, item int, op workload.Op) (uint64, []byte, error) {
@@ -112,10 +97,10 @@ func (cl *simCluster) attempt(ctx context.Context, _, item int, op workload.Op) 
 	return version, nil, err
 }
 
-func (cl *simCluster) crash(id nodeset.ID) { cl.netw.Crash(id) }
+func (cl *simCluster) crash(id nodeset.ID) { cl.Crash(id) }
 
 func (cl *simCluster) restart(id nodeset.ID) error {
-	cl.netw.Restart(id)
+	cl.Restart(id)
 	return nil
 }
 

@@ -138,8 +138,9 @@ func NewGroup(n int, items []string, initial map[string][]byte, opts Options) (*
 	return core.NewGroup(n, items, initial, opts)
 }
 
-// ElectedCluster is a Cluster whose epoch-check initiator is chosen by
-// bully election (paper, Section 4.3).
+// ElectedCluster is a Cluster with a bully elector attached to every node,
+// so the epoch-check initiator is chosen by election (paper, Section 4.3).
+// It is built on the same nodes and network as NewCluster's.
 type ElectedCluster = core.ElectedCluster
 
 // NewElectedCluster creates a cluster with electors on every node.

@@ -32,9 +32,9 @@ const (
 // calls take, read from the network's per-destination call-time histograms
 // (transport.EndpointCallNs) — and turns it into the capacities the
 // weighted strategy solves with (StrategyEngine). One tracker is shared by
-// every coordinator on a network (NewCluster builds one; the daemon and
-// loadgen pass one through Options.Load). A nil *LoadTracker measures
-// nothing: the solve then uses the declared capacities.
+// every coordinator on a network (WithSharedEngine builds it for NewGroup
+// and the daemon). A nil *LoadTracker measures nothing: the solve then uses
+// the declared capacities.
 type LoadTracker struct {
 	ids   []nodeset.ID
 	index []int32 // node ID -> position+1 in ids; 0 = untracked

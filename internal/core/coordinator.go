@@ -39,8 +39,8 @@ type Coordinator struct {
 	// takes effect. Both are nil-safe when observability is disabled.
 	obsReg  *obs.Registry
 	metrics coordMetrics
-	// strat drives StrategyOptimized; nil under StrategyHint. Normally the
-	// process-shared engine from Options.Engine. When it has no valid
+	// strat drives StrategyOptimized: the process-shared engine from
+	// Options.Engine; nil under StrategyHint. When it is nil or has no valid
 	// snapshot (an epoch not solved yet) picks fall through to the hint path.
 	strat *StrategyEngine
 	// combiner is the group-commit write queue; nil unless enabled.
@@ -70,13 +70,6 @@ func NewCoordinator(item *replica.Item, net transport.Net, all nodeset.Set, opts
 	c.async, _ = net.(transport.AsyncSender)
 	if opts.Strategy.Weighted() {
 		c.strat = opts.Engine
-		if c.strat == nil {
-			load := opts.Load
-			if load == nil {
-				load = NewLoadTracker(net, c.all, opts.Obs)
-			}
-			c.strat = NewStrategyEngine(c.all, load, opts)
-		}
 	}
 	if opts.GroupCommit.Enabled && opts.SafetyThreshold <= 0 {
 		c.combiner = newCombiner(c, opts.GroupCommit)

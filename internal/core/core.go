@@ -131,7 +131,7 @@ type Options struct {
 	SafetyThreshold int
 	// Obs is the observability registry coordinator metrics and flight
 	// traces are recorded into. It is propagated to the replica layer
-	// (Replica.Obs) and, in NewCluster, to the transport. Default nil
+	// (Replica.Obs) and, in NewGroup, to the transport. Default nil
 	// (obs.Nop): every recording site is a no-op.
 	Obs *obs.Registry
 	// GroupCommit configures the write combiner.
@@ -139,10 +139,9 @@ type Options struct {
 	// Strategy selects how quorums are picked from a layout's candidates.
 	// Default StrategyHint.
 	Strategy QuorumStrategy
-	// Load measures the capacities StrategyOptimized solves with.
-	// Coordinators sharing a network should share one tracker (NewCluster
-	// builds one); when nil under StrategyOptimized, each coordinator
-	// builds its own.
+	// Load measures the capacities StrategyOptimized solves with, one
+	// tracker per network: WithSharedEngine builds the engine on it, and
+	// builds it first when nil. Nothing else reads it.
 	Load *LoadTracker
 	// Capacity returns a node's declared relative service capacity (only
 	// ratios matter; nil means homogeneous 1.0): StrategyOptimized solves
@@ -155,12 +154,10 @@ type Options struct {
 	// often the quorum distribution is re-solved against measured
 	// capacities and read mix. Default 200ms.
 	OptimizeInterval time.Duration
-	// Engine is the StrategyOptimized engine coordinators sample from.
-	// Like Load, it should be shared by every coordinator of a process
-	// (NewCluster builds one): the solved distribution is not per-item,
-	// and a private engine per coordinator multiplies the background
-	// solves by the item count. When nil under StrategyOptimized, each
-	// coordinator builds its own.
+	// Engine is the StrategyOptimized engine coordinators sample from, one
+	// per process shared by every coordinator (WithSharedEngine builds it):
+	// the solved distribution is not per-item. A coordinator given none
+	// picks as StrategyHint does.
 	Engine *StrategyEngine
 	// Replica configures the per-node replica behavior.
 	Replica replica.Config

@@ -76,7 +76,7 @@ func TestCheckEpochElectedAllDown(t *testing.T) {
 func TestElectedPeriodicChecker(t *testing.T) {
 	c := newElectedCluster(t, 9)
 	c.StartElectedEpochChecker(30 * time.Millisecond)
-	defer c.StopElectedEpochChecker()
+	defer c.StopEpochChecker()
 	c.Crash(7)
 	waitUntil(t, 5*time.Second, func() bool {
 		st := c.Replica(0).State()

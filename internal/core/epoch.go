@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
+	"time"
 
 	"coterie/internal/nodeset"
 	"coterie/internal/obs"
@@ -32,6 +34,55 @@ func (c *Coordinator) CheckEpoch(ctx context.Context) (CheckResult, error) {
 	states := c.pollAll(ctx, r)
 	r.a.Phase(obs.PhasePoll, began, r.clock.Now, len(states), 0)
 	return c.checkEpoch(ctx, r, states)
+}
+
+// pulse is the periodic epoch checking the paper prescribes ("we want a
+// steady (albeit infrequent) pulse of epoch checking operations to avoid
+// the accumulation of failures", Section 2): one goroutine running a check
+// per tick, each bounded by the interval, until halted. A failed check is
+// retried at the next tick. Cluster and ElectedCluster differ only in the
+// check they hand it.
+type pulse struct {
+	mu   sync.Mutex
+	stop func() // cancels the running pulse and waits for it; nil if none
+}
+
+// start runs check every interval; it does nothing while a pulse runs.
+func (p *pulse) start(interval time.Duration, check func(context.Context)) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.stop != nil {
+		return
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	p.stop = func() { cancel(); <-done }
+	go func() {
+		defer close(done)
+		ticker := time.NewTicker(interval)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-ticker.C:
+				tick, release := context.WithTimeout(ctx, interval)
+				check(tick)
+				release()
+			}
+		}
+	}()
+}
+
+// halt stops the pulse and waits for its goroutine; a no-op when none runs.
+func (p *pulse) halt() {
+	p.mu.Lock()
+	stop := p.stop
+	p.stop = nil
+	p.mu.Unlock()
+	if stop != nil {
+		stop()
+	}
 }
 
 // checkEpochFromPoll continues an epoch check from already-collected poll

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"coterie/internal/deadline"
 	"coterie/internal/nodeset"
@@ -19,18 +19,27 @@ import (
 // whole group of data... the overhead is amortized over several data
 // items, whereas if epoch management is bundled with writes it must be
 // done separately for each data item").
+//
+// NewGroup is the one in-process cluster builder: a Cluster is a group of
+// one item, and an ElectedCluster is a Cluster with electors attached.
 type Group struct {
 	Net     *transport.Network
 	Members nodeset.Set
-	Items   []string
+	Items   []string // sorted
 	opts    Options
 
-	nodes  map[nodeset.ID]*replica.Node
-	coords map[string]map[nodeset.ID]*Coordinator
+	// nodes[id] and coords[item][id]; neither is mutated after NewGroup.
+	nodes  []*replica.Node
+	coords map[string][]*Coordinator
+
+	pulse pulse // the periodic epoch check, if one was started
 }
 
-// NewGroup creates n nodes, each replicating every named item. initial
-// maps item names to initial values (missing entries start empty).
+// NewGroup creates n nodes (IDs 0..n-1), each replicating every named item
+// on one simulated network and hosting a coordinator for it. initial maps
+// item names to initial values (missing entries start empty). Under a
+// weighted strategy every coordinator of every item shares one load tracker
+// and one strategy engine (WithSharedEngine).
 func NewGroup(n int, items []string, initial map[string][]byte, opts Options) (*Group, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("core: group needs at least one node, got %d", n)
@@ -38,34 +47,36 @@ func NewGroup(n int, items []string, initial map[string][]byte, opts Options) (*
 	if len(items) == 0 {
 		return nil, fmt.Errorf("core: group needs at least one item")
 	}
-	seen := make(map[string]bool, len(items))
-	for _, item := range items {
-		if seen[item] {
-			return nil, fmt.Errorf("core: duplicate item %q", item)
+	sorted := slices.Sorted(slices.Values(items))
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return nil, fmt.Errorf("core: duplicate item %q", sorted[i])
 		}
-		seen[item] = true
+	}
+	opts = opts.withDefaults()
+	tOpts := opts.Transport
+	if opts.Obs != nil {
+		// The network records into the same registry as the coordinators
+		// and replicas, so one snapshot covers every layer.
+		tOpts = append(slices.Clip(tOpts), transport.WithObs(opts.Obs))
 	}
 	g := &Group{
-		Net:     transport.NewNetwork(opts.withDefaults().Transport...),
+		Net:     transport.NewNetwork(tOpts...),
 		Members: nodeset.Range(0, nodeset.ID(n)),
-		Items:   append([]string(nil), items...),
-		opts:    opts.withDefaults(),
-		nodes:   make(map[nodeset.ID]*replica.Node),
-		coords:  make(map[string]map[nodeset.ID]*Coordinator),
+		Items:   sorted,
+		coords:  make(map[string][]*Coordinator, len(sorted)),
 	}
-	sort.Strings(g.Items)
-	for _, item := range g.Items {
-		g.coords[item] = make(map[nodeset.ID]*Coordinator)
-	}
+	g.opts = WithSharedEngine(opts, g.Members)
 	for _, id := range g.Members.IDs() {
 		node := replica.NewNode(id, g.Net, g.opts.Replica)
-		g.nodes[id] = node
+		g.nodes = append(g.nodes, node)
 		for _, item := range g.Items {
 			it, err := node.AddItem(item, g.Members, initial[item])
 			if err != nil {
+				g.Close()
 				return nil, err
 			}
-			g.coords[item][id] = NewCoordinator(it, g.Net, g.Members, g.opts)
+			g.coords[item] = append(g.coords[item], NewCoordinator(it, g.Net, g.Members, g.opts))
 		}
 	}
 	return g, nil
@@ -73,35 +84,45 @@ func NewGroup(n int, items []string, initial map[string][]byte, opts Options) (*
 
 // Coordinator returns the coordinator for item co-located with node id.
 func (g *Group) Coordinator(item string, id nodeset.ID) *Coordinator {
-	return g.coords[item][id]
+	return at(g.coords[item], id)
 }
+
+// Node returns the replica node with the given ID.
+func (g *Group) Node(id nodeset.ID) *replica.Node { return at(g.nodes, id) }
 
 // Replica returns node id's replica of item.
 func (g *Group) Replica(item string, id nodeset.ID) *replica.Item {
-	n := g.nodes[id]
-	if n == nil {
-		return nil
+	if n := g.Node(id); n != nil {
+		return n.Item(item)
 	}
-	return n.Item(item)
+	return nil
 }
 
-// Crash fails a node for every item it replicates.
+// at returns s[id], or nil for an ID outside the members.
+func at[T any](s []*T, id nodeset.ID) *T {
+	if id < 0 || int(id) >= len(s) {
+		return nil
+	}
+	return s[id]
+}
+
+// Crash fails a node (fail-stop) for every item it replicates. Its replica
+// state survives for Restart, modeling a node with stable storage.
 func (g *Group) Crash(id nodeset.ID) { g.Net.Crash(id) }
 
-// Restart revives a node.
+// Restart brings a crashed node back.
 func (g *Group) Restart(id nodeset.ID) { g.Net.Restart(id) }
 
-// UpMembers returns the reachable members.
+// UpMembers returns the currently reachable members.
 func (g *Group) UpMembers() nodeset.Set { return g.Net.UpNodes().Intersect(g.Members) }
 
 // CheckEpochs runs one amortized epoch check over the whole group from the
 // given initiator: a single GroupStateQuery round polls every item's state
 // on every node, and items whose view changed run their (per-item) epoch
 // change. It returns per-item results; items that failed their change get
-// a nil entry and contribute to err (the last failure).
+// no entry and contribute to err (the first failure).
 func (g *Group) CheckEpochs(ctx context.Context, initiator nodeset.ID) (map[string]CheckResult, error) {
-	node := g.nodes[initiator]
-	if node == nil {
+	if g.Node(initiator) == nil {
 		return nil, fmt.Errorf("core: unknown initiator %v", initiator)
 	}
 	callCtx, cancel := deadline.Bound(ctx, g.opts.CallTimeout)
@@ -125,7 +146,7 @@ func (g *Group) CheckEpochs(ctx context.Context, initiator nodeset.ID) (map[stri
 	out := make(map[string]CheckResult, len(g.Items))
 	var firstErr error
 	for _, item := range g.Items {
-		co := g.coords[item][initiator]
+		co := g.Coordinator(item, initiator)
 		res, err := co.checkEpochFromPoll(ctx, perItem[item])
 		if err != nil {
 			if firstErr == nil {
@@ -138,8 +159,9 @@ func (g *Group) CheckEpochs(ctx context.Context, initiator nodeset.ID) (map[stri
 	return out, firstErr
 }
 
-// Close stops every node's background work.
+// Close stops the epoch-check pulse and every node's background work.
 func (g *Group) Close() {
+	g.pulse.halt()
 	for _, n := range g.nodes {
 		n.Close()
 	}

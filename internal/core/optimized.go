@@ -21,9 +21,9 @@ import (
 // set — the solved distribution depends only on the layout, the
 // capacities and the read mix, none of which are per-item, and a process of 9 nodes and
 // 8 items solving per item would solve ~70× more often than the tick
-// intends. NewCluster, the daemon and loadgen all build exactly one and
-// share it through Options.Engine; a coordinator constructed without one
-// falls back to a private engine.
+// intends. WithSharedEngine builds exactly one for NewGroup and for the
+// daemon, shared through Options.Engine; a coordinator constructed without
+// one picks as StrategyHint does.
 //
 // The hot path (pickRead/pickWrite) is: one atomic pointer load, one
 // epoch-equality check on preallocated sets, one alias-table lookup, one
@@ -137,6 +137,23 @@ func NewStrategyEngine(all nodeset.Set, load *LoadTracker, opts Options) *Strate
 		declared.At(int(id)).Set(milli(capacityOf(s.capacity, id)))
 	}
 	return s
+}
+
+// WithSharedEngine returns opts carrying the one LoadTracker and
+// StrategyEngine every coordinator of a process shares over the given
+// members: under a weighted strategy it builds whichever of the two opts
+// lacks, and otherwise returns opts unchanged. The solved distribution is
+// not per item, so an engine per coordinator would multiply the background
+// solves by the item count; NewGroup and the daemon both build through here.
+func WithSharedEngine(opts Options, members nodeset.Set) Options {
+	if !opts.Strategy.Weighted() || opts.Engine != nil {
+		return opts
+	}
+	if opts.Load == nil {
+		opts.Load = newLoadTracker(members, opts.Obs)
+	}
+	opts.Engine = NewStrategyEngine(members, opts.Load, opts)
+	return opts
 }
 
 func milli(x float64) int64 { return int64(math.Round(x * 1000)) }

@@ -249,13 +249,9 @@ func Start(cfg Config) (*Daemon, error) {
 		Capacity:    CapacityFunc(cfg.Capacities),
 		GroupCommit: cfg.GroupCommit,
 	}
-	if strategy.Weighted() {
-		// One tracker and one engine per process: every coordinator this
-		// daemon hosts solves with the same measured capacities, and the
-		// background solves must not multiply with its item count.
-		copts.Load = core.NewLoadTracker(tnet, cfg.Members, reg)
-		copts.Engine = core.NewStrategyEngine(cfg.Members, copts.Load, copts)
-	}
+	// One tracker and one engine per process: every coordinator this daemon
+	// hosts solves with the same measured capacities.
+	copts = core.WithSharedEngine(copts, cfg.Members)
 	d := &Daemon{Net: tnet, Reg: reg, node: node, cfg: cfg, copts: copts,
 		initial: make([]byte, cfg.ItemSize),
 		coords:  make(map[string]*core.Coordinator, len(cfg.Items))}
