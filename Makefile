@@ -26,12 +26,12 @@ test-bench:
 	$(GO) test -C bench ./...
 
 # race-conflict repeats the conflict-resolution stress tests (ordered
-# wait-or-refuse replica locks, nine writers on one item, refused rounds)
-# under the race detector with their short budget: each run draws different
+# wait-or-refuse replica locks, nine writers on one item, refused rounds,
+# group-committed batches, whose commit is one-way) under the race detector with their short budget: each run draws different
 # interleavings, and a deadlock shows as a denied or expired lock count.
 race-conflict:
 	$(GO) test -race -short -count=3 -run 'TestOrderedLock|TestRefused' ./internal/replica/
-	$(GO) test -race -short -count=3 -run 'TestHotItemWritersOnEveryNode|TestRefused' ./internal/core/
+	$(GO) test -race -short -count=3 -run 'TestHotItemWritersOnEveryNode|TestRefused|TestGroupCommit' ./internal/core/
 
 # race-legs repeats the sim transport's leg tests under the race detector:
 # legs run on their caller's goroutine unless they wait, a waiting leg holds

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 
 	"coterie/internal/obs"
@@ -15,9 +14,11 @@ import (
 // replicas' transactional locks — K concurrent writers pay K full
 // lock/prepare/commit cycles end to end. The combiner instead queues
 // concurrent Write calls and lets one of them, the leader, drain the
-// queue as a batch: one lock round on one quorum, one PrepareBatch
-// carrying the ordered update list and the version range
-// [first, first+K-1], one commit. Each caller still gets its own assigned
+// queue as a batch: a write that carries a run. One lock round on one
+// quorum, then the single write's own prepare and commit (executeWrite):
+// one PrepareUpdate carrying the K updates, which produce the versions
+// [first, first+K-1] and commit or abort together, stale marks desiring
+// first+K-1, and a one-way commit. Each caller still gets its own assigned
 // version and outcome, so the client-visible API and the per-op
 // observability breakdown are unchanged; the replicas apply the batch as
 // K consecutive versions, preserving per-version log granularity for
@@ -25,13 +26,12 @@ import (
 //
 // A batch whose lock round a replica refused (an older operation is ahead
 // there) releases what it was granted and runs again as a batch, like any
-// refused operation. Anything else the batch fast path cannot handle with
-// nothing applied — quorum assembly failure, an epoch redirect, a
-// degenerate epoch — aborts the locks and returns every writer to the
+// refused operation. Anything else the batch cannot handle — quorum
+// assembly failure, an epoch redirect, a degenerate epoch, a refused
+// prepare — aborts with nothing applied and returns every writer to the
 // single-write flow (which owns the heavy procedure and redirect
-// handling), each under its own context. Only a commit that was
-// dispatched but not fully acknowledged surfaces an error directly, the
-// same uncertain outcome the single-write path reports.
+// handling), each under its own context. Once prepared, a batch is
+// committed: there is no uncertain outcome to report.
 
 // errBatchRetry signals that a batch aborted cleanly: no replica applied
 // anything, the locks were released, and each writer should retry through
@@ -193,14 +193,13 @@ func (c *Coordinator) executeBatch(batch []*pendingWrite) {
 	}
 }
 
-// writeBatch is the batch analogue of write+executeWrite, without a heavy
-// fallback of its own: one lock round on one strategy-picked quorum, one
-// prepare round carrying all K updates, one stale-marking round desiring
-// the batch's last version, one commit. Every exit before the commit
-// phase aborts the locks and returns errBatchRetry; after commit
-// dispatch, an incomplete acknowledgement is the usual uncertain
-// ErrUnavailable for the whole batch (the updates commit or abort
-// atomically — participants stage all K versions under one operation).
+// writeBatch is the batch analogue of write, without a speculative prepare
+// or a heavy fallback of its own: one lock round on one strategy-picked
+// quorum, then executeWrite and afterWrite with the batch's updates as one
+// run. Every exit before the commit aborts the locks and returns
+// errBatchRetry. Its lock round is a plain LockRequest, so nothing it stages
+// is speculative, and the first version its decision records is never
+// version-gated (replica.DecisionQuery).
 func (c *Coordinator) writeBatch(ctx context.Context, r *rounds, op replica.OpID, batch []*pendingWrite) (uint64, error) {
 	local := c.item.State()
 	lay := c.layout(local.EpochNum, local.Epoch)
@@ -227,9 +226,7 @@ func (c *Coordinator) writeBatch(ctx context.Context, r *rounds, op replica.OpID
 	}
 
 	k := uint64(len(batch))
-	first := cl.maxVersion + 1
-	last := first + k - 1
-	r.a.Batch(len(batch), first, last)
+	r.a.Batch(len(batch), cl.maxVersion+1, cl.maxVersion+k)
 	c.metrics.batchFlush.Inc()
 	c.metrics.batchSize.Record(k)
 
@@ -239,37 +236,13 @@ func (c *Coordinator) writeBatch(ctx context.Context, r *rounds, op replica.OpID
 	}
 	c.combiner.updates = updates
 
-	began := r.clock.Now
-	prepared := c.ackRound(ctx, r, cl.good, replica.PrepareBatch{
-		Op: op, Updates: updates, FirstVersion: first, StaleSet: cl.stale, GoodSet: cl.good,
-	})
-	r.a.Phase(obs.PhasePrepare, began, r.clock.Now, prepared.Len(), 0)
-	if !prepared.Equal(cl.good) {
-		c.abortAll(ctx, r, op, held)
+	first, err := c.executeWrite(ctx, r, op, updates[0], updates[1:], cl)
+	c.unlock(ctx, r, op, held.Diff(cl.responders)) // granted, but took no part
+	if err != nil {
 		return 0, errBatchRetry
 	}
-	if !cl.stale.Empty() {
-		r.a.StaleMark(cl.stale, last)
-		preparedStale := c.ackRound(ctx, r, cl.stale, replica.PrepareStale{
-			Op: op, Desired: last, GoodSet: cl.good,
-		})
-		if !preparedStale.Equal(cl.stale) {
-			c.abortAll(ctx, r, op, held)
-			return 0, errBatchRetry
-		}
-	}
-	began = r.clock.Now
-	committed := c.commitAll(ctx, r, op, last, cl.responders)
-	r.a.Phase(obs.PhaseCommit, began, r.clock.Now, committed.Len(), 0)
-	c.unlock(ctx, r, op, held.Diff(cl.responders)) // granted, but took no part
-	if !cl.good.Subset(committed) {
-		return 0, fmt.Errorf("%w: commit not acknowledged by all good replicas", ErrUnavailable)
-	}
-	// Write-through of the whole run in one message (see ApplyDirect.More).
 	// updates is the combiner's scratch, rewritten by the next cut;
 	// pushThrough copies the tail if it sends anything.
-	c.pushThrough(ctx, local.Epoch, cl.responders, replica.ApplyDirect{
-		Op: op, Update: updates[0], More: updates[1:], NewVersion: first, GoodSet: cl.good,
-	})
+	c.afterWrite(ctx, r, op, updates[0], updates[1:], first, cl)
 	return first, nil
 }

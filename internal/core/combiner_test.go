@@ -117,6 +117,111 @@ func TestGroupCommitEquivalence(t *testing.T) {
 	}
 }
 
+// TestGroupCommitMarksLaggingMemberStale: a batch whose quorum draws a
+// member that missed an earlier write marks it stale desiring the run's
+// last version, first+K−1. Desiring the first, the member could be
+// propagated to an earlier version of the run, clear its mark there and
+// serve a stale read. Propagation brings it current at the last version,
+// and a read from a quorum containing it returns the last value.
+func TestGroupCommitMarksLaggingMemberStale(t *testing.T) {
+	c, err := NewCluster(9, "item", make([]byte, 16), batchOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	const K, lag, coord = 4, nodeset.ID(4), nodeset.ID(0)
+	rec := onecopy.NewRecorder(make([]byte, 16))
+	want := make([]byte, 16)
+
+	first := replica.Update{Offset: 15, Data: []byte("z")}
+	s := rec.Begin()
+	writeWithout(t, c, coord, first, lag)
+	rec.EndWrite(s, 1, first)
+	copy(want[first.Offset:], first.Data)
+	if v := c.Replica(lag).State().Version; v != 0 {
+		t.Fatalf("lagging member at version %d, want 0", v)
+	}
+
+	var (
+		mu      sync.Mutex
+		locked  bool     // lag got a LockRequest in the current batch
+		snaps   int      // ReadSnaps lag answered
+		desired []uint64 // the Desired of every PrepareStale lag got
+	)
+	inner := c.Node(lag).Handler()
+	c.Net.Register(lag, func(ctx context.Context, from nodeset.ID, req transport.Message) (transport.Message, error) {
+		if env, ok := req.(replica.Envelope); ok {
+			mu.Lock()
+			switch m := env.Msg.(type) {
+			case replica.LockRequest:
+				locked = true
+			case *replica.ReadSnap:
+				snaps++
+			case replica.PrepareStale:
+				desired = append(desired, m.Desired)
+			}
+			mu.Unlock()
+		}
+		return inner(ctx, from, req)
+	})
+	drawn := func() bool { mu.Lock(); defer mu.Unlock(); return locked }
+
+	// Batches until one draws lag; the ones before it leave lag further
+	// behind (their pushes find it more than one version short).
+	var last uint64
+	for attempt := 0; attempt < 32 && !drawn(); attempt++ {
+		batch := newBatch(K, byte('A'+attempt*K))
+		s := rec.Begin()
+		c.Coordinator(coord).executeBatch(batch)
+		for i, pw := range batch {
+			<-pw.done
+			if pw.err != nil {
+				t.Fatalf("batch %d writer %d: %v", attempt, i, pw.err)
+			}
+			rec.EndWrite(s, pw.version, pw.u)
+			copy(want[pw.u.Offset:], pw.u.Data)
+			last = pw.version
+		}
+	}
+	if !drawn() {
+		t.Fatal("no batch drew the lagging member into its quorum")
+	}
+	mu.Lock()
+	marks := append([]uint64(nil), desired...)
+	mu.Unlock()
+	if len(marks) != 1 || marks[0] != last {
+		t.Fatalf("lagging member marked stale desiring %v, want [%d] (the run's last version)", marks, last)
+	}
+	waitUntil(t, 5*time.Second, func() bool {
+		st := c.Replica(lag).State()
+		return !st.Stale && st.Version == last
+	}, "the stale member was not propagated to the run's last version")
+
+	for i := 0; ; i++ {
+		mu.Lock()
+		before := snaps
+		mu.Unlock()
+		s := rec.Begin()
+		value, ver := mustRead(t, c, lag)
+		rec.EndRead(s, ver, value)
+		if ver != last || string(value) != string(want) {
+			t.Fatalf("read %q@%d, want %q@%d", value, ver, want, last)
+		}
+		mu.Lock()
+		hit := snaps > before
+		mu.Unlock()
+		if hit {
+			break
+		}
+		if i == 8 {
+			t.Fatal("no read quorum contained the formerly stale member")
+		}
+	}
+	if err := rec.Check(); err != nil {
+		t.Fatalf("history not one-copy serializable: %v", err)
+	}
+}
+
 // TestGroupCommitQueueOverflow: a tiny queue must shed overflow writers to
 // the single-write flow, never reject or lose them. Shed writers run the
 // bare protocol concurrently and can lose lock races against the in-flight

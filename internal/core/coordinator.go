@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -45,11 +44,6 @@ type Coordinator struct {
 	strat *StrategyEngine
 	// combiner is the group-commit write queue; nil unless enabled.
 	combiner *combiner
-	// async is net's one-way-send capability, resolved once at
-	// construction (nil when the transport is strictly request/reply).
-	// Terminal lock releases, commits and bystander write-through ride it
-	// instead of a synchronous round.
-	async transport.AsyncSender
 	// spare is the rounds the last operation gave back (see rounds).
 	spare atomic.Pointer[rounds]
 }
@@ -67,7 +61,6 @@ func NewCoordinator(item *replica.Item, net transport.Net, all nodeset.Set, opts
 		obsReg:  opts.Obs,
 		metrics: newCoordMetrics(opts.Obs),
 	}
-	c.async, _ = net.(transport.AsyncSender)
 	if opts.Strategy.Weighted() {
 		c.strat = opts.Engine
 	}
@@ -370,20 +363,15 @@ func (c *Coordinator) releaseAll(ctx context.Context, r *rounds, op replica.OpID
 
 // unlock releases a finished operation's locks without logging a decision,
 // which is all an operation that can have staged nothing (a read) needs:
-// no participant will ever ask how it ended. When the transport can send
-// one-way the abort is fired and forgotten: no participant's answer can
-// change the outcome, and dropping the wait removes a round-trip from every
-// heavy read. A lost abort resolves through the lock lease and, for
-// writes, the recorded decision.
+// no participant will ever ask how it ended. The abort is fired and
+// forgotten: no participant's answer can change the outcome, and dropping
+// the wait removes a round-trip from every heavy read. A lost abort
+// resolves through the lock lease and, for writes, the recorded decision.
 func (c *Coordinator) unlock(ctx context.Context, r *rounds, op replica.OpID, targets nodeset.Set) {
 	if targets.Empty() {
 		return
 	}
-	if c.async != nil {
-		c.fireAndForget(ctx, r, targets, replica.Abort{Op: op})
-		return
-	}
-	c.ackRound(ctx, r, targets, replica.Abort{Op: op})
+	c.fireAndForget(ctx, r, targets, replica.Abort{Op: op})
 }
 
 // fireAndForget delivers msg to every target without waiting for remote
@@ -393,7 +381,6 @@ func (c *Coordinator) unlock(ctx context.Context, r *rounds, op replica.OpID, ta
 // members get the transport's one-way send. msg is a Commit or an Abort,
 // which wait for nothing at a replica. It is boxed per call, not kept in r:
 // a one-way send may still be reading it when r's next operation runs.
-// Callers must hold c.async != nil.
 func (c *Coordinator) fireAndForget(ctx context.Context, r *rounds, targets nodeset.Set, msg any) {
 	var env transport.Message = replica.Envelope{Item: c.item.Name(), Msg: msg}
 	self := c.item.Self()
@@ -402,27 +389,8 @@ func (c *Coordinator) fireAndForget(ctx context.Context, r *rounds, targets node
 		targets = targets.Diff(nodeset.New(self))
 	}
 	if !targets.Empty() {
-		c.async.SendAsync(ctx, self, targets, env)
+		c.net.SendAsync(ctx, self, targets, env)
 	}
-}
-
-// commitAll records the commit decision at the coordinator's replica (the
-// write-ahead step of the termination protocol) and then delivers it,
-// retrying stragglers. version is the version the committed write
-// produced (zero for operations without one, e.g. epoch changes); it is
-// recorded so version-gated termination queries from speculative stagings
-// can be answered. Returns the set of participants that acknowledged; the
-// rest resolve through the decision log.
-func (c *Coordinator) commitAll(ctx context.Context, r *rounds, op replica.OpID, version uint64, targets nodeset.Set) nodeset.Set {
-	c.item.RecordCommit(op, version)
-	committed := nodeset.Set{}
-	remaining := targets.Clone()
-	for attempt := 0; attempt <= c.opts.CommitRetries && !remaining.Empty(); attempt++ {
-		acked := c.ackRound(ctx, r, remaining, replica.Commit{Op: op})
-		committed = committed.Union(acked)
-		remaining = remaining.Diff(acked)
-	}
-	return committed
 }
 
 // Write performs a partial write on the replicated data item (paper,
@@ -502,24 +470,17 @@ func (c *Coordinator) write(ctx context.Context, r *rounds, op replica.OpID, u r
 			// the state a PrepareUpdate round to cl.good would have
 			// produced. The prepare phase is already done; commit.
 			c.metrics.specHits.Inc()
-			if err := c.commitPhase(ctx, r, op, specVersion, quorum, quorum); err != nil {
-				return 0, err
-			}
-			c.afterWrite(ctx, r, op, u, specVersion, cl)
+			c.commitPhase(ctx, r, op, specVersion, quorum)
+			c.afterWrite(ctx, r, op, u, nil, specVersion, cl)
 			return specVersion, nil
 		}
 		c.metrics.specMisses.Inc()
-		version, err := c.executeWrite(ctx, r, op, u, cl)
-		if err == nil || !errors.Is(err, ErrConflict) {
-			// Committed — or the commit phase started, and retrying could
-			// apply the update twice, so the uncertain outcome is surfaced.
+		if version, err := c.executeWrite(ctx, r, op, u, nil, cl); err == nil {
 			// Members that granted the lock without taking part (a
 			// recovering replica) are let go.
 			c.unlock(ctx, r, op, held.Diff(cl.responders))
-			if err == nil {
-				c.afterWrite(ctx, r, op, u, version, cl)
-			}
-			return version, err
+			c.afterWrite(ctx, r, op, u, nil, version, cl)
+			return version, nil
 		}
 		// Prepare-stage conflict: nothing applied, locks released — fall
 		// through to the heavy procedure, as the paper does when the
@@ -551,29 +512,37 @@ func (c *Coordinator) heavyWrite(ctx context.Context, r *rounds, op replica.OpID
 		c.releaseAll(ctx, r, op, release)
 		return 0, fmt.Errorf("%w: no write quorum with a current replica (epoch %d)", ErrUnavailable, cl.maxEpoch.EpochNum)
 	}
-	version, err := c.executeWrite(ctx, r, op, u, cl)
+	version, err := c.executeWrite(ctx, r, op, u, nil, cl)
 	// Commit or abort, executeWrite settled its participants and logged the
 	// decision. Whoever else holds the op's lock — first-round members that
 	// did not answer this round, recovering replicas — is only unlocked: an
 	// abort logged here would overwrite a commit.
 	c.unlock(ctx, r, op, release.Diff(cl.responders))
 	if err == nil {
-		c.afterWrite(ctx, r, op, u, version, cl)
+		c.afterWrite(ctx, r, op, u, nil, version, cl)
 	}
 	return version, err
 }
 
-// executeWrite runs the two-phase commit of a classified write: the good
-// responders apply the update (carrying the stale list for propagation),
-// the remaining responders are marked stale with the desired version the
-// good replicas will reach.
-func (c *Coordinator) executeWrite(ctx context.Context, r *rounds, op replica.OpID, u replica.Update, cl classification) (uint64, error) {
+// executeWrite runs the two-phase commit of a classified write of the run u,
+// more… — one update, or a group-committed batch (combiner.go), whose
+// updates produce consecutive versions and commit or abort together: the
+// good responders stage the run (carrying the stale list for propagation),
+// the remaining responders are marked stale desiring the run's last
+// version, the one the good replicas will reach. A stale member desiring
+// less could be propagated to an earlier version of the run, clear its
+// mark there and serve a stale read. It returns the run's first version.
+// Its one failure is ErrConflict, before the commit: a prepare some
+// participant refused; it has then aborted the responders and applied
+// nothing.
+func (c *Coordinator) executeWrite(ctx context.Context, r *rounds, op replica.OpID, u replica.Update, more []replica.Update, cl classification) (uint64, error) {
 	newVersion := cl.maxVersion + 1
+	last := newVersion + uint64(len(more))
 	goodSet := cl.good
 
 	began := r.clock.Now
 	prepared := c.ackRound(ctx, r, goodSet, replica.PrepareUpdate{
-		Op: op, Update: u, NewVersion: newVersion, StaleSet: cl.stale, GoodSet: goodSet,
+		Op: op, Update: u, More: more, NewVersion: newVersion, StaleSet: cl.stale, GoodSet: goodSet,
 	})
 	r.a.Phase(obs.PhasePrepare, began, r.clock.Now, prepared.Len(), 0)
 	if !prepared.Equal(goodSet) {
@@ -581,65 +550,49 @@ func (c *Coordinator) executeWrite(ctx context.Context, r *rounds, op replica.Op
 		return 0, fmt.Errorf("%w: %d of %d good replicas failed to prepare", ErrConflict, goodSet.Len()-prepared.Len(), goodSet.Len())
 	}
 	if !cl.stale.Empty() {
-		r.a.StaleMark(cl.stale, newVersion)
+		r.a.StaleMark(cl.stale, last)
 		preparedStale := c.ackRound(ctx, r, cl.stale, replica.PrepareStale{
-			Op: op, Desired: newVersion, GoodSet: goodSet,
+			Op: op, Desired: last, GoodSet: goodSet,
 		})
 		if !preparedStale.Equal(cl.stale) {
 			c.abortAll(ctx, r, op, cl.responders)
 			return 0, fmt.Errorf("%w: stale-marking prepare incomplete", ErrConflict)
 		}
 	}
-	if err := c.commitPhase(ctx, r, op, newVersion, goodSet, cl.responders); err != nil {
-		return 0, err
-	}
+	c.commitPhase(ctx, r, op, newVersion, cl.responders)
 	return newVersion, nil
 }
 
-// afterWrite is what follows a committed write that produced version from
-// the responses classified in cl: the safety-threshold extension, then the
-// write-through to everyone neither of them reached. Callers run it once
-// the operation holds no lock anywhere. A direct-apply may wait in the
-// receiving replica's lock queue (behind readers only, see the replica's
-// acquireBehindReaders) as a single-site operation, outside the replicas'
-// conflict order, and that is only deadlock-free for an operation nobody
-// else is waiting for.
-func (c *Coordinator) afterWrite(ctx context.Context, r *rounds, op replica.OpID, u replica.Update, version uint64, cl classification) {
+// afterWrite is what follows a committed write of the run u, more… that
+// produced version onward from the responses classified in cl: the
+// safety-threshold extension (never for a run: group commit is off under
+// it), then the write-through of the whole run to everyone neither of them
+// reached. Callers run it once the operation holds no lock anywhere. A
+// direct-apply may wait in the receiving replica's lock queue (behind
+// readers only, see the replica's acquireBehindReaders) as a single-site
+// operation, outside the replicas' conflict order, and that is only
+// deadlock-free for an operation nobody else is waiting for.
+func (c *Coordinator) afterWrite(ctx context.Context, r *rounds, op replica.OpID, u replica.Update, more []replica.Update, version uint64, cl classification) {
 	written := c.applySafetyThreshold(ctx, r, op, u, version, cl)
-	c.pushThrough(ctx, cl.maxEpoch.Epoch, written, replica.ApplyDirect{Op: op, Update: u, NewVersion: version, GoodSet: cl.good})
+	c.pushThrough(ctx, cl.maxEpoch.Epoch, written, replica.ApplyDirect{Op: op, Update: u, More: more, NewVersion: version, GoodSet: cl.good})
 }
 
 // commitPhase distributes the commit decision of a fully prepared write
-// producing version and reports whether the good set durably applied it.
-func (c *Coordinator) commitPhase(ctx context.Context, r *rounds, op replica.OpID, version uint64, goodSet, responders nodeset.Set) error {
+// whose first version is version, one-way. The write is decided the moment
+// every good replica is prepared and the decision is recorded at the
+// coordinator's replica (the write-ahead step): from then on no participant
+// can abort, readers of the new value block on the participants' still-held
+// locks until the commit lands, and a participant whose commit message is
+// lost resolves through the decision log (replica/decision.go). Waiting for
+// commit acknowledgements would buy no safety — only the round-trip it
+// costs. The local replica commits synchronously inside fireAndForget,
+// which keeps the coordinator's own state (and the value it serves reads
+// from) current when Write returns.
+func (c *Coordinator) commitPhase(ctx context.Context, r *rounds, op replica.OpID, version uint64, responders nodeset.Set) {
 	began := r.clock.Now
-	if c.async != nil {
-		// One-way commit. The write is decided the moment every good
-		// replica is prepared and the decision is recorded at the
-		// coordinator's replica (the write-ahead step below): from then on
-		// no participant can abort, readers of the new value block on the
-		// participants' still-held locks until the commit lands, and a
-		// participant whose commit message is lost resolves through the
-		// decision log (replica/decision.go). Waiting for commit
-		// acknowledgements therefore buys no safety — only the round-trip
-		// it costs — so the commit rides the transport's one-way path. The
-		// local replica commits synchronously inside fireAndForget, which
-		// keeps the coordinator's own state (and the value it serves
-		// reads from) current when Write returns.
-		c.item.RecordCommit(op, version)
-		c.fireAndForget(ctx, r, responders, replica.Commit{Op: op})
-		r.a.Phase(obs.PhaseCommit, began, r.clock.Now, responders.Len(), 0)
-		return nil
-	}
-	committed := c.commitAll(ctx, r, op, version, responders)
-	r.a.Phase(obs.PhaseCommit, began, r.clock.Now, committed.Len(), 0)
-	if !goodSet.Subset(committed) {
-		// The update is not durably applied on the good set; the
-		// remaining prepared participants stay pinned until the decision
-		// reaches them (2PC's blocking window, inherited from [2]).
-		return fmt.Errorf("%w: commit not acknowledged by all good replicas", ErrUnavailable)
-	}
-	return nil
+	c.item.RecordCommit(op, version)
+	c.fireAndForget(ctx, r, responders, replica.Commit{Op: op})
+	r.a.Phase(obs.PhaseCommit, began, r.clock.Now, responders.Len(), 0)
 }
 
 // applySafetyThreshold implements the Section 4.1 extension: when fewer

@@ -121,9 +121,6 @@ type Options struct {
 	// CallTimeout bounds each RPC round (phase-1 lock collection, prepare,
 	// commit). Default 2s.
 	CallTimeout time.Duration
-	// CommitRetries is how many times a commit decision is re-sent to a
-	// participant whose ack did not arrive. Default 3.
-	CommitRetries int
 	// SafetyThreshold enables the Section 4.1 extension when > 0: a write
 	// finding fewer than SafetyThreshold good replicas directly applies the
 	// update to additional recorded-good replicas so that at least that
@@ -173,9 +170,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CallTimeout == 0 {
 		o.CallTimeout = 2 * time.Second
-	}
-	if o.CommitRetries == 0 {
-		o.CommitRetries = 3
 	}
 	if o.OptimizeInterval == 0 {
 		o.OptimizeInterval = 200 * time.Millisecond

@@ -198,7 +198,7 @@ func (c *Coordinator) checkEpochTraced(ctx context.Context, r *rounds, states []
 		return CheckResult{}, fmt.Errorf("%w: epoch prepare incomplete (%d/%d)", ErrConflict, prepared.Len(), newEpoch.Len())
 	}
 	began = r.clock.Now
-	committed := c.commitAll(ctx, r, op, 0, newEpoch)
+	committed := c.commitAll(ctx, r, op, newEpoch)
 	r.a.Phase(obs.PhaseCommit, began, r.clock.Now, committed.Len(), 0)
 	// Keyed by the new epoch's number: this both checks the commit round and
 	// warms the cache for the first operations on the epoch just installed.
@@ -209,6 +209,28 @@ func (c *Coordinator) checkEpochTraced(ctx context.Context, r *rounds, states []
 	}
 	r.a.EpochInstall(newEpoch, newNum)
 	return CheckResult{Changed: true, Epoch: newEpoch, EpochNum: newNum, Stale: staleSet}, nil
+}
+
+// commitRetries is how many times the epoch install re-sends its commit to a
+// member whose acknowledgement did not arrive.
+const commitRetries = 3
+
+// commitAll is the epoch install's commit: it records the decision at the
+// coordinator's replica (the write-ahead step of the termination protocol)
+// and then delivers it as an acknowledged round, retrying stragglers,
+// because the new epoch is recognized only once a write quorum of it has
+// adopted it. It returns the members that acknowledged; the rest resolve
+// through the decision log. A write commits one-way instead (commitPhase).
+func (c *Coordinator) commitAll(ctx context.Context, r *rounds, op replica.OpID, targets nodeset.Set) nodeset.Set {
+	c.item.RecordCommit(op, 0)
+	committed := nodeset.Set{}
+	remaining := targets.Clone()
+	for attempt := 0; attempt <= commitRetries && !remaining.Empty(); attempt++ {
+		acked := c.ackRound(ctx, r, remaining, replica.Commit{Op: op})
+		committed = committed.Union(acked)
+		remaining = remaining.Diff(acked)
+	}
+	return committed
 }
 
 // pollAll sends a lock-free StateQuery to every replica holder. Targets

@@ -12,15 +12,17 @@ import (
 	"coterie/internal/transport"
 )
 
-// msgTally counts the protocol messages delivered to each node by type.
+// msgTally counts the protocol messages delivered to each node by type,
+// and the length of the run each PrepareUpdate carried.
 type msgTally struct {
-	mu sync.Mutex
-	n  map[nodeset.ID]map[string]int
+	mu   sync.Mutex
+	n    map[nodeset.ID]map[string]int
+	runs map[nodeset.ID][]int
 }
 
 // tallyMessages re-registers every node of c behind a counting handler.
 func tallyMessages(c *Cluster) *msgTally {
-	tally := &msgTally{n: make(map[nodeset.ID]map[string]int)}
+	tally := &msgTally{n: make(map[nodeset.ID]map[string]int), runs: make(map[nodeset.ID][]int)}
 	for _, id := range c.Members.IDs() {
 		id, inner := id, c.Node(id).Handler()
 		tally.n[id] = make(map[string]int)
@@ -28,6 +30,9 @@ func tallyMessages(c *Cluster) *msgTally {
 			if env, ok := req.(replica.Envelope); ok {
 				tally.mu.Lock()
 				tally.n[id][fmt.Sprintf("%T", env.Msg)]++
+				if p, ok := env.Msg.(replica.PrepareUpdate); ok {
+					tally.runs[id] = append(tally.runs[id], 1+len(p.More))
+				}
 				tally.mu.Unlock()
 			}
 			return inner(ctx, from, req)
@@ -59,7 +64,89 @@ const (
 	msgLockRequest = "replica.LockRequest"
 	msgReadSnap    = "*replica.ReadSnap"
 	msgApplyDirect = "replica.ApplyDirect"
+	msgPrepare     = "replica.PrepareUpdate"
+	msgCommit      = "replica.Commit"
 )
+
+// newBatch returns a cut of k writers for Coordinator.executeBatch, writer i
+// writing byte data+i at offset i.
+func newBatch(k int, data byte) []*pendingWrite {
+	batch := make([]*pendingWrite, k)
+	for i := range batch {
+		batch[i] = &pendingWrite{u: replica.Update{Offset: i, Data: []byte{data + byte(i)}}, done: make(chan struct{}, 1)}
+	}
+	return batch
+}
+
+// TestGroupCommitIsOneWrite: a cut of K writers is one write carrying a
+// run. It sends one LockRequest to each member of one write quorum and one
+// PrepareUpdate carrying all K updates to each good member, and it commits
+// as a single write does, one-way: the sim network counts two messages per
+// call, so what it delivered beyond that is exactly the remote commits and
+// the write-through pushes.
+func TestGroupCommitIsOneWrite(t *testing.T) {
+	c, err := NewCluster(9, "item", make([]byte, 16), batchOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	tally := tallyMessages(c)
+	const K, coord = 6, nodeset.ID(0)
+
+	c.Net.ResetStats()
+	batch := newBatch(K, 'a')
+	c.Coordinator(coord).executeBatch(batch)
+	for i, pw := range batch {
+		<-pw.done
+		if pw.err != nil || pw.version != uint64(i+1) {
+			t.Fatalf("writer %d: version %d, %v; want version %d", i, pw.version, pw.err, i+1)
+		}
+	}
+	stats := c.Net.Stats()
+
+	var quorum nodeset.Set
+	remoteCommits := 0
+	for _, id := range c.Members.IDs() {
+		locks, commits := tally.at(id, msgLockRequest), tally.at(id, msgCommit)
+		switch locks {
+		case 0:
+			if n := tally.at(id, msgPrepare) + commits; n != 0 {
+				t.Errorf("node %v outside the quorum got %d prepares and commits", id, n)
+			}
+			continue
+		case 1:
+			quorum.Add(id)
+		default:
+			t.Errorf("node %v got %d LockRequest, want at most one", id, locks)
+		}
+		tally.mu.Lock()
+		runs := tally.runs[id]
+		tally.mu.Unlock()
+		if len(runs) != 1 || runs[0] != K {
+			t.Errorf("node %v: PrepareUpdate runs %v, want one of %d updates", id, runs, K)
+		}
+		if commits != 1 {
+			t.Errorf("node %v got %d Commit, want one", id, commits)
+		}
+		if id != coord {
+			remoteCommits += commits
+		}
+	}
+	if quorum.Len() != 5 {
+		t.Fatalf("lock round reached %v, want a 5-member write quorum of the 3×3 grid", quorum)
+	}
+	if n := tally.total("replica.PrepareStale") + tally.total(msgLockPrepare); n != 0 {
+		t.Errorf("%d stale-marking or speculative prepares on a current cluster", n)
+	}
+	pushes := tally.total(msgApplyDirect)
+	if pushes != 9-quorum.Len() {
+		t.Errorf("%d write-through pushes, want one to each of the %d bystanders", pushes, 9-quorum.Len())
+	}
+	if oneWay := stats.Messages - 2*stats.Calls; oneWay != int64(remoteCommits+pushes) {
+		t.Errorf("%d messages for %d calls: %d sent one-way, want the %d remote commits and %d pushes",
+			stats.Messages, stats.Calls, oneWay, remoteCommits, pushes)
+	}
+}
 
 // TestThreeMemberGridWriteLocksTwo is what minimal quorums mean to the
 // protocol on the 2×2−1 grid an rf 3 shard gets (column 1 = {0,2}, column 2

@@ -24,9 +24,7 @@ import (
 // next write whose quorum draws it, then brought current by propagation.
 //
 // It is part of the write protocol, not an option: it runs on every
-// committed write whenever the transport can send one-way
-// (transport.AsyncSender). On a strictly request/reply transport there is
-// no message that costs the writer nothing, and the write ends at commit.
+// committed write.
 
 // pushCapacityFloor is the share of its epoch's largest declared capacity
 // below which a member is sent no write-through. In the load model the
@@ -70,9 +68,6 @@ func pushTargets(epoch, written nodeset.Set, capacity coterie.CapacityFunc) (tar
 // copied before anything is sent, because a one-way send may outlive the
 // call.
 func (c *Coordinator) pushThrough(ctx context.Context, epoch, written nodeset.Set, msg replica.ApplyDirect) {
-	if c.async == nil {
-		return
-	}
 	targets, skipped := pushTargets(epoch, written, c.opts.Capacity)
 	c.metrics.pushSkipped.Add(uint64(skipped))
 	if targets.Empty() {
@@ -80,5 +75,5 @@ func (c *Coordinator) pushThrough(ctx context.Context, epoch, written nodeset.Se
 	}
 	msg.More = append([]replica.Update(nil), msg.More...)
 	c.metrics.pushSent.Add(uint64(targets.Len()))
-	c.async.SendAsync(ctx, c.item.Self(), targets, replica.Envelope{Item: c.item.Name(), Msg: msg})
+	c.net.SendAsync(ctx, c.item.Self(), targets, replica.Envelope{Item: c.item.Name(), Msg: msg})
 }

@@ -246,51 +246,6 @@ func TestWriteThroughDoesNotWaitBehindPreparedWrite(t *testing.T) {
 	}
 }
 
-// replyOnly hides a network's one-way capability: what is left is a
-// strictly request/reply transport.Net.
-type replyOnly struct{ transport.Net }
-
-// TestNoWriteThroughWithoutAsyncSender: on a transport that cannot send
-// one-way there is no push, and nothing else changes — the write commits
-// with acknowledged rounds on its quorum and touches no other node.
-func TestNoWriteThroughWithoutAsyncSender(t *testing.T) {
-	reg := obs.New()
-	inner := transport.NewNetwork()
-	net := replyOnly{inner}
-	if _, ok := transport.Net(net).(transport.AsyncSender); ok {
-		t.Fatal("the wrapper still exposes SendAsync")
-	}
-	opts := fastOptions()
-	opts.Obs = reg
-	members := nodeset.Range(0, 9)
-	coords := make([]*Coordinator, 9)
-	for _, id := range members.IDs() {
-		node := replica.NewNode(id, net, opts.withDefaults().Replica)
-		defer node.Close()
-		it, err := node.AddItem("item", members, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		coords[id] = NewCoordinator(it, net, members, opts)
-	}
-	if v, err := coords[0].Write(ctxT(t), replica.Update{Data: []byte("x")}); err != nil || v != 1 {
-		t.Fatalf("write: version %d, %v", v, err)
-	}
-	if touched := len(inner.Load()); touched != 5 {
-		t.Errorf("write touched %d nodes, want 5 (the write quorum)", touched)
-	}
-	if st := inner.Stats(); st.Messages != 2*st.Calls {
-		t.Errorf("%d messages for %d calls: something was sent without a reply", st.Messages, st.Calls)
-	}
-	if sent := reg.Counter("core_push_sent_total").Load(); sent != 0 {
-		t.Errorf("core_push_sent_total = %d on a request/reply transport", sent)
-	}
-	value, ver, err := coords[8].Read(ctxT(t))
-	if err != nil || ver != 1 || string(value) != "x" {
-		t.Errorf("read %q@%d, %v", value, ver, err)
-	}
-}
-
 // TestGroupCommitWritesThrough: a group-committed run reaches the bystanders
 // as one direct-apply carrying all of it. Without it every bystander falls
 // K versions behind at the first batch and refuses every later push.

@@ -96,7 +96,7 @@ const (
 	OutcomeUnavailable
 	// OutcomeConflict: aborted after repeated lock races.
 	OutcomeConflict
-	// OutcomeError: any other failure (uncertain commit, codec error...).
+	// OutcomeError: any other failure (a codec error, an unexpected reply...).
 	OutcomeError
 )
 

@@ -74,7 +74,6 @@ const (
 	stagedReplace
 	stagedStale
 	stagedEpoch
-	stagedBatch
 )
 
 // staged is a prepared-but-uncommitted 2PC action. An item holds at most
@@ -85,7 +84,7 @@ type staged struct {
 	op         OpID     // zero: nothing staged
 	preparedAt int64    // Unix nanoseconds: a time.Time would move the Item up a size class
 	update     Update   // stagedUpdate; stagedReplace: the new value, at offset 0
-	updates    []Update // stagedBatch: applied in order on commit
+	more       []Update // stagedUpdate: the rest of a run, applied in order after update
 	// version is what a commit produces: the (first) new version, the
 	// desired version a stale-marking records, or the epoch number.
 	version uint64
@@ -344,8 +343,6 @@ func (it *Item) serve(ctx context.Context, from nodeset.ID, msg any) (transport.
 		return it.handleFetch(transport.Now(ctx), m)
 	case PrepareUpdate:
 		return it.handlePrepareUpdate(transport.Now(ctx), m)
-	case PrepareBatch:
-		return it.handlePrepareBatch(transport.Now(ctx), m)
 	case PrepareReplace:
 		return it.handlePrepareReplace(transport.Now(ctx), m)
 	case PrepareStale:
@@ -481,36 +478,7 @@ func (it *Item) handlePrepareUpdate(now time.Time, m PrepareUpdate) (transport.M
 	if err := m.Update.Validate(); err != nil {
 		return Ack{Reason: err.Error()}, nil
 	}
-	if !it.lock.pin(now, m.Op) {
-		return notLockHolder, nil
-	}
-	it.mu.Lock()
-	defer it.mu.Unlock()
-	if it.recovering {
-		return Ack{Reason: "replica is recovering from state loss"}, nil
-	}
-	if it.stale {
-		return Ack{Reason: "replica is stale"}, nil
-	}
-	if it.store.Version()+1 != m.NewVersion {
-		return Ack{Reason: fmt.Sprintf("version %d cannot advance to %d", it.store.Version(), m.NewVersion)}, nil
-	}
-	return it.stageLocked(now, &staged{
-		op:      m.Op,
-		kind:    stagedUpdate,
-		update:  m.Update.clone(),
-		version: m.NewVersion,
-		set:     m.StaleSet.Clone(),
-		good:    m.GoodSet.Clone(),
-		goodVer: m.NewVersion,
-	}), nil
-}
-
-func (it *Item) handlePrepareBatch(now time.Time, m PrepareBatch) (transport.Message, error) {
-	if len(m.Updates) == 0 {
-		return Ack{Reason: "empty batch"}, nil
-	}
-	for _, u := range m.Updates {
+	for _, u := range m.More {
 		if err := u.Validate(); err != nil {
 			return Ack{Reason: err.Error()}, nil
 		}
@@ -526,21 +494,22 @@ func (it *Item) handlePrepareBatch(now time.Time, m PrepareBatch) (transport.Mes
 	if it.stale {
 		return Ack{Reason: "replica is stale"}, nil
 	}
-	if it.store.Version()+1 != m.FirstVersion {
-		return Ack{Reason: fmt.Sprintf("version %d cannot advance to %d", it.store.Version(), m.FirstVersion)}, nil
+	if it.store.Version()+1 != m.NewVersion {
+		return Ack{Reason: fmt.Sprintf("version %d cannot advance to %d", it.store.Version(), m.NewVersion)}, nil
 	}
-	ups := make([]Update, len(m.Updates))
-	for i, u := range m.Updates {
-		ups[i] = u.clone()
+	more := make([]Update, len(m.More))
+	for i, u := range m.More {
+		more[i] = u.clone()
 	}
 	return it.stageLocked(now, &staged{
 		op:      m.Op,
-		kind:    stagedBatch,
-		updates: ups,
-		version: m.FirstVersion,
+		kind:    stagedUpdate,
+		update:  m.Update.clone(),
+		more:    more,
+		version: m.NewVersion,
 		set:     m.StaleSet.Clone(),
 		good:    m.GoodSet.Clone(),
-		goodVer: m.FirstVersion + uint64(len(m.Updates)) - 1,
+		goodVer: m.NewVersion + uint64(len(more)),
 	}), nil
 }
 
@@ -613,7 +582,7 @@ func (it *Item) handleCommit(m Commit) (transport.Message, error) {
 	it.staged = staged{}
 	var propagateTo nodeset.Set
 	switch st.kind {
-	case stagedUpdate, stagedBatch:
+	case stagedUpdate:
 		if it.store.Version()+1 != st.version || it.stale {
 			// Unreachable while the exclusive lock is held from prepare to
 			// commit; refuse rather than corrupt the replica.
@@ -621,13 +590,11 @@ func (it *Item) handleCommit(m Commit) (transport.Message, error) {
 			it.lock.release(m.Op)
 			return Ack{Reason: "staged update no longer applicable"}, nil
 		}
-		if st.kind == stagedUpdate {
-			it.store.applyOwned(st.update)
-		}
-		// Applying a batch per update (not as one merged mutation) keeps the
+		it.store.applyOwned(st.update)
+		// Applying a run per update (not as one merged mutation) keeps the
 		// update log per-version, so propagation toward a target at any
 		// intermediate version still works.
-		for _, u := range st.updates {
+		for _, u := range st.more {
 			it.store.applyOwned(u)
 		}
 		it.clearStaleLocked()

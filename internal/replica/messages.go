@@ -135,9 +135,16 @@ type ValueReply struct {
 // Update, advancing the replica to NewVersion, and (on commit) start
 // propagation toward StaleSet. The replica refuses unless it holds Op's
 // lock exclusively, is non-stale, and sits exactly at NewVersion−1.
+//
+// More carries the rest of a group-committed run, as in ApplyDirect:
+// Update produces NewVersion, More[i] produces NewVersion+1+i, and the
+// commit applies all of them or none. One batch is one atomic 2PC action,
+// so K queued writers pay one set of protocol rounds instead of K (see
+// core's combiner).
 type PrepareUpdate struct {
 	Op         OpID
 	Update     Update
+	More       []Update
 	NewVersion uint64
 	StaleSet   nodeset.Set
 	GoodSet    nodeset.Set // recorded on commit for the safety-threshold extension
@@ -163,23 +170,6 @@ type PrepareReplace struct {
 	NewVersion uint64
 	StaleSet   nodeset.Set
 	GoodSet    nodeset.Set
-}
-
-// PrepareBatch stages a group-committed run of partial writes at a GOOD
-// replica: apply Updates in order, advancing the replica from
-// FirstVersion-1 through FirstVersion+len(Updates)-1, and (on commit)
-// start propagation toward StaleSet. One batch is one atomic 2PC action —
-// a single lock round, prepare and commit cover every update in it — so K
-// queued writers pay one protocol round trip set instead of K (the
-// group-commit write pipeline; see core's combiner). Refusal rules match
-// PrepareUpdate: exclusive lock pinned, non-stale, version exactly
-// FirstVersion-1.
-type PrepareBatch struct {
-	Op           OpID
-	Updates      []Update // applied in order; update i produces FirstVersion+i
-	FirstVersion uint64
-	StaleSet     nodeset.Set
-	GoodSet      nodeset.Set
 }
 
 // ApplyDirect is the unsolicited write of the paper's Section 4.1: a

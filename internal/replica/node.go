@@ -227,7 +227,7 @@ func spanPhase(msg any) obs.Phase {
 		return obs.PhasePoll
 	case LockRequest, LockPrepare, *LockPrepare:
 		return obs.PhaseLock
-	case PrepareUpdate, PrepareBatch, PrepareReplace, PrepareStale, PrepareEpoch:
+	case PrepareUpdate, PrepareReplace, PrepareStale, PrepareEpoch:
 		return obs.PhasePrepare
 	case Commit, Abort, ApplyDirect:
 		return obs.PhaseCommit

@@ -35,9 +35,11 @@ type Options struct {
 	Rule coterie.Rule
 	// CallTimeout bounds each RPC round. Default 2s.
 	CallTimeout time.Duration
-	// CommitRetries bounds redelivery of commit decisions. Default 3.
-	CommitRetries int
 }
+
+// commitRetries bounds redelivery of a commit decision to a participant
+// whose acknowledgement did not arrive.
+const commitRetries = 3
 
 func (o Options) withDefaults() Options {
 	if o.Rule == nil {
@@ -45,9 +47,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CallTimeout == 0 {
 		o.CallTimeout = 2 * time.Second
-	}
-	if o.CommitRetries == 0 {
-		o.CommitRetries = 3
 	}
 	return o
 }
@@ -172,7 +171,7 @@ func (c *Coordinator) tryCommit(ctx context.Context, op replica.OpID, value []by
 	}
 	committed := nodeset.Set{}
 	remaining := responders.Clone()
-	for attempt := 0; attempt <= c.opts.CommitRetries && !remaining.Empty(); attempt++ {
+	for attempt := 0; attempt <= commitRetries && !remaining.Empty(); attempt++ {
 		acked := c.ackRound(ctx, remaining, replica.Commit{Op: op})
 		committed = committed.Union(acked)
 		remaining = remaining.Diff(acked)

@@ -19,6 +19,8 @@ import (
 //     peer, connection loss, per-call deadline expiry). Application-level
 //     errors returned by the remote handler pass through as ordinary
 //     errors; protocol code distinguishes the two with errors.Is.
+//   - SendAsync is the one-way send (see below): the write protocol's
+//     commits, terminal lock releases and write-through ride it.
 //   - MulticastFunc sends req to every target, waits for all of them, and
 //     invokes fn once per target in ID order on the caller's goroutine (the
 //     simulated network's contract, which the lock-round collectors rely on
@@ -37,6 +39,7 @@ import (
 //     networked transport reports its local view: true service counts for
 //     nodes it hosts, requests sent for remote peers.
 type Net interface {
+	AsyncSender
 	Register(id nodeset.ID, h Handler)
 	Call(ctx context.Context, from, to nodeset.ID, req Message) (Message, error)
 	MulticastFunc(ctx context.Context, from nodeset.ID, targets nodeset.Set, req Message, fn func(to nodeset.ID, r Result))
@@ -49,13 +52,14 @@ type Net interface {
 // name through the registry, not through Net, so no decorator hides it.
 const EndpointCallNs = "transport_endpoint_call_ns"
 
-// AsyncSender is an optional Net capability: SendAsync delivers req to
-// every target one-way — no reply is collected and the caller never
-// blocks on the network. Delivery is best-effort: an unreachable peer or
-// a saturated connection drops the send silently. Protocol code uses it
-// only for messages whose replies are ignored even on the synchronous
-// path (terminal lock releases), where waiting for acknowledgements buys
-// nothing but a round-trip on the operation's critical path.
+// AsyncSender is the one-way half of Net: SendAsync delivers req to every
+// target — no reply is collected and the caller never blocks on the
+// network. Delivery is best-effort: an unreachable peer or a saturated
+// connection drops the send silently. Protocol code uses it only for
+// messages whose replies would change nothing — a decided commit, a
+// terminal lock release, a write-through — where waiting for
+// acknowledgements buys nothing but a round-trip on the operation's
+// critical path.
 //
 // Ordering caveat: a one-way send is not ordered with respect to later
 // calls, even to the same peer. It is only safe for messages that can

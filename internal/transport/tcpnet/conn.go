@@ -216,7 +216,7 @@ const oneWayCorr = 0
 // sendOneWay encodes and enqueues a one-way request frame. No pending
 // entry is registered (nothing will ever complete it) and the enqueue
 // never blocks — a full ring drops the send, honoring the best-effort
-// contract of transport.AsyncSender.
+// contract of SendAsync (transport.Net).
 func (c *clientConn) sendOneWay(ctx context.Context, from nodeset.ID, req transport.Message) {
 	f := getBuf()
 	if err := appendRequest(f, oneWayCorr, from, ctx, req); err != nil {

@@ -243,7 +243,7 @@ var (
 	_ transport.AsyncSender = (*Network)(nil)
 )
 
-// SendAsync delivers req one-way to every target (transport.AsyncSender).
+// SendAsync delivers req one-way to every target (transport.Net).
 // Hosted targets dispatch inline on the caller's goroutine — release
 // handlers are cheap and never park for long. Remote targets get a
 // request frame with the one-way correlation ID, so the peer serves it
@@ -254,7 +254,7 @@ var (
 // ctx contributes only its steering key and trace context to the outgoing
 // frames (the trace is what lets one-way commits and push-throughs land in
 // the receiving replica's flight recorder under the operation's trace ID);
-// deadlines and cancellation are ignored per the AsyncSender contract.
+// deadlines and cancellation are ignored per the SendAsync contract.
 func (n *Network) SendAsync(ctx context.Context, from nodeset.ID, targets nodeset.Set, req transport.Message) {
 	if targets.Empty() {
 		return

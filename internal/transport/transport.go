@@ -486,7 +486,7 @@ func (n *Network) SendAsync(ctx context.Context, from nodeset.ID, targets nodese
 }
 
 // detached carries a context's values past its cancellation and deadline, as
-// context.WithoutCancel does: per the AsyncSender contract only the values
+// context.WithoutCancel does: per the SendAsync contract only the values
 // (trace tags) travel with a one-way send. It has its own type for the
 // pointer receiver: WithoutCancel's context is a struct value that boxes
 // itself anew on every Value call, an allocation per obs.TraceFrom. Its Leg

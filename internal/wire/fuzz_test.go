@@ -30,6 +30,15 @@ func FuzzUnmarshal(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(env)
+	run, err := Marshal(replica.Envelope{Item: "item-0", Msg: replica.PrepareUpdate{
+		Op: op(1, 3), Update: replica.Update{Data: []byte("a")},
+		More:       []replica.Update{{Offset: 1, Data: []byte("b")}, {Offset: 2, Data: []byte("c")}},
+		NewVersion: 4,
+	}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(run)
 	// A few torn inputs so the fuzzer starts near the error paths too.
 	f.Add([]byte{})
 	f.Add([]byte{0})

@@ -82,6 +82,7 @@ func appendMessage(b []byte, msg any) ([]byte, error) {
 		b = append(b, tagPrepareUpdate)
 		b = putOp(b, m.Op)
 		b = putUpdate(b, m.Update)
+		b = putUpdates(b, m.More)
 		b = putUvarint(b, m.NewVersion)
 		b = putSet(b, m.StaleSet)
 		return putSet(b, m.GoodSet), nil
@@ -101,10 +102,7 @@ func appendMessage(b []byte, msg any) ([]byte, error) {
 		b = append(b, tagApplyDirect)
 		b = putOp(b, m.Op)
 		b = putUpdate(b, m.Update)
-		b = putUvarint(b, uint64(len(m.More)))
-		for _, u := range m.More {
-			b = putUpdate(b, u)
-		}
+		b = putUpdates(b, m.More)
 		b = putUvarint(b, m.NewVersion)
 		return putSet(b, m.GoodSet), nil
 	case replica.PrepareEpoch:
@@ -139,16 +137,6 @@ func appendMessage(b []byte, msg any) ([]byte, error) {
 		return putUvarint(b, m.TargetVersion), nil
 	case replica.PropagationData:
 		return putPropagationData(append(b, tagPropagationData), m), nil
-	case replica.PrepareBatch:
-		b = append(b, tagPrepareBatch)
-		b = putOp(b, m.Op)
-		b = putUvarint(b, uint64(len(m.Updates)))
-		for _, u := range m.Updates {
-			b = putUpdate(b, u)
-		}
-		b = putUvarint(b, m.FirstVersion)
-		b = putSet(b, m.StaleSet)
-		return putSet(b, m.GoodSet), nil
 	case replica.BatchPropagationOffer:
 		b = append(b, tagBatchPropagationOffer)
 		b = putUvarint(b, uint64(len(m.Items)))
@@ -311,7 +299,7 @@ func decodeMessage(b []byte) (any, int, error) {
 		msg = replica.ValueReply{Value: r.bytes(), Version: r.uvarint()}
 	case tagPrepareUpdate:
 		msg = replica.PrepareUpdate{
-			Op: r.op(), Update: r.update(), NewVersion: r.uvarint(),
+			Op: r.op(), Update: r.update(), More: r.updates(), NewVersion: r.uvarint(),
 			StaleSet: r.set(), GoodSet: r.set(),
 		}
 	case tagPrepareStale:
@@ -322,20 +310,9 @@ func decodeMessage(b []byte) (any, int, error) {
 			StaleSet: r.set(), GoodSet: r.set(),
 		}
 	case tagApplyDirect:
-		m := replica.ApplyDirect{Op: r.op(), Update: r.update()}
-		count := r.uvarint()
-		if count > r.remaining() {
-			r.fail(ErrTruncated)
-			break
+		msg = replica.ApplyDirect{
+			Op: r.op(), Update: r.update(), More: r.updates(), NewVersion: r.uvarint(), GoodSet: r.set(),
 		}
-		if count > 0 {
-			m.More = make([]replica.Update, 0, count)
-		}
-		for i := uint64(0); i < count && r.err == nil; i++ {
-			m.More = append(m.More, r.update())
-		}
-		m.NewVersion, m.GoodSet = r.uvarint(), r.set()
-		msg = m
 	case tagPrepareEpoch:
 		msg = replica.PrepareEpoch{
 			Op: r.op(), Epoch: r.set(), EpochNum: r.uvarint(),
@@ -357,21 +334,6 @@ func decodeMessage(b []byte) (any, int, error) {
 		msg = replica.PropagationReply{Status: r.propStatus(), TargetVersion: r.uvarint()}
 	case tagPropagationData:
 		msg = r.propagationData()
-	case tagPrepareBatch:
-		op := r.op()
-		count := r.uvarint()
-		if count > r.remaining() {
-			r.fail(ErrTruncated)
-			break
-		}
-		updates := make([]replica.Update, 0, count)
-		for i := uint64(0); i < count && r.err == nil; i++ {
-			updates = append(updates, r.update())
-		}
-		msg = replica.PrepareBatch{
-			Op: op, Updates: updates, FirstVersion: r.uvarint(),
-			StaleSet: r.set(), GoodSet: r.set(),
-		}
 	case tagBatchPropagationOffer:
 		count := r.uvarint()
 		if count > r.remaining() {

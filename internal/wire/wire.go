@@ -62,7 +62,7 @@ const (
 	tagAliveReply
 	tagLeaderReply
 	tagAnnounceAck
-	tagPrepareBatch
+	_ // retired; kept blank so that the tags after it keep their numbers
 	tagBatchPropagationOffer
 	tagBatchPropagationReply
 	tagBatchPropagationData
@@ -145,13 +145,19 @@ func putUpdate(b []byte, u replica.Update) []byte {
 	return putBytes(b, u.Data)
 }
 
+// putUpdates appends a run of updates: its length, then each update.
+func putUpdates(b []byte, us []replica.Update) []byte {
+	b = putUvarint(b, uint64(len(us)))
+	for _, u := range us {
+		b = putUpdate(b, u)
+	}
+	return b
+}
+
 func putPropagationData(b []byte, m replica.PropagationData) []byte {
 	b = putOp(b, m.Op)
 	b = putUvarint(b, m.FromVersion)
-	b = putUvarint(b, uint64(len(m.Updates)))
-	for _, u := range m.Updates {
-		b = putUpdate(b, u)
-	}
+	b = putUpdates(b, m.Updates)
 	b = putBool(b, m.HasSnapshot)
 	b = putBytes(b, m.Snapshot)
 	return putUvarint(b, m.SnapVersion)
@@ -308,20 +314,26 @@ func (r *reader) update() replica.Update {
 // one byte, so a count beyond the remaining bytes is truncation.
 func (r *reader) remaining() uint64 { return uint64(len(r.b) - r.pos) }
 
-func (r *reader) propagationData() replica.PropagationData {
-	op := r.op()
-	from := r.uvarint()
+// updates decodes a putUpdates run; an empty one decodes as nil.
+func (r *reader) updates() []replica.Update {
 	count := r.uvarint()
 	if count > r.remaining() {
 		r.fail(ErrTruncated)
-		return replica.PropagationData{}
+		return nil
 	}
-	updates := make([]replica.Update, 0, count)
+	if count == 0 {
+		return nil
+	}
+	us := make([]replica.Update, 0, count)
 	for i := uint64(0); i < count && r.err == nil; i++ {
-		updates = append(updates, r.update())
+		us = append(us, r.update())
 	}
+	return us
+}
+
+func (r *reader) propagationData() replica.PropagationData {
 	return replica.PropagationData{
-		Op: op, FromVersion: from, Updates: updates,
+		Op: r.op(), FromVersion: r.uvarint(), Updates: r.updates(),
 		HasSnapshot: r.boolean(), Snapshot: r.bytes(), SnapVersion: r.uvarint(),
 	}
 }

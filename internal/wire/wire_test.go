@@ -62,12 +62,12 @@ func sampleMessages() []any {
 			Updates: []replica.Update{{Offset: 1, Data: []byte("x")}, {Offset: 2, Data: []byte("yz")}},
 		},
 		replica.PropagationData{Op: op(9, 10), HasSnapshot: true, Snapshot: []byte("snapshot bytes"), SnapVersion: 40},
-		replica.PrepareBatch{
-			Op:           op(2, 11),
-			Updates:      []replica.Update{{Offset: 0, Data: []byte("ab")}, {Offset: 9, Data: []byte("c")}, {Offset: 3, Data: []byte("def")}},
-			FirstVersion: 17, StaleSet: nodeset.New(2, 6), GoodSet: nodeset.New(0, 1, 3),
+		replica.PrepareUpdate{
+			Op: op(2, 11), Update: replica.Update{Offset: 0, Data: []byte("ab")},
+			More:       []replica.Update{{Offset: 9, Data: []byte("c")}, {Offset: 3, Data: []byte("def")}},
+			NewVersion: 17, StaleSet: nodeset.New(2, 6), GoodSet: nodeset.New(0, 1, 3),
 		},
-		replica.PrepareBatch{Op: op(0, 1), Updates: []replica.Update{{Data: []byte("x")}}, FirstVersion: 1},
+		replica.PrepareUpdate{Op: op(0, 1), Update: replica.Update{Data: []byte("x")}, NewVersion: 1},
 		replica.BatchPropagationOffer{Items: []replica.ItemOffer{
 			{Item: "a", Op: op(1, 5), Version: 3},
 			{Item: "long-item-name", Op: op(2, 6), Version: 0},
@@ -181,6 +181,21 @@ func TestUnmarshalErrors(t *testing.T) {
 			if _, err := Unmarshal(buf[:cut]); err == nil {
 				t.Errorf("%T truncated at %d accepted", msg, cut)
 			}
+		}
+	}
+}
+
+// TestTruncatedUpdateRunCount: a run whose count exceeds the bytes left
+// fails as truncated before anything is allocated for it, in each message
+// that carries one.
+func TestTruncatedUpdateRunCount(t *testing.T) {
+	for _, tag := range []byte{tagPrepareUpdate, tagApplyDirect} {
+		b := putOp([]byte{tag}, op(1, 1))
+		b = putUpdate(b, replica.Update{Data: []byte("x")})
+		b = putUvarint(b, 1<<40)
+		b = append(b, 0, 0, 0)
+		if _, err := Unmarshal(b); !errors.Is(err, ErrTruncated) {
+			t.Errorf("tag %d with a run count past the end: %v, want ErrTruncated", tag, err)
 		}
 	}
 }
