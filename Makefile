@@ -179,7 +179,7 @@ check-allocs:
 	$(GO) test -run 'TestHotMethodsDoNotAllocate|TestInlineSetOperationsDoNotAllocate' ./internal/nodeset/ $(allocgate)
 	$(GO) test -run 'TestBoundAllocatesOnlyTheContext' ./internal/deadline/ $(allocgate)
 	$(GO) test -run 'TestOperationAllocationBudget|TestCombinerDrainDoesNotAllocate' ./internal/core/ $(allocgate)
-	$(GO) test -run 'TestCaptureDataDoesNotAllocate|TestDecisionRingDoesNotAllocate|TestRefusedPushDoesNotAllocate|TestLockTableDoesNotAllocate|TestHandlerAllocationBudget|TestColdItemFootprint|TestQuietCoordinatorFootprint' ./internal/replica/ $(allocgate)
+	$(GO) test -run 'TestDecisionRingDoesNotAllocate|TestRefusedPushDoesNotAllocate|TestLockTableDoesNotAllocate|TestHandlerAllocationBudget|TestColdItemFootprint|TestQuietCoordinatorFootprint' ./internal/replica/ $(allocgate)
 	$(GO) test -run 'TestMuxDispatchDoesNotAllocate|TestMulticastFuncAllocs|TestOneWayDeliveryAllocs|TestLegsSteadyStateIsFree|TestLegsParkedBounded' ./internal/transport/ $(allocgate)
 	$(GO) test -run 'TestAppendMarshalDoesNotAllocate|TestAppendTraceContextDoesNotAllocate|TestDecodeTraceContextDoesNotAllocate' ./internal/wire/ $(allocgate)
 	$(GO) test -run 'TestRequestFrameEncodeDoesNotAllocate|TestReplyFrameEncodeDoesNotAllocate|TestFusedMessageEncodeDoesNotAllocate|TestRingFlushPathDoesNotAllocate|TestTracedRequestFrameEncodeDoesNotAllocate' ./internal/transport/tcpnet/ $(allocgate)

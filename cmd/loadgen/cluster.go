@@ -27,12 +27,13 @@ import (
 // procCluster is cfg.nodes coteried processes on loopback and this
 // process's client network to them: what both tcp modes set up. Churn is the
 // only writer of procs while a run is on and has returned before the report
-// reads it.
+// reads it; workers read up.
 type procCluster struct {
 	cfg   config
 	exe   string
 	book  map[nodeset.ID]string
-	procs []*proc // nil while a node is down
+	procs []*proc       // nil while a node is down
+	up    []atomic.Bool // procs[i] != nil, for the workers
 	cli   *tcpnet.Network
 	names []string // item names of the fixed-item mode
 }
@@ -76,7 +77,7 @@ func spawnCluster(cfg config, reg *obs.Registry) (*procCluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	pc := &procCluster{cfg: cfg, exe: exe, book: book, procs: make([]*proc, cfg.nodes)}
+	pc := &procCluster{cfg: cfg, exe: exe, book: book, procs: make([]*proc, cfg.nodes), up: make([]atomic.Bool, cfg.nodes)}
 	for i := range pc.procs {
 		if err := pc.spawn(nodeset.ID(i), false); err != nil {
 			pc.close()
@@ -109,7 +110,6 @@ func (pc *procCluster) spawn(id nodeset.ID, recovering bool) error {
 		"-shards", strconv.Itoa(cfg.shards),
 		"-rf", strconv.Itoa(cfg.rf),
 		"-batch=" + strconv.FormatBool(cfg.batch),
-		"-batch-prop=" + strconv.FormatBool(cfg.batchProp),
 		"-recovering=" + strconv.FormatBool(recovering),
 		"-capacity", cfg.capacity,
 		// Ephemeral port: the READY line reports the bound address, so
@@ -163,6 +163,7 @@ func (pc *procCluster) spawn(id nodeset.ID, recovering bool) error {
 		return fmt.Errorf("node %d: %w", id, err)
 	}
 	pc.procs[id] = p
+	pc.up[id].Store(true)
 	return nil
 }
 
@@ -216,6 +217,7 @@ func (pc *procCluster) close() {
 // dead process, and its replacement starts -recovering, so crash amnesia,
 // epoch readmission and propagation all cross the wire.
 func (pc *procCluster) crash(id nodeset.ID) {
+	pc.up[id].Store(false)
 	pc.procs[id].kill()
 	pc.procs[id] = nil
 }
@@ -266,8 +268,8 @@ func statusErr(st capi.Status, detail string) error {
 }
 
 // setupTCP is the fixed-item mode over TCP: worker w calls the coordinator
-// node the generator drew, as transport node nodes+w, with the raw capi
-// messages.
+// node the generator drew (routed past a node churn has down), as transport
+// node nodes+w, with the raw capi messages.
 func setupTCP(cfg config, reg *obs.Registry) (*target, error) {
 	pc, err := spawnCluster(cfg, reg)
 	if err != nil {
@@ -279,7 +281,8 @@ func setupTCP(cfg config, reg *obs.Registry) (*target, error) {
 		if op.Kind == workload.OpWrite {
 			req = capi.Write{Item: pc.names[item], Update: op.Update}
 		}
-		reply, err := pc.cli.Call(ctx, nodeset.ID(cfg.nodes+w), op.Coordinator, req)
+		to := route(op.Coordinator, cfg.nodes, func(id nodeset.ID) bool { return pc.up[id].Load() })
+		reply, err := pc.cli.Call(ctx, nodeset.ID(cfg.nodes+w), to, req)
 		if err != nil {
 			return 0, nil, err
 		}

@@ -249,6 +249,19 @@ func drive(ctx context.Context, cfg config, t *target) (runStats, error) {
 	return rs, nil
 }
 
+// route is the coordinator an operation drawn for id goes to: id while up
+// reports it up, else the next node after it in ID order that is, as capi
+// skips down members. The drawn stream is unchanged; only the operations
+// drawn for a node the loop knows is down move. With no node up it is id.
+func route(id nodeset.ID, nodes int, up func(nodeset.ID) bool) nodeset.ID {
+	for i := range nodes {
+		if next := (id + nodeset.ID(i)) % nodeset.ID(nodes); up(next) {
+			return next
+		}
+	}
+	return id
+}
+
 // faults is what -churn does to a cluster, one node at a time.
 type faults interface {
 	crash(id nodeset.ID)

@@ -16,6 +16,7 @@ import (
 	"coterie/internal/nodeset"
 	"coterie/internal/obs"
 	"coterie/internal/onecopy"
+	"coterie/internal/replica"
 	"coterie/internal/workload"
 )
 
@@ -152,7 +153,7 @@ func TestLoopStopsAtTheDeadline(t *testing.T) {
 }
 
 // The sim mode end to end, through core.NewGroup, under each strategy and
-// the batching options: twelve items (so "item-10" sorts before "item-2" in
+// group commit: twelve items (so "item-10" sorts before "item-2" in
 // the group), every key checked one-copy serializable, and the weighted
 // strategy solving on one shared engine's tick, not once per coordinator.
 func TestSimRunEndToEnd(t *testing.T) {
@@ -163,7 +164,7 @@ func TestSimRunEndToEnd(t *testing.T) {
 	for _, args := range [][]string{
 		{"-strategy", "hint"},
 		{"-strategy", "optimized", "-slow-node", "2", "-slow-read", "200us"},
-		{"-batch", "-batch-prop"},
+		{"-batch"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			cfg := testConfig(t, append([]string{"-duration", duration.String(), "-nodes", "4", "-items", "12", "-seed", "7"}, args...)...)
@@ -202,6 +203,41 @@ func TestSimKeysFollowItemNames(t *testing.T) {
 	}
 }
 
+// An operation drawn for a node that churn has down goes to the next node
+// up, in ID order: node 1 down sends node 1's draws to node 2, node 3 down
+// sends node 3's to node 0. None of them fails for want of a coordinator.
+func TestDrawsForADownNodeGoToTheNextUp(t *testing.T) {
+	tg, err := setupSim(testConfig(t, "-nodes", "4", "-items", "1"), obs.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tg.close()
+	ctx := context.Background()
+	for _, down := range []nodeset.ID{1, 3} {
+		tg.faults.crash(down)
+		tg.faults.checkEpoch(ctx, 0, (down+1)%4) // as churnLoop does
+		for _, kind := range []workload.OpKind{workload.OpWrite, workload.OpRead} {
+			op := workload.Op{Kind: kind, Coordinator: down, Update: replica.Update{Data: []byte{byte(down)}}}
+			if _, _, err := tg.attempt(ctx, 0, 0, op); err != nil {
+				t.Errorf("node %v down: op kind %d drawn for it failed: %v", down, kind, err)
+			}
+		}
+		if err := tg.faults.restart(down); err != nil {
+			t.Fatal(err)
+		}
+		tg.faults.checkEpoch(ctx, 0, down)
+	}
+	if got := route(1, 4, func(id nodeset.ID) bool { return id != 1 }); got != 2 {
+		t.Errorf("route past down node 1 = %v, want 2", got)
+	}
+	if got := route(3, 4, func(id nodeset.ID) bool { return id != 3 }); got != 0 {
+		t.Errorf("route past down node 3 = %v, want 0 (wrapping)", got)
+	}
+	if got := route(1, 4, func(nodeset.ID) bool { return false }); got != 1 {
+		t.Errorf("route with every node down = %v, want the drawn node", got)
+	}
+}
+
 // A sweep that did not reach every key is an error, as a violation is.
 func TestSweepMissingAKeyIsAnError(t *testing.T) {
 	cfg := testConfig(t, "-sweep", "-nodes", "3", "-items", "64")
@@ -224,7 +260,7 @@ func TestFlagNames(t *testing.T) {
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{
-		"affinity", "batch", "batch-prop", "capacity", "check-stride", "churn", "disjoint",
+		"affinity", "batch", "capacity", "check-stride", "churn", "disjoint",
 		"duration", "hedge", "items", "keyspace", "latency", "metrics", "net", "nodes",
 		"pprof", "rate", "read-frac", "rf", "seed", "shards", "slow-node", "slow-read",
 		"strategy", "sweep", "trace-sample", "workers",

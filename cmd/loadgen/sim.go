@@ -60,7 +60,7 @@ func setupSim(cfg config, reg *obs.Registry) (*target, error) {
 		Strategy:    strategy,
 		Capacity:    capacity,
 		GroupCommit: core.GroupCommitOptions{Enabled: cfg.batch},
-		Replica:     replica.Config{LockLease: 4 * callTimeout, Obs: reg, PropagationBatch: cfg.batchProp},
+		Replica:     replica.Config{LockLease: 4 * callTimeout, Obs: reg},
 		Transport:   tOpts,
 	})
 	if err != nil {
@@ -88,7 +88,7 @@ func setupSim(cfg config, reg *obs.Registry) (*target, error) {
 }
 
 func (cl *simCluster) attempt(ctx context.Context, _, item int, op workload.Op) (uint64, []byte, error) {
-	co := cl.coords[item][op.Coordinator]
+	co := cl.coords[item][route(op.Coordinator, len(cl.coords[item]), cl.Net.IsUp)]
 	if op.Kind == workload.OpRead {
 		value, version, err := co.Read(ctx)
 		return version, value, err

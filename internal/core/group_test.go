@@ -178,3 +178,51 @@ func TestGroupRestartRejoins(t *testing.T) {
 		}, "item "+item+" never caught up on the rejoined node")
 	}
 }
+
+// TestStaleBacklogCatchesUpPerItem: a node that is down while 256 items each
+// take a write owes a backlog of 256 propagations once it is readmitted, one
+// per item and all toward the same target. The per-item workers bring every
+// replica of every item to the last version with no stale mark, within a
+// bound. Asserted on replica state, not through reads, which the other
+// replicas could serve.
+func TestStaleBacklogCatchesUpPerItem(t *testing.T) {
+	const items, down = 256, nodeset.ID(5)
+	names := make([]string, items)
+	for i := range names {
+		names[i] = fmt.Sprintf("item-%03d", i)
+	}
+	g := newTestGroup(t, 9, names)
+	ctx := ctxT(t)
+	g.Crash(down)
+	if _, err := g.CheckEpochs(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if _, err := g.Coordinator(name, 0).Write(ctx, replica.Update{Data: []byte(name)}); err != nil {
+			t.Fatalf("write %s: %v", name, err)
+		}
+	}
+	g.Restart(down)
+	if st := g.Replica(names[items-1], down).State(); st.Version != 0 {
+		t.Fatalf("node %v took a write while down: version %d", down, st.Version)
+	}
+	if _, err := g.CheckEpochs(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		var behind []string
+		for _, name := range names {
+			for _, id := range g.Members.IDs() {
+				if st := g.Replica(name, id).State(); st.Stale || st.Version != 1 {
+					behind = append(behind, fmt.Sprintf("%s@%v (version %d, stale %v)", name, id, st.Version, st.Stale))
+				}
+			}
+		}
+		if len(behind) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d replicas still behind 10 s after readmission, first %v", len(behind), behind[:min(len(behind), 8)])
+		}
+	}
+}

@@ -37,7 +37,6 @@ func ParseFlags(args []string) (Config, error) {
 	fs.BoolVar(&cfg.GroupCommit.Enabled, "batch", false, "enable the group-commit write combiner")
 	fs.IntVar(&cfg.GroupCommit.MaxBatch, "batch-max", 0, "max writes merged per batched round (0 = default)")
 	fs.IntVar(&cfg.GroupCommit.MaxQueue, "batch-queue", 0, "combiner queue depth (0 = default)")
-	fs.BoolVar(&cfg.BatchProp, "batch-prop", false, "batch stale propagation per target node")
 	fs.IntVar(&cfg.PoolSize, "pool", 0, "connections per peer (0 = default)")
 	fs.BoolVar(&cfg.Obs, "obs", true, "attach the observability registry")
 	fs.StringVar(&cfg.MetricsAddr, "metrics", "", "serve live metrics over HTTP on this address")

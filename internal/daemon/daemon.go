@@ -98,8 +98,6 @@ type Config struct {
 	Capacities map[nodeset.ID]float64
 	// GroupCommit enables and sizes the write combiner.
 	GroupCommit core.GroupCommitOptions
-	// BatchProp batches stale propagation per target node.
-	BatchProp bool
 	// PoolSize is the connections-per-peer count (0 = default).
 	PoolSize int
 	// Pipeline is read by nothing: the transport has one call mode. The
@@ -239,7 +237,7 @@ func Start(cfg Config) (*Daemon, error) {
 	if err != nil {
 		return nil, fmt.Errorf("daemon: %w", err)
 	}
-	rcfg := replica.Config{LockLease: 4 * cfg.CallTimeout, Obs: reg, PropagationBatch: cfg.BatchProp}
+	rcfg := replica.Config{LockLease: 4 * cfg.CallTimeout, Obs: reg}
 	node := replica.NewNode(cfg.Self, tnet, rcfg)
 	copts := core.Options{
 		CallTimeout: cfg.CallTimeout,

@@ -29,11 +29,6 @@ type Config struct {
 	PropagationRetry time.Duration
 	// PropagationCallTimeout bounds each propagation RPC. Default 1s.
 	PropagationCallTimeout time.Duration
-	// PropagationBatch routes propagation through the node-level batched
-	// dispatcher (batchprop.go): one offer/transfer exchange per target
-	// covering every item owed, instead of one negotiation per item.
-	// Default false (per-item workers, today's behavior).
-	PropagationBatch bool
 	// ResolveInterval is how often the 2PC termination resolver scans for
 	// staged actions abandoned by their coordinator. Default 500ms.
 	ResolveInterval time.Duration

@@ -296,62 +296,3 @@ type PropagationData struct {
 	Snapshot    []byte
 	SnapVersion uint64
 }
-
-// Batched propagation (node-level, sent bare like GroupStateQuery): when a
-// node owes propagation for several items to the same target — the common
-// shape after churn, where one partition event marks a whole node's
-// replicas stale — the source offers all of them in ONE exchange and
-// streams all permitted transfers in a second, instead of paying the
-// offer/transfer negotiation per item. Each entry carries its own per-item
-// OpID and routes through the same per-item offer/data handlers as the
-// single-item path, so every safety rule (locked-for-propagation bit,
-// i-am-current, already-recovering) is identical; batching only cuts round
-// trips. Enabled by Config.PropagationBatch.
-
-// ItemOffer is one item's entry in a BatchPropagationOffer.
-type ItemOffer struct {
-	Item    string
-	Op      OpID
-	Version uint64
-}
-
-// BatchPropagationOffer opens the batched handshake: the source announces
-// its version for every item it owes the target.
-type BatchPropagationOffer struct {
-	Items []ItemOffer
-}
-
-// ItemOfferReply is one item's answer within a BatchPropagationReply.
-type ItemOfferReply struct {
-	Item          string
-	Status        PropStatus
-	TargetVersion uint64
-}
-
-// BatchPropagationReply answers a BatchPropagationOffer entry-by-entry.
-type BatchPropagationReply struct {
-	Items []ItemOfferReply
-}
-
-// ItemData is one item's transfer within a BatchPropagationData.
-type ItemData struct {
-	Item string
-	Data PropagationData
-}
-
-// BatchPropagationData streams every permitted transfer in one exchange.
-type BatchPropagationData struct {
-	Items []ItemData
-}
-
-// ItemAck is one item's acknowledgement within a BatchPropagationAck.
-type ItemAck struct {
-	Item   string
-	OK     bool
-	Reason string
-}
-
-// BatchPropagationAck answers a BatchPropagationData entry-by-entry.
-type BatchPropagationAck struct {
-	Items []ItemAck
-}

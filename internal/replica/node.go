@@ -30,15 +30,6 @@ type Node struct {
 	items      map[string]*Item
 	autoCreate func(name string) *Item
 
-	// Batched-propagation dispatcher state (batchprop.go): pending maps
-	// each stale target to the set of item names it is owed, drained by a
-	// single on-demand worker per node.
-	bpMu      sync.Mutex
-	bpPending map[nodeset.ID]map[string]uint64 // target → item → bpGen at its last enqueue
-	bpGen     uint64
-	bpRunning bool
-	bpMetrics nodeBatchMetrics
-
 	// Termination resolver state (decision.go): the items with staged 2PC
 	// actions since the last sweep took the list, walked by one on-demand
 	// goroutine per node. Ordered after Item.mu (watchStaged runs under it).
@@ -47,8 +38,8 @@ type Node struct {
 	resRunning bool
 
 	// closed stops, and wg counts, every background goroutine of the node and
-	// of its items: the resolver, the batched dispatcher and the items'
-	// propagation workers. Closed once, under resMu (see Close).
+	// of its items: the resolver and the items' propagation workers. Closed
+	// once, under resMu (see Close).
 	closed chan struct{}
 	wg     sync.WaitGroup
 }
@@ -58,15 +49,13 @@ type Node struct {
 func NewNode(self nodeset.ID, net transport.Net, cfg Config) *Node {
 	cfg = cfg.withDefaults()
 	n := &Node{
-		self:      self,
-		net:       net,
-		cfg:       cfg,
-		metrics:   newItemMetrics(cfg.Obs),
-		lockEnv:   newLockEnv(cfg.LockLease, cfg.Obs),
-		items:     make(map[string]*Item),
-		bpPending: make(map[nodeset.ID]map[string]uint64),
-		bpMetrics: newNodeBatchMetrics(cfg.Obs),
-		closed:    make(chan struct{}),
+		self:    self,
+		net:     net,
+		cfg:     cfg,
+		metrics: newItemMetrics(cfg.Obs),
+		lockEnv: newLockEnv(cfg.LockLease, cfg.Obs),
+		items:   make(map[string]*Item),
+		closed:  make(chan struct{}),
 	}
 	// Registered at zero here, once per node: a must-be-zero monitor has to
 	// be on the metrics page before it fires (see Item.decided).
@@ -178,10 +167,6 @@ func (n *Node) handle(ctx context.Context, from nodeset.ID, req transport.Messag
 	switch m := req.(type) {
 	case GroupStateQuery:
 		return n.groupState(), nil
-	case BatchPropagationOffer:
-		return n.handleBatchOffer(ctx, m)
-	case BatchPropagationData:
-		return n.handleBatchData(ctx, m)
 	case Envelope:
 		it := n.Item(m.Item)
 		if it == nil {
@@ -265,9 +250,9 @@ func (n *Node) groupState() GroupStateReply {
 	return reply
 }
 
-// Close stops the batched-propagation dispatcher, the termination resolver
-// and all items' background work, and waits for them to exit. It may be
-// called more than once, from any goroutines.
+// Close stops the termination resolver and all items' background work, and
+// waits for them to exit. It may be called more than once, from any
+// goroutines.
 func (n *Node) Close() {
 	// Under resMu, so that concurrent calls close the channel once and no
 	// staging still in flight starts the resolver — and adds to wg — behind

@@ -100,10 +100,6 @@ func (it *Item) enqueuePropagation(targets nodeset.Set) {
 	if targets.Empty() {
 		return
 	}
-	if it.node.cfg.PropagationBatch {
-		it.node.enqueueBatchPropagation(it.name, targets)
-		return
-	}
 	it.propMu.Lock()
 	it.pending = it.pending.Union(targets)
 	it.propGen++

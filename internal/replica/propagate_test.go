@@ -341,13 +341,11 @@ func TestPropagationAbandonOnSourceLockTimeout(t *testing.T) {
 // duty with it: the replica stayed stale until an unrelated write reached
 // it.
 func TestPropagationKeepsDutyMergedDuringOffer(t *testing.T) {
-	for name, batch := range map[string]bool{"per-item worker": false, "batched dispatcher": true} {
-		t.Run(name, func(t *testing.T) { mergedDutySurvives(t, batch) })
-	}
+	t.Run("per-item worker", mergedDutySurvives)
 }
 
-func mergedDutySurvives(t *testing.T, batch bool) {
-	h := newHarness(t, 2, nil, Config{PropagationBatch: batch, PropagationRetry: 5 * time.Millisecond})
+func mergedDutySurvives(t *testing.T) {
+	h := newHarness(t, 2, nil, Config{PropagationRetry: 5 * time.Millisecond})
 	source, target := h.item(0), h.item(1)
 
 	// A write by node 0: good set {0}, node 1 to be marked stale.

@@ -43,6 +43,10 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
 	f.Add(env[:len(env)/2])
+	// The retired tags, each with a payload behind it: unknown, whatever follows.
+	for tag := byte(28); tag <= 32; tag++ {
+		f.Add([]byte{tag, 1, 1, 'a', 0})
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := Unmarshal(data)

@@ -137,41 +137,6 @@ func appendMessage(b []byte, msg any) ([]byte, error) {
 		return putUvarint(b, m.TargetVersion), nil
 	case replica.PropagationData:
 		return putPropagationData(append(b, tagPropagationData), m), nil
-	case replica.BatchPropagationOffer:
-		b = append(b, tagBatchPropagationOffer)
-		b = putUvarint(b, uint64(len(m.Items)))
-		for _, it := range m.Items {
-			b = putString(b, it.Item)
-			b = putOp(b, it.Op)
-			b = putUvarint(b, it.Version)
-		}
-		return b, nil
-	case replica.BatchPropagationReply:
-		b = append(b, tagBatchPropagationReply)
-		b = putUvarint(b, uint64(len(m.Items)))
-		for _, it := range m.Items {
-			b = putString(b, it.Item)
-			b = putUvarint(b, uint64(it.Status))
-			b = putUvarint(b, it.TargetVersion)
-		}
-		return b, nil
-	case replica.BatchPropagationData:
-		b = append(b, tagBatchPropagationData)
-		b = putUvarint(b, uint64(len(m.Items)))
-		for _, it := range m.Items {
-			b = putString(b, it.Item)
-			b = putPropagationData(b, it.Data)
-		}
-		return b, nil
-	case replica.BatchPropagationAck:
-		b = append(b, tagBatchPropagationAck)
-		b = putUvarint(b, uint64(len(m.Items)))
-		for _, it := range m.Items {
-			b = putString(b, it.Item)
-			b = putBool(b, it.OK)
-			b = putString(b, it.Reason)
-		}
-		return b, nil
 	case capi.Read:
 		return putString(append(b, tagClientRead), m.Item), nil
 	case capi.ReadReply:
@@ -334,50 +299,6 @@ func decodeMessage(b []byte) (any, int, error) {
 		msg = replica.PropagationReply{Status: r.propStatus(), TargetVersion: r.uvarint()}
 	case tagPropagationData:
 		msg = r.propagationData()
-	case tagBatchPropagationOffer:
-		count := r.uvarint()
-		if count > r.remaining() {
-			r.fail(ErrTruncated)
-			break
-		}
-		items := make([]replica.ItemOffer, 0, count)
-		for i := uint64(0); i < count && r.err == nil; i++ {
-			items = append(items, replica.ItemOffer{Item: r.str(), Op: r.op(), Version: r.uvarint()})
-		}
-		msg = replica.BatchPropagationOffer{Items: items}
-	case tagBatchPropagationReply:
-		count := r.uvarint()
-		if count > r.remaining() {
-			r.fail(ErrTruncated)
-			break
-		}
-		items := make([]replica.ItemOfferReply, 0, count)
-		for i := uint64(0); i < count && r.err == nil; i++ {
-			items = append(items, replica.ItemOfferReply{Item: r.str(), Status: r.propStatus(), TargetVersion: r.uvarint()})
-		}
-		msg = replica.BatchPropagationReply{Items: items}
-	case tagBatchPropagationData:
-		count := r.uvarint()
-		if count > r.remaining() {
-			r.fail(ErrTruncated)
-			break
-		}
-		items := make([]replica.ItemData, 0, count)
-		for i := uint64(0); i < count && r.err == nil; i++ {
-			items = append(items, replica.ItemData{Item: r.str(), Data: r.propagationData()})
-		}
-		msg = replica.BatchPropagationData{Items: items}
-	case tagBatchPropagationAck:
-		count := r.uvarint()
-		if count > r.remaining() {
-			r.fail(ErrTruncated)
-			break
-		}
-		items := make([]replica.ItemAck, 0, count)
-		for i := uint64(0); i < count && r.err == nil; i++ {
-			items = append(items, replica.ItemAck{Item: r.str(), OK: r.boolean(), Reason: r.str()})
-		}
-		msg = replica.BatchPropagationAck{Items: items}
 	case tagClientRead:
 		msg = capi.Read{Item: r.str()}
 	case tagClientReadReply:

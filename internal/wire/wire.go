@@ -62,11 +62,11 @@ const (
 	tagAliveReply
 	tagLeaderReply
 	tagAnnounceAck
-	_ // retired; kept blank so that the tags after it keep their numbers
-	tagBatchPropagationOffer
-	tagBatchPropagationReply
-	tagBatchPropagationData
-	tagBatchPropagationAck
+	_ // five retired tags, blank so that the tags after them keep their
+	_ // numbers: a group-commit prepare, and batched propagation's offer,
+	_ // reply, data and ack
+	_
+	_
 	tagClientRead
 	tagClientReadReply
 	tagClientWrite

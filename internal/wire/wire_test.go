@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -68,23 +69,6 @@ func sampleMessages() []any {
 			NewVersion: 17, StaleSet: nodeset.New(2, 6), GoodSet: nodeset.New(0, 1, 3),
 		},
 		replica.PrepareUpdate{Op: op(0, 1), Update: replica.Update{Data: []byte("x")}, NewVersion: 1},
-		replica.BatchPropagationOffer{Items: []replica.ItemOffer{
-			{Item: "a", Op: op(1, 5), Version: 3},
-			{Item: "long-item-name", Op: op(2, 6), Version: 0},
-		}},
-		replica.BatchPropagationOffer{},
-		replica.BatchPropagationReply{Items: []replica.ItemOfferReply{
-			{Item: "a", Status: replica.PropPermitted, TargetVersion: 2},
-			{Item: "b", Status: replica.PropIAmCurrent},
-		}},
-		replica.BatchPropagationData{Items: []replica.ItemData{
-			{Item: "a", Data: replica.PropagationData{Op: op(3, 3), FromVersion: 2, Updates: []replica.Update{{Offset: 4, Data: []byte("q")}}}},
-			{Item: "b", Data: replica.PropagationData{Op: op(4, 4), HasSnapshot: true, Snapshot: []byte("snap"), SnapVersion: 9}},
-		}},
-		replica.BatchPropagationAck{Items: []replica.ItemAck{
-			{Item: "a", OK: true},
-			{Item: "b", OK: false, Reason: "replica is not stale"},
-		}},
 		capi.Read{Item: "item-0"},
 		capi.ReadReply{Status: capi.StatusOK, Version: 7, Value: []byte("v7")},
 		capi.ReadReply{Status: capi.StatusUnavailable, Detail: "no read quorum"},
@@ -168,6 +152,17 @@ func TestUnmarshalErrors(t *testing.T) {
 	}
 	if _, err := Unmarshal([]byte{255}); err == nil {
 		t.Error("unknown tag accepted")
+	}
+	// Retired tags stay retired: the group-commit prepare's slot (28) and
+	// batched propagation's four decode as unknown, and the client tags
+	// after them keep their numbers.
+	if tagClientRead != 33 {
+		t.Errorf("tagClientRead = %d, want 33: a deletion shifted the tags", tagClientRead)
+	}
+	for _, tag := range []byte{28, 29, 30, 31, 32} {
+		if _, err := Unmarshal([]byte{tag}); err == nil || !strings.Contains(err.Error(), "unknown tag") {
+			t.Errorf("retired tag %d: %v, want an unknown-tag error", tag, err)
+		}
 	}
 	// Trailing garbage after a valid message.
 	buf, _ := Marshal(replica.Commit{Op: op(1, 1)})
