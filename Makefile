@@ -146,8 +146,8 @@ profile-sim:
 # check-allocs runs the steady-state allocation gates: a whole operation on
 # the benchmark's nine-node sim cluster (a write at most 14 objects, a read
 # 4: what outlives the operation and nothing of its rounds), the combiner's
-# submit/drain machinery, the batched-propagation capture path, the
-# decision ring, a refused write-through push, the sim transport's
+# submit/drain machinery, the flight recorder's cycle (after one lap of its
+# ring), the decision ring, a refused write-through push, the sim transport's
 # multicast (nothing per round — legs, reply slots and the no-wait marker
 # are pooled scratch — and no leg handed to a worker or goroutine started
 # while nothing waits; at most a constant number parked after a burst), the
@@ -170,6 +170,11 @@ profile-sim:
 # a full decision ring 36 KB, one whose records fit no chunk base the old
 # 16-byte ring and 2 KB (the ring's own count, cross-checked against the live
 # heap after a collection, as live_heap_mb is read).
+# And what a cluster costs to set up, before any operation: a 256-trace
+# flight ring at most 64 KB and at most two allocations per slot in its
+# life, the benchmark's sim shape through core.NewGroup at most 192 KB, no
+# latency stream until something draws from one, and one metric bundle per
+# registry, not per coordinator or node.
 #
 # allocgate cuts a verbose run down to its verdict lines and fails the stage
 # when one of them is a FAIL or none is a PASS: a pipeline's status is its
@@ -178,9 +183,10 @@ allocgate = -v -count=1 | awk '/PASS|FAIL|allocat/ { print } /FAIL/ { bad = 1 } 
 check-allocs:
 	$(GO) test -run 'TestHotMethodsDoNotAllocate|TestInlineSetOperationsDoNotAllocate' ./internal/nodeset/ $(allocgate)
 	$(GO) test -run 'TestBoundAllocatesOnlyTheContext' ./internal/deadline/ $(allocgate)
-	$(GO) test -run 'TestOperationAllocationBudget|TestCombinerDrainDoesNotAllocate' ./internal/core/ $(allocgate)
-	$(GO) test -run 'TestDecisionRingDoesNotAllocate|TestRefusedPushDoesNotAllocate|TestLockTableDoesNotAllocate|TestHandlerAllocationBudget|TestColdItemFootprint|TestQuietCoordinatorFootprint' ./internal/replica/ $(allocgate)
-	$(GO) test -run 'TestMuxDispatchDoesNotAllocate|TestMulticastFuncAllocs|TestOneWayDeliveryAllocs|TestLegsSteadyStateIsFree|TestLegsParkedBounded' ./internal/transport/ $(allocgate)
+	$(GO) test -run 'TestFlightRecorderCycleDoesNotAllocate|TestFlightRecorderFootprint|TestFlightRecorderLifetimeAllocs|TestSharedBuildsOncePerRegistryAndKey' ./internal/obs/ $(allocgate)
+	$(GO) test -run 'TestOperationAllocationBudget|TestCombinerDrainDoesNotAllocate|TestGroupConstructionFootprint' ./internal/core/ $(allocgate)
+	$(GO) test -run 'TestDecisionRingDoesNotAllocate|TestRefusedPushDoesNotAllocate|TestLockTableDoesNotAllocate|TestHandlerAllocationBudget|TestColdItemFootprint|TestQuietCoordinatorFootprint|TestNodesShareTheRegistryBundles' ./internal/replica/ $(allocgate)
+	$(GO) test -run 'TestMuxDispatchDoesNotAllocate|TestMulticastFuncAllocs|TestOneWayDeliveryAllocs|TestLegsSteadyStateIsFree|TestLegsParkedBounded|TestLatencyStreamsAreMadeOnFirstDraw' ./internal/transport/ $(allocgate)
 	$(GO) test -run 'TestAppendMarshalDoesNotAllocate|TestAppendTraceContextDoesNotAllocate|TestDecodeTraceContextDoesNotAllocate' ./internal/wire/ $(allocgate)
 	$(GO) test -run 'TestRequestFrameEncodeDoesNotAllocate|TestReplyFrameEncodeDoesNotAllocate|TestFusedMessageEncodeDoesNotAllocate|TestRingFlushPathDoesNotAllocate|TestTracedRequestFrameEncodeDoesNotAllocate' ./internal/transport/tcpnet/ $(allocgate)
 	$(GO) test -run 'TestZipfNextDoesNotAllocate' ./internal/workload/ $(allocgate)

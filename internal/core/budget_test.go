@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -95,5 +97,59 @@ func TestOperationAllocationBudget(t *testing.T) {
 	}
 	if got := reg.Counter("core_spec_prepare_hit_total").Load(); got < 12000 {
 		t.Errorf("%d writes took the one-round path, want all of them", got)
+	}
+}
+
+// TestGroupConstructionFootprint holds what setting a cluster up costs, on
+// the benchmark's sim shape built through NewGroup: a registry with a
+// 256-trace flight recorder, nine nodes, eight items. It was 757 KB when
+// every ring slot had room for a whole Trace, every endpoint seeded a
+// latency source at Register and every coordinator resolved its own
+// counters; it is ≈ 160 KB now, most of it the 72 replicas. The coordinators
+// share one metric bundle, and so do coordinators built without a registry.
+func TestGroupConstructionFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime adds bookkeeping allocations")
+	}
+	const limit = 192 << 10 // an eager latency source per endpoint alone is 44 KB more
+	items := make([]string, 8)
+	for i := range items {
+		items[i] = fmt.Sprintf("item-%d", i)
+	}
+	build := func(opts Options) *Group {
+		g, err := NewGroup(9, items, nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(g.Close)
+		return g
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	least, objects := uint64(math.MaxUint64), uint64(0)
+	var measured *Group
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		reg := obs.New()
+		reg.SetFlight(obs.NewFlightRecorder(256))
+		measured = build(Options{Obs: reg})
+		runtime.ReadMemStats(&after)
+		if b := after.TotalAlloc - before.TotalAlloc; b < least {
+			least, objects = b, after.Mallocs-before.Mallocs
+		}
+	}
+	t.Logf("9 nodes, 8 items, a 256-trace recorder: %d bytes in %d objects", least, objects)
+	if least > limit {
+		t.Errorf("setting the cluster up allocated %d bytes, want at most %d", least, limit)
+	}
+	for _, g := range []*Group{measured, build(Options{})} {
+		want := g.Coordinator(items[0], 0).metrics
+		for _, item := range items {
+			for _, id := range g.Members.IDs() {
+				if g.Coordinator(item, id).metrics != want {
+					t.Fatalf("coordinator %v of %s resolved its own metric bundle", id, item)
+				}
+			}
+		}
 	}
 }

@@ -191,7 +191,9 @@ func TestPricedOutNodeIsTimedAgain(t *testing.T) {
 
 // TestFailedCallsDoNotLowerMean: calls that fail are not timed, so a node
 // that crashes after being measured slow keeps its mean however quickly the
-// calls to it now fail.
+// calls to it now fail. The check reads the crashed node's own cell — its
+// samples and its mean, exactly — not its capacity, which is a ratio to the
+// fastest node's sub-microsecond mean and moves with the host.
 func TestFailedCallsDoNotLowerMean(t *testing.T) {
 	reg := obs.New()
 	net := transport.NewNetwork(transport.WithObs(reg))
@@ -220,6 +222,11 @@ func TestFailedCallsDoNotLowerMean(t *testing.T) {
 	if before > 0.2 {
 		t.Fatalf("node burning 200 µs a message measured at capacity %.3f", before)
 	}
+	cell := &tr.calls[tr.index[2]-1]
+	samples, mean := cell.hist.Snapshot().Count, cell.meanNs
+	if mean == 0 {
+		t.Fatal("node 2 has no mean after its calls were timed")
+	}
 	net.Crash(2)
 	for i := 0; i < 100*minCallSamples; i++ {
 		if _, err := net.Call(ctx, 0, 2, "x"); !errors.Is(err, transport.ErrCallFailed) {
@@ -227,8 +234,12 @@ func TestFailedCallsDoNotLowerMean(t *testing.T) {
 		}
 		net.Call(ctx, 0, 1, "x") //nolint:errcheck // keeps node 1 measured
 	}
-	if after := tr.capacity(nil)(2); after > before*1.5 {
-		t.Fatalf("failed calls raised the crashed node's capacity %.4f -> %.4f", before, after)
+	if got := cell.hist.Snapshot().Count; got != samples {
+		t.Fatalf("%d failed calls added %d samples to the crashed node's cell", 100*minCallSamples, got-samples)
+	}
+	tr.capacity(nil)
+	if cell.meanNs != mean || cell.newCount != 0 {
+		t.Fatalf("failed calls moved the crashed node's mean %.0f -> %.0f ns (%d new samples)", mean, cell.meanNs, cell.newCount)
 	}
 }
 

@@ -33,11 +33,12 @@ type Coordinator struct {
 	// cache invalidates itself whenever a response carries a newer epoch.
 	layouts *coterie.Cache
 	// obsReg and metrics are the observability attachments: counters are
-	// resolved once here, and the flight recorder is re-read from the
-	// registry per operation (an atomic load) so attaching one mid-run
-	// takes effect. Both are nil-safe when observability is disabled.
+	// the registry's one coordinator bundle, and the flight recorder is
+	// re-read from the registry per operation (an atomic load) so attaching
+	// one mid-run takes effect. Both are nil-safe when observability is
+	// disabled.
 	obsReg  *obs.Registry
-	metrics coordMetrics
+	metrics *coordMetrics
 	// strat drives StrategyOptimized: the process-shared engine from
 	// Options.Engine; nil under StrategyHint. When it is nil or has no valid
 	// snapshot (an epoch not solved yet) picks fall through to the hint path.
@@ -59,7 +60,7 @@ func NewCoordinator(item *replica.Item, net transport.Net, all nodeset.Set, opts
 		opts:    opts,
 		layouts: coterie.NewCache(opts.Rule),
 		obsReg:  opts.Obs,
-		metrics: newCoordMetrics(opts.Obs),
+		metrics: sharedCoordMetrics(opts.Obs),
 	}
 	if opts.Strategy.Weighted() {
 		c.strat = opts.Engine

@@ -8,10 +8,11 @@ import (
 	"coterie/internal/obs"
 )
 
-// coordMetrics are the coordinator's counters, resolved once at
-// construction against the (possibly Nop) registry so the hot path never
-// touches registry maps. Every field is nil-safe: with observability
-// disabled each Inc is a single predictable branch.
+// coordMetrics are the coordinator's counters, resolved once per registry
+// (sharedCoordMetrics) and shared by every coordinator on it, so neither the
+// hot path nor a coordinator's construction touches registry maps. Every
+// field is nil-safe: with observability disabled each Inc is a single
+// predictable branch.
 type coordMetrics struct {
 	writes       *obs.Counter // core_writes_total
 	reads        *obs.Counter // core_reads_total
@@ -60,6 +61,15 @@ const (
 	quorumRead  = 0
 	quorumWrite = 1
 )
+
+// coordMetricsKey is the coordinators' bundle in a registry (obs.Shared).
+type coordMetricsKey struct{}
+
+// sharedCoordMetrics returns r's coordinator counters, resolving them on
+// the first call for r.
+func sharedCoordMetrics(r *obs.Registry) *coordMetrics {
+	return obs.Shared(r, coordMetricsKey{}, newCoordMetrics)
+}
 
 func newCoordMetrics(r *obs.Registry) coordMetrics {
 	rounds, members := r.CounterVec("core_quorum_rounds_total"), r.CounterVec("core_quorum_members_total")

@@ -71,16 +71,21 @@ func TestFlightRecorderCycleDoesNotAllocate(t *testing.T) {
 	f := NewFlightRecorder(64)
 	quorum := nodeset.New(0, 1, 2)
 	stale := nodeset.New(2)
-	// Warm the pool so the first Begin's ActiveOp allocation is done.
 	now := time.Now()
-	f.Begin(OpWrite, 0, 0, "warm", now).End(OutcomeOK, 0, now)
-	if n := testing.AllocsPerRun(1000, func() {
+	cycle := func() {
 		a := f.Begin(OpWrite, 0, 1, "item", now)
 		a.Quorum(quorum, 3, 3)
 		a.Phase(PhaseLock, now, now, 3, 0)
 		a.StaleMark(stale, 2)
 		a.End(OutcomeOK, 2, now)
-	}); n != 0 {
+	}
+	// Warm the pool and one full lap of the ring: a slot makes its events
+	// slice the first time a trace lands in it, and 64 such allocations in
+	// 1 000 runs would vanish in AllocsPerRun's integer average.
+	for i := 0; i < f.Cap(); i++ {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
 		t.Fatalf("flight-recorder cycle allocates %.1f per run, want 0", n)
 	}
 }

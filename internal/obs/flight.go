@@ -19,9 +19,13 @@ import (
 //
 // Recording discipline (the zero-alloc contract): an operation borrows an
 // ActiveOp from a pool, appends events into its fixed-size array, and on
-// End the trace value is copied into a ring slot under that slot's mutex.
-// Steady state allocates nothing; the only contention is between an
-// operation completing into a slot and a snapshot copying it out.
+// End the trace's head and the events it recorded are copied into a ring
+// slot under that slot's mutex. A slot keeps its events in a slice sized by
+// the traces it has held, not by MaxTraceEvents: most traces hold two or
+// three events, so a ring is paid for by what lands in it. Once every slot
+// has held a trace of the largest size it will see, steady state allocates
+// nothing; the only contention is between an operation completing into a
+// slot and a snapshot copying it out.
 
 // MaxTraceEvents caps the events kept per trace; further events are
 // counted (Trace.Dropped) but not stored. 24 covers every phase of the
@@ -167,8 +171,16 @@ type Event struct {
 	Nodes Mask
 }
 
-// Trace is one completed operation's record.
+// Trace is one completed operation's record: its head and the events it
+// stored.
 type Trace struct {
+	TraceHead
+	Events [MaxTraceEvents]Event
+}
+
+// TraceHead is a trace without its events: what a ring slot keeps beside
+// the events its trace recorded.
+type TraceHead struct {
 	// Seq is the trace's completion sequence number (1-based, strictly
 	// increasing across the recorder's lifetime).
 	Seq         uint64
@@ -187,27 +199,64 @@ type Trace struct {
 	Version    uint64
 	NumEvents  int32 // stored events (≤ MaxTraceEvents)
 	Dropped    int32 // events beyond the cap, counted but not stored
-	Events     [MaxTraceEvents]Event
 }
 
 // EventsSlice returns the stored events.
 func (t *Trace) EventsSlice() []Event { return t.Events[:t.NumEvents] }
 
-// copyFrom copies src into t but for the events past src.NumEvents, which
-// nothing reads: a whole Trace is 2 KB of events.
-func (t *Trace) copyFrom(src *Trace) {
-	t.Seq, t.Kind, t.Coordinator, t.OpSeq, t.Item = src.Seq, src.Kind, src.Coordinator, src.OpSeq, src.Item
-	t.TraceID, t.ParentSpan, t.Start, t.Elapsed = src.TraceID, src.ParentSpan, src.Start, src.Elapsed
-	t.Outcome, t.Version, t.NumEvents, t.Dropped = src.Outcome, src.Version, src.NumEvents, src.Dropped
-	copy(t.Events[:], src.EventsSlice())
+// slot is one ring cell: a trace's head and the events it stored, in a
+// slice whose capacity the slot keeps for the next trace. The mutex
+// serializes a completing operation copying its trace in against snapshots
+// copying it out (and, under wraparound, against another operation
+// completing into the same cell).
+type slot struct {
+	mu     sync.Mutex
+	head   TraceHead
+	events []Event
 }
 
-// slot is one ring cell. The mutex serializes a completing operation
-// copying its trace in against snapshots copying it out (and, under
-// wraparound, against another operation completing into the same cell).
-type slot struct {
-	mu sync.Mutex
-	t  Trace
+// minSlotEvents is the fewest events a slot makes room for. On the
+// benchmark's sim workloads a trace holds two to six events (a read two, a
+// write three, an epoch change five or six) and only a few a second of
+// sim_hot's hold more: sized by its first two-event trace alone, a slot
+// would grow to MaxTraceEvents at the first epoch change that lands in it,
+// and in a run of seconds the whole ring would be full-size again.
+const minSlotEvents = 8
+
+// put stores t unless the slot already holds a newer trace: two completions
+// can map to the same slot with their stores reordered relative to their
+// sequence assignment, and the larger Seq wins. The first trace with events
+// makes the slot's slice, with room for minSlotEvents or its own events;
+// one with more than that grows it once, straight to MaxTraceEvents, so a
+// slot allocates at most twice in its life.
+func (s *slot) put(t *Trace) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if t.Seq <= s.head.Seq {
+		return
+	}
+	s.head = t.TraceHead
+	ev := t.EventsSlice()
+	if len(ev) > cap(s.events) {
+		n := MaxTraceEvents
+		if cap(s.events) == 0 {
+			n = max(len(ev), minSlotEvents)
+		}
+		s.events = make([]Event, 0, n)
+	}
+	s.events = append(s.events[:0], ev...)
+}
+
+// get copies the slot's trace into t; false when the slot has held none.
+func (s *slot) get(t *Trace) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.head.Seq == 0 {
+		return false
+	}
+	t.TraceHead = s.head
+	copy(t.Events[:], s.events)
+	return true
 }
 
 // FlightRecorder is a fixed-size ring of completed operation traces. A nil
@@ -269,10 +318,8 @@ func (f *FlightRecorder) Begin(kind OpKind, coordinator nodeset.ID, opSeq uint64
 	}
 	a := f.pool.Get().(*ActiveOp)
 	a.rec, a.last = f, now
-	// Field by field, as copyFrom: the events past NumEvents are never read.
-	t := &a.t
-	t.Kind, t.Coordinator, t.OpSeq, t.Item, t.Start = kind, coordinator, opSeq, item, now
-	t.TraceID, t.ParentSpan, t.NumEvents, t.Dropped = 0, 0, 0, 0
+	// The head only: the events past NumEvents are never read.
+	a.t.TraceHead = TraceHead{Kind: kind, Coordinator: coordinator, OpSeq: opSeq, Item: item, Start: now}
 	return a
 }
 
@@ -395,15 +442,7 @@ func (a *ActiveOp) End(o Outcome, version uint64, now time.Time) {
 	f := a.rec
 	seq := f.seq.Add(1)
 	a.t.Seq = seq
-	s := &f.slots[(seq-1)%uint64(len(f.slots))]
-	s.mu.Lock()
-	// Two completions can map to the same slot with their stores reordered
-	// relative to their sequence assignment; keep the newer trace. Its
-	// events past NumEvents are not copied: nothing reads them.
-	if seq > s.t.Seq {
-		s.t.copyFrom(&a.t)
-	}
-	s.mu.Unlock()
+	f.slots[(seq-1)%uint64(len(f.slots))].put(&a.t)
 	a.rec = nil
 	a.t.Item = "" // drop the string reference before pooling
 	f.pool.Put(a)
@@ -414,15 +453,14 @@ func (f *FlightRecorder) Traces() []Trace {
 	if f == nil {
 		return nil
 	}
-	out := make([]Trace, 0, len(f.slots))
+	out := make([]Trace, len(f.slots))
+	n := 0
 	for i := range f.slots {
-		s := &f.slots[i]
-		s.mu.Lock()
-		if s.t.Seq != 0 {
-			out = append(out, s.t)
+		if f.slots[i].get(&out[n]) {
+			n++
 		}
-		s.mu.Unlock()
 	}
+	out = out[:n]
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -184,15 +185,14 @@ func TestMaskTruncation(t *testing.T) {
 	}
 }
 
-// TestTraceCopyKeepsEveryField: a completed trace reaches its ring slot
-// field by field (copyFrom), so that the events past NumEvents are not
-// copied; a field added to Trace and forgotten there would be lost.
+// TestTraceCopyKeepsEveryField: a completed trace reaches its ring slot as
+// a head and a slice of events, and comes back out of Traces() whole; a
+// field added to the head and forgotten on either side would be lost.
 func TestTraceCopyKeepsEveryField(t *testing.T) {
 	var src Trace
-	v := reflect.ValueOf(&src).Elem()
+	v := reflect.ValueOf(&src.TraceHead).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		switch f := v.Field(i); f.Kind() {
-		case reflect.Array: // the events, below
 		case reflect.String:
 			f.SetString("x")
 		case reflect.Struct: // time.Time
@@ -203,11 +203,126 @@ func TestTraceCopyKeepsEveryField(t *testing.T) {
 			f.SetUint(uint64(i + 1))
 		}
 	}
-	src.Events[1].N, src.Events[2].N = 7, 9 // NumEvents is 2: the second is copied, the third is not
-	var dst Trace
-	dst.copyFrom(&src)
+	src.Events[1].N, src.Events[2].N = 7, 9 // NumEvents is 2: the second is kept, the third is not
+	var s slot
+	s.put(&src)
 	src.Events[2].N = 0
-	if !reflect.DeepEqual(dst, src) {
+	var dst Trace
+	if !s.get(&dst) || !reflect.DeepEqual(dst, src) {
 		t.Errorf("copied %+v\nwant   %+v", dst, src)
+	}
+}
+
+// TestFlightRecorderFootprint: an empty ring holds trace heads, not room
+// for MaxTraceEvents events per slot (≈ 573 KB for 256 slots when every
+// slot was a whole Trace).
+func TestFlightRecorderFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under the race detector")
+	}
+	const limit = 64 << 10
+	var f *FlightRecorder
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f = NewFlightRecorder(256)
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("NewFlightRecorder(256) allocated %d B", got)
+	if got > limit {
+		t.Fatalf("NewFlightRecorder(256) allocated %d B, want at most %d", got, limit)
+	}
+	runtime.KeepAlive(f)
+}
+
+// record completes one trace of n Heavy events (n may pass the cap) on f.
+func record(f *FlightRecorder, opSeq uint64, n int) {
+	now := time.Now()
+	a := f.Begin(OpWrite, 0, opSeq, "x", now)
+	for i := 0; i < n; i++ {
+		a.Batch(i, opSeq, uint64(i))
+	}
+	a.End(OutcomeOK, opSeq, now)
+}
+
+// TestFlightRecorderSlotGrowth: a one-slot ring that held a two-event trace
+// gives back a larger trace whole — its 24 stored events in order and
+// exactly the overflow counted as dropped — and then a smaller one without
+// a trace of the larger left behind. The slot makes room for minSlotEvents
+// at first and grows once, straight to the cap.
+func TestFlightRecorderSlotGrowth(t *testing.T) {
+	f := NewFlightRecorder(1)
+	check := func(opSeq uint64, recorded, room int) {
+		t.Helper()
+		if got := cap(f.slots[0].events); got != room {
+			t.Fatalf("op %d: the slot has room for %d events, want %d", opSeq, got, room)
+		}
+		trs := f.Traces()
+		if len(trs) != 1 || trs[0].OpSeq != opSeq {
+			t.Fatalf("ring holds %+v, want the trace of op %d", trs, opSeq)
+		}
+		tr := trs[0]
+		stored := min(recorded, MaxTraceEvents)
+		if int(tr.NumEvents) != stored || int(tr.Dropped) != recorded-stored {
+			t.Fatalf("op %d: NumEvents=%d Dropped=%d, want %d/%d", opSeq, tr.NumEvents, tr.Dropped, stored, recorded-stored)
+		}
+		for i, e := range tr.Events {
+			want := Event{}
+			if i < stored {
+				want = Event{Kind: EvBatch, N: int32(i), A: opSeq, B: uint64(i)}
+			}
+			if e != want {
+				t.Fatalf("op %d: event %d is %+v, want %+v", opSeq, i, e, want)
+			}
+		}
+	}
+	record(f, 1, 2)
+	check(1, 2, minSlotEvents)
+	record(f, 2, minSlotEvents)
+	check(2, minSlotEvents, minSlotEvents)
+	record(f, 3, MaxTraceEvents+5)
+	check(3, MaxTraceEvents+5, MaxTraceEvents)
+	record(f, 4, 3)
+	check(4, 3, MaxTraceEvents)
+}
+
+// TestFlightRecorderNewestWins: a slot keeps the trace with the larger
+// sequence number whatever order the two are stored in.
+func TestFlightRecorderNewestWins(t *testing.T) {
+	var newer, older Trace
+	newer.Seq, newer.OpSeq, newer.NumEvents = 5, 50, 1
+	older.Seq, older.OpSeq, older.NumEvents = 3, 30, 2
+	var s slot
+	s.put(&newer)
+	s.put(&older)
+	var got Trace
+	if !s.get(&got) || got.Seq != 5 || got.OpSeq != 50 || got.NumEvents != 1 {
+		t.Fatalf("slot kept %+v, want the trace of seq 5", got.TraceHead)
+	}
+}
+
+// TestFlightRecorderLifetimeAllocs: once its ActiveOp pool is warm, a ring
+// allocates at most twice per slot however many laps it runs and whatever
+// sizes its traces come in: a slot's events grow once, straight to the
+// cap, and are reused from then on.
+func TestFlightRecorderLifetimeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under the race detector")
+	}
+	const capacity = 64
+	f := NewFlightRecorder(capacity)
+	record(f, 0, 0) // the pool's ActiveOp
+	// Not AllocsPerRun: its warm-up call would run the laps being counted.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for lap := 0; lap < 10; lap++ {
+		for i := 0; i < capacity; i++ {
+			record(f, uint64(i), (lap*7+i*5)%(MaxTraceEvents+3))
+		}
+	}
+	runtime.ReadMemStats(&after)
+	n := after.Mallocs - before.Mallocs
+	t.Logf("ten laps of a %d-slot ring allocated %d objects", capacity, n)
+	if n > 2*capacity {
+		t.Fatalf("ten laps of a %d-slot ring allocated %d objects, want at most %d", capacity, n, 2*capacity)
 	}
 }

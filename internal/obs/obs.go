@@ -47,6 +47,7 @@ type Registry struct {
 	gaugeVecs map[string]*GaugeVec
 	histVecs  map[string]*HistogramVec
 	flight    atomic.Pointer[FlightRecorder]
+	bundles   bundles // see Shared
 }
 
 // Nop is the disabled registry: metrics resolved from it are nil and every
@@ -159,6 +160,44 @@ func (r *Registry) HistogramVec(name string) *HistogramVec {
 		r.histVecs[name] = v
 	}
 	return v
+}
+
+// bundles memoises what Shared builds, by key.
+type bundles struct {
+	mu sync.Mutex
+	m  map[any]any
+}
+
+// nopBundles holds the Nop registry's bundles: every handle in them is nil,
+// so one per key serves the whole process.
+var nopBundles bundles
+
+// Shared returns r's one bundle for key — a struct of metric handles that
+// every component of a kind resolves alike, such as a coordinator's
+// counters — calling build the first time key is asked for. Components on
+// one registry then share one bundle through a pointer instead of each
+// resolving and holding a copy of it. The key says everything the bundle
+// depends on besides r, and its type belongs to the caller (an unexported
+// struct type, as for a context key), so that one key always means one T.
+// build must not call Shared. On the Nop registry the bundle is kept once
+// per process.
+func Shared[T any](r *Registry, key any, build func(*Registry) T) *T {
+	b := &nopBundles
+	if r != nil {
+		b = &r.bundles
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if v, ok := b.m[key]; ok {
+		return v.(*T)
+	}
+	if b.m == nil {
+		b.m = make(map[any]any)
+	}
+	p := new(T)
+	*p = build(r)
+	b.m[key] = p
+	return p
 }
 
 // AdoptCounter registers an externally owned counter under name, making it

@@ -6,9 +6,11 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 	"unsafe"
 
 	"coterie/internal/nodeset"
+	"coterie/internal/obs"
 	"coterie/internal/transport"
 )
 
@@ -77,6 +79,40 @@ func TestColdItemFootprint(t *testing.T) {
 		t.Errorf("newItem makes %.0f allocations, want at most 2 (Item, value)", allocs)
 	}
 	runtime.KeepAlive(sink)
+}
+
+// TestNodesShareTheRegistryBundles: the replica counters and the lock
+// environment are resolved once per registry (and lease), not once per
+// node, and an item's lock reads its node's.
+func TestNodesShareTheRegistryBundles(t *testing.T) {
+	for _, reg := range []*obs.Registry{obs.New(), obs.Nop} {
+		net := transport.NewNetwork()
+		a := NewNode(0, net, Config{Obs: reg, LockLease: time.Second})
+		b := NewNode(1, net, Config{Obs: reg, LockLease: time.Second})
+		c := NewNode(2, net, Config{Obs: reg, LockLease: 2 * time.Second})
+		for _, n := range []*Node{a, b, c} {
+			defer n.Close()
+		}
+		if a.metrics != b.metrics || a.metrics != c.metrics {
+			t.Errorf("registry %p: nodes resolved their own replica counters", reg)
+		}
+		if a.lockEnv != b.lockEnv {
+			t.Errorf("registry %p: nodes with one lease resolved their own lock environments", reg)
+		}
+		if a.lockEnv == c.lockEnv || c.lockEnv.lease != 2*time.Second {
+			t.Errorf("registry %p: a node with another lease got lease %v", reg, c.lockEnv.lease)
+		}
+		it, err := a.AddItem("x", nodeset.New(0), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if it.lock.lockEnv != a.lockEnv {
+			t.Errorf("registry %p: an item's lock does not read its node's environment", reg)
+		}
+	}
+	if sharedItemMetrics(obs.New()) == sharedItemMetrics(obs.New()) {
+		t.Error("two registries share one bundle")
+	}
 }
 
 // TestQuietCoordinatorFootprint: the decision log costs what the item has

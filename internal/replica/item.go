@@ -169,7 +169,7 @@ func newItem(n *Node, name string, members nodeset.Set, initial []byte) *Item {
 		initial: initial,
 		store:   NewStore(initial, n.cfg.MaxLog),
 		epoch:   members.Clone(),
-		lock:    itemLock{lockEnv: &n.lockEnv},
+		lock:    itemLock{lockEnv: n.lockEnv},
 	}
 	n.metrics.items.Add(1)
 	it.notePayloadLocked() // no concurrent access yet; mu not needed

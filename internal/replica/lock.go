@@ -141,10 +141,11 @@ type itemLock struct {
 }
 
 // lockEnv is what the locks of one node's replicas have in common, built
-// once per node and never written afterwards: the lease, and the obs counters
-// (nil — no-op — without a registry) of acquisitions granted, acquisitions
-// that queued, acquisitions denied (caller's context ended while queued),
-// ordered acquisitions refused at once, and holds dropped by lease expiry.
+// once per registry and lease (sharedLockEnv) and never written afterwards:
+// the lease, and the obs counters (nil — no-op — without a registry) of
+// acquisitions granted, acquisitions that queued, acquisitions denied
+// (caller's context ended while queued), ordered acquisitions refused at
+// once, and holds dropped by lease expiry.
 type lockEnv struct {
 	lease   time.Duration
 	granted *obs.Counter
@@ -152,6 +153,15 @@ type lockEnv struct {
 	denied  *obs.Counter
 	refused *obs.Counter
 	expired *obs.Counter
+}
+
+// lockEnvKey is the locks' bundle for one lease in a registry (obs.Shared).
+type lockEnvKey struct{ lease time.Duration }
+
+// sharedLockEnv returns the lock environment every node on r with the given
+// lease shares, resolving its counters on the first call.
+func sharedLockEnv(lease time.Duration, r *obs.Registry) *lockEnv {
+	return obs.Shared(r, lockEnvKey{lease}, func(r *obs.Registry) lockEnv { return newLockEnv(lease, r) })
 }
 
 func newLockEnv(lease time.Duration, r *obs.Registry) lockEnv {

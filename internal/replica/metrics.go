@@ -6,11 +6,12 @@ import (
 	"coterie/internal/obs"
 )
 
-// itemMetrics holds the replica layer's obs counters, resolved once per node
-// (NewNode) and read by its items through it. All nodes in a process share a
-// registry, so these aggregate across items and nodes. Resolving against a
-// nil registry yields nil metrics whose recording methods are no-ops (see
-// obs.Nop), so the data path carries no conditionals.
+// itemMetrics holds the replica layer's obs counters, resolved once per
+// registry (sharedItemMetrics) and shared by every node on it, whose items
+// read them through their node. All nodes in a process share a registry, so
+// these aggregate across items and nodes. Resolving against a nil registry
+// yields nil metrics whose recording methods are no-ops (see obs.Nop), so
+// the data path carries no conditionals.
 type itemMetrics struct {
 	commits      *obs.Counter
 	staleMarked  *obs.Counter
@@ -52,6 +53,15 @@ type itemMetrics struct {
 	// decisionBytes is what the decision rings hold (decisionLog.bytes): it
 	// moves when a ring reaches a chunk or amnesia drops it, not per record.
 	decisionBytes *obs.Gauge
+}
+
+// itemMetricsKey is the nodes' bundle in a registry (obs.Shared).
+type itemMetricsKey struct{}
+
+// sharedItemMetrics returns r's replica counters, resolving them on the
+// first call for r.
+func sharedItemMetrics(r *obs.Registry) *itemMetrics {
+	return obs.Shared(r, itemMetricsKey{}, newItemMetrics)
 }
 
 func newItemMetrics(r *obs.Registry) itemMetrics {

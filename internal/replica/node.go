@@ -19,12 +19,13 @@ import (
 type Node struct {
 	// Set by NewNode and never written afterwards: what the node's items
 	// have in common, which each reads through its one pointer to the node
-	// instead of carrying a copy.
+	// instead of carrying a copy. metrics and lockEnv are shared further,
+	// by every node on the registry (and lease).
 	self    nodeset.ID
 	net     transport.Net
 	cfg     Config // defaults applied
-	metrics itemMetrics
-	lockEnv lockEnv
+	metrics *itemMetrics
+	lockEnv *lockEnv
 
 	mu         sync.RWMutex
 	items      map[string]*Item
@@ -52,8 +53,8 @@ func NewNode(self nodeset.ID, net transport.Net, cfg Config) *Node {
 		self:    self,
 		net:     net,
 		cfg:     cfg,
-		metrics: newItemMetrics(cfg.Obs),
-		lockEnv: newLockEnv(cfg.LockLease, cfg.Obs),
+		metrics: sharedItemMetrics(cfg.Obs),
+		lockEnv: sharedLockEnv(cfg.LockLease, cfg.Obs),
 		items:   make(map[string]*Item),
 		closed:  make(chan struct{}),
 	}

@@ -83,6 +83,76 @@ func TestEndpointStreamsDisjoint(t *testing.T) {
 	}
 }
 
+// TestLatencyStreamsAreMadeOnFirstDraw: an endpoint's latency stream is
+// made when it is first drawn from, not at Register, and it is the stream
+// streamSeed names whatever order nodes were registered, crashed, restarted
+// and re-registered in. Without WithLatency nothing draws and no stream is
+// made.
+func TestLatencyStreamsAreMadeOnFirstDraw(t *testing.T) {
+	const seed = 42
+	var last []int64 // the draws of the call in progress
+	n := NewNetwork(WithSeed(seed), WithLatency(func(r *rand.Rand) time.Duration {
+		last = append(last, r.Int63())
+		return 0
+	}))
+	echo := func(ctx context.Context, from nodeset.ID, req Message) (Message, error) { return req, nil }
+	ref := map[nodeset.ID]*rand.Rand{}
+	register := func(id nodeset.ID) {
+		n.Register(id, echo)
+		if ref[id] == nil {
+			ref[id] = rand.New(rand.NewSource(streamSeed(seed, id)))
+		}
+	}
+	ctx := context.Background()
+	call := func(from, to nodeset.ID) {
+		t.Helper()
+		last = last[:0]
+		if _, err := n.Call(ctx, from, to, "x"); err != nil {
+			t.Fatalf("call %v->%v: %v", from, to, err)
+		}
+		// The request leg draws from the sender's stream, the reply leg from
+		// the replier's.
+		if want := []int64{ref[from].Int63(), ref[to].Int63()}; len(last) != 2 || last[0] != want[0] || last[1] != want[1] {
+			t.Fatalf("call %v->%v drew %v, want %v", from, to, last, want)
+		}
+	}
+	for _, id := range []nodeset.ID{3, 0, 2} {
+		register(id)
+	}
+	if ep := n.reg.Load().get(3); ep.rng != nil {
+		t.Fatal("Register made a latency stream before anything drew from it")
+	}
+	call(0, 3)
+	call(3, 2)
+	n.Crash(2)
+	register(1)
+	call(1, 0)
+	n.Restart(2)
+	register(3) // a restart with a fresh handler keeps the stream
+	call(2, 3)
+	register(5)
+	call(5, 1)
+	call(3, 0)
+	if ep := n.reg.Load().get(4); ep != nil {
+		t.Fatal("an unregistered ID has an endpoint")
+	}
+
+	quiet := NewNetwork(WithSeed(seed))
+	for id := nodeset.ID(0); id < 3; id++ {
+		quiet.Register(id, echo)
+	}
+	for from := nodeset.ID(0); from < 3; from++ {
+		if _, err := quiet.Call(ctx, from, (from+1)%3, "x"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := nodeset.ID(0); id < 3; id++ {
+		if quiet.reg.Load().get(id).rng != nil {
+			t.Fatalf("endpoint %v of a network without latency made a latency stream", id)
+		}
+	}
+}
+
 // TestRegisterPreservesAccounting pins the restart semantics: re-registering
 // a node (fresh handler state) keeps its served counter and latency stream —
 // the node restarted, the network interface did not.

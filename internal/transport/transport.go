@@ -149,8 +149,10 @@ type endpoint struct {
 	up      atomic.Bool
 	served  *obs.Counter // cell of Network.served for this node ID
 
-	// rng is this endpoint's latency stream. Only sampled under rngMu;
-	// contention is limited to concurrent calls sent by the same node.
+	// rng is this endpoint's latency stream, made on its first draw: only a
+	// WithLatency network draws, and a source is 4.9 KB to make and seed.
+	// Made and sampled under rngMu; contention is limited to concurrent
+	// calls sent by the same node.
 	rngMu sync.Mutex
 	rng   *rand.Rand
 }
@@ -171,7 +173,7 @@ func WithLatency(fn func(r *rand.Rand) time.Duration) Option {
 // for reproducibility.
 //
 // Seeding scheme: node i's endpoint draws from an independent stream
-// seeded with splitmix64(seed XOR (i+1)·2^32) at registration, so every
+// seeded with splitmix64(seed XOR (i+1)·2^32) on its first draw, so every
 // endpoint's stream is decorrelated from every other's and from the base
 // seed, and identical (seed, registration set) pairs produce identical
 // per-endpoint streams. With a single driving goroutine (GOMAXPROCS=1,
@@ -291,7 +293,7 @@ func (n *Network) Register(id nodeset.ID, h Handler) {
 	if old != nil {
 		copy(eps, old.eps)
 	}
-	ep := &endpoint{id: id, served: n.served.At(int(id)), rng: rand.New(rand.NewSource(streamSeed(n.seed, id)))}
+	ep := &endpoint{id: id, served: n.served.At(int(id))}
 	n.callNs.At(int(id)) // Call records through the lock-free Get
 	ep.handler.Store(&h)
 	ep.up.Store(true)
@@ -368,6 +370,9 @@ func (n *Network) sleepLatency(ctx context.Context, ep *endpoint) error {
 		return nil
 	}
 	ep.rngMu.Lock()
+	if ep.rng == nil {
+		ep.rng = rand.New(rand.NewSource(streamSeed(n.seed, ep.id)))
+	}
 	d := n.latency(ep.rng)
 	ep.rngMu.Unlock()
 	if d <= 0 {
