@@ -85,9 +85,10 @@ check-admin:
 	$(GO) run ./scripts/checkadmin
 
 # check-cluster runs the multi-process data plane twice and takes loadgen's
-# exit status as the verdict: three daemons under SIGKILL/respawn churn must
-# leave one-copy serializable histories, and a sweep of a sharded keyspace
-# must touch every key with none violated.
+# exit status as the verdict: three one-shard daemons (every item on every
+# node) under SIGKILL/respawn churn must leave one-copy serializable
+# histories, and a sweep of a sharded keyspace must touch every key with
+# none violated.
 check-cluster:
 	$(GO) run ./cmd/loadgen -net tcp -nodes 3 -items 2 -workers 4 -duration 5s -churn 800ms >/dev/null
 	$(GO) run ./cmd/loadgen -shards 8 -rf 2 -nodes 4 -keyspace 2000 -sweep -duration 2s >/dev/null
@@ -101,8 +102,8 @@ check-clean:
 	echo "check-clean: git status is empty"
 
 # profile-net captures a CPU profile of the networked hot path: a tcp-mode
-# loadgen run serves pprof on 127.0.0.1:6161 (its daemons on 6162+) and the
-# client process is sampled mid-run. The flat top lands on stdout; the raw
+# loadgen run serves pprof on 127.0.0.1:6161 (daemon i's admin plane, which
+# serves pprof, on 6162+i) and the client process is sampled mid-run. The flat top lands on stdout; the raw
 # profile stays under $$HOME/pprof for `go tool pprof`.
 profile-net:
 	$(GO) build -o /tmp/coterie-loadgen ./cmd/loadgen
@@ -113,7 +114,7 @@ profile-net:
 
 # profile-heap prints where a sharded daemon's live heap sits: a loadgen run
 # over 2 048 keys in 16 shards of 3 replicas on 4 daemons (pprof on
-# 127.0.0.1:6171, daemon i on 6172+i; one allocation in 4 KB sampled, not
+# 127.0.0.1:6171, daemon i's admin plane on 6172+i; one allocation in 4 KB sampled, not
 # one in 512 KB: a daemon holds a few MB) and, once the warm-up has touched
 # the keyspace, the in-use-space top of daemon 0's heap profile after a
 # forced collection. loadgen's items are 256 bytes where tcp_sharded's are
@@ -172,9 +173,10 @@ profile-sim:
 # heap after a collection, as live_heap_mb is read).
 # And what a cluster costs to set up, before any operation: a 256-trace
 # flight ring at most 64 KB and at most two allocations per slot in its
-# life, the benchmark's sim shape through core.NewGroup at most 192 KB, no
-# latency stream until something draws from one, and one metric bundle per
-# registry, not per coordinator or node.
+# life, the benchmark's sim shape through core.NewGroup at most 160 KB, no
+# latency stream until something draws from one, no call-time cell until a
+# call is timed into it (registering nine endpoints at most 4 KB), and one
+# metric bundle per registry, not per coordinator or node.
 #
 # allocgate cuts a verbose run down to its verdict lines and fails the stage
 # when one of them is a FAIL or none is a PASS: a pipeline's status is its
@@ -186,7 +188,7 @@ check-allocs:
 	$(GO) test -run 'TestFlightRecorderCycleDoesNotAllocate|TestFlightRecorderFootprint|TestFlightRecorderLifetimeAllocs|TestSharedBuildsOncePerRegistryAndKey' ./internal/obs/ $(allocgate)
 	$(GO) test -run 'TestOperationAllocationBudget|TestCombinerDrainDoesNotAllocate|TestGroupConstructionFootprint' ./internal/core/ $(allocgate)
 	$(GO) test -run 'TestDecisionRingDoesNotAllocate|TestRefusedPushDoesNotAllocate|TestLockTableDoesNotAllocate|TestHandlerAllocationBudget|TestColdItemFootprint|TestQuietCoordinatorFootprint|TestNodesShareTheRegistryBundles' ./internal/replica/ $(allocgate)
-	$(GO) test -run 'TestMuxDispatchDoesNotAllocate|TestMulticastFuncAllocs|TestOneWayDeliveryAllocs|TestLegsSteadyStateIsFree|TestLegsParkedBounded|TestLatencyStreamsAreMadeOnFirstDraw' ./internal/transport/ $(allocgate)
+	$(GO) test -run 'TestMuxDispatchDoesNotAllocate|TestMulticastFuncAllocs|TestOneWayDeliveryAllocs|TestLegsSteadyStateIsFree|TestLegsParkedBounded|TestLatencyStreamsAreMadeOnFirstDraw|TestCallCellsAreMadeOnFirstCall' ./internal/transport/ $(allocgate)
 	$(GO) test -run 'TestAppendMarshalDoesNotAllocate|TestAppendTraceContextDoesNotAllocate|TestDecodeTraceContextDoesNotAllocate' ./internal/wire/ $(allocgate)
 	$(GO) test -run 'TestRequestFrameEncodeDoesNotAllocate|TestReplyFrameEncodeDoesNotAllocate|TestFusedMessageEncodeDoesNotAllocate|TestRingFlushPathDoesNotAllocate|TestTracedRequestFrameEncodeDoesNotAllocate' ./internal/transport/tcpnet/ $(allocgate)
 	$(GO) test -run 'TestZipfNextDoesNotAllocate' ./internal/workload/ $(allocgate)

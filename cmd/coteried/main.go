@@ -1,10 +1,15 @@
 // Command coteried hosts one coterie replica node as a network daemon:
 // the replica protocol, a co-located coordinator per item, and the capi
 // client API, all served by the tcpnet transport. A cluster is N coteried
-// processes sharing one address book; any of them accepts client reads,
-// writes and epoch checks for any item.
+// processes sharing one address book. Each serves a shard map (-shards,
+// default 1, of -rf replicas, default 3): on three nodes every item lives
+// on every node and any daemon accepts client reads, writes and epoch
+// checks for any item.
 //
-//	coteried -node 0 -cluster 0=127.0.0.1:7000,1=127.0.0.1:7001,2=127.0.0.1:7002 -items 4
+//	coteried -node 0 -cluster 0=127.0.0.1:7000,1=127.0.0.1:7001,2=127.0.0.1:7002
+//
+// -admin ADDR is the daemon's one HTTP listener: /metrics, /traces,
+// /healthz and /debug/pprof.
 //
 // On startup the daemon prints "READY <node> <addr>" to stdout once it is
 // serving; a spawning harness (cmd/loadgen -net tcp) waits for that line.

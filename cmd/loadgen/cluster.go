@@ -35,7 +35,7 @@ type procCluster struct {
 	procs []*proc       // nil while a node is down
 	up    []atomic.Bool // procs[i] != nil, for the workers
 	cli   *tcpnet.Network
-	names []string // item names of the fixed-item mode
+	names []string // item names of -net tcp
 }
 
 // proc is one spawned coteried process and its bound admin address.
@@ -95,32 +95,33 @@ func spawnCluster(cfg config, reg *obs.Registry) (*procCluster, error) {
 // plane (the transport listener is bound first).
 func (pc *procCluster) spawn(id nodeset.ID, recovering bool) error {
 	cfg := pc.cfg
-	items := cfg.items
-	if cfg.shards > 0 {
-		items = 0 // sharded daemons materialize replicas lazily
+	shards, rf := cfg.shards, cfg.rf
+	if shards == 0 {
+		shards, rf = 1, cfg.nodes // -net tcp: every item on every node
+	}
+	// Ephemeral admin port unless -pprof asks for a fixed one: the READY
+	// line reports the bound address, so spawner and daemon never race on
+	// a reservation.
+	admin := "127.0.0.1:0"
+	if cfg.pprofPort > 0 {
+		admin = fmt.Sprintf("127.0.0.1:%d", cfg.pprofPort+1+int(id))
 	}
 	args := []string{
 		"coteried",
 		"-node", strconv.Itoa(int(id)),
 		"-cluster", daemon.FormatCluster(pc.book),
-		"-items", strconv.Itoa(items),
 		"-item-size", strconv.Itoa(itemSize),
 		"-call-timeout", callTimeout.String(),
 		"-strategy", cfg.strategy,
-		"-shards", strconv.Itoa(cfg.shards),
-		"-rf", strconv.Itoa(cfg.rf),
+		"-shards", strconv.Itoa(shards),
+		"-rf", strconv.Itoa(rf),
 		"-batch=" + strconv.FormatBool(cfg.batch),
 		"-recovering=" + strconv.FormatBool(recovering),
 		"-capacity", cfg.capacity,
-		// Ephemeral port: the READY line reports the bound address, so
-		// spawner and daemon never race on a reservation.
-		"-admin", "127.0.0.1:0",
+		"-admin", admin,
 	}
 	if int(id) == cfg.slowNode {
 		args = append(args, "-slow-read", cfg.slowRead.String())
-	}
-	if cfg.pprofPort > 0 {
-		args = append(args, "-pprof", fmt.Sprintf("127.0.0.1:%d", cfg.pprofPort+1+int(id)))
 	}
 	cmd := exec.Command(pc.exe, args...)
 	cmd.Stderr = os.Stderr
@@ -267,15 +268,16 @@ func statusErr(st capi.Status, detail string) error {
 	}
 }
 
-// setupTCP is the fixed-item mode over TCP: worker w calls the coordinator
-// node the generator drew (routed past a node churn has down), as transport
-// node nodes+w, with the raw capi messages.
+// setupTCP is -net tcp: daemons serving a one-shard map over every node,
+// so any of them coordinates any item. Worker w calls the coordinator node
+// the generator drew (routed past a node churn has down), as transport node
+// nodes+w, with the raw capi messages.
 func setupTCP(cfg config, reg *obs.Registry) (*target, error) {
 	pc, err := spawnCluster(cfg, reg)
 	if err != nil {
 		return nil, err
 	}
-	pc.names = daemon.ItemNames(cfg.items)
+	pc.names = itemNames(cfg.items)
 	attempt := func(ctx context.Context, w, item int, op workload.Op) (uint64, []byte, error) {
 		var req transport.Message = capi.Read{Item: pc.names[item]}
 		if op.Kind == workload.OpWrite {

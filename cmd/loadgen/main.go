@@ -8,6 +8,7 @@
 //   - -net sim (default): N in-process nodes on the simulated network, every
 //     node replicating -items items and hosting a coordinator for each.
 //   - -net tcp: one coteried process per node (this binary re-executed),
+//     each serving a one-shard map that puts every item on every node,
 //     driven over loopback through the capi messages; -churn SIGKILLs and
 //     respawns daemons as recovering replicas.
 //   - -shards S: the same daemons serving a keyspace hashed over S coteries of
@@ -101,7 +102,7 @@ func newFlags(fs *flag.FlagSet) *config {
 	fs.DurationVar(&cfg.latency, "latency", 0, "sim mode: mean injected network latency per call")
 	fs.DurationVar(&cfg.churn, "churn", 0, "crash and restart a node, with epoch checks in between, at this cadence (tcp mode: SIGKILL and respawn)")
 	fs.StringVar(&cfg.metricsAddr, "metrics", "", "serve this process's live metrics over HTTP on this address (e.g. :9090)")
-	fs.IntVar(&cfg.pprofPort, "pprof", 0, "serve net/http/pprof on 127.0.0.1:PORT (spawned daemon i on PORT+1+i)")
+	fs.IntVar(&cfg.pprofPort, "pprof", 0, "serve net/http/pprof on 127.0.0.1:PORT (spawned daemon i's admin plane, pprof included, on PORT+1+i)")
 	fs.BoolVar(&cfg.batch, "batch", false, "enable the group-commit write combiner")
 	fs.StringVar(&cfg.strategy, "strategy", "hint", "quorum selection: hint or optimized")
 	fs.StringVar(&cfg.capacity, "capacity", "", "declared relative node capacities, id=weight,... (unlisted nodes are 1.0)")

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"coterie/internal/core"
-	"coterie/internal/daemon"
 	"coterie/internal/nodeset"
 	"coterie/internal/obs"
 	"coterie/internal/onecopy"
@@ -185,7 +184,7 @@ func TestSimRunEndToEnd(t *testing.T) {
 	}
 }
 
-// Key i is the item daemon.ItemNames names i on every node, whatever order
+// Key i is the item itemNames names i on every node, whatever order
 // the group keeps its items in.
 func TestSimKeysFollowItemNames(t *testing.T) {
 	tg, err := setupSim(testConfig(t, "-nodes", "3", "-items", "12"), obs.New())
@@ -194,7 +193,7 @@ func TestSimKeysFollowItemNames(t *testing.T) {
 	}
 	defer tg.close()
 	cl := tg.faults.(*simCluster)
-	for key, name := range daemon.ItemNames(12) {
+	for key, name := range itemNames(12) {
 		for id, co := range cl.coords[key] {
 			if got := co.Item().Name(); got != name || co.Item().Self() != nodeset.ID(id) {
 				t.Errorf("key %d, node %d: coordinator of %q on node %v, want %q on %d", key, id, got, co.Item().Self(), name, id)

@@ -21,7 +21,17 @@ import (
 // hosts a coordinator for it, like the paper's symmetric deployment.
 type simCluster struct {
 	*core.Group
-	coords [][]*core.Coordinator // [key][node], key i being daemon.ItemNames' i-th
+	coords [][]*core.Coordinator // [key][node], key i being itemNames' i-th
+}
+
+// itemNames returns the item names item-0..item-(n-1) of the sim and tcp
+// modes, key i being the i-th.
+func itemNames(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("item-%d", i)
+	}
+	return names
 }
 
 // setupSim builds a core.Group of cfg.nodes nodes and cfg.items items on a
@@ -48,7 +58,7 @@ func setupSim(cfg config, reg *obs.Registry) (*target, error) {
 			return mean/2 + time.Duration(r.Int63n(int64(mean)))
 		}))
 	}
-	names := daemon.ItemNames(cfg.items)
+	names := itemNames(cfg.items)
 	shared := make([]byte, itemSize) // one for every replica: they keep it by reference
 	initial := make(map[string][]byte, len(names))
 	for _, name := range names {
@@ -59,7 +69,7 @@ func setupSim(cfg config, reg *obs.Registry) (*target, error) {
 		Obs:         reg,
 		Strategy:    strategy,
 		Capacity:    capacity,
-		GroupCommit: core.GroupCommitOptions{Enabled: cfg.batch},
+		GroupCommit: cfg.batch,
 		Replica:     replica.Config{LockLease: 4 * callTimeout, Obs: reg},
 		Transport:   tOpts,
 	})

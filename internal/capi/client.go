@@ -247,7 +247,7 @@ func (c *Client) Refresh(ctx context.Context) error {
 			continue
 		}
 		if rep.NumShards == 0 {
-			lastErr = errors.New("capi: daemon is not sharded")
+			lastErr = errors.New("capi: daemon served a map with no shards")
 			continue
 		}
 		if cur != nil && rep.Version == cur.Version() {

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -341,5 +342,29 @@ func TestStaleMapRedirectSelfHeals(t *testing.T) {
 	r, err := c.Read(context.Background(), item)
 	if err != nil || r.Status != StatusOK || string(r.Value) != "moved" {
 		t.Fatalf("read after redirect: err=%v status=%v value=%q", err, r.Status, r.Value)
+	}
+}
+
+// TestEmptyMapIsRefused: a MapReply is input from outside the process, and
+// one with no shards is no map. Refresh refuses it and keeps no map, and
+// names the reason.
+func TestEmptyMapIsRefused(t *testing.T) {
+	net := transport.NewNetwork()
+	net.Register(0, func(context.Context, nodeset.ID, transport.Message) (transport.Message, error) {
+		return MapReply{Version: 1, Nodes: nodeset.New(0)}, nil
+	})
+	net.Register(100, func(context.Context, nodeset.ID, transport.Message) (transport.Message, error) {
+		return nil, errors.New("client endpoint serves nothing")
+	})
+	c, err := NewClient(net, ClientConfig{Self: 100, Seeds: []nodeset.ID{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = c.Refresh(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "no shards") {
+		t.Fatalf("Refresh of a zero-shard map: %v", err)
+	}
+	if c.Map() != nil {
+		t.Fatalf("client kept the zero-shard map %+v", c.Map())
 	}
 }

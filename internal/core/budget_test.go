@@ -105,13 +105,14 @@ func TestOperationAllocationBudget(t *testing.T) {
 // 256-trace flight recorder, nine nodes, eight items. It was 757 KB when
 // every ring slot had room for a whole Trace, every endpoint seeded a
 // latency source at Register and every coordinator resolved its own
-// counters; it is ≈ 160 KB now, most of it the 72 replicas. The coordinators
-// share one metric bundle, and so do coordinators built without a registry.
+// counters, and 164 KB while Register made every endpoint's call-time cell;
+// it is ≈ 139 KB now, most of it the 72 replicas. The coordinators share one
+// metric bundle, and so do coordinators built without a registry.
 func TestGroupConstructionFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime adds bookkeeping allocations")
 	}
-	const limit = 192 << 10 // an eager latency source per endpoint alone is 44 KB more
+	const limit = 160 << 10 // eager call-time cells are 24 KB more, eager latency sources 44 KB
 	items := make([]string, 8)
 	for i := range items {
 		items[i] = fmt.Sprintf("item-%d", i)

@@ -37,7 +37,8 @@ const (
 // the declared capacities.
 type LoadTracker struct {
 	ids   []nodeset.ID
-	index []int32 // node ID -> position+1 in ids; 0 = untracked
+	index []int32           // node ID -> position+1 in ids; 0 = untracked
+	cells *obs.HistogramVec // transport.EndpointCallNs; nil on obs.Nop
 
 	mu    sync.Mutex // serializes solves' reads of the cells
 	calls []callCell // measured call times, aligned with ids; under mu
@@ -45,7 +46,7 @@ type LoadTracker struct {
 
 // callCell is one destination's call time: an EWMA of per-solve means.
 type callCell struct {
-	hist               *obs.Histogram // transport.EndpointCallNs cell; nil on obs.Nop
+	hist               *obs.Histogram // transport.EndpointCallNs cell; nil until a call is timed
 	seenSum, seenCount uint64         // hist at the previous solve
 	newSum, newCount   uint64         // completed since meanNs last moved
 	meanNs             float64        // 0 = no estimate yet
@@ -69,11 +70,10 @@ func newLoadTracker(members nodeset.Set, reg *obs.Registry) *LoadTracker {
 		ids:   ids,
 		index: make([]int32, int(maxID)+2),
 		calls: make([]callCell, len(ids)),
+		cells: reg.HistogramVec(transport.EndpointCallNs),
 	}
-	callNs := reg.HistogramVec(transport.EndpointCallNs)
 	for i, id := range ids {
 		t.index[id] = int32(i) + 1
-		t.calls[i].hist = callNs.At(int(id))
 	}
 	return t
 }
@@ -91,7 +91,12 @@ func (t *LoadTracker) capacity(declared coterie.CapacityFunc) coterie.CapacityFu
 	fastest := math.Inf(1)
 	for i := range t.calls {
 		c := &t.calls[i]
-		now := c.hist.Snapshot() // nil-safe: empty on obs.Nop
+		if c.hist == nil {
+			// The network makes a cell on the first call it times; until
+			// then the node has no samples.
+			c.hist = t.cells.Get(int(t.ids[i]))
+		}
+		now := c.hist.Snapshot() // nil-safe: empty while there is no cell
 		c.newCount += now.Count - c.seenCount
 		c.newSum += now.Sum - c.seenSum
 		c.seenCount, c.seenSum = now.Count, now.Sum

@@ -282,6 +282,35 @@ func TestNoMeasurementIsTheDeclaredSolve(t *testing.T) {
 	}
 }
 
+// TestTrackerTakesAnAbsentCellForNoSamples: the network makes a node's call
+// cell on the first call it times, so a tracker built first finds none. It
+// makes none itself, solves a node without a cell at its declared capacity,
+// and reads a cell made later from the next solve on.
+func TestTrackerTakesAnAbsentCellForNoSamples(t *testing.T) {
+	reg := obs.New()
+	tr := newLoadTracker(nodeset.New(0, 1, 2), reg)
+	cells := reg.HistogramVec(transport.EndpointCallNs)
+	if got := tr.capacity(nil); got != nil {
+		t.Fatal("no call timed, yet the tracker made up capacities")
+	}
+	if cells.Len() != 0 {
+		t.Fatalf("the tracker made %d call cells", cells.Len())
+	}
+	for i := 0; i < minCallSamples; i++ {
+		cells.At(0).Record(1000)
+		cells.At(1).Record(4000)
+	}
+	capacity := tr.capacity(nil)
+	for id, want := range []float64{1, 0.25, 1} {
+		if got := capacity(nodeset.ID(id)); got != want {
+			t.Errorf("capacity(%d) = %v, want %v", id, got, want)
+		}
+	}
+	if cells.Get(2) != nil {
+		t.Error("the tracker made the cell of a node no call was timed to")
+	}
+}
+
 // TestLoadTrackerEWMA checks the mean call time a solve folds in: the calls
 // completed since the last solve move it once there are minCallSamples of
 // them, by callAlpha, and fewer are carried to a later solve, not dropped.

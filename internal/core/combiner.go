@@ -38,10 +38,20 @@ import (
 // the single-write flow. Never returned to callers.
 var errBatchRetry = errors.New("core: batch aborted, retry writes individually")
 
-// pendingWrite is one queued writer. done is a 1-buffered channel created
-// once per pooled instance; the leader sends exactly one completion on it
-// per submission.
+const (
+	// maxBatch caps the writes merged into one protocol round.
+	maxBatch = 32
+	// maxQueue caps the writers waiting to be batched; beyond it writers
+	// overflow to the single-write path instead of queueing.
+	maxQueue = 4 * maxBatch
+)
+
+// pendingWrite is one queued writer: its update and the context it wrote
+// under, whose trace, steer key and deadline a cut of one runs with. done
+// is a 1-buffered channel created once per pooled instance; the leader
+// sends exactly one completion on it per submission.
 type pendingWrite struct {
+	ctx     context.Context
 	u       replica.Update
 	version uint64
 	err     error
@@ -75,8 +85,8 @@ type combiner struct {
 	updates []replica.Update
 }
 
-func newCombiner(c *Coordinator, o GroupCommitOptions) *combiner {
-	b := &combiner{c: c, maxBatch: o.MaxBatch, maxQueue: o.MaxQueue}
+func newCombiner(c *Coordinator) *combiner {
+	b := &combiner{c: c, maxBatch: maxBatch, maxQueue: maxQueue}
 	b.exec = c.executeBatch
 	return b
 }
@@ -88,10 +98,11 @@ func newCombiner(c *Coordinator, o GroupCommitOptions) *combiner {
 // every protocol round the leader runs is CallTimeout-limited.
 func (b *combiner) submit(ctx context.Context, u replica.Update) (version uint64, err error, handled bool) {
 	pw := pendingPool.Get().(*pendingWrite)
-	pw.u, pw.version, pw.err = u, 0, nil
+	pw.ctx, pw.u, pw.version, pw.err = ctx, u, 0, nil
 	b.mu.Lock()
 	if len(b.queue) >= b.maxQueue {
 		b.mu.Unlock()
+		pw.ctx, pw.u = nil, replica.Update{}
 		pendingPool.Put(pw)
 		return 0, nil, false
 	}
@@ -106,7 +117,7 @@ func (b *combiner) submit(ctx context.Context, u replica.Update) (version uint64
 	}
 	<-pw.done
 	version, err = pw.version, pw.err
-	pw.u, pw.err = replica.Update{}, nil
+	pw.ctx, pw.u, pw.err = nil, replica.Update{}, nil
 	pendingPool.Put(pw)
 	if err == errBatchRetry {
 		return 0, nil, false
@@ -144,18 +155,18 @@ func (b *combiner) drain() {
 }
 
 // executeBatch runs one cut. A cut of one takes the ordinary single-write
-// path — there is nothing to merge, and that path owns the heavy
-// fallback. Larger cuts run the batch protocol under a background
-// context: the leader is an arbitrary member of the cut, and its caller's
-// cancellation must not poison the other writers' outcomes.
+// path under its writer's own context — there is nothing to merge, and that
+// path owns the heavy fallback. Larger cuts run the batch protocol under a
+// background context: the leader is an arbitrary member of the cut, and its
+// caller's cancellation must not poison the other writers' outcomes.
 func (c *Coordinator) executeBatch(batch []*pendingWrite) {
-	ctx := context.Background()
 	if len(batch) == 1 {
 		pw := batch[0]
-		pw.version, pw.err = c.writeOne(ctx, pw.u)
+		pw.version, pw.err = c.writeOne(pw.ctx, pw.u)
 		pw.done <- struct{}{}
 		return
 	}
+	ctx := context.Background()
 	op := c.item.NextOp()
 	r := c.operation(ctx, obs.OpWrite, op.Seq)
 	var first uint64

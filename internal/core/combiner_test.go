@@ -17,7 +17,7 @@ import (
 
 func batchOptions() Options {
 	o := fastOptions()
-	o.GroupCommit = GroupCommitOptions{Enabled: true}
+	o.GroupCommit = true
 	o.Obs = obs.New()
 	return o
 }
@@ -229,10 +229,7 @@ func TestGroupCommitMarksLaggingMemberStale(t *testing.T) {
 // writer retries until its update commits; the value composition proves
 // nothing was lost.
 func TestGroupCommitQueueOverflow(t *testing.T) {
-	opts := batchOptions()
-	opts.GroupCommit.MaxBatch = 2
-	opts.GroupCommit.MaxQueue = 2
-	c, err := NewCluster(9, "item", make([]byte, 16), opts)
+	c, err := NewCluster(9, "item", make([]byte, 16), batchOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,6 +237,7 @@ func TestGroupCommitQueueOverflow(t *testing.T) {
 
 	const K = 8
 	coord := c.Coordinator(0)
+	coord.combiner.maxBatch, coord.combiner.maxQueue = 2, 2
 	ctx := ctxT(t)
 	var wg sync.WaitGroup
 	errs := make([]error, K)
@@ -505,5 +503,37 @@ func TestCombinerDrainDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("combiner submit/drain allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// TestGroupCommitKeepsTheWritersContext: a write through the combiner runs
+// under its writer's context, as it does without group commit, so its
+// flight trace carries the trace ID that context names (and its rounds the
+// writer's steer key and deadline).
+func TestGroupCommitKeepsTheWritersContext(t *testing.T) {
+	opts := batchOptions()
+	opts.Obs.SetFlight(obs.NewFlightRecorder(16))
+	c, err := NewCluster(9, "item", make([]byte, 16), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	const id = 0xfeed
+	ctx := obs.WithTrace(ctxT(t), obs.TraceContext{TraceID: id, SpanID: 7, Sampled: true})
+	if _, err := c.Coordinator(0).Write(ctx, replica.Update{Data: []byte{1}}); err != nil {
+		t.Fatal(err)
+	}
+	writes := 0
+	for _, tr := range opts.Obs.Flight().Traces() {
+		if tr.Kind != obs.OpWrite {
+			continue
+		}
+		writes++
+		if tr.TraceID != id {
+			t.Errorf("group-committed write traced as %#x, want the writer's %#x", tr.TraceID, id)
+		}
+	}
+	if writes != 1 {
+		t.Fatalf("%d write traces, want 1", writes)
 	}
 }

@@ -187,7 +187,7 @@ func hotItemWriters(t *testing.T, writes int, groupCommit bool) {
 	opts.CallTimeout = 2 * time.Second // what no attempt may reach, even under -race
 	opts.Replica.PropagationCallTimeout = opts.CallTimeout
 	opts.Obs = obs.New()
-	opts.GroupCommit.Enabled = groupCommit
+	opts.GroupCommit = groupCommit
 	c, err := NewCluster(nodes, "item", make([]byte, 64), opts)
 	if err != nil {
 		t.Fatal(err)

@@ -65,8 +65,8 @@ func NewCoordinator(item *replica.Item, net transport.Net, all nodeset.Set, opts
 	if opts.Strategy.Weighted() {
 		c.strat = opts.Engine
 	}
-	if opts.GroupCommit.Enabled && opts.SafetyThreshold <= 0 {
-		c.combiner = newCombiner(c, opts.GroupCommit)
+	if opts.GroupCommit && opts.SafetyThreshold <= 0 {
+		c.combiner = newCombiner(c)
 	}
 	return c
 }

@@ -18,56 +18,60 @@ import (
 // by cmd/coteried and cmd/loadgen's self-spawned `coteried` subcommand so
 // the two always accept identical flags.
 func ParseFlags(args []string) (Config, error) {
-	var (
-		cfg      Config
-		nodeID   int
-		cluster  string
-		items    int
-		capacity string
-	)
 	fs := flag.NewFlagSet("coteried", flag.ContinueOnError)
-	fs.IntVar(&nodeID, "node", 0, "node ID this process hosts")
-	fs.StringVar(&cluster, "cluster", "", "address book: id=host:port,id=host:port,...")
-	fs.IntVar(&items, "items", 1, "replicated data items (named item-0..item-N-1)")
-	fs.IntVar(&cfg.ItemSize, "item-size", 256, "logical item size in bytes")
-	fs.BoolVar(&cfg.Recovering, "recovering", false, "rejoin as a recovering replica (process restart after crash)")
-	fs.DurationVar(&cfg.CallTimeout, "call-timeout", 250*time.Millisecond, "per-RPC-round timeout (also scales lock leases)")
-	fs.StringVar(&cfg.Strategy, "strategy", "hint", "quorum selection strategy: hint or optimized")
-	fs.StringVar(&capacity, "capacity", "", "declared relative node capacities: id=weight,... (unlisted nodes are 1.0)")
-	fs.BoolVar(&cfg.GroupCommit.Enabled, "batch", false, "enable the group-commit write combiner")
-	fs.IntVar(&cfg.GroupCommit.MaxBatch, "batch-max", 0, "max writes merged per batched round (0 = default)")
-	fs.IntVar(&cfg.GroupCommit.MaxQueue, "batch-queue", 0, "combiner queue depth (0 = default)")
-	fs.IntVar(&cfg.PoolSize, "pool", 0, "connections per peer (0 = default)")
-	fs.BoolVar(&cfg.Obs, "obs", true, "attach the observability registry")
-	fs.StringVar(&cfg.MetricsAddr, "metrics", "", "serve live metrics over HTTP on this address")
-	fs.StringVar(&cfg.PprofAddr, "pprof", "", "serve net/http/pprof profiling on this address")
-	fs.StringVar(&cfg.AdminAddr, "admin", "", "serve the admin plane (/metrics /traces /healthz /debug/pprof) on this address")
-	fs.IntVar(&cfg.Shards, "shards", 0, "serve a sharded keyspace of this many coteries (0 = fixed -items list)")
-	fs.IntVar(&cfg.RF, "rf", 0, "replicas per shard in sharded mode (0 = default 3, clamped to cluster size)")
-	fs.Uint64Var(&cfg.MapVersion, "map-version", 0, "shard map version served to clients (0 = default 1)")
-	fs.IntVar(&cfg.MaxCoords, "max-coords", 0, "live coordinator cap in sharded mode (0 = default 4096)")
-	fs.DurationVar(&cfg.SlowReadDelay, "slow-read", 0, "inject this service delay before every client read (tail-latency experiments)")
+	f := newFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return Config{}, err
 	}
-	if cluster == "" {
+	if f.cluster == "" {
 		return Config{}, fmt.Errorf("-cluster is required")
 	}
-	addrs, err := ParseCluster(cluster)
+	addrs, err := ParseCluster(f.cluster)
 	if err != nil {
 		return Config{}, err
 	}
-	cfg.Self = nodeset.ID(nodeID)
+	cfg := f.cfg
+	cfg.Self = nodeset.ID(f.node)
 	cfg.Addrs = addrs
-	cfg.Items = ItemNames(items)
-	if capacity != "" {
-		caps, err := ParseCapacities(capacity)
+	if f.capacity != "" {
+		caps, err := ParseCapacities(f.capacity)
 		if err != nil {
 			return Config{}, err
 		}
 		cfg.Capacities = caps
 	}
 	return cfg, nil
+}
+
+// cliFlags holds what coteried's flags set: Config fields directly, and
+// the three values ParseFlags turns into Config fields.
+type cliFlags struct {
+	cfg      Config
+	node     int
+	cluster  string
+	capacity string
+}
+
+// newFlags declares coteried's flags on fs.
+func newFlags(fs *flag.FlagSet) *cliFlags {
+	f := new(cliFlags)
+	cfg := &f.cfg
+	fs.IntVar(&f.node, "node", 0, "node ID this process hosts")
+	fs.StringVar(&f.cluster, "cluster", "", "address book: id=host:port,id=host:port,...")
+	fs.IntVar(&cfg.ItemSize, "item-size", 256, "logical item size in bytes")
+	fs.BoolVar(&cfg.Recovering, "recovering", false, "rejoin as a recovering replica (process restart after crash)")
+	fs.DurationVar(&cfg.CallTimeout, "call-timeout", 250*time.Millisecond, "per-RPC-round timeout (also scales lock leases)")
+	fs.StringVar(&cfg.Strategy, "strategy", "hint", "quorum selection strategy: hint or optimized")
+	fs.StringVar(&f.capacity, "capacity", "", "declared relative node capacities: id=weight,... (unlisted nodes are 1.0)")
+	fs.BoolVar(&cfg.GroupCommit, "batch", false, "enable the group-commit write combiner")
+	fs.BoolVar(&cfg.Obs, "obs", true, "attach the observability registry")
+	fs.StringVar(&cfg.AdminAddr, "admin", "", "serve the admin plane (/metrics /traces /healthz /debug/pprof) on this address")
+	fs.IntVar(&cfg.Shards, "shards", 1, "partition the keyspace into this many coteries")
+	fs.IntVar(&cfg.RF, "rf", 0, "replicas per shard (0 = default 3, clamped to cluster size)")
+	fs.Uint64Var(&cfg.MapVersion, "map-version", 0, "shard map version served to clients (0 = default 1)")
+	fs.IntVar(&cfg.MaxCoords, "max-coords", 0, "live coordinator cap (0 = default 4096)")
+	fs.DurationVar(&cfg.SlowReadDelay, "slow-read", 0, "inject this service delay before every client read (tail-latency experiments)")
+	return f
 }
 
 // ParseCapacities parses "0=1.0,4=0.25" into a map of declared
@@ -167,16 +171,6 @@ func FormatCluster(addrs map[nodeset.ID]string) string {
 		parts[i] = fmt.Sprintf("%d=%s", id, addrs[nodeset.ID(id)])
 	}
 	return strings.Join(parts, ",")
-}
-
-// ItemNames returns the canonical item names item-0..item-(n-1) used by
-// every harness in this repo.
-func ItemNames(n int) []string {
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fmt.Sprintf("item-%d", i)
-	}
-	return names
 }
 
 // RunMain is the whole coteried entry point: parse flags, start, announce

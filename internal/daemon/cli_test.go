@@ -1,6 +1,8 @@
 package daemon
 
 import (
+	"flag"
+	"slices"
 	"testing"
 
 	"coterie/internal/nodeset"
@@ -64,10 +66,25 @@ func TestDaemonRejectsUnknownStrategy(t *testing.T) {
 	_, err := Start(Config{
 		Self:     0,
 		Addrs:    book,
-		Items:    ItemNames(1),
 		Strategy: "bogus",
 	})
 	if err == nil {
 		t.Fatal("Start accepted strategy \"bogus\"")
+	}
+}
+
+// The flags are the daemon's surface: a new one has to show up here.
+func TestFlagNames(t *testing.T) {
+	fs := flag.NewFlagSet("coteried", flag.ContinueOnError)
+	newFlags(fs)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	want := []string{
+		"admin", "batch", "call-timeout", "capacity", "cluster", "item-size",
+		"map-version", "max-coords", "node", "obs", "recovering", "rf",
+		"shards", "slow-read", "strategy",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("flags\n got %q\nwant %q", got, want)
 	}
 }

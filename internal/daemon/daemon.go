@@ -9,14 +9,14 @@
 // spawns one daemon process per cluster member and drives them over
 // loopback.
 //
-// # Sharded mode
+// # The shard map
 //
-// With Config.Shards > 0 the daemon serves a sharded keyspace instead of a
-// fixed item list: a placement.Map partitions all item names into Shards
-// independent coteries of RF nodes each (rendezvous hashing over the
-// address book), and this process hosts every shard whose coterie includes
-// Self. Nothing is instantiated up front — a million-item keyspace costs
-// nothing until touched:
+// A daemon always serves a placement.Map: it partitions all item names into
+// Config.Shards independent coteries of RF nodes each (rendezvous hashing
+// over the address book), and this process hosts every shard whose coterie
+// includes Self. Every object on every node is the one-shard map whose RF
+// is the cluster size. Nothing is instantiated up front — a million-item
+// keyspace costs nothing until touched:
 //
 //   - Replicas materialize on first touch, from either side: a client
 //     operation arriving here (the co-located coordinator creates the
@@ -37,13 +37,13 @@
 //
 // A daemon keeps no stable storage, so a killed-and-restarted process is
 // the paper's recovering replica: Config.Recovering (set by whoever
-// respawns it) wipes each item via Amnesia — the replica answers protocol
-// queries flagged as recovering and is excluded from quorums until an
-// epoch change readmits it and propagation rebuilds its value. The restart
-// also advances every item's operation-ID sequence past wall-clock
-// nanoseconds, so OpIDs minted by the new incarnation can never collide
-// with pre-crash OpIDs that survivors may still hold in lock tables and
-// decision logs.
+// respawns it) wipes each item via Amnesia as it is made — the replica
+// answers protocol queries flagged as recovering and is excluded from
+// quorums until an epoch change readmits it and propagation rebuilds its
+// value. The restart also advances every item's operation-ID sequence past
+// wall-clock nanoseconds, so OpIDs minted by the new incarnation can never
+// collide with pre-crash OpIDs that survivors may still hold in lock tables
+// and decision logs.
 package daemon
 
 import (
@@ -53,7 +53,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -62,7 +61,6 @@ import (
 	"coterie/internal/core"
 	"coterie/internal/nodeset"
 	"coterie/internal/obs"
-	"coterie/internal/obs/expose"
 	"coterie/internal/placement"
 	"coterie/internal/replica"
 	"coterie/internal/transport"
@@ -74,14 +72,11 @@ type Config struct {
 	// Self is the node this process hosts.
 	Self nodeset.ID
 	// Addrs is the full cluster address book (node ID → host:port),
-	// including Self's listen address.
+	// including Self's listen address. Its keys are the nodes the shard
+	// map places over.
 	Addrs map[nodeset.ID]string
-	// Members is the replica set of every item (defaults to the address
-	// book's keys).
-	Members nodeset.Set
-	// Items are the replicated data item names; each starts as ItemSize
-	// zero bytes on every member.
-	Items    []string
+	// ItemSize is every item's initial length: each starts as ItemSize
+	// zero bytes on every member of its shard.
 	ItemSize int
 	// Recovering marks this process as a restart of a crashed instance.
 	Recovering bool
@@ -96,42 +91,34 @@ type Config struct {
 	// All daemons of one deployment should agree so their solved
 	// distributions match.
 	Capacities map[nodeset.ID]float64
-	// GroupCommit enables and sizes the write combiner.
-	GroupCommit core.GroupCommitOptions
-	// PoolSize is the connections-per-peer count (0 = default).
-	PoolSize int
+	// GroupCommit turns the write combiner on.
+	GroupCommit bool
 	// Pipeline is read by nothing: the transport has one call mode. The
 	// field remains only because bench/tcp.go still sets it.
 	Pipeline bool
-	// Obs attaches a metrics registry; MetricsAddr additionally serves it
-	// over HTTP.
-	Obs         bool
-	MetricsAddr string
-	// PprofAddr serves net/http/pprof profiling endpoints (CPU, heap,
-	// mutex, block) on this address. Empty disables profiling.
-	PprofAddr string
-	// AdminAddr serves the consolidated admin plane on this address:
-	// /metrics (Prometheus text, ?format=json), /traces (flight traces,
-	// filterable by ?trace=<hex id>), /healthz (readiness + shard
-	// ownership), and /debug/pprof. Empty disables it. Unlike MetricsAddr
-	// it works without Obs (only /healthz and /debug/pprof then carry
-	// data). ":0" picks a free port; see Daemon.AdminAddr for the bound
-	// address.
+	// Obs attaches a metrics registry and a flight recorder, which the
+	// admin plane serves.
+	Obs bool
+	// AdminAddr serves the admin plane on this address: /metrics
+	// (Prometheus text, ?format=json), /traces (flight traces, filterable
+	// by ?trace=<hex id>), /healthz (readiness + shard ownership), and
+	// /debug/pprof. Empty disables it. Without Obs only /healthz and
+	// /debug/pprof carry data. ":0" picks a free port; see Daemon.AdminAddr
+	// for the bound address.
 	AdminAddr string
 
-	// Shards > 0 enables sharded mode (see the package comment): the
-	// keyspace is partitioned into this many independent coteries and
-	// Items is ignored. 0 keeps the legacy fixed-item-list behavior.
+	// Shards is the number of independent coteries the keyspace is
+	// partitioned into (default 1: every item in one coterie).
 	Shards int
-	// RF is each shard's coterie size in sharded mode (default 3, clamped
-	// to the cluster size).
+	// RF is each shard's coterie size (default 3, clamped to the cluster
+	// size).
 	RF int
 	// MapVersion is the shard map version this daemon serves (default 1).
 	// All daemons of one deployment must agree on it; bumping it after a
 	// membership change is what makes stale clients refresh.
 	MapVersion uint64
-	// MaxCoords bounds live coordinators in sharded mode (default 4096);
-	// beyond it, idle coordinators are evicted LRU and rebuilt on demand.
+	// MaxCoords bounds live coordinators (default 4096); beyond it, idle
+	// coordinators are evicted LRU and rebuilt on demand.
 	MaxCoords int
 	// SlowReadDelay injects a service delay before every client read —
 	// the induced slow node of the hedging experiments. Zero for off.
@@ -148,11 +135,8 @@ type Daemon struct {
 	// slice for the whole daemon, which its replicas read and never write.
 	initial []byte
 
-	coords map[string]*core.Coordinator // legacy mode: fixed at Start
-
-	// Sharded mode: the map this daemon serves plus the lazy coordinator
-	// table. copts is the construction template for on-demand
-	// coordinators.
+	// The map this daemon serves plus the lazy coordinator table. copts is
+	// the construction template for on-demand coordinators.
 	pmap       *placement.Map
 	copts      core.Options
 	mu         sync.Mutex
@@ -162,17 +146,13 @@ type Daemon struct {
 	coordEvict *obs.Counter
 	coordLive  *obs.Gauge
 
-	metrics *http.Server
-	mln     net.Listener
-	pprof   *http.Server
-	pln     net.Listener
-	admin   *http.Server
-	aln     net.Listener
+	admin *http.Server
+	aln   net.Listener
 }
 
-// coordEntry is one live coordinator in the sharded daemon's LRU table.
-// touch and inflight are guarded by Daemon.mu; an entry is only evictable
-// when no operation holds it (inflight == 0).
+// coordEntry is one live coordinator in the daemon's LRU table. touch and
+// inflight are guarded by Daemon.mu; an entry is only evictable when no
+// operation holds it (inflight == 0).
 type coordEntry struct {
 	co       *core.Coordinator
 	touch    uint64
@@ -189,54 +169,49 @@ func (c Config) withDefaults() Config {
 	if c.Strategy == "" {
 		c.Strategy = "hint"
 	}
-	if c.Members.Empty() {
-		for id := range c.Addrs {
-			c.Members.Add(id)
-		}
+	if c.Shards <= 0 {
+		c.Shards = 1
 	}
-	if c.Shards > 0 {
-		if c.RF <= 0 {
-			c.RF = 3
-		}
-		if c.MapVersion == 0 {
-			c.MapVersion = 1
-		}
-		if c.MaxCoords <= 0 {
-			c.MaxCoords = 4096
-		}
+	if c.RF <= 0 {
+		c.RF = 3
+	}
+	if c.MapVersion == 0 {
+		c.MapVersion = 1
+	}
+	if c.MaxCoords <= 0 {
+		c.MaxCoords = 4096
 	}
 	return c
 }
 
-// Start builds and starts a daemon: transport, node, items, coordinators,
-// client API, listeners.
+// Start builds and starts a daemon: transport, node, shard map, client API,
+// admin listener.
 func Start(cfg Config) (*Daemon, error) {
 	cfg = cfg.withDefaults()
-	if len(cfg.Items) == 0 && cfg.Shards == 0 {
-		return nil, fmt.Errorf("daemon: no items configured")
-	}
 	if _, ok := cfg.Addrs[cfg.Self]; !ok {
 		return nil, fmt.Errorf("daemon: no address for self (node %d)", cfg.Self)
 	}
-
-	reg := obs.Nop
-	if cfg.Obs {
-		reg = obs.New()
-		reg.SetFlight(obs.NewFlightRecorder(256))
-	}
-	var topts []tcpnet.Option
-	if reg != obs.Nop {
-		topts = append(topts, tcpnet.WithObs(reg))
-	}
-	if cfg.PoolSize > 0 {
-		topts = append(topts, tcpnet.WithPoolSize(cfg.PoolSize))
-	}
-	tnet := tcpnet.New(cfg.Addrs, topts...)
-
 	strategy, err := core.ParseStrategy(cfg.Strategy)
 	if err != nil {
 		return nil, fmt.Errorf("daemon: %w", err)
 	}
+	var members nodeset.Set
+	for id := range cfg.Addrs {
+		members.Add(id)
+	}
+	pmap, err := placement.New(members, cfg.Shards, cfg.RF, cfg.MapVersion)
+	if err != nil {
+		return nil, err
+	}
+
+	reg := obs.Nop
+	var topts []tcpnet.Option
+	if cfg.Obs {
+		reg = obs.New()
+		reg.SetFlight(obs.NewFlightRecorder(256))
+		topts = append(topts, tcpnet.WithObs(reg))
+	}
+	tnet := tcpnet.New(cfg.Addrs, topts...)
 	rcfg := replica.Config{LockLease: 4 * cfg.CallTimeout, Obs: reg}
 	node := replica.NewNode(cfg.Self, tnet, rcfg)
 	copts := core.Options{
@@ -249,45 +224,22 @@ func Start(cfg Config) (*Daemon, error) {
 	}
 	// One tracker and one engine per process: every coordinator this daemon
 	// hosts solves with the same measured capacities.
-	copts = core.WithSharedEngine(copts, cfg.Members)
+	copts = core.WithSharedEngine(copts, members)
 	d := &Daemon{Net: tnet, Reg: reg, node: node, cfg: cfg, copts: copts,
-		initial: make([]byte, cfg.ItemSize),
-		coords:  make(map[string]*core.Coordinator, len(cfg.Items))}
-
-	if cfg.Shards > 0 {
-		pmap, err := placement.New(cfg.Members, cfg.Shards, cfg.RF, cfg.MapVersion)
-		if err != nil {
-			node.Close()
-			tnet.Close()
-			return nil, err
-		}
-		d.pmap = pmap
-		d.entries = make(map[string]*coordEntry)
-		d.coordBuilt = reg.Counter("coteried_coord_built_total")
-		d.coordEvict = reg.Counter("coteried_coord_evicted_total")
-		d.coordLive = reg.Gauge("coteried_coords_live")
-		// Peer coordinators materialize replicas here on first touch; the
-		// provisioner enforces shard ownership so a confused peer cannot
-		// plant an item this node does not own.
-		node.SetAutoCreate(func(name string) *replica.Item {
-			rep, _ := d.provisionReplica(name)
-			return rep
-		})
-	} else {
-		for _, name := range cfg.Items {
-			rep, err := node.AddItem(name, cfg.Members, d.initial)
-			if err != nil {
-				node.Close()
-				tnet.Close()
-				return nil, err
-			}
-			d.coords[name] = core.NewCoordinator(rep, tnet, cfg.Members, copts)
-			if cfg.Recovering {
-				rep.Amnesia()
-				rep.AdvanceOpSeq(uint64(time.Now().UnixNano()))
-			}
-		}
+		initial:    make([]byte, cfg.ItemSize),
+		pmap:       pmap,
+		entries:    make(map[string]*coordEntry),
+		coordBuilt: reg.Counter("coteried_coord_built_total"),
+		coordEvict: reg.Counter("coteried_coord_evicted_total"),
+		coordLive:  reg.Gauge("coteried_coords_live"),
 	}
+	// Peer coordinators materialize replicas here on first touch; the
+	// provisioner enforces shard ownership so a confused peer cannot plant
+	// an item this node does not own.
+	node.SetAutoCreate(func(name string) *replica.Item {
+		rep, _ := d.provisionReplica(name)
+		return rep
+	})
 
 	// Client API over the node's protocol handler: typed capi routes plus
 	// the node as the default route, re-registered at the node's endpoint.
@@ -312,43 +264,19 @@ func Start(cfg Config) (*Daemon, error) {
 		tnet.Close()
 		return nil, err
 	}
-
-	if cfg.MetricsAddr != "" && reg != obs.Nop {
-		ln, err := net.Listen("tcp", cfg.MetricsAddr)
-		if err != nil {
-			d.Close()
-			return nil, fmt.Errorf("daemon: metrics listener: %w", err)
-		}
-		d.mln = ln
-		d.metrics = &http.Server{Handler: expose.Handler(reg)}
-		go func() { _ = d.metrics.Serve(ln) }()
-	}
 	if cfg.AdminAddr != "" {
 		if err := d.startAdmin(cfg.AdminAddr); err != nil {
 			d.Close()
 			return nil, err
 		}
 	}
-	if cfg.PprofAddr != "" {
-		ln, err := net.Listen("tcp", cfg.PprofAddr)
-		if err != nil {
-			d.Close()
-			return nil, fmt.Errorf("daemon: pprof listener: %w", err)
-		}
-		// Sampled lock-contention accounting so /debug/pprof/mutex has data;
-		// the rate keeps steady-state overhead negligible.
-		runtime.SetMutexProfileFraction(100)
-		d.pln = ln
-		d.pprof = &http.Server{Handler: PprofMux()}
-		go func() { _ = d.pprof.Serve(ln) }()
-	}
 	return d, nil
 }
 
 // PprofMux returns an http mux serving the net/http/pprof endpoints under
-// /debug/pprof/, without touching http.DefaultServeMux. Shared by the
-// daemon's -pprof flag and loadgen's profiling mode so both expose the
-// same surface (CPU profile, heap, mutex, block, goroutine).
+// /debug/pprof/, without touching http.DefaultServeMux. The admin plane
+// serves it, and so does loadgen's profiling mode, so both expose the same
+// surface (CPU profile, heap, mutex, block, goroutine).
 func PprofMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -359,26 +287,10 @@ func PprofMux() *http.ServeMux {
 	return mux
 }
 
-// Coordinator returns the coordinator for the named item (tests and
-// embedding harnesses). In sharded mode this only reports a coordinator
-// already materialized by traffic; it never instantiates one.
-func (d *Daemon) Coordinator(item string) *core.Coordinator {
-	if d.pmap != nil {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		if e := d.entries[item]; e != nil {
-			return e.co
-		}
-		return nil
-	}
-	return d.coords[item]
-}
-
-// Map returns the shard map this daemon serves, or nil in legacy mode.
+// Map returns the shard map this daemon serves.
 func (d *Daemon) Map() *placement.Map { return d.pmap }
 
-// LiveCoordinators reports the sharded daemon's materialized coordinator
-// count (tests and capacity diagnostics).
+// LiveCoordinators reports the daemon's materialized coordinator count (tests and capacity diagnostics).
 func (d *Daemon) LiveCoordinators() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -392,14 +304,6 @@ func (d *Daemon) Item(name string) *replica.Item { return d.node.Item(name) }
 // Close shuts the daemon down: client API stops, background protocol work
 // stops, every connection dies.
 func (d *Daemon) Close() {
-	if d.metrics != nil {
-		d.metrics.Close()
-		d.mln.Close()
-	}
-	if d.pprof != nil {
-		d.pprof.Close()
-		d.pln.Close()
-	}
 	if d.admin != nil {
 		d.admin.Close()
 		d.aln.Close()
@@ -423,7 +327,7 @@ func status(err error) (capi.Status, string) {
 	}
 }
 
-// provisionReplica materializes this node's replica of a sharded item,
+// provisionReplica materializes this node's replica of an item,
 // refusing items whose shard this node does not own. Exactly one racing
 // caller performs creation; a recovering daemon's creation-time Amnesia
 // runs there, so a restarted process's lazily reborn replicas answer as
@@ -445,18 +349,11 @@ func (d *Daemon) provisionReplica(item string) (*replica.Item, error) {
 	return rep, nil
 }
 
-// coordFor resolves the coordinator serving item: the fixed table in
-// legacy mode, the lazy LRU in sharded mode. In sharded mode the returned
-// context carries the shard's steering key, and release must be called
-// when the operation finishes (it unpins the entry for eviction).
+// coordFor resolves the coordinator serving item from the lazy LRU,
+// building it on first touch. The returned context carries the shard's
+// steering key, and release must be called when the operation finishes (it
+// unpins the entry for eviction).
 func (d *Daemon) coordFor(ctx context.Context, item string) (co *core.Coordinator, opCtx context.Context, release func(), st capi.Status, detail string) {
-	if d.pmap == nil {
-		co, ok := d.coords[item]
-		if !ok {
-			return nil, ctx, nil, capi.StatusError, "unknown item " + item
-		}
-		return co, ctx, func() {}, capi.StatusOK, ""
-	}
 	shard := d.pmap.ShardOf(item)
 	if !d.pmap.Owns(d.cfg.Self, shard) {
 		return nil, ctx, nil, capi.StatusWrongShard,
@@ -519,12 +416,8 @@ func (d *Daemon) maybeEvictLocked() {
 	d.coordLive.Set(int64(len(d.entries)))
 }
 
-// handleMapQuery serves the daemon's shard map. A non-sharded daemon
-// answers NumShards == 0, which a smart client reports as "not sharded".
+// handleMapQuery serves the daemon's shard map.
 func (d *Daemon) handleMapQuery(capi.MapQuery) capi.MapReply {
-	if d.pmap == nil {
-		return capi.MapReply{}
-	}
 	return capi.MapReply{
 		Version:   d.pmap.Version(),
 		NumShards: uint32(d.pmap.NumShards()),

@@ -141,8 +141,7 @@ func TestShardedWrongShardAnswer(t *testing.T) {
 	}
 }
 
-// TestShardedMapQuery checks every daemon serves the same map and a legacy
-// daemon answers "not sharded".
+// TestShardedMapQuery checks every daemon serves the same map.
 func TestShardedMapQuery(t *testing.T) {
 	book, _ := startShardCluster(t, 3, 4, 2, 0)
 	cli := tcpnet.New(book)

@@ -9,6 +9,7 @@ import (
 	"coterie/internal/capi"
 	"coterie/internal/nodeset"
 	"coterie/internal/replica"
+	"coterie/internal/transport"
 	"coterie/internal/transport/tcpnet"
 )
 
@@ -30,20 +31,28 @@ func freeAddrs(t *testing.T, n int) map[nodeset.ID]string {
 	return addrs
 }
 
-// startCluster brings up n daemons sharing one address book, all in this
-// process — the same wiring cmd/coteried does per process.
+// oneShard is the configuration of daemon self of an n-node cluster that
+// replicates every item on every node: a one-shard map whose RF is n.
+func oneShard(book map[nodeset.ID]string, self nodeset.ID, recovering bool) Config {
+	return Config{
+		Self:        self,
+		Addrs:       book,
+		ItemSize:    32,
+		CallTimeout: 2 * time.Second,
+		Shards:      1,
+		RF:          len(book),
+		Recovering:  recovering,
+	}
+}
+
+// startCluster brings up n one-shard daemons sharing one address book, all
+// in this process — the same wiring cmd/coteried does per process.
 func startCluster(t *testing.T, n int) (map[nodeset.ID]string, []*Daemon) {
 	t.Helper()
 	book := freeAddrs(t, n)
 	daemons := make([]*Daemon, 0, n)
 	for i := 0; i < n; i++ {
-		d, err := Start(Config{
-			Self:        nodeset.ID(i),
-			Addrs:       book,
-			Items:       ItemNames(2),
-			ItemSize:    32,
-			CallTimeout: 2 * time.Second,
-		})
+		d, err := Start(oneShard(book, nodeset.ID(i), false))
 		if err != nil {
 			t.Fatalf("daemon %d: %v", i, err)
 		}
@@ -56,7 +65,7 @@ func startCluster(t *testing.T, n int) (map[nodeset.ID]string, []*Daemon) {
 // TestDaemonClusterServesClientAPI drives a 3-daemon cluster through the
 // capi surface from an external tcpnet client: a partial write via one
 // daemon, the read observing it via another, an epoch check via a third,
-// and the unknown-item error path.
+// and a read of an item nobody wrote, which is its zero value at version 0.
 func TestDaemonClusterServesClientAPI(t *testing.T) {
 	book, _ := startCluster(t, 3)
 	cli := tcpnet.New(book)
@@ -96,19 +105,21 @@ func TestDaemonClusterServesClientAPI(t *testing.T) {
 		t.Fatalf("check reply = %+v", cr)
 	}
 
-	erep, err := cli.Call(ctx, clientID, 0, capi.Read{Item: "no-such-item"})
+	frep, err := cli.Call(ctx, clientID, 0, capi.Read{Item: "never-written"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if er := erep.(capi.ReadReply); er.Status != capi.StatusError {
-		t.Fatalf("unknown-item reply = %+v", er)
+	if fr := frep.(capi.ReadReply); fr.Status != capi.StatusOK || fr.Version != 0 || string(fr.Value) != string(make([]byte, 32)) {
+		t.Fatalf("fresh-item reply = %+v", fr)
 	}
 }
 
 // TestDaemonRecoveringStartsQuarantined verifies the restart path: a
-// daemon started with Recovering answers but is excluded from quorums
-// until an epoch check readmits it, and its rebuilt value is the full
-// committed value, not a truncation (the amnesia replay-base fix).
+// daemon started with Recovering makes each replica on its first touch —
+// here a peer's state query — already quarantined: it answers as
+// recovering, and so is excluded from quorums, until an epoch check
+// readmits it, and its rebuilt value is the full committed value, not a
+// truncation (the amnesia replay-base fix).
 func TestDaemonRecoveringStartsQuarantined(t *testing.T) {
 	book, daemons := startCluster(t, 3)
 	cli := tcpnet.New(book)
@@ -127,20 +138,37 @@ func TestDaemonRecoveringStartsQuarantined(t *testing.T) {
 	// Replace daemon 2 with a recovering incarnation at the same address,
 	// as loadgen's churn respawn does across processes.
 	daemons[2].Close()
-	d2, err := Start(Config{
-		Self:        2,
-		Addrs:       book,
-		Items:       ItemNames(2),
-		ItemSize:    32,
-		CallTimeout: 2 * time.Second,
-		Recovering:  true,
-	})
+	d2, err := Start(oneShard(book, 2, true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	if !d2.Item("item-0").Recovering() {
-		t.Fatal("restarted daemon not in recovering state")
+	if d2.Item("item-0") != nil {
+		t.Fatal("restarted daemon made a replica before anything touched it")
+	}
+	// Daemon 0's connections to the old incarnation died with it: the
+	// first calls may fail before it dials the new one.
+	var srep transport.Message
+	for {
+		if srep, err = daemons[0].Net.Call(ctx, 0, 2, replica.Envelope{Item: "item-0", Msg: replica.StateQuery{}}); err == nil {
+			break
+		}
+		if ctx.Err() != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	var st replica.StateReply
+	switch r := srep.(type) {
+	case replica.StateReply:
+		st = r
+	case *replica.StateReply:
+		st = *r
+	default:
+		t.Fatalf("state query answered %T", srep)
+	}
+	if !st.Recovering || d2.Item("item-0") == nil || !d2.Item("item-0").Recovering() {
+		t.Fatalf("replica made by a peer's query is not recovering: %+v", st)
 	}
 
 	crep, err := cli.Call(ctx, clientID, 0, capi.CheckEpoch{Item: "item-0"})
@@ -176,12 +204,13 @@ func TestDaemonRecoveringStartsQuarantined(t *testing.T) {
 // TestZeroConfigKeepsConnections: a Config that names only what a daemon
 // cannot guess must still get the transport's one call mode — pooled,
 // multiplexed connections — so a hundred calls to a peer dial at most a
-// pool's worth of sockets, not a hundred.
+// pool's worth of sockets, not a hundred. It also gets the one-shard map:
+// both nodes own every item.
 func TestZeroConfigKeepsConnections(t *testing.T) {
 	book := freeAddrs(t, 2)
 	daemons := make([]*Daemon, 2)
 	for i := range daemons {
-		d, err := Start(Config{Self: nodeset.ID(i), Addrs: book, Items: ItemNames(1), Obs: true})
+		d, err := Start(Config{Self: nodeset.ID(i), Addrs: book, Obs: true})
 		if err != nil {
 			t.Fatalf("daemon %d: %v", i, err)
 		}

@@ -2,7 +2,9 @@ package transport
 
 import (
 	"context"
+	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -80,6 +82,69 @@ func TestEndpointStreamsDisjoint(t *testing.T) {
 			t.Fatalf("endpoints %v and %v share first draw %d", prev, id, v)
 		}
 		seen[v] = id
+	}
+}
+
+// TestCallCellsAreMadeOnFirstCall: a destination's EndpointCallNs cell, a
+// 2.7 KB histogram, is made by the first call timed into it, not at
+// Register, so registering the benchmark's nine endpoints costs less than
+// two cells (nine cells are 24 KB) and makes none; a failed call makes none
+// either. After its
+// first call a destination's calls record into the cell without
+// allocating.
+func TestCallCellsAreMadeOnFirstCall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime adds bookkeeping allocations")
+	}
+	const limit = 4 << 10
+	echo := func(ctx context.Context, from nodeset.ID, req Message) (Message, error) { return req, nil }
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	least := uint64(math.MaxUint64)
+	var n *Network
+	var reg *obs.Registry
+	for range 3 {
+		reg = obs.New()
+		n = NewNetwork(WithObs(reg))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for id := nodeset.ID(0); id < 9; id++ {
+			n.Register(id, echo)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("registering 9 endpoints: %d bytes", least)
+	if least > limit {
+		t.Errorf("registering 9 endpoints allocated %d bytes, want at most %d", least, limit)
+	}
+	cells := reg.HistogramVec(EndpointCallNs)
+	if cells.Len() != 0 {
+		t.Fatalf("Register made %d call cells before any call", cells.Len())
+	}
+	ctx := context.Background()
+	n.Crash(2)
+	if _, err := n.Call(ctx, 0, 2, "x"); err == nil {
+		t.Fatal("call to a crashed node succeeded")
+	}
+	if cells.Get(2) != nil {
+		t.Fatal("a failed call made its destination's cell")
+	}
+	call := func() {
+		if _, err := n.Call(ctx, 0, 1, "x"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call()
+	for id := 0; id < 9; id++ {
+		if got := cells.Get(id); (got != nil) != (id == 1) {
+			t.Fatalf("after one call to node 1, node %d's cell is %v", id, got)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, call); allocs != 0 {
+		t.Errorf("a timed call to a node with a cell allocates %.1f objects", allocs)
+	}
+	if got := cells.Get(1).Count(); got != 102 {
+		t.Errorf("node 1's cell counts %d calls, want 102", got)
 	}
 }
 

@@ -49,7 +49,9 @@ type Net interface {
 // EndpointCallNs names the histogram vector, by destination node ID, in which
 // a transport with a registry times every call that returned a reply (a
 // failure is not timed: a crashed peer must not look quick). It travels by
-// name through the registry, not through Net, so no decorator hides it.
+// name through the registry, not through Net, so no decorator hides it. A
+// destination's cell may not exist until a call to it has been timed: a
+// reader takes an absent cell for one with no samples.
 const EndpointCallNs = "transport_endpoint_call_ns"
 
 // AsyncSender is the one-way half of Net: SendAsync delivers req to every
