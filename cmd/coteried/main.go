@@ -4,7 +4,10 @@
 // processes sharing one address book. Each serves a shard map (-shards,
 // default 1, of -rf replicas, default 3): on three nodes every item lives
 // on every node and any daemon accepts client reads, writes and epoch
-// checks for any item.
+// checks for any item. On more than three nodes an item lives on three of
+// them and the others answer it with StatusWrongShard: pass -rf <nodes> to
+// put every item on every node, or use the smart client (capi.Client),
+// which routes each key to its owners.
 //
 //	coteried -node 0 -cluster 0=127.0.0.1:7000,1=127.0.0.1:7001,2=127.0.0.1:7002
 //

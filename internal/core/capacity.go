@@ -46,11 +46,10 @@ type LoadTracker struct {
 
 // callCell is one destination's call time: an EWMA of per-solve means.
 type callCell struct {
-	hist               *obs.Histogram // transport.EndpointCallNs cell; nil until a call is timed
-	seenSum, seenCount uint64         // hist at the previous solve
-	newSum, newCount   uint64         // completed since meanNs last moved
-	meanNs             float64        // 0 = no estimate yet
-	idle               int            // solves since meanNs last moved
+	seenSum, seenCount uint64  // the destination's cell at the previous solve
+	newSum, newCount   uint64  // completed since meanNs last moved
+	meanNs             float64 // 0 = no estimate yet
+	idle               int     // solves since meanNs last moved
 }
 
 // NewLoadTracker tracks the members' call times on the given network. It
@@ -91,12 +90,9 @@ func (t *LoadTracker) capacity(declared coterie.CapacityFunc) coterie.CapacityFu
 	fastest := math.Inf(1)
 	for i := range t.calls {
 		c := &t.calls[i]
-		if c.hist == nil {
-			// The network makes a cell on the first call it times; until
-			// then the node has no samples.
-			c.hist = t.cells.Get(int(t.ids[i]))
-		}
-		now := c.hist.Snapshot() // nil-safe: empty while there is no cell
+		// The network makes a cell on the first call it times; until then
+		// Get is nil and its snapshot empty: the node has no samples.
+		now := t.cells.Get(int(t.ids[i])).Snapshot()
 		c.newCount += now.Count - c.seenCount
 		c.newSum += now.Sum - c.seenSum
 		c.seenCount, c.seenSum = now.Count, now.Sum

@@ -223,7 +223,8 @@ func TestFailedCallsDoNotLowerMean(t *testing.T) {
 		t.Fatalf("node burning 200 µs a message measured at capacity %.3f", before)
 	}
 	cell := &tr.calls[tr.index[2]-1]
-	samples, mean := cell.hist.Snapshot().Count, cell.meanNs
+	hist := tr.cells.Get(2)
+	samples, mean := hist.Snapshot().Count, cell.meanNs
 	if mean == 0 {
 		t.Fatal("node 2 has no mean after its calls were timed")
 	}
@@ -234,7 +235,7 @@ func TestFailedCallsDoNotLowerMean(t *testing.T) {
 		}
 		net.Call(ctx, 0, 1, "x") //nolint:errcheck // keeps node 1 measured
 	}
-	if got := cell.hist.Snapshot().Count; got != samples {
+	if got := hist.Snapshot().Count; got != samples {
 		t.Fatalf("%d failed calls added %d samples to the crashed node's cell", 100*minCallSamples, got-samples)
 	}
 	tr.capacity(nil)

@@ -328,25 +328,32 @@ func status(err error) (capi.Status, string) {
 }
 
 // provisionReplica materializes this node's replica of an item,
-// refusing items whose shard this node does not own. Exactly one racing
-// caller performs creation; a recovering daemon's creation-time Amnesia
-// runs there, so a restarted process's lazily reborn replicas answer as
-// recovering until an epoch change readmits them.
+// refusing items whose shard this node does not own. A recovering daemon
+// makes every replica amnesiac, its operation sequence moved past anything
+// the crashed incarnation issued, before the replica is published: neither
+// a peer's message nor this daemon's own coordinator can see it as a
+// current version-0 replica, and it answers as recovering until an epoch
+// change readmits it.
 func (d *Daemon) provisionReplica(item string) (*replica.Item, error) {
 	shard := d.pmap.ShardOf(item)
 	members := d.pmap.Members(shard)
 	if !members.Contains(d.cfg.Self) {
 		return nil, fmt.Errorf("daemon: shard %d of %q not owned under map v%d", shard, item, d.pmap.Version())
 	}
-	rep, created, err := d.node.EnsureItem(item, members, d.initial)
-	if err != nil {
-		return nil, err
+	var init func(*replica.Item)
+	if d.cfg.Recovering {
+		init = recoverReplica
 	}
-	if created && d.cfg.Recovering {
-		rep.Amnesia()
-		rep.AdvanceOpSeq(uint64(time.Now().UnixNano()))
-	}
-	return rep, nil
+	rep, _, err := d.node.EnsureItem(item, members, d.initial, init)
+	return rep, err
+}
+
+// recoverReplica is a restarted daemon's creation-time policy: the replica
+// has lost its stable state, and its operation IDs must not repeat ones the
+// crashed incarnation left in survivors' lock tables and decision logs.
+func recoverReplica(rep *replica.Item) {
+	rep.Amnesia()
+	rep.AdvanceOpSeq(uint64(time.Now().UnixNano()))
 }
 
 // coordFor resolves the coordinator serving item from the lazy LRU,

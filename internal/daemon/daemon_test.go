@@ -2,7 +2,9 @@ package daemon
 
 import (
 	"context"
+	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -158,13 +160,8 @@ func TestDaemonRecoveringStartsQuarantined(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	var st replica.StateReply
-	switch r := srep.(type) {
-	case replica.StateReply:
-		st = r
-	case *replica.StateReply:
-		st = *r
-	default:
+	st, ok := stateOf(srep)
+	if !ok {
 		t.Fatalf("state query answered %T", srep)
 	}
 	if !st.Recovering || d2.Item("item-0") == nil || !d2.Item("item-0").Recovering() {
@@ -199,6 +196,81 @@ func TestDaemonRecoveringStartsQuarantined(t *testing.T) {
 	if v, _ := d2.Item("item-0").Value(); string(v) != string(want) {
 		t.Fatalf("rebuilt value = %q, want %q", v, want)
 	}
+}
+
+// stateOf unwraps a state query's reply, which may arrive by value or by
+// pointer.
+func stateOf(m transport.Message) (replica.StateReply, bool) {
+	switch r := m.(type) {
+	case replica.StateReply:
+		return r, true
+	case *replica.StateReply:
+		return *r, true
+	}
+	return replica.StateReply{}, false
+}
+
+// TestRecoveringFirstTouchRace: on a restarted daemon a replica is made by
+// whichever comes first, a peer's message or the daemon's own coordinator,
+// and the other may ask for it at once. A peer's state query and a client
+// write race on each of 32 fresh items; no reply may show a replica that is
+// neither recovering nor readmitted by an epoch change (epoch 0), since a
+// quorum would count that amnesiac version-0 replica as current.
+func TestRecoveringFirstTouchRace(t *testing.T) {
+	book, daemons := startCluster(t, 3)
+	daemons[2].Close()
+	d2, err := Start(oneShard(book, 2, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	cli := tcpnet.New(book)
+	defer cli.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	query := func(item string) (transport.Message, error) {
+		return daemons[0].Net.Call(ctx, 0, 2, replica.Envelope{Item: item, Msg: replica.StateQuery{}})
+	}
+	// Daemon 0's connections to the old incarnation died with it, and the
+	// client has none yet: warm both, so neither side of the race dials.
+	for {
+		_, err := query("warm-up")
+		if err == nil {
+			_, err = cli.Call(ctx, 100, 2, capi.CheckEpoch{Item: "warm-up"})
+		}
+		if err == nil {
+			break
+		}
+		if ctx.Err() != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < 32; i++ {
+		item := fmt.Sprintf("race-%d", i)
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			// Whether the write commits does not matter here.
+			cli.Call(ctx, 100, 2, capi.Write{Item: item, Update: replica.Update{Data: []byte("w")}})
+		}()
+		go func() {
+			defer wg.Done()
+			reply, err := query(item)
+			if err != nil {
+				t.Errorf("%s: state query: %v", item, err)
+				return
+			}
+			if st, ok := stateOf(reply); !ok {
+				t.Errorf("%s: state query answered %T", item, reply)
+			} else if !st.Recovering && st.EpochNum == 0 {
+				t.Errorf("%s: a restarted daemon's replica answered as current before readmission: %+v", item, st)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestZeroConfigKeepsConnections: a Config that names only what a daemon

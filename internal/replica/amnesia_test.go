@@ -2,10 +2,14 @@ package replica
 
 import (
 	"context"
+	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"coterie/internal/nodeset"
+	"coterie/internal/transport"
 )
 
 func TestAmnesiaResetsEverything(t *testing.T) {
@@ -125,5 +129,48 @@ func TestAmnesiaWhileHoldingPropagation(t *testing.T) {
 	ack := h.call(t, 0, 1, PropagationData{Op: o, FromVersion: 0, Updates: []Update{{Data: []byte("x")}}}).(Ack)
 	if ack.OK {
 		t.Error("propagation data applied to an amnesiac replica")
+	}
+}
+
+// TestEnsureItemPublishesAfterInit: a replica made with a creation-time
+// policy is never seen without it. Readers spin on Node.Item while the
+// replica is made with an Amnesia init, as a restarted daemon's first touch
+// does; every one of them must find it already recovering, never a current
+// version-0 replica that a quorum could count.
+func TestEnsureItemPublishesAfterInit(t *testing.T) {
+	n := NewNode(0, transport.NewNetwork(), Config{})
+	defer n.Close()
+	members := nodeset.New(0, 1, 2)
+	for i := 0; i < 200; i++ {
+		name := fmt.Sprintf("item-%d", i)
+		var wg sync.WaitGroup
+		seen := make(chan bool, 4)
+		for r := 0; r < cap(seen); r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					if it := n.Item(name); it != nil {
+						seen <- it.Recovering()
+						return
+					}
+					runtime.Gosched()
+				}
+			}()
+		}
+		it, created, err := n.EnsureItem(name, members, nil, (*Item).Amnesia)
+		if err != nil || !created || !it.Recovering() {
+			t.Fatalf("%s: created=%v err=%v recovering=%v", name, created, err, err == nil && it.Recovering())
+		}
+		if again, created, _ := n.EnsureItem(name, members, nil, func(*Item) { t.Error("init ran twice") }); again != it || created {
+			t.Fatalf("%s: second EnsureItem made another replica", name)
+		}
+		wg.Wait()
+		close(seen)
+		for rec := range seen {
+			if !rec {
+				t.Fatalf("%s: a reader saw the replica before its init ran", name)
+			}
+		}
 	}
 }

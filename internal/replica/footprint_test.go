@@ -62,7 +62,7 @@ func TestColdItemFootprint(t *testing.T) {
 	members, initial := nodeset.New(0, 1, 2), make([]byte, size)
 	grew := liveHeapGrowth(func() any {
 		for i := 0; i < items; i++ {
-			if _, created, err := node.EnsureItem(fmt.Sprintf("key-%06d", i), members, initial); err != nil || !created {
+			if _, created, err := node.EnsureItem(fmt.Sprintf("key-%06d", i), members, initial, nil); err != nil || !created {
 				t.Fatalf("EnsureItem %d: created=%v err=%v", i, created, err)
 			}
 		}

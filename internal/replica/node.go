@@ -83,15 +83,9 @@ func (n *Node) AddItem(name string, members nodeset.Set, initial []byte) (*Item,
 	if _, ok := n.items[name]; ok {
 		return nil, fmt.Errorf("replica: item %q already exists on node %v", name, n.self)
 	}
-	return n.newItemLocked(name, members, initial), nil
-}
-
-// newItemLocked builds the replica and publishes it to the dispatch map.
-// Called with mu held.
-func (n *Node) newItemLocked(name string, members nodeset.Set, initial []byte) *Item {
 	it := newItem(n, name, members, initial)
 	n.items[name] = it
-	return it
+	return it, nil
 }
 
 // EnsureItem returns this node's replica of the named item, creating it
@@ -102,10 +96,11 @@ func (n *Node) newItemLocked(name string, members nodeset.Set, initial []byte) *
 // and both may race on first touch. The members and initial value are only
 // used on creation (initial as AddItem uses it: kept by reference, not to be
 // modified afterwards); an existing replica is returned as-is. The boolean
-// reports whether this call created the replica — exactly one racing
-// caller sees true, so creation-time setup (e.g. a recovering daemon's
-// Amnesia) runs once.
-func (n *Node) EnsureItem(name string, members nodeset.Set, initial []byte) (*Item, bool, error) {
+// reports whether this call created the replica. init, if not nil, is the
+// host's creation-time policy (a recovering daemon's Amnesia, say): it runs
+// on the new replica once, before the replica is published, so no message
+// and no other caller ever sees the replica without it.
+func (n *Node) EnsureItem(name string, members nodeset.Set, initial []byte, init func(*Item)) (*Item, bool, error) {
 	n.mu.RLock()
 	it := n.items[name]
 	n.mu.RUnlock()
@@ -120,7 +115,12 @@ func (n *Node) EnsureItem(name string, members nodeset.Set, initial []byte) (*It
 	if it, ok := n.items[name]; ok {
 		return it, false, nil
 	}
-	return n.newItemLocked(name, members, initial), true, nil
+	it = newItem(n, name, members, initial)
+	if init != nil {
+		init(it)
+	}
+	n.items[name] = it
+	return it, true, nil
 }
 
 // SetAutoCreate installs a provisioner consulted when a protocol message

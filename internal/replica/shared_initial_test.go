@@ -40,7 +40,7 @@ func TestSharedInitialIsNeverWritten(t *testing.T) {
 		name := fmt.Sprintf("item-%d", i)
 		var reps [2]*replica.Item
 		for k, n := range nodes {
-			rep, _, err := n.EnsureItem(name, members, initial)
+			rep, _, err := n.EnsureItem(name, members, initial, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
