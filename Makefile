@@ -1,14 +1,23 @@
 GO ?= go
 
-.PHONY: all build test test-bench vet race race-conflict race-legs bench-pair bench-pair-all bench bench-smoke profile-net profile-heap profile-sim check-obs-imports check-allocs check-admin check-cluster check-clean fuzz-smoke loc ci
+.PHONY: all build test test-bench vet check-fmt race race-conflict race-legs bench-pair bench-pair-all bench bench-smoke profile-net profile-heap profile-sim check-obs-imports check-allocs check-admin check-cluster check-clean fuzz-smoke loc ci
 
 all: build
 
 build:
 	$(GO) build ./...
 
+# vet covers the benchmark's module too: bench/ is a module of its own, so
+# `go vet ./...` at the root does not reach it.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C bench ./...
+
+# check-fmt fails when a tracked Go file is not gofmt-formatted.
+check-fmt:
+	@bad=$$(git ls-files '*.go' | xargs gofmt -l); \
+	if [ -n "$$bad" ]; then echo "check-fmt: not gofmt-formatted:"; echo "$$bad"; exit 1; fi; \
+	echo "check-fmt: every tracked .go file is formatted"
 
 test:
 	$(GO) test ./...
@@ -223,4 +232,4 @@ check-obs-imports:
 	fi; \
 	echo "check-obs-imports: internal/obs is clean"
 
-ci: vet build test-bench check-obs-imports check-allocs check-admin check-cluster fuzz-smoke race race-conflict race-legs bench-smoke check-clean
+ci: vet check-fmt build test-bench check-obs-imports check-allocs check-admin check-cluster fuzz-smoke race race-conflict race-legs bench-smoke check-clean

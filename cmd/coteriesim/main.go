@@ -1,6 +1,10 @@
 // Command coteriesim runs the discrete-event availability simulator: the
 // site model's failure/repair process with epoch checking, under either the
 // paper's Figure 3 transition rule or exact evaluation of a coterie rule.
+// It prints the mean write and read unavailability over the seeds, and
+// the epoch changes, blocks, events and seeds that lost data summed over
+// them. With -rule grid and -compare it also prints the Figure 3 chain's
+// analytic value, which models the dynamic grid and no other rule.
 //
 // Usage:
 //
@@ -13,43 +17,44 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	"coterie/internal/coterie"
 	"coterie/internal/markov"
-	"coterie/internal/obs"
 	"coterie/internal/sim"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("coteriesim: ")
-	var (
-		n          = flag.Int("n", 9, "number of replicas")
-		lambda     = flag.Float64("lambda", 1, "per-node failure rate")
-		mu         = flag.Float64("mu", 19, "per-node repair rate")
-		horizon    = flag.Float64("horizon", 1e6, "simulated time units")
-		modelName  = flag.String("model", "paper", `transition model: "paper" (Figure 3) or "protocol" (exact rule)`)
-		ruleName   = flag.String("rule", "grid", `coterie rule for -model protocol: grid, grid-strict, majority, hierarchical`)
-		checkEvery = flag.Float64("check-every", 0, "epoch-check period (0 = after every event)")
-		seeds      = flag.Int("seeds", 1, "number of independent seeds to average")
-		compare    = flag.Bool("compare", true, "also print the analytic Figure 3 value")
-		obsOn      = flag.Bool("obs", true, "record obs counters and print them to stderr at exit")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	reg := obs.Nop
-	if *obsOn {
-		reg = obs.New()
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("coteriesim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		n          = fs.Int("n", 9, "number of replicas")
+		lambda     = fs.Float64("lambda", 1, "per-node failure rate")
+		mu         = fs.Float64("mu", 19, "per-node repair rate")
+		horizon    = fs.Float64("horizon", 1e6, "simulated time units")
+		modelName  = fs.String("model", "paper", `transition model: "paper" (Figure 3) or "protocol" (exact rule)`)
+		ruleName   = fs.String("rule", "grid", `coterie rule for -model protocol: grid, grid-strict, majority, hierarchical`)
+		checkEvery = fs.Float64("check-every", 0, "epoch-check period (0 = after every event)")
+		seeds      = fs.Int("seeds", 1, "number of independent seeds to average")
+		compare    = fs.Bool("compare", true, "with -rule grid, also print the analytic Figure 3 value")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "coteriesim: "+format+"\n", a...)
+		return 1
+	}
+
 	cfg := sim.Config{
 		N:          *n,
 		Lambda:     *lambda,
 		Mu:         *mu,
 		Horizon:    *horizon,
 		CheckEvery: *checkEvery,
-		Obs:        reg,
 	}
 	switch *modelName {
 	case "paper":
@@ -57,7 +62,7 @@ func main() {
 	case "protocol":
 		cfg.Model = sim.ModelProtocol
 	default:
-		log.Fatalf("unknown model %q", *modelName)
+		return fail("unknown model %q", *modelName)
 	}
 	switch *ruleName {
 	case "grid":
@@ -69,40 +74,42 @@ func main() {
 	case "hierarchical":
 		cfg.Rule = coterie.Hierarchical{}
 	default:
-		log.Fatalf("unknown rule %q", *ruleName)
+		return fail("unknown rule %q", *ruleName)
+	}
+	if *seeds < 1 {
+		return fail("-seeds must be at least 1, got %d", *seeds)
 	}
 
 	var sumW, sumR float64
-	var blocks, changes int
+	var blocks, changes, events, lost int
 	for s := 0; s < *seeds; s++ {
 		cfg.Seed = int64(s + 1)
 		res, err := sim.Run(cfg)
 		if err != nil {
-			log.Fatal(err)
+			return fail("%v", err)
 		}
 		sumW += res.WriteUnavailFrac
 		sumR += res.ReadUnavailFrac
 		blocks += res.Blocks
 		changes += res.EpochChanges
+		events += res.Events
+		if res.DataLost {
+			lost++
+		}
 	}
 	k := float64(*seeds)
-	fmt.Printf("model=%s rule=%s N=%d lambda=%g mu=%g horizon=%g check-every=%g seeds=%d\n",
+	fmt.Fprintf(stdout, "model=%s rule=%s N=%d lambda=%g mu=%g horizon=%g check-every=%g seeds=%d\n",
 		*modelName, *ruleName, *n, *lambda, *mu, *horizon, *checkEvery, *seeds)
-	fmt.Printf("write unavailability: %.6g\n", sumW/k)
-	fmt.Printf("read  unavailability: %.6g\n", sumR/k)
-	fmt.Printf("epoch changes: %d   blocks: %d (totals across seeds)\n", changes, blocks)
+	fmt.Fprintf(stdout, "write unavailability: %.6g\n", sumW/k)
+	fmt.Fprintf(stdout, "read  unavailability: %.6g\n", sumR/k)
+	fmt.Fprintf(stdout, "epoch changes: %d   blocks: %d (totals across seeds)\n", changes, blocks)
+	fmt.Fprintf(stdout, "events: %d   seeds that lost data: %d\n", events, lost)
 
-	if *compare && *n >= 4 {
+	if *compare && *ruleName == "grid" && *n >= 4 {
 		analytic, err := markov.DynamicGridModel{N: *n, Lambda: *lambda, Mu: *mu}.UnavailabilityFloat(0)
 		if err == nil {
-			fmt.Printf("analytic Figure 3 value:  %.6g\n", analytic)
+			fmt.Fprintf(stdout, "analytic Figure 3 value:  %.6g\n", analytic)
 		}
 	}
-
-	if reg != obs.Nop {
-		fmt.Fprintln(os.Stderr, "--- obs summary (totals across seeds) ---")
-		for _, c := range reg.Snapshot().Counters {
-			fmt.Fprintf(os.Stderr, "%-30s %d\n", c.Name, c.Value)
-		}
-	}
+	return 0
 }

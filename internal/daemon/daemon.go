@@ -144,7 +144,6 @@ type Daemon struct {
 	entries    map[string]*coordEntry
 	coordBuilt *obs.Counter
 	coordEvict *obs.Counter
-	coordLive  *obs.Gauge
 
 	admin *http.Server
 	aln   net.Listener
@@ -231,7 +230,6 @@ func Start(cfg Config) (*Daemon, error) {
 		entries:    make(map[string]*coordEntry),
 		coordBuilt: reg.Counter("coteried_coord_built_total"),
 		coordEvict: reg.Counter("coteried_coord_evicted_total"),
-		coordLive:  reg.Gauge("coteried_coords_live"),
 	}
 	// Peer coordinators materialize replicas here on first touch; the
 	// provisioner enforces shard ownership so a confused peer cannot plant
@@ -377,7 +375,6 @@ func (d *Daemon) coordFor(ctx context.Context, item string) (co *core.Coordinato
 		e = &coordEntry{co: core.NewCoordinator(rep, d.Net, d.pmap.Members(shard), d.copts)}
 		d.entries[item] = e
 		d.coordBuilt.Inc()
-		d.coordLive.Set(int64(len(d.entries)))
 		d.maybeEvictLocked()
 	}
 	d.clock++
@@ -420,7 +417,6 @@ func (d *Daemon) maybeEvictLocked() {
 		delete(d.entries, idle[i].name)
 	}
 	d.coordEvict.Add(uint64(drop))
-	d.coordLive.Set(int64(len(d.entries)))
 }
 
 // handleMapQuery serves the daemon's shard map.

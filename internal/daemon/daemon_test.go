@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -303,5 +304,105 @@ func TestZeroConfigKeepsConnections(t *testing.T) {
 	const poolSize = 2 // tcpnet's default connections per peer
 	if dials := daemons[0].Reg.Counter("tcp_dials_total").Load(); dials == 0 || dials > poolSize {
 		t.Errorf("100 calls to one peer dialed %d times, want 1..%d", dials, poolSize)
+	}
+}
+
+// TestDaemonSeriesNames pins the series a daemon exposes, the way
+// TestFlagNames pins its flags: one daemon with Obs serves one write and
+// one read from a client, and the names its registry then holds must be
+// exactly this list. A series added or removed is an edit here on purpose.
+func TestDaemonSeriesNames(t *testing.T) {
+	book := freeAddrs(t, 1)
+	cfg := oneShard(book, 0, false)
+	cfg.Obs = true
+	d, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	cli := tcpnet.New(book)
+	defer cli.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	const clientID = nodeset.ID(100)
+	wrep, err := cli.Call(ctx, clientID, 0, capi.Write{Item: "item-0", Update: replica.Update{Data: []byte("x")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wr := wrep.(capi.WriteReply); wr.Status != capi.StatusOK {
+		t.Fatalf("write reply = %+v", wr)
+	}
+	rrep, err := cli.Call(ctx, clientID, 0, capi.Read{Item: "item-0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rr := rrep.(capi.ReadReply); rr.Status != capi.StatusOK || rr.Version != 1 {
+		t.Fatalf("read reply = %+v", rr)
+	}
+
+	s := d.Reg.Snapshot()
+	var got []string
+	for _, c := range s.Counters {
+		got = append(got, c.Name)
+	}
+	for _, g := range s.Gauges {
+		got = append(got, g.Name)
+	}
+	for _, h := range s.Histograms {
+		got = append(got, h.Name)
+	}
+	for _, v := range s.Vecs {
+		got = append(got, v.Name)
+	}
+	for _, v := range s.GaugeVecs {
+		got = append(got, v.Name)
+	}
+	for _, v := range s.HistVecs {
+		got = append(got, v.Name)
+	}
+	slices.Sort(got)
+	want := []string{
+		"core_batch_fallback_total", "core_batch_flush_total",
+		"core_batch_size", "core_epoch_changes_total",
+		"core_epoch_checks_total", "core_epoch_redirects_total",
+		"core_heavy_procedures_total", "core_lock_retry_total",
+		"core_push_sent_total", "core_push_skipped_total",
+		"core_quorum_members_total", "core_quorum_rounds_total",
+		"core_read_redraws_total", "core_reads_total",
+		"core_spec_prepare_hit_total", "core_spec_prepare_miss_total",
+		"core_writes_total",
+		"coteried_coord_built_total", "coteried_coord_evicted_total",
+		"replica_amnesia_total", "replica_commits_total",
+		"replica_decision_bytes", "replica_decision_unknown_total",
+		"replica_epoch_installs_total", "replica_items",
+		"replica_lock_denied_total", "replica_lock_expired_total",
+		"replica_lock_granted_total", "replica_lock_refused_total",
+		"replica_lock_waited_total", "replica_payload_bytes",
+		"replica_propagation_offers_busy_total",
+		"replica_propagation_offers_current_total",
+		"replica_propagation_offers_permitted_total",
+		"replica_propagation_retries_total",
+		"replica_propagation_rounds_total",
+		"replica_propagation_snapshots_total",
+		"replica_propagation_updates_total",
+		"replica_push_applied_total",
+		"replica_push_refused_busy_total",
+		"replica_push_refused_gap_total",
+		"replica_push_refused_recovering_total",
+		"replica_push_refused_stale_total", "replica_readmitted_total",
+		"replica_stale_cleared_total", "replica_stale_marked_total",
+		"replica_staleness_duration_ns",
+		"tcp_bytes_recv_total", "tcp_bytes_sent_total",
+		"tcp_calls_failed_total", "tcp_calls_local_total",
+		"tcp_calls_total", "tcp_conns_evicted_total",
+		"tcp_dial_errors_total", "tcp_dials_total",
+		"tcp_endpoint_served_total", "tcp_flush_stall_total",
+		"tcp_flushes_total", "tcp_frames_recv_total",
+		"tcp_frames_sent_total", "tcp_multicast_fanout",
+		"tcp_peer_requests_sent_total",
+		"transport_endpoint_call_ns",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("series\n got %q\nwant %q", got, want)
 	}
 }

@@ -25,7 +25,6 @@ import (
 
 	"coterie/internal/coterie"
 	"coterie/internal/nodeset"
-	"coterie/internal/obs"
 )
 
 // Model selects the epoch-transition rule.
@@ -62,20 +61,8 @@ type Config struct {
 	// members — readmits it. Zero models the paper's perfect stable
 	// storage.
 	AmnesiaFraction float64
-	// Strategy names a quorum-selection strategy whose candidate
-	// distribution the run additionally tracks ("optimized"; empty and
-	// "hint" disable it). ModelProtocol only. The weighted strategy serves
-	// from an enumerated candidate list and falls back to the full rule
-	// when no candidate survives in the up-set; the Candidate* results
-	// measure how much availability that distribution covers on its own,
-	// i.e. how often the fallback is what keeps the system available.
-	Strategy string
 	// Seed drives the run's randomness.
 	Seed int64
-	// Obs receives the run's counters (sim_events_total,
-	// sim_epoch_changes_total, sim_blocks_total, sim_data_losses_total).
-	// Nil (obs.Nop) disables recording.
-	Obs *obs.Registry
 }
 
 // Result aggregates a run.
@@ -90,17 +77,6 @@ type Result struct {
 	MinEpochSize     int
 	WriteUnavailFrac float64 // WriteUnavailable / Time
 	ReadUnavailFrac  float64 // ReadUnavailable / Time
-	// Candidate* mirror the (Read|Write)Unavailable accounting for the
-	// configured weighted strategy's enumerated candidate quorums: time
-	// during which no candidate survived, even if the full rule still had
-	// a quorum (the engine's fallback window). Zero when Strategy is not
-	// a weighted one. Fallbacks counts transitions into a state where the
-	// rule could write but the candidate distribution could not.
-	CandidateWriteUnavailable float64
-	CandidateReadUnavailable  float64
-	CandidateWriteUnavailFrac float64
-	CandidateReadUnavailFrac  float64
-	Fallbacks                 int
 	// DataLost reports that amnesia permanently destroyed the write quorum:
 	// even with every surviving remembering node up, the current epoch can
 	// never re-form (the replicas that witnessed the latest state lost
@@ -131,25 +107,10 @@ func Run(cfg Config) (Result, error) {
 	if cfg.AmnesiaFraction > 0 && cfg.Model != ModelProtocol {
 		return Result{}, fmt.Errorf("sim: amnesia requires ModelProtocol")
 	}
-	weighted := cfg.Strategy == "optimized"
-	switch cfg.Strategy {
-	case "", "hint", "optimized":
-	default:
-		return Result{}, fmt.Errorf("sim: unknown strategy %q", cfg.Strategy)
-	}
-	if weighted && cfg.Model != ModelProtocol {
-		return Result{}, fmt.Errorf("sim: strategy tracking requires ModelProtocol")
-	}
 	rule := cfg.Rule
 	if rule == nil {
 		rule = coterie.Grid{}
 	}
-	// Counters are resolved once per run; each site is a nil-safe Inc.
-	mEvents := cfg.Obs.Counter("sim_events_total")
-	mEpochChanges := cfg.Obs.Counter("sim_epoch_changes_total")
-	mBlocks := cfg.Obs.Counter("sim_blocks_total")
-	mDataLosses := cfg.Obs.Counter("sim_data_losses_total")
-	mFallbacks := cfg.Obs.Counter("sim_strategy_fallbacks_total")
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	all := nodeset.Range(0, nodeset.ID(cfg.N))
@@ -192,27 +153,8 @@ func Run(cfg Config) (Result, error) {
 		}
 		return l
 	}
-	// The weighted strategy's candidate lists follow the layout: each
-	// epoch change re-enumerates the quorums the solved distribution can
-	// draw from (deterministic per layout, like the engine's recompute).
-	var candReads, candWrites []nodeset.Set
-	setLayout := func(epoch nodeset.Set) {
-		layout = compileLayout(epoch)
-		if weighted {
-			candReads = layout.EnumerateReadQuorums(0)
-			candWrites = layout.EnumerateWriteQuorums(0)
-		}
-	}
-	anyCandidate := func(cands []nodeset.Set, avail nodeset.Set) bool {
-		for _, c := range cands {
-			if c.Subset(avail) {
-				return true
-			}
-		}
-		return false
-	}
 	if cfg.Model == ModelProtocol {
-		setLayout(epoch)
+		layout = compileLayout(epoch)
 	}
 	writeAvailable := func() bool {
 		if cfg.Model == ModelPaper {
@@ -241,7 +183,7 @@ func Run(cfg Config) (Result, error) {
 		if ok {
 			epoch = up.Clone()
 			if cfg.Model == ModelProtocol {
-				setLayout(epoch)
+				layout = compileLayout(epoch)
 			}
 			// The epoch change readmits recovering members. witnesses is
 			// up ∩ remembering by incremental maintenance, so it only needs
@@ -251,7 +193,6 @@ func Run(cfg Config) (Result, error) {
 				witnesses = up.Clone() // up ∩ (remembering ∪ up) = up
 			}
 			res.EpochChanges++
-			mEpochChanges.Inc()
 			if l := epoch.Len(); l < res.MinEpochSize {
 				res.MinEpochSize = l
 			}
@@ -259,7 +200,6 @@ func Run(cfg Config) (Result, error) {
 	}
 
 	wasWriteAvail := true
-	wasFallback := false
 	for now < cfg.Horizon {
 		nUp := up.Len()
 		nDown := cfg.N - nUp
@@ -284,14 +224,6 @@ func Run(cfg Config) (Result, error) {
 		}
 		if !readAvailable() {
 			res.ReadUnavailable += span
-		}
-		if weighted {
-			if !anyCandidate(candWrites, witnesses) {
-				res.CandidateWriteUnavailable += span
-			}
-			if !anyCandidate(candReads, witnesses) {
-				res.CandidateReadUnavailable += span
-			}
 		}
 		now = eventTime
 		if now >= cfg.Horizon {
@@ -327,29 +259,18 @@ func Run(cfg Config) (Result, error) {
 				if !res.DataLost && !layout.IsWriteQuorum(remembering) {
 					res.DataLost = true
 					res.DataLossTime = now
-					mDataLosses.Inc()
 				}
 			}
 		}
 		res.Events++
-		mEvents.Inc()
 		if cfg.CheckEvery <= 0 {
 			check()
 		}
 		nowAvail := writeAvailable()
 		if wasWriteAvail && !nowAvail {
 			res.Blocks++
-			mBlocks.Inc()
 		}
 		wasWriteAvail = nowAvail
-		if weighted {
-			fb := nowAvail && !anyCandidate(candWrites, witnesses)
-			if fb && !wasFallback {
-				res.Fallbacks++
-				mFallbacks.Inc()
-			}
-			wasFallback = fb
-		}
 	}
 
 	res.Time = now
@@ -357,8 +278,6 @@ func Run(cfg Config) (Result, error) {
 	if res.Time > 0 {
 		res.WriteUnavailFrac = res.WriteUnavailable / res.Time
 		res.ReadUnavailFrac = res.ReadUnavailable / res.Time
-		res.CandidateWriteUnavailFrac = res.CandidateWriteUnavailable / res.Time
-		res.CandidateReadUnavailFrac = res.CandidateReadUnavailable / res.Time
 	}
 	return res, nil
 }

@@ -70,7 +70,7 @@ func TestCoalescedFlushByteEquality(t *testing.T) {
 	// drains the whole ring into a single net.Buffers flush.
 	reg := obs.New()
 	n := New(map[nodeset.ID]string{}, WithObs(reg))
-	r := newOutRing(len(frames), n.flushStalls, n.outDepth)
+	r := newOutRing(len(frames), n.flushStalls)
 	for _, f := range frames {
 		if err := r.enqueue(ctx, f); err != nil {
 			t.Fatal(err)
@@ -177,7 +177,7 @@ func TestRingFlushPathDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is skewed under -race")
 	}
-	r := newOutRing(4, new(obs.Counter), new(obs.Gauge))
+	r := newOutRing(4, new(obs.Counter))
 	f := getBuf()
 	defer putBuf(f)
 	f.b = append(f.b[:0], "frame-bytes"...)

@@ -93,7 +93,7 @@ func dialConn(n *Network, addr string, ctx context.Context) (*clientConn, error)
 	c := &clientConn{
 		n:      n,
 		nc:     nc,
-		out:    newOutRing(n.outQueue, n.flushStalls, n.outDepth),
+		out:    newOutRing(n.outQueue, n.flushStalls),
 		closed: make(chan struct{}),
 	}
 	for i := range c.shards {

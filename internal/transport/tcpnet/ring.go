@@ -47,15 +47,13 @@ type outRing struct {
 	wake   chan struct{} // capacity 1; writer wakeup token
 
 	stalls *obs.Counter // tcp_flush_stall_total
-	depth  *obs.Gauge   // tcp_out_queue_depth (nil without a registry)
 }
 
-func newOutRing(capacity int, stalls *obs.Counter, depth *obs.Gauge) *outRing {
+func newOutRing(capacity int, stalls *obs.Counter) *outRing {
 	return &outRing{
 		frames: make([]*frameBuf, capacity),
 		wake:   make(chan struct{}, 1),
 		stalls: stalls,
-		depth:  depth,
 	}
 }
 
@@ -97,7 +95,6 @@ func (r *outRing) enqueue(ctx context.Context, f *frameBuf) error {
 	}
 	r.frames[(r.head+r.n)%len(r.frames)] = f
 	r.n++
-	r.depth.Set(int64(r.n))
 	first := r.n == 1
 	r.mu.Unlock()
 	if first {
@@ -127,7 +124,6 @@ func (r *outRing) tryEnqueue(f *frameBuf) error {
 	}
 	r.frames[(r.head+r.n)%len(r.frames)] = f
 	r.n++
-	r.depth.Set(int64(r.n))
 	first := r.n == 1
 	r.mu.Unlock()
 	if first {
@@ -172,7 +168,6 @@ func (r *outRing) gather(scratch []*frameBuf) (batch []*frameBuf, total int, ok 
 	}
 	r.head = (r.head + r.n) % len(r.frames)
 	r.n = 0
-	r.depth.Set(0)
 	if r.space != nil {
 		close(r.space)
 		r.space = nil
@@ -199,7 +194,6 @@ func (r *outRing) tryGather(batch []*frameBuf, total int) ([]*frameBuf, int, boo
 	}
 	r.head = (r.head + r.n) % len(r.frames)
 	r.n = 0
-	r.depth.Set(0)
 	if r.space != nil {
 		close(r.space)
 		r.space = nil
@@ -274,8 +268,6 @@ func (n *Network) writeRing(nc net.Conn, r *outRing, kill func()) {
 		n.flushes.Inc()
 		n.framesSent.Add(uint64(len(batch)))
 		n.bytesSent.Add(uint64(total))
-		n.flushSize.Record(uint64(len(batch)))
-		n.writevBytes.Record(uint64(total))
 		bufs = iov
 		_, err := bufs.WriteTo(nc)
 		for i, f := range batch {

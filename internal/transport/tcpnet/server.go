@@ -62,7 +62,7 @@ func (n *Network) acceptLoop(ln net.Listener, ep *localEndpoint) {
 			n:   n,
 			ep:  ep,
 			nc:  nc,
-			out: newOutRing(n.outQueue, n.flushStalls, n.outDepth),
+			out: newOutRing(n.outQueue, n.flushStalls),
 		}
 		sc.pool = transport.NewWorkers(maxServeWorkers, sc.serveOne)
 		if !n.track(sc) {

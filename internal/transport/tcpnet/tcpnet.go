@@ -115,11 +115,8 @@ type Network struct {
 
 	// Present only with WithObs; recording on nil is a no-op, and without
 	// a registry no call reads the clock (a peer's callNs cell is nil).
-	obsReg      *obs.Registry
-	flushSize   *obs.Histogram
-	writevBytes *obs.Histogram
-	mcFanout    *obs.Histogram
-	outDepth    *obs.Gauge // sampled writer-ring depth at enqueue
+	obsReg   *obs.Registry
+	mcFanout *obs.Histogram
 
 	scratch sync.Pool // *mcScratch
 }
@@ -229,10 +226,7 @@ func New(addrs map[nodeset.ID]string, opts ...Option) *Network {
 		n.obsReg.AdoptCounter("tcp_flush_stall_total", n.flushStalls)
 		n.obsReg.AdoptCounterVec("tcp_endpoint_served_total", n.served)
 		n.obsReg.AdoptCounterVec("tcp_peer_requests_sent_total", n.sent)
-		n.flushSize = n.obsReg.Histogram("tcp_flush_frames")
-		n.writevBytes = n.obsReg.Histogram("tcp_writev_bytes")
 		n.mcFanout = n.obsReg.Histogram("tcp_multicast_fanout")
-		n.outDepth = n.obsReg.Gauge("tcp_out_queue_depth")
 	}
 	n.scratch.New = func() any { return new(mcScratch) }
 	return n
