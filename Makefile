@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-bench vet check-fmt race race-conflict race-legs bench-pair bench-pair-all bench bench-smoke profile-net profile-heap profile-sim check-obs-imports check-allocs check-admin check-cluster check-clean fuzz-smoke loc ci
+.PHONY: all build test test-cpu1 test-bench vet check-fmt race race-conflict race-legs bench-pair bench-pair-all bench bench-smoke profile-net profile-heap profile-sim check-obs-imports check-allocs check-admin check-cluster check-clean fuzz-smoke loc ci
 
 all: build
 
@@ -21,6 +21,12 @@ check-fmt:
 
 test:
 	$(GO) test ./...
+
+# test-cpu1 runs tier-1 at GOMAXPROCS 1, the configuration the benchmark
+# measures in: a test whose assertion holds only when goroutines run in
+# parallel fails here.
+test-cpu1:
+	$(GO) test -count=1 -cpu 1 ./...
 
 # race runs every package's tests under the race detector — the 10k-case
 # quorum properties of internal/coterie (compiled ≡ uncompiled, every picker
@@ -232,4 +238,4 @@ check-obs-imports:
 	fi; \
 	echo "check-obs-imports: internal/obs is clean"
 
-ci: vet check-fmt build test-bench check-obs-imports check-allocs check-admin check-cluster fuzz-smoke race race-conflict race-legs bench-smoke check-clean
+ci: vet check-fmt build test-cpu1 test-bench check-obs-imports check-allocs check-admin check-cluster fuzz-smoke race race-conflict race-legs bench-smoke check-clean

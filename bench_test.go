@@ -61,7 +61,7 @@ func BenchmarkTable1Dynamic(b *testing.B) {
 			var u float64
 			for i := 0; i < b.N; i++ {
 				var err error
-				u, err = model.UnavailabilityFloat(0)
+				u, err = model.Unavailability()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -102,7 +102,7 @@ func BenchmarkFigure3Chain(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := c.StationaryBig(0); err != nil {
+				if _, err := c.Stationary(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -306,11 +306,11 @@ func BenchmarkVotingComparison(b *testing.B) {
 			var grid, voting float64
 			for i := 0; i < b.N; i++ {
 				var err error
-				grid, err = markov.DynamicGridModel{N: n, Lambda: 1, Mu: 19}.UnavailabilityFloat(0)
+				grid, err = markov.DynamicGridModel{N: n, Lambda: 1, Mu: 19}.Unavailability()
 				if err != nil {
 					b.Fatal(err)
 				}
-				voting, err = markov.DynamicVotingModel{N: n, Lambda: 1, Mu: 19}.UnavailabilityFloat(0)
+				voting, err = markov.DynamicVotingModel{N: n, Lambda: 1, Mu: 19}.Unavailability()
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	availability                 # Table 1 exactly as in the paper
+//	availability                 # Table 1 as in the paper, then protocol-exact
 //	availability -lambda 1 -mu 9 # different failure/repair rates
 //	availability -n 9,12,15      # different replica counts
 //	availability -quorums        # quorum sizes per protocol (Section 1)
@@ -76,7 +76,7 @@ func printOutage(counts []int, lambda, mu float64) {
 	fmt.Println("N      unavailability  mean-outage   outages-per-lifetime")
 	for _, n := range counts {
 		m := markov.DynamicGridModel{N: n, Lambda: lambda, Mu: mu}
-		u, err := m.UnavailabilityFloat(0)
+		u, err := m.Unavailability()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func printReads(counts []int, lambda, mu float64) {
 	fmt.Println()
 	fmt.Println("N      write         read")
 	for _, n := range counts {
-		w, r, err := markov.DynamicGridReadModel{N: n, Lambda: lambda, Mu: mu}.UnavailabilitiesFloat(0)
+		w, r, err := markov.PaperReadModel(n, lambda, mu).Unavailabilities()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -125,6 +125,18 @@ func printTable1(counts []int, lambda, mu float64) {
 	}
 	fmt.Printf("Write unavailability, p = %.4g (lambda=%g, mu=%g)\n\n", params.P(), lambda, mu)
 	os.Stdout.WriteString(markov.FormatTable1(rows))
+
+	rules := []coterie.Rule{coterie.Grid{}, coterie.Majority{}, coterie.Hierarchical{}, coterie.Wheel{}}
+	exact, err := markov.ProtocolTable1(params, rules)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println()
+	fmt.Println("The dynamic protocol as written: write unavailability when each rule's")
+	fmt.Println("own write quorums decide every epoch change (Figure 3 assumes a grid")
+	fmt.Println("epoch of 4 or more always survives one failure).")
+	fmt.Println()
+	os.Stdout.WriteString(markov.FormatProtocolTable1(rules, exact))
 }
 
 func printQuorumSizes(counts []int) {
@@ -172,15 +184,15 @@ func printVotingComparison(counts []int, lambda, mu float64) {
 	for _, n := range counts {
 		_, sg := markov.BestStaticGrid(n, p, true)
 		sm := 1 - markov.StaticMajorityWriteAvailability(n, p)
-		dv, err := markov.DynamicVotingModel{N: n, Lambda: lambda, Mu: mu}.UnavailabilityFloat(0)
+		dv, err := markov.DynamicVotingModel{N: n, Lambda: lambda, Mu: mu}.Unavailability()
 		if err != nil {
 			log.Fatal(err)
 		}
-		dl, err := markov.DynamicVotingModel{N: n, Lambda: lambda, Mu: mu, Linear: true}.UnavailabilityFloat(0)
+		dl, err := markov.DynamicVotingModel{N: n, Lambda: lambda, Mu: mu, Linear: true}.Unavailability()
 		if err != nil {
 			log.Fatal(err)
 		}
-		dg, err := markov.DynamicGridModel{N: n, Lambda: lambda, Mu: mu}.UnavailabilityFloat(0)
+		dg, err := markov.DynamicGridModel{N: n, Lambda: lambda, Mu: mu}.Unavailability()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,31 +6,37 @@ import (
 	"testing"
 )
 
-// TestFigure3LineOnlyForGrid: the analytic Figure 3 value models the
-// dynamic grid, so only -rule grid prints it; every rule prints the event
-// count and the number of seeds that lost data.
-func TestFigure3LineOnlyForGrid(t *testing.T) {
+// TestCompareLineForEveryRuleAndModel: with checks after every event the
+// simulation has an exact chain under every rule and both models, and
+// -compare prints it; with a check period it has none, so nothing is
+// printed. No count of seeds that lost data is printed: the simulator has
+// no storage loss.
+func TestCompareLineForEveryRuleAndModel(t *testing.T) {
 	for _, tc := range []struct {
-		rule    string
-		figure3 bool
+		args  []string
+		exact bool
 	}{
-		{"grid", true},
-		{"majority", false},
+		{[]string{"-model", "protocol", "-rule", "grid"}, true},
+		{[]string{"-model", "protocol", "-rule", "majority"}, true},
+		{[]string{"-model", "protocol", "-rule", "hierarchical"}, true},
+		{[]string{"-model", "paper"}, true},
+		{[]string{"-model", "protocol", "-rule", "grid", "-check-every", "0.5"}, false},
+		{[]string{"-model", "paper", "-compare=false"}, false},
 	} {
 		var stdout, stderr bytes.Buffer
-		code := run([]string{"-n", "9", "-model", "protocol", "-rule", tc.rule, "-horizon", "2000", "-seeds", "2"}, &stdout, &stderr)
-		if code != 0 {
-			t.Fatalf("-rule %s: exit %d, stderr %q", tc.rule, code, stderr.String())
+		args := append([]string{"-n", "9", "-horizon", "2000", "-seeds", "2"}, tc.args...)
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d, stderr %q", tc.args, code, stderr.String())
 		}
 		out := stdout.String()
-		if got := strings.Contains(out, "analytic Figure 3 value:"); got != tc.figure3 {
-			t.Errorf("-rule %s: Figure 3 line printed = %v, want %v:\n%s", tc.rule, got, tc.figure3, out)
+		if got := strings.Contains(out, "exact chain: write "); got != tc.exact {
+			t.Errorf("%v: exact chain line printed = %v, want %v:\n%s", tc.args, got, tc.exact, out)
 		}
-		if !strings.Contains(out, "events: ") || !strings.Contains(out, "seeds that lost data: 0") {
-			t.Errorf("-rule %s: no event or data-loss count:\n%s", tc.rule, out)
+		if !strings.Contains(out, "events: ") || strings.Contains(out, "events: 0\n") {
+			t.Errorf("%v: no events counted over a 2000-unit horizon:\n%s", tc.args, out)
 		}
-		if strings.Contains(out, "events: 0 ") {
-			t.Errorf("-rule %s: a 2000-unit horizon processed no events:\n%s", tc.rule, out)
+		if strings.Contains(out, "lost data") {
+			t.Errorf("%v: prints a data-loss count:\n%s", tc.args, out)
 		}
 	}
 }

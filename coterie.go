@@ -34,7 +34,6 @@
 package coterie
 
 import (
-	"math/big"
 	"math/rand"
 	"time"
 
@@ -182,10 +181,9 @@ func Table1() ([]Table1Row, error) {
 func FormatTable1(rows []Table1Row) string { return markov.FormatTable1(rows) }
 
 // DynamicGridUnavailability solves the Figure 3 Markov chain for n
-// replicas with failure rate lambda and repair rate mu, in high-precision
-// arithmetic.
-func DynamicGridUnavailability(n int, lambda, mu float64) (*big.Float, error) {
-	return markov.DynamicGridModel{N: n, Lambda: lambda, Mu: mu}.Unavailability(0)
+// replicas with failure rate lambda and repair rate mu.
+func DynamicGridUnavailability(n int, lambda, mu float64) (float64, error) {
+	return markov.DynamicGridModel{N: n, Lambda: lambda, Mu: mu}.Unavailability()
 }
 
 // StaticGridUnavailability returns the static grid protocol's write

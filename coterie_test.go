@@ -61,9 +61,8 @@ func TestPublicAPIAvailability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, _ := u.Float64()
-	if math.Abs(f-0.18e-6)/0.18e-6 > 0.05 {
-		t.Errorf("dynamic N=9 = %g", f)
+	if math.Abs(u-0.18e-6)/0.18e-6 > 0.05 {
+		t.Errorf("dynamic N=9 = %g", u)
 	}
 	if s := StaticGridUnavailability(9, 0.95); math.Abs(s*1e6-3268.59) > 0.01 {
 		t.Errorf("static N=9 = %g", s)

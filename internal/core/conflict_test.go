@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"coterie/internal/obs"
 	"coterie/internal/onecopy"
 	"coterie/internal/replica"
+	"coterie/internal/transport"
 )
 
 // Conflict resolution (DESIGN.md §14): replicas refuse, at once, a lock
@@ -188,6 +190,14 @@ func hotItemWriters(t *testing.T, writes int, groupCommit bool) {
 	opts.Replica.PropagationCallTimeout = opts.CallTimeout
 	opts.Obs = obs.New()
 	opts.GroupCommit = groupCommit
+	if !groupCommit {
+		// Without transit time a round runs to its end on its caller's
+		// goroutine, and at GOMAXPROCS 1 the nine writers can take turns
+		// without one lock request ever meeting another's. A few
+		// microseconds per message keep every round open long enough for
+		// the next writer's to arrive, so some request must queue.
+		opts.Transport = []transport.Option{transport.WithLatency(func(*rand.Rand) time.Duration { return 5 * time.Microsecond })}
+	}
 	c, err := NewCluster(nodes, "item", make([]byte, 64), opts)
 	if err != nil {
 		t.Fatal(err)

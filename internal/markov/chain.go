@@ -11,17 +11,10 @@
 package markov
 
 import (
+	"errors"
 	"fmt"
-	"math/big"
-	"sort"
-
-	"coterie/internal/linalg"
+	"math"
 )
-
-// DefaultPrec is the big.Float precision (mantissa bits) used when solving
-// chains unless the caller overrides it. 192 bits comfortably resolves the
-// 1e-14 unavailabilities of Table 1.
-const DefaultPrec uint = 192
 
 // Chain is a finite continuous-time Markov chain under construction.
 // States are dense integers 0..n-1; transition rates accumulate, so calling
@@ -62,130 +55,60 @@ func (c *Chain) Transitions(fn func(i, j int, rate float64)) {
 	}
 }
 
-// generator builds the transposed generator matrix Qᵀ with the final row
-// replaced by the normalization constraint Σπ = 1, and the matching
-// right-hand side (0, …, 0, 1). Solving this system yields the stationary
-// distribution π with πQ = 0.
-func (c *Chain) generator() (a [][]float64, b []float64) {
-	n := c.n
-	a = make([][]float64, n)
-	for i := range a {
-		a[i] = make([]float64, n)
-	}
-	for k, r := range c.rates {
-		i, j := k[0], k[1]
-		a[j][i] += r // Qᵀ[j][i] = Q[i][j]
-		a[i][i] -= r // diagonal of Q lands on Qᵀ's diagonal too
-	}
-	for j := 0; j < n; j++ {
-		a[n-1][j] = 1
-	}
-	b = make([]float64, n)
-	b[n-1] = 1
-	return a, b
-}
-
-// Stationary solves for the stationary distribution in float64 arithmetic.
+// Stationary returns the stationary distribution of an irreducible chain,
+// solved by Grassmann–Taksar–Heyman elimination. GTH censors the states
+// out one at a time, from the last down to state 0: a state's rates into
+// the states still left are redistributed over its paths back, each
+// divided by its total rate into them. The rates and the divisors are
+// sums of positive terms, never differences, so every stationary mass
+// keeps its relative precision in float64 however small it is — Table 1's
+// dynamic column reaches 4.3e-33 at N = 30, next to states of mass near 1.
 func (c *Chain) Stationary() ([]float64, error) {
-	a, b := c.generator()
-	return linalg.Solve(a, b)
-}
-
-// bandOrdering returns a reverse Cuthill–McKee ordering of the states:
-// perm[new] = old. Elimination cost on a banded system grows with the
-// square of the bandwidth, and chains built layer-by-layer (e.g. the
-// Figure 3 model's four blocks of N−2 states) place adjacent states whole
-// layers apart; BFS ordering from a low-degree state pulls every
-// transition close to the diagonal so the big.Float solve touches a
-// narrow band instead of filling in densely.
-func (c *Chain) bandOrdering() []int {
 	n := c.n
-	adj := make([][]int, n)
-	for k := range c.rates {
-		i, j := k[0], k[1]
-		adj[i] = append(adj[i], j)
-		adj[j] = append(adj[j], i)
+	if n == 0 {
+		return nil, errors.New("markov: empty chain")
 	}
-	for i := range adj {
-		nb := adj[i]
-		sort.Slice(nb, func(a, b int) bool {
-			if len(adj[nb[a]]) != len(adj[nb[b]]) {
-				return len(adj[nb[a]]) < len(adj[nb[b]])
-			}
-			return nb[a] < nb[b]
-		})
-	}
-	perm := make([]int, 0, n)
-	seen := make([]bool, n)
-	for {
-		// Next BFS root: the unseen state of minimum degree (chains are
-		// normally connected, so this loop runs once).
-		root := -1
-		for i := 0; i < n; i++ {
-			if !seen[i] && (root < 0 || len(adj[i]) < len(adj[root])) {
-				root = i
-			}
-		}
-		if root < 0 {
-			break
-		}
-		seen[root] = true
-		queue := []int{root}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			perm = append(perm, v)
-			for _, w := range adj[v] {
-				if !seen[w] {
-					seen[w] = true
-					queue = append(queue, w)
-				}
-			}
-		}
-	}
-	for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
-		perm[i], perm[j] = perm[j], perm[i]
-	}
-	return perm
-}
-
-// StationaryBig solves for the stationary distribution in big.Float
-// arithmetic at the given precision (0 selects DefaultPrec). The system is
-// solved under a bandwidth-minimizing permutation of the states (see
-// bandOrdering); since the generator's rows all sum to zero, any single
-// balance equation is redundant and the normalization row Σπ = 1 can
-// replace whichever one the permutation leaves last.
-func (c *Chain) StationaryBig(prec uint) ([]*big.Float, error) {
-	if prec == 0 {
-		prec = DefaultPrec
-	}
-	n := c.n
-	perm := c.bandOrdering()
-	pos := make([]int, n) // pos[old] = new
-	for i, o := range perm {
-		pos[o] = i
-	}
-	a := make([][]float64, n)
-	for i := range a {
-		a[i] = make([]float64, n)
+	q := make([][]float64, n)
+	for i := range q {
+		q[i] = make([]float64, n)
 	}
 	for k, r := range c.rates {
-		i, j := pos[k[0]], pos[k[1]]
-		a[j][i] += r // Qᵀ[j][i] = Q[i][j], permuted
-		a[i][i] -= r
+		q[k[0]][k[1]] = r
 	}
-	for j := 0; j < n; j++ {
-		a[n-1][j] = 1
+	for k := n - 1; k > 0; k-- {
+		qk := q[k][:k]
+		s := 0.0
+		for _, r := range qk {
+			s += r
+		}
+		if s == 0 {
+			return nil, fmt.Errorf("markov: state %d cannot reach states 0..%d: the chain is not irreducible", k, k-1)
+		}
+		for i := 0; i < k; i++ {
+			qi := q[i]
+			if qi[k] == 0 {
+				continue
+			}
+			qi[k] /= s
+			f := qi[k]
+			for j, r := range qk {
+				qi[j] += f * r
+			}
+		}
 	}
-	b := make([]float64, n)
-	b[n-1] = 1
-	x, err := linalg.SolveBigFromFloat64(a, b, prec)
-	if err != nil {
-		return nil, err
+	// q[i][k] is now the rate from i into k in the chain censored to
+	// 0..k, over k's total rate back: state k's balance equation.
+	pi := make([]float64, n)
+	pi[0] = 1
+	total := 1.0
+	for k := 1; k < n; k++ {
+		for i := 0; i < k; i++ {
+			pi[k] += pi[i] * q[i][k]
+		}
+		total += pi[k]
 	}
-	pi := make([]*big.Float, n)
-	for i, o := range perm {
-		pi[o] = x[i]
+	for i := range pi {
+		pi[i] /= total
 	}
 	return pi, nil
 }
@@ -238,7 +161,7 @@ func (c *Chain) MeanHittingTimes(targets []int) ([]float64, error) {
 			a[pos[i]][pos[j]] -= rate
 		}
 	}
-	h, err := linalg.Solve(a, b)
+	h, err := solve(a, b)
 	if err != nil {
 		return nil, fmt.Errorf("markov: hitting times unsolvable (absorbing region?): %w", err)
 	}
@@ -249,11 +172,57 @@ func (c *Chain) MeanHittingTimes(targets []int) ([]float64, error) {
 	return out, nil
 }
 
-// SumBig adds the probabilities of the listed states.
-func SumBig(pi []*big.Float, states []int) *big.Float {
-	sum := new(big.Float).SetPrec(pi[0].Prec())
-	for _, s := range states {
-		sum.Add(sum, pi[s])
+// solve solves a·x = b by Gaussian elimination with partial pivoting.
+// a must be square with len(a) == len(b). The inputs are not modified.
+func solve(a [][]float64, b []float64) ([]float64, error) {
+	n := len(a)
+	if n == 0 {
+		return nil, errors.New("markov: empty system")
 	}
-	return sum
+	if len(b) != n {
+		return nil, fmt.Errorf("markov: dimension mismatch: %d rows, %d rhs", n, len(b))
+	}
+	// Working copy: augmented matrix.
+	m := make([][]float64, n)
+	for i := range m {
+		if len(a[i]) != n {
+			return nil, fmt.Errorf("markov: row %d has %d columns, want %d", i, len(a[i]), n)
+		}
+		m[i] = make([]float64, n+1)
+		copy(m[i], a[i])
+		m[i][n] = b[i]
+	}
+
+	for col := 0; col < n; col++ {
+		// Partial pivoting.
+		pivot := col
+		for r := col + 1; r < n; r++ {
+			if math.Abs(m[r][col]) > math.Abs(m[pivot][col]) {
+				pivot = r
+			}
+		}
+		if m[pivot][col] == 0 {
+			return nil, errors.New("markov: singular matrix")
+		}
+		m[col], m[pivot] = m[pivot], m[col]
+		for r := col + 1; r < n; r++ {
+			f := m[r][col] / m[col][col]
+			if f == 0 {
+				continue
+			}
+			for c := col; c <= n; c++ {
+				m[r][c] -= f * m[col][c]
+			}
+		}
+	}
+
+	x := make([]float64, n)
+	for i := n - 1; i >= 0; i-- {
+		sum := m[i][n]
+		for j := i + 1; j < n; j++ {
+			sum -= m[i][j] * x[j]
+		}
+		x[i] = sum / m[i][i]
+	}
+	return x, nil
 }

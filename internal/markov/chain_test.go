@@ -70,28 +70,6 @@ func TestStationarySumsToOne(t *testing.T) {
 	}
 }
 
-func TestStationaryBigMatchesFloat(t *testing.T) {
-	c := NewChain(3)
-	c.AddRate(0, 1, 1.5)
-	c.AddRate(1, 2, 0.5)
-	c.AddRate(2, 0, 2.5)
-	c.AddRate(1, 0, 1.0)
-	pf, err := c.Stationary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := c.StationaryBig(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pf {
-		got, _ := pb[i].Float64()
-		if math.Abs(got-pf[i]) > 1e-12 {
-			t.Errorf("pi[%d]: big %v vs float %v", i, got, pf[i])
-		}
-	}
-}
-
 func TestAddRateAccumulates(t *testing.T) {
 	c := NewChain(2)
 	c.AddRate(0, 1, 1)
@@ -209,7 +187,7 @@ func TestMeanOutageDuration(t *testing.T) {
 		t.Fatal(err)
 	}
 	entry := pi[0] * 3 * m.Lambda // availIndex(3) == 0
-	unavail, err := m.UnavailabilityFloat(0)
+	unavail, err := m.Unavailability()
 	if err != nil {
 		t.Fatal(err)
 	}

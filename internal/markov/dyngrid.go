@@ -2,7 +2,6 @@ package markov
 
 import (
 	"fmt"
-	"math/big"
 	"sort"
 	"strings"
 )
@@ -93,36 +92,22 @@ func (m DynamicGridModel) Chain() (*Chain, error) {
 }
 
 // Unavailability returns the stationary probability of the unavailable
-// region, solved in big.Float arithmetic at precision prec (0 selects
-// DefaultPrec). Summing the unavailable states directly — rather than
-// computing 1 − availability — preserves precision at the 1e-14 scale of
-// Table 1.
-func (m DynamicGridModel) Unavailability(prec uint) (*big.Float, error) {
+// region. Summing the unavailable states directly — rather than computing
+// 1 − availability — preserves precision at the 1e-33 scale of Table 1.
+func (m DynamicGridModel) Unavailability() (float64, error) {
 	c, err := m.Chain()
-	if err != nil {
-		return nil, err
-	}
-	pi, err := c.StationaryBig(prec)
-	if err != nil {
-		return nil, err
-	}
-	var unavail []int
-	for x := 0; x <= 2; x++ {
-		for z := 0; z <= m.N-3; z++ {
-			unavail = append(unavail, m.unavailIndex(x, z))
-		}
-	}
-	return SumBig(pi, unavail), nil
-}
-
-// UnavailabilityFloat is Unavailability converted to float64.
-func (m DynamicGridModel) UnavailabilityFloat(prec uint) (float64, error) {
-	u, err := m.Unavailability(prec)
 	if err != nil {
 		return 0, err
 	}
-	f, _ := u.Float64()
-	return f, nil
+	pi, err := c.Stationary()
+	if err != nil {
+		return 0, err
+	}
+	u := 0.0
+	for _, p := range pi[m.unavailIndex(0, 0):] { // the U states follow the A states
+		u += p
+	}
+	return u, nil
 }
 
 // MeanOutageDuration returns the expected length of a write outage: the

@@ -111,11 +111,11 @@ func TestQuickDynGridMonotoneInLambda(t *testing.T) {
 		mu := 1 + r.Float64()*20
 		l1 := 0.1 + r.Float64()*2
 		l2 := l1 * (1.1 + r.Float64())
-		u1, err := DynamicGridModel{N: n, Lambda: l1, Mu: mu}.UnavailabilityFloat(0)
+		u1, err := DynamicGridModel{N: n, Lambda: l1, Mu: mu}.Unavailability()
 		if err != nil {
 			return false
 		}
-		u2, err := DynamicGridModel{N: n, Lambda: l2, Mu: mu}.UnavailabilityFloat(0)
+		u2, err := DynamicGridModel{N: n, Lambda: l2, Mu: mu}.Unavailability()
 		if err != nil {
 			return false
 		}

@@ -17,7 +17,7 @@ type SweepPoint struct {
 	P            float64 // per-node availability
 	StaticGrid   float64 // best static grid write unavailability
 	StaticMaj    float64 // static majority voting
-	DynamicGrid  float64 // Figure 3 chain
+	DynamicGrid  float64 // Figure 3's transition
 	DynamicRead  float64 // dynamic grid read unavailability
 	DynVoting    float64 // dynamic majority voting
 	ROWA         float64 // read-one/write-all writes
@@ -36,15 +36,11 @@ func Sweep(n int, ratios []float64) ([]SweepPoint, error) {
 		_, pt.StaticGrid = BestStaticGrid(n, p, true)
 		pt.StaticMaj = 1 - StaticMajorityWriteAvailability(n, p)
 		var err error
-		pt.DynamicGrid, err = DynamicGridModel{N: n, Lambda: lambda, Mu: mu}.UnavailabilityFloat(0)
+		pt.DynamicGrid, pt.DynamicRead, err = PaperReadModel(n, lambda, mu).Unavailabilities()
 		if err != nil {
 			return nil, err
 		}
-		_, pt.DynamicRead, err = DynamicGridReadModel{N: n, Lambda: lambda, Mu: mu}.UnavailabilitiesFloat(0)
-		if err != nil {
-			return nil, err
-		}
-		pt.DynVoting, err = DynamicVotingModel{N: n, Lambda: lambda, Mu: mu}.UnavailabilityFloat(0)
+		pt.DynVoting, err = DynamicVotingModel{N: n, Lambda: lambda, Mu: mu}.Unavailability()
 		if err != nil {
 			return nil, err
 		}

@@ -51,7 +51,7 @@ func TestPaperTable1Dynamic(t *testing.T) {
 	}
 	for n, wu := range want {
 		m := DynamicGridModel{N: n, Lambda: 1, Mu: 19}
-		u, err := m.UnavailabilityFloat(0)
+		u, err := m.Unavailability()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestPaperTable1Dynamic(t *testing.T) {
 	}
 	// N=16 is reported "negligible": well below the N=15 value.
 	m := DynamicGridModel{N: 16, Lambda: 1, Mu: 19}
-	u, err := m.UnavailabilityFloat(0)
+	u, err := m.Unavailability()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestDynamicGridChainAgainstSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	analytic, err := model.UnavailabilityFloat(0)
+	analytic, err := model.Unavailability()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestDynamicGridStatesCount(t *testing.T) {
 func TestDynamicGridMonotoneInN(t *testing.T) {
 	prev := math.Inf(1)
 	for n := 4; n <= 14; n++ {
-		u, err := DynamicGridModel{N: n, Lambda: 1, Mu: 19}.UnavailabilityFloat(0)
+		u, err := DynamicGridModel{N: n, Lambda: 1, Mu: 19}.Unavailability()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,5 +297,70 @@ func TestDynamicGridMonotoneInN(t *testing.T) {
 			t.Errorf("N=%d: unavailability %.4g not decreasing (prev %.4g)", n, u, prev)
 		}
 		prev = u
+	}
+}
+
+// TestProtocolTable1 checks the protocol-exact table's shape and what it
+// shows: the real grid blocks far more often than Figure 3's idealised
+// transition (its 2×3 five-member epoch with one missing position cannot
+// lose its one-node column), and the majority column is plain dynamic
+// voting.
+func TestProtocolTable1(t *testing.T) {
+	rules := []coterie.Rule{coterie.Grid{}, coterie.Majority{}}
+	params := PaperTable1Params()
+	rows, err := ProtocolTable1(params, rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paper, err := Table1(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range rows {
+		if row.N != params.NodeCounts[i] || len(row.Write) != len(rules) {
+			t.Fatalf("row %d: %+v", i, row)
+		}
+		if grid, fig3 := row.Write[0], paper[i].DynamicUF64; grid < 100*fig3 {
+			t.Errorf("N=%d: protocol-exact grid %.4g not far above Figure 3's %.4g", row.N, grid, fig3)
+		}
+		voting, err := DynamicVotingModel{N: row.N, Lambda: params.Lambda, Mu: params.Mu}.Unavailability()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.Write[1] != voting {
+			t.Errorf("N=%d: majority column %.17g, plain dynamic voting %.17g", row.N, row.Write[1], voting)
+		}
+	}
+	out := FormatProtocolTable1(rules, rows)
+	for _, frag := range []string{"Nodes  grid", "majority", "\n30 "} {
+		if !strings.Contains(out, frag) {
+			t.Errorf("FormatProtocolTable1 missing %q:\n%s", frag, out)
+		}
+	}
+	if strings.Contains(out, " \n") {
+		t.Errorf("FormatProtocolTable1 leaves trailing spaces:\n%s", out)
+	}
+}
+
+// TestWheelChainIsDynamicLinearVoting: a wheel epoch of three or more
+// survives any one failure, and a two-member wheel's one quorum is its
+// spoke — it survives losing the hub, not the spoke, as a dynamic-linear
+// 2-set survives losing all but its distinguished member. So the wheel's
+// rule chain and the hand-built dynamic-linear chain agree to rounding.
+func TestWheelChainIsDynamicLinearVoting(t *testing.T) {
+	for _, mu := range []float64{1, 3, 19} {
+		for _, n := range []int{3, 5, 9, 30} {
+			wheel, _, err := RuleModel(coterie.Wheel{}, n, 1, mu).Unavailabilities()
+			if err != nil {
+				t.Fatal(err)
+			}
+			linear, err := DynamicVotingModel{N: n, Lambda: 1, Mu: mu, Linear: true}.Unavailability()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rel := math.Abs(wheel-linear) / linear; rel > 1e-12 {
+				t.Errorf("N=%d μ=%g: wheel %.17g, dynamic-linear %.17g", n, mu, wheel, linear)
+			}
+		}
 	}
 }

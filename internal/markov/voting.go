@@ -3,7 +3,8 @@ package markov
 import (
 	"fmt"
 	"math"
-	"math/big"
+
+	"coterie/internal/coterie"
 )
 
 // Baseline availability expressions used by the comparison experiments.
@@ -59,13 +60,18 @@ func ROWAReadAvailability(n int, p float64) float64 {
 // A set of k ≥ 3 nodes survives one failure (k−1 > k/2); a 2-node set does
 // not — the majority of 2 is 2 — so plain dynamic voting becomes
 // unavailable when a member of a 2-node set fails, and recovers when that
-// member repairs (forming a fresh set from everything then up).
+// member repairs (forming a fresh set from everything then up). That is
+// the epoch chain under coterie.Majority, which is how the plain variant
+// is solved.
 //
 // With Linear set, the lexicographic tie-break of dynamic-linear voting
 // lets a 2-node set survive the failure of its lower-priority member: the
-// distinguished survivor continues alone. The system then blocks only when
-// the distinguished member itself goes down (from a 2-node set at rate λ,
-// or from a 1-node set), and recovers when it repairs.
+// distinguished survivor continues alone. No coterie rule expresses the
+// tie-break, so this variant keeps its own chain: available states A_k
+// (k = 1..N), and unavailable states U_z — the distinguished node is down
+// and z of the other N−1 nodes are up. The system blocks only when the
+// distinguished member itself goes down (from a 2-node set at rate λ, or
+// from a 1-node set), and recovers when it repairs.
 type DynamicVotingModel struct {
 	N      int
 	Lambda float64
@@ -73,126 +79,65 @@ type DynamicVotingModel struct {
 	Linear bool // dynamic-linear voting (lexicographic tie-break)
 }
 
-// Chain constructs the CTMC.
-//
-// Plain variant: available states A_k (k = 2..N); unavailable states
-// U_{x,z} with x ∈ {0,1} members of the final 2-set up and z outsiders up.
-//
-// Linear variant: available states A_k (k = 1..N); unavailable states
-// U_z — the distinguished node is down and z of the other N−1 nodes are up.
-func (m DynamicVotingModel) Chain() (*Chain, error) {
-	if m.Lambda <= 0 || m.Mu <= 0 {
-		return nil, fmt.Errorf("markov: rates must be positive (lambda=%g, mu=%g)", m.Lambda, m.Mu)
-	}
+// linearChain constructs the dynamic-linear CTMC: A_k at index k−1, U_z at
+// N+z.
+func (m DynamicVotingModel) linearChain() (*Chain, error) {
 	N, l, u := m.N, m.Lambda, m.Mu
-
-	if m.Linear {
-		if N < 2 {
-			return nil, fmt.Errorf("markov: dynamic-linear voting model needs N >= 2, got %d", N)
-		}
-		nAvail := N // A_1..A_N
-		availIdx := func(k int) int { return k - 1 }
-		unavailIdx := func(z int) int { return nAvail + z } // z = 0..N-1
-		c := NewChain(nAvail + N)
-		for k := 1; k <= N; k++ {
-			if k < N {
-				c.AddRate(availIdx(k), availIdx(k+1), float64(N-k)*u)
-			}
-			switch {
-			case k >= 3:
-				c.AddRate(availIdx(k), availIdx(k-1), float64(k)*l)
-			case k == 2:
-				// Lower-priority member fails: survive alone.
-				c.AddRate(availIdx(k), availIdx(1), l)
-				// Distinguished member fails: block with z = 1 outsider up.
-				c.AddRate(availIdx(k), unavailIdx(1), l)
-			case k == 1:
-				c.AddRate(availIdx(k), unavailIdx(0), l)
-			}
-		}
-		for z := 0; z <= N-1; z++ {
-			from := unavailIdx(z)
-			c.AddRate(from, availIdx(1+z), u) // distinguished node repairs
-			if z > 0 {
-				c.AddRate(from, unavailIdx(z-1), float64(z)*l)
-			}
-			if z < N-1 {
-				c.AddRate(from, unavailIdx(z+1), float64(N-1-z)*u)
-			}
-		}
-		return c, nil
+	if N < 2 {
+		return nil, fmt.Errorf("markov: dynamic-linear voting model needs N >= 2, got %d", N)
 	}
-
-	if N < 3 {
-		return nil, fmt.Errorf("markov: dynamic voting model needs N >= 3, got %d", N)
+	if l <= 0 || u <= 0 {
+		return nil, fmt.Errorf("markov: rates must be positive (lambda=%g, mu=%g)", l, u)
 	}
-	nAvail := N - 1 // A_2..A_N
-	availIdx := func(k int) int { return k - 2 }
-	unavailIdx := func(x, z int) int { return nAvail + x*(N-1) + z } // z = 0..N-2
-	c := NewChain(nAvail + 2*(N-1))
-	for k := 2; k <= N; k++ {
+	availIdx := func(k int) int { return k - 1 }
+	unavailIdx := func(z int) int { return N + z } // z = 0..N-1
+	c := NewChain(2 * N)
+	for k := 1; k <= N; k++ {
 		if k < N {
 			c.AddRate(availIdx(k), availIdx(k+1), float64(N-k)*u)
 		}
-		if k > 2 {
+		switch {
+		case k >= 3:
 			c.AddRate(availIdx(k), availIdx(k-1), float64(k)*l)
+		case k == 2:
+			// Lower-priority member fails: survive alone.
+			c.AddRate(availIdx(k), availIdx(1), l)
+			// Distinguished member fails: block with z = 1 outsider up.
+			c.AddRate(availIdx(k), unavailIdx(1), l)
+		case k == 1:
+			c.AddRate(availIdx(k), unavailIdx(0), l)
 		}
 	}
-	c.AddRate(availIdx(2), unavailIdx(1, 0), 2*l)
-	for x := 0; x <= 1; x++ {
-		for z := 0; z <= N-2; z++ {
-			from := unavailIdx(x, z)
-			if x > 0 {
-				c.AddRate(from, unavailIdx(x-1, z), float64(x)*l)
-			}
-			if x < 1 {
-				c.AddRate(from, unavailIdx(x+1, z), float64(2-x)*u)
-			} else {
-				c.AddRate(from, availIdx(2+z), u) // second member repairs
-			}
-			if z > 0 {
-				c.AddRate(from, unavailIdx(x, z-1), float64(z)*l)
-			}
-			if z < N-2 {
-				c.AddRate(from, unavailIdx(x, z+1), float64(N-2-z)*u)
-			}
+	for z := 0; z <= N-1; z++ {
+		from := unavailIdx(z)
+		c.AddRate(from, availIdx(1+z), u) // distinguished node repairs
+		if z > 0 {
+			c.AddRate(from, unavailIdx(z-1), float64(z)*l)
+		}
+		if z < N-1 {
+			c.AddRate(from, unavailIdx(z+1), float64(N-1-z)*u)
 		}
 	}
 	return c, nil
 }
 
-// availStates returns the count of available states at the front of the
-// state vector.
-func (m DynamicVotingModel) availStates() int {
-	if m.Linear {
-		return m.N
-	}
-	return m.N - 1
-}
-
 // Unavailability returns the stationary unavailable probability mass.
-func (m DynamicVotingModel) Unavailability(prec uint) (*big.Float, error) {
-	c, err := m.Chain()
-	if err != nil {
-		return nil, err
+func (m DynamicVotingModel) Unavailability() (float64, error) {
+	if !m.Linear {
+		write, _, err := RuleModel(coterie.Majority{}, m.N, m.Lambda, m.Mu).Unavailabilities()
+		return write, err
 	}
-	pi, err := c.StationaryBig(prec)
-	if err != nil {
-		return nil, err
-	}
-	var unavail []int
-	for i := m.availStates(); i < c.Len(); i++ {
-		unavail = append(unavail, i)
-	}
-	return SumBig(pi, unavail), nil
-}
-
-// UnavailabilityFloat is Unavailability converted to float64.
-func (m DynamicVotingModel) UnavailabilityFloat(prec uint) (float64, error) {
-	u, err := m.Unavailability(prec)
+	c, err := m.linearChain()
 	if err != nil {
 		return 0, err
 	}
-	v, _ := u.Float64()
-	return v, nil
+	pi, err := c.Stationary()
+	if err != nil {
+		return 0, err
+	}
+	u := 0.0
+	for _, p := range pi[m.N:] {
+		u += p
+	}
+	return u, nil
 }

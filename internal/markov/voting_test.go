@@ -70,20 +70,22 @@ func bestShapeFor(n int) coterie.GridShape {
 }
 
 func TestDynamicVotingErrors(t *testing.T) {
-	if _, err := (DynamicVotingModel{N: 2, Lambda: 1, Mu: 19}).Chain(); err == nil {
-		t.Error("plain variant accepted N=2")
+	if _, err := (DynamicVotingModel{N: 0, Lambda: 1, Mu: 19}).Unavailability(); err == nil {
+		t.Error("plain variant accepted N=0")
 	}
-	if _, err := (DynamicVotingModel{N: 1, Lambda: 1, Mu: 19, Linear: true}).Chain(); err == nil {
+	if _, err := (DynamicVotingModel{N: 1, Lambda: 1, Mu: 19, Linear: true}).Unavailability(); err == nil {
 		t.Error("linear variant accepted N=1")
 	}
-	if _, err := (DynamicVotingModel{N: 5, Lambda: 0, Mu: 19}).Chain(); err == nil {
-		t.Error("lambda=0 accepted")
+	for _, linear := range []bool{false, true} {
+		if _, err := (DynamicVotingModel{N: 5, Lambda: 0, Mu: 19, Linear: linear}).Unavailability(); err == nil {
+			t.Errorf("linear=%v: lambda=0 accepted", linear)
+		}
 	}
 }
 
 func TestDynamicVotingBeatsStaticMajority(t *testing.T) {
 	for _, n := range []int{5, 9, 12} {
-		dyn, err := DynamicVotingModel{N: n, Lambda: 1, Mu: 19}.UnavailabilityFloat(0)
+		dyn, err := DynamicVotingModel{N: n, Lambda: 1, Mu: 19}.Unavailability()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,11 +98,11 @@ func TestDynamicVotingBeatsStaticMajority(t *testing.T) {
 
 func TestLinearVotingBeatsPlain(t *testing.T) {
 	for _, n := range []int{4, 9} {
-		plain, err := DynamicVotingModel{N: n, Lambda: 1, Mu: 19}.UnavailabilityFloat(0)
+		plain, err := DynamicVotingModel{N: n, Lambda: 1, Mu: 19}.Unavailability()
 		if err != nil {
 			t.Fatal(err)
 		}
-		linear, err := DynamicVotingModel{N: n, Lambda: 1, Mu: 19, Linear: true}.UnavailabilityFloat(0)
+		linear, err := DynamicVotingModel{N: n, Lambda: 1, Mu: 19, Linear: true}.Unavailability()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,11 +118,11 @@ func TestLinearVotingBeatsPlain(t *testing.T) {
 // available than the dynamic grid (floor 3) at equal N.
 func TestDynamicVotingVsDynamicGrid(t *testing.T) {
 	for _, n := range []int{9, 12} {
-		grid, err := DynamicGridModel{N: n, Lambda: 1, Mu: 19}.UnavailabilityFloat(0)
+		grid, err := DynamicGridModel{N: n, Lambda: 1, Mu: 19}.Unavailability()
 		if err != nil {
 			t.Fatal(err)
 		}
-		voting, err := DynamicVotingModel{N: n, Lambda: 1, Mu: 19}.UnavailabilityFloat(0)
+		voting, err := DynamicVotingModel{N: n, Lambda: 1, Mu: 19}.Unavailability()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,22 +1,21 @@
 // Package sim is a discrete-event simulator of the failure/repair process
-// driving a replicated data item under the dynamic coterie protocol. It
-// complements the analytic Markov chains (internal/markov) in two ways:
+// driving a replicated data item under the dynamic coterie protocol.
 //
-//   - validation: under the paper's Figure 3 assumptions (ModelPaper) the
-//     simulated long-run unavailability must converge to the chain's
-//     stationary value;
-//   - ablation: ModelProtocol replaces the paper's simplified recovery rule
-//     ("a 3-node epoch needs all three members") with an exact evaluation
-//     of the coterie rule, exposing where the simplification bends —
-//     e.g. the N=5 grid has a height-1 column whose loss blocks the epoch
-//     change, and the partial-column optimization lets some 3-node and
-//     even 2-node epochs survive failures.
+// With an epoch check after every event (CheckEvery 0) both transition
+// models have an exact chain in internal/markov, and the simulated
+// long-run unavailability must converge to its stationary value:
+//
+//   - ModelPaper follows the paper's simplified recovery rule ("a 3-node
+//     epoch needs all three members"): markov.DynamicGridModel, Figure 3;
+//   - ModelProtocol evaluates the coterie rule exactly — e.g. the N=5 grid
+//     has a height-1 column whose loss blocks the epoch change, and the
+//     partial-column optimization lets some 3-node and even 2-node epochs
+//     survive failures: markov.RuleModel.
 //
 // Nodes fail and repair as independent Poisson processes (rates Lambda and
-// Mu); epoch checking runs either after every event (the site model's
-// instantaneous-check assumption) or on a fixed period (CheckEvery > 0),
+// Mu). With CheckEvery > 0 epoch checks run on a fixed period instead,
 // which quantifies how the availability gain decays when checks lag behind
-// failures.
+// failures; for that the simulator is the only model.
 package sim
 
 import (
@@ -54,13 +53,6 @@ type Config struct {
 	// CheckEvery > 0 runs epoch checks periodically instead of after every
 	// failure/repair event, modeling a realistic check pulse.
 	CheckEvery float64
-	// AmnesiaFraction is the probability that a repair comes back with its
-	// stable storage lost (ModelProtocol only). An amnesiac replica cannot
-	// witness past operations, so it is excluded from quorum evaluation
-	// until an epoch change — formed from a write quorum of *remembering*
-	// members — readmits it. Zero models the paper's perfect stable
-	// storage.
-	AmnesiaFraction float64
 	// Seed drives the run's randomness.
 	Seed int64
 }
@@ -77,14 +69,6 @@ type Result struct {
 	MinEpochSize     int
 	WriteUnavailFrac float64 // WriteUnavailable / Time
 	ReadUnavailFrac  float64 // ReadUnavailable / Time
-	// DataLost reports that amnesia permanently destroyed the write quorum:
-	// even with every surviving remembering node up, the current epoch can
-	// never re-form (the replicas that witnessed the latest state lost
-	// their storage while the system was blocked). Writes never recover
-	// after DataLossTime; the run keeps simulating so the unavailability
-	// fractions stay meaningful.
-	DataLost     bool
-	DataLossTime float64
 }
 
 // Run executes one simulation.
@@ -101,12 +85,6 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Model == ModelPaper && cfg.N < 4 {
 		return Result{}, fmt.Errorf("sim: the paper model needs N >= 4, got %d", cfg.N)
 	}
-	if cfg.AmnesiaFraction < 0 || cfg.AmnesiaFraction > 1 {
-		return Result{}, fmt.Errorf("sim: amnesia fraction %g outside [0,1]", cfg.AmnesiaFraction)
-	}
-	if cfg.AmnesiaFraction > 0 && cfg.Model != ModelProtocol {
-		return Result{}, fmt.Errorf("sim: amnesia requires ModelProtocol")
-	}
 	rule := cfg.Rule
 	if rule == nil {
 		rule = coterie.Grid{}
@@ -116,14 +94,6 @@ func Run(cfg Config) (Result, error) {
 	all := nodeset.Range(0, nodeset.ID(cfg.N))
 	up := all.Clone()
 	epoch := all.Clone()
-	// remembering tracks nodes whose stable state is intact; amnesiac
-	// repairs leave it until an epoch change readmits them.
-	remembering := all.Clone()
-	// witnesses caches up ∩ remembering — the up nodes whose state can
-	// vouch for past operations; quorum evaluation only counts them. It is
-	// maintained incrementally as events mutate up and remembering, so the
-	// hot loop never materializes the intersection.
-	witnesses := all.Clone()
 
 	res := Result{MinEpochSize: cfg.N, FinalEpochSize: cfg.N}
 	now := 0.0
@@ -160,37 +130,28 @@ func Run(cfg Config) (Result, error) {
 		if cfg.Model == ModelPaper {
 			return up.ContainsAll(epoch) || epochAdaptablePaper(epoch, up)
 		}
-		return layout.IsWriteQuorum(witnesses)
+		return layout.IsWriteQuorum(up)
 	}
 	readAvailable := func() bool {
 		if cfg.Model == ModelPaper {
 			return writeAvailable()
 		}
-		return layout.IsReadQuorum(witnesses)
+		return layout.IsReadQuorum(up)
 	}
 	check := func() {
-		// A change is needed when membership drifted or an amnesiac up
-		// node awaits readmission.
-		if up.Equal(epoch) && up.Subset(remembering) {
+		if up.Equal(epoch) {
 			return
 		}
 		ok := false
 		if cfg.Model == ModelPaper {
 			ok = epochAdaptablePaper(epoch, up)
 		} else {
-			ok = layout.IsWriteQuorum(witnesses)
+			ok = layout.IsWriteQuorum(up)
 		}
 		if ok {
 			epoch = up.Clone()
 			if cfg.Model == ModelProtocol {
 				layout = compileLayout(epoch)
-			}
-			// The epoch change readmits recovering members. witnesses is
-			// up ∩ remembering by incremental maintenance, so it only needs
-			// refreshing when the readmission actually grows remembering.
-			if !up.Subset(remembering) {
-				remembering = remembering.Union(up)
-				witnesses = up.Clone() // up ∩ (remembering ∪ up) = up
 			}
 			res.EpochChanges++
 			if l := epoch.Len(); l < res.MinEpochSize {
@@ -239,28 +200,12 @@ func Run(cfg Config) (Result, error) {
 			}
 			id, _ := up.Nth(k + 1)
 			up.Remove(id)
-			witnesses.Remove(id)
 		} else {
 			k := int((x - float64(nUp)*cfg.Lambda) / cfg.Mu)
 			if k >= nDown {
 				k = nDown - 1
 			}
-			id := nthDown(cfg.N, up, k+1)
-			up.Add(id)
-			if remembering.Contains(id) {
-				witnesses.Add(id)
-			}
-			if cfg.AmnesiaFraction > 0 && rng.Float64() < cfg.AmnesiaFraction {
-				remembering.Remove(id)
-				witnesses.Remove(id)
-				// Permanent loss: if even the full remembering set can no
-				// longer form a write quorum of the epoch, no future repair
-				// sequence recovers the data.
-				if !res.DataLost && !layout.IsWriteQuorum(remembering) {
-					res.DataLost = true
-					res.DataLossTime = now
-				}
-			}
+			up.Add(nthDown(cfg.N, up, k+1))
 		}
 		res.Events++
 		if cfg.CheckEvery <= 0 {
