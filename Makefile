@@ -162,7 +162,7 @@ profile-sim:
 # check-allocs runs the steady-state allocation gates: a whole operation on
 # the benchmark's nine-node sim cluster (a write at most 14 objects, a read
 # 4: what outlives the operation and nothing of its rounds), the combiner's
-# submit/drain machinery, the flight recorder's cycle (after one lap of its
+# join/cut/wait machinery, the flight recorder's cycle (after one lap of its
 # ring), the decision ring, a refused write-through push, the sim transport's
 # multicast (nothing per round — legs, reply slots and the no-wait marker
 # are pooled scratch — and no leg handed to a worker or goroutine started
@@ -188,7 +188,8 @@ profile-sim:
 # heap after a collection, as live_heap_mb is read).
 # And what a cluster costs to set up, before any operation: a 256-trace
 # flight ring at most 64 KB and at most two allocations per slot in its
-# life, the benchmark's sim shape through core.NewGroup at most 160 KB, no
+# life, the benchmark's sim shape through core.NewGroup at most 160 KB in at
+# most 489 objects (so a per-coordinator allocation shows), no
 # latency stream until something draws from one, no call-time cell until a
 # call is timed into it (registering nine endpoints at most 4 KB), and one
 # metric bundle per registry, not per coordinator or node.

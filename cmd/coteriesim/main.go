@@ -5,7 +5,8 @@
 // the epoch changes, blocks and events summed over them. With -compare and
 // -check-every 0 it also prints the exact value the simulation converges
 // to: the epoch chain (markov.EpochModel) under the same transition —
-// Figure 3's for -model paper, the rule's own quorums for -model protocol.
+// Figure 3's, with the grid's read quorums, for -model paper
+// (markov.PaperReadModel), the rule's own quorums for -model protocol.
 //
 // Usage:
 //
@@ -104,8 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "events: %d\n", events)
 
 	if *compare && *checkEvery == 0 {
-		// The paper model reads exactly when it can write.
-		model := markov.EpochModel{N: *n, Lambda: *lambda, Mu: *mu, Write: markov.Paper, Read: markov.Paper}
+		model := markov.PaperReadModel(*n, *lambda, *mu)
 		if cfg.Model == sim.ModelProtocol {
 			model = markov.RuleModel(cfg.Rule, *n, *lambda, *mu)
 		}

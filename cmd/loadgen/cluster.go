@@ -115,7 +115,6 @@ func (pc *procCluster) spawn(id nodeset.ID, recovering bool) error {
 		"-strategy", cfg.strategy,
 		"-shards", strconv.Itoa(shards),
 		"-rf", strconv.Itoa(rf),
-		"-batch=" + strconv.FormatBool(cfg.batch),
 		"-recovering=" + strconv.FormatBool(recovering),
 		"-capacity", cfg.capacity,
 		"-admin", admin,

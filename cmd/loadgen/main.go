@@ -70,7 +70,6 @@ type config struct {
 	metricsAddr string
 	pprofPort   int
 
-	batch    bool
 	strategy string
 	capacity string
 	slowNode int
@@ -103,7 +102,6 @@ func newFlags(fs *flag.FlagSet) *config {
 	fs.DurationVar(&cfg.churn, "churn", 0, "crash and restart a node, with epoch checks in between, at this cadence (tcp mode: SIGKILL and respawn)")
 	fs.StringVar(&cfg.metricsAddr, "metrics", "", "serve this process's live metrics over HTTP on this address (e.g. :9090)")
 	fs.IntVar(&cfg.pprofPort, "pprof", 0, "serve net/http/pprof on 127.0.0.1:PORT (spawned daemon i's admin plane, pprof included, on PORT+1+i)")
-	fs.BoolVar(&cfg.batch, "batch", false, "enable the group-commit write combiner")
 	fs.StringVar(&cfg.strategy, "strategy", "hint", "quorum selection: hint or optimized")
 	fs.StringVar(&cfg.capacity, "capacity", "", "declared relative node capacities, id=weight,... (unlisted nodes are 1.0)")
 	fs.IntVar(&cfg.slowNode, "slow-node", -1, "node to slow down by -slow-read (-1 = none)")

@@ -152,7 +152,8 @@ func TestLoopStopsAtTheDeadline(t *testing.T) {
 }
 
 // The sim mode end to end, through core.NewGroup, under each strategy and
-// group commit: twelve items (so "item-10" sorts before "item-2" in
+// with every write of an item sent to one coordinator, whose group commit
+// merges them: twelve items (so "item-10" sorts before "item-2" in
 // the group), every key checked one-copy serializable, and the weighted
 // strategy solving on one shared engine's tick, not once per coordinator.
 func TestSimRunEndToEnd(t *testing.T) {
@@ -163,7 +164,7 @@ func TestSimRunEndToEnd(t *testing.T) {
 	for _, args := range [][]string{
 		{"-strategy", "hint"},
 		{"-strategy", "optimized", "-slow-node", "2", "-slow-read", "200us"},
-		{"-batch"},
+		{"-affinity"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			cfg := testConfig(t, append([]string{"-duration", duration.String(), "-nodes", "4", "-items", "12", "-seed", "7"}, args...)...)
@@ -259,7 +260,7 @@ func TestFlagNames(t *testing.T) {
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{
-		"affinity", "batch", "capacity", "check-stride", "churn", "disjoint",
+		"affinity", "capacity", "check-stride", "churn", "disjoint",
 		"duration", "hedge", "items", "keyspace", "latency", "metrics", "net", "nodes",
 		"pprof", "rate", "read-frac", "rf", "seed", "shards", "slow-node", "slow-read",
 		"strategy", "sweep", "trace-sample", "workers",

@@ -69,7 +69,6 @@ func setupSim(cfg config, reg *obs.Registry) (*target, error) {
 		Obs:         reg,
 		Strategy:    strategy,
 		Capacity:    capacity,
-		GroupCommit: cfg.batch,
 		Replica:     replica.Config{LockLease: 4 * callTimeout, Obs: reg},
 		Transport:   tOpts,
 	})

@@ -75,6 +75,19 @@ type Client struct {
 	routeLat   obs.HistogramVec
 }
 
+const (
+	// maxAttempts caps the attempts per operation.
+	maxAttempts = 5
+	// backoffBase is the pre-jitter backoff after the first failed attempt,
+	// doubling per attempt up to backoffMax.
+	backoffBase = 2 * time.Millisecond
+	backoffMax  = 200 * time.Millisecond
+	// hedgeMin floors the hedge delay — below it, hedging fires on noise
+	// and doubles read traffic for nothing. hedgeMax caps it.
+	hedgeMin = time.Millisecond
+	hedgeMax = 100 * time.Millisecond
+)
+
 // ClientConfig parameterizes a Client. Zero values take the documented
 // defaults.
 type ClientConfig struct {
@@ -90,20 +103,8 @@ type ClientConfig struct {
 	OpTimeout time.Duration
 	// CallTimeout bounds each RPC attempt. Default 2s.
 	CallTimeout time.Duration
-	// MaxAttempts caps the attempts per operation. Default 5.
-	MaxAttempts int
-	// BackoffBase is the pre-jitter backoff after the first failed
-	// attempt, doubling per attempt. Default 2ms.
-	BackoffBase time.Duration
-	// BackoffMax caps the pre-jitter backoff. Default 200ms.
-	BackoffMax time.Duration
 	// Hedge enables hedged reads.
 	Hedge bool
-	// HedgeMin floors the hedge delay — below it, hedging fires on noise
-	// and doubles read traffic for nothing. Default 1ms.
-	HedgeMin time.Duration
-	// HedgeMax caps the hedge delay. Default 100ms.
-	HedgeMax time.Duration
 	// Obs, when set, exposes the client's counters (capi_retry_total,
 	// capi_hedge_fired_total, capi_hedge_won_total,
 	// capi_hedge_canceled_total, capi_wrong_shard_total,
@@ -129,21 +130,6 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	}
 	if c.CallTimeout == 0 {
 		c.CallTimeout = 2 * time.Second
-	}
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = 5
-	}
-	if c.BackoffBase == 0 {
-		c.BackoffBase = 2 * time.Millisecond
-	}
-	if c.BackoffMax == 0 {
-		c.BackoffMax = 200 * time.Millisecond
-	}
-	if c.HedgeMin == 0 {
-		c.HedgeMin = time.Millisecond
-	}
-	if c.HedgeMax == 0 {
-		c.HedgeMax = 100 * time.Millisecond
 	}
 	if c.Seed == 0 {
 		c.Seed = uint64(c.Self)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
@@ -278,7 +264,7 @@ func (c *Client) Read(ctx context.Context, item string) (ReadReply, error) {
 		haveLast bool
 		lastErr  error
 	)
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if err := opCtx.Err(); err != nil {
 			break
 		}
@@ -330,7 +316,7 @@ func (c *Client) Write(ctx context.Context, item string, update replica.Update) 
 	defer release()
 	var opCtx context.Context = c.mintTrace(dctx)
 	var lastErr error
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if err := opCtx.Err(); err != nil {
 			break
 		}
@@ -385,7 +371,7 @@ func (c *Client) CheckEpoch(ctx context.Context, item string) (CheckReply, error
 	// fresh draw per attempt can land on the same stopped daemon every
 	// time, while a walk reaches a live one by the second attempt.
 	start := int(c.rand() % (1 << 31))
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		members, _, err := c.route(opCtx, item)
 		if err != nil {
 			lastErr = err
@@ -584,7 +570,7 @@ func (c *Client) callWrite(ctx context.Context, node nodeset.ID, req Write) (Wri
 
 // hedgeDelay derives the hedge trigger from the observed read-attempt
 // latency distribution: the p99, capped at 8x the p50, clamped to
-// [HedgeMin, HedgeMax]. The p50 cap is what makes hedging effective when
+// [hedgeMin, hedgeMax]. The p50 cap is what makes hedging effective when
 // a degraded member slows a large share of reads — there the slow mode IS
 // the p99, so a pure p99 delay would only ever fire after the slow reply
 // had already arrived. In a healthy cluster p99 stays within a small
@@ -592,21 +578,16 @@ func (c *Client) callWrite(ctx context.Context, node nodeset.ID, req Write) (Wri
 // median (p99 >> 8x p50), something is pathologically slow and the hedge
 // fires early enough to win. The quantiles are recomputed every 128 reads
 // (a 40-bucket scan) and cached; until 64 observations exist the delay
-// sits at HedgeMax so cold starts do not hedge on noise.
+// sits at hedgeMax so cold starts do not hedge on noise.
 func (c *Client) hedgeDelay() time.Duration {
 	if n := c.hedgeTick.Add(1); n&127 == 1 || c.hedgeCache.Load() == 0 {
-		d := c.cfg.HedgeMax
+		d := hedgeMax
 		if snap := c.readLat.Snapshot(); snap.Count >= 64 {
 			d = time.Duration(snap.Quantile(0.99))
 			if cap := 8 * time.Duration(snap.Quantile(0.50)); d > cap {
 				d = cap
 			}
-			if d < c.cfg.HedgeMin {
-				d = c.cfg.HedgeMin
-			}
-			if d > c.cfg.HedgeMax {
-				d = c.cfg.HedgeMax
-			}
+			d = min(max(d, hedgeMin), hedgeMax)
 		}
 		c.hedgeCache.Store(int64(d))
 	}
@@ -616,13 +597,11 @@ func (c *Client) hedgeDelay() time.Duration {
 // backoff sleeps for the attempt's jittered exponential backoff, or until
 // ctx expires, whichever is first.
 func (c *Client) backoff(ctx context.Context, attempt int) {
-	d := c.cfg.BackoffBase
-	for i := 0; i < attempt && d < c.cfg.BackoffMax; i++ {
+	d := backoffBase
+	for i := 0; i < attempt && d < backoffMax; i++ {
 		d *= 2
 	}
-	if d > c.cfg.BackoffMax {
-		d = c.cfg.BackoffMax
-	}
+	d = min(d, backoffMax)
 	// Full jitter over [d/2, d]: decorrelates clients that failed together.
 	d = d/2 + time.Duration(c.rand()%uint64(d/2+1))
 	t := time.NewTimer(d)

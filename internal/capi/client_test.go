@@ -178,11 +178,7 @@ func totalCommits(daemons []*fakeDaemon) int64 {
 // hedge: the alternate member answers, the hedge wins, and latency stays
 // far below the slow member's service time.
 func TestHedgedReadBeatsSlowReplica(t *testing.T) {
-	_, daemons, c := cluster(t, 3, 1, 3, ClientConfig{
-		Hedge:    true,
-		HedgeMin: time.Millisecond,
-		HedgeMax: 5 * time.Millisecond, // cold-start hedge delay
-	})
+	_, daemons, c := cluster(t, 3, 1, 3, ClientConfig{Hedge: true}) // the first reads hedge at hedgeMax
 	item := affineFor(t, c, daemons[0].id)
 	daemons[0].readDelay = 500 * time.Millisecond
 
@@ -230,7 +226,7 @@ func TestReadFailsOverDeadReplica(t *testing.T) {
 // Drawing a fresh random member per attempt sent about one call in nine to
 // the dead member twice or more, and one in 243 to it five times running.
 func TestCheckEpochWalksPastDeadMember(t *testing.T) {
-	net, daemons, c := cluster(t, 3, 1, 3, ClientConfig{BackoffBase: 100 * time.Microsecond})
+	net, daemons, c := cluster(t, 3, 1, 3, ClientConfig{})
 	net.Crash(daemons[1].id)
 	for i := 0; i < 200; i++ {
 		before := net.Stats().Calls
@@ -272,10 +268,7 @@ func TestAmbiguousWriteNotResent(t *testing.T) {
 // and the retries stop at the first commit, so the cluster commits the
 // write exactly once.
 func TestConflictedWriteRetriesUntilSingleCommit(t *testing.T) {
-	_, daemons, c := cluster(t, 3, 1, 3, ClientConfig{
-		BackoffBase: 100 * time.Microsecond,
-		BackoffMax:  time.Millisecond,
-	})
+	_, daemons, c := cluster(t, 3, 1, 3, ClientConfig{})
 	item := affineFor(t, c, daemons[0].id)
 	daemons[0].store.conflictsLeft.Store(2) // next two write executions abort
 	reply, err := c.Write(context.Background(), item, replica.Update{Data: []byte("w")})

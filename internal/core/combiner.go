@@ -9,12 +9,12 @@ import (
 	"coterie/internal/replica"
 )
 
-// Group commit (Options.GroupCommit): a per-coordinator write combiner.
-// Under same-item contention the single-write protocol serializes on the
-// replicas' transactional locks — K concurrent writers pay K full
-// lock/prepare/commit cycles end to end. The combiner instead queues
-// concurrent Write calls and lets one of them, the leader, drain the
-// queue as a batch: a write that carries a run. One lock round on one
+// Group commit: every coordinator's write combiner. Under same-item
+// contention the single-write protocol serializes on the replicas'
+// transactional locks — K concurrent writers pay K full lock/prepare/commit
+// cycles end to end. The combiner instead lets one writer, the leader, run
+// while the writers that arrive meanwhile queue, and has the leader drain
+// the queue as batches: a write that carries a run. One lock round on one
 // quorum, then the single write's own prepare and commit (executeWrite):
 // one PrepareUpdate carrying the K updates, which produce the versions
 // [first, first+K-1] and commit or abort together, stale marks desiring
@@ -22,7 +22,8 @@ import (
 // version and outcome, so the client-visible API and the per-op
 // observability breakdown are unchanged; the replicas apply the batch as
 // K consecutive versions, preserving per-version log granularity for
-// propagation.
+// propagation. A writer that finds no leader writes alone at once, as if
+// there were no combiner: it takes no queue slot and waits on no channel.
 //
 // A batch whose lock round a replica refused (an older operation is ahead
 // there) releases what it was granted and runs again as a batch, like any
@@ -32,6 +33,9 @@ import (
 // single-write flow (which owns the heavy procedure and redirect
 // handling), each under its own context. Once prepared, a batch is
 // committed: there is no uncertain outcome to report.
+//
+// Under Options.SafetyThreshold > 0 the combiner is not used: the Section
+// 4.1 extension is defined per single update.
 
 // errBatchRetry signals that a batch aborted cleanly: no replica applied
 // anything, the locks were released, and each writer should retry through
@@ -60,22 +64,29 @@ type pendingWrite struct {
 
 var pendingPool = sync.Pool{New: func() any { return &pendingWrite{done: make(chan struct{}, 1)} }}
 
-// combiner is the per-coordinator write queue. The first writer to find
-// the queue idle becomes the leader and drains it; writers arriving while
-// a batch is in flight are absorbed by the leader's next cut, so the
-// batch size self-tunes toward the arrival rate per protocol round.
+// wait blocks until the leader has run pw's cut, returns its outcome and
+// gives pw back to the pool.
+func (pw *pendingWrite) wait() (uint64, error) {
+	<-pw.done
+	version, err := pw.version, pw.err
+	pw.ctx, pw.u, pw.err = nil, replica.Update{}, nil
+	pendingPool.Put(pw)
+	return version, err
+}
+
+// combiner is a coordinator's write queue, embedded in it by value. The
+// first writer to find no leader becomes the leader; writers arriving while
+// it writes are absorbed by its next cut, so the batch size self-tunes
+// toward the arrival rate per protocol round.
 type combiner struct {
-	c *Coordinator
-	// exec runs one cut; c.executeBatch in production, a stub in the
-	// allocation-gate tests (the protocol rounds allocate, the combiner
-	// machinery itself must not).
-	exec     func(batch []*pendingWrite)
+	// maxBatch and maxQueue are the constants of the same names; a test
+	// shrinks them to make the queue overflow.
 	maxBatch int
 	maxQueue int
 
 	mu       sync.Mutex
 	queue    []*pendingWrite
-	draining bool
+	draining bool // a leader holds the queue; false implies queue is empty
 
 	// Leader-only scratch, guarded by the draining flag rather than mu:
 	// the current cut and the assembled update list. Reused across
@@ -85,72 +96,52 @@ type combiner struct {
 	updates []replica.Update
 }
 
-func newCombiner(c *Coordinator) *combiner {
-	b := &combiner{c: c, maxBatch: maxBatch, maxQueue: maxQueue}
-	b.exec = c.executeBatch
-	return b
-}
-
-// submit queues u for group commit and waits for its outcome. handled is
-// false when the combiner did not produce a result — the queue was full,
-// or the batch aborted with nothing applied — and the caller must run the
-// single-write flow itself, under its own context. The wait is bounded:
-// every protocol round the leader runs is CallTimeout-limited.
-func (b *combiner) submit(ctx context.Context, u replica.Update) (version uint64, err error, handled bool) {
-	pw := pendingPool.Get().(*pendingWrite)
-	pw.ctx, pw.u, pw.version, pw.err = ctx, u, 0, nil
+// join is a writer's way in. With no leader it makes the caller the leader
+// (lead is true), which writes alone and then drains the queue. Otherwise
+// it queues u behind the leader and returns the pendingWrite to wait on, or
+// nil when the queue is full and the caller must write alone.
+func (b *combiner) join(ctx context.Context, u replica.Update) (pw *pendingWrite, lead bool) {
 	b.mu.Lock()
-	if len(b.queue) >= b.maxQueue {
-		b.mu.Unlock()
-		pw.ctx, pw.u = nil, replica.Update{}
-		pendingPool.Put(pw)
-		return 0, nil, false
-	}
-	b.queue = append(b.queue, pw)
-	lead := !b.draining
-	if lead {
+	defer b.mu.Unlock()
+	if !b.draining {
 		b.draining = true
+		return nil, true
 	}
-	b.mu.Unlock()
-	if lead {
-		b.drain()
+	if len(b.queue) >= b.maxQueue {
+		return nil, false
 	}
-	<-pw.done
-	version, err = pw.version, pw.err
-	pw.ctx, pw.u, pw.err = nil, replica.Update{}, nil
-	pendingPool.Put(pw)
-	if err == errBatchRetry {
-		return 0, nil, false
-	}
-	return version, err, true
+	pw = pendingPool.Get().(*pendingWrite)
+	pw.ctx, pw.u, pw.version, pw.err = ctx, u, 0, nil
+	b.queue = append(b.queue, pw)
+	return pw, false
 }
 
-// drain cuts up to maxBatch writers at a time and executes each cut as
-// one batch until the queue is empty. The handoff is race-free because
-// both the leader's final emptiness check and a new writer's leader
-// election happen under mu: a writer that appended before the check is
-// drained here, one that appended after finds draining false and leads
-// its own drain.
-func (b *combiner) drain() {
-	for {
-		b.mu.Lock()
-		n := len(b.queue)
-		if n == 0 {
-			b.draining = false
-			b.mu.Unlock()
-			return
-		}
-		if n > b.maxBatch {
-			n = b.maxBatch
-		}
-		b.batch = append(b.batch[:0], b.queue[:n]...)
-		m := copy(b.queue, b.queue[n:])
-		clear(b.queue[m:])
-		b.queue = b.queue[:m]
-		b.mu.Unlock()
-		b.exec(b.batch)
-		clear(b.batch) // drop refs: completed writers return to the pool
+// next returns the leader's next cut, up to maxBatch queued writers, or nil
+// with the lead given up once the queue is empty. The handoff is race-free
+// because both this emptiness check and a writer's join happen under mu: a
+// writer that queued before the check is in a cut, one that joins after it
+// finds no leader and writes alone.
+func (b *combiner) next() []*pendingWrite {
+	clear(b.batch) // drop refs: completed writers return to the pool
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := min(len(b.queue), b.maxBatch)
+	if n == 0 {
+		b.draining = false
 		b.batch = b.batch[:0]
+		return nil
+	}
+	b.batch = append(b.batch[:0], b.queue[:n]...)
+	m := copy(b.queue, b.queue[n:])
+	clear(b.queue[m:])
+	b.queue = b.queue[:m]
+	return b.batch
+}
+
+// drain runs the leader's cuts until the queue is empty.
+func (c *Coordinator) drain() {
+	for batch := c.combiner.next(); batch != nil; batch = c.combiner.next() {
+		c.executeBatch(batch)
 	}
 }
 

@@ -15,9 +15,10 @@ import (
 	"coterie/internal/transport"
 )
 
+// batchOptions is fastOptions with a registry, which counts the batches
+// every coordinator's combiner flushes.
 func batchOptions() Options {
 	o := fastOptions()
-	o.GroupCommit = true
 	o.Obs = obs.New()
 	return o
 }
@@ -33,7 +34,7 @@ func pilingOptions() Options {
 }
 
 // TestGroupCommitEquivalence is the batching correctness property: K
-// concurrent writes through one batch-enabled coordinator must be
+// concurrent writes through one coordinator must be
 // indistinguishable from K sequential single writes — every write
 // succeeds, the assigned versions are a permutation of 1..K, the final
 // value is the composition of all K disjoint updates, and the recorded
@@ -275,28 +276,59 @@ func TestGroupCommitQueueOverflow(t *testing.T) {
 
 // TestGroupCommitDisabledBySafetyThreshold: the Section 4.1 extension and
 // the batch prepare are incompatible (ApplyDirect bypasses the combiner's
-// 2PC framing), so enabling both must quietly keep the single-write flow.
+// 2PC framing), so under a safety threshold concurrent writers on one
+// coordinator keep the single-write flow: each runs its own rounds, and
+// none is ever queued or merged.
 func TestGroupCommitDisabledBySafetyThreshold(t *testing.T) {
-	opts := batchOptions()
+	opts := pilingOptions()
 	opts.SafetyThreshold = 1
 	c, err := NewCluster(9, "item", make([]byte, 16), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	if c.Coordinator(0).combiner != nil {
-		t.Fatal("combiner built despite SafetyThreshold > 0")
-	}
 
 	const K = 6
+	coord := c.Coordinator(0)
 	ctx := ctxT(t)
+	var wg sync.WaitGroup
+	errs := make([]error, K)
+	start := make(chan struct{})
 	for i := 0; i < K; i++ {
-		if _, err := c.Coordinator(0).Write(ctx, replica.Update{Offset: i, Data: []byte{1}}); err != nil {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			_, errs[i] = coord.Write(ctx, replica.Update{Offset: i, Data: []byte{1}})
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	ok := 0
+	for i, err := range errs {
+		switch {
+		case err == nil:
+			ok++
+		case !errors.Is(err, ErrConflict):
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
-	if flushes := opts.Obs.Counter("core_batch_flush_total").Load(); flushes != 0 {
-		t.Fatalf("%d batch flushes despite SafetyThreshold", flushes)
+	if ok == 0 {
+		t.Fatal("no write committed")
+	}
+	coord.combiner.mu.Lock()
+	draining := coord.combiner.draining
+	coord.combiner.mu.Unlock()
+	if draining {
+		t.Fatal("a writer took the combiner's lead despite SafetyThreshold")
+	}
+	for _, name := range []string{"core_batch_flush_total", "core_batch_fallback_total"} {
+		if n := opts.Obs.Counter(name).Load(); n != 0 {
+			t.Fatalf("%s = %d despite SafetyThreshold", name, n)
+		}
+	}
+	if n := opts.Obs.Counter("core_writes_total").Load(); n != K {
+		t.Fatalf("core_writes_total = %d, want %d", n, K)
 	}
 }
 
@@ -477,37 +509,48 @@ func TestGroupCommitChurnStress(t *testing.T) {
 }
 
 // TestCombinerDrainDoesNotAllocate gates the combiner machinery itself —
-// queueing, leader election, the cut, completion signalling — at zero
-// steady-state allocations. The executor is a stub: the protocol rounds
-// it replaces allocate on their own account and are gated separately.
+// leader election, queueing, the cut, completion signalling, handing the
+// lead back — at zero steady-state allocations. The test plays the leader
+// and the writer behind it on one goroutine and completes the cut itself:
+// the protocol rounds a cut runs allocate on their own account and are
+// gated separately (TestOperationAllocationBudget, whose writes all take
+// the idle combiner's lead).
 func TestCombinerDrainDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gate skipped under -race")
 	}
 	b := &combiner{maxBatch: 8, maxQueue: 32}
-	b.exec = func(batch []*pendingWrite) {
-		for _, pw := range batch {
-			pw.version = 1
-			pw.done <- struct{}{}
-		}
-	}
 	ctx := context.Background()
 	u := replica.Update{Offset: 3, Data: []byte("warm")}
-	if _, _, handled := b.submit(ctx, u); !handled {
-		t.Fatal("warm-up submit not handled")
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, _, handled := b.submit(ctx, u); !handled {
-			panic("submit not handled")
+	cycle := func() {
+		if pw, lead := b.join(ctx, u); !lead || pw != nil {
+			panic("an idle combiner did not hand the writer its lead")
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("combiner submit/drain allocates %.1f per op, want 0", allocs)
+		pw, lead := b.join(ctx, u)
+		if lead || pw == nil {
+			panic("a writer behind the leader was not queued")
+		}
+		cut := b.next()
+		if len(cut) != 1 || cut[0] != pw {
+			panic("the cut is not the queued writer")
+		}
+		pw.version = 1
+		pw.done <- struct{}{}
+		if v, err := pw.wait(); v != 1 || err != nil {
+			panic("the writer did not get its cut's outcome")
+		}
+		if b.next() != nil {
+			panic("an empty queue gave a cut")
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("combiner join/cut/wait allocates %.1f per write, want 0", allocs)
 	}
 }
 
 // TestGroupCommitKeepsTheWritersContext: a write through the combiner runs
-// under its writer's context, as it does without group commit, so its
+// under its writer's context, as a write alone does, so its
 // flight trace carries the trace ID that context names (and its rounds the
 // writer's steer key and deadline).
 func TestGroupCommitKeepsTheWritersContext(t *testing.T) {

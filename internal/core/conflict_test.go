@@ -178,18 +178,21 @@ func TestHotItemWritersOnEveryNode(t *testing.T) {
 	if testing.Short() {
 		writes = 15
 	}
-	for name, group := range map[string]bool{"single writes": false, "group commit": true} {
-		t.Run(name, func(t *testing.T) { hotItemWriters(t, writes, group) })
+	for name, perCoord := range map[string]int{"single writes": 1, "group commit": 2} {
+		t.Run(name, func(t *testing.T) { hotItemWriters(t, writes, perCoord) })
 	}
 }
 
-func hotItemWriters(t *testing.T, writes int, groupCommit bool) {
+// hotItemWriters runs perCoord writer goroutines on each coordinator. With
+// one, every cut its combiner makes is a single write, so the contention is
+// all across coordinators; with two, the combiner has something to merge.
+func hotItemWriters(t *testing.T, writes, perCoord int) {
 	const nodes = 9
 	opts := fastOptions()
 	opts.CallTimeout = 2 * time.Second // what no attempt may reach, even under -race
 	opts.Replica.PropagationCallTimeout = opts.CallTimeout
 	opts.Obs = obs.New()
-	opts.GroupCommit = groupCommit
+	groupCommit := perCoord > 1
 	if !groupCommit {
 		// Without transit time a round runs to its end on its caller's
 		// goroutine, and at GOMAXPROCS 1 the nine writers can take turns
@@ -233,14 +236,12 @@ func hotItemWriters(t *testing.T, writes int, groupCommit bool) {
 		go func(w int) {
 			defer writers.Done()
 			co := c.Coordinator(nodeset.ID(w))
-			// With group commit, two goroutines per coordinator give the
-			// combiner something to merge.
 			var sub sync.WaitGroup
-			for g := 0; g < 2; g++ {
+			for g := 0; g < perCoord; g++ {
 				sub.Add(1)
 				go func(g int) {
 					defer sub.Done()
-					for i := g; i < writes; i += 2 {
+					for i := g; i < writes; i += perCoord {
 						u := replica.Update{Offset: (w*7 + i) % 60, Data: []byte{byte(w), byte(i)}}
 						for attempt("write", func() error {
 							start := rec.Begin()

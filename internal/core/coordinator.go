@@ -43,8 +43,9 @@ type Coordinator struct {
 	// Options.Engine; nil under StrategyHint. When it is nil or has no valid
 	// snapshot (an epoch not solved yet) picks fall through to the hint path.
 	strat *StrategyEngine
-	// combiner is the group-commit write queue; nil unless enabled.
-	combiner *combiner
+	// combiner is the group-commit write queue (combiner.go), unused under
+	// Options.SafetyThreshold > 0.
+	combiner combiner
 	// spare is the rounds the last operation gave back (see rounds).
 	spare atomic.Pointer[rounds]
 }
@@ -65,9 +66,7 @@ func NewCoordinator(item *replica.Item, net transport.Net, all nodeset.Set, opts
 	if opts.Strategy.Weighted() {
 		c.strat = opts.Engine
 	}
-	if opts.GroupCommit && opts.SafetyThreshold <= 0 {
-		c.combiner = newCombiner(c)
-	}
+	c.combiner.maxBatch, c.combiner.maxQueue = maxBatch, maxQueue
 	return c
 }
 
@@ -404,26 +403,36 @@ func (c *Coordinator) fireAndForget(ctx context.Context, r *rounds, targets node
 // with injected latency — may still be reading u.Data after Write returns,
 // so the caller must not reuse that buffer.
 //
-// With group commit enabled (Options.GroupCommit), concurrent Write calls
-// on this coordinator merge into batched protocol rounds; each caller
-// still receives its own assigned version and outcome.
+// Concurrent Write calls on this coordinator merge into batched protocol
+// rounds (group commit, combiner.go); each caller still receives its own
+// assigned version and outcome.
 func (c *Coordinator) Write(ctx context.Context, u replica.Update) (uint64, error) {
 	if err := u.Validate(); err != nil {
 		return 0, err
 	}
 	c.metrics.writes.Inc()
-	if c.combiner != nil {
-		if version, err, handled := c.combiner.submit(ctx, u); handled {
+	if c.opts.SafetyThreshold > 0 {
+		return c.writeOne(ctx, u)
+	}
+	pw, lead := c.combiner.join(ctx, u)
+	if lead {
+		version, err := c.writeOne(ctx, u)
+		c.drain()
+		return version, err
+	}
+	if pw != nil {
+		if version, err := pw.wait(); err != errBatchRetry {
 			return version, err
 		}
-		// Queue overflow or a cleanly-aborted batch: run the write alone.
 	}
+	// Queue overflow or a cleanly-aborted batch: run the write alone.
 	return c.writeOne(ctx, u)
 }
 
 // writeOne runs one write through the single-write protocol flow — the
-// path taken without group commit, on combiner overflow, and for each
-// writer of a batch that aborted with nothing applied.
+// leader's own write, a cut of one, a write under SafetyThreshold, one that
+// overflowed the queue, and each writer of a batch that aborted with
+// nothing applied.
 func (c *Coordinator) writeOne(ctx context.Context, u replica.Update) (version uint64, err error) {
 	op := c.item.NextOp()
 	r := c.operation(ctx, obs.OpWrite, op.Seq)

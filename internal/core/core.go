@@ -105,20 +105,15 @@ type Options struct {
 	// SafetyThreshold enables the Section 4.1 extension when > 0: a write
 	// finding fewer than SafetyThreshold good replicas directly applies the
 	// update to additional recorded-good replicas so that at least that
-	// many replicas hold the new value before the write returns.
+	// many replicas hold the new value before the write returns. The
+	// extension is defined per single update, so such a coordinator does
+	// not group-commit (combiner.go).
 	SafetyThreshold int
 	// Obs is the observability registry coordinator metrics and flight
 	// traces are recorded into. It is propagated to the replica layer
 	// (Replica.Obs) and, in NewGroup, to the transport. Default nil
 	// (obs.Nop): every recording site is a no-op.
 	Obs *obs.Registry
-	// GroupCommit turns the write combiner on (see combiner.go): writes
-	// issued concurrently against one coordinator then merge into batched
-	// protocol rounds. It changes which rounds carry an update, never the
-	// outcome a writer observes. Ignored when SafetyThreshold > 0: the
-	// Section 4.1 extension is defined per single update, so such
-	// configurations keep the single-write flow.
-	GroupCommit bool
 	// Strategy selects how quorums are picked from a layout's candidates.
 	// Default StrategyHint.
 	Strategy QuorumStrategy

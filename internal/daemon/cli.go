@@ -63,13 +63,11 @@ func newFlags(fs *flag.FlagSet) *cliFlags {
 	fs.DurationVar(&cfg.CallTimeout, "call-timeout", 250*time.Millisecond, "per-RPC-round timeout (also scales lock leases)")
 	fs.StringVar(&cfg.Strategy, "strategy", "hint", "quorum selection strategy: hint or optimized")
 	fs.StringVar(&f.capacity, "capacity", "", "declared relative node capacities: id=weight,... (unlisted nodes are 1.0)")
-	fs.BoolVar(&cfg.GroupCommit, "batch", false, "enable the group-commit write combiner")
 	fs.BoolVar(&cfg.Obs, "obs", true, "attach the observability registry")
 	fs.StringVar(&cfg.AdminAddr, "admin", "", "serve the admin plane (/metrics /traces /healthz /debug/pprof) on this address")
 	fs.IntVar(&cfg.Shards, "shards", 1, "partition the keyspace into this many coteries")
 	fs.IntVar(&cfg.RF, "rf", 0, "replicas per shard (0 = default 3, clamped to cluster size)")
 	fs.Uint64Var(&cfg.MapVersion, "map-version", 0, "shard map version served to clients (0 = default 1)")
-	fs.IntVar(&cfg.MaxCoords, "max-coords", 0, "live coordinator cap (0 = default 4096)")
 	fs.DurationVar(&cfg.SlowReadDelay, "slow-read", 0, "inject this service delay before every client read (tail-latency experiments)")
 	return f
 }

@@ -80,9 +80,9 @@ func TestFlagNames(t *testing.T) {
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{
-		"admin", "batch", "call-timeout", "capacity", "cluster", "item-size",
-		"map-version", "max-coords", "node", "obs", "recovering", "rf",
-		"shards", "slow-read", "strategy",
+		"admin", "call-timeout", "capacity", "cluster", "item-size",
+		"map-version", "node", "obs", "recovering", "rf", "shards",
+		"slow-read", "strategy",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("flags\n got %q\nwant %q", got, want)

@@ -22,10 +22,11 @@
 //     operation arriving here (the co-located coordinator creates the
 //     item), or a protocol message from a peer coordinator (the node's
 //     auto-create provisioner creates it).
-//   - Coordinators — which carry combiner queues and layout caches — live
-//     in a bounded LRU (Config.MaxCoords); idle ones are dropped and
-//     rebuilt on demand, so per-shard combiner state never scales with
-//     cold keyspace. Replica stores are never evicted: they are the data.
+//   - A coordinator — the item's write combiner and layout cache — is
+//     built on the item's first client operation here (a peer's protocol
+//     message makes only the replica) and kept, like the replica, for the
+//     daemon's life. All writers of an item on this node go through its
+//     one coordinator, whose group commit merges them.
 //
 // Operations for shards this node does not own answer StatusWrongShard, and
 // every daemon serves the shard map (MapQuery), so a client with a stale
@@ -53,7 +54,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"sync"
 	"time"
 
@@ -91,8 +91,6 @@ type Config struct {
 	// All daemons of one deployment should agree so their solved
 	// distributions match.
 	Capacities map[nodeset.ID]float64
-	// GroupCommit turns the write combiner on.
-	GroupCommit bool
 	// Pipeline is read by nothing: the transport has one call mode. The
 	// field remains only because bench/tcp.go still sets it.
 	Pipeline bool
@@ -117,9 +115,6 @@ type Config struct {
 	// All daemons of one deployment must agree on it; bumping it after a
 	// membership change is what makes stale clients refresh.
 	MapVersion uint64
-	// MaxCoords bounds live coordinators (default 4096); beyond it, idle
-	// coordinators are evicted LRU and rebuilt on demand.
-	MaxCoords int
 	// SlowReadDelay injects a service delay before every client read —
 	// the induced slow node of the hedging experiments. Zero for off.
 	SlowReadDelay time.Duration
@@ -135,27 +130,20 @@ type Daemon struct {
 	// slice for the whole daemon, which its replicas read and never write.
 	initial []byte
 
-	// The map this daemon serves plus the lazy coordinator table. copts is
-	// the construction template for on-demand coordinators.
-	pmap       *placement.Map
-	copts      core.Options
+	// The map this daemon serves and the coordinators built so far. copts
+	// is the construction template for on-demand coordinators.
+	pmap  *placement.Map
+	copts core.Options
+	// coords maps an item's name to its *core.Coordinator. Operations read
+	// it without a lock; mu serializes building a missing entry, so each
+	// item gets exactly one, and guards live.
+	coords     sync.Map
 	mu         sync.Mutex
-	clock      uint64
-	entries    map[string]*coordEntry
+	live       int
 	coordBuilt *obs.Counter
-	coordEvict *obs.Counter
 
 	admin *http.Server
 	aln   net.Listener
-}
-
-// coordEntry is one live coordinator in the daemon's LRU table. touch and
-// inflight are guarded by Daemon.mu; an entry is only evictable when no
-// operation holds it (inflight == 0).
-type coordEntry struct {
-	co       *core.Coordinator
-	touch    uint64
-	inflight int
 }
 
 func (c Config) withDefaults() Config {
@@ -176,9 +164,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MapVersion == 0 {
 		c.MapVersion = 1
-	}
-	if c.MaxCoords <= 0 {
-		c.MaxCoords = 4096
 	}
 	return c
 }
@@ -219,7 +204,6 @@ func Start(cfg Config) (*Daemon, error) {
 		Obs:         reg,
 		Strategy:    strategy,
 		Capacity:    CapacityFunc(cfg.Capacities),
-		GroupCommit: cfg.GroupCommit,
 	}
 	// One tracker and one engine per process: every coordinator this daemon
 	// hosts solves with the same measured capacities.
@@ -227,9 +211,7 @@ func Start(cfg Config) (*Daemon, error) {
 	d := &Daemon{Net: tnet, Reg: reg, node: node, cfg: cfg, copts: copts,
 		initial:    make([]byte, cfg.ItemSize),
 		pmap:       pmap,
-		entries:    make(map[string]*coordEntry),
 		coordBuilt: reg.Counter("coteried_coord_built_total"),
-		coordEvict: reg.Counter("coteried_coord_evicted_total"),
 	}
 	// Peer coordinators materialize replicas here on first touch; the
 	// provisioner enforces shard ownership so a confused peer cannot plant
@@ -292,7 +274,7 @@ func (d *Daemon) Map() *placement.Map { return d.pmap }
 func (d *Daemon) LiveCoordinators() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.entries)
+	return d.live
 }
 
 // Item returns this node's replica of the named item, or nil (tests and
@@ -354,69 +336,33 @@ func recoverReplica(rep *replica.Item) {
 	rep.AdvanceOpSeq(uint64(time.Now().UnixNano()))
 }
 
-// coordFor resolves the coordinator serving item from the lazy LRU,
-// building it on first touch. The returned context carries the shard's
-// steering key, and release must be called when the operation finishes (it
-// unpins the entry for eviction).
-func (d *Daemon) coordFor(ctx context.Context, item string) (co *core.Coordinator, opCtx context.Context, release func(), st capi.Status, detail string) {
+// coordFor resolves the coordinator serving item, building it on the
+// item's first client operation here. The returned context carries the
+// shard's steering key.
+func (d *Daemon) coordFor(ctx context.Context, item string) (*core.Coordinator, context.Context, capi.Status, string) {
 	shard := d.pmap.ShardOf(item)
 	if !d.pmap.Owns(d.cfg.Self, shard) {
-		return nil, ctx, nil, capi.StatusWrongShard,
+		return nil, ctx, capi.StatusWrongShard,
 			fmt.Sprintf("shard %d not owned by node %d under map v%d", shard, d.cfg.Self, d.pmap.Version())
 	}
+	ctx = transport.WithSteer(ctx, uint64(shard))
+	if co, ok := d.coords.Load(item); ok {
+		return co.(*core.Coordinator), ctx, capi.StatusOK, ""
+	}
 	d.mu.Lock()
-	e := d.entries[item]
-	if e == nil {
-		rep, err := d.provisionReplica(item)
-		if err != nil {
-			d.mu.Unlock()
-			return nil, ctx, nil, capi.StatusError, err.Error()
-		}
-		e = &coordEntry{co: core.NewCoordinator(rep, d.Net, d.pmap.Members(shard), d.copts)}
-		d.entries[item] = e
-		d.coordBuilt.Inc()
-		d.maybeEvictLocked()
+	defer d.mu.Unlock()
+	if co, ok := d.coords.Load(item); ok {
+		return co.(*core.Coordinator), ctx, capi.StatusOK, ""
 	}
-	d.clock++
-	e.touch = d.clock
-	e.inflight++
-	d.mu.Unlock()
-	release = func() {
-		d.mu.Lock()
-		e.inflight--
-		d.mu.Unlock()
+	rep, err := d.provisionReplica(item)
+	if err != nil {
+		return nil, ctx, capi.StatusError, err.Error()
 	}
-	return e.co, transport.WithSteer(ctx, uint64(shard)), release, capi.StatusOK, ""
-}
-
-// maybeEvictLocked drops the least-recently-used idle coordinators once
-// the table exceeds MaxCoords, down to 7/8 of the cap. Coordinators are
-// pure protocol machinery over the replica item (which persists), so a
-// re-touch after eviction just rebuilds one. Called with d.mu held.
-func (d *Daemon) maybeEvictLocked() {
-	if len(d.entries) <= d.cfg.MaxCoords {
-		return
-	}
-	type cand struct {
-		name  string
-		touch uint64
-	}
-	idle := make([]cand, 0, len(d.entries))
-	for name, e := range d.entries {
-		if e.inflight == 0 {
-			idle = append(idle, cand{name, e.touch})
-		}
-	}
-	sort.Slice(idle, func(i, j int) bool { return idle[i].touch < idle[j].touch })
-	target := d.cfg.MaxCoords - d.cfg.MaxCoords/8
-	drop := len(d.entries) - target
-	if drop > len(idle) {
-		drop = len(idle)
-	}
-	for i := 0; i < drop; i++ {
-		delete(d.entries, idle[i].name)
-	}
-	d.coordEvict.Add(uint64(drop))
+	co := core.NewCoordinator(rep, d.Net, d.pmap.Members(shard), d.copts)
+	d.coords.Store(item, co)
+	d.live++
+	d.coordBuilt.Inc()
+	return co, ctx, capi.StatusOK, ""
 }
 
 // handleMapQuery serves the daemon's shard map.
@@ -433,33 +379,30 @@ func (d *Daemon) handleRead(ctx context.Context, from nodeset.ID, req capi.Read)
 	if d.cfg.SlowReadDelay > 0 {
 		time.Sleep(d.cfg.SlowReadDelay)
 	}
-	co, ctx, release, st, detail := d.coordFor(ctx, req.Item)
+	co, ctx, st, detail := d.coordFor(ctx, req.Item)
 	if co == nil {
 		return capi.ReadReply{Status: st, Detail: detail}, nil
 	}
-	defer release()
 	value, version, err := co.Read(ctx)
 	st, detail = status(err)
 	return capi.ReadReply{Status: st, Version: version, Value: value, Detail: detail}, nil
 }
 
 func (d *Daemon) handleWrite(ctx context.Context, from nodeset.ID, req capi.Write) (transport.Message, error) {
-	co, ctx, release, st, detail := d.coordFor(ctx, req.Item)
+	co, ctx, st, detail := d.coordFor(ctx, req.Item)
 	if co == nil {
 		return capi.WriteReply{Status: st, Detail: detail}, nil
 	}
-	defer release()
 	version, err := co.Write(ctx, req.Update)
 	st, detail = status(err)
 	return capi.WriteReply{Status: st, Version: version, Detail: detail}, nil
 }
 
 func (d *Daemon) handleCheckEpoch(ctx context.Context, from nodeset.ID, req capi.CheckEpoch) (transport.Message, error) {
-	co, ctx, release, st, detail := d.coordFor(ctx, req.Item)
+	co, ctx, st, detail := d.coordFor(ctx, req.Item)
 	if co == nil {
 		return capi.CheckReply{Status: st, Detail: detail}, nil
 	}
-	defer release()
 	res, err := co.CheckEpoch(ctx)
 	st, detail = status(err)
 	return capi.CheckReply{Status: st, Changed: res.Changed, EpochNum: res.EpochNum, Detail: detail}, nil

@@ -3,17 +3,19 @@ package daemon
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"coterie/internal/capi"
 	"coterie/internal/nodeset"
 	"coterie/internal/replica"
+	"coterie/internal/transport"
 	"coterie/internal/transport/tcpnet"
 )
 
 // startShardCluster brings up n sharded daemons sharing one address book.
-func startShardCluster(t *testing.T, n, shards, rf, maxCoords int) (map[nodeset.ID]string, []*Daemon) {
+func startShardCluster(t *testing.T, n, shards, rf int) (map[nodeset.ID]string, []*Daemon) {
 	t.Helper()
 	book := freeAddrs(t, n)
 	daemons := make([]*Daemon, 0, n)
@@ -25,7 +27,7 @@ func startShardCluster(t *testing.T, n, shards, rf, maxCoords int) (map[nodeset.
 			CallTimeout: 2 * time.Second,
 			Shards:      shards,
 			RF:          rf,
-			MaxCoords:   maxCoords,
+			Obs:         true,
 		})
 		if err != nil {
 			t.Fatalf("daemon %d: %v", i, err)
@@ -41,7 +43,7 @@ func startShardCluster(t *testing.T, n, shards, rf, maxCoords int) (map[nodeset.
 // owning coteries, lazy coordinators materialize only where traffic lands,
 // and a read through the client observes a write through the client.
 func TestShardedClusterEndToEnd(t *testing.T) {
-	book, daemons := startShardCluster(t, 4, 8, 3, 0)
+	book, daemons := startShardCluster(t, 4, 8, 3)
 	cli := tcpnet.New(book)
 	defer cli.Close()
 	client, err := capi.NewClient(cli, capi.ClientConfig{
@@ -98,7 +100,7 @@ func TestShardedClusterEndToEnd(t *testing.T) {
 // operation sent to a daemon that does not own the item's shard must
 // answer StatusWrongShard without executing anything.
 func TestShardedWrongShardAnswer(t *testing.T) {
-	book, daemons := startShardCluster(t, 4, 8, 2, 0)
+	book, daemons := startShardCluster(t, 4, 8, 2)
 	cli := tcpnet.New(book)
 	defer cli.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -143,7 +145,7 @@ func TestShardedWrongShardAnswer(t *testing.T) {
 
 // TestShardedMapQuery checks every daemon serves the same map.
 func TestShardedMapQuery(t *testing.T) {
-	book, _ := startShardCluster(t, 3, 4, 2, 0)
+	book, _ := startShardCluster(t, 3, 4, 2)
 	cli := tcpnet.New(book)
 	defer cli.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -167,14 +169,35 @@ func TestShardedMapQuery(t *testing.T) {
 	}
 }
 
-// TestCoordinatorLRUEviction bounds combiner state: with MaxCoords=8, a
-// sweep over many keys must keep the live coordinator table at or under
-// the cap, while every operation still succeeds (evicted coordinators
-// rebuild on demand; replica stores persist).
-func TestCoordinatorLRUEviction(t *testing.T) {
-	book, daemons := startShardCluster(t, 3, 4, 3, 8)
-	cli := tcpnet.New(book)
-	defer cli.Close()
+// coordTargets records, per daemon, the items a client's writes reached.
+type coordTargets struct {
+	transport.Net
+	mu    sync.Mutex
+	items map[nodeset.ID]map[string]bool
+}
+
+func (n *coordTargets) Call(ctx context.Context, from, to nodeset.ID, req transport.Message) (transport.Message, error) {
+	rep, err := n.Net.Call(ctx, from, to, req)
+	if w, ok := req.(capi.Write); ok && err == nil {
+		n.mu.Lock()
+		if n.items[to] == nil {
+			n.items[to] = make(map[string]bool)
+		}
+		n.items[to][w.Item] = true
+		n.mu.Unlock()
+	}
+	return rep, err
+}
+
+// TestOneCoordinatorPerCoordinatedItem: a daemon builds one coordinator
+// for each item a client operates on through it and keeps it. After 40
+// writes, every daemon has built exactly as many as the distinct items its
+// writes were sent to; reading all 40 back, through the same write-affine
+// members, builds none; and every value is there.
+func TestOneCoordinatorPerCoordinatedItem(t *testing.T) {
+	book, daemons := startShardCluster(t, 3, 4, 3)
+	cli := &coordTargets{Net: tcpnet.New(book), items: make(map[nodeset.ID]map[string]bool)}
+	defer cli.Net.(*tcpnet.Network).Close()
 	client, err := capi.NewClient(cli, capi.ClientConfig{Self: nodeset.ID(100), Seeds: []nodeset.ID{0}})
 	if err != nil {
 		t.Fatal(err)
@@ -184,22 +207,36 @@ func TestCoordinatorLRUEviction(t *testing.T) {
 
 	const keys = 40
 	for i := 0; i < keys; i++ {
-		item := fmt.Sprintf("evict-%d", i)
+		item := fmt.Sprintf("key-%d", i)
 		if wr, err := client.Write(ctx, item, replica.Update{Data: []byte{0xaa}}); err != nil || wr.Status != capi.StatusOK {
 			t.Fatalf("write %s: %v %+v", item, err, wr)
 		}
 	}
-	for _, d := range daemons {
-		if live := d.LiveCoordinators(); live > 8 {
-			t.Fatalf("daemon holds %d coordinators, cap is 8", live)
+	built := func(d *Daemon) uint64 { return d.Reg.Counter("coteried_coord_built_total").Load() }
+	total := 0
+	for i, d := range daemons {
+		want := len(cli.items[nodeset.ID(i)])
+		total += want
+		if got := built(d); got != uint64(want) {
+			t.Errorf("daemon %d built %d coordinators for the %d items it coordinated", i, got, want)
+		}
+		if got := d.LiveCoordinators(); got != want {
+			t.Errorf("daemon %d holds %d coordinators, want %d", i, got, want)
 		}
 	}
-	// Re-read everything: values survive coordinator eviction.
+	if total != keys {
+		t.Fatalf("writes reached %d distinct (daemon, item) pairs, want %d", total, keys)
+	}
 	for i := 0; i < keys; i++ {
-		item := fmt.Sprintf("evict-%d", i)
+		item := fmt.Sprintf("key-%d", i)
 		rr, err := client.Read(ctx, item)
 		if err != nil || rr.Status != capi.StatusOK || rr.Version != 1 || rr.Value[0] != 0xaa {
 			t.Fatalf("read-back %s: %v %+v", item, err, rr)
+		}
+	}
+	for i, d := range daemons {
+		if got, want := built(d), len(cli.items[nodeset.ID(i)]); got != uint64(want) {
+			t.Errorf("daemon %d built %d coordinators after the reads, want still %d", i, got, want)
 		}
 	}
 }

@@ -371,7 +371,7 @@ func TestDaemonSeriesNames(t *testing.T) {
 		"core_read_redraws_total", "core_reads_total",
 		"core_spec_prepare_hit_total", "core_spec_prepare_miss_total",
 		"core_writes_total",
-		"coteried_coord_built_total", "coteried_coord_evicted_total",
+		"coteried_coord_built_total",
 		"replica_amnesia_total", "replica_commits_total",
 		"replica_decision_bytes", "replica_decision_unknown_total",
 		"replica_epoch_installs_total", "replica_items",

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"coterie/internal/coterie"
 )
 
 // The golden values below were solved by the 192-bit big.Float Gaussian
@@ -107,4 +109,63 @@ func TestStationaryKeepsSmallMasses(t *testing.T) {
 		u += p
 	}
 	checkGolden(t, "Figure 3 N=30", u, 4.2899311867657438e-33)
+}
+
+// TestWheelChainIsDynamicLinearVoting: dynamic-linear voting, N = 3…12,
+// λ = 1, μ ∈ {3, 19}, is the wheel rule's epoch chain. A wheel epoch of
+// three or more survives any one failure, and a two-member wheel's one
+// quorum is its spoke — it survives losing the hub, not the spoke, as a
+// dynamic-linear 2-set survives losing all but its distinguished member.
+// The values are those of the hand-built chain DynamicVotingModel{Linear}
+// solved before it became RuleModel(coterie.Wheel{}, …) (A_k for k up
+// members, U_z for the distinguished node down with z others up): two
+// solves of different chains by the same GTH elimination, so the tolerance
+// is rounding's.
+func TestWheelChainIsDynamicLinearVoting(t *testing.T) {
+	for _, g := range []struct {
+		mu   float64
+		want []float64
+	}{
+		{3, []float64{
+			0.14453125000000003,
+			0.068557997881355928,
+			0.028466909642032329,
+			0.01074062521841607,
+			0.0037819610505146505,
+			0.0012661820252880124,
+			0.00040820114515826151,
+			0.00012782293112175011,
+			3.9112958467253807e-05,
+			1.1746092529877548e-05,
+		}},
+		{19, []float64{
+			0.0071312499999999987,
+			0.00071163229242185151,
+			5.9327121618411376e-05,
+			4.4507956898188256e-06,
+			3.1160516754524486e-07,
+			2.0775667591429069e-08,
+			1.3356617452133207e-09,
+			8.3482429602975717e-11,
+			5.1018605890711066e-12,
+			3.0611860730201215e-13,
+		}},
+	} {
+		for i, w := range g.want {
+			n := 3 + i
+			wheel, _, err := RuleModel(coterie.Wheel{}, n, 1, g.mu).Unavailabilities()
+			if err != nil {
+				t.Fatal(err)
+			}
+			linear, err := DynamicVotingModel{N: n, Lambda: 1, Mu: g.mu, Linear: true}.Unavailability()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, got := range []float64{wheel, linear} {
+				if rel := math.Abs(got-w) / w; !(rel <= 1e-12) {
+					t.Errorf("N=%d mu=%g: wheel %.17g, dynamic-linear %.17g, want %.17g (rel %.2g)", n, g.mu, wheel, linear, w, rel)
+				}
+			}
+		}
+	}
 }

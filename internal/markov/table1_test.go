@@ -341,26 +341,3 @@ func TestProtocolTable1(t *testing.T) {
 		t.Errorf("FormatProtocolTable1 leaves trailing spaces:\n%s", out)
 	}
 }
-
-// TestWheelChainIsDynamicLinearVoting: a wheel epoch of three or more
-// survives any one failure, and a two-member wheel's one quorum is its
-// spoke — it survives losing the hub, not the spoke, as a dynamic-linear
-// 2-set survives losing all but its distinguished member. So the wheel's
-// rule chain and the hand-built dynamic-linear chain agree to rounding.
-func TestWheelChainIsDynamicLinearVoting(t *testing.T) {
-	for _, mu := range []float64{1, 3, 19} {
-		for _, n := range []int{3, 5, 9, 30} {
-			wheel, _, err := RuleModel(coterie.Wheel{}, n, 1, mu).Unavailabilities()
-			if err != nil {
-				t.Fatal(err)
-			}
-			linear, err := DynamicVotingModel{N: n, Lambda: 1, Mu: mu, Linear: true}.Unavailability()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rel := math.Abs(wheel-linear) / linear; rel > 1e-12 {
-				t.Errorf("N=%d μ=%g: wheel %.17g, dynamic-linear %.17g", n, mu, wheel, linear)
-			}
-		}
-	}
-}

@@ -66,12 +66,11 @@ func ROWAReadAvailability(n int, p float64) float64 {
 //
 // With Linear set, the lexicographic tie-break of dynamic-linear voting
 // lets a 2-node set survive the failure of its lower-priority member: the
-// distinguished survivor continues alone. No coterie rule expresses the
-// tie-break, so this variant keeps its own chain: available states A_k
-// (k = 1..N), and unavailable states U_z — the distinguished node is down
-// and z of the other N−1 nodes are up. The system blocks only when the
-// distinguished member itself goes down (from a 2-node set at rate λ, or
-// from a 1-node set), and recovers when it repairs.
+// distinguished survivor continues alone, and the system blocks only when
+// the distinguished member itself goes down. That is the epoch chain under
+// coterie.Wheel: a wheel of three or more survives any one failure, and a
+// two-member wheel's one quorum is its spoke, which survives losing the hub
+// and not the spoke.
 type DynamicVotingModel struct {
 	N      int
 	Lambda float64
@@ -79,65 +78,15 @@ type DynamicVotingModel struct {
 	Linear bool // dynamic-linear voting (lexicographic tie-break)
 }
 
-// linearChain constructs the dynamic-linear CTMC: A_k at index k−1, U_z at
-// N+z.
-func (m DynamicVotingModel) linearChain() (*Chain, error) {
-	N, l, u := m.N, m.Lambda, m.Mu
-	if N < 2 {
-		return nil, fmt.Errorf("markov: dynamic-linear voting model needs N >= 2, got %d", N)
-	}
-	if l <= 0 || u <= 0 {
-		return nil, fmt.Errorf("markov: rates must be positive (lambda=%g, mu=%g)", l, u)
-	}
-	availIdx := func(k int) int { return k - 1 }
-	unavailIdx := func(z int) int { return N + z } // z = 0..N-1
-	c := NewChain(2 * N)
-	for k := 1; k <= N; k++ {
-		if k < N {
-			c.AddRate(availIdx(k), availIdx(k+1), float64(N-k)*u)
-		}
-		switch {
-		case k >= 3:
-			c.AddRate(availIdx(k), availIdx(k-1), float64(k)*l)
-		case k == 2:
-			// Lower-priority member fails: survive alone.
-			c.AddRate(availIdx(k), availIdx(1), l)
-			// Distinguished member fails: block with z = 1 outsider up.
-			c.AddRate(availIdx(k), unavailIdx(1), l)
-		case k == 1:
-			c.AddRate(availIdx(k), unavailIdx(0), l)
-		}
-	}
-	for z := 0; z <= N-1; z++ {
-		from := unavailIdx(z)
-		c.AddRate(from, availIdx(1+z), u) // distinguished node repairs
-		if z > 0 {
-			c.AddRate(from, unavailIdx(z-1), float64(z)*l)
-		}
-		if z < N-1 {
-			c.AddRate(from, unavailIdx(z+1), float64(N-1-z)*u)
-		}
-	}
-	return c, nil
-}
-
 // Unavailability returns the stationary unavailable probability mass.
 func (m DynamicVotingModel) Unavailability() (float64, error) {
-	if !m.Linear {
-		write, _, err := RuleModel(coterie.Majority{}, m.N, m.Lambda, m.Mu).Unavailabilities()
-		return write, err
+	rule := coterie.Rule(coterie.Majority{})
+	if m.Linear {
+		if m.N < 2 {
+			return 0, fmt.Errorf("markov: dynamic-linear voting model needs N >= 2, got %d", m.N)
+		}
+		rule = coterie.Wheel{}
 	}
-	c, err := m.linearChain()
-	if err != nil {
-		return 0, err
-	}
-	pi, err := c.Stationary()
-	if err != nil {
-		return 0, err
-	}
-	u := 0.0
-	for _, p := range pi[m.N:] {
-		u += p
-	}
-	return u, nil
+	write, _, err := RuleModel(rule, m.N, m.Lambda, m.Mu).Unavailabilities()
+	return write, err
 }

@@ -6,7 +6,9 @@
 // long-run unavailability must converge to its stationary value:
 //
 //   - ModelPaper follows the paper's simplified recovery rule ("a 3-node
-//     epoch needs all three members"): markov.DynamicGridModel, Figure 3;
+//     epoch needs all three members") and reads by the grid's read
+//     quorums: markov.PaperReadModel, whose write side is Figure 3's
+//     markov.DynamicGridModel;
 //   - ModelProtocol evaluates the coterie rule exactly — e.g. the N=5 grid
 //     has a height-1 column whose loss blocks the epoch change, and the
 //     partial-column optimization lets some 3-node and even 2-node epochs
@@ -32,7 +34,9 @@ type Model int
 const (
 	// ModelPaper follows the Figure 3 analysis: any epoch of ≥ 4 nodes
 	// adapts to a single failure; an epoch of exactly 3 blocks on any
-	// failure and recovers only when all three members are up again.
+	// failure and recovers only when all three members are up again. Reads
+	// need a read quorum of coterie.Grid{} over the current epoch, so a
+	// blocked 3-member epoch may still read.
 	ModelPaper Model = iota
 	// ModelProtocol evaluates the configured coterie rule exactly: the
 	// epoch moves to the up-set whenever the up-set includes a write
@@ -47,6 +51,7 @@ type Config struct {
 	Mu     float64 // per-node repair rate
 	Model  Model
 	// Rule is the coterie rule for ModelProtocol (default coterie.Grid{}).
+	// ModelPaper ignores it: its epochs are grids.
 	Rule coterie.Rule
 	// Horizon is the simulated time span.
 	Horizon float64
@@ -86,7 +91,7 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("sim: the paper model needs N >= 4, got %d", cfg.N)
 	}
 	rule := cfg.Rule
-	if rule == nil {
+	if rule == nil || cfg.Model == ModelPaper {
 		rule = coterie.Grid{}
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -104,9 +109,8 @@ func Run(cfg Config) (Result, error) {
 	// Trajectories revisit a small set of member sets (mostly the full set
 	// minus a few nodes), so for N ≤ 64 compiled layouts are cached keyed
 	// by the epoch's single membership word; an epoch change then costs a
-	// map probe instead of a recompilation. ModelPaper never consults the
-	// rule and skips compilation entirely.
-	var layout *coterie.Layout
+	// map probe instead of a recompilation. ModelPaper consults the layout
+	// for reads only.
 	var layoutCache map[uint64]*coterie.Layout
 	if cfg.N <= 64 {
 		layoutCache = make(map[uint64]*coterie.Layout)
@@ -123,21 +127,14 @@ func Run(cfg Config) (Result, error) {
 		}
 		return l
 	}
-	if cfg.Model == ModelProtocol {
-		layout = compileLayout(epoch)
-	}
+	layout := compileLayout(epoch)
 	writeAvailable := func() bool {
 		if cfg.Model == ModelPaper {
 			return up.ContainsAll(epoch) || epochAdaptablePaper(epoch, up)
 		}
 		return layout.IsWriteQuorum(up)
 	}
-	readAvailable := func() bool {
-		if cfg.Model == ModelPaper {
-			return writeAvailable()
-		}
-		return layout.IsReadQuorum(up)
-	}
+	readAvailable := func() bool { return layout.IsReadQuorum(up) }
 	check := func() {
 		if up.Equal(epoch) {
 			return
@@ -150,9 +147,7 @@ func Run(cfg Config) (Result, error) {
 		}
 		if ok {
 			epoch = up.Clone()
-			if cfg.Model == ModelProtocol {
-				layout = compileLayout(epoch)
-			}
+			layout = compileLayout(epoch)
 			res.EpochChanges++
 			if l := epoch.Len(); l < res.MinEpochSize {
 				res.MinEpochSize = l

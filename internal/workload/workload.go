@@ -1,6 +1,6 @@
-// Package workload generates reproducible operation streams and failure
-// schedules for exercising the replication protocols, and runs them against
-// a cluster while recording a one-copy-serializability history.
+// Package workload generates reproducible operation streams for exercising
+// the replication protocols: generators, Zipf key draws and an open-loop
+// pacer. Drivers (cmd/loadgen, bench/) run them.
 //
 // The generators model the paper's motivating workload — file-system-style
 // partial writes (Section 1) — as random in-place range updates mixed with
@@ -9,17 +9,11 @@
 package workload
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
-	"sync"
-	"time"
 
-	"coterie/internal/core"
 	"coterie/internal/nodeset"
-	"coterie/internal/onecopy"
 	"coterie/internal/replica"
 )
 
@@ -142,208 +136,4 @@ func (g *Generator) Next() Op {
 	}
 	op.Update = replica.Update{Offset: offset, Data: data}
 	return op
-}
-
-// FailureEvent is one entry of a failure schedule.
-type FailureEvent struct {
-	At   time.Duration
-	Node nodeset.ID
-	Up   bool // true = repair, false = failure
-}
-
-// PoissonSchedule samples a failure/repair schedule over the horizon:
-// every node alternates exponentially distributed up intervals (mean
-// 1/lambda) and down intervals (mean 1/mu), the site model's process on a
-// wall-clock scale. Events are returned in time order.
-func PoissonSchedule(members nodeset.Set, lambda, mu float64, horizon time.Duration, seed int64) ([]FailureEvent, error) {
-	if lambda <= 0 || mu <= 0 {
-		return nil, fmt.Errorf("workload: rates must be positive (lambda=%g, mu=%g)", lambda, mu)
-	}
-	if horizon <= 0 {
-		return nil, fmt.Errorf("workload: non-positive horizon %v", horizon)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var events []FailureEvent
-	for _, id := range members.IDs() {
-		t := time.Duration(0)
-		up := true
-		for {
-			rate := lambda
-			if !up {
-				rate = mu
-			}
-			t += time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
-			if t >= horizon {
-				break
-			}
-			up = !up
-			events = append(events, FailureEvent{At: t, Node: id, Up: up})
-		}
-	}
-	sort.Slice(events, func(i, j int) bool { return events[i].At < events[j].At })
-	return events, nil
-}
-
-// Stats aggregates a workload run.
-type Stats struct {
-	Reads        int
-	Writes       int
-	Failures     int // operations that exhausted their retries
-	Retries      int
-	TotalLatency time.Duration
-}
-
-// RunOptions tunes Run.
-type RunOptions struct {
-	// Ops is the total number of operations to execute. Default 100.
-	Ops int
-	// Concurrency is the number of worker goroutines. Default 1.
-	Concurrency int
-	// Retries bounds per-operation retries on conflict/unavailability.
-	// Default 10.
-	Retries int
-	// OpTimeout bounds each attempt. Default 5s.
-	OpTimeout time.Duration
-}
-
-func (o RunOptions) withDefaults() RunOptions {
-	if o.Ops <= 0 {
-		o.Ops = 100
-	}
-	if o.Concurrency <= 0 {
-		o.Concurrency = 1
-	}
-	if o.Retries <= 0 {
-		o.Retries = 10
-	}
-	if o.OpTimeout <= 0 {
-		o.OpTimeout = 5 * time.Second
-	}
-	return o
-}
-
-// Run drives a cluster with operations from per-worker generators split
-// off cfg's stream (see Generator.Split). When rec is non-nil, completed
-// operations are recorded for one-copy-serializability checking.
-func Run(ctx context.Context, cluster *core.Cluster, cfg Config, opts RunOptions, rec *onecopy.Recorder) (Stats, error) {
-	opts = opts.withDefaults()
-	if cfg.Members.Empty() {
-		cfg.Members = cluster.Members
-	}
-	root, err := NewGenerator(cfg)
-	if err != nil {
-		return Stats{}, err
-	}
-	gens, err := root.Split(opts.Concurrency)
-	if err != nil {
-		return Stats{}, err
-	}
-	var (
-		mu    sync.Mutex
-		stats Stats
-		wg    sync.WaitGroup
-		errc  = make(chan error, opts.Concurrency)
-	)
-	perWorker := opts.Ops / opts.Concurrency
-	extra := opts.Ops % opts.Concurrency
-	for w := 0; w < opts.Concurrency; w++ {
-		n := perWorker
-		if w < extra {
-			n++
-		}
-		if n == 0 {
-			continue
-		}
-		gen := gens[w]
-		wg.Add(1)
-		go func(gen *Generator, n int, w int) {
-			defer wg.Done()
-			jitter := rand.New(rand.NewSource(gen.cfg.Seed ^ 0x5eed))
-			for i := 0; i < n; i++ {
-				op := gen.Next()
-				if err := runOne(ctx, cluster, op, opts, rec, jitter, &mu, &stats); err != nil {
-					select {
-					case errc <- err:
-					default:
-					}
-					return
-				}
-			}
-		}(gen, n, w)
-	}
-	wg.Wait()
-	select {
-	case err := <-errc:
-		return stats, err
-	default:
-	}
-	return stats, nil
-}
-
-// runOne executes one operation with retries and records it.
-func runOne(ctx context.Context, cluster *core.Cluster, op Op, opts RunOptions, rec *onecopy.Recorder, jitter *rand.Rand, mu *sync.Mutex, stats *Stats) error {
-	co := cluster.Coordinator(op.Coordinator)
-	if co == nil {
-		return fmt.Errorf("workload: no coordinator %v", op.Coordinator)
-	}
-	began := time.Now()
-	var start uint64
-	if rec != nil {
-		start = rec.Begin()
-	}
-	var lastErr error
-	for attempt := 0; attempt <= opts.Retries; attempt++ {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		opCtx, cancel := context.WithTimeout(ctx, opts.OpTimeout)
-		switch op.Kind {
-		case OpWrite:
-			version, err := co.Write(opCtx, op.Update)
-			cancel()
-			if err == nil {
-				if rec != nil {
-					rec.EndWrite(start, version, op.Update)
-				}
-				mu.Lock()
-				stats.Writes++
-				stats.Retries += attempt
-				stats.TotalLatency += time.Since(began)
-				mu.Unlock()
-				return nil
-			}
-			if rec != nil && !errors.Is(err, core.ErrConflict) {
-				// The attempt may have reached its commit phase before
-				// failing; record it as an uncertain write so the
-				// serializability checker can account for its version.
-				rec.EndMaybeWrite(start, op.Update)
-			}
-			lastErr = err
-		case OpRead:
-			value, version, err := co.Read(opCtx)
-			cancel()
-			if err == nil {
-				if rec != nil {
-					rec.EndRead(start, version, value)
-				}
-				mu.Lock()
-				stats.Reads++
-				stats.Retries += attempt
-				stats.TotalLatency += time.Since(began)
-				mu.Unlock()
-				return nil
-			}
-			lastErr = err
-		default:
-			cancel()
-			return fmt.Errorf("workload: unknown op kind %d", op.Kind)
-		}
-		time.Sleep(time.Duration(jitter.Intn(20)+1) * time.Millisecond)
-	}
-	mu.Lock()
-	stats.Failures++
-	stats.Retries += opts.Retries
-	mu.Unlock()
-	_ = lastErr
-	return nil
 }

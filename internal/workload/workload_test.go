@@ -1,15 +1,9 @@
 package workload
 
 import (
-	"context"
 	"testing"
-	"time"
 
-	"coterie/internal/core"
-	"coterie/internal/coterie"
 	"coterie/internal/nodeset"
-	"coterie/internal/onecopy"
-	"coterie/internal/replica"
 )
 
 func TestGeneratorValidation(t *testing.T) {
@@ -72,190 +66,5 @@ func TestGeneratorWriteLenCappedByItem(t *testing.T) {
 		if op := g.Next(); op.Kind == OpWrite && op.Update.Offset+len(op.Update.Data) > 4 {
 			t.Fatalf("write overflows item: %+v", op.Update)
 		}
-	}
-}
-
-func TestPoissonSchedule(t *testing.T) {
-	members := nodeset.Range(0, 4)
-	events, err := PoissonSchedule(members, 2, 10, 30*time.Second, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) == 0 {
-		t.Fatal("no events over a long horizon")
-	}
-	lastAt := time.Duration(0)
-	state := map[nodeset.ID]bool{}
-	for _, e := range events {
-		if e.At < lastAt {
-			t.Fatal("events out of order")
-		}
-		lastAt = e.At
-		if !members.Contains(e.Node) {
-			t.Fatalf("event for non-member %v", e.Node)
-		}
-		// Each node alternates: first event must be a failure.
-		prev, seen := state[e.Node]
-		if !seen {
-			if e.Up {
-				t.Fatalf("node %v's first event is a repair", e.Node)
-			}
-		} else if prev == e.Up {
-			t.Fatalf("node %v has consecutive %v events", e.Node, e.Up)
-		}
-		state[e.Node] = e.Up
-	}
-	// Determinism.
-	events2, _ := PoissonSchedule(members, 2, 10, 30*time.Second, 7)
-	if len(events2) != len(events) {
-		t.Error("schedule not deterministic")
-	}
-}
-
-func TestPoissonScheduleValidation(t *testing.T) {
-	if _, err := PoissonSchedule(nodeset.New(0), 0, 1, time.Second, 1); err == nil {
-		t.Error("lambda=0 accepted")
-	}
-	if _, err := PoissonSchedule(nodeset.New(0), 1, 1, 0, 1); err == nil {
-		t.Error("zero horizon accepted")
-	}
-}
-
-func testCluster(t *testing.T) *core.Cluster {
-	t.Helper()
-	c, err := core.NewCluster(9, "item", make([]byte, 64), core.Options{
-		Rule:        coterie.Grid{},
-		CallTimeout: 500 * time.Millisecond,
-		Replica: replica.Config{
-			PropagationRetry:       5 * time.Millisecond,
-			PropagationCallTimeout: 200 * time.Millisecond,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	return c
-}
-
-func TestRunSequentialWorkloadSerializable(t *testing.T) {
-	c := testCluster(t)
-	rec := onecopy.NewRecorder(make([]byte, 64))
-	stats, err := Run(context.Background(), c, Config{ReadFraction: 0.4, ItemSize: 64, Seed: 3},
-		RunOptions{Ops: 60}, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Reads+stats.Writes+stats.Failures != 60 {
-		t.Errorf("op accounting: %+v", stats)
-	}
-	if stats.Failures != 0 {
-		t.Errorf("failures in a failure-free run: %+v", stats)
-	}
-	if err := rec.Check(); err != nil {
-		t.Errorf("history not serializable: %v", err)
-	}
-}
-
-func TestRunConcurrentWorkloadSerializable(t *testing.T) {
-	c := testCluster(t)
-	rec := onecopy.NewRecorder(make([]byte, 64))
-	stats, err := Run(context.Background(), c, Config{ReadFraction: 0.5, ItemSize: 64, Seed: 4},
-		RunOptions{Ops: 60, Concurrency: 4, Retries: 30}, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Failures != 0 {
-		t.Errorf("failures: %+v", stats)
-	}
-	if err := rec.Check(); err != nil {
-		t.Errorf("history not serializable: %v", err)
-	}
-}
-
-func TestRunWithoutRecorder(t *testing.T) {
-	c := testCluster(t)
-	if _, err := Run(context.Background(), c, Config{Seed: 5}, RunOptions{Ops: 10}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPoissonScheduleDrivenRun replays a generated failure schedule
-// against a live cluster (compressed to milliseconds) while a workload
-// runs and the epoch checker adapts: the history must stay serializable
-// and the cluster must recover fully once the schedule ends.
-func TestPoissonScheduleDrivenRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("schedule-driven run skipped in -short mode")
-	}
-	c := testCluster(t)
-	c.StartEpochChecker(40 * time.Millisecond)
-	defer c.StopEpochChecker()
-
-	// One simulated second = 50ms of wall clock; only nodes 3..8 fail so
-	// coordinators stay up (coordinator crashes are covered by the chaos
-	// suite in internal/core).
-	events, err := PoissonSchedule(nodeset.Range(3, 9), 0.8, 4, 30*time.Second, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const compress = 50 // ms per simulated second
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		start := time.Now()
-		for _, e := range events {
-			at := time.Duration(e.At.Seconds() * compress * float64(time.Millisecond))
-			if d := at - time.Since(start); d > 0 {
-				time.Sleep(d)
-			}
-			if e.Up {
-				c.Restart(e.Node)
-			} else {
-				c.Crash(e.Node)
-			}
-		}
-		for _, id := range c.Members.IDs() {
-			c.Restart(id)
-		}
-	}()
-
-	rec := onecopy.NewRecorder(make([]byte, 64))
-	stats, err := Run(context.Background(), c, Config{
-		Members:      nodeset.Range(0, 3),
-		ReadFraction: 0.4, ItemSize: 64, Seed: 12,
-	}, RunOptions{Ops: 80, Concurrency: 2, Retries: 40, OpTimeout: 2 * time.Second}, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-done
-	if stats.Reads+stats.Writes == 0 {
-		t.Fatalf("no successful operations: %+v", stats)
-	}
-	if err := rec.Check(); err != nil {
-		t.Fatalf("history under scheduled failures: %v", err)
-	}
-	// Post-schedule recovery: a fresh write and read must succeed.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		_, err := c.Coordinator(0).Write(ctx, replica.Update{Offset: 0, Data: []byte("Z")})
-		cancel()
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("cluster never recovered: %v", err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-func TestRunCancelled(t *testing.T) {
-	c := testCluster(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := Run(ctx, c, Config{Seed: 6}, RunOptions{Ops: 50}, nil); err == nil {
-		t.Error("cancelled run reported success")
 	}
 }
